@@ -213,6 +213,32 @@ impl Value {
         }
     }
 
+    /// Builds a value from the concatenation of `parts` — the assembly path
+    /// for payloads above [`INLINE_CAP`] (large incremental states, output
+    /// records): exactly one allocation and one copy, where collecting
+    /// into a `Vec` and calling [`Value::new`] costs two of each. Small
+    /// results are stored inline and do not allocate at all.
+    pub fn concat(parts: &[&[u8]]) -> Self {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len > INLINE_CAP {
+            return Value {
+                repr: Repr::Heap(Bytes::concat(parts)),
+            };
+        }
+        let mut buf = [0u8; INLINE_CAP];
+        let mut at = 0;
+        for p in parts {
+            buf[at..at + p.len()].copy_from_slice(p);
+            at += p.len();
+        }
+        Value {
+            repr: Repr::Inline {
+                len: len as u8,
+                buf,
+            },
+        }
+    }
+
     /// Builds a value holding a big-endian u64 (e.g. a count). Never
     /// allocates.
     #[inline]
@@ -696,6 +722,19 @@ mod tests {
     #[test]
     fn value_u64_roundtrip() {
         assert_eq!(Value::from_u64(42).as_u64(), Some(42));
+    }
+
+    #[test]
+    fn concat_equals_the_joined_bytes_on_both_representations() {
+        let small = Value::concat(&[b"ab", b"", b"cd"]);
+        assert_eq!(small, Value::from("abcd"));
+        let tail = [9u8; INLINE_CAP];
+        let large = Value::concat(&[b"x", &tail]);
+        let mut joined = vec![b'x'];
+        joined.extend_from_slice(&tail);
+        assert_eq!(large, Value::new(joined));
+        assert_eq!(large.len(), INLINE_CAP + 1);
+        assert!(Value::concat(&[]).is_empty());
     }
 
     #[test]

@@ -29,6 +29,8 @@ pub enum Site {
 #[derive(Debug)]
 pub struct ReduceCtx {
     emitted: Vec<Pair>,
+    /// Reusable assembly buffer lent to user code ([`ReduceCtx::take_scratch`]).
+    scratch: Vec<u8>,
     /// Highest event time observed by this reducer, if the job defines
     /// event times. Drives the DINC expiry eviction rule.
     pub watermark: Option<u64>,
@@ -40,6 +42,7 @@ impl Default for ReduceCtx {
     fn default() -> Self {
         ReduceCtx {
             emitted: Vec::new(),
+            scratch: Vec::new(),
             watermark: None,
             site: Site::Reduce,
         }
@@ -69,6 +72,34 @@ impl ReduceCtx {
     /// Takes everything emitted since the last drain.
     pub fn drain(&mut self) -> Vec<Pair> {
         std::mem::take(&mut self.emitted)
+    }
+
+    /// Moves everything emitted since the last drain onto the end of
+    /// `out` and returns the moved pairs' serialized size. Unlike
+    /// [`ReduceCtx::drain`] the emission buffer keeps its allocation, so a
+    /// reducer that drains after every delivery does not allocate a fresh
+    /// `Vec` per emission.
+    pub fn drain_into(&mut self, out: &mut Vec<Pair>) -> u64 {
+        let bytes = self.emitted.iter().map(Pair::size).sum();
+        out.append(&mut self.emitted);
+        bytes
+    }
+
+    /// Lends out the context's assembly buffer, emptied but with its
+    /// capacity intact: scratch space for user code that builds a large
+    /// state from pieces before freezing it into a [`Value`]. Hand it back
+    /// with [`ReduceCtx::return_scratch`] so the next call reuses the
+    /// allocation (taking it, rather than borrowing it, leaves `self` free
+    /// for [`ReduceCtx::emit`] meanwhile).
+    pub fn take_scratch(&mut self) -> Vec<u8> {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        buf
+    }
+
+    /// Returns the buffer lent by [`ReduceCtx::take_scratch`].
+    pub fn return_scratch(&mut self, buf: Vec<u8>) {
+        self.scratch = buf;
     }
 
     /// Number of pairs pending drain.
@@ -133,6 +164,15 @@ pub trait IncrementalReducer: Send + Sync {
     /// `cb()` — merges `other` into `acc`. May emit early output through
     /// `ctx` (e.g. closed sessions, counters crossing a query threshold),
     /// which is what lets INC/DINC reduce progress track map progress.
+    ///
+    /// This is the engine's hottest user call. States of up to
+    /// [`opa_common::INLINE_CAP`] bytes live inline and cost nothing
+    /// to rebuild; a larger state should be merged on its encoded bytes and
+    /// assembled with [`Value::concat`] (one allocation, one copy) — using
+    /// [`ReduceCtx::take_scratch`] when the pieces must be interleaved
+    /// first — rather than decoded into owned collections and re-encoded
+    /// through `Vec` → [`Value::new`], which allocates per element and
+    /// twice more for the result.
     fn cb(&self, key: &Key, acc: &mut Value, other: Value, ctx: &mut ReduceCtx);
 
     /// `fn()` — produces the final answer(s) for a key from its state.

@@ -972,8 +972,7 @@ fn run_job(
                             // chunks of the same node) route to job output
                             // exactly like task-level map-side emissions.
                             if stage_ctx[node].pending() > 0 {
-                                let early = stage_ctx[node].drain();
-                                let b: u64 = early.iter().map(Pair::size).sum();
+                                let b = stage_ctx[node].drain_into(&mut output);
                                 let _ = res.hdfs_io(
                                     node,
                                     gt,
@@ -982,7 +981,6 @@ fn run_job(
                                     &spec.cost,
                                 );
                                 progress.emitted(gt, b);
-                                output.extend(early);
                             }
                             if stage_bytes[node] > spec.node_combine_buffer {
                                 flush_node!(node, gt);
@@ -1287,9 +1285,6 @@ fn run_job(
             });
             let mut t = start;
             let deliveries = std::mem::take(&mut deferred[r]);
-            let dbg_wave2 = std::env::var_os("OPA_TRACE_WAVE2").is_some();
-            let n_deliveries = deliveries.len();
-            let bytes_total: u64 = deliveries.iter().map(|(_, p)| p.bytes()).sum();
             // The mappers finished long ago: their output must come off
             // disk. Fetches from distinct source nodes proceed in parallel
             // (the shuffle's parallel fetch threads); each source disk
@@ -1349,7 +1344,6 @@ fn run_job(
                 }
                 t = replay(dlog, t0, spec, target!(r));
             }
-            let after_deliveries = t;
             let mut env = ReduceEnv::new(spec);
             rec.finish(t, &mut env);
             let done = replay(env.into_log(), t, spec, target!(r));
@@ -1374,11 +1368,6 @@ fn run_job(
                 }
             }
             reducers[r] = Some(rec);
-            if dbg_wave2 {
-                eprintln!(
-                    "wave2 r={r}: start={start} deliveries={n_deliveries} bytes={bytes_total} after_deliv={after_deliveries} done={done}"
-                );
-            }
             end = end.max(done);
         }
 

@@ -868,15 +868,13 @@ fn plan_incremental(
     ));
 
     // Any map-side early output (closed sessions) goes straight to HDFS.
-    let early_output = ctx.drain();
-    let early_bytes: u64 = early_output.iter().map(Pair::size).sum();
+    let early_bytes = ctx.drain_into(&mut plan.early_output);
     if early_bytes > 0 {
         plan.ops.push(MapOp::Hdfs(
             IoCategory::ReduceOutput,
             IoOp::write(early_bytes),
         ));
     }
-    plan.early_output = early_output;
 
     plan.ops.push(MapOp::Granule);
     plan.granules

@@ -268,8 +268,7 @@ impl<'j> DincHashReducer<'j> {
             None => {
                 // Fully output — the 0.1 GB-vs-370 GB headline lives here.
                 self.stats.evict_output += 1;
-                let out = self.ctx.drain();
-                t = self.sink.push(t, out, env);
+                t = self.sink.push(t, &mut self.ctx, env);
             }
             Some(state) => {
                 self.stats.evict_spilled += 1;
@@ -378,8 +377,7 @@ impl ReduceSide for DincHashReducer<'_> {
                     t = env.cpu(t, env.cost().cb_time(1) + env.cost().hash_time(1));
                     env.worked(t, 1);
                     if self.ctx.pending() > 0 {
-                        let out = self.ctx.drain();
-                        t = self.sink.push(t, out, env);
+                        t = self.sink.push(t, &mut self.ctx, env);
                     }
                 }
                 MgOutcome::Installed { evicted } => {
@@ -432,8 +430,7 @@ impl ReduceSide for DincHashReducer<'_> {
                 }
             }
             t = env.cpu(t, env.cost().reduce_time(finalized));
-            let out = self.ctx.drain();
-            t = self.sink.push(t, out, env);
+            t = self.sink.push(t, &mut self.ctx, env);
             t = self.sink.flush(t, env);
             env.span_close(OpKind::Reduce);
             return t;
@@ -725,8 +722,7 @@ pub(crate) fn process_bucket_inc(
             env.worked(t, batch);
             batch = 0;
             if ctx.pending() > 0 {
-                let out = ctx.drain();
-                t = sink.push(t, out, env);
+                t = sink.push(t, ctx, env);
             }
         }
     }
@@ -742,8 +738,7 @@ pub(crate) fn process_bucket_inc(
         inc.finalize(&key, state, ctx);
     }
     t = env.cpu(t, env.cost().reduce_time(n));
-    let out = ctx.drain();
-    t = sink.push(t, out, env);
+    t = sink.push(t, ctx, env);
 
     if !overflow.is_empty() {
         let h = family.fn_at(depth + 1);

@@ -171,8 +171,7 @@ impl<'j> IncHashReducer<'j> {
                 self.stats.absorbed += 1;
                 env.worked(t, 1);
                 if self.ctx.pending() > 0 {
-                    let out = self.ctx.drain();
-                    t = self.sink.push(t, out, env);
+                    t = self.sink.push(t, &mut self.ctx, env);
                 }
             }
             None if self.admission.is_on() => {
@@ -401,8 +400,7 @@ impl<'j> IncHashReducer<'j> {
                 env.worked(t, batch);
                 batch = 0;
                 if self.ctx.pending() > 0 {
-                    let out = self.ctx.drain();
-                    t = self.sink.push(t, out, env);
+                    t = self.sink.push(t, &mut self.ctx, env);
                 }
             }
         }
@@ -419,8 +417,7 @@ impl<'j> IncHashReducer<'j> {
             self.inc.finalize(&key, state, &mut self.ctx);
         }
         t = env.cpu(t, env.cost().reduce_time(resident));
-        let out = self.ctx.drain();
-        t = self.sink.push(t, out, env);
+        t = self.sink.push(t, &mut self.ctx, env);
 
         // Overflow keys (key set larger than memory): stage again with the
         // next hash function and recurse.
@@ -491,8 +488,7 @@ impl ReduceSide for IncHashReducer<'_> {
             self.inc.finalize(&key, state, &mut self.ctx);
         }
         t = env.cpu(t, env.cost().reduce_time(n));
-        let out = self.ctx.drain();
-        t = self.sink.push(t, out, env);
+        t = self.sink.push(t, &mut self.ctx, env);
 
         // Staged buckets, one at a time.
         let op = self.buckets.seal();

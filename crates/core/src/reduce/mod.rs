@@ -28,7 +28,7 @@ pub mod sort_merge;
 #[path = "tests.rs"]
 mod tests_frameworks;
 
-use crate::api::Job;
+use crate::api::{Job, ReduceCtx};
 use crate::cluster::{ClusterSpec, Framework};
 use crate::cost::CostModel;
 use crate::map_phase::Payload;
@@ -403,16 +403,15 @@ impl OutputSink {
         }
     }
 
-    /// Queues pairs emitted at time `t`; flushes to HDFS if the write
-    /// buffer filled. Returns the (possibly advanced) clock.
-    pub fn push(&mut self, t: SimTime, pairs: Vec<Pair>, env: &mut ReduceEnv<'_>) -> SimTime {
-        if pairs.is_empty() {
+    /// Queues everything `ctx` has emitted since its last drain, at time
+    /// `t`; flushes to HDFS if the write buffer filled. Returns the
+    /// (possibly advanced) clock. The pairs are moved, and `ctx` keeps its
+    /// emission buffer, so draining after every delivery allocates nothing.
+    pub fn push(&mut self, t: SimTime, ctx: &mut ReduceCtx, env: &mut ReduceEnv<'_>) -> SimTime {
+        if ctx.pending() == 0 {
             return t;
         }
-        for p in &pairs {
-            self.pending_bytes += p.size();
-        }
-        self.pending.extend(pairs);
+        self.pending_bytes += ctx.drain_into(&mut self.pending);
         if self.pending_bytes >= self.flush_at {
             self.flush(t, env)
         } else {

@@ -118,14 +118,14 @@ impl<'j> MrHashReducer<'j> {
                 t = env.cpu(t, env.cost().reduce_time(batch));
                 env.worked(t, batch);
                 batch = 0;
-                t = self.sink.push(t, ctx.drain(), env);
+                t = self.sink.push(t, &mut ctx, env);
             }
         }
         if batch > 0 {
             t = env.cpu(t, env.cost().reduce_time(batch));
             env.worked(t, batch);
         }
-        self.sink.push(t, ctx.drain(), env)
+        self.sink.push(t, &mut ctx, env)
     }
 
     /// Processes one staged bucket: reduce in memory if it fits, otherwise

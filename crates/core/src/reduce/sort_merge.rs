@@ -213,7 +213,7 @@ impl ReduceSide for SortMergeReducer<'_> {
                 t = env.cpu(t, env.cost().reduce_time(batch_work));
                 env.worked(t, batch_work);
                 batch_work = 0;
-                t = self.sink.push(t, ctx.drain(), env);
+                t = self.sink.push(t, &mut ctx, env);
             }
             i = j;
         }
@@ -221,7 +221,7 @@ impl ReduceSide for SortMergeReducer<'_> {
             t = env.cpu(t, env.cost().reduce_time(batch_work));
             env.worked(t, batch_work);
         }
-        t = self.sink.push(t, ctx.drain(), env);
+        t = self.sink.push(t, &mut ctx, env);
         t = self.sink.flush(t, env);
         env.span_close(OpKind::Reduce);
         t

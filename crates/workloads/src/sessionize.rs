@@ -30,6 +30,23 @@
 //! expired session, in which case eviction *outputs* the clicks instead of
 //! spilling them.
 //!
+//! ## Working on the bytes
+//!
+//! Like the paper's prototype (§5, §6.1's pre-allocated 0.5–2 KB buffers),
+//! the incremental functions never turn a state into objects. A state is
+//! read through a cursor over its click records; `cb` is one two-way merge
+//! of the (already sorted) records of `acc` and `other` into the
+//! [`ReduceCtx`]'s reusable assembly buffer, a drain from the front with a
+//! running count of the bytes left, and one [`Value::concat`] of the new
+//! header and the surviving records — one allocation for the state and one
+//! per emitted click. `event_time`, `can_evict`, `evict` and `finalize`
+//! read the anchor and the last timestamp in place. A tail is framed by a
+//! one-byte length, so `map` clamps tails to [`MAX_TAIL`] bytes, for every
+//! framework alike. The layout is frozen: checkpoints, spill files and
+//! shuffle byte counts are made of it. The struct-based implementation
+//! this replaced lives on as the oracle of the property tests
+//! (`tests/support/session_oracle.rs`).
+//!
 //! [`can_evict`]: opa_core::api::IncrementalReducer::can_evict
 
 use crate::clickstream::parse_click;
@@ -77,204 +94,257 @@ impl SessionizeJob {
     }
 }
 
+/// Longest click tail a record keeps, in bytes: the state layout frames a
+/// tail with a one-byte length. [`SessionizeJob::map`] clamps longer tails
+/// (oversized URLs), for every framework alike.
+pub const MAX_TAIL: usize = u8::MAX as usize;
+
 // ---------------------------------------------------------------------
 // Click value layout: [ts u64][tail…]
 // ---------------------------------------------------------------------
 
-fn click_value(ts: u64, tail: &[u8]) -> Value {
-    let mut v = Vec::with_capacity(8 + tail.len());
-    v.extend_from_slice(&ts.to_be_bytes());
-    v.extend_from_slice(tail);
-    Value::new(v)
+fn be64(b: &[u8]) -> u64 {
+    u64::from_be_bytes(b[..8].try_into().expect("8-byte big-endian field"))
 }
 
 fn decode_click(v: &[u8]) -> (u64, &[u8]) {
-    let ts = u64::from_be_bytes(v[..8].try_into().expect("click value has ts"));
-    (ts, &v[8..])
+    (be64(v), &v[8..])
 }
 
 /// Output value layout: [session_start u64][ts u64][tail…].
 pub fn session_output(session_start: u64, ts: u64, tail: &[u8]) -> Value {
-    let mut v = Vec::with_capacity(16 + tail.len());
-    v.extend_from_slice(&session_start.to_be_bytes());
-    v.extend_from_slice(&ts.to_be_bytes());
-    v.extend_from_slice(tail);
-    Value::new(v)
+    Value::concat(&[&session_start.to_be_bytes(), &ts.to_be_bytes(), tail])
 }
 
 /// Decodes an output record into (session_start, ts, tail).
 pub fn decode_output(v: &[u8]) -> (u64, u64, &[u8]) {
-    let s = u64::from_be_bytes(v[..8].try_into().expect("output has session start"));
-    let t = u64::from_be_bytes(v[8..16].try_into().expect("output has ts"));
-    (s, t, &v[16..])
+    (be64(v), be64(&v[8..]), &v[16..])
 }
 
 // ---------------------------------------------------------------------
-// Incremental state
+// Incremental state: byte-level views
 // ---------------------------------------------------------------------
 
-/// In-memory view of the serialized state.
-#[derive(Debug, Clone, PartialEq)]
-struct SessionState {
-    /// Open-session context of already-drained clicks:
-    /// (session_start, last_drained_ts).
-    anchor: Option<(u64, u64)>,
-    /// Buffered clicks, sorted by (ts, tail).
-    clicks: Vec<(u64, Vec<u8>)>,
+/// State header: `[flags u8][anchor_start u64][anchor_last u64][n u16]`.
+const HDR: usize = 19;
+/// Click record header inside a state: `[ts u64][len u8]`.
+const REC_HDR: usize = 9;
+
+/// Open-session context of already-drained clicks:
+/// (session_start, last_drained_ts).
+type Anchor = Option<(u64, u64)>;
+
+/// One buffered click, borrowed from the state bytes that hold it.
+#[derive(Clone, Copy)]
+struct Click<'a> {
+    /// The whole record: `[ts u64][len u8][tail…]`.
+    rec: &'a [u8],
 }
 
-impl SessionState {
-    fn decode(v: &[u8]) -> SessionState {
-        let flags = v[0];
-        let anchor = if flags & 1 != 0 {
-            Some((
-                u64::from_be_bytes(v[1..9].try_into().expect("anchor start")),
-                u64::from_be_bytes(v[9..17].try_into().expect("anchor last")),
-            ))
-        } else {
-            None
-        };
-        let n = u16::from_be_bytes(v[17..19].try_into().expect("count")) as usize;
-        let mut clicks = Vec::with_capacity(n);
-        let mut i = 19;
-        for _ in 0..n {
-            let ts = u64::from_be_bytes(v[i..i + 8].try_into().expect("click ts"));
-            let len = v[i + 8] as usize;
-            clicks.push((ts, v[i + 9..i + 9 + len].to_vec()));
-            i += 9 + len;
+impl<'a> Click<'a> {
+    fn ts(self) -> u64 {
+        be64(self.rec)
+    }
+
+    fn tail(self) -> &'a [u8] {
+        &self.rec[REC_HDR..]
+    }
+
+    /// Buffer order: by timestamp, then tail. (Not the record's byte
+    /// order — the length byte sits between the two.)
+    fn sort_key(self) -> (u64, &'a [u8]) {
+        (self.ts(), self.tail())
+    }
+}
+
+/// Cursor over the click records of a state body.
+#[derive(Clone)]
+struct Clicks<'a>(&'a [u8]);
+
+impl<'a> Iterator for Clicks<'a> {
+    type Item = Click<'a>;
+
+    fn next(&mut self) -> Option<Click<'a>> {
+        if self.0.is_empty() {
+            return None;
         }
-        SessionState { anchor, clicks }
+        let (rec, rest) = self.0.split_at(REC_HDR + self.0[8] as usize);
+        self.0 = rest;
+        Some(Click { rec })
     }
+}
 
-    fn encode(&self) -> Value {
-        let mut v = Vec::with_capacity(self.encoded_len());
-        let (flags, a, b) = match self.anchor {
-            Some((s, l)) => (1u8, s, l),
-            None => (0u8, 0, 0),
+/// The anchor of an encoded state and its click records.
+fn parse_state(v: &[u8]) -> (Anchor, Clicks<'_>) {
+    let anchor = (v[0] & 1 != 0).then(|| (be64(&v[1..]), be64(&v[9..])));
+    (anchor, Clicks(&v[HDR..]))
+}
+
+/// Encodes a state from its anchor and `n` already-encoded click records.
+fn encode_state(anchor: Anchor, n: usize, body: &[u8]) -> Value {
+    let mut hdr = [0u8; HDR];
+    if let Some((start, last)) = anchor {
+        hdr[0] = 1;
+        hdr[1..9].copy_from_slice(&start.to_be_bytes());
+        hdr[9..17].copy_from_slice(&last.to_be_bytes());
+    }
+    hdr[17..].copy_from_slice(&(n as u16).to_be_bytes());
+    Value::concat(&[&hdr, body])
+}
+
+/// Appends the records of the runs `a` and `b` to `out` in buffer order and
+/// returns how many there are. Both runs are sorted whenever this module
+/// wrote them, so one two-way merge pass does it; should the pass find
+/// either run out of order, it falls back to sorting them all.
+fn merge_clicks<'a>(a: Clicks<'a>, b: Clicks<'a>, out: &mut Vec<u8>) -> usize {
+    out.reserve(a.0.len() + b.0.len());
+    let (mut left, mut right) = (a.clone().peekable(), b.clone().peekable());
+    let mut n = 0;
+    let mut sorted = true;
+    let mut prev = None::<Click<'_>>;
+    loop {
+        let next = match (left.peek(), right.peek()) {
+            (Some(l), Some(r)) if r.sort_key() < l.sort_key() => right.next(),
+            (Some(_), _) => left.next(),
+            (None, _) => right.next(),
         };
-        v.push(flags);
-        v.extend_from_slice(&a.to_be_bytes());
-        v.extend_from_slice(&b.to_be_bytes());
-        v.extend_from_slice(&(self.clicks.len() as u16).to_be_bytes());
-        for (ts, tail) in &self.clicks {
-            v.extend_from_slice(&ts.to_be_bytes());
-            v.push(tail.len() as u8);
-            v.extend_from_slice(tail);
-        }
-        Value::new(v)
+        let Some(click) = next else { break };
+        sorted &= prev.is_none_or(|p| p.sort_key() <= click.sort_key());
+        prev = Some(click);
+        out.extend_from_slice(click.rec);
+        n += 1;
     }
-
-    fn encoded_len(&self) -> usize {
-        19 + self
-            .clicks
-            .iter()
-            .map(|(_, tail)| 9 + tail.len())
-            .sum::<usize>()
-    }
-
-    fn single(ts: u64, tail: &[u8]) -> SessionState {
-        SessionState {
-            anchor: None,
-            clicks: vec![(ts, tail.to_vec())],
+    if !sorted {
+        let mut all: Vec<Click<'_>> = a.chain(b).collect();
+        all.sort_unstable_by_key(|c| c.sort_key());
+        out.clear();
+        for click in all {
+            out.extend_from_slice(click.rec);
         }
     }
+    n
+}
 
-    fn merge(&mut self, other: SessionState) {
-        // Anchors only collide on DINC respill paths; keep the later one
-        // (its drained clicks are the most recent — see module docs).
-        self.anchor = match (self.anchor, other.anchor) {
-            (Some(a), Some(b)) => Some(if a.1 >= b.1 { a } else { b }),
-            (a, b) => a.or(b),
-        };
-        self.clicks.extend(other.clicks);
-        self.clicks.sort();
+/// Latest activity in a state, buffered or drained.
+fn last_activity(anchor: Anchor, clicks: Clicks<'_>) -> u64 {
+    let buffered = clicks.last().map_or(0, Click::ts);
+    let drained = anchor.map_or(0, |(_, last)| last);
+    buffered.max(drained)
+}
+
+impl SessionizeJob {
+    /// The point before which no earlier click can still arrive.
+    fn close_point(&self, watermark: Option<u64>) -> u64 {
+        watermark.map_or(0, |w| w.saturating_sub(self.slack_secs))
     }
 
-    /// Latest activity in the state (buffered or drained).
-    fn last_activity(&self) -> u64 {
-        let buffered = self.clicks.last().map(|&(ts, _)| ts).unwrap_or(0);
-        let drained = self.anchor.map(|(_, l)| l).unwrap_or(0);
-        buffered.max(drained)
-    }
-
-    /// Drains clicks with `ts < close_point`, emitting them with session
-    /// labels; then force-drains oldest clicks while over `capacity`.
-    fn drain(
-        &mut self,
+    /// Drains clicks from the front of `clicks`, emitting them with session
+    /// labels: those with `ts < close_point`, then the oldest ones for as
+    /// long as the state would still encode to more than `capacity` bytes.
+    /// Returns the new anchor, the clicks left, and how many were drained.
+    fn drain_front<'a>(
+        &self,
         key: &Key,
+        mut anchor: Anchor,
+        mut clicks: Clicks<'a>,
         close_point: u64,
         capacity: usize,
-        gap: u64,
         ctx: &mut ReduceCtx,
-    ) {
-        let mut i = 0;
-        while i < self.clicks.len() {
-            let within_close = self.clicks[i].0 < close_point;
-            let over_capacity = self.encoded_len()
-                - self.clicks[..i]
-                    .iter()
-                    .map(|(_, t)| 9 + t.len())
-                    .sum::<usize>()
-                > capacity;
-            if !within_close && !over_capacity {
+    ) -> (Anchor, Clicks<'a>, usize) {
+        let mut drained = 0;
+        loop {
+            let mut rest = clicks.clone();
+            let Some(click) = rest.next() else { break };
+            let ts = click.ts();
+            if ts >= close_point && HDR + clicks.0.len() <= capacity {
                 break;
             }
-            let (ts, ref tail) = self.clicks[i];
-            match self.anchor {
+            let start = match anchor {
                 // Within (or extending) the open session.
-                Some((s, last)) if ts <= last + gap && ts >= s => {
-                    ctx.emit(key.clone(), session_output(s, ts, tail));
-                    self.anchor = Some((s, last.max(ts)));
+                Some((s, last)) if ts <= last.saturating_add(self.gap_secs) && ts >= s => {
+                    anchor = Some((s, last.max(ts)));
+                    s
                 }
                 // Older than the open session's start: only possible on
                 // DINC respill merges (the documented approximation).
                 // Emit as its own singleton session and leave the anchor
                 // alone, so the open session's structure stays valid.
-                Some((s, _)) if ts < s => {
-                    ctx.emit(key.clone(), session_output(ts, ts, tail));
-                }
+                Some((s, _)) if ts < s => ts,
                 // Gap exceeded (or no session yet): a new session opens.
                 _ => {
-                    ctx.emit(key.clone(), session_output(ts, ts, tail));
-                    self.anchor = Some((ts, ts));
+                    anchor = Some((ts, ts));
+                    ts
                 }
-            }
-            i += 1;
+            };
+            ctx.emit(key.clone(), session_output(start, ts, click.tail()));
+            clicks = rest;
+            drained += 1;
         }
-        self.clicks.drain(..i);
+        (anchor, clicks, drained)
+    }
+
+    /// Emits every buffered click of a complete state.
+    fn drain_all(&self, key: &Key, state: &Value, ctx: &mut ReduceCtx) {
+        let (anchor, clicks) = parse_state(state.bytes());
+        self.drain_front(key, anchor, clicks, u64::MAX, 0, ctx);
     }
 
     /// Whether every buffered click belongs to an expired session at the
     /// given close point (the §6.2 eviction rule).
-    fn expired(&self, close_point: u64, gap: u64) -> bool {
-        self.clicks.is_empty() || self.last_activity() + gap < close_point
+    fn expired(&self, state: &Value, close_point: u64) -> bool {
+        let (anchor, clicks) = parse_state(state.bytes());
+        clicks.0.is_empty()
+            || last_activity(anchor, clicks).saturating_add(self.gap_secs) < close_point
     }
 }
 
 impl IncrementalReducer for SessionizeJob {
     fn init(&self, _key: &Key, value: Value) -> Value {
-        let (ts, tail) = decode_click(value.bytes());
-        SessionState::single(ts, tail).encode()
+        /// Header of a one-click state with no anchor.
+        const ONE_CLICK: [u8; HDR] = {
+            let mut hdr = [0u8; HDR];
+            hdr[HDR - 1] = 1;
+            hdr
+        };
+        let (ts, tail) = value.bytes().split_at(8);
+        let tail = &tail[..tail.len().min(MAX_TAIL)];
+        Value::concat(&[&ONE_CLICK, ts, &[tail.len() as u8], tail])
     }
 
     fn cb(&self, key: &Key, acc: &mut Value, other: Value, ctx: &mut ReduceCtx) {
-        let mut state = SessionState::decode(acc.bytes());
-        state.merge(SessionState::decode(other.bytes()));
+        let (mine, acc_clicks) = parse_state(acc.bytes());
+        let (theirs, other_clicks) = parse_state(other.bytes());
+        // Anchors only collide on DINC respill paths; keep the later one
+        // (its drained clicks are the most recent — see module docs).
+        let mut anchor = match (mine, theirs) {
+            (Some(a), Some(b)) => Some(if a.1 >= b.1 { a } else { b }),
+            (a, b) => a.or(b),
+        };
+        let mut buf = ctx.take_scratch();
+        let mut n = merge_clicks(acc_clicks, other_clicks, &mut buf);
+        let mut body = &buf[..];
         // Only reduce-side processing may emit: map-side chunks see a
         // partial stream (and states there stay tiny anyway).
         if ctx.site == Site::Reduce {
-            let close_point = ctx
-                .watermark
-                .map(|w| w.saturating_sub(self.slack_secs))
-                .unwrap_or(0);
-            state.drain(key, close_point, self.state_capacity, self.gap_secs, ctx);
+            let close_point = self.close_point(ctx.watermark);
+            let (after, rest, drained) = self.drain_front(
+                key,
+                anchor,
+                Clicks(body),
+                close_point,
+                self.state_capacity,
+                ctx,
+            );
+            anchor = after;
+            body = rest.0;
+            n -= drained;
         }
-        *acc = state.encode();
+        *acc = encode_state(anchor, n, body);
+        ctx.return_scratch(buf);
     }
 
     fn finalize(&self, key: &Key, state: Value, ctx: &mut ReduceCtx) {
-        let mut s = SessionState::decode(state.bytes());
-        s.drain(key, u64::MAX, 0, self.gap_secs, ctx);
+        self.drain_all(key, &state, ctx);
     }
 
     fn state_mem_size(&self, state: &Value) -> u64 {
@@ -289,13 +359,12 @@ impl IncrementalReducer for SessionizeJob {
     }
 
     fn event_time(&self, state: &Value) -> Option<u64> {
-        Some(SessionState::decode(state.bytes()).last_activity())
+        let (anchor, clicks) = parse_state(state.bytes());
+        Some(last_activity(anchor, clicks))
     }
 
     fn can_evict(&self, _key: &Key, state: &Value, watermark: Option<u64>) -> bool {
-        let Some(w) = watermark else { return false };
-        let close_point = w.saturating_sub(self.slack_secs);
-        SessionState::decode(state.bytes()).expired(close_point, self.gap_secs)
+        watermark.is_some() && self.expired(state, self.close_point(watermark))
     }
 
     fn evict(
@@ -305,13 +374,9 @@ impl IncrementalReducer for SessionizeJob {
         watermark: Option<u64>,
         ctx: &mut ReduceCtx,
     ) -> Option<Value> {
-        let mut s = SessionState::decode(state.bytes());
-        let close_point = watermark
-            .map(|w| w.saturating_sub(self.slack_secs))
-            .unwrap_or(0);
-        if s.expired(close_point, self.gap_secs) {
+        if self.expired(&state, self.close_point(watermark)) {
             // Complete: output directly, nothing touches disk.
-            s.drain(key, u64::MAX, 0, self.gap_secs, ctx);
+            self.drain_all(key, &state, ctx);
             None
         } else {
             Some(state)
@@ -326,38 +391,31 @@ impl Job for SessionizeJob {
 
     fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
         if let Some((ts, user, tail)) = parse_click(record) {
-            // [ts u64][tail…] assembled in a stack-backed scratch buffer
-            // (tails are short click URLs; spill to heap only if not).
-            let mut scratch = [0u8; 64];
-            if 8 + tail.len() <= scratch.len() {
-                scratch[..8].copy_from_slice(&ts.to_be_bytes());
-                scratch[8..8 + tail.len()].copy_from_slice(tail);
-                emit(&user.to_be_bytes(), &scratch[..8 + tail.len()]);
-            } else {
-                emit(&user.to_be_bytes(), click_value(ts, tail).bytes());
-            }
+            // [ts u64][tail…] assembled on the stack. The tail is clamped
+            // to what the incremental state can frame — here, once, so
+            // every framework sees the same click.
+            let tail = &tail[..tail.len().min(MAX_TAIL)];
+            let mut value = [0u8; 8 + MAX_TAIL];
+            value[..8].copy_from_slice(&ts.to_be_bytes());
+            value[8..8 + tail.len()].copy_from_slice(tail);
+            emit(&user.to_be_bytes(), &value[..8 + tail.len()]);
         }
     }
 
     fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
         // Classic semantics: full sort by timestamp, then gap splitting —
         // the oracle the incremental path is tested against.
-        let mut clicks: Vec<(u64, Vec<u8>)> = values
-            .iter()
-            .map(|v| {
-                let (ts, tail) = decode_click(v.bytes());
-                (ts, tail.to_vec())
-            })
-            .collect();
-        clicks.sort();
+        let mut clicks: Vec<(u64, &[u8])> =
+            values.iter().map(|v| decode_click(v.bytes())).collect();
+        clicks.sort_unstable();
         let mut session_start = 0u64;
         let mut last = None::<u64>;
         for (ts, tail) in clicks {
             match last {
-                Some(l) if ts <= l + self.gap_secs => {}
+                Some(l) if ts <= l.saturating_add(self.gap_secs) => {}
                 _ => session_start = ts,
             }
-            ctx.emit(key.clone(), session_output(session_start, ts, &tail));
+            ctx.emit(key.clone(), session_output(session_start, ts, tail));
             last = Some(ts);
         }
     }
@@ -380,18 +438,129 @@ mod tests {
     use super::*;
     use opa_core::api::Site;
 
+    fn click_value(ts: u64, tail: &[u8]) -> Value {
+        Value::concat(&[&ts.to_be_bytes(), tail])
+    }
+
     fn click(ts: u64) -> Value {
         click_value(ts, b"/p")
     }
 
+    /// A state written out by hand, clicks in the order given.
+    fn state_bytes(anchor: Anchor, clicks: &[(u64, &[u8])]) -> Value {
+        let mut body = Vec::new();
+        for (ts, tail) in clicks {
+            body.extend_from_slice(&ts.to_be_bytes());
+            body.push(tail.len() as u8);
+            body.extend_from_slice(tail);
+        }
+        encode_state(anchor, clicks.len(), &body)
+    }
+
+    fn labels(pairs: &[opa_core::prelude::Pair]) -> Vec<(u64, u64)> {
+        pairs
+            .iter()
+            .map(|p| {
+                let (s, t, _) = decode_output(p.value.bytes());
+                (s, t)
+            })
+            .collect()
+    }
+
     #[test]
-    fn state_roundtrips_through_bytes() {
-        let mut s = SessionState::single(100, b"/a");
-        s.merge(SessionState::single(50, b"/b"));
-        s.anchor = Some((10, 40));
-        let decoded = SessionState::decode(s.encode().bytes());
-        assert_eq!(decoded, s);
-        assert_eq!(decoded.clicks[0].0, 50, "clicks sorted after merge");
+    fn state_layout_is_the_documented_one() {
+        let state = state_bytes(Some((10, 40)), &[(50, b"/b"), (100, b"/a")]);
+        let mut want = vec![1u8];
+        want.extend_from_slice(&10u64.to_be_bytes());
+        want.extend_from_slice(&40u64.to_be_bytes());
+        want.extend_from_slice(&2u16.to_be_bytes());
+        for (ts, tail) in [(50u64, b"/b"), (100, b"/a")] {
+            want.extend_from_slice(&ts.to_be_bytes());
+            want.push(2);
+            want.extend_from_slice(tail);
+        }
+        assert_eq!(state.bytes(), &want[..]);
+        let (anchor, clicks) = parse_state(state.bytes());
+        assert_eq!(anchor, Some((10, 40)));
+        let seen: Vec<_> = clicks.map(Click::sort_key).collect();
+        assert_eq!(seen, vec![(50, &b"/b"[..]), (100, &b"/a"[..])]);
+        // `init` writes the same layout for one click.
+        let job = SessionizeJob::default();
+        let one = job.init(&Key::from_u64(1), click_value(7, b"/x"));
+        assert_eq!(one, state_bytes(None, &[(7, b"/x")]));
+    }
+
+    #[test]
+    fn unsorted_other_still_merges_sorted() {
+        let job = SessionizeJob::default();
+        let key = Key::from_u64(1);
+        let mut ctx = ReduceCtx::at_site(Site::Map);
+        let mut acc = state_bytes(None, &[(20, b"/a"), (40, b"/b")]);
+        // Hand-built: no code in this module writes clicks out of order.
+        let other = state_bytes(None, &[(50, b"/e"), (30, b"/d"), (30, b"/c"), (10, b"/f")]);
+        job.cb(&key, &mut acc, other, &mut ctx);
+        let want: [(u64, &[u8]); 6] = [
+            (10, b"/f"),
+            (20, b"/a"),
+            (30, b"/c"),
+            (30, b"/d"),
+            (40, b"/b"),
+            (50, b"/e"),
+        ];
+        assert_eq!(acc, state_bytes(None, &want));
+    }
+
+    #[test]
+    fn force_drain_starts_one_byte_over_capacity() {
+        // Two clicks with 2-byte tails encode to 19 + 2 × 11 = 41 bytes.
+        let key = Key::from_u64(1);
+        let run = |capacity: usize| {
+            let job = SessionizeJob {
+                state_capacity: capacity,
+                ..SessionizeJob::default()
+            };
+            let mut ctx = ReduceCtx::new();
+            let mut acc = job.init(&key, click(10));
+            job.cb(&key, &mut acc, job.init(&key, click(20)), &mut ctx);
+            (acc.len(), ctx.pending())
+        };
+        assert_eq!(run(41), (41, 0), "an exact fit stays buffered");
+        assert_eq!(run(40), (30, 1), "one byte over drains the oldest click");
+    }
+
+    #[test]
+    fn rules_saturate_at_the_end_of_time() {
+        let job = SessionizeJob::default();
+        let key = Key::from_u64(1);
+        let late = u64::MAX - 10;
+        // Expiry: `late + gap` must not wrap round to a small number and
+        // pass for long expired under the end-of-input watermark.
+        let state = job.init(&key, click(late));
+        assert!(!job.can_evict(&key, &state, Some(u64::MAX)));
+        let mut ctx = ReduceCtx::new();
+        assert_eq!(
+            job.evict(&key, state.clone(), Some(u64::MAX), &mut ctx),
+            Some(state)
+        );
+        // Drain: a click within `gap` of an anchor that close to the end
+        // still joins its session, under both reduce functions.
+        let open = state_bytes(Some((late - 5, late)), &[(late + 5, b"/p")]);
+        job.finalize(&key, open, &mut ctx);
+        assert_eq!(labels(&ctx.drain()), vec![(late - 5, late + 5)]);
+        job.reduce(&key, vec![click(late), click(late + 5)], &mut ctx);
+        assert_eq!(labels(&ctx.drain()), vec![(late, late), (late, late + 5)]);
+    }
+
+    #[test]
+    fn map_clamps_an_oversized_tail() {
+        let mut record = crate::clickstream::format_click(1_000, 7, 1);
+        record.resize(24 + MAX_TAIL + 46, b'y');
+        let mut emitted = Vec::new();
+        SessionizeJob::default().map(&record, &mut |k, v| emitted.push((k.to_vec(), v.to_vec())));
+        let (key, value) = &emitted[0];
+        assert_eq!(key, &7u64.to_be_bytes());
+        assert_eq!(value[..8], 1_000u64.to_be_bytes());
+        assert_eq!(value[8..], record[24..24 + MAX_TAIL]);
     }
 
     #[test]
@@ -406,13 +575,7 @@ mod tests {
         );
         let out = ctx.drain();
         assert_eq!(out.len(), 4);
-        let sessions: Vec<(u64, u64)> = out
-            .iter()
-            .map(|p| {
-                let (s, t, _) = decode_output(p.value.bytes());
-                (s, t)
-            })
-            .collect();
+        let sessions = labels(&out);
         // 1000, 1050, 1100 share a session; 2000 (gap 900 > 300) starts one.
         assert_eq!(
             sessions,
@@ -428,14 +591,7 @@ mod tests {
         let mut cctx = ReduceCtx::new();
         let ts = [100u64, 160, 220, 900, 950, 2000];
         job.reduce(&key, ts.iter().map(|&t| click(t)).collect(), &mut cctx);
-        let mut classic: Vec<(u64, u64)> = cctx
-            .drain()
-            .iter()
-            .map(|p| {
-                let (s, t, _) = decode_output(p.value.bytes());
-                (s, t)
-            })
-            .collect();
+        let mut classic = labels(&cctx.drain());
         classic.sort_unstable();
         // Incremental with watermark advancing.
         let mut ictx = ReduceCtx::new();
@@ -445,14 +601,7 @@ mod tests {
             job.cb(&key, &mut acc, job.init(&key, click(t)), &mut ictx);
         }
         job.finalize(&key, acc, &mut ictx);
-        let mut inc: Vec<(u64, u64)> = ictx
-            .drain()
-            .iter()
-            .map(|p| {
-                let (s, t, _) = decode_output(p.value.bytes());
-                (s, t)
-            })
-            .collect();
+        let mut inc = labels(&ictx.drain());
         inc.sort_unstable();
         assert_eq!(inc, classic);
     }
@@ -476,15 +625,9 @@ mod tests {
         job.cb(&key, &mut acc, job.init(&key, click(150)), &mut ctx);
         job.finalize(&key, acc, &mut ctx);
         let rest = ctx.drain();
-        let mut labels: Vec<(u64, u64)> = rest
-            .iter()
-            .map(|p| {
-                let (s, t, _) = decode_output(p.value.bytes());
-                (s, t)
-            })
-            .collect();
-        labels.sort_unstable();
-        assert_eq!(labels, vec![(100, 150), (100, 400)]);
+        let mut got = labels(&rest);
+        got.sort_unstable();
+        assert_eq!(got, vec![(100, 150), (100, 400)]);
     }
 
     #[test]
@@ -504,7 +647,7 @@ mod tests {
         // Watermark never clears slack, yet the buffer cannot exceed
         // capacity: some clicks must have been force-drained.
         assert!(!ctx.drain().is_empty(), "force-drain did not happen");
-        assert!(SessionState::decode(acc.bytes()).encoded_len() <= 60 + 30);
+        assert!(acc.len() <= 60 + 30);
     }
 
     #[test]
@@ -516,7 +659,7 @@ mod tests {
         let mut acc = job.init(&key, click(10));
         job.cb(&key, &mut acc, job.init(&key, click(20)), &mut ctx);
         assert_eq!(ctx.pending(), 0);
-        assert_eq!(SessionState::decode(acc.bytes()).clicks.len(), 2);
+        assert_eq!(parse_state(acc.bytes()).1.count(), 2);
     }
 
     #[test]

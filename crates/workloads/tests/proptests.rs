@@ -1,15 +1,20 @@
 //! Property-based tests of the incremental workload semantics: for
 //! arbitrary click sequences and arbitrary bounded-disorder arrival
 //! orders, the incremental `init/cb/fn` paths must agree with the classic
-//! reduce oracle.
+//! reduce oracle — and sessionization's byte-level state plane must agree,
+//! byte for byte, with the struct-based implementation it replaced.
 
-use opa_core::api::{IncrementalReducer, Job, ReduceCtx};
+#[path = "support/session_oracle.rs"]
+mod session_oracle;
+
+use opa_core::api::{IncrementalReducer, Job, ReduceCtx, Site};
 use opa_core::prelude::{Key, Value};
 use opa_workloads::sessionize::{decode_output, SessionizeJob};
 use opa_workloads::windowed_count::decode_window_output;
 use opa_workloads::FrequentUsersJob;
 use opa_workloads::WindowedCountJob;
 use proptest::prelude::*;
+use session_oracle::{OracleSessionize, SessionState};
 use std::collections::BTreeMap;
 
 /// Generates (sorted timestamps, arrival permutation with bounded
@@ -36,11 +41,13 @@ fn disordered_stream() -> impl Strategy<Value = (Vec<u64>, Vec<usize>, u64)> {
         })
 }
 
+/// A map-output click value: `[ts u64][tail…]`.
+fn raw_click(ts: u64, tail: &[u8]) -> Value {
+    Value::concat(&[&ts.to_be_bytes(), tail])
+}
+
 fn click_value(ts: u64) -> Value {
-    let mut v = Vec::with_capacity(10);
-    v.extend_from_slice(&ts.to_be_bytes());
-    v.extend_from_slice(b"/p");
-    Value::new(v)
+    raw_click(ts, b"/p")
 }
 
 proptest! {
@@ -173,5 +180,194 @@ proptest! {
         } else {
             prop_assert!(emitted.is_empty());
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Sessionization: byte-level state plane vs the struct-based oracle
+// ---------------------------------------------------------------------
+
+const CAPACITIES: [usize; 3] = [64, 512, 2048];
+
+/// A click `(ts, tail)`: timestamps from a narrow range so duplicates —
+/// and hits on the gap, anchor and close-point boundaries — are common; tails of 0..=255 bytes over a four-letter alphabet, one in four
+/// of them at most two bytes long, so equal timestamps tie-break on the
+/// tail and whole records repeat.
+fn click() -> impl Strategy<Value = (u64, Vec<u8>)> {
+    (
+        0u64..300,
+        0usize..4,
+        proptest::collection::vec(0u8..4, 0..256),
+    )
+        .prop_map(|(ts, class, mut tail)| {
+            if class == 0 {
+                tail.truncate(tail.len() % 3);
+            }
+            (ts, tail)
+        })
+}
+
+/// A watermark step: mostly small advances, sometimes none, sometimes the
+/// end-of-input jump to `u64::MAX`.
+fn watermark() -> impl Strategy<Value = Option<u64>> {
+    (0u8..10, 0u64..500).prop_map(|(kind, w)| match kind {
+        0 => None,
+        1 => Some(u64::MAX),
+        _ => Some(w),
+    })
+}
+
+/// Any well-formed state: optional anchor, clicks in arbitrary (not
+/// necessarily sorted) order.
+fn state() -> impl Strategy<Value = SessionState> {
+    (
+        any::<bool>(),
+        0u64..300,
+        0u64..80,
+        proptest::collection::vec(click(), 0..12),
+    )
+        .prop_map(|(anchored, start, span, clicks)| SessionState {
+            anchor: anchored.then_some((start, start + span)),
+            clicks,
+        })
+}
+
+fn pair(capacity: usize, gap_secs: u64, slack_secs: u64) -> (SessionizeJob, OracleSessionize) {
+    let job = SessionizeJob {
+        gap_secs,
+        slack_secs,
+        state_capacity: capacity,
+        ..SessionizeJob::default()
+    };
+    let oracle = OracleSessionize {
+        gap_secs: job.gap_secs,
+        slack_secs,
+        state_capacity: capacity,
+    };
+    (job, oracle)
+}
+
+/// Asserts that the read-only hooks, `evict` and `finalize` agree on one
+/// state.
+fn check_hooks(
+    job: &SessionizeJob,
+    oracle: &OracleSessionize,
+    key: &Key,
+    state: &Value,
+    probe: Option<u64>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(job.event_time(state), oracle.event_time(state));
+    prop_assert_eq!(
+        job.can_evict(key, state, probe),
+        oracle.can_evict(key, state, probe)
+    );
+    let (mut ctx, mut octx) = (ReduceCtx::new(), ReduceCtx::new());
+    prop_assert_eq!(
+        job.evict(key, state.clone(), probe, &mut ctx),
+        oracle.evict(key, state.clone(), probe, &mut octx)
+    );
+    prop_assert_eq!(ctx.drain(), octx.drain());
+    job.finalize(key, state.clone(), &mut ctx);
+    oracle.finalize(key, state.clone(), &mut octx);
+    prop_assert_eq!(ctx.drain(), octx.drain());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    /// A click run fed through `init`/`cb` in groups (so `other` holds
+    /// several clicks, pre-merged at the map site), with the watermark
+    /// moving arbitrarily: identical state bytes and identical emissions,
+    /// in order, after every step, at both sites and all capacities.
+    #[test]
+    fn sessionize_bytes_match_oracle_over_click_runs(
+        groups in proptest::collection::vec(
+            (proptest::collection::vec(click(), 1..5), watermark(), watermark()),
+            1..24,
+        ),
+        capacity in 0usize..3,
+        gap_secs in 0u64..60,
+        slack_secs in 0u64..100,
+        at_reduce in any::<bool>(),
+    ) {
+        let (job, oracle) = pair(CAPACITIES[capacity], gap_secs, slack_secs);
+        let key = Key::from_u64(3);
+        let site = if at_reduce { Site::Reduce } else { Site::Map };
+        let (mut ctx, mut octx) = (ReduceCtx::at_site(site), ReduceCtx::at_site(site));
+        let mut acc: Option<Value> = None;
+        for (clicks, advance, probe) in &groups {
+            // `other`: the group collapsed map-side, by both implementations.
+            let (mut mctx, mut moctx) = (ReduceCtx::at_site(Site::Map), ReduceCtx::at_site(Site::Map));
+            let mut other: Option<(Value, Value)> = None;
+            for (ts, tail) in clicks {
+                let s = job.init(&key, raw_click(*ts, tail));
+                let o = oracle.init(&key, raw_click(*ts, tail));
+                prop_assert_eq!(&s, &o);
+                match other.as_mut() {
+                    None => other = Some((s, o)),
+                    Some((a, b)) => {
+                        job.cb(&key, a, s, &mut mctx);
+                        oracle.cb(&key, b, o, &mut moctx);
+                    }
+                }
+            }
+            let (other, oracle_other) = other.expect("groups are non-empty");
+            prop_assert_eq!(&other, &oracle_other);
+            prop_assert_eq!(mctx.pending() + moctx.pending(), 0, "map site never emits");
+
+            if let Some(w) = advance {
+                ctx.advance_watermark(*w);
+                octx.advance_watermark(*w);
+            }
+            let merged = match acc.take() {
+                None => other,
+                Some(state) => {
+                    let (mut a, mut b) = (state.clone(), state);
+                    job.cb(&key, &mut a, other, &mut ctx);
+                    oracle.cb(&key, &mut b, oracle_other, &mut octx);
+                    prop_assert_eq!(&a, &b);
+                    prop_assert_eq!(ctx.drain(), octx.drain());
+                    a
+                }
+            };
+            check_hooks(&job, &oracle, &key, &merged, *probe)?;
+            acc = Some(merged);
+        }
+    }
+
+    /// Any two well-formed states — anchored or not, sorted or not — merge,
+    /// drain, evict and finalize identically.
+    #[test]
+    fn sessionize_bytes_match_oracle_on_arbitrary_states(
+        acc in state(),
+        mut other in state(),
+        tie_anchors in any::<bool>(),
+        wm in watermark(),
+        probe in watermark(),
+        capacity in 0usize..3,
+        gap_secs in 0u64..60,
+        slack_secs in 0u64..100,
+        at_reduce in any::<bool>(),
+    ) {
+        let (job, oracle) = pair(CAPACITIES[capacity], gap_secs, slack_secs);
+        let key = Key::from_u64(4);
+        let site = if at_reduce { Site::Reduce } else { Site::Map };
+        let (mut ctx, mut octx) = (ReduceCtx::at_site(site), ReduceCtx::at_site(site));
+        ctx.watermark = wm;
+        octx.watermark = wm;
+        // Anchors that drained up to the same instant: the tie rule decides.
+        if let (true, Some((_, last)), Some((start, _))) = (tie_anchors, acc.anchor, other.anchor) {
+            other.anchor = Some((start.min(last), last));
+        }
+        let (acc, other) = (acc.encode(), other.encode());
+        check_hooks(&job, &oracle, &key, &acc, probe)?;
+        let (mut a, mut b) = (acc.clone(), acc);
+        job.cb(&key, &mut a, other.clone(), &mut ctx);
+        oracle.cb(&key, &mut b, other, &mut octx);
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(ctx.drain(), octx.drain());
+        prop_assert_eq!(SessionState::decode(a.bytes()).encode(), a.clone());
+        check_hooks(&job, &oracle, &key, &a, probe)?;
     }
 }

@@ -37,6 +37,24 @@ impl Bytes {
         }
     }
 
+    /// Concatenates `parts` into one fresh shared allocation — the
+    /// one-allocation counterpart of building a `Vec` and converting it
+    /// (which allocates twice and copies twice). Shim extension: the real
+    /// crate spells this `BytesMut::with_capacity` + `freeze`.
+    pub fn concat(parts: &[&[u8]]) -> Self {
+        let len = parts.iter().map(|p| p.len()).sum();
+        // A `TrustedLen` iterator collects straight into the final
+        // allocation; the zero fill is overwritten below.
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        let buf = Arc::get_mut(&mut data).expect("a freshly built Arc is unique");
+        let mut at = 0;
+        for p in parts {
+            buf[at..at + p.len()].copy_from_slice(p);
+            at += p.len();
+        }
+        Bytes { data, off: 0, len }
+    }
+
     /// A view of the bytes as a plain slice.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
@@ -236,6 +254,13 @@ mod tests {
     fn default_is_empty() {
         assert!(Bytes::default().is_empty());
         assert_eq!(Bytes::new().len(), 0);
+    }
+
+    #[test]
+    fn concat_joins_parts_in_order() {
+        let b = Bytes::concat(&[b"ab", b"", b"cde"]);
+        assert_eq!(&b[..], b"abcde");
+        assert!(Bytes::concat(&[]).is_empty());
     }
 
     #[test]

@@ -282,6 +282,36 @@ fn sessionization_dinc_preserves_clicks_and_session_shape() {
     );
 }
 
+/// A click whose tail exceeds what a state record can frame (255 bytes) is
+/// clamped once, in `map`, so sort-merge, INC-hash and DINC-hash output
+/// the same bytes for it: 16 + 255, not 16 + (301 mod 256) under the
+/// incremental frameworks and 16 + 301 under sort-merge.
+#[test]
+fn sessionization_agrees_on_a_long_tail_record() {
+    use opa::workloads::clickstream::format_click;
+    let mut records: Vec<Vec<u8>> = (0..40u64)
+        .map(|i| format_click(1_000 + 30 * i, 1 + i % 3, i as u32))
+        .collect();
+    records[17].resize(24 + 301, b'z');
+    let input = JobInput::from_records(records);
+    let sorted_output = |fw| {
+        let mut out: Vec<(Vec<u8>, Vec<u8>)> = run(sessionize_job(), fw, &input)
+            .output
+            .iter()
+            .map(|p| (p.key.bytes().to_vec(), p.value.bytes().to_vec()))
+            .collect();
+        out.sort();
+        out
+    };
+    let want = sorted_output(Framework::SortMerge);
+    assert_eq!(want.len(), 40);
+    let longest = want.iter().map(|(_, v)| v.len()).max().unwrap();
+    assert_eq!(longest, 16 + 255, "the long tail is clamped, not wrapped");
+    for fw in [Framework::IncHash, Framework::DincHash] {
+        assert_eq!(sorted_output(fw), want, "{fw:?} diverged from sort-merge");
+    }
+}
+
 // -------------------------------------------------------------- plumbing
 
 #[test]
