@@ -14,7 +14,7 @@
 //! writes the chain-level `stage_*` events alongside engine events.
 
 use crate::args::Args;
-use crate::{parse_faults, parse_framework, read_input};
+use crate::{parse_exec, parse_faults, parse_framework, read_input};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::dataflow::{Dataflow, DataflowOutcome, Dataset, HandoffPolicy};
 use opa_core::job::JobBuilder;
@@ -30,16 +30,6 @@ fn parse_policy(args: &Args) -> Result<HandoffPolicy, String> {
         Some("materialize") => HandoffPolicy::Materialize,
         Some(other) => return Err(format!("unknown handoff policy '{other}'")),
     })
-}
-
-fn parse_exec(args: &Args) -> Result<opa_common::ExecConfig, String> {
-    match args.options.get("threads") {
-        Some(v) => v
-            .parse()
-            .map(opa_common::ExecConfig::with_threads)
-            .map_err(|_| format!("--threads: cannot parse '{v}' as a thread count")),
-        None => Ok(opa_common::ExecConfig::available_parallelism()),
-    }
 }
 
 /// Applies every chain-level knob shared by the three built-in chains.

@@ -37,13 +37,13 @@ usage:
   opa generate documents   --bytes SIZE [--seed N] --out FILE
   opa run JOB --input FILE [--framework FW] [--state BYTES] [--threshold N]
               [--km RATIO] [--threads N] [--progress-csv FILE] [--output FILE]
-              [--admission off|on|lfu] [--combine off|task|node]
+              [--admission off|lfu] [--combine off|task|node]
               [--fault-rate P] [--fault-seed N]
               [--poison-rate P] [--trace-out FILE] [--drift]
               [--model-keys N --model-zipf S]
       JOB: sessionize | click-count | frequent-users | page-freq | trigrams
       FW:  sort-merge | sort-merge-pipelined | mr-hash | inc-hash | dinc-hash
-      --admission lfu (alias: on) turns on frequency-gated admission for
+      --admission lfu turns on frequency-gated admission for
       the incremental frameworks: when reduce-side memory is full, a new
       key may evict a resident key that a deterministic frequency sketch
       judges colder, instead of spilling itself. Default: off.
@@ -70,8 +70,9 @@ usage:
       key-space size, e.g. the values `generate clickstream` used).
   opa stream JOB --input FILE [--batches K] [--framework FW] [--threads N]
               [--checkpoint-every N --checkpoint-dir DIR] [--resume CKPT]
-              [--watch-key N] [--top-k N] [--output FILE] [--admission off|on|lfu]
-              [--fault-rate P] [--fault-seed N] [--poison-rate P] [--trace-out FILE]
+              [--watch-key N] [--top-k N] [--output FILE] [--admission off|lfu]
+              [--combine off|task|node] [--fault-rate P] [--fault-seed N]
+              [--poison-rate P] [--trace-out FILE]
       Feeds the input through the engine in K arrival-ordered micro-batches
       (default 4), printing progress and the live incremental state at each
       sealed batch. The streamed output is bit-identical to `opa run`'s.
@@ -209,6 +210,18 @@ pub(crate) fn parse_faults(args: &Args) -> opa_common::fault::FaultConfig {
     faults
 }
 
+/// Execution-layer threads: default to the machine's parallelism. The
+/// outcome is bit-identical at any count; threads only buy wall-clock.
+pub(crate) fn parse_exec(args: &Args) -> Result<opa_common::ExecConfig, String> {
+    match args.options.get("threads") {
+        Some(v) => v
+            .parse()
+            .map(opa_common::ExecConfig::with_threads)
+            .map_err(|_| format!("--threads: cannot parse '{v}' as a thread count")),
+        None => Ok(opa_common::ExecConfig::available_parallelism()),
+    }
+}
+
 pub(crate) fn parse_admission(args: &Args) -> Result<opa_common::AdmissionPolicy, String> {
     match args.options.get("admission") {
         Some(v) => opa_common::AdmissionPolicy::parse(v).map_err(|e| e.to_string()),
@@ -244,17 +257,7 @@ fn run_job(job: &str, args: &Args) -> Result<(), String> {
     )?;
     let km = args.get_or("km", 1.0f64);
     let cluster = ClusterSpec::paper_scaled();
-    // Execution-layer threads: default to the machine's parallelism. The
-    // outcome is bit-identical at any count; threads only buy wall-clock.
-    let exec = match args.options.get("threads") {
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("--threads: cannot parse '{v}' as a thread count"))?;
-            opa_common::ExecConfig::with_threads(n)
-        }
-        None => opa_common::ExecConfig::available_parallelism(),
-    };
+    let exec = parse_exec(args)?;
     // Deterministic fault injection: one uniform rate across all four
     // fault classes, seeded so a failing run can be replayed exactly;
     // --poison-rate additionally quarantines map records to the DLQ.
@@ -509,23 +512,14 @@ fn stream_with<J: opa_core::api::Job>(job: J, args: &Args, input: &JobInput) -> 
             .map(String::as_str)
             .unwrap_or("inc-hash"),
     )?;
-    let exec = match args.options.get("threads") {
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("--threads: cannot parse '{v}' as a thread count"))?;
-            opa_common::ExecConfig::with_threads(n)
-        }
-        None => opa_common::ExecConfig::available_parallelism(),
-    };
-    let faults = parse_faults(args);
     let mut builder = StreamJobBuilder::new(job)
         .framework(framework)
         .cluster(ClusterSpec::paper_scaled())
         .km_hint(args.get_or("km", 1.0f64))
-        .exec(exec)
-        .faults(faults)
+        .exec(parse_exec(args)?)
+        .faults(parse_faults(args))
         .admission(parse_admission(args)?)
+        .combine(parse_combine(args)?)
         .trace(args.options.contains_key("trace-out"))
         .batches(args.get_or("batches", 4usize));
     if let Some(n) = args.get::<usize>("checkpoint-every") {

@@ -8,7 +8,7 @@
 //! ```text
 //! submit TENANT JOB --input FILE [--framework FW] [--batches K] [--threads N]
 //!        [--oversubscribe] [--poison-rate P] [--fault-rate P] [--fault-seed N]
-//!        [--admission off|on|lfu] [--state N] [--threshold N] [--expected-keys N]
+//!        [--admission off|lfu] [--state N] [--threshold N] [--expected-keys N]
 //! step [N]        # grant N waves (default 1) to every parked job, admission order
 //! run             # step until every admitted job finishes
 //! status          # one row per job: phase, waves, progress, DLQ size

@@ -263,16 +263,16 @@ impl AdmissionPolicy {
         matches!(self, AdmissionPolicy::Lfu)
     }
 
-    /// Parses a CLI spelling: `off`, `on` (alias for `lfu`) or `lfu`.
+    /// Parses a CLI spelling: `off` or `lfu`.
     ///
     /// # Errors
     /// Fails on any other spelling.
     pub fn parse(s: &str) -> Result<Self> {
         match s {
             "off" => Ok(AdmissionPolicy::Off),
-            "on" | "lfu" => Ok(AdmissionPolicy::Lfu),
+            "lfu" => Ok(AdmissionPolicy::Lfu),
             other => Err(Error::config(format!(
-                "unknown admission policy '{other}' (expected off, on or lfu)"
+                "unknown admission policy '{other}' (expected off or lfu)"
             ))),
         }
     }
@@ -452,6 +452,14 @@ mod tests {
         for s in [CombineScope::Off, CombineScope::Task, CombineScope::Node] {
             assert_eq!(CombineScope::parse(s.label()).unwrap(), s);
         }
+    }
+
+    #[test]
+    fn admission_policy_has_one_spelling_per_value() {
+        for p in [AdmissionPolicy::Off, AdmissionPolicy::Lfu] {
+            assert_eq!(AdmissionPolicy::parse(p.label()).unwrap(), p);
+        }
+        assert!(AdmissionPolicy::parse("on").is_err());
     }
 
     #[test]

@@ -28,16 +28,12 @@ use crate::exec::{Gather, Pool};
 use crate::job::JobOutcome;
 use crate::map_phase::{compute_map_task, finish_map_task, MapTaskPlan};
 use crate::metrics::JobMetrics;
-use crate::progress::ProgressTracker;
+use crate::progress::{ProgressTracker, PROGRESS_POINTS};
 use crate::reduce::{make_reducer, replay, ReduceEnv, ReducerSizing, ReplayTarget};
 use crate::sim::Resources;
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{Error, ExecConfig, HashFamily, Pair, Result};
 use opa_trace::TraceEvent;
-
-/// Progress curves are resampled to this many points (matches the
-/// engine's batch path).
-const PROGRESS_POINTS: usize = 400;
 
 /// Runs one partition-preserving stage over a resident dataset without a
 /// shuffle. Returns the stage's outcome plus the map-output byte volume
@@ -131,19 +127,7 @@ pub(crate) fn run_chained_stage(
     }
     let mut progress = ProgressTracker::new(live.len() as u64);
 
-    let expected_input = ((input_bytes as f64 * km_hint) / n_partitions as f64).ceil() as u64;
-    let expected_keys = job
-        .expected_keys()
-        .map(|k| (k / n_partitions as u64).max(1))
-        .unwrap_or(expected_input / 64);
-    let sizing = ReducerSizing {
-        expected_input,
-        expected_keys,
-        state_size: job.state_size_hint().unwrap_or(64),
-        early_stop_coverage: None,
-        monitor: crate::reduce::dinc_hash::MonitorKind::Frequent,
-        admission: opa_common::AdmissionPolicy::Off,
-    };
+    let sizing = ReducerSizing::from_hints(job, input_bytes, km_hint, n_partitions);
 
     let mut output: Vec<Pair> = Vec::new();
     let mut map_cpu = SimDuration::ZERO;

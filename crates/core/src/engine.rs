@@ -1,0 +1,1483 @@
+//! The engine: the discrete-event loop tying mappers, shuffle and reducers
+//! together, as one resumable state machine.
+//!
+//! The input is split into `C`-sized chunks by the block store, map tasks
+//! run on each node's map slots (FIFO over node-local chunks), completed
+//! mappers push granules whose per-reducer payloads travel over the
+//! simulated network, and each reducer — a serial virtual timeline —
+//! absorbs deliveries through its framework and completes once the queue
+//! drains. Reducers normally all start in wave one (`R` ≤ reduce slots);
+//! with `R` above the slot count the extra reducers start only when a
+//! first-wave reducer on their node finishes and must re-read all their
+//! map output from the mappers' disks — the two-wave effect of §3.2(3).
+//!
+//! ## One loop, stepped
+//!
+//! [`Engine::run_until`] processes events until every chunk below a
+//! *quota* is mapped and no shuffle delivery originating from one is in
+//! flight; [`Engine::finish`] drains what is left and runs the reducers'
+//! finish phase. A batch run is `finish` alone. The stream runtime calls
+//! `run_until` once per micro-batch and, at each pause, reads the live
+//! reducers ([`Engine::reducers`]) or checkpoints the whole machine
+//! ([`Engine::export_state`]). A pause only *observes* between two queue
+//! pops — it never reorders, drops or injects an event — so a paused run's
+//! event sequence, trace and outcome are the batch run's.
+//!
+//! ## Scheduling vs execution
+//!
+//! The engine is the *scheduling layer*: it owns every piece of shared
+//! simulation state and touches it strictly in event order. The heavy data
+//! work — map-task computation ([`compute_map_task`]) and reducer
+//! ingestion (recorded through [`ReduceEnv`]) — runs on the *execution
+//! layer* ([`crate::exec`]): a pool of `threads − 1` worker threads plus
+//! the scheduler itself. Results come back as effect logs and are replayed
+//! here in the exact order the sequential engine would have produced, so a
+//! [`JobOutcome`] is bit-identical at any thread count (see
+//! `tests/determinism.rs`).
+
+use crate::api::{Combiner, IncrementalReducer, Job, ReduceCtx, Site};
+use crate::exec::{Gather, Planner, Pool, Task};
+use crate::fault::{FaultPlan, MapFate};
+use crate::job::{JobInput, JobOutcome, PoisonedRecord, RunConfig};
+use crate::map_phase::{
+    abort_map_task, compute_map_task, finish_map_task, straggle_map_task, Granule, MapTaskPlan,
+    Payload, PoisonGate,
+};
+use crate::metrics::{AdmissionStats, DincStats, JobMetrics, NodeCombineStats};
+use crate::progress::{ProgressTracker, PROGRESS_POINTS};
+use crate::reduce::{
+    make_reducer, replay, replay_recovery, Effect, ReduceEnv, ReduceSide, ReducerCkpt,
+    ReducerSizing, ReplayTarget,
+};
+use crate::sim::{EventQueue, OpKind, Resources};
+use opa_common::fault::{FaultEvent, FaultKind, FaultReport};
+use opa_common::units::{SimDuration, SimTime};
+use opa_common::{
+    Error, GroupIndex, HashFamily, HashFn, Key, Pair, RecordBatch, Result, StateBatch, StatePair,
+    Value,
+};
+use opa_simio::{BlockStore, DiskFaultInjector, IoCategory, IoOp};
+use opa_trace::TraceEvent;
+use std::collections::VecDeque;
+
+/// One reducer of a running engine, as the pause-point query surface sees
+/// it (`None` only while the execution layer holds it mid-burst).
+pub type LiveReducer<'e> = Option<Box<dyn ReduceSide + Send + 'e>>;
+
+/// One shuffle transfer: a map-output partition on its way to a reducer.
+struct Delivery {
+    reducer: usize,
+    from_node: usize,
+    /// Source chunk — provenance for pause accounting (a quota is met when
+    /// *its* chunks' deliveries are absorbed, regardless of later chunks
+    /// still shuffling). A node-scope flush carries the smallest chunk it
+    /// staged rows from.
+    chunk: usize,
+    payload: Payload,
+}
+
+enum Ev {
+    StartMap {
+        chunk: usize,
+        /// 0 for the first execution; retries and speculative backups
+        /// count up. Drives the fault plan's per-attempt decisions.
+        attempt: u32,
+    },
+    Deliver(Delivery),
+}
+
+/// One map-task attempt the scheduler is executing.
+#[derive(Clone, Copy)]
+struct Attempt {
+    chunk: usize,
+    attempt: u32,
+    node: usize,
+    start: SimTime,
+}
+
+/// One pending scheduler event of a checkpointed engine, in pop order.
+#[derive(Debug, Clone)]
+pub enum QueuedEvent {
+    /// A map task not yet run (or re-queued for retry).
+    StartMap {
+        /// Scheduled simulation time.
+        time: u64,
+        /// Input chunk index.
+        chunk: u64,
+        /// Attempt number (0 is the first run).
+        attempt: u64,
+    },
+    /// An in-flight shuffle delivery from a chunk beyond the sealed
+    /// watermark: its map task has completed but the payload has not yet
+    /// reached its reducer.
+    Deliver {
+        /// Arrival simulation time.
+        time: u64,
+        /// Destination reducer.
+        reducer: u64,
+        /// Source node.
+        from_node: u64,
+        /// Source chunk (provenance for pause accounting on resume).
+        chunk: u64,
+        /// The delivered partition.
+        payload: Payload,
+    },
+}
+
+/// One deferred second-wave delivery: the source node plus its payload.
+#[derive(Debug, Clone)]
+pub struct DeferredDelivery {
+    /// Node whose spill disk holds this map output.
+    pub from_node: u64,
+    /// The delivered partition.
+    pub payload: Payload,
+}
+
+/// The complete serializable state of a paused [`Engine`], flattened to
+/// the `u64`/pair/state vocabulary of the checkpoint section codec.
+#[derive(Debug, Clone)]
+pub struct EngineState {
+    /// Event-queue contents in pop order: pending map starts and
+    /// in-flight deliveries from chunks beyond the sealed watermark.
+    pub queue: Vec<QueuedEvent>,
+    /// Per-node FIFO of chunks not yet handed to a map slot.
+    pub pending: Vec<Vec<u64>>,
+    /// Per-node `(hdfs, spill)` disk-free clocks.
+    pub disk_free: Vec<(u64, u64)>,
+    /// Indices of completed map chunks, ascending.
+    pub done: Vec<u64>,
+    /// Scalar scheduler counters: map output bytes so far.
+    pub map_output_bytes: u64,
+    /// Map-side spill bytes so far.
+    pub spill_written_map: u64,
+    /// Latest map-task finish time seen.
+    pub map_finish: u64,
+    /// Completed map-task count.
+    pub maps_completed: u64,
+    /// Per-node cumulative map CPU (µs).
+    pub map_cpu: Vec<u64>,
+    /// Per-reducer ready-at clocks.
+    pub ready_at: Vec<u64>,
+    /// Per-reducer delivery sequence numbers (fault-plan input).
+    pub delivery_seq: Vec<u64>,
+    /// Per-reducer crash counters (fault-plan input).
+    pub crash_count: Vec<u64>,
+    /// Per-reducer cumulative reduce CPU (µs).
+    pub reduce_cpu: Vec<u64>,
+    /// Per-reducer reduce-side spill bytes.
+    pub spill_written_reduce: Vec<u64>,
+    /// Output pairs emitted so far. Restoring this (instead of re-running
+    /// mapped chunks) is what makes resume emit each pair exactly once.
+    pub output: Vec<Pair>,
+    /// Per-reducer deferred second-wave deliveries.
+    pub deferred: Vec<Vec<DeferredDelivery>>,
+    /// Per-reducer framework state.
+    pub reducers: Vec<ReducerCkpt>,
+}
+
+/// A reducer's recorded mailbox result: per delivery, the delivery log and
+/// the logs of any snapshots taken right after it.
+type MailboxLogs = VecDeque<(Vec<Effect>, Vec<Vec<Effect>>)>;
+
+/// Records one reducer's mailbox — a run of consecutive deliveries, each
+/// followed by `snaps` snapshot repetitions — into effect logs, handing
+/// the reducer back. Pure data work: runs on any execution-layer thread.
+fn record_mailbox<'j>(
+    mut rec: Box<dyn ReduceSide + Send + 'j>,
+    items: Vec<(Payload, usize)>,
+    est: SimTime,
+    spec: &crate::cluster::ClusterSpec,
+) -> (Box<dyn ReduceSide + Send + 'j>, MailboxLogs) {
+    let mut logs: MailboxLogs = VecDeque::with_capacity(items.len());
+    let mut te = est;
+    for (payload, snaps) in items {
+        let mut env = ReduceEnv::new(spec);
+        te = rec.on_delivery(te, payload, &mut env);
+        let dlog = env.into_log();
+        let mut slogs = Vec::with_capacity(snaps);
+        for _ in 0..snaps {
+            let mut senv = ReduceEnv::new(spec);
+            te = rec.snapshot(te, &mut senv);
+            slogs.push(senv.into_log());
+        }
+        logs.push_back((dlog, slogs));
+    }
+    (rec, logs)
+}
+
+/// What a map-task plan is a pure function of. `Copy`, so the speculative
+/// planner's closures and the scheduler share it by value.
+#[derive(Clone, Copy)]
+struct PlanCtx<'e> {
+    cfg: &'e RunConfig,
+    job: &'e dyn Job,
+    input: &'e JobInput,
+    store: &'e BlockStore,
+    /// Chunks still to map, ascending: the planner's dense slot `p` is
+    /// chunk `remaining[p]` (every chunk on a fresh run; on resume the
+    /// checkpoint's done chunks are skipped).
+    remaining: &'e [usize],
+    h1: HashFn,
+}
+
+impl PlanCtx<'_> {
+    fn compute(self, chunk: usize) -> MapTaskPlan {
+        let c = &self.store.chunks()[chunk];
+        compute_map_task(
+            self.job,
+            self.cfg.framework,
+            &self.input.records[c.range.clone()],
+            c.bytes,
+            &self.cfg.spec,
+            self.h1,
+            self.cfg.admission,
+            self.cfg.combine,
+            self.cfg.faults.poison_enabled().then_some(PoisonGate {
+                faults: self.cfg.faults,
+                base: c.range.start as u64,
+            }),
+        )
+    }
+
+    fn at(self, pos: usize) -> MapTaskPlan {
+        self.compute(self.remaining[pos])
+    }
+}
+
+/// How a per-node staging table merges two same-key rows under
+/// [`opa_common::CombineScope::Node`].
+#[derive(Clone, Copy)]
+enum NodeMerge<'j> {
+    /// Key-value pairs folded through the job's combiner.
+    Pairs(&'j dyn Combiner),
+    /// Key-state pairs merged through the incremental `cb()` at
+    /// [`Site::Map`]; early emissions route to job output exactly like
+    /// task-level map-side `cb()` emissions.
+    States(&'j dyn IncrementalReducer),
+}
+
+/// A staged row: (partition, h1 fingerprint, key, value-or-state).
+type StagedRow = (usize, u64, Key, Value);
+
+/// One node's pre-shuffle staging table under node-scope combining.
+/// Committed map granules land here (probed by the carried h1
+/// fingerprints) instead of booking shuffle bytes; the table drains at two
+/// deterministic flush points — the node's last committed map task, and a
+/// post-combine byte budget (`ClusterSpec::node_combine_buffer`). Staging
+/// runs entirely on the scheduling thread in event order, so the outcome
+/// stays thread-count invariant like the rest of the scheduler.
+struct NodeStage {
+    /// Rows in first-seen order, which makes the rebuilt payloads a pure
+    /// function of the commit sequence.
+    rows: Vec<StagedRow>,
+    index: GroupIndex,
+    /// Resident bytes, post-combine.
+    bytes: u64,
+    /// Bytes offered since the last flush, pre-combine.
+    bytes_in: u64,
+    /// `cb`/fold calls since the last flush.
+    merges: u64,
+    ctx: ReduceCtx,
+    /// Chunks of this node still to commit: the table takes its final
+    /// flush when the last one does. Failed and straggling attempts never
+    /// reach the commit path, so only the committing attempt counts down.
+    outstanding: usize,
+    /// While rows are resident: the smallest chunk any came from. The
+    /// table counts as one in-flight delivery of that chunk, so a pause
+    /// below it waits for the flush.
+    held: Option<usize>,
+}
+
+impl NodeStage {
+    fn new() -> Self {
+        NodeStage {
+            rows: Vec::new(),
+            index: GroupIndex::with_capacity(64),
+            bytes: 0,
+            bytes_in: 0,
+            merges: 0,
+            ctx: ReduceCtx::at_site(Site::Map),
+            outstanding: 0,
+            held: None,
+        }
+    }
+
+    /// Stages one row of `size` bytes; returns whether it merged into a
+    /// resident row of the same key.
+    fn absorb(&mut self, row: StagedRow, size: u64, merge: NodeMerge<'_>) -> bool {
+        let Some(at) = self.index.get(row.1, |i| self.rows[i].2 == row.2) else {
+            self.bytes += size;
+            self.index.insert(row.1, self.rows.len());
+            self.rows.push(row);
+            return false;
+        };
+        let (_, _, key, acc) = &mut self.rows[at];
+        let (before, after) = match merge {
+            NodeMerge::Pairs(cb) => {
+                let before = acc.len() as u64;
+                cb.fold(key, acc, row.3);
+                (before, acc.len() as u64)
+            }
+            NodeMerge::States(inc) => {
+                let before = inc.state_mem_size(acc);
+                inc.cb(key, acc, row.3, &mut self.ctx);
+                (before, inc.state_mem_size(acc))
+            }
+        };
+        self.bytes = (self.bytes + after).saturating_sub(before);
+        self.merges += 1;
+        true
+    }
+}
+
+/// One job run in progress: scheduler queue, reducers, fault plan, staging
+/// tables and accounting. See the module docs for the stepping contract.
+pub struct Engine<'e> {
+    plans: PlanCtx<'e>,
+    pool: Pool<'e>,
+    planner: Planner<MapTaskPlan>,
+    res: Resources,
+    progress: ProgressTracker,
+
+    // Fault injection. All decisions and recovery charging run on the
+    // scheduling thread in event order, so the failure trace and the
+    // recovered outcome are thread-count invariant.
+    fplan: Option<FaultPlan>,
+    freport: FaultReport,
+    /// Pure map-task plans stashed by failed/straggling attempts for reuse
+    /// by their retry (the plan is a function of the chunk alone).
+    plan_stash: Vec<Option<MapTaskPlan>>,
+    delivery_seq: Vec<u64>,
+    crash_count: Vec<u32>,
+    /// Per-reducer effect history for crash re-replay (kept only when
+    /// reduce crashes can fire).
+    history: Vec<Vec<Effect>>,
+
+    // Scheduler.
+    queue: EventQueue<Ev>,
+    /// Per-node FIFO of chunks not yet handed to a map slot.
+    pending: Vec<VecDeque<usize>>,
+    done: Vec<bool>,
+    /// Length of the all-done chunk prefix.
+    done_prefix: usize,
+    /// In-flight shuffle deliveries (and node-stage holds) by source chunk.
+    inflight_by_chunk: Vec<u32>,
+    /// The quota of the current `run_until`, and the in-flight count below
+    /// it. Only the latter gates the pause: later chunks' deliveries ride
+    /// across pause points.
+    quota: usize,
+    inflight_gating: usize,
+    now: SimTime,
+
+    // Reducers.
+    reducers: Vec<LiveReducer<'e>>,
+    /// Wave assignment: the first `reduce_slots` reducers per node start
+    /// at time zero; the rest queue their deliveries in `deferred`.
+    started: Vec<bool>,
+    ready_at: Vec<SimTime>,
+    deferred: Vec<Vec<(usize, Payload)>>,
+    /// Sorted MapReduce-Online snapshot points, the count crossed so far,
+    /// and how many of those each reducer has taken.
+    snapshots: Vec<f64>,
+    next_snapshot: usize,
+    snapshots_taken: Vec<usize>,
+
+    // Accounting.
+    map_cpu: Vec<SimDuration>,
+    reduce_cpu: Vec<SimDuration>,
+    spill_written_map: u64,
+    spill_written_reduce: Vec<u64>,
+    snapshot_bytes: Vec<u64>,
+    maps_completed: usize,
+    map_output_bytes: u64,
+    /// Shuffle bytes actually booked on the network (post-combine under
+    /// node scope). Wave-two re-reads replay these same transfers from
+    /// disk and are not re-counted.
+    shuffle_booked: u64,
+    map_finish: SimTime,
+    output: Vec<Pair>,
+    dlq: Vec<PoisonedRecord>,
+    dinc_total: Option<DincStats>,
+    admission_total: Option<AdmissionStats>,
+
+    /// `Some` under node-scope combining when the job has something to
+    /// merge with (a combiner, or `init/cb` for the incremental
+    /// frameworks); otherwise node scope degenerates to task scope.
+    node_merge: Option<NodeMerge<'e>>,
+    stage: Vec<NodeStage>,
+    nc_stats: NodeCombineStats,
+
+    // Burst scratch, reused across bursts.
+    mail_of: Vec<Option<usize>>,
+    log_q: Vec<MailboxLogs>,
+}
+
+impl<'e> Engine<'e> {
+    /// Builds an engine for `job` over `input` — fresh, or restored from
+    /// `resume` — on a pool of `cfg.exec` host threads, and hands it to
+    /// `drive`. The pool's threads are joined before this returns.
+    ///
+    /// # Errors
+    /// Whatever `drive` returns; before that, a framework the job cannot
+    /// run under, or a `resume` state that does not fit the job.
+    pub fn scoped<T>(
+        cfg: &RunConfig,
+        job: &dyn Job,
+        input: &JobInput,
+        resume: Option<EngineState>,
+        drive: impl for<'a> FnOnce(Engine<'a>) -> Result<T>,
+    ) -> Result<T> {
+        // Split the input into chunks, HDFS-style.
+        let store = BlockStore::split(
+            input.records.iter().map(|r| r.len() as u64),
+            cfg.spec.system.chunk_size,
+            cfg.spec.hardware.nodes,
+        );
+        let mut done = vec![false; store.num_chunks()];
+        for &c in resume.iter().flat_map(|s| &s.done) {
+            *done
+                .get_mut(c as usize)
+                .ok_or_else(|| Error::storage("checkpoint marks an unknown chunk done"))? = true;
+        }
+        let remaining: Vec<usize> = (0..done.len()).filter(|&c| !done[c]).collect();
+        let plans = PlanCtx {
+            cfg,
+            job,
+            input,
+            store: &store,
+            remaining: &remaining,
+            h1: HashFamily::new(cfg.spec.hash_seed).fn_at(0),
+        };
+        // The scheduler thread doubles as a worker, so `threads` total. The
+        // effective count is capped at the host's cores unless the config
+        // explicitly oversubscribes: surplus threads would only time-slice,
+        // and the outcome is bit-identical at any count anyway.
+        let workers = cfg.exec.effective_threads().saturating_sub(1);
+        std::thread::scope(|scope| {
+            drive(Engine::new(Pool::new(scope, workers), plans, done, resume)?)
+        })
+    }
+
+    fn new(
+        pool: Pool<'e>,
+        plans: PlanCtx<'e>,
+        done: Vec<bool>,
+        resume: Option<EngineState>,
+    ) -> Result<Self> {
+        let cfg = plans.cfg;
+        let (spec, faults) = (&cfg.spec, &cfg.faults);
+        let hw = &spec.hardware;
+        let (n_nodes, n_reducers, num_chunks) = (hw.nodes, spec.total_reducers(), done.len());
+
+        let separate_spill = spec.cost.spill_disk != spec.cost.hdfs_disk;
+        let mut res = Resources::new(n_nodes, hw.map_slots.max(hw.reduce_slots), separate_spill);
+        if cfg.trace {
+            res.enable_trace();
+        }
+        if faults.spill_error_rate > 0.0 {
+            // The injector's pseudo-random sequence restarts on resume —
+            // spill-error timing (never output correctness) can then
+            // differ from the uninterrupted run.
+            res.set_disk_faults(DiskFaultInjector::new(
+                faults.seed,
+                faults.spill_error_rate,
+                faults.max_retries,
+            ));
+        }
+
+        let sizing = ReducerSizing {
+            early_stop_coverage: cfg.early_stop,
+            monitor: cfg.dinc_monitor,
+            admission: cfg.admission,
+            ..ReducerSizing::from_hints(
+                plans.job,
+                plans.input.total_bytes(),
+                cfg.km_hint,
+                n_reducers,
+            )
+        };
+        let family = HashFamily::new(spec.hash_seed);
+        let reducers = (0..n_reducers)
+            .map(|_| make_reducer(cfg.framework, plans.job, spec, sizing, &family).map(Some))
+            .collect::<Result<Vec<_>>>()?;
+
+        let node_merge = if !cfg.combine.is_node() {
+            None
+        } else if cfg.framework.is_incremental() {
+            plans.job.incremental().map(NodeMerge::States)
+        } else {
+            plans.job.combiner().map(NodeMerge::Pairs)
+        };
+        let mut stage: Vec<NodeStage> = (0..n_nodes).map(|_| NodeStage::new()).collect();
+        for (c, _) in plans.store.chunks().iter().zip(&done).filter(|(_, &d)| !d) {
+            stage[c.node].outstanding += 1;
+        }
+        let mut snapshots = cfg.snapshot_points.clone();
+        snapshots.sort_by(f64::total_cmp);
+
+        let mut engine = Engine {
+            plans,
+            planner: Planner::new(plans.remaining.len(), pool.workers() * 2 + 2),
+            pool,
+            res,
+            progress: ProgressTracker::new(num_chunks as u64),
+            fplan: faults.enabled().then(|| FaultPlan::new(*faults)),
+            freport: FaultReport::default(),
+            plan_stash: (0..num_chunks).map(|_| None).collect(),
+            delivery_seq: vec![0; n_reducers],
+            crash_count: vec![0; n_reducers],
+            history: vec![Vec::new(); n_reducers],
+            queue: EventQueue::new(),
+            pending: vec![VecDeque::new(); n_nodes],
+            done_prefix: done.iter().take_while(|&&d| d).count(),
+            done,
+            inflight_by_chunk: vec![0; num_chunks],
+            quota: 0,
+            inflight_gating: 0,
+            now: SimTime::ZERO,
+            reducers,
+            started: (0..n_reducers)
+                .map(|r| r / n_nodes < hw.reduce_slots)
+                .collect(),
+            ready_at: vec![SimTime::ZERO; n_reducers],
+            deferred: vec![Vec::new(); n_reducers],
+            snapshots,
+            next_snapshot: 0,
+            snapshots_taken: vec![0; n_reducers],
+            map_cpu: vec![SimDuration::ZERO; n_nodes],
+            reduce_cpu: vec![SimDuration::ZERO; n_reducers],
+            spill_written_map: 0,
+            spill_written_reduce: vec![0; n_reducers],
+            snapshot_bytes: vec![0; n_reducers],
+            maps_completed: 0,
+            map_output_bytes: 0,
+            shuffle_booked: 0,
+            map_finish: SimTime::ZERO,
+            output: Vec::new(),
+            dlq: Vec::new(),
+            dinc_total: None,
+            admission_total: None,
+            node_merge,
+            stage,
+            nc_stats: NodeCombineStats::default(),
+            mail_of: vec![None; n_reducers],
+            log_q: (0..n_reducers).map(|_| VecDeque::new()).collect(),
+        };
+        match resume {
+            Some(saved) => engine.import_state(saved)?,
+            None => {
+                // Per-node FIFO of map chunks; seed each node's map slots.
+                for (i, c) in plans.store.chunks().iter().enumerate() {
+                    engine.pending[c.node].push_back(i);
+                }
+                for node_pending in &mut engine.pending {
+                    for chunk in node_pending.drain(..hw.map_slots.min(node_pending.len())) {
+                        engine
+                            .queue
+                            .push(SimTime::ZERO, Ev::StartMap { chunk, attempt: 0 });
+                    }
+                }
+            }
+        }
+        // Speculative map-task planning: plans are pure functions of the
+        // chunk index, so the pool computes a window of them ahead of the
+        // scheduler.
+        engine.planner.prime(&engine.pool, move |pos| plans.at(pos));
+        Ok(engine)
+    }
+
+    /// Rebuilds the scheduler from a checkpoint: every event is re-pushed
+    /// in its saved pop order (fresh ascending sequence numbers preserve
+    /// ties), so the resumed run continues the uninterrupted one's event
+    /// sequence.
+    fn import_state(&mut self, saved: EngineState) -> Result<()> {
+        let (n_reducers, num_chunks) = (self.reducers.len(), self.done.len());
+        for qe in saved.queue {
+            match qe {
+                QueuedEvent::StartMap {
+                    time,
+                    chunk,
+                    attempt,
+                } => {
+                    let chunk = chunk as usize;
+                    if chunk >= num_chunks {
+                        return Err(Error::storage("checkpoint queue names an unknown chunk"));
+                    }
+                    let attempt = attempt as u32;
+                    self.queue
+                        .push(SimTime(time), Ev::StartMap { chunk, attempt });
+                }
+                QueuedEvent::Deliver {
+                    time,
+                    reducer,
+                    from_node,
+                    chunk,
+                    payload,
+                } => {
+                    let (reducer, chunk) = (reducer as usize, chunk as usize);
+                    if reducer >= n_reducers || chunk >= num_chunks {
+                        return Err(Error::storage(
+                            "checkpoint delivery names an unknown reducer or chunk",
+                        ));
+                    }
+                    self.inflight_by_chunk[chunk] += 1;
+                    let from_node = from_node as usize;
+                    self.queue.push(
+                        SimTime(time),
+                        Ev::Deliver(Delivery {
+                            reducer,
+                            from_node,
+                            chunk,
+                            payload,
+                        }),
+                    );
+                }
+            }
+        }
+        for (node, chunks) in saved.pending.iter().enumerate() {
+            self.pending[node].extend(chunks.iter().map(|&c| c as usize));
+        }
+        self.res.restore_disk_free(&saved.disk_free);
+        // Progress accounting restarts at the resume instant; pre-seeding
+        // completed maps keeps the map curve's end-state (100 %) truthful.
+        for _ in 0..saved.done.len() {
+            self.progress.map_done(SimTime::ZERO);
+        }
+        self.map_output_bytes = saved.map_output_bytes;
+        // Exact under task scope, the only scope checkpoints support.
+        self.shuffle_booked = saved.map_output_bytes;
+        self.spill_written_map = saved.spill_written_map;
+        self.map_finish = SimTime(saved.map_finish);
+        self.now = self.map_finish;
+        self.maps_completed = saved.maps_completed as usize;
+        self.map_cpu = saved.map_cpu.iter().map(|&c| SimDuration(c)).collect();
+        self.ready_at = saved.ready_at.iter().map(|&t| SimTime(t)).collect();
+        self.delivery_seq = saved.delivery_seq;
+        self.crash_count = saved.crash_count.iter().map(|&c| c as u32).collect();
+        self.reduce_cpu = saved.reduce_cpu.iter().map(|&c| SimDuration(c)).collect();
+        self.spill_written_reduce = saved.spill_written_reduce;
+        self.output = saved.output;
+        for (slot, defs) in self.deferred.iter_mut().zip(saved.deferred) {
+            *slot = defs
+                .into_iter()
+                .map(|d| (d.from_node as usize, d.payload))
+                .collect();
+        }
+        for (rec, ckpt) in self.reducers.iter_mut().zip(saved.reducers) {
+            rec.as_mut().expect("reducer in place").import_state(ckpt)?;
+        }
+        Ok(())
+    }
+
+    /// Serializes the paused engine. Staging tables and the dead-letter
+    /// queue are not part of the state: callers checkpoint only runs with
+    /// neither (task-scope combining, no poison injection).
+    pub fn export_state(&mut self) -> Result<EngineState> {
+        // Read the queue by draining and re-pushing in pop order: fresh
+        // ascending sequence numbers preserve every relative ordering, so
+        // the run is unaffected.
+        let mut events = Vec::with_capacity(self.queue.len());
+        let mut stash = Vec::with_capacity(self.queue.len());
+        while let Some((t, ev)) = self.queue.pop() {
+            events.push(match &ev {
+                Ev::StartMap { chunk, attempt } => QueuedEvent::StartMap {
+                    time: t.0,
+                    chunk: *chunk as u64,
+                    attempt: u64::from(*attempt),
+                },
+                Ev::Deliver(d) => QueuedEvent::Deliver {
+                    time: t.0,
+                    reducer: d.reducer as u64,
+                    from_node: d.from_node as u64,
+                    chunk: d.chunk as u64,
+                    payload: d.payload.clone(),
+                },
+            });
+            stash.push((t, ev));
+        }
+        for (t, ev) in stash {
+            self.queue.push(t, ev);
+        }
+        let reducers = self
+            .reducers
+            .iter()
+            .map(|rec| rec.as_ref().expect("reducer in place").export_state())
+            .collect::<Result<Vec<_>>>()?;
+        let deferred = self.deferred.iter().map(|defs| {
+            defs.iter()
+                .map(|(from, p)| DeferredDelivery {
+                    from_node: *from as u64,
+                    payload: p.clone(),
+                })
+                .collect()
+        });
+        Ok(EngineState {
+            queue: events,
+            pending: self
+                .pending
+                .iter()
+                .map(|q| q.iter().map(|&c| c as u64).collect())
+                .collect(),
+            disk_free: self.res.export_disk_free(),
+            done: (0..self.done.len() as u64)
+                .filter(|&c| self.done[c as usize])
+                .collect(),
+            map_output_bytes: self.map_output_bytes,
+            spill_written_map: self.spill_written_map,
+            map_finish: self.map_finish.0,
+            maps_completed: self.maps_completed as u64,
+            map_cpu: self.map_cpu.iter().map(|d| d.0).collect(),
+            ready_at: self.ready_at.iter().map(|t| t.0).collect(),
+            delivery_seq: self.delivery_seq.clone(),
+            crash_count: self.crash_count.iter().map(|&c| u64::from(c)).collect(),
+            reduce_cpu: self.reduce_cpu.iter().map(|d| d.0).collect(),
+            spill_written_reduce: self.spill_written_reduce.clone(),
+            output: self.output.clone(),
+            deferred: deferred.collect(),
+            reducers,
+        })
+    }
+
+    /// The live reducers, for pause-point queries.
+    pub fn reducers(&self) -> &[LiveReducer<'e>] {
+        &self.reducers
+    }
+
+    /// The partitioning hash that routes a key to its reducer.
+    pub fn h1(&self) -> HashFn {
+        self.plans.h1
+    }
+
+    /// Virtual time of the last processed event.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Map tasks committed so far.
+    pub fn maps_completed(&self) -> usize {
+        self.maps_completed
+    }
+
+    /// Total map-task (chunk) count.
+    pub fn num_chunks(&self) -> usize {
+        self.done.len()
+    }
+
+    /// Number of leading chunks holding an input record below `record` —
+    /// the [`Engine::run_until`] quota that covers `records[..record]` (a
+    /// chunk straddling the boundary counts).
+    pub fn chunks_below(&self, record: usize) -> usize {
+        let chunks = self.plans.store.chunks();
+        chunks.partition_point(|c| c.range.start < record)
+    }
+
+    /// Appends a caller's event (a batch seal, a checkpoint) to the run's
+    /// trace at the current position. A no-op when tracing is off.
+    pub fn emit(&mut self, ev: TraceEvent) {
+        self.res.emit(ev);
+    }
+
+    fn paused(&self) -> bool {
+        self.inflight_gating == 0 && self.done_prefix >= self.quota
+    }
+
+    fn took_off(&mut self, chunk: usize) {
+        self.inflight_by_chunk[chunk] += 1;
+        self.inflight_gating += usize::from(chunk < self.quota);
+    }
+
+    fn landed(&mut self, chunk: usize) {
+        self.inflight_by_chunk[chunk] -= 1;
+        self.inflight_gating -= usize::from(chunk < self.quota);
+    }
+
+    /// Processes events until the first `quota` chunks are mapped and every
+    /// delivery originating from them has been absorbed (or parked with a
+    /// second-wave reducer) — or the queue drains. Deliveries from later
+    /// chunks may still be in flight: the map waves pipeline into the
+    /// reduce side continuously, so full quiescence would push every pause
+    /// to the end of the run. At a pause the reducer state therefore
+    /// covers at least the quota's records, possibly more.
+    pub fn run_until(&mut self, quota: usize) {
+        self.quota = quota.min(self.done.len());
+        self.inflight_gating = self.inflight_by_chunk[..self.quota]
+            .iter()
+            .map(|&n| n as usize)
+            .sum();
+        while !self.paused() {
+            let Some((t, ev)) = self.queue.pop() else {
+                break;
+            };
+            self.now = t;
+            match ev {
+                Ev::StartMap { chunk, attempt } => self.start_map(t, chunk, attempt),
+                Ev::Deliver(first) => self.deliver_burst(t, first),
+            }
+        }
+    }
+
+    fn start_map(&mut self, t: SimTime, chunk: usize, attempt: u32) {
+        let plans = self.plans;
+        let at = Attempt {
+            chunk,
+            attempt,
+            node: plans.store.chunks()[chunk].node,
+            start: t,
+        };
+        self.res.emit(TraceEvent::MapStart {
+            t: t.0,
+            chunk: chunk as u32,
+            attempt,
+            node: at.node as u32,
+        });
+        // Retries reuse the stashed pure plan; the planner only hands out
+        // each chunk's first-execution plan.
+        let plan = if attempt == 0 {
+            let pos = plans
+                .remaining
+                .binary_search(&chunk)
+                .expect("first attempt of a chunk not yet mapped");
+            self.planner.take(pos, &self.pool, move |pos| plans.at(pos))
+        } else {
+            self.plan_stash[chunk]
+                .take()
+                .unwrap_or_else(|| plans.compute(chunk))
+        };
+        let fate = self
+            .fplan
+            .as_ref()
+            .map_or(MapFate::Ok, |p| p.map_fate(chunk, attempt));
+        match fate {
+            MapFate::Ok => self.commit_map(at, plan),
+            lost => self.lose_attempt(at, plan, lost),
+        }
+    }
+
+    /// Books a fault in the report and the trace.
+    fn fault(&mut self, time: SimTime, kind: FaultKind, target: u64, attempt: u32) {
+        self.freport.trace.push(FaultEvent {
+            time,
+            kind,
+            target,
+            attempt,
+        });
+        self.res.emit(TraceEvent::Fault {
+            t: time.0,
+            kind,
+            target,
+            attempt,
+        });
+    }
+
+    /// A map attempt that does not commit. A failing attempt dies partway:
+    /// its prefix is charged as waste and it retries on the same slot
+    /// after a backoff. A straggler limps along at factor× CPU cost; at
+    /// the nominal-duration horizon the scheduler launches a speculative
+    /// backup whose output is the one committed, and everything the
+    /// straggler did is waste.
+    fn lose_attempt(&mut self, at: Attempt, plan: MapTaskPlan, fate: MapFate) {
+        let cfg = self.plans.cfg;
+        let (kind, waste, fault_at, retry_at) = match fate {
+            MapFate::Fail { frac } => {
+                let w = abort_map_task(&plan, frac, at.node, at.start, &cfg.spec, &mut self.res);
+                let retry_at = w.fail_time + cfg.faults.backoff(at.attempt + 1);
+                self.freport.map_failures += 1;
+                self.freport.map_retries += 1;
+                self.freport.recovery_time += retry_at - at.start;
+                (FaultKind::MapFailure, w, w.fail_time, retry_at)
+            }
+            MapFate::Straggle { factor } => {
+                let detect = at.start + plan.nominal_duration(&cfg.spec);
+                let w =
+                    straggle_map_task(&plan, factor, at.node, at.start, &cfg.spec, &mut self.res);
+                self.freport.stragglers += 1;
+                self.freport.speculative_wins += 1;
+                self.freport.recovery_time += w.fail_time.saturating_since(detect);
+                (FaultKind::Straggler, w, detect, detect)
+            }
+            MapFate::Ok => unreachable!("a committing attempt is not lost"),
+        };
+        self.freport.wasted_cpu += waste.wasted_cpu;
+        self.freport.wasted_bytes += waste.wasted_bytes;
+        self.fault(fault_at, kind, at.chunk as u64, at.attempt);
+        self.res.emit(TraceEvent::Retry {
+            t: retry_at.0,
+            kind,
+            target: at.chunk as u64,
+            attempt: at.attempt + 1,
+        });
+        self.plan_stash[at.chunk] = Some(plan);
+        self.queue.push(
+            retry_at,
+            Ev::StartMap {
+                chunk: at.chunk,
+                attempt: at.attempt + 1,
+            },
+        );
+    }
+
+    fn commit_map(&mut self, at: Attempt, plan: MapTaskPlan) {
+        let Attempt {
+            chunk,
+            attempt,
+            node,
+            start,
+        } = at;
+        let result = finish_map_task(plan, node, start, &self.plans.cfg.spec, &mut self.res);
+        // Quarantine the chunk's poisoned records exactly once, at the
+        // committing attempt: the record, its offset and the attempt
+        // number are the DLQ's provenance.
+        for &(offset, ref record) in &result.poisoned {
+            self.freport.udf_poisoned += 1;
+            self.freport.trace.push(FaultEvent {
+                time: result.finish,
+                kind: FaultKind::UdfPoison,
+                target: offset,
+                attempt,
+            });
+            self.res.emit(TraceEvent::Poison {
+                t: result.finish.0,
+                chunk: chunk as u32,
+                offset,
+                attempt,
+            });
+            self.dlq.push(PoisonedRecord {
+                chunk: chunk as u32,
+                attempt,
+                offset,
+                record: record.clone(),
+            });
+        }
+        self.res.emit(TraceEvent::MapFinish {
+            t0: start.0,
+            t: result.finish.0,
+            chunk: chunk as u32,
+            node: node as u32,
+            cpu: result.cpu.0,
+            output_bytes: result.output_bytes,
+            spill_bytes: result.spill_bytes,
+        });
+        self.map_cpu[node] += result.cpu;
+        self.spill_written_map += result.spill_bytes;
+        self.map_output_bytes += result.output_bytes;
+        self.map_finish = self.map_finish.max(result.finish);
+        self.progress.map_done(result.finish);
+        self.maps_completed += 1;
+        self.done[chunk] = true;
+        while self.done.get(self.done_prefix) == Some(&true) {
+            self.done_prefix += 1;
+        }
+        // MapReduce Online snapshots fire when map progress crosses a
+        // requested point; each reducer takes its snapshot at the next
+        // delivery it processes ("when reducers have received X% of the
+        // data").
+        while self
+            .snapshots
+            .get(self.next_snapshot)
+            .is_some_and(|&p| self.maps_completed as f64 >= p * self.done.len() as f64)
+        {
+            self.next_snapshot += 1;
+        }
+        if !result.early_output.is_empty() {
+            let bytes: u64 = result.early_output.iter().map(Pair::size).sum();
+            self.progress.emitted(result.finish, bytes);
+            self.output.extend(result.early_output);
+        }
+        for granule in result.granules {
+            if let Some(merge) = self.node_merge {
+                self.stage_granule(at, granule, merge);
+                continue;
+            }
+            for (reducer, payload) in granule.partitions.into_iter().enumerate() {
+                if !payload.is_empty() {
+                    let d = Delivery {
+                        reducer,
+                        from_node: node,
+                        chunk,
+                        payload,
+                    };
+                    self.ship(granule.time, d);
+                }
+            }
+        }
+        // Node scope: the last committed chunk on a node takes the node's
+        // final flush before freeing the slot.
+        self.stage[node].outstanding -= 1;
+        if self.stage[node].outstanding == 0 {
+            self.flush_node(node, result.finish);
+        }
+        // Free the slot: schedule the node's next chunk.
+        if let Some(chunk) = self.pending[node].pop_front() {
+            self.queue
+                .push(result.finish, Ev::StartMap { chunk, attempt: 0 });
+        }
+    }
+
+    /// Books one shuffle transfer leaving its node at `depart`.
+    fn ship(&mut self, depart: SimTime, d: Delivery) {
+        let bytes = d.payload.bytes();
+        let arrival = depart + self.plans.cfg.spec.cost.net_time(bytes);
+        self.shuffle_booked += bytes;
+        self.res.span(d.from_node, OpKind::Shuffle, depart, arrival);
+        self.res.emit(TraceEvent::Shuffle {
+            t0: depart.0,
+            t: arrival.0,
+            from_node: d.from_node as u32,
+            reducer: d.reducer as u32,
+            bytes,
+        });
+        self.took_off(d.chunk);
+        self.queue.push(arrival, Ev::Deliver(d));
+    }
+
+    /// Merges one committed granule into its node's staging table instead
+    /// of shipping it.
+    fn stage_granule(&mut self, at: Attempt, granule: Granule, merge: NodeMerge<'e>) {
+        let (h1, spec) = (self.plans.h1, &self.plans.cfg.spec);
+        let stage = &mut self.stage[at.node];
+        let mut merged = 0u64;
+        for (part, payload) in granule.partitions.into_iter().enumerate() {
+            if payload.is_empty() {
+                continue;
+            }
+            stage.bytes_in += payload.bytes();
+            match (payload, merge) {
+                (Payload::Pairs(batch), NodeMerge::Pairs(_)) => {
+                    let (pairs, hashes) = batch.into_parts();
+                    for (i, p) in pairs.into_iter().enumerate() {
+                        let h = hashes.get(i).copied();
+                        let h = h.unwrap_or_else(|| h1.hash(p.key.bytes()));
+                        let size = p.size();
+                        merged += u64::from(stage.absorb((part, h, p.key, p.value), size, merge));
+                    }
+                }
+                (Payload::States(batch), NodeMerge::States(_)) => {
+                    let (states, hashes) = batch.into_parts();
+                    for (i, sp) in states.into_iter().enumerate() {
+                        let h = hashes.get(i).copied();
+                        let h = h.unwrap_or_else(|| h1.hash(sp.key.bytes()));
+                        let size = sp.size();
+                        merged += u64::from(stage.absorb((part, h, sp.key, sp.state), size, merge));
+                    }
+                }
+                _ => unreachable!("payload kind matches the merge mode"),
+            }
+        }
+        self.nc_stats.merged_rows += merged;
+        // Map-site early emissions from a cross-task `cb()` (e.g. a session
+        // closing across two chunks of the same node) route to job output
+        // exactly like task-level map-side emissions.
+        if stage.ctx.pending() > 0 {
+            let b = stage.ctx.drain_into(&mut self.output);
+            let op = IoOp::write(b);
+            let _ = self.res.hdfs_io(
+                at.node,
+                granule.time,
+                IoCategory::ReduceOutput,
+                op,
+                &spec.cost,
+            );
+            self.progress.emitted(granule.time, b);
+        }
+        // The resident rows now cover `at.chunk`: hold a pause below the
+        // smallest staged chunk until the flush ships them.
+        let over_budget = stage.bytes > spec.node_combine_buffer;
+        if !stage.rows.is_empty() && stage.held.is_none_or(|held| at.chunk < held) {
+            if let Some(held) = stage.held.replace(at.chunk) {
+                self.landed(held);
+            }
+            self.took_off(at.chunk);
+        }
+        if over_budget {
+            self.flush_node(at.node, granule.time);
+        }
+    }
+
+    /// Drains one node's staging table at flush time `t0`: charge the
+    /// accumulated cross-task merge CPU, rebuild per-partition payloads in
+    /// first-seen row order, and book the (post-combine) shuffle transfers
+    /// exactly as the direct path would have.
+    fn flush_node(&mut self, node: usize, t0: SimTime) {
+        let stage = &mut self.stage[node];
+        let Some(held) = stage.held.take() else {
+            return; // nothing resident
+        };
+        let rows = std::mem::take(&mut stage.rows);
+        stage.index.clear();
+        stage.bytes = 0;
+        let bytes_in = std::mem::take(&mut stage.bytes_in);
+        let cb_cpu = self
+            .plans
+            .cfg
+            .spec
+            .cost
+            .cb_time(std::mem::take(&mut stage.merges));
+        let t1 = self.res.cpu(node, t0, cb_cpu);
+        self.map_cpu[node] += cb_cpu;
+        let n_reducers = self.reducers.len();
+        let cap = rows.len() / n_reducers + 1;
+        let states_mode = matches!(self.node_merge, Some(NodeMerge::States(_)));
+        let mut payloads: Vec<Payload> = (0..n_reducers)
+            .map(|_| {
+                if states_mode {
+                    Payload::States(StateBatch::with_capacity(cap))
+                } else {
+                    Payload::Pairs(RecordBatch::with_capacity(cap))
+                }
+            })
+            .collect();
+        let keys = rows.len() as u64;
+        for (part, h, key, value) in rows {
+            match &mut payloads[part] {
+                Payload::Pairs(b) => b.push_hashed(Pair::new(key, value), h),
+                Payload::States(b) => b.push_hashed(StatePair::new(key, value), h),
+            }
+        }
+        let mut bytes_out = 0u64;
+        for (reducer, payload) in payloads.into_iter().enumerate() {
+            if payload.is_empty() {
+                continue;
+            }
+            bytes_out += payload.bytes();
+            let d = Delivery {
+                reducer,
+                from_node: node,
+                chunk: held,
+                payload,
+            };
+            self.ship(t1, d);
+        }
+        self.landed(held);
+        self.nc_stats.flushes += 1;
+        self.nc_stats.staged_bytes += bytes_in;
+        self.nc_stats.flushed_bytes += bytes_out;
+        self.res.emit(TraceEvent::NodeCombine {
+            t0: t0.0,
+            t: t1.0,
+            node: node as u32,
+            bytes_in,
+            bytes_out,
+            keys,
+        });
+    }
+
+    /// Absorbs the maximal run of consecutive deliveries starting with
+    /// `first`: processing a delivery never schedules new events, so
+    /// everything up to the next `StartMap` can be recorded as one
+    /// parallel batch without changing the pop order. The run stops early
+    /// where a pause becomes possible, so `run_until` observes it;
+    /// grouping deliveries differently is output- and metric-transparent
+    /// (effect logs carry durations and ops, never absolute times, and
+    /// replay still runs in pop order).
+    fn deliver_burst(&mut self, t: SimTime, first: Delivery) {
+        let spec = &self.plans.cfg.spec;
+        self.landed(first.chunk);
+        let mut burst = vec![(t, first)];
+        while !self.paused() && matches!(self.queue.peek(), Some((_, Ev::Deliver(_)))) {
+            let Some((t2, Ev::Deliver(d))) = self.queue.pop() else {
+                unreachable!("peeked a delivery");
+            };
+            self.landed(d.chunk);
+            burst.push((t2, d));
+        }
+
+        // Partition the burst into per-reducer mailboxes, preserving each
+        // reducer's arrival order. Second-wave reducers defer: parked in
+        // scheduler state, their deliveries count as absorbed.
+        let mut order: Vec<(usize, SimTime)> = Vec::with_capacity(burst.len());
+        let mut mailboxes: Vec<(usize, Vec<(Payload, usize)>)> = Vec::new();
+        for (t_ev, d) in burst {
+            let r = d.reducer;
+            if !self.started[r] {
+                self.deferred[r].push((d.from_node, d.payload));
+                continue;
+            }
+            order.push((r, t_ev));
+            let slot = *self.mail_of[r].get_or_insert_with(|| {
+                mailboxes.push((r, Vec::new()));
+                mailboxes.len() - 1
+            });
+            // Snapshots catch up after the first delivery a reducer
+            // processes past each snapshot point.
+            let snaps = if mailboxes[slot].1.is_empty() {
+                self.next_snapshot.saturating_sub(self.snapshots_taken[r])
+            } else {
+                0
+            };
+            mailboxes[slot].1.push((d.payload, snaps));
+        }
+        if mailboxes.is_empty() {
+            return;
+        }
+
+        // Record every mailbox on the pool (inline when the pool has no
+        // workers), then replay in pop order. The burst goes up as one
+        // batch — a single wake decision for the whole delivery run
+        // instead of one notify per mailbox — and the scheduler records
+        // the last mailbox itself: no handoff for single-mailbox bursts,
+        // and the main thread stays busy instead of waiting.
+        let gather = Gather::new(mailboxes.len());
+        let mut mail_reducers: Vec<usize> = Vec::with_capacity(mailboxes.len());
+        let mut batch: Vec<Task<'e>> = Vec::with_capacity(mailboxes.len());
+        for (slot, (r, items)) in mailboxes.into_iter().enumerate() {
+            mail_reducers.push(r);
+            self.mail_of[r] = None;
+            let rec = self.reducers[r].take().expect("reducer in place");
+            let est = self.ready_at[r];
+            let g = gather.clone();
+            batch.push(Box::new(move || {
+                g.put(slot, record_mailbox(rec, items, est, spec));
+            }));
+        }
+        let last = batch.pop().expect("burst has at least one mailbox");
+        self.pool.submit_batch(batch);
+        last();
+        for ((rec, logs), &r) in gather.wait(&self.pool).into_iter().zip(&mail_reducers) {
+            self.reducers[r] = Some(rec);
+            self.log_q[r] = logs;
+        }
+        for (r, t_ev) in order {
+            let (dlog, slogs) = self.log_q[r].pop_front().expect("one log per delivery");
+            let t0 = self.survive_crash(r, self.ready_at[r].max(t_ev));
+            if self.plans.cfg.faults.reduce_failure_rate > 0.0 {
+                self.history[r].extend(dlog.iter().chain(slogs.iter().flatten()).cloned());
+            }
+            self.ready_at[r] = self.replay_into(r, dlog, t0);
+            for slog in slogs {
+                self.snapshots_taken[r] += 1;
+                self.ready_at[r] = self.replay_into(r, slog, self.ready_at[r]);
+            }
+        }
+    }
+
+    /// Consults the fault plan for reducer `r`'s next delivery, due at
+    /// `t0`. On a reduce-task crash the delivery finds the reducer dead: a
+    /// restart backs off, then re-replays the recorded history in
+    /// time-only mode to rebuild the lost in-memory state. Returns when
+    /// the delivery can be absorbed.
+    fn survive_crash(&mut self, r: usize, t0: SimTime) -> SimTime {
+        let Some(fp) = &self.fplan else {
+            return t0;
+        };
+        let crashed = fp.reduce_crashes(r, self.delivery_seq[r], self.crash_count[r]);
+        self.delivery_seq[r] += 1;
+        if !crashed {
+            return t0;
+        }
+        let cfg = self.plans.cfg;
+        self.crash_count[r] += 1;
+        let crashes = self.crash_count[r];
+        self.freport.reduce_failures += 1;
+        self.fault(t0, FaultKind::ReduceFailure, r as u64, crashes - 1);
+        let restart = t0 + cfg.faults.backoff(crashes);
+        self.res.emit(TraceEvent::Retry {
+            t: restart.0,
+            kind: FaultKind::ReduceFailure,
+            target: r as u64,
+            attempt: crashes,
+        });
+        let node = r % self.stage.len();
+        let recov = replay_recovery(&self.history[r], restart, &cfg.spec, node, &mut self.res);
+        self.freport.wasted_bytes += recov.wasted_bytes;
+        self.freport.wasted_cpu += recov.wasted_cpu;
+        self.freport.recovery_time += recov.ready_at.saturating_since(t0);
+        recov.ready_at
+    }
+
+    /// Replays one of reducer `r`'s effect logs against the shared state.
+    fn replay_into(&mut self, r: usize, log: Vec<Effect>, t0: SimTime) -> SimTime {
+        let target = ReplayTarget {
+            node: r % self.stage.len(),
+            res: &mut self.res,
+            progress: &mut self.progress,
+            output: &mut self.output,
+            reduce_cpu: &mut self.reduce_cpu[r],
+            spill_written: &mut self.spill_written_reduce[r],
+            snapshot_bytes: &mut self.snapshot_bytes[r],
+        };
+        replay(log, t0, &self.plans.cfg.spec, target)
+    }
+
+    /// Books reducer `r`'s completion at `done`: its monitor and admission
+    /// books join the job totals, and the trace gets its `reduce_finish`
+    /// (plus `admission`, under the LFU policy only).
+    fn reducer_done(&mut self, r: usize, done: SimTime) {
+        let rec = self.reducers[r].as_ref().expect("reducer in place");
+        if let Some(st) = rec.dinc_stats() {
+            let acc = self.dinc_total.get_or_insert_with(Default::default);
+            acc.slots_per_reducer = st.slots_per_reducer;
+            acc.offered += st.offered;
+            acc.rejected += st.rejected;
+            acc.evict_output += st.evict_output;
+            acc.evict_spilled += st.evict_spilled;
+        }
+        let adm = rec.admission_stats();
+        if let Some(st) = &adm {
+            self.admission_total
+                .get_or_insert_with(Default::default)
+                .merge(st);
+        }
+        self.res.emit(TraceEvent::ReduceFinish {
+            t: done.0,
+            reducer: r as u32,
+            node: (r % self.stage.len()) as u32,
+        });
+        if let Some(st) = adm.filter(|_| self.plans.cfg.admission.is_on()) {
+            self.res.emit(TraceEvent::Admission {
+                t: done.0,
+                reducer: r as u32,
+                offered: st.offered,
+                absorbed: st.absorbed,
+                evictions: st.admitted_evictions,
+                rejected: st.rejected,
+            });
+        }
+    }
+
+    /// Drains the remaining events, finishes every reducer and assembles
+    /// the outcome.
+    pub fn finish(mut self) -> JobOutcome {
+        self.run_until(self.done.len());
+        let cfg = self.plans.cfg;
+        let spec = &cfg.spec;
+        let (n_nodes, n_reducers) = (self.stage.len(), self.reducers.len());
+        let map_finish = self.map_finish;
+
+        // Wave-one reducers: record in parallel, replay in reducer order
+        // (identical to the sequential engine's iteration order).
+        let mut end = map_finish;
+        let mut node_wave1_finish: Vec<Vec<SimTime>> = vec![Vec::new(); n_nodes];
+        let wave1: Vec<usize> = (0..n_reducers).filter(|&r| self.started[r]).collect();
+        let gather = Gather::new(wave1.len());
+        let mut batch: Vec<Task<'e>> = Vec::with_capacity(wave1.len());
+        for (slot, &r) in wave1.iter().enumerate() {
+            let mut rec = self.reducers[r].take().expect("reducer in place");
+            let est = self.ready_at[r].max(map_finish);
+            let g = gather.clone();
+            batch.push(Box::new(move || {
+                let mut env = ReduceEnv::new(spec);
+                rec.finish(est, &mut env);
+                g.put(slot, (rec, env.into_log()));
+            }));
+        }
+        let last = batch.pop();
+        self.pool.submit_batch(batch);
+        if let Some(record) = last {
+            record();
+        }
+        for ((rec, log), &r) in gather.wait(&self.pool).into_iter().zip(&wave1) {
+            self.reducers[r] = Some(rec);
+            let done = self.replay_into(r, log, self.ready_at[r].max(map_finish));
+            node_wave1_finish[r % n_nodes].push(done);
+            end = end.max(done);
+            self.reducer_done(r, done);
+        }
+
+        // Second-wave reducers: start when a first-wave reducer on their
+        // node finishes, re-reading their map output from the mappers'
+        // disks. This stays sequential by design — each arrival time
+        // depends on shared disk queues, which is a scheduling decision.
+        for node_times in &mut node_wave1_finish {
+            node_times.sort_unstable();
+        }
+        let mut wave_cursor = vec![0usize; n_nodes];
+        for r in 0..n_reducers {
+            if self.started[r] {
+                continue;
+            }
+            let node = r % n_nodes;
+            let slot_times = &node_wave1_finish[node];
+            let start = if slot_times.is_empty() {
+                map_finish
+            } else {
+                let i = wave_cursor[node].min(slot_times.len() - 1);
+                wave_cursor[node] += 1;
+                slot_times[i]
+            };
+            self.res.emit(TraceEvent::ReduceStart {
+                t: start.0,
+                reducer: r as u32,
+                node: node as u32,
+            });
+            // The mappers finished long ago: their output must come off
+            // disk. Fetches from distinct source nodes proceed in parallel
+            // (the shuffle's parallel fetch threads); each source disk
+            // serves its own reads sequentially.
+            let mut arrivals: Vec<(SimTime, Payload)> = std::mem::take(&mut self.deferred[r])
+                .into_iter()
+                .map(|(from_node, payload)| {
+                    let op = IoOp::read(payload.bytes());
+                    let read_done =
+                        self.res
+                            .spill_io(from_node, start, IoCategory::MapOutput, op, &spec.cost);
+                    (read_done + spec.cost.net_time(payload.bytes()), payload)
+                })
+                .collect();
+            arrivals.sort_by_key(|&(at, _)| at);
+            let mut t = start;
+            for (arrival, payload) in arrivals {
+                // Second-wave reducers crash and recover the same way as
+                // wave one: backoff, then time-only history re-replay.
+                let t0 = self.survive_crash(r, t.max(arrival));
+                let mut env = ReduceEnv::new(spec);
+                let rec = self.reducers[r].as_mut().expect("reducer in place");
+                rec.on_delivery(t0, payload, &mut env);
+                let dlog = env.into_log();
+                if cfg.faults.reduce_failure_rate > 0.0 {
+                    self.history[r].extend(dlog.iter().cloned());
+                }
+                t = self.replay_into(r, dlog, t0);
+            }
+            let mut env = ReduceEnv::new(spec);
+            let rec = self.reducers[r].as_mut().expect("reducer in place");
+            rec.finish(t, &mut env);
+            let done = self.replay_into(r, env.into_log(), t);
+            self.reducer_done(r, done);
+            end = end.max(done);
+        }
+
+        let faults = (cfg.faults.enabled() || cfg.faults.poison_enabled()).then(|| {
+            let mut report = std::mem::take(&mut self.freport);
+            if let Some(inj) = self.res.take_disk_faults() {
+                report.spill_io_errors = inj.errors();
+                report.wasted_bytes += inj.wasted_bytes();
+                report.trace.extend(inj.into_trace());
+            }
+            report.sort_trace();
+            report
+        });
+        let total_reduce_cpu: SimDuration = self.reduce_cpu.iter().copied().sum();
+        let total_map_cpu: SimDuration = self.map_cpu.iter().copied().sum();
+        let metrics = JobMetrics {
+            framework: cfg.framework.label().to_string(),
+            job: self.plans.job.name().to_string(),
+            running_time: end,
+            map_finish,
+            input_bytes: self.plans.input.total_bytes(),
+            map_output_bytes: self.map_output_bytes,
+            map_spill_bytes: self.spill_written_map,
+            reduce_spill_bytes: self.spill_written_reduce.iter().sum(),
+            output_bytes: self.output.iter().map(Pair::size).sum(),
+            snapshot_bytes: self.snapshot_bytes.iter().sum(),
+            output_records: self.output.len() as u64,
+            map_cpu_per_node: SimDuration(total_map_cpu.0 / n_nodes as u64),
+            reduce_cpu_per_node: SimDuration(total_reduce_cpu.0 / n_nodes as u64),
+            io: self.res.io.clone(),
+            io_recovery: self.res.io_recovery.clone(),
+            dinc: self.dinc_total,
+            admission: self.admission_total,
+            faults,
+            shuffle_bytes: self.shuffle_booked,
+            node_combine: self.node_merge.is_some().then_some(self.nc_stats),
+        };
+        JobOutcome {
+            metrics,
+            progress: self.progress.finish(end, PROGRESS_POINTS),
+            trace: self.res.take_trace(),
+            timeline: std::mem::take(&mut self.res.timeline),
+            usage: self.res.usage,
+            output: self.output,
+            dlq: self.dlq,
+        }
+    }
+}

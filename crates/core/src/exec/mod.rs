@@ -2,7 +2,7 @@
 //!
 //! The engine is split into two layers:
 //!
-//! - a **scheduling layer** (the event loop in [`crate::job`]) that owns
+//! - a **scheduling layer** (the event loop in [`crate::engine`]) that owns
 //!   every piece of shared simulation state — disk queues, progress,
 //!   timeline, metrics — and mutates it in a deterministic order derived
 //!   purely from the event queue;

@@ -89,6 +89,7 @@ pub mod api;
 pub mod cluster;
 pub mod cost;
 pub mod dataflow;
+pub mod engine;
 pub mod exec;
 pub mod fault;
 pub mod job;

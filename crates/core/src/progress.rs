@@ -13,6 +13,9 @@
 use opa_common::units::SimTime;
 use serde::{Deserialize, Serialize};
 
+/// Number of points every stage executor resamples its progress curves to.
+pub(crate) const PROGRESS_POINTS: usize = 400;
+
 #[derive(Debug, Clone, Copy)]
 struct Raw {
     t: SimTime,

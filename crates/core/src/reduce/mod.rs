@@ -65,6 +65,25 @@ pub struct ReducerSizing {
 }
 
 impl ReducerSizing {
+    /// Sizing for one of `partitions` reducers from the job's own hints,
+    /// `input_bytes` of job input and the `K_m` hint — with exact
+    /// processing, the FREQUENT monitor and admission off, which the
+    /// engine overrides from its run configuration.
+    pub fn from_hints(job: &dyn Job, input_bytes: u64, km_hint: f64, partitions: usize) -> Self {
+        let expected_input = ((input_bytes as f64 * km_hint) / partitions as f64).ceil() as u64;
+        ReducerSizing {
+            expected_input,
+            expected_keys: job
+                .expected_keys()
+                .map(|k| (k / partitions as u64).max(1))
+                .unwrap_or(expected_input / 64),
+            state_size: job.state_size_hint().unwrap_or(64),
+            early_stop_coverage: None,
+            monitor: dinc_hash::MonitorKind::Frequent,
+            admission: opa_common::AdmissionPolicy::Off,
+        }
+    }
+
     /// Bucket fan-out `h` such that one bucket's keys fit in `mem` bytes:
     /// `h = ⌈K·entry/mem⌉`, clamped to leave room for write buffers.
     pub fn bucket_count(&self, mem: u64, write_buffer: u64) -> usize {

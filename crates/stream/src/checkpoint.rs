@@ -23,6 +23,7 @@
 //! to the uninterrupted run's for the map/reduce fault classes.
 
 use opa_common::{Error, Pair, RecordBatch, Result, StateBatch, StatePair};
+pub use opa_core::engine::{DeferredDelivery, EngineState, QueuedEvent};
 use opa_core::map_phase::Payload;
 use opa_core::reduce::ReducerCkpt;
 use opa_simio::ckpt::{decode_sections, encode_sections, Section};
@@ -68,45 +69,8 @@ pub struct Fingerprint {
     pub hash_seed: u64,
 }
 
-/// One pending scheduler event, captured in pop order.
-#[derive(Debug, Clone)]
-pub enum QueuedEvent {
-    /// A map task not yet run (or re-queued for retry).
-    StartMap {
-        /// Scheduled simulation time.
-        time: u64,
-        /// Input chunk index.
-        chunk: u64,
-        /// Attempt number (0 is the first run).
-        attempt: u64,
-    },
-    /// An in-flight shuffle delivery from a chunk beyond the sealed
-    /// watermark: its map task has completed but the payload has not yet
-    /// reached its reducer.
-    Deliver {
-        /// Arrival simulation time.
-        time: u64,
-        /// Destination reducer.
-        reducer: u64,
-        /// Source node.
-        from_node: u64,
-        /// Source chunk (provenance for batch accounting on resume).
-        chunk: u64,
-        /// The delivered partition.
-        payload: Payload,
-    },
-}
-
-/// One deferred second-wave delivery: the source node plus its payload.
-#[derive(Debug, Clone)]
-pub struct DeferredDelivery {
-    /// Node whose spill disk holds this map output.
-    pub from_node: u64,
-    /// The delivered partition.
-    pub payload: Payload,
-}
-
-/// The complete serializable state of a paused stream job.
+/// The complete serializable state of a paused stream job: the run's
+/// identity, the seal position, and the engine itself.
 #[derive(Debug, Clone)]
 pub struct SavedState {
     /// Run identity.
@@ -115,48 +79,15 @@ pub struct SavedState {
     pub job_name: String,
     /// First micro-batch not yet sealed when the checkpoint was taken.
     pub next_batch: u64,
-    /// Event-queue contents in pop order: pending map starts and
-    /// in-flight deliveries from chunks beyond the sealed watermark.
-    pub queue: Vec<QueuedEvent>,
-    /// Per-node FIFO of chunks not yet handed to a map slot.
-    pub pending: Vec<Vec<u64>>,
-    /// Per-node `(hdfs, spill)` disk-free clocks.
-    pub disk_free: Vec<(u64, u64)>,
-    /// Indices of completed map chunks, ascending.
-    pub done: Vec<u64>,
-    /// Scalar scheduler counters: map output bytes so far.
-    pub map_output_bytes: u64,
-    /// Map-side spill bytes so far.
-    pub spill_written_map: u64,
-    /// Latest map-task finish time seen.
-    pub map_finish: u64,
-    /// Completed map-task count.
-    pub maps_completed: u64,
-    /// Per-node cumulative map CPU (µs).
-    pub map_cpu: Vec<u64>,
-    /// Per-reducer ready-at clocks.
-    pub ready_at: Vec<u64>,
-    /// Per-reducer delivery sequence numbers (fault-plan input).
-    pub delivery_seq: Vec<u64>,
-    /// Per-reducer crash counters (fault-plan input).
-    pub crash_count: Vec<u64>,
-    /// Per-reducer cumulative reduce CPU (µs).
-    pub reduce_cpu: Vec<u64>,
-    /// Per-reducer reduce-side spill bytes.
-    pub spill_written_reduce: Vec<u64>,
-    /// Output pairs emitted so far. Restoring this (instead of re-running
-    /// sealed batches) is what makes resume emit each pair exactly once.
-    pub output: Vec<Pair>,
-    /// Per-reducer deferred second-wave deliveries.
-    pub deferred: Vec<Vec<DeferredDelivery>>,
-    /// Per-reducer framework state.
-    pub reducers: Vec<ReducerCkpt>,
+    /// The paused engine: scheduler queue, counters, output so far and
+    /// per-reducer framework state.
+    pub engine: EngineState,
 }
 
 impl SavedState {
     /// Serializes the state into the framed checkpoint format.
     pub fn encode(&self) -> Vec<u8> {
-        let fp = &self.fingerprint;
+        let (fp, st) = (&self.fingerprint, &self.engine);
         let mut sections: Vec<Section> = vec![
             Section::Nums(vec![
                 FORMAT_VERSION,
@@ -172,8 +103,8 @@ impl SavedState {
             ]),
             Section::Bytes(self.job_name.as_bytes().to_vec()),
         ];
-        let mut qtags = vec![self.queue.len() as u64];
-        for ev in &self.queue {
+        let mut qtags = vec![st.queue.len() as u64];
+        for ev in &st.queue {
             qtags.push(match ev {
                 QueuedEvent::StartMap { .. } => QEV_START_MAP,
                 QueuedEvent::Deliver {
@@ -187,7 +118,7 @@ impl SavedState {
             });
         }
         sections.push(Section::Nums(qtags));
-        for ev in &self.queue {
+        for ev in &st.queue {
             match ev {
                 QueuedEvent::StartMap {
                     time,
@@ -211,28 +142,28 @@ impl SavedState {
         }
         sections.extend([
             Section::Nums(
-                self.pending
+                st.pending
                     .iter()
                     .flat_map(|q| std::iter::once(q.len() as u64).chain(q.iter().copied()))
                     .collect(),
             ),
-            Section::Nums(self.disk_free.iter().flat_map(|&(h, s)| [h, s]).collect()),
-            Section::Nums(self.done.clone()),
+            Section::Nums(st.disk_free.iter().flat_map(|&(h, s)| [h, s]).collect()),
+            Section::Nums(st.done.clone()),
             Section::Nums(vec![
-                self.map_output_bytes,
-                self.spill_written_map,
-                self.map_finish,
-                self.maps_completed,
+                st.map_output_bytes,
+                st.spill_written_map,
+                st.map_finish,
+                st.maps_completed,
             ]),
-            Section::Nums(self.map_cpu.clone()),
-            Section::Nums(self.ready_at.clone()),
-            Section::Nums(self.delivery_seq.clone()),
-            Section::Nums(self.crash_count.clone()),
-            Section::Nums(self.reduce_cpu.clone()),
-            Section::Nums(self.spill_written_reduce.clone()),
-            Section::Pairs(self.output.clone()),
+            Section::Nums(st.map_cpu.clone()),
+            Section::Nums(st.ready_at.clone()),
+            Section::Nums(st.delivery_seq.clone()),
+            Section::Nums(st.crash_count.clone()),
+            Section::Nums(st.reduce_cpu.clone()),
+            Section::Nums(st.spill_written_reduce.clone()),
+            Section::Pairs(st.output.clone()),
         ]);
-        for (defs, ckpt) in self.deferred.iter().zip(&self.reducers) {
+        for (defs, ckpt) in st.deferred.iter().zip(&st.reducers) {
             let mut header = vec![defs.len() as u64];
             for d in defs {
                 header.push(d.from_node);
@@ -457,23 +388,25 @@ impl SavedState {
             fingerprint,
             job_name,
             next_batch,
-            queue,
-            pending,
-            disk_free,
-            done,
-            map_output_bytes,
-            spill_written_map,
-            map_finish,
-            maps_completed,
-            map_cpu,
-            ready_at,
-            delivery_seq,
-            crash_count,
-            reduce_cpu,
-            spill_written_reduce,
-            output,
-            deferred,
-            reducers: reducer_ckpts,
+            engine: EngineState {
+                queue,
+                pending,
+                disk_free,
+                done,
+                map_output_bytes,
+                spill_written_map,
+                map_finish,
+                maps_completed,
+                map_cpu,
+                ready_at,
+                delivery_seq,
+                crash_count,
+                reduce_cpu,
+                spill_written_reduce,
+                output,
+                deferred,
+                reducers: reducer_ckpts,
+            },
         })
     }
 
@@ -570,6 +503,12 @@ mod tests {
             },
             job_name: "unit".into(),
             next_batch: 2,
+            engine: sample_engine(),
+        }
+    }
+
+    fn sample_engine() -> EngineState {
+        EngineState {
             queue: vec![
                 QueuedEvent::StartMap {
                     time: 10,
@@ -639,15 +578,20 @@ mod tests {
         assert_eq!(back.next_batch, st.next_batch);
         // `Payload` has no `PartialEq`; the debug form pins the queue
         // structurally, payload contents included.
-        assert_eq!(format!("{:?}", back.queue), format!("{:?}", st.queue));
-        assert_eq!(back.pending, st.pending);
-        assert_eq!(back.disk_free, st.disk_free);
-        assert_eq!(back.done, st.done);
-        assert_eq!(back.output, st.output);
-        assert_eq!(back.reducers, st.reducers);
-        assert_eq!(back.deferred.len(), 2);
-        assert_eq!(back.deferred[0].len(), 1);
-        assert!(matches!(back.deferred[0][0].payload, Payload::Pairs(ref v) if v.len() == 1));
+        assert_eq!(
+            format!("{:?}", back.engine.queue),
+            format!("{:?}", st.engine.queue)
+        );
+        assert_eq!(back.engine.pending, st.engine.pending);
+        assert_eq!(back.engine.disk_free, st.engine.disk_free);
+        assert_eq!(back.engine.done, st.engine.done);
+        assert_eq!(back.engine.output, st.engine.output);
+        assert_eq!(back.engine.reducers, st.engine.reducers);
+        assert_eq!(back.engine.deferred.len(), 2);
+        assert_eq!(back.engine.deferred[0].len(), 1);
+        assert!(
+            matches!(back.engine.deferred[0][0].payload, Payload::Pairs(ref v) if v.len() == 1)
+        );
     }
 
     #[test]
@@ -671,7 +615,7 @@ mod tests {
         let st = sample();
         st.write_to(&path).expect("writes");
         let back = SavedState::read_from(&path).expect("reads");
-        assert_eq!(back.output, st.output);
+        assert_eq!(back.engine.output, st.engine.output);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The paper's motivation is analytics that keep up with data as it
 //! *arrives*; this crate turns the batch engine into that long-running
-//! service. A stream run feeds the input through the existing map plans
-//! and reduce-side frameworks in `k` arrival-ordered **micro-batches**,
+//! service. A stream run steps the batch run's own
+//! [`Engine`](opa_core::engine::Engine) through the input in `k`
+//! arrival-ordered **micro-batches**,
 //! pausing after each batch once every shuffle delivery from that
 //! batch's own chunks has been absorbed (later chunks keep shuffling
 //! across the pause — the watermark is a lower bound). At each pause
@@ -51,120 +52,40 @@ pub mod checkpoint;
 mod driver;
 pub mod query;
 
-pub use checkpoint::{Fingerprint, QueuedEvent, SavedState};
+pub use checkpoint::{EngineState, Fingerprint, QueuedEvent, SavedState};
 pub use driver::StreamOutcome;
 pub use query::{BatchCtl, CheckpointView, StreamProgress};
 
-use driver::DriverConfig;
-use opa_common::fault::FaultConfig;
-use opa_common::{Error, ExecConfig, Result, StreamConfig};
+use opa_common::{Error, Result, StreamConfig};
 use opa_core::api::Job;
-use opa_core::cluster::{ClusterSpec, Framework};
-use opa_core::job::JobInput;
-use opa_core::reduce::dinc_hash::MonitorKind;
+use opa_core::job::{JobInput, RunConfig};
 use std::path::{Path, PathBuf};
 
 /// Fluent builder for one stream run — the streaming counterpart of
-/// [`opa_core::job::JobBuilder`], sharing its configuration surface and
-/// adding the stream dimension: batch count, checkpoint cadence and
-/// checkpoint directory.
+/// [`opa_core::job::JobBuilder`]: the same [`RunConfig`] behind the same
+/// setters, plus the stream dimension — batch count, checkpoint cadence
+/// and checkpoint directory.
 pub struct StreamJobBuilder<J: Job> {
     job: J,
-    framework: Framework,
-    spec: ClusterSpec,
-    exec: ExecConfig,
-    km_hint: f64,
-    early_stop_coverage: Option<f64>,
-    dinc_monitor: MonitorKind,
-    admission: opa_common::AdmissionPolicy,
-    faults: FaultConfig,
+    run: RunConfig,
     stream: StreamConfig,
     checkpoint_dir: Option<PathBuf>,
-    trace: bool,
 }
 
 impl<J: Job> StreamJobBuilder<J> {
     /// Starts a builder with the sort-merge baseline on the paper cluster
-    /// and the default stream shape ([`StreamConfig::default`]).
+    /// ([`RunConfig::default`]) and the default stream shape
+    /// ([`StreamConfig::default`]).
     pub fn new(job: J) -> Self {
         StreamJobBuilder {
             job,
-            framework: Framework::SortMerge,
-            spec: ClusterSpec::paper_scaled(),
-            exec: ExecConfig::sequential(),
-            km_hint: 1.0,
-            early_stop_coverage: None,
-            dinc_monitor: MonitorKind::Frequent,
-            admission: opa_common::AdmissionPolicy::Off,
-            faults: FaultConfig::disabled(),
+            run: RunConfig::default(),
             stream: StreamConfig::default(),
             checkpoint_dir: None,
-            trace: false,
         }
     }
 
-    /// Selects the reduce-side framework.
-    pub fn framework(mut self, f: Framework) -> Self {
-        self.framework = f;
-        self
-    }
-
-    /// Selects the cluster configuration.
-    pub fn cluster(mut self, spec: ClusterSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Sets the execution-layer thread count (see
-    /// [`opa_core::job::JobBuilder::threads`]). The outcome is
-    /// bit-identical at any value.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.exec = ExecConfig::with_threads(threads);
-        self
-    }
-
-    /// Sets the full execution-layer configuration.
-    pub fn exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Hints the map output/input ratio `K_m` (defaults to 1.0).
-    pub fn km_hint(mut self, km: f64) -> Self {
-        self.km_hint = km;
-        self
-    }
-
-    /// Enables DINC's approximate early termination at coverage φ.
-    pub fn early_stop_coverage(mut self, phi: f64) -> Self {
-        self.early_stop_coverage = Some(phi);
-        self
-    }
-
-    /// Selects the frequency algorithm behind DINC-hash's monitor.
-    pub fn dinc_monitor(mut self, kind: MonitorKind) -> Self {
-        self.dinc_monitor = kind;
-        self
-    }
-
-    /// Selects the reduce-side admission policy (see
-    /// [`opa_core::job::JobBuilder::admission`]). Admission composes with
-    /// checkpoint/resume: sketch state and admission counters ride on the
-    /// checkpoint, so a resumed run reproduces the uninterrupted run's
-    /// output bit-for-bit.
-    pub fn admission(mut self, policy: opa_common::AdmissionPolicy) -> Self {
-        self.admission = policy;
-        self
-    }
-
-    /// Enables deterministic fault injection (see
-    /// [`opa_core::job::JobBuilder::faults`]). Checkpoint/resume
-    /// composes with the map- and reduce-failure classes: a resumed run
-    /// reproduces the uninterrupted run's output bit-for-bit.
-    pub fn faults(mut self, cfg: FaultConfig) -> Self {
-        self.faults = cfg;
-        self
-    }
+    opa_core::run_config_setters!();
 
     /// Sets the full stream configuration.
     pub fn stream(mut self, cfg: StreamConfig) -> Self {
@@ -192,34 +113,33 @@ impl<J: Job> StreamJobBuilder<J> {
         self
     }
 
-    /// Enables structured trace capture (see
-    /// [`opa_core::job::JobBuilder::trace`]). The resulting
-    /// [`opa_trace::TraceLog`] rides on the outcome's
-    /// [`opa_core::job::JobOutcome::trace`] field and additionally carries
-    /// `batch_seal`/`checkpoint` events at every pause point. Traces are
-    /// bit-identical across thread counts; across different batch counts
-    /// `k` they differ only in those seal/checkpoint lines.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
-        self
-    }
-
-    /// Access to the wrapped job.
-    pub fn job(&self) -> &J {
-        &self.job
-    }
-
-    fn validate(&self, input: &JobInput) -> Result<()> {
-        self.spec.validate()?;
-        self.exec.validate()?;
-        self.faults.validate()?;
-        if let Some(phi) = self.early_stop_coverage {
-            if !phi.is_finite() || !(0.0..=1.0).contains(&phi) || phi == 0.0 {
-                return Err(Error::job(format!(
-                    "early-stop coverage φ must be a fraction in (0, 1], got {phi}"
-                )));
-            }
+    /// The run options a checkpoint cannot capture, as one table. Checked
+    /// when the job is built with a checkpoint directory or a resume, and
+    /// again if a callback requests a checkpoint mid-run.
+    fn check_checkpointable(&self) -> Result<()> {
+        let unsupported = [
+            (
+                self.run.faults.poison_enabled(),
+                "udf poison injection",
+                "quarantined records",
+            ),
+            (
+                self.run.combine.is_node(),
+                "node-scope combining",
+                "rows resident in the node staging tables",
+            ),
+        ];
+        match unsupported.iter().find(|(on, ..)| *on) {
+            Some((_, option, lost)) => Err(Error::job(format!(
+                "{option} cannot be combined with checkpointing or resume — \
+                 {lost} are not part of the checkpoint format"
+            ))),
+            None => Ok(()),
         }
+    }
+
+    fn validate(&self, input: &JobInput, resuming: bool) -> Result<()> {
+        self.run.validate()?;
         if input.is_empty() {
             return Err(Error::job("stream input is empty"));
         }
@@ -230,34 +150,23 @@ impl<J: Job> StreamJobBuilder<J> {
                  call checkpoint_dir(..) (CLI: --checkpoint-dir)",
             ));
         }
+        if resuming || self.checkpoint_dir.is_some() {
+            self.check_checkpointable()?;
+        }
         Ok(())
     }
 
-    fn driver_config(&self) -> DriverConfig<'_> {
-        DriverConfig {
-            framework: self.framework,
-            spec: &self.spec,
-            exec: self.exec,
-            km_hint: self.km_hint,
-            early_stop: self.early_stop_coverage,
-            dinc_monitor: self.dinc_monitor,
-            admission: self.admission,
-            faults: &self.faults,
-            stream: &self.stream,
-            checkpoint_dir: self.checkpoint_dir.as_deref(),
-            trace: self.trace,
-        }
-    }
-
     /// Runs the stream job over `input`, invoking `on_batch` at each
-    /// sealed micro-batch (1-based, in order).
+    /// sealed micro-batch (1-based, in order). A traced run's
+    /// [`opa_trace::TraceLog`] is the batch run's plus a `batch_seal` /
+    /// `checkpoint` event at every pause point.
     pub fn run_stream(
         &self,
         input: &JobInput,
         mut on_batch: impl FnMut(&mut BatchCtl<'_, '_>),
     ) -> Result<StreamOutcome> {
-        self.validate(input)?;
-        driver::drive(&self.job, &self.driver_config(), input, None, &mut on_batch)
+        self.validate(input, false)?;
+        self.drive(input, None, &mut on_batch)
     }
 
     /// Resumes a stream job from a checkpoint file written by a previous
@@ -271,14 +180,8 @@ impl<J: Job> StreamJobBuilder<J> {
         checkpoint: &Path,
         mut on_batch: impl FnMut(&mut BatchCtl<'_, '_>),
     ) -> Result<StreamOutcome> {
-        self.validate(input)?;
+        self.validate(input, true)?;
         let saved = SavedState::read_from(checkpoint)?;
-        driver::drive(
-            &self.job,
-            &self.driver_config(),
-            input,
-            Some(saved),
-            &mut on_batch,
-        )
+        self.drive(input, Some(saved), &mut on_batch)
     }
 }

@@ -12,7 +12,8 @@ use crate::checkpoint::{QueuedEvent, SavedState};
 use opa_common::units::SimTime;
 use opa_common::{Error, HashFamily, HashFn, Key, Result, Value};
 use opa_core::cluster::Framework;
-use opa_core::reduce::{ReduceSide, ReducerCkpt, TopEntry};
+use opa_core::engine::LiveReducer;
+use opa_core::reduce::{ReducerCkpt, TopEntry};
 use std::path::{Path, PathBuf};
 
 /// Progress metadata of a paused stream job.
@@ -55,7 +56,7 @@ pub struct BatchCtl<'c, 'j> {
     pub(crate) maps_total: usize,
     pub(crate) sim_time: SimTime,
     pub(crate) h1: HashFn,
-    pub(crate) reducers: &'c [Option<Box<dyn ReduceSide + Send + 'j>>],
+    pub(crate) reducers: &'c [LiveReducer<'j>],
     pub(crate) checkpoint_request: Option<PathBuf>,
 }
 
@@ -172,8 +173,10 @@ impl CheckpointView {
     /// the framework-tagged section layout: INC-hash and DINC-hash store
     /// their queryable table/monitor as the first state section.
     pub fn lookup(&self, key: &Key) -> Option<Value> {
-        let r = self.h1.bucket(key.bytes(), self.state.reducers.len());
-        let ckpt = &self.state.reducers[r];
+        let r = self
+            .h1
+            .bucket(key.bytes(), self.state.engine.reducers.len());
+        let ckpt = &self.state.engine.reducers[r];
         match ckpt.tag {
             ReducerCkpt::TAG_INC_HASH | ReducerCkpt::TAG_DINC_HASH => ckpt
                 .states
@@ -196,7 +199,7 @@ impl CheckpointView {
         const FLAG_SPACE_SAVING: u64 = 1;
         merge_top_k(
             k,
-            self.state.reducers.iter().filter_map(|ckpt| {
+            self.state.engine.reducers.iter().filter_map(|ckpt| {
                 if ckpt.tag != ReducerCkpt::TAG_DINC_HASH {
                     return None;
                 }
@@ -249,17 +252,30 @@ impl CheckpointView {
             batches: k,
             records_sealed: sealed * n / k.max(1),
             total_records: n,
-            maps_completed: self.state.maps_completed as usize,
-            maps_total: self.state.done.len()
+            maps_completed: self.state.engine.maps_completed as usize,
+            maps_total: self.state.engine.done.len()
                 + self
                     .state
+                    .engine
                     .queue
                     .iter()
                     .filter(|e| matches!(e, QueuedEvent::StartMap { .. }))
                     .count()
-                + self.state.pending.iter().map(Vec::len).sum::<usize>(),
-            watermark: self.state.reducers.iter().filter_map(|c| c.watermark).max(),
-            sim_time: SimTime(self.state.map_finish),
+                + self
+                    .state
+                    .engine
+                    .pending
+                    .iter()
+                    .map(Vec::len)
+                    .sum::<usize>(),
+            watermark: self
+                .state
+                .engine
+                .reducers
+                .iter()
+                .filter_map(|c| c.watermark)
+                .max(),
+            sim_time: SimTime(self.state.engine.map_finish),
         }
     }
 }

@@ -4,7 +4,7 @@
 //! observes the engine between two events; these tests pin that it never
 //! perturbs one.
 
-use opa_common::ExecConfig;
+use opa_common::{CombineScope, ExecConfig};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::job::JobBuilder;
 use opa_stream::StreamJobBuilder;
@@ -32,30 +32,40 @@ fn sessionize_job() -> SessionizeJob {
 fn streamed_run_is_bit_identical_to_batch() {
     let data = ClickStreamSpec::small().generate(101);
     for fw in Framework::ALL {
-        let batch = JobBuilder::new(click_job())
-            .framework(fw)
-            .cluster(ClusterSpec::tiny())
-            .run(&data)
-            .expect("batch runs");
-        for k in [1, 4, 7] {
-            let mut sealed = 0;
-            let stream = StreamJobBuilder::new(click_job())
+        for combine in [CombineScope::Task, CombineScope::Node] {
+            let batch = JobBuilder::new(click_job())
                 .framework(fw)
                 .cluster(ClusterSpec::tiny())
-                .batches(k)
-                .run_stream(&data, |ctl| sealed = ctl.batch())
-                .expect("stream runs");
-            assert_eq!(sealed, k, "{fw:?}/k={k}: every batch seals, in order");
-            assert_eq!(stream.batches, k, "{fw:?}/k={k}");
-            assert_eq!(
-                batch.output, stream.job.output,
-                "{fw:?}/k={k}: streamed output must be bit-identical"
-            );
-            assert_eq!(
-                format!("{:?}", batch.metrics),
-                format!("{:?}", stream.job.metrics),
-                "{fw:?}/k={k}: streamed metrics must be bit-identical"
-            );
+                .combine(combine)
+                .run(&data)
+                .expect("batch runs");
+            let staged = batch.metrics.node_combine.map_or(0, |s| s.staged_bytes);
+            assert_eq!(staged > 0, combine.is_node(), "{fw:?}/{combine:?}");
+            for (k, threads) in [(1, 1), (4, 1), (7, 1), (4, 4)] {
+                let ctx = format!("{fw:?}/{combine:?}/k={k}/threads={threads}");
+                let mut sealed = 0;
+                let stream = StreamJobBuilder::new(click_job())
+                    .framework(fw)
+                    .cluster(ClusterSpec::tiny())
+                    .combine(combine)
+                    .exec(ExecConfig::oversubscribed(threads))
+                    .batches(k)
+                    .run_stream(&data, |ctl| sealed = ctl.batch())
+                    .expect("stream runs");
+                assert_eq!(sealed, k, "{ctx}: every batch seals, in order");
+                assert_eq!(stream.batches, k, "{ctx}");
+                assert_eq!(
+                    batch.output, stream.job.output,
+                    "{ctx}: streamed output must be bit-identical"
+                );
+                // The Debug form covers every field, `shuffle_bytes` and
+                // `node_combine` included.
+                assert_eq!(
+                    format!("{:?}", batch.metrics),
+                    format!("{:?}", stream.job.metrics),
+                    "{ctx}: streamed metrics must be bit-identical"
+                );
+            }
         }
     }
 }
@@ -114,4 +124,30 @@ fn batch_callbacks_see_monotone_progress() {
         .expect("stream runs");
     assert_eq!(last_batch, 6);
     assert_eq!(last_records, data.len());
+}
+
+/// `threads(n)` is a request the engine caps at the host's cores
+/// (`ExecConfig::effective_threads`), for a stream run as for a batch run:
+/// asking for 4 096 threads must not spawn 4 095 workers.
+#[test]
+#[cfg(target_os = "linux")]
+fn thread_request_is_capped_at_the_host() {
+    fn process_threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        let line = status.lines().find(|l| l.starts_with("Threads:"));
+        line.and_then(|l| l["Threads:".len()..].trim().parse().ok())
+            .expect("a Threads: line")
+    }
+    let data = ClickStreamSpec::small().generate(101);
+    let mut peak = 0;
+    StreamJobBuilder::new(click_job())
+        .framework(Framework::IncHash)
+        .cluster(ClusterSpec::tiny())
+        .threads(4096)
+        .batches(2)
+        .run_stream(&data, |_| peak = peak.max(process_threads()))
+        .expect("stream runs");
+    // The other tests of this binary run beside this one, each with a
+    // handful of threads of its own.
+    assert!(peak > 0 && peak < 1024, "{peak} threads alive at a seal");
 }

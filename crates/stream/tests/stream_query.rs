@@ -4,12 +4,13 @@
 //! and a checkpoint answers exactly what the live state answered at the
 //! pause point it was taken.
 
-use opa_common::Key;
+use opa_common::{CombineScope, Key};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_stream::{CheckpointView, StreamJobBuilder};
 use opa_workloads::click_count::ClickCountJob;
-use opa_workloads::clickstream::ClickStreamSpec;
+use opa_workloads::clickstream::{parse_click, ClickStreamSpec};
 use opa_workloads::sessionize::SessionizeJob;
+use std::collections::HashMap;
 
 fn click_job() -> ClickCountJob {
     ClickCountJob {
@@ -80,6 +81,46 @@ fn lookups_grow_monotonically_across_batches() {
         seen.windows(2).all(|w| w[0] <= w[1]),
         "partial counts must be monotone: {seen:?}"
     );
+}
+
+#[test]
+fn a_seal_covers_every_record_below_its_watermark() {
+    // The watermark guarantee, checked against the input itself: with all
+    // state resident (nothing spills), at every seal each user's looked-up
+    // count is at least its count in `records[..records_sealed]` — under
+    // node scope too, where rows wait in a staging table before shipping.
+    let data = ClickStreamSpec::small().generate(101);
+    let user_of = |rec: &[u8]| parse_click(rec).expect("a click").1;
+    for combine in [CombineScope::Task, CombineScope::Node] {
+        let mut checked = 0;
+        let outcome = StreamJobBuilder::new(click_job())
+            .framework(Framework::IncHash)
+            .cluster(ClusterSpec::tiny())
+            .combine(combine)
+            .batches(6)
+            .run_stream(&data, |ctl| {
+                let sealed = ctl.progress().records_sealed;
+                let mut below: HashMap<u64, u64> = HashMap::new();
+                for rec in &data.records[..sealed] {
+                    *below.entry(user_of(rec)).or_default() += 1;
+                }
+                for (user, count) in below {
+                    let live = ctl.lookup(&Key::from_u64(user)).and_then(|v| v.as_u64());
+                    assert!(
+                        live >= Some(count),
+                        "{combine:?}, batch {}: user {user} has {count} clicks below \
+                         the watermark but the live state holds {live:?}",
+                        ctl.batch()
+                    );
+                    checked += 1;
+                }
+            })
+            .expect("stream runs");
+        assert!(checked > 0, "{combine:?}: no seal checked a key");
+        let metrics = &outcome.job.metrics;
+        assert_eq!(metrics.reduce_spill_bytes, 0, "{combine:?}: state spilled");
+        assert_eq!(metrics.node_combine.is_some(), combine.is_node());
+    }
 }
 
 #[test]

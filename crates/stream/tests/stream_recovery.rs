@@ -4,7 +4,7 @@
 //! any state is touched.
 
 use opa_common::fault::FaultConfig;
-use opa_common::ExecConfig;
+use opa_common::{CombineScope, ExecConfig};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_stream::{CheckpointView, StreamJobBuilder};
 use opa_workloads::click_count::ClickCountJob;
@@ -191,6 +191,52 @@ fn invalid_stream_configurations_are_rejected_up_front() {
     // Empty input.
     let empty = opa_core::job::JobInput { records: vec![] };
     assert!(build().batches(1).run_stream(&empty, |_| {}).is_err());
+}
+
+#[test]
+fn options_a_checkpoint_cannot_capture_are_errors_not_fallbacks() {
+    // Quarantined records and rows resident in a node staging table are
+    // not in the checkpoint format. With a checkpoint directory or a
+    // resume the job fails when built — before any batch runs; a
+    // checkpoint a callback asks for fails the run at that seal.
+    let data = ClickStreamSpec::small().generate(101);
+    let dir = tmp_dir("opa-stream-unsupported");
+    let ck = dir.join("plain.opac");
+    let plain = || {
+        StreamJobBuilder::new(click_job())
+            .framework(Framework::IncHash)
+            .cluster(ClusterSpec::tiny())
+            .batches(4)
+    };
+    plain()
+        .run_stream(&data, |ctl| ctl.checkpoint(ck.clone()))
+        .expect("a plain run checkpoints");
+    let cells = [
+        ("poison", plain().faults(FaultConfig::poison(7, 0.002))),
+        ("node scope", plain().combine(CombineScope::Node)),
+    ];
+    for (cell, build) in cells {
+        let mut fired = 0;
+        let err = build
+            .resume_stream(&data, &ck, |_| fired += 1)
+            .expect_err("resume must be rejected");
+        assert!(err.to_string().contains("checkpoint"), "{cell}: {err}");
+        let err = build
+            .run_stream(&data, |ctl| {
+                fired += 1;
+                ctl.checkpoint(dir.join("never.opac"));
+            })
+            .expect_err("a requested checkpoint must be rejected");
+        assert!(err.to_string().contains("checkpoint"), "{cell}: {err}");
+        assert_eq!(fired, 1, "{cell}: the run stops at the offending seal");
+        build
+            .checkpoint_dir(&dir)
+            .run_stream(&data, |_| fired += 1)
+            .expect_err("a checkpoint directory must be rejected");
+        assert_eq!(fired, 1, "{cell}: rejected before any batch ran");
+    }
+    assert!(!dir.join("never.opac").exists());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Long-haul soak: many batches, periodic checkpoints, injected reduce
