@@ -204,8 +204,7 @@ impl ExecConfig {
 
     /// Explicit thread count with the host-core cap disabled: exactly
     /// `threads` threads run even on a smaller host. Determinism tests
-    /// use this so a 1-CPU CI runner still drives the real work-stealing
-    /// machinery.
+    /// use this so a 1-CPU CI runner still runs real worker threads.
     pub fn oversubscribed(threads: usize) -> Self {
         ExecConfig {
             threads,

@@ -449,106 +449,6 @@ impl GroupIndex {
     }
 }
 
-/// Number of shards in a [`ShardedGroupIndex`] (power of two).
-pub const GROUP_SHARDS: usize = 8;
-
-/// Which shard a fingerprint belongs to.
-///
-/// The shard selector reads the *middle* bits of the fingerprint: the top
-/// bits are already spoken for by the multiply-high partitioning
-/// ([`bucket_of`] — within one reducer they are constrained to that
-/// reducer's interval, so they would collapse every key into one shard),
-/// and the low bits index [`GroupIndex`] slots. Bits 29..32 are
-/// independent of both for every table size the engine builds.
-#[inline]
-fn shard_of(fp: u64) -> usize {
-    ((fp >> 29) as usize) & (GROUP_SHARDS - 1)
-}
-
-/// A [`GroupIndex`] partitioned into [`GROUP_SHARDS`] independent shards
-/// by the carried h1 fingerprint.
-///
-/// Same contract as `GroupIndex` — fingerprint → dense row id, rows live
-/// in the caller's insertion-ordered `Vec` — but the probe structure is
-/// split so each shard stays small: growth rehashes one shard (1/8 of the
-/// keys) instead of stalling on the whole table, `clear` touches only the
-/// slots of shards that were used, and distinct shards never share cache
-/// lines, so concurrent read-only probes from different worker threads
-/// cannot false-share.
-///
-/// Determinism: the shard of a key is a pure function of its fingerprint
-/// (data, not schedule), row ids are assigned by the caller in arrival
-/// order, and neither shards nor slots are ever iterated — the "merge" of
-/// the shards at seal time is simply the caller walking its global
-/// arrival-ordered row `Vec`. No steal order or thread interleaving can
-/// reach the output through this structure.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedGroupIndex {
-    shards: [GroupIndex; GROUP_SHARDS],
-    len: usize,
-}
-
-impl ShardedGroupIndex {
-    /// An index expecting roughly `cap` distinct rows across all shards.
-    pub fn with_capacity(cap: usize) -> Self {
-        ShardedGroupIndex {
-            shards: std::array::from_fn(|_| GroupIndex::with_capacity(cap / GROUP_SHARDS + 1)),
-            len: 0,
-        }
-    }
-
-    /// Number of rows indexed.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Looks up the row whose fingerprint is `fp` and for which `eq`
-    /// confirms a true key match.
-    #[inline]
-    pub fn get(&self, fp: u64, eq: impl FnMut(usize) -> bool) -> Option<usize> {
-        self.shards[shard_of(fp)].get(fp, eq)
-    }
-
-    /// Inserts a fingerprint → row mapping. The caller has already
-    /// established via [`ShardedGroupIndex::get`] that the key is absent.
-    #[inline]
-    pub fn insert(&mut self, fp: u64, row: usize) {
-        self.shards[shard_of(fp)].insert(fp, row);
-        self.len += 1;
-    }
-
-    /// Drops every entry, keeping the allocations.
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            if !shard.is_empty() {
-                shard.clear();
-            }
-        }
-        self.len = 0;
-    }
-
-    /// Removes the mapping `fp → row` (see [`GroupIndex::remove`]).
-    /// Returns whether the mapping existed.
-    pub fn remove(&mut self, fp: u64, row: usize) -> bool {
-        let removed = self.shards[shard_of(fp)].remove(fp, row);
-        if removed {
-            self.len -= 1;
-        }
-        removed
-    }
-
-    /// Rewrites the mapping `fp → old_row` to `new_row` (see
-    /// [`GroupIndex::reindex`]). Returns whether the mapping existed.
-    pub fn reindex(&mut self, fp: u64, old_row: usize, new_row: usize) -> bool {
-        self.shards[shard_of(fp)].reindex(fp, old_row, new_row)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,67 +570,61 @@ mod tests {
     }
 
     #[test]
-    fn sharded_index_agrees_with_flat_index() {
-        // The sharded index must behave exactly like a flat GroupIndex:
-        // same hits, same misses, same row ids — shard selection is an
-        // internal restructuring only.
+    fn group_index_agrees_with_hash_map_oracle() {
+        // A seeded mix of insert / get / remove-with-swap_remove / clear
+        // against `HashMap<key, row>`, over the keys reducer 0 of 40 would
+        // hold: `bucket_of` confines their fingerprints' top bits to one
+        // interval, which must not matter to an index that slots by the
+        // low bits.
+        use std::collections::HashMap;
         let h = HashFamily::new(21).fn_at(0);
-        let keys: Vec<u64> = (0..20_000).map(|k| k * 7 + 3).collect();
-        let mut rows: Vec<u64> = Vec::new();
-        let mut flat = GroupIndex::with_capacity(8);
-        let mut sharded = ShardedGroupIndex::with_capacity(8);
-        for &k in &keys {
-            let fp = h.hash(&k.to_be_bytes());
-            let a = flat.get(fp, |r| rows[r] == k);
-            let b = sharded.get(fp, |r| rows[r] == k);
-            assert_eq!(a, b, "lookup diverged for key {k}");
-            if a.is_none() {
-                flat.insert(fp, rows.len());
-                sharded.insert(fp, rows.len());
-                rows.push(k);
-            }
-        }
-        assert_eq!(flat.len(), sharded.len());
-        assert_eq!(sharded.len(), keys.len());
-        for &k in &keys {
-            let fp = h.hash(&k.to_be_bytes());
-            assert_eq!(
-                flat.get(fp, |r| rows[r] == k),
-                sharded.get(fp, |r| rows[r] == k)
-            );
-        }
-        for k in 500_000..500_200u64 {
-            let fp = h.hash(&k.to_be_bytes());
-            assert!(sharded.get(fp, |r| rows[r] == k).is_none());
-        }
-        sharded.clear();
-        assert!(sharded.is_empty());
-        assert_eq!(sharded.get(h.hash(&3u64.to_be_bytes()), |_| true), None);
-    }
+        let local: Vec<u64> = (0..200_000u64)
+            .filter(|k| bucket_of(h.hash(&k.to_be_bytes()), 40) == 0)
+            .collect();
+        assert!(local.len() > 3000, "sample too small: {}", local.len());
+        let fp = |k: u64| h.hash(&k.to_be_bytes());
 
-    #[test]
-    fn shard_selector_spreads_reducer_local_fingerprints() {
-        // Within one reducer, fingerprints share a multiply-high interval
-        // (their top bits are correlated); the shard selector must still
-        // spread them. Simulate reducer 0 of 40 and count shard usage.
-        let h = HashFamily::new(4).fn_at(0);
-        let m = 40;
-        let mut counts = [0usize; GROUP_SHARDS];
-        let mut total = 0;
-        for k in 0..200_000u64 {
-            let fp = h.hash(&k.to_be_bytes());
-            if bucket_of(fp, m) == 0 {
-                counts[shard_of(fp)] += 1;
-                total += 1;
+        let mut rows: Vec<u64> = Vec::new();
+        let mut idx = GroupIndex::default();
+        let mut oracle: HashMap<u64, usize> = HashMap::new();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..60_000usize {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = local[(rng >> 33) as usize % local.len()];
+            let hit = idx.get(fp(k), |r| rows[r] == k);
+            assert_eq!(hit, oracle.get(&k).copied(), "lookup of key {k}");
+            match (hit, (rng >> 20) % 4) {
+                (None, _) => {
+                    idx.insert(fp(k), rows.len());
+                    oracle.insert(k, rows.len());
+                    rows.push(k);
+                }
+                // The eviction pattern: swap_remove the row, then point
+                // the moved last row's mapping at its new position.
+                (Some(r), 0) => {
+                    assert!(idx.remove(fp(k), r));
+                    assert!(!idx.remove(fp(k), r), "second remove is a no-op");
+                    oracle.remove(&k);
+                    rows.swap_remove(r);
+                    if let Some(&moved) = rows.get(r) {
+                        assert!(idx.reindex(fp(moved), rows.len(), r), "moved key {moved}");
+                        oracle.insert(moved, r);
+                    }
+                }
+                (Some(_), _) => {}
+            }
+            assert_eq!(idx.len(), oracle.len());
+            if step % 20_000 == 19_999 {
+                idx.clear();
+                oracle.clear();
+                rows.clear();
+                assert!(idx.is_empty());
             }
         }
-        assert!(total > 3000, "sample too small: {total}");
-        let expect = total / GROUP_SHARDS;
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(
-                (c as f64 - expect as f64).abs() < expect as f64 * 0.2,
-                "shard {i} holds {c}, expected ~{expect}"
-            );
+        for (r, &k) in rows.iter().enumerate() {
+            assert_eq!(idx.get(fp(k), |c| rows[c] == k), Some(r), "key {k}");
         }
     }
 
@@ -785,7 +679,7 @@ mod tests {
         // the moved last row to its new position.
         let h = HashFamily::new(29).fn_at(0);
         let mut rows: Vec<u64> = Vec::new();
-        let mut idx = ShardedGroupIndex::with_capacity(4);
+        let mut idx = GroupIndex::with_capacity(4);
         for k in 0..1_000u64 {
             idx.insert(h.hash(&k.to_be_bytes()), rows.len());
             rows.push(k);

@@ -44,7 +44,7 @@ pub use config::{
 };
 pub use error::{Error, Result};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultReport};
-pub use hash::{GroupIndex, HashFamily, HashFn, SeededState, ShardedGroupIndex};
+pub use hash::{GroupIndex, HashFamily, HashFn, SeededState};
 pub use record::{decode_kv, encode_kv, encode_kv_into};
 pub use scan::{find_byte, tokens};
 pub use sketch::{FreqSketch, KeyFilter};

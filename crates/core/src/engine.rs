@@ -26,13 +26,15 @@
 //! ## Scheduling vs execution
 //!
 //! The engine is the *scheduling layer*: it owns every piece of shared
-//! simulation state and touches it strictly in event order. The heavy data
-//! work — map-task computation ([`compute_map_task`]) and reducer
-//! ingestion (recorded through [`ReduceEnv`]) — runs on the *execution
-//! layer* ([`crate::exec`]): a pool of `threads − 1` worker threads plus
-//! the scheduler itself. Results come back as effect logs and are replayed
-//! here in the exact order the sequential engine would have produced, so a
-//! [`JobOutcome`] is bit-identical at any thread count (see
+//! simulation state and touches it strictly in event order. The coarse,
+//! pure data work — map-task computation ([`compute_map_task`]) and the
+//! reducers' finish wave — runs on the *execution layer*
+//! ([`crate::exec`]): a pool of `threads − 1` worker threads plus the
+//! scheduler itself. Shuffle deliveries are too fine-grained to hand off
+//! and are recorded (through [`ReduceEnv`]) on the scheduler thread.
+//! Either way the work comes back as plans and effect logs that are
+//! replayed here in the exact order the sequential engine would have
+//! produced, so a [`JobOutcome`] is bit-identical at any thread count (see
 //! `tests/determinism.rs`).
 
 use crate::api::{Combiner, IncrementalReducer, Job, ReduceCtx, Site};
@@ -61,7 +63,8 @@ use opa_trace::TraceEvent;
 use std::collections::VecDeque;
 
 /// One reducer of a running engine, as the pause-point query surface sees
-/// it (`None` only while the execution layer holds it mid-burst).
+/// it (`None` only inside [`Engine::finish`], while the execution layer
+/// holds it for the finish wave).
 pub type LiveReducer<'e> = Option<Box<dyn ReduceSide + Send + 'e>>;
 
 /// One shuffle transfer: a map-output partition on its way to a reducer.
@@ -175,34 +178,31 @@ pub struct EngineState {
     pub reducers: Vec<ReducerCkpt>,
 }
 
-/// A reducer's recorded mailbox result: per delivery, the delivery log and
-/// the logs of any snapshots taken right after it.
-type MailboxLogs = VecDeque<(Vec<Effect>, Vec<Vec<Effect>>)>;
+/// One recorded delivery: its effect log and the logs of the snapshots
+/// taken right after it.
+type DeliveryLogs = (Vec<Effect>, Vec<Vec<Effect>>);
 
-/// Records one reducer's mailbox — a run of consecutive deliveries, each
-/// followed by `snaps` snapshot repetitions — into effect logs, handing
-/// the reducer back. Pure data work: runs on any execution-layer thread.
-fn record_mailbox<'j>(
-    mut rec: Box<dyn ReduceSide + Send + 'j>,
-    items: Vec<(Payload, usize)>,
+/// Records one delivery to `rec`, followed by `snaps` snapshot
+/// repetitions, into effect logs; returns the reducer's estimated clock
+/// after it. Runs on the scheduler thread with the reducer in place — a
+/// delivery is about a microsecond of work on a table that is hot where
+/// it lives — and touches no shared state: replay does that, in pop order.
+fn record_delivery(
+    rec: &mut dyn ReduceSide,
     est: SimTime,
+    payload: Payload,
+    snaps: usize,
     spec: &crate::cluster::ClusterSpec,
-) -> (Box<dyn ReduceSide + Send + 'j>, MailboxLogs) {
-    let mut logs: MailboxLogs = VecDeque::with_capacity(items.len());
-    let mut te = est;
-    for (payload, snaps) in items {
-        let mut env = ReduceEnv::new(spec);
-        te = rec.on_delivery(te, payload, &mut env);
-        let dlog = env.into_log();
-        let mut slogs = Vec::with_capacity(snaps);
-        for _ in 0..snaps {
-            let mut senv = ReduceEnv::new(spec);
-            te = rec.snapshot(te, &mut senv);
-            slogs.push(senv.into_log());
-        }
-        logs.push_back((dlog, slogs));
+) -> (SimTime, DeliveryLogs) {
+    let mut env = ReduceEnv::new(spec);
+    let mut te = rec.on_delivery(est, payload, &mut env);
+    let mut slogs = Vec::with_capacity(snaps);
+    for _ in 0..snaps {
+        let mut senv = ReduceEnv::new(spec);
+        te = rec.snapshot(te, &mut senv);
+        slogs.push(senv.into_log());
     }
-    (rec, logs)
+    (te, (env.into_log(), slogs))
 }
 
 /// What a map-task plan is a pure function of. `Copy`, so the speculative
@@ -406,10 +406,6 @@ pub struct Engine<'e> {
     node_merge: Option<NodeMerge<'e>>,
     stage: Vec<NodeStage>,
     nc_stats: NodeCombineStats,
-
-    // Burst scratch, reused across bursts.
-    mail_of: Vec<Option<usize>>,
-    log_q: Vec<MailboxLogs>,
 }
 
 impl<'e> Engine<'e> {
@@ -560,8 +556,6 @@ impl<'e> Engine<'e> {
             node_merge,
             stage,
             nc_stats: NodeCombineStats::default(),
-            mail_of: vec![None; n_reducers],
-            log_q: (0..n_reducers).map(|_| VecDeque::new()).collect(),
         };
         match resume {
             Some(saved) => engine.import_state(saved)?,
@@ -1163,81 +1157,62 @@ impl<'e> Engine<'e> {
 
     /// Absorbs the maximal run of consecutive deliveries starting with
     /// `first`: processing a delivery never schedules new events, so
-    /// everything up to the next `StartMap` can be recorded as one
-    /// parallel batch without changing the pop order. The run stops early
-    /// where a pause becomes possible, so `run_until` observes it;
-    /// grouping deliveries differently is output- and metric-transparent
-    /// (effect logs carry durations and ops, never absolute times, and
-    /// replay still runs in pop order).
+    /// everything up to the next `StartMap` can be regrouped per reducer
+    /// without changing the pop order. The run stops early where a pause
+    /// becomes possible, so `run_until` observes it; grouping deliveries
+    /// differently is output- and metric-transparent (effect logs carry
+    /// durations and ops, never absolute times, and replay still runs in
+    /// pop order).
     fn deliver_burst(&mut self, t: SimTime, first: Delivery) {
         let spec = &self.plans.cfg.spec;
-        self.landed(first.chunk);
-        let mut burst = vec![(t, first)];
-        while !self.paused() && matches!(self.queue.peek(), Some((_, Ev::Deliver(_)))) {
-            let Some((t2, Ev::Deliver(d))) = self.queue.pop() else {
-                unreachable!("peeked a delivery");
-            };
+        // Arrivals at started reducers, tagged with their pop position.
+        // Second-wave reducers defer: parked in scheduler state, their
+        // deliveries count as absorbed.
+        let mut arrivals: Vec<(usize, SimTime, Delivery)> = Vec::new();
+        let mut next = Some((t, first));
+        while let Some((t_ev, d)) = next.take() {
             self.landed(d.chunk);
-            burst.push((t2, d));
-        }
-
-        // Partition the burst into per-reducer mailboxes, preserving each
-        // reducer's arrival order. Second-wave reducers defer: parked in
-        // scheduler state, their deliveries count as absorbed.
-        let mut order: Vec<(usize, SimTime)> = Vec::with_capacity(burst.len());
-        let mut mailboxes: Vec<(usize, Vec<(Payload, usize)>)> = Vec::new();
-        for (t_ev, d) in burst {
-            let r = d.reducer;
-            if !self.started[r] {
-                self.deferred[r].push((d.from_node, d.payload));
-                continue;
-            }
-            order.push((r, t_ev));
-            let slot = *self.mail_of[r].get_or_insert_with(|| {
-                mailboxes.push((r, Vec::new()));
-                mailboxes.len() - 1
-            });
-            // Snapshots catch up after the first delivery a reducer
-            // processes past each snapshot point.
-            let snaps = if mailboxes[slot].1.is_empty() {
-                self.next_snapshot.saturating_sub(self.snapshots_taken[r])
+            if self.started[d.reducer] {
+                arrivals.push((arrivals.len(), t_ev, d));
             } else {
-                0
-            };
-            mailboxes[slot].1.push((d.payload, snaps));
-        }
-        if mailboxes.is_empty() {
-            return;
+                self.deferred[d.reducer].push((d.from_node, d.payload));
+            }
+            if !self.paused() && matches!(self.queue.peek(), Some((_, Ev::Deliver(_)))) {
+                let Some((t2, Ev::Deliver(d))) = self.queue.pop() else {
+                    unreachable!("peeked a delivery");
+                };
+                next = Some((t2, d));
+            }
         }
 
-        // Record every mailbox on the pool (inline when the pool has no
-        // workers), then replay in pop order. The burst goes up as one
-        // batch — a single wake decision for the whole delivery run
-        // instead of one notify per mailbox — and the scheduler records
-        // the last mailbox itself: no handoff for single-mailbox bursts,
-        // and the main thread stays busy instead of waiting.
-        let gather = Gather::new(mailboxes.len());
-        let mut mail_reducers: Vec<usize> = Vec::with_capacity(mailboxes.len());
-        let mut batch: Vec<Task<'e>> = Vec::with_capacity(mailboxes.len());
-        for (slot, (r, items)) in mailboxes.into_iter().enumerate() {
-            mail_reducers.push(r);
-            self.mail_of[r] = None;
-            let rec = self.reducers[r].take().expect("reducer in place");
-            let est = self.ready_at[r];
-            let g = gather.clone();
-            batch.push(Box::new(move || {
-                g.put(slot, record_mailbox(rec, items, est, spec));
-            }));
+        // Record mailbox by mailbox: a reducer absorbs all its deliveries
+        // of the burst back to back, in arrival order (the sort is
+        // stable), while its table is hot.
+        arrivals.sort_by_key(|(_, _, d)| d.reducer);
+        let mut recorded: Vec<(usize, usize, SimTime, DeliveryLogs)> =
+            Vec::with_capacity(arrivals.len());
+        let mut mailbox = None;
+        let mut te = SimTime::ZERO;
+        for (pos, t_ev, d) in arrivals {
+            let r = d.reducer;
+            // A mailbox opens at the reducer's clock, with the snapshots
+            // it owes: they catch up after the first delivery a reducer
+            // processes past each snapshot point.
+            let mut snaps = 0;
+            if mailbox != Some(r) {
+                mailbox = Some(r);
+                te = self.ready_at[r];
+                snaps = self.next_snapshot.saturating_sub(self.snapshots_taken[r]);
+            }
+            let rec = self.reducers[r].as_deref_mut().expect("reducer in place");
+            let (end, logs) = record_delivery(rec, te, d.payload, snaps, spec);
+            te = end;
+            recorded.push((pos, r, t_ev, logs));
         }
-        let last = batch.pop().expect("burst has at least one mailbox");
-        self.pool.submit_batch(batch);
-        last();
-        for ((rec, logs), &r) in gather.wait(&self.pool).into_iter().zip(&mail_reducers) {
-            self.reducers[r] = Some(rec);
-            self.log_q[r] = logs;
-        }
-        for (r, t_ev) in order {
-            let (dlog, slogs) = self.log_q[r].pop_front().expect("one log per delivery");
+
+        // Replay against the shared state in pop order.
+        recorded.sort_unstable_by_key(|&(pos, ..)| pos);
+        for (_, r, t_ev, (dlog, slogs)) in recorded {
             let t0 = self.survive_crash(r, self.ready_at[r].max(t_ev));
             if self.plans.cfg.faults.reduce_failure_rate > 0.0 {
                 self.history[r].extend(dlog.iter().chain(slogs.iter().flatten()).cloned());
@@ -1479,5 +1454,73 @@ impl<'e> Engine<'e> {
             output: self.output,
             dlq: self.dlq,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::Framework;
+    use opa_common::ExecConfig;
+    use std::sync::atomic::Ordering;
+
+    /// Click counting: one `(user, 1)` per record, summed incrementally.
+    struct ClickCount;
+    impl Job for ClickCount {
+        fn name(&self) -> &str {
+            "click-count"
+        }
+        fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
+            emit(&record[..2], &1u64.to_be_bytes());
+        }
+        fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
+            ctx.emit(key.clone(), Value::from_u64(values.len() as u64));
+        }
+        fn incremental(&self) -> Option<&dyn IncrementalReducer> {
+            Some(self)
+        }
+    }
+    impl IncrementalReducer for ClickCount {
+        fn init(&self, _key: &Key, value: Value) -> Value {
+            value
+        }
+        fn cb(&self, _key: &Key, acc: &mut Value, other: Value, _ctx: &mut ReduceCtx) {
+            *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + other.as_u64().unwrap_or(0));
+        }
+        fn finalize(&self, key: &Key, state: Value, ctx: &mut ReduceCtx) {
+            ctx.emit(key.clone(), state);
+        }
+    }
+
+    #[test]
+    fn the_pool_sees_plans_and_the_finish_wave_never_deliveries() {
+        let input = JobInput::from_records(
+            (0..6000u32)
+                .map(|i| vec![(i % 251) as u8, (i % 7) as u8, b'c', b'l', b'k'])
+                .collect(),
+        );
+        let mut cfg = RunConfig {
+            framework: Framework::IncHash,
+            exec: ExecConfig::oversubscribed(4),
+            ..RunConfig::default()
+        };
+        cfg.spec.system.chunk_size = 512;
+        let (chunks, reducers, submitted, outcome) =
+            Engine::scoped(&cfg, &ClickCount, &input, None, |engine| {
+                let submitted = engine.pool.submitted();
+                let (chunks, reducers) = (engine.num_chunks(), engine.reducers().len());
+                let outcome = engine.finish();
+                Ok((chunks, reducers, submitted.load(Ordering::SeqCst), outcome))
+            })
+            .expect("job runs");
+        assert_eq!(outcome.metrics.output_records, 251 * 7);
+        // ~100 records per chunk over 40 reducers: nearly every map task
+        // delivers to every reducer, so one task per mailbox would be
+        // thousands.
+        assert!(chunks > 40, "{chunks} map tasks");
+        assert!(
+            submitted <= chunks + reducers,
+            "{submitted} pool tasks for {chunks} map tasks and {reducers} reducers"
+        );
     }
 }

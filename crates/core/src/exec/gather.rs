@@ -1,9 +1,9 @@
 //! Fan-out/fan-in collection of a fixed-size task batch.
 //!
-//! The scheduler uses this for reducer mailboxes: it submits one recording
-//! task per reducer touched by a delivery burst, then waits for all of
-//! them, helping the pool drain while it waits so the main thread is never
-//! idle capacity.
+//! The scheduler uses this for the reducers' finish wave (and the dataflow
+//! skip path for its per-partition plans): it submits one task per slot,
+//! then waits for all of them, helping the pool drain while it waits so
+//! the main thread is never idle capacity.
 
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -52,8 +52,7 @@ impl<T: Send> Gather<T> {
     /// Only the put that completes the batch notifies the waiter: the
     /// waiter cannot return before `remaining == 0` anyway, and while
     /// results are still outstanding it is busy helping the pool drain,
-    /// not blocked. This amortizes a delivery burst's wakeups to one
-    /// notify per batch instead of one per message.
+    /// not blocked. A wave costs one notify, not one per task.
     pub fn put(&self, slot: usize, value: T) {
         let remaining = {
             let mut st = self.shared.state.lock().expect("gather lock");

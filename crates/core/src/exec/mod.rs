@@ -6,9 +6,9 @@
 //!   every piece of shared simulation state — disk queues, progress,
 //!   timeline, metrics — and mutates it in a deterministic order derived
 //!   purely from the event queue;
-//! - an **execution layer** (this module) that runs the *pure* part of the
-//!   work — map-task computation and reducer effect recording — on a pool
-//!   of host threads.
+//! - an **execution layer** (this module) that runs the *pure*, coarse
+//!   part of the work — map-task plans and the reducers' finish wave — on
+//!   a pool of host threads.
 //!
 //! Nothing a worker thread computes depends on simulated time or on any
 //! other worker, so the scheduling layer can replay recorded results in
@@ -16,21 +16,23 @@
 //! consequence is the engine's core contract: a job's [`crate::job::JobOutcome`]
 //! is bit-identical at any thread count, including `threads = 1`.
 //!
+//! What is *not* here: shuffle deliveries. A reducer's mailbox is ~1.5 µs
+//! of work, far below the cost of handing it to another thread and of
+//! moving the reducer's table to that thread's cache, so the scheduler
+//! records deliveries itself (`Engine::deliver_burst`).
+//!
 //! Three primitives:
 //!
-//! - [`Pool`] — a scoped work-stealing pool over `std::thread` (the
-//!   sanctioned dependency set has no crossbeam); tasks may borrow the
-//!   job and input. Each worker owns a deque, submissions deal
-//!   round-robin, and an idle worker steals the oldest half of a victim's
-//!   backlog so one straggling task cannot serialize a wave.
+//! - [`Pool`] — scoped `std::thread` workers draining one shared FIFO
+//!   queue (the sanctioned dependency set has no crossbeam); tasks may
+//!   borrow the job and input. Zero workers means inline execution.
 //! - [`Planner`] — speculative execution of indexed pure tasks (map-task
 //!   plans): a bounded window of upcoming tasks runs ahead on the pool,
 //!   and the scheduler claims results by index, stealing unstarted work
 //!   inline so it never idles.
-//! - [`Gather`] — a fan-out/fan-in cell: submit N tasks (a delivery burst
-//!   goes up as one [`Pool::submit_batch`]), then collect all N results
-//!   while helping the pool drain; only the completing task wakes the
-//!   waiter.
+//! - [`Gather`] — a fan-out/fan-in cell: submit N tasks as one
+//!   [`Pool::submit_batch`], then collect all N results while helping the
+//!   pool drain; only the completing task wakes the waiter.
 
 mod gather;
 mod planner;

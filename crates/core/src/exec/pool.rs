@@ -1,4 +1,5 @@
-//! A scoped work-stealing worker pool built on `std::thread::scope`.
+//! A scoped worker pool built on `std::thread::scope`: one shared FIFO
+//! queue, drained by every worker.
 //!
 //! Tasks are `FnOnce` closures that may borrow from the enclosing job run
 //! (the job, the cluster spec, the input records): the pool's lifetime
@@ -9,29 +10,26 @@
 //!
 //! # Scheduling
 //!
-//! Each worker owns a deque; submissions are dealt round-robin across the
-//! deques so a burst of tasks lands spread out instead of funneling
-//! through one contended queue. A worker drains its own deque first and,
-//! when that runs dry, *steals half* of the oldest tasks from the first
-//! non-empty victim (scanning from its own index so thieves fan out).
-//! Stealing in halves means one expensive task queued behind cheap ones
-//! cannot serialize a wave: the straggler's backlog migrates to idle
-//! workers in O(log n) steals.
+//! The pool only ever sees coarse tasks — a map-task plan (≥ 100 µs), one
+//! reducer's finish, one dataflow partition's plan — so a single
+//! mutex-guarded queue is uncontended and nothing cleverer pays: workers
+//! pop the oldest task, and a thread waiting on results helps through
+//! [`Pool::try_run_one`].
 //!
-//! Steal order never influences results: tasks communicate only through
-//! [`super::Gather`]/[`super::Planner`] slots, and the scheduling layer
-//! replays their effect logs in event order regardless of which thread
-//! produced them.
+//! Which worker runs a task never influences results: tasks communicate
+//! only through [`super::Gather`]/[`super::Planner`] slots, and the
+//! scheduling layer consumes those by index, in event order.
 //!
 //! # Parking
 //!
-//! Idle workers park on a condvar behind a sleeper count; submitters skip
-//! the notify syscall entirely while every worker is busy (the common
-//! case mid-wave). [`Pool::submit_batch`] enqueues a whole delivery burst
-//! with one wake decision instead of one notify per task.
+//! Idle workers wait on a condvar and are counted, under the queue lock,
+//! as sleepers; a submitter reads the count under the same lock and skips
+//! the notify syscall while every worker is busy (the common case
+//! mid-wave). [`Pool::submit_batch`] enqueues a whole wave with one wake
+//! decision instead of one notify per task.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
 use std::time::Duration;
@@ -39,34 +37,27 @@ use std::time::Duration;
 /// A unit of pool work: a boxed closure tied to the job-run scope.
 pub type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
 
+struct Queue<'env> {
+    tasks: VecDeque<Task<'env>>,
+    /// Workers waiting on `cv`. Guarded by the queue lock, like the tasks
+    /// they wait for, so a wakeup cannot be lost.
+    sleepers: usize,
+    shutdown: bool,
+}
+
 struct Shared<'env> {
-    /// One deque per worker. Round-robin submission targets, steal-half
-    /// victims. Tasks never need a particular queue: any thread may run
-    /// any task.
-    queues: Vec<Mutex<VecDeque<Task<'env>>>>,
-    /// Tasks currently queued (in any deque). Checked by parking workers
-    /// under `park` so a submit between "queues looked empty" and "wait"
-    /// cannot be lost.
-    pending: AtomicUsize,
-    /// Round-robin cursors: submission target and steal scan start.
-    submit_cursor: AtomicUsize,
-    steal_cursor: AtomicUsize,
-    /// Workers currently parked (or committing to park) on `cv`.
-    sleepers: AtomicUsize,
-    park: Mutex<ParkState>,
+    queue: Mutex<Queue<'env>>,
     cv: Condvar,
     panicked: AtomicBool,
 }
 
-struct ParkState {
-    shutdown: bool,
-}
-
-/// A fixed-size pool of scoped worker threads with per-worker deques and
-/// steal-half work stealing.
+/// A fixed-size pool of scoped worker threads over one FIFO queue.
 pub struct Pool<'env> {
     shared: Arc<Shared<'env>>,
     workers: usize,
+    /// Tasks ever handed to `submit`/`submit_batch`.
+    #[cfg(test)]
+    submitted: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl<'env> Pool<'env> {
@@ -74,20 +65,24 @@ impl<'env> Pool<'env> {
     /// then run inline at submission.
     pub fn new<'scope>(scope: &'scope Scope<'scope, 'env>, workers: usize) -> Self {
         let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            submit_cursor: AtomicUsize::new(0),
-            steal_cursor: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            park: Mutex::new(ParkState { shutdown: false }),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                sleepers: 0,
+                shutdown: false,
+            }),
             cv: Condvar::new(),
             panicked: AtomicBool::new(false),
         });
-        for i in 0..workers {
+        for _ in 0..workers {
             let sh = Arc::clone(&shared);
-            scope.spawn(move || worker_loop(&sh, i));
+            scope.spawn(move || worker_loop(&sh));
         }
-        Pool { shared, workers }
+        Pool {
+            shared,
+            workers,
+            #[cfg(test)]
+            submitted: Arc::default(),
+        }
     }
 
     /// Number of worker threads (0 means inline execution).
@@ -98,18 +93,13 @@ impl<'env> Pool<'env> {
     /// Enqueues a task — or runs it immediately when the pool has no
     /// workers.
     pub fn submit(&self, task: impl FnOnce() + Send + 'env) {
-        if self.workers == 0 {
-            task();
-            return;
-        }
-        self.enqueue(Box::new(task));
-        self.wake(1);
+        self.submit_batch(vec![Box::new(task) as Task<'env>]);
     }
 
-    /// Enqueues a whole batch with a single wake decision. Order within
-    /// the batch is preserved per deque (round-robin deal), which keeps
-    /// the oldest tasks globally near every deque front.
+    /// Enqueues a whole batch, in order, with a single wake decision.
     pub fn submit_batch(&self, tasks: Vec<Task<'env>>) {
+        #[cfg(test)]
+        self.submitted.fetch_add(tasks.len(), Ordering::Relaxed);
         if self.workers == 0 {
             for task in tasks {
                 task();
@@ -117,59 +107,34 @@ impl<'env> Pool<'env> {
             return;
         }
         let n = tasks.len();
-        for task in tasks {
-            self.enqueue(task);
-        }
-        self.wake(n);
-    }
-
-    fn enqueue(&self, task: Task<'env>) {
-        let q = self.shared.submit_cursor.fetch_add(1, Ordering::Relaxed) % self.workers;
-        self.shared.queues[q]
-            .lock()
-            .expect("pool queue lock")
-            .push_back(task);
-        self.shared.pending.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Wakes up to `n` parked workers — and skips the syscall entirely
-    /// when nobody is parked, which is the common case mid-wave.
-    fn wake(&self, n: usize) {
-        if self.shared.sleepers.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        // Take the park lock so the notify cannot slip between a worker's
-        // final pending check and its wait.
-        let _st = self.shared.park.lock().expect("pool park lock");
-        if n == 1 {
-            self.shared.cv.notify_one();
-        } else {
-            self.shared.cv.notify_all();
+        let sleepers = {
+            let mut q = self.shared.queue.lock().expect("pool queue lock");
+            q.tasks.extend(tasks);
+            q.sleepers
+        };
+        // No syscall when nobody is parked: a busy worker finds the tasks
+        // on its next pop.
+        match n.min(sleepers) {
+            0 => {}
+            1 => self.shared.cv.notify_one(),
+            _ => self.shared.cv.notify_all(),
         }
     }
 
-    /// Runs one queued task on the calling thread, if any is pending.
-    /// Waiters use this to help drain the pool instead of blocking. The
-    /// helper steals a single task (not half): it is about to re-check
-    /// its own wait condition, not build a backlog.
+    /// Runs the oldest queued task on the calling thread, if there is one.
+    /// Waiters use this to help drain the pool instead of blocking.
     pub fn try_run_one(&self) -> bool {
-        if self.workers == 0 || self.shared.pending.load(Ordering::SeqCst) == 0 {
+        if self.workers == 0 {
             return false;
         }
-        let start = self.shared.steal_cursor.fetch_add(1, Ordering::Relaxed);
-        for k in 0..self.workers {
-            let q = (start + k) % self.workers;
-            let task = self.shared.queues[q]
-                .lock()
-                .expect("pool queue lock")
-                .pop_front();
-            if let Some(task) = task {
-                self.shared.pending.fetch_sub(1, Ordering::SeqCst);
-                task();
-                return true;
-            }
-        }
-        false
+        let task = self
+            .shared
+            .queue
+            .lock()
+            .expect("pool queue lock")
+            .tasks
+            .pop_front();
+        task.map(|task| task()).is_some()
     }
 
     /// Propagates a worker-thread panic to the caller. Waiters call this
@@ -185,84 +150,44 @@ impl<'env> Pool<'env> {
     pub(crate) fn wait_beat() -> Duration {
         Duration::from_millis(25)
     }
+
+    /// The live count of tasks ever submitted.
+    #[cfg(test)]
+    pub(crate) fn submitted(&self) -> Arc<std::sync::atomic::AtomicUsize> {
+        Arc::clone(&self.submitted)
+    }
 }
 
 impl Drop for Pool<'_> {
     fn drop(&mut self) {
-        let mut st = self.shared.park.lock().expect("pool park lock");
-        st.shutdown = true;
-        drop(st);
+        // `Drop` must not panic: the lock is poisoned only if a thread died
+        // holding it, and tasks run outside it.
+        if let Ok(mut q) = self.shared.queue.lock() {
+            q.shutdown = true;
+        }
         self.shared.cv.notify_all();
     }
 }
 
-/// Pops from the worker's own deque, or steals the oldest half of the
-/// first non-empty victim's deque. Returns the task to run now; surplus
-/// stolen tasks are re-queued on the worker's own deque.
-fn grab<'env>(sh: &Shared<'env>, me: usize) -> Option<Task<'env>> {
-    if sh.pending.load(Ordering::SeqCst) == 0 {
-        return None;
-    }
-    if let Some(task) = sh.queues[me].lock().expect("pool queue lock").pop_front() {
-        sh.pending.fetch_sub(1, Ordering::SeqCst);
-        return Some(task);
-    }
-    let n = sh.queues.len();
-    for k in 1..n {
-        let victim = (me + k) % n;
-        // Move the stolen half out under the victim's lock alone — never
-        // hold two queue locks at once (symmetric steals would deadlock).
-        let mut stolen: VecDeque<Task<'env>> = {
-            let mut vq = sh.queues[victim].lock().expect("pool queue lock");
-            let len = vq.len();
-            if len == 0 {
-                continue;
-            }
-            vq.drain(..len.div_ceil(2)).collect()
-        };
-        let first = stolen.pop_front().expect("stole at least one task");
-        sh.pending.fetch_sub(1, Ordering::SeqCst);
-        if !stolen.is_empty() {
-            sh.queues[me]
-                .lock()
-                .expect("pool queue lock")
-                .extend(stolen.drain(..));
-            // The surplus is stealable in turn; offer it to a parked
-            // worker (no-op syscall-free when none are parked).
-            if sh.sleepers.load(Ordering::SeqCst) > 0 {
-                let _st = sh.park.lock().expect("pool park lock");
-                sh.cv.notify_one();
-            }
-        }
-        return Some(first);
-    }
-    None
-}
-
-fn worker_loop(sh: &Shared<'_>, me: usize) {
+/// Runs queued tasks until the pool shuts down with the queue drained.
+/// `panicked` is stored with `Release` after a task unwinds and read with
+/// `Acquire` by [`Pool::assert_healthy`].
+fn worker_loop(sh: &Shared<'_>) {
+    let mut q = sh.queue.lock().expect("pool queue lock");
     loop {
-        if let Some(task) = grab(sh, me) {
+        if let Some(task) = q.tasks.pop_front() {
+            drop(q);
             if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err() {
                 sh.panicked.store(true, Ordering::Release);
             }
-            continue;
-        }
-        // Park. The sleeper count is registered and `pending` re-checked
-        // under the park lock; a submitter bumps `pending` before reading
-        // `sleepers` and notifies under the same lock, so the wakeup
-        // cannot be lost. The timed wait is a safety beat, not a poll.
-        let st = sh.park.lock().expect("pool park lock");
-        if st.shutdown {
+            q = sh.queue.lock().expect("pool queue lock");
+        } else if q.shutdown {
             return;
+        } else {
+            q.sleepers += 1;
+            q = sh.cv.wait(q).expect("pool queue lock");
+            q.sleepers -= 1;
         }
-        sh.sleepers.fetch_add(1, Ordering::SeqCst);
-        if sh.pending.load(Ordering::SeqCst) == 0 {
-            let _ = sh
-                .cv
-                .wait_timeout(st, Pool::wait_beat())
-                .expect("pool park cv");
-        }
-        sh.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -270,6 +195,7 @@ fn worker_loop(sh: &Shared<'_>, me: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
     #[test]
     fn zero_workers_runs_inline() {
@@ -281,95 +207,79 @@ mod tests {
             });
             assert_eq!(hits.load(Ordering::SeqCst), 1, "inline = done at submit");
             assert!(!pool.try_run_one(), "nothing queued");
+            assert_eq!(pool.submitted().load(Ordering::SeqCst), 1);
         });
     }
 
     #[test]
-    fn workers_drain_the_queue() {
-        let hits = AtomicUsize::new(0);
+    fn one_worker_drains_in_fifo_order() {
+        let (tx, rx) = mpsc::channel();
         std::thread::scope(|s| {
-            let pool = Pool::new(s, 3);
-            for _ in 0..64 {
-                pool.submit(|| {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            // Help from the main thread too; then wait for quiescence.
-            while hits.load(Ordering::SeqCst) < 64 {
-                if !pool.try_run_one() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 64);
-    }
-
-    #[test]
-    fn batch_submission_completes_every_task() {
-        let hits = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let pool = Pool::new(s, 2);
+            let pool = Pool::new(s, 1);
             let tasks: Vec<Task<'_>> = (0..100)
-                .map(|_| {
-                    Box::new(|| {
-                        hits.fetch_add(1, Ordering::SeqCst);
-                    }) as Task<'_>
+                .map(|i| {
+                    let tx = tx.clone();
+                    Box::new(move || tx.send(i).expect("receiver alive")) as Task<'_>
                 })
                 .collect();
             pool.submit_batch(tasks);
-            while hits.load(Ordering::SeqCst) < 100 {
-                if !pool.try_run_one() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
+            pool.submit(move || tx.send(100).expect("receiver alive"));
+            assert_eq!(pool.submitted().load(Ordering::SeqCst), 101);
         });
-        assert_eq!(hits.load(Ordering::SeqCst), 100);
+        // The scope joined the worker: everything ran, oldest first.
+        assert_eq!(rx.iter().collect::<Vec<_>>(), (0..=100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn stealing_rebalances_a_lopsided_backlog() {
-        // One slow task occupies its worker while many quick tasks queue
-        // up round-robin behind it; idle workers must steal the backlog
-        // rather than wait for the straggler. The assertion is progress
-        // with the submitter refusing to help: only stealing can finish.
-        let done = AtomicUsize::new(0);
-        let gate = AtomicUsize::new(0);
+    fn a_waiter_helps_through_try_run_one() {
+        // The only worker is held inside a task, so nothing else can run
+        // the queued one: the caller must.
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let hits = AtomicUsize::new(0);
         std::thread::scope(|s| {
-            let pool = Pool::new(s, 4);
-            pool.submit(|| {
-                while gate.load(Ordering::SeqCst) == 0 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                done.fetch_add(1, Ordering::SeqCst);
+            let pool = Pool::new(s, 1);
+            pool.submit(move || {
+                entered_tx.send(()).expect("receiver alive");
+                released.recv().expect("sender alive");
             });
-            for _ in 0..63 {
-                pool.submit(|| {
-                    done.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            // Every quick task finishes while the straggler still holds
-            // its worker hostage.
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while done.load(Ordering::SeqCst) < 63 {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "steal-half failed to drain a straggler's backlog"
-                );
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            gate.store(1, Ordering::SeqCst);
-            while done.load(Ordering::SeqCst) < 64 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            entered.recv().expect("worker started the blocker");
+            pool.submit(|| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
+            assert!(pool.try_run_one(), "the queued task is ours to run");
+            assert_eq!(hits.load(Ordering::SeqCst), 1);
+            assert!(!pool.try_run_one(), "queue is empty again");
+            release.send(()).expect("worker alive");
         });
-        assert_eq!(done.load(Ordering::SeqCst), 64);
     }
 
     #[test]
-    fn pool_drop_releases_idle_workers() {
+    fn a_panicking_task_fails_the_health_check_not_the_worker() {
+        let (done_tx, done) = mpsc::channel();
+        std::thread::scope(|s| {
+            let pool = Pool::new(s, 1);
+            pool.assert_healthy();
+            pool.submit(|| panic!("task panics (expected by this test)"));
+            // Same worker, next task: it survived the unwind, and FIFO
+            // order means the panic has been recorded by now.
+            pool.submit(move || done_tx.send(()).expect("receiver alive"));
+            done.recv().expect("worker outlives a panicking task");
+            let health = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.assert_healthy();
+            }));
+            assert!(health.is_err(), "assert_healthy re-raises the worker panic");
+        });
+    }
+
+    #[test]
+    fn pool_drop_releases_parked_workers() {
         // The scope would hang forever if Drop failed to wake the workers.
         std::thread::scope(|s| {
-            let _pool = Pool::new(s, 2);
+            let pool = Pool::new(s, 2);
+            while pool.shared.queue.lock().expect("pool queue lock").sleepers < 2 {
+                std::thread::yield_now();
+            }
         });
     }
 }

@@ -45,7 +45,7 @@ use opa_common::fault::FaultConfig;
 use opa_common::hash::bucket_of;
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{
-    BatchBuilder, HashFn, Key, Pair, RecordBatch, ShardedGroupIndex, StateBatch, StatePair, Value,
+    BatchBuilder, GroupIndex, HashFn, Key, Pair, RecordBatch, StateBatch, StatePair, Value,
 };
 use opa_simio::{IoCategory, IoOp};
 
@@ -665,7 +665,7 @@ fn plan_mr_hash(
         // output is identical to the collect-then-combine path below for
         // any law-abiding fold combiner.
         let mut groups: Vec<(u64, Key, Value)> = Vec::new();
-        let mut index = ShardedGroupIndex::with_capacity(pairs.len() / 4 + 1);
+        let mut index = GroupIndex::with_capacity(pairs.len() / 4 + 1);
         for p in pairs {
             let h = h1.hash(p.key.bytes());
             match index.get(h, |r| groups[r].1 == p.key) {
@@ -688,7 +688,7 @@ fn plan_mr_hash(
         // Insertion-ordered hash table: key → collected values. The
         // index stores only fingerprints and row ids — no key clones.
         let mut groups: Vec<(u64, Key, Vec<Value>)> = Vec::new();
-        let mut index = ShardedGroupIndex::with_capacity(pairs.len() / 4 + 1);
+        let mut index = GroupIndex::with_capacity(pairs.len() / 4 + 1);
         for p in pairs {
             let h = h1.hash(p.key.bytes());
             match index.get(h, |r| groups[r].1 == p.key) {
@@ -771,7 +771,7 @@ fn plan_incremental(
     // partition on first sight, and is carried in the outgoing batch.
     let mut ctx = ReduceCtx::at_site(Site::Map);
     let mut order: Vec<(usize, u64, Key, Value)> = Vec::with_capacity(distinct_hint);
-    let mut index = ShardedGroupIndex::with_capacity(distinct_hint);
+    let mut index = GroupIndex::with_capacity(distinct_hint);
     let mut cb_calls = 0u64;
     let mut sketch = admission
         .is_on()

@@ -30,8 +30,8 @@ use crate::metrics::AdmissionStats;
 use crate::sim::OpKind;
 use opa_common::units::SimTime;
 use opa_common::{
-    AdmissionPolicy, Error, FreqSketch, HashFamily, HashFn, Key, Result, ShardedGroupIndex,
-    StatePair, Value,
+    AdmissionPolicy, Error, FreqSketch, GroupIndex, HashFamily, HashFn, Key, Result, StatePair,
+    Value,
 };
 use opa_freq::{MgEntry, MgOutcome, MisraGries, SpaceSavingMonitor};
 use opa_simio::BucketManager;
@@ -682,7 +682,7 @@ pub(crate) fn process_bucket_inc(
     ctx.watermark = None;
     let h1 = family.fn_at(0);
     let mut states: Vec<(Key, Value)> = Vec::new();
-    let mut index = ShardedGroupIndex::with_capacity(tuples.len() / 4 + 1);
+    let mut index = GroupIndex::with_capacity(tuples.len() / 4 + 1);
     let mut used = 0u64;
     let mut overflow: Vec<StatePair> = Vec::new();
     let mut overflow_started = false;

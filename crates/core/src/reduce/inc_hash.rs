@@ -21,8 +21,8 @@ use crate::metrics::AdmissionStats;
 use crate::sim::OpKind;
 use opa_common::units::SimTime;
 use opa_common::{
-    AdmissionPolicy, Error, FreqSketch, HashFamily, HashFn, Key, KeyFilter, Result,
-    ShardedGroupIndex, StatePair, Value,
+    AdmissionPolicy, Error, FreqSketch, GroupIndex, HashFamily, HashFn, Key, KeyFilter, Result,
+    StatePair, Value,
 };
 use opa_simio::BucketManager;
 
@@ -58,7 +58,7 @@ pub struct IncHashReducer<'j> {
     /// Tuples combined into each resident row (parallel to `states`);
     /// summed at finish into the resident-frequency statistic.
     counts: Vec<u64>,
-    index: ShardedGroupIndex,
+    index: GroupIndex,
     mem_used: u64,
     mem_budget: u64,
     write_buffer: u64,
@@ -116,7 +116,7 @@ impl<'j> IncHashReducer<'j> {
             h3: family.fn_at(2),
             states: Vec::new(),
             counts: Vec::new(),
-            index: ShardedGroupIndex::default(),
+            index: GroupIndex::default(),
             mem_used: 0,
             mem_budget,
             write_buffer,
@@ -359,7 +359,7 @@ impl<'j> IncHashReducer<'j> {
         let saved_watermark = self.ctx.watermark;
         self.ctx.watermark = None;
         let mut states: Vec<(Key, Value)> = Vec::new();
-        let mut index = ShardedGroupIndex::with_capacity(tuples.len() / 4 + 1);
+        let mut index = GroupIndex::with_capacity(tuples.len() / 4 + 1);
         let mut used = 0u64;
         let mut overflow: Vec<StatePair> = Vec::new();
         let mut overflow_started = false;
@@ -570,7 +570,7 @@ impl ReduceSide for IncHashReducer<'_> {
         let [sink_pending, ctx_pending] = <[Vec<opa_common::Pair>; 2]>::try_from(ckpt.pairs)
             .map_err(|_| Error::job("INC-hash checkpoint missing output sections"))?;
         self.states = Vec::with_capacity(resident.len());
-        self.index = ShardedGroupIndex::with_capacity(resident.len());
+        self.index = GroupIndex::with_capacity(resident.len());
         self.mem_used = 0;
         for sp in resident {
             self.mem_used +=

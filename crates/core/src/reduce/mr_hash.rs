@@ -16,9 +16,7 @@ use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::sim::OpKind;
 use opa_common::units::SimTime;
-use opa_common::{
-    Error, HashFamily, HashFn, Key, Pair, Result, SeededState, ShardedGroupIndex, Value,
-};
+use opa_common::{Error, GroupIndex, HashFamily, HashFn, Key, Pair, Result, SeededState, Value};
 use opa_simio::BucketManager;
 use std::collections::HashMap;
 
@@ -97,7 +95,7 @@ impl<'j> MrHashReducer<'j> {
         // row ids only (no key clones), probed with the same `h1`
         // fingerprint the map side partitions with — hashed once per pair.
         let mut groups: Vec<(Key, Vec<Value>)> = Vec::new();
-        let mut index = ShardedGroupIndex::with_capacity(pairs.len() / 4 + 1);
+        let mut index = GroupIndex::with_capacity(pairs.len() / 4 + 1);
         for p in pairs {
             let h = self.h1.hash(p.key.bytes());
             match index.get(h, |r| groups[r].0 == p.key) {

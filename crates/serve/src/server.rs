@@ -341,9 +341,20 @@ impl Server {
                     let _ = reply.send(answer_live(ctl, &query));
                 }
             };
-            let result = runner(faults, &mut on_batch)
-                .map(Box::new)
-                .map_err(|e| e.to_string());
+            // A panicking UDF must fail this job, not strand the server:
+            // `settle` blocks until every running job reports.
+            let run = std::panic::AssertUnwindSafe(|| runner(faults, &mut on_batch));
+            let result = match std::panic::catch_unwind(run) {
+                Ok(result) => result.map(Box::new).map_err(|e| e.to_string()),
+                Err(panic) => {
+                    let msg = panic
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| panic.downcast_ref::<&str>().copied())
+                        .unwrap_or("non-string panic payload");
+                    Err(format!("job panicked: {msg}"))
+                }
+            };
             let _ = tx.send(FromJob::Done { id, result });
         }));
     }

@@ -5,7 +5,8 @@
 //! must be bit-identical to a solo `StreamJobBuilder` run of the same
 //! spec, at every engine thread count and under fault injection.
 
-use opa_common::{ExecConfig, FaultConfig, Key};
+use opa_common::{ExecConfig, FaultConfig, Key, Value};
+use opa_core::api::{Combiner, IncrementalReducer, Job, ReduceCtx};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::job::JobInput;
 use opa_serve::{AdmissionOutcome, JobPhase, JobSpec, ServeConfig, ServeQuery, Server};
@@ -393,4 +394,96 @@ fn batched_lookup_matches_single_lookups_live_and_finished() {
         live_hits > 0 && finished_hits > 0,
         "vacuous: no probe key ever resolved (live {live_hits}, finished {finished_hits})"
     );
+}
+
+/// `ClickCountJob` whose `map` panics on one chosen input record.
+#[derive(Clone)]
+struct PanicsOn {
+    inner: ClickCountJob,
+    record: Vec<u8>,
+}
+
+impl Job for PanicsOn {
+    fn name(&self) -> &str {
+        "click counting with a landmine"
+    }
+    fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
+        assert!(record != self.record, "landmine record reached the UDF");
+        self.inner.map(record, emit);
+    }
+    fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
+        self.inner.reduce(key, values, ctx);
+    }
+    fn combiner(&self) -> Option<&dyn Combiner> {
+        self.inner.combiner()
+    }
+    fn incremental(&self) -> Option<&dyn IncrementalReducer> {
+        self.inner.incremental()
+    }
+    fn expected_keys(&self) -> Option<u64> {
+        self.inner.expected_keys()
+    }
+}
+
+/// A bad UDF fails its job, never the server: a `map` that panics turns
+/// that job `Failed`, frees its tenant's slot for the queued job, lets
+/// the server drain, and leaves every other job identical to its solo
+/// twin.
+#[test]
+fn a_panicking_udf_fails_its_job_and_nothing_else() {
+    let data = input();
+    // One thread: the panic unwinds the job thread itself. Two: it
+    // unwinds a pool worker and reaches the job thread through
+    // `assert_healthy`.
+    for threads in [1usize, 2] {
+        let spec = spec_at(threads, FaultConfig::disabled());
+        let landmine = PanicsOn {
+            inner: click_count(),
+            // In the third of four batches: the job has parked at wave
+            // boundaries, interleaved with its neighbour, before it dies.
+            record: data.records[data.len() * 5 / 8].to_vec(),
+        };
+
+        let mut server = Server::new(ServeConfig {
+            slots_per_tenant: 1,
+            queue_per_tenant: 2,
+            queue_total: 4,
+        });
+        let bad = server
+            .submit(0, landmine, Arc::clone(&data), &spec)
+            .expect("submit bad");
+        let queued = server
+            .submit(0, click_count(), Arc::clone(&data), &spec)
+            .expect("submit queued");
+        let good = server
+            .submit(1, click_count(), Arc::clone(&data), &spec)
+            .expect("submit good");
+        assert_eq!(bad.outcome, AdmissionOutcome::Started);
+        assert_eq!(queued.outcome, AdmissionOutcome::Queued);
+        assert_eq!(good.outcome, AdmissionOutcome::Started);
+
+        server.run_to_completion().expect("server drains");
+
+        let status = server.status();
+        let failed = &status[bad.job as usize];
+        assert_eq!(failed.phase, JobPhase::Failed, "@ {threads} threads");
+        let error = failed.error.as_deref().expect("failure message");
+        assert!(error.starts_with("job panicked: "), "got {error:?}");
+        assert!(failed.waves >= 2, "the job ran waves before it died");
+        assert!(server.outcome(bad.job).is_none());
+
+        // The slot came back: tenant 0's queued job started and finished.
+        let book = server.book(0).expect("tenant 0 book");
+        assert_eq!((book.failed, book.finished, book.running), (1, 1, 0));
+        assert!(book.reconciles());
+
+        let twin = solo(&spec, click_count(), &data);
+        for job in [queued.job, good.job] {
+            assert_outcome_identical(
+                server.outcome(job).expect("finished"),
+                &twin,
+                &format!("job {job} next to a panicking tenant @ {threads} threads"),
+            );
+        }
+    }
 }
