@@ -9,10 +9,16 @@ mod common;
 
 use common::{seeded_input, spec, WordCount};
 use opa_common::fault::FaultConfig;
-use opa_common::ExecConfig;
-use opa_core::cluster::Framework;
-use opa_core::job::{JobBuilder, JobOutcome};
+use opa_common::rng::SplitMix64;
+use opa_common::units::SimTime;
+use opa_common::{AdmissionPolicy, CombineScope, ExecConfig, HashFamily, Key, Value};
+use opa_core::api::{Combiner, IncrementalReducer, Job, ReduceCtx};
+use opa_core::cluster::{ClusterSpec, Framework};
+use opa_core::job::{JobBuilder, JobInput, JobOutcome};
+use opa_core::map_phase::{compute_map_task, finish_map_task, Payload};
+use opa_core::sim::Resources;
 use opa_simio::codec::crc32;
+use opa_simio::BlockStore;
 
 fn run_traced(framework: Framework, threads: usize, faults: Option<FaultConfig>) -> JobOutcome {
     let input = seeded_input(0xC0FFEE, 1500);
@@ -134,6 +140,233 @@ fn golden_trace_pin() {
         crc, 0xF4AA_E046,
         "trace format drifted from the golden pin (see test comment)"
     );
+}
+
+/// Count-per-word job for the hash-path pins: a combiner that is either
+/// fold-capable or collect-style (the two map-side MR-hash tables), and an
+/// incremental reducer for INC/DINC-hash.
+struct Count {
+    fold: bool,
+}
+
+impl Job for Count {
+    fn name(&self) -> &str {
+        "count"
+    }
+    fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
+        for word in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
+            emit(word, &1u64.to_be_bytes());
+        }
+    }
+    fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
+        let sum: u64 = values.iter().filter_map(Value::as_u64).sum();
+        ctx.emit(key.clone(), Value::from_u64(sum));
+    }
+    fn combiner(&self) -> Option<&dyn Combiner> {
+        Some(self)
+    }
+    fn incremental(&self) -> Option<&dyn IncrementalReducer> {
+        Some(self)
+    }
+    fn expected_keys(&self) -> Option<u64> {
+        Some(400)
+    }
+}
+
+impl Combiner for Count {
+    fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
+        vec![Value::from_u64(
+            values.iter().filter_map(Value::as_u64).sum(),
+        )]
+    }
+    fn supports_fold(&self) -> bool {
+        self.fold
+    }
+    fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
+        *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + value.as_u64().unwrap_or(0));
+    }
+}
+
+impl IncrementalReducer for Count {
+    fn init(&self, _key: &Key, value: Value) -> Value {
+        value
+    }
+    fn cb(&self, _key: &Key, acc: &mut Value, other: Value, _ctx: &mut ReduceCtx) {
+        *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + other.as_u64().unwrap_or(0));
+    }
+    fn finalize(&self, key: &Key, state: Value, ctx: &mut ReduceCtx) {
+        ctx.emit(key.clone(), state);
+    }
+}
+
+/// A sliding window of a dozen hot words over a wide cold tail: words keep
+/// turning hot after the tables have filled (so the LFU gates see strictly
+/// hotter newcomers), stay hot across neighbouring chunks (so node staging
+/// has cross-task keys to merge), and the tail overflows every table of
+/// [`pin_spec`].
+fn pin_input() -> JobInput {
+    let mut rng = SplitMix64::new(0x51A7_E5);
+    let recs: Vec<Vec<u8>> = (0..4000u64)
+        .map(|i| {
+            let words: Vec<String> = (0..3 + rng.next_below(4))
+                .map(|_| {
+                    if rng.next_below(3) == 0 {
+                        format!("h{}", i / 16 + rng.next_below(12))
+                    } else {
+                        format!("t{}", rng.next_below(3000))
+                    }
+                })
+                .collect();
+            words.join(" ").into_bytes()
+        })
+        .collect();
+    JobInput::from_records(recs)
+}
+
+/// The 2-node test cluster with 4 KB of reduce memory — about 70 resident
+/// keys per reducer against about 750 arriving, so spilled buckets
+/// themselves overflow and re-partition — and a node staging budget of a
+/// few map outputs, so stages merge across tasks and still flush early.
+fn pin_spec() -> ClusterSpec {
+    let mut spec = ClusterSpec::tiny();
+    spec.hardware.reduce_buffer = 4096;
+    spec.node_combine_buffer = 40 * 1024;
+    spec
+}
+
+/// Map-side LFU evictions in one chunk's plan, counted from the shipped
+/// payloads alone: displaced and unadmitted rows ship before the resident
+/// ones, a resident key ships once, and an unadmitted arrival carries a
+/// single tuple — so a row holding two or more tuples that is followed by
+/// another row of its key was a resident, evicted.
+fn map_side_evictions(input: &JobInput, spec: &ClusterSpec) -> usize {
+    let store = BlockStore::split(
+        input.records.iter().map(|r| r.len() as u64),
+        spec.system.chunk_size,
+        spec.hardware.nodes,
+    );
+    let chunk = &store.chunks()[0];
+    let plan = compute_map_task(
+        &Count { fold: true },
+        Framework::IncHash,
+        &input.records[chunk.range.clone()],
+        chunk.bytes,
+        spec,
+        HashFamily::new(spec.hash_seed).fn_at(0),
+        AdmissionPolicy::Lfu,
+        CombineScope::Task,
+        None,
+    );
+    let mut res = Resources::new(spec.hardware.nodes, spec.hardware.map_slots, false);
+    let result = finish_map_task(plan, chunk.node, SimTime::ZERO, spec, &mut res);
+    let mut evictions = 0;
+    for payload in &result.granules[0].partitions {
+        let Payload::States(rows) = payload else {
+            panic!("incremental map output is key-state pairs");
+        };
+        let rows: Vec<_> = rows.iter().collect();
+        for (i, row) in rows.iter().enumerate() {
+            let again = rows[i + 1..].iter().any(|later| later.key == row.key);
+            evictions += usize::from(row.state.as_u64() >= Some(2) && again);
+        }
+    }
+    evictions
+}
+
+#[test]
+fn golden_hash_path_pins() {
+    // The sort-merge pin above never enters the hash group-by code. These
+    // rows pin the effect order (trace CRC), the finalize order (CRC of the
+    // output in emission order) and the byte counts of every path through
+    // it: the map-side collapse table with and without the LFU gate, both
+    // MR-hash combiner tables, INC-hash's resident table under first-come
+    // and LFU admission, the spilled-bucket pass with overflow recursion
+    // under all three hash frameworks, and the node staging table in both
+    // merge modes. Update a row only for a change that means to move it.
+    use AdmissionPolicy::{Lfu, Off};
+    use CombineScope::{Node, Task};
+    struct Pin {
+        name: &'static str,
+        framework: Framework,
+        admission: AdmissionPolicy,
+        combine: CombineScope,
+        fold: bool,
+        trace_crc: u32,
+        output_crc: u32,
+        /// map output, shuffle, reduce spill, output bytes.
+        bytes: [u64; 4],
+    }
+    #[rustfmt::skip]
+    let pins = [
+        Pin { name: "inc-hash", framework: Framework::IncHash, admission: Off, combine: Task, fold: true,
+              trace_crc: 0x8CB8_9AD6, output_crc: 0xEDB4_C003, bytes: [236_605, 236_605, 372_130, 65_679] },
+        Pin { name: "inc-hash lfu", framework: Framework::IncHash, admission: Lfu, combine: Task, fold: true,
+              trace_crc: 0x8A1A_8869, output_crc: 0x4AC3_AE7B, bytes: [241_550, 241_550, 380_247, 65_679] },
+        Pin { name: "dinc-hash", framework: Framework::DincHash, admission: Off, combine: Task, fold: true,
+              trace_crc: 0xF72E_2809, output_crc: 0xA9D4_F647, bytes: [236_605, 236_605, 421_617, 65_679] },
+        Pin { name: "mr-hash fold", framework: Framework::MrHash, admission: Off, combine: Task, fold: true,
+              trace_crc: 0x157C_A978, output_crc: 0x5BFE_C37D, bytes: [236_605, 236_605, 478_685, 65_679] },
+        Pin { name: "mr-hash collect", framework: Framework::MrHash, admission: Off, combine: Task, fold: false,
+              trace_crc: 0x157C_A978, output_crc: 0x5BFE_C37D, bytes: [236_605, 236_605, 478_685, 65_679] },
+        Pin { name: "inc-hash node", framework: Framework::IncHash, admission: Off, combine: Node, fold: true,
+              trace_crc: 0x70E6_4A92, output_crc: 0x66CA_D8D1, bytes: [236_605, 165_807, 266_630, 65_679] },
+        Pin { name: "sort-merge node", framework: Framework::SortMerge, admission: Off, combine: Node, fold: true,
+              trace_crc: 0xDA63_5608, output_crc: 0x6369_764C, bytes: [236_605, 165_807, 165_807, 65_679] },
+    ];
+    let (input, spec) = (pin_input(), pin_spec());
+    for pin in pins {
+        let name = pin.name;
+        let outcome = JobBuilder::new(Count { fold: pin.fold })
+            .framework(pin.framework)
+            .cluster(spec.clone())
+            .admission(pin.admission)
+            .combine(pin.combine)
+            .trace(true)
+            .run(&input)
+            .expect("job runs");
+        let m = &outcome.metrics;
+
+        // Non-vacuity: the row really runs the code it pins.
+        if pin.framework != Framework::SortMerge {
+            // A tuple is staged at most once before the bucket pass, so
+            // spilling more than was shuffled means a bucket overflowed
+            // and was re-partitioned.
+            assert!(
+                m.reduce_spill_bytes > m.shuffle_bytes,
+                "{name}: no overflow recursion ({} spilled of {} shuffled)",
+                m.reduce_spill_bytes,
+                m.shuffle_bytes
+            );
+        }
+        if pin.admission.is_on() {
+            let adm = m.admission.expect("incremental frameworks report it");
+            assert!(
+                adm.admitted_evictions > 0,
+                "{name}: no reduce-side eviction"
+            );
+            assert!(
+                map_side_evictions(&input, &spec) > 0,
+                "{name}: no map-side eviction"
+            );
+        }
+        if pin.combine.is_node() {
+            let nc = m.node_combine.expect("node scope reports its stage");
+            assert!(nc.merged_rows > 0, "{name}: nothing merged across tasks");
+        }
+
+        let trace_crc = crc32(jsonl(&outcome).as_bytes());
+        let output_crc = crc32(&opa_simio::codec::encode_run(&outcome.output));
+        let bytes = [
+            m.map_output_bytes,
+            m.shuffle_bytes,
+            m.reduce_spill_bytes,
+            m.output_bytes,
+        ];
+        println!("{name}: trace 0x{trace_crc:08X}, output 0x{output_crc:08X}, bytes {bytes:?}");
+        assert_eq!(trace_crc, pin.trace_crc, "{name}: effect order drifted");
+        assert_eq!(output_crc, pin.output_crc, "{name}: finalize order drifted");
+        assert_eq!(bytes, pin.bytes, "{name}: byte counts drifted");
+    }
 }
 
 #[test]
