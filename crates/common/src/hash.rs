@@ -15,6 +15,7 @@
 //! is stable across runs and platforms.
 
 use crate::rng::SplitMix64;
+use crate::types::Key;
 
 /// One member of the hash family. Cheap to copy; hashing allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,18 +280,17 @@ impl std::hash::Hasher for SeededHasher {
 const EMPTY: u32 = u32::MAX;
 
 /// A minimal open-addressing index from a precomputed 64-bit fingerprint
-/// to a dense row id — the probe side of the engine's insertion-ordered
-/// group-by pattern (`Vec<(Key, V)>` plus an index).
+/// to a dense row id — the probe side of [`GroupTable`], which owns the
+/// rows and is the only user.
 ///
-/// Unlike `HashMap<Key, usize>` it stores **no keys at all**: callers keep
-/// their rows in the companion `Vec` and supply an equality closure that
-/// compares against `rows[candidate]`. That removes the per-distinct-key
-/// `Key` clone the old pattern paid, and — because the caller passes the
-/// fingerprint — lets the partition-time `h1` hash be computed once and
-/// carried all the way into the reduce-table probe. The table never
-/// iterates, so its layout cannot influence output order.
+/// Unlike `HashMap<Key, usize>` it stores **no keys at all**: the table
+/// supplies an equality closure that compares against `rows[candidate]`.
+/// That removes a per-distinct-key `Key` clone, and — because the caller
+/// passes the fingerprint — lets the partition-time `h1` hash be computed
+/// once and carried all the way into the reduce-table probe. The index
+/// never iterates, so its layout cannot influence output order.
 #[derive(Debug, Clone, Default)]
-pub struct GroupIndex {
+struct GroupIndex {
     /// Parallel arrays: fingerprint and row id per slot (`EMPTY` = free).
     fps: Vec<u64>,
     rows: Vec<u32>,
@@ -301,7 +301,7 @@ pub struct GroupIndex {
 
 impl GroupIndex {
     /// An index expecting roughly `cap` distinct rows.
-    pub fn with_capacity(cap: usize) -> Self {
+    fn with_capacity(cap: usize) -> Self {
         let slots = (cap.max(4) * 8 / 7).next_power_of_two();
         GroupIndex {
             fps: vec![0; slots],
@@ -312,12 +312,14 @@ impl GroupIndex {
     }
 
     /// Number of rows indexed.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -325,7 +327,7 @@ impl GroupIndex {
     /// confirms a true key match (guarding against fingerprint
     /// collisions).
     #[inline]
-    pub fn get(&self, fp: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
+    fn get(&self, fp: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
         if self.rows.is_empty() {
             // A `Default` index has no slots yet; `insert` grows it lazily.
             return None;
@@ -346,7 +348,7 @@ impl GroupIndex {
     /// Inserts a fingerprint → row mapping. The caller has already
     /// established via [`GroupIndex::get`] that the key is absent.
     #[inline]
-    pub fn insert(&mut self, fp: u64, row: usize) {
+    fn insert(&mut self, fp: u64, row: usize) {
         debug_assert!(row < EMPTY as usize);
         if (self.len + 1) * 8 > (self.mask + 1) * 7 {
             self.grow();
@@ -378,7 +380,8 @@ impl GroupIndex {
     }
 
     /// Drops every entry, keeping the allocation.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    fn clear(&mut self) {
         self.fps.fill(0);
         self.rows.fill(EMPTY);
         self.len = 0;
@@ -389,7 +392,7 @@ impl GroupIndex {
     /// chains never grow from deletions). Returns whether the mapping
     /// existed. Deterministic: the resulting slot layout is a pure
     /// function of the insert/remove sequence.
-    pub fn remove(&mut self, fp: u64, row: usize) -> bool {
+    fn remove(&mut self, fp: u64, row: usize) -> bool {
         if self.rows.is_empty() {
             return false;
         }
@@ -427,9 +430,9 @@ impl GroupIndex {
     }
 
     /// Rewrites the mapping `fp → old_row` to point at `new_row` (the
-    /// caller moved the row in its companion `Vec`, e.g. via
-    /// `swap_remove`). Returns whether the mapping existed.
-    pub fn reindex(&mut self, fp: u64, old_row: usize, new_row: usize) -> bool {
+    /// table moved the row, via `swap_remove`). Returns whether the mapping
+    /// existed.
+    fn reindex(&mut self, fp: u64, old_row: usize, new_row: usize) -> bool {
         debug_assert!(new_row < EMPTY as usize);
         if self.rows.is_empty() {
             return false;
@@ -446,6 +449,128 @@ impl GroupIndex {
             }
             slot = (slot + 1) & self.mask;
         }
+    }
+}
+
+/// The engine's one group-by table: key → `V` rows in insertion order,
+/// probed by a fingerprint the caller already holds (the partition-time
+/// `h1` hash, carried from the map side into every reduce-side probe).
+///
+/// Every hash technique of the paper (§4) and the Hash-based Map Output
+/// component (§5) is this table plus a rule for *which keys stay
+/// resident*; the callers differ only in that rule and in `V`. Rows are
+/// dense — [`GroupTable::swap_remove`] keeps them so, repairing the index
+/// itself — and are only ever enumerated in row order, so the slot layout
+/// can never reach an output.
+#[derive(Debug, Clone, Default)]
+pub struct GroupTable<V> {
+    /// `(fingerprint, key, value)` in first-seen order, perturbed only by
+    /// `swap_remove`.
+    rows: Vec<(u64, Key, V)>,
+    index: GroupIndex,
+}
+
+impl<V> GroupTable<V> {
+    /// A table whose index is sized for roughly `cap` distinct keys, so
+    /// it is not rebuilt on the way there. Row storage grows on demand.
+    pub fn with_capacity(cap: usize) -> Self {
+        GroupTable {
+            rows: Vec::new(),
+            index: GroupIndex::with_capacity(cap),
+        }
+    }
+
+    /// Reserves row storage for `additional` more keys — for a caller
+    /// whose estimate is good enough to spend the memory up front.
+    pub fn reserve_rows(&mut self, additional: usize) {
+        self.rows.reserve(additional);
+    }
+
+    /// Number of resident keys.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no key is resident.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The row holding `key`, whose fingerprint is `fp`.
+    #[inline]
+    pub fn find(&self, fp: u64, key: &Key) -> Option<usize> {
+        self.index.get(fp, |r| self.rows[r].1 == *key)
+    }
+
+    /// Appends a row for a key that [`GroupTable::find`] just missed.
+    #[inline]
+    pub fn push(&mut self, fp: u64, key: Key, value: V) {
+        self.index.insert(fp, self.rows.len());
+        self.rows.push((fp, key, value));
+    }
+
+    /// Row `i`'s key and value.
+    #[inline]
+    pub fn row(&self, i: usize) -> (&Key, &V) {
+        let (_, key, value) = &self.rows[i];
+        (key, value)
+    }
+
+    /// Row `i`'s key and its value, mutably.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> (&Key, &mut V) {
+        let (_, key, value) = &mut self.rows[i];
+        (key, value)
+    }
+
+    /// Every resident `(key, value)`, in row order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Key, &V)> {
+        self.rows.iter().map(|(_, key, value)| (key, value))
+    }
+
+    /// Removes row `i`, moving the last row into its place so the rows
+    /// stay dense; the moved row's index entry follows it.
+    pub fn swap_remove(&mut self, i: usize) -> (u64, Key, V) {
+        let last = self.rows.len() - 1;
+        self.index.remove(self.rows[i].0, i);
+        let row = self.rows.swap_remove(i);
+        if i < last {
+            self.index.reindex(self.rows[i].0, last, i);
+        }
+        row
+    }
+
+    /// Consumes the table into its `(fingerprint, key, value)` rows, in
+    /// row order. The index is freed at once, so what the caller does with
+    /// the rows (finalize, ship, recurse) runs without the table's memory.
+    pub fn into_rows(self) -> Vec<(u64, Key, V)> {
+        self.rows
+    }
+
+    /// The rotating victim scan of the LFU admission gates: scores up to
+    /// `probes` consecutive rows, starting where `cursor` points, with
+    /// `est` over their stored fingerprints, and returns the first
+    /// lowest-scoring row with its score. The cursor then advances by
+    /// `probes`, so every resident is eventually considered while each
+    /// call stays O(`probes`). `None` (cursor untouched) on an empty table.
+    pub fn coldest(
+        &self,
+        cursor: &mut u64,
+        probes: usize,
+        est: impl Fn(u64) -> u32,
+    ) -> Option<(usize, u32)> {
+        let n = self.rows.len();
+        if n == 0 {
+            return None;
+        }
+        let start = (*cursor % n as u64) as usize;
+        *cursor = cursor.wrapping_add(probes as u64);
+        (0..probes.min(n))
+            .map(|probe| {
+                let i = (start + probe) % n;
+                (i, est(self.rows[i].0))
+            })
+            .min_by_key(|&(_, score)| score)
     }
 }
 

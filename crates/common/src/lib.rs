@@ -8,13 +8,13 @@
 //!
 //! - byte-oriented [`Key`]/[`Value`] record types ([`types`]),
 //! - a family of pairwise-independent universal hash functions used for the
-//!   recursive hash partitioning `h1, h2, h3, …` of the paper's §4
-//!   ([`hash`]),
+//!   recursive hash partitioning `h1, h2, h3, …` of the paper's §4, and
+//!   the group-by table their fingerprints probe ([`hash`]),
 //! - configuration structs mirroring the symbols of the paper's Table 2
 //!   ([`config`]),
 //! - virtual-time and byte-size units ([`units`]),
 //! - deterministic seeded RNG helpers ([`rng`]),
-//! - SWAR/SIMD byte scanning for tokenizer hot loops ([`scan`]),
+//! - SWAR byte scanning for tokenizer hot loops ([`scan`]),
 //! - the TinyLFU-style frequency sketch and membership filter behind
 //!   frequency-gated admission ([`sketch`]),
 //! - the canonical ⟨key, value⟩ record framing that carries one job's
@@ -44,7 +44,7 @@ pub use config::{
 };
 pub use error::{Error, Result};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultReport};
-pub use hash::{GroupIndex, HashFamily, HashFn, SeededState};
+pub use hash::{GroupTable, HashFamily, HashFn, SeededState};
 pub use record::{decode_kv, encode_kv, encode_kv_into};
 pub use scan::{find_byte, tokens};
 pub use sketch::{FreqSketch, KeyFilter};

@@ -1,22 +1,16 @@
-//! SWAR/SIMD byte scanning for tokenizers.
+//! SWAR byte scanning for tokenizers.
 //!
 //! The map-side hot loop of text workloads (word counting, trigram
 //! sliding windows) spends most of its time finding delimiter bytes. The
 //! scalar idiom — `record.split(|&b| b == b' ').filter(|w| !w.is_empty())`
 //! — inspects one byte per iteration. [`tokens`] yields exactly the same
-//! sequence of non-empty tokens but locates delimiters a word (or a SIMD
-//! vector) at a time:
+//! sequence of non-empty tokens but locates delimiters a word at a time:
+//! 8 bytes per step using the classic zero-byte trick on
+//! `x ^ (delim × 0x0101…01)`.
 //!
-//! - the portable default is a SWAR scan — 8 bytes per step using the
-//!   classic zero-byte trick on `x ^ (delim × 0x0101…01)`;
-//! - with the `simd` feature, `x86_64` uses an SSE2 compare + movemask
-//!   over 16-byte vectors and `aarch64` the NEON compare + `vshrn`
-//!   nibble-mask equivalent. Both are baseline ISA on their targets, so
-//!   no runtime detection is needed.
-//!
-//! Every path reports the *first* matching position, so the token
-//! sequence is identical by construction; `tests/swar_equivalence.rs`
-//! property-tests all of them against the scalar split.
+//! The scan reports the *first* matching position, so the token sequence
+//! is identical by construction; `tests/swar_equivalence.rs` property-tests
+//! it against the scalar split.
 
 /// Iterator over the non-empty `delim`-separated tokens of `data`.
 /// Equivalent to `data.split(|&b| b == delim).filter(|t| !t.is_empty())`.
@@ -61,32 +55,19 @@ impl<'a> Iterator for Tokens<'a> {
     }
 }
 
-/// Position of the first occurrence of `needle` in `haystack`.
-#[inline]
-pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        return find_byte_sse2(haystack, needle);
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    {
-        return find_byte_neon(haystack, needle);
-    }
-    #[allow(unreachable_code)]
-    find_byte_swar(haystack, needle)
-}
-
 const LSB: u64 = 0x0101_0101_0101_0101;
 const MSB: u64 = 0x8080_8080_8080_8080;
 
-/// Portable SWAR scan: 8 bytes per step.
+/// Position of the first occurrence of `needle` in `haystack`, by a SWAR
+/// scan of 8 bytes per step.
 ///
 /// `x ^ pat` has a zero byte exactly where `x` has a `needle` byte, and
 /// `(v − 0x01…) & !v & 0x80…` flags zero bytes of `v`. Borrows can leak
 /// spurious flags into *more significant* bytes, but only across a true
 /// zero byte — so the least significant set flag is always a real match,
 /// and `trailing_zeros` reads exactly that one.
-pub fn find_byte_swar(haystack: &[u8], needle: u8) -> Option<usize> {
+#[inline]
+pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
     let pat = LSB.wrapping_mul(needle as u64);
     let mut chunks = haystack.chunks_exact(8);
     let mut base = 0usize;
@@ -103,58 +84,6 @@ pub fn find_byte_swar(haystack: &[u8], needle: u8) -> Option<usize> {
         .iter()
         .position(|&b| b == needle)
         .map(|i| base + i)
-}
-
-/// SSE2 scan: 16 bytes per step. SSE2 is baseline on `x86_64`, so this
-/// compiles to plain unprefixed vector code with no runtime dispatch.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub fn find_byte_sse2(haystack: &[u8], needle: u8) -> Option<usize> {
-    use std::arch::x86_64::{_mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_set1_epi8};
-    let mut chunks = haystack.chunks_exact(16);
-    let mut base = 0usize;
-    // SAFETY: `_mm_loadu_si128` permits unaligned loads and each chunk is
-    // exactly 16 readable bytes; SSE2 is unconditionally available on
-    // x86_64.
-    unsafe {
-        let pat = _mm_set1_epi8(needle as i8);
-        for w in &mut chunks {
-            let v = _mm_loadu_si128(w.as_ptr() as *const _);
-            let mask = _mm_movemask_epi8(_mm_cmpeq_epi8(v, pat)) as u32;
-            if mask != 0 {
-                return Some(base + mask.trailing_zeros() as usize);
-            }
-            base += 16;
-        }
-    }
-    find_byte_swar(chunks.remainder(), needle).map(|i| base + i)
-}
-
-/// NEON scan: 16 bytes per step. NEON has no movemask; `vshrn` narrows
-/// the per-byte 0xFF/0x00 compare result to a nibble per byte packed in a
-/// `u64`, so `trailing_zeros / 4` recovers the first match index.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-pub fn find_byte_neon(haystack: &[u8], needle: u8) -> Option<usize> {
-    use std::arch::aarch64::{
-        vceqq_u8, vdupq_n_u8, vget_lane_u64, vld1q_u8, vreinterpret_u64_u8, vreinterpretq_u16_u8,
-        vshrn_n_u16,
-    };
-    let mut chunks = haystack.chunks_exact(16);
-    let mut base = 0usize;
-    // SAFETY: `vld1q_u8` permits unaligned loads and each chunk is
-    // exactly 16 readable bytes; NEON is baseline on aarch64.
-    unsafe {
-        let pat = vdupq_n_u8(needle);
-        for w in &mut chunks {
-            let eq = vceqq_u8(vld1q_u8(w.as_ptr()), pat);
-            let nibbles = vshrn_n_u16(vreinterpretq_u16_u8(eq), 4);
-            let mask = vget_lane_u64(vreinterpret_u64_u8(nibbles), 0);
-            if mask != 0 {
-                return Some(base + (mask.trailing_zeros() / 4) as usize);
-            }
-            base += 16;
-        }
-    }
-    find_byte_swar(chunks.remainder(), needle).map(|i| base + i)
 }
 
 #[cfg(test)]
@@ -178,7 +107,7 @@ mod tests {
             b"a b c",
             b" leading and  double  gaps ",
             b"exactly8 exactly8",
-            b"a-sixteen-byte-x token crossing the simd stride boundary here",
+            b"a-sixteen-byte-x token crossing several stride boundaries here",
             b"trailing space ",
         ];
         for &case in cases {
@@ -192,16 +121,13 @@ mod tests {
         // 0xFF bytes next to the needle stress the SWAR borrow caveat.
         let mut data = vec![0xFFu8; 40];
         assert_eq!(find_byte(&data, b'x'), None);
-        assert_eq!(find_byte_swar(&data, b'x'), None);
         data[21] = b'x';
         data[37] = b'x';
         assert_eq!(find_byte(&data, b'x'), Some(21));
-        assert_eq!(find_byte_swar(&data, b'x'), Some(21));
         for pos in 0..24 {
             let mut v = vec![0u8; 24];
             v[pos] = b';';
             assert_eq!(find_byte(&v, b';'), Some(pos), "needle at {pos}");
-            assert_eq!(find_byte_swar(&v, b';'), Some(pos), "needle at {pos}");
         }
     }
 

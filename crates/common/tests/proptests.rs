@@ -1,8 +1,8 @@
 //! Property-based tests for the foundation types.
 
-use opa_common::hash::HashFamily;
+use opa_common::hash::{bucket_of, HashFamily};
 use opa_common::units::{SimDuration, SimTime};
-use opa_common::{Key, Value};
+use opa_common::{GroupTable, Key, Value};
 use proptest::prelude::*;
 
 proptest! {
@@ -143,5 +143,91 @@ fn boundary_sizes_cross_repr_semantics() {
         longer.push(0x5A);
         assert!(Key::from_slice(&longer) > inline_or_heap, "size {n}");
         assert!(Key::forced_heap(longer) > heap, "size {n}");
+    }
+}
+
+/// Fingerprint of test key `k`: keys `2j` and `2j + 1` share one (distinct
+/// keys colliding on the full 64 bits), and the top bits are cleared the way
+/// `bucket_of` confines the fingerprints one reducer of 64 ever sees.
+fn table_fp(k: u16) -> u64 {
+    let fp = HashFamily::new(5).fn_at(0).hash(&(k / 2).to_be_bytes()) >> 6;
+    assert_eq!(bucket_of(fp, 64), 0);
+    fp
+}
+
+/// Score the victim scan ranks fingerprints by; coarse, so ties are common.
+fn table_score(fp: u64) -> u32 {
+    (fp % 5) as u32
+}
+
+proptest! {
+    /// `GroupTable` against a `Vec` with linear search, over random
+    /// find / push / row_mut / swap_remove / coldest / into_rows sequences.
+    /// After every step the rows are dense and in the model's order, and
+    /// every resident key is found at the model's position.
+    #[test]
+    fn group_table_matches_linear_search_model(
+        ops in proptest::collection::vec((0u8..8, 0u16..48, any::<u64>()), 1..300),
+    ) {
+        let mut table: GroupTable<u64> = GroupTable::default();
+        let mut model: Vec<(u64, Key, u64)> = Vec::new();
+        let (mut cursor, mut model_cursor) = (0u64, 0u64);
+        for (op, k, x) in ops {
+            let (fp, key) = (table_fp(k), Key::from_u64(u64::from(k)));
+            match op {
+                // Upsert, the group-by step itself.
+                0..=3 => {
+                    let at = model.iter().position(|(_, mk, _)| *mk == key);
+                    prop_assert_eq!(table.find(fp, &key), at);
+                    match at {
+                        Some(i) => {
+                            let (found, v) = table.row_mut(i);
+                            prop_assert_eq!(found, &key);
+                            *v = v.wrapping_add(x);
+                            model[i].2 = model[i].2.wrapping_add(x);
+                        }
+                        None => {
+                            table.push(fp, key.clone(), x);
+                            model.push((fp, key, x));
+                        }
+                    }
+                }
+                4 | 5 if !model.is_empty() => {
+                    let i = x as usize % model.len();
+                    prop_assert_eq!(table.swap_remove(i), model.swap_remove(i));
+                }
+                6 => {
+                    let probes = 1 + x as usize % 5;
+                    let n = model.len() as u64;
+                    let mut want: Option<(usize, u32)> = None;
+                    if n > 0 {
+                        for p in 0..(probes as u64).min(n) {
+                            let i = ((model_cursor + p) % n) as usize;
+                            let score = table_score(model[i].0);
+                            if want.is_none_or(|(_, best)| score < best) {
+                                want = Some((i, score));
+                            }
+                        }
+                        model_cursor += probes as u64;
+                    }
+                    prop_assert_eq!(table.coldest(&mut cursor, probes, table_score), want);
+                    prop_assert_eq!(cursor, model_cursor);
+                }
+                7 if x % 4 == 0 => {
+                    prop_assert_eq!(&std::mem::take(&mut table).into_rows(), &model);
+                    model.clear();
+                    prop_assert!(table.is_empty());
+                }
+                _ => {}
+            }
+            prop_assert_eq!(table.len(), model.len());
+            for (i, (fp, key, v)) in model.iter().enumerate() {
+                prop_assert_eq!(table.row(i), (key, v));
+                prop_assert_eq!(table.find(*fp, key), Some(i));
+            }
+            let in_order: Vec<_> = table.iter().collect();
+            let model_order: Vec<_> = model.iter().map(|(_, key, v)| (key, v)).collect();
+            prop_assert_eq!(in_order, model_order);
+        }
     }
 }

@@ -1,5 +1,4 @@
-//! Bit-equality of the SWAR/SIMD fast paths against their scalar
-//! references.
+//! Bit-equality of the SWAR fast paths against their scalar references.
 //!
 //! The engine's determinism guarantees (golden output CRCs, trace CRCs,
 //! thread-count invariance) all assume `HashFn::hash` and the token
@@ -7,14 +6,11 @@
 //! not merely "a good hash" or "roughly the same tokens". These tests pin
 //! that equivalence at the byte level, over the boundary lengths the
 //! unrolled loops can mishandle (around the 8-byte SWAR stride, the
-//! 16-byte SIMD stride, the 32-byte hash unroll, and the engine's 22/23
-//! inline-key sizes) and over arbitrary inputs.
-//!
-//! Run with and without `--features simd`: the same assertions then cover
-//! the SSE2/NEON specializations.
+//! 32-byte hash unroll, and the engine's 22/23 inline-key sizes) and over
+//! arbitrary inputs.
 
 use opa_common::hash::HashFamily;
-use opa_common::scan::{find_byte, find_byte_swar, tokens};
+use opa_common::scan::{find_byte, tokens};
 use proptest::prelude::*;
 
 /// Lengths that straddle every stride the fast paths use.
@@ -94,13 +90,11 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// `find_byte` (whatever path the feature set selects) agrees with the
-    /// scalar position search and the portable SWAR path.
+    /// `find_byte` agrees with the scalar position search.
     #[test]
     fn find_byte_matches_position(data in proptest::collection::vec(any::<u8>(), 0..100),
                                   needle: u8) {
         let want = data.iter().position(|&b| b == needle);
         prop_assert_eq!(find_byte(&data, needle), want);
-        prop_assert_eq!(find_byte_swar(&data, needle), want);
     }
 }

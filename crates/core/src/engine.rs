@@ -51,11 +51,13 @@ use crate::reduce::{
     make_reducer, replay, replay_recovery, Effect, ReduceEnv, ReduceSide, ReducerCkpt,
     ReducerSizing, ReplayTarget,
 };
+use crate::resident::cb_sized;
 use crate::sim::{EventQueue, OpKind, Resources};
 use opa_common::fault::{FaultEvent, FaultKind, FaultReport};
+use opa_common::hash::bucket_of;
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{
-    Error, GroupIndex, HashFamily, HashFn, Key, Pair, RecordBatch, Result, StateBatch, StatePair,
+    Error, GroupTable, HashFamily, HashFn, Key, Pair, RecordBatch, Result, StateBatch, StatePair,
     Value,
 };
 use opa_simio::{BlockStore, DiskFaultInjector, IoCategory, IoOp};
@@ -256,9 +258,6 @@ enum NodeMerge<'j> {
     States(&'j dyn IncrementalReducer),
 }
 
-/// A staged row: (partition, h1 fingerprint, key, value-or-state).
-type StagedRow = (usize, u64, Key, Value);
-
 /// One node's pre-shuffle staging table under node-scope combining.
 /// Committed map granules land here (probed by the carried h1
 /// fingerprints) instead of booking shuffle bytes; the table drains at two
@@ -267,10 +266,9 @@ type StagedRow = (usize, u64, Key, Value);
 /// runs entirely on the scheduling thread in event order, so the outcome
 /// stays thread-count invariant like the rest of the scheduler.
 struct NodeStage {
-    /// Rows in first-seen order, which makes the rebuilt payloads a pure
-    /// function of the commit sequence.
-    rows: Vec<StagedRow>,
-    index: GroupIndex,
+    /// Key → value-or-state in first-seen order, which makes the rebuilt
+    /// payloads a pure function of the commit sequence.
+    table: GroupTable<Value>,
     /// Resident bytes, post-combine.
     bytes: u64,
     /// Bytes offered since the last flush, pre-combine.
@@ -291,8 +289,7 @@ struct NodeStage {
 impl NodeStage {
     fn new() -> Self {
         NodeStage {
-            rows: Vec::new(),
-            index: GroupIndex::with_capacity(64),
+            table: GroupTable::default(),
             bytes: 0,
             bytes_in: 0,
             merges: 0,
@@ -302,29 +299,25 @@ impl NodeStage {
         }
     }
 
-    /// Stages one row of `size` bytes; returns whether it merged into a
-    /// resident row of the same key.
-    fn absorb(&mut self, row: StagedRow, size: u64, merge: NodeMerge<'_>) -> bool {
-        let Some(at) = self.index.get(row.1, |i| self.rows[i].2 == row.2) else {
+    /// Stages one row of `size` bytes under its `h1` fingerprint; returns
+    /// whether it merged into a resident row of the same key.
+    fn absorb(&mut self, h: u64, key: Key, value: Value, size: u64, merge: NodeMerge<'_>) -> bool {
+        let Some(at) = self.table.find(h, &key) else {
             self.bytes += size;
-            self.index.insert(row.1, self.rows.len());
-            self.rows.push(row);
+            self.table.push(h, key, value);
             return false;
         };
-        let (_, _, key, acc) = &mut self.rows[at];
-        let (before, after) = match merge {
+        let (key, acc) = self.table.row_mut(at);
+        match merge {
             NodeMerge::Pairs(cb) => {
                 let before = acc.len() as u64;
-                cb.fold(key, acc, row.3);
-                (before, acc.len() as u64)
+                cb.fold(key, acc, value);
+                self.bytes = (self.bytes + acc.len() as u64).saturating_sub(before);
             }
             NodeMerge::States(inc) => {
-                let before = inc.state_mem_size(acc);
-                inc.cb(key, acc, row.3, &mut self.ctx);
-                (before, inc.state_mem_size(acc))
+                cb_sized(inc, key, acc, value, &mut self.ctx, &mut self.bytes)
             }
-        };
-        self.bytes = (self.bytes + after).saturating_sub(before);
+        }
         self.merges += 1;
         true
     }
@@ -586,6 +579,28 @@ impl<'e> Engine<'e> {
     /// sequence.
     fn import_state(&mut self, saved: EngineState) -> Result<()> {
         let (n_reducers, num_chunks) = (self.reducers.len(), self.done.len());
+        // A chunk still to map is scheduled once: queued, or pending on
+        // its node. `start_map` indexes by it and looks it up among the
+        // chunks not yet done, so anything else must not get that far.
+        let done = &self.done;
+        let mut scheduled = vec![false; num_chunks];
+        let mut schedule = |chunk: u64| {
+            usize::try_from(chunk)
+                .ok()
+                .filter(|&c| {
+                    c < num_chunks && !done[c] && !std::mem::replace(&mut scheduled[c], true)
+                })
+                .ok_or_else(|| {
+                    Error::storage(format!(
+                        "checkpoint schedules chunk {chunk}, which is unknown, already mapped \
+                         or scheduled twice"
+                    ))
+                })
+        };
+        let narrow = |n: u64, what: &str| {
+            u32::try_from(n)
+                .map_err(|_| Error::storage(format!("checkpoint {what} {n} is out of range")))
+        };
         for qe in saved.queue {
             match qe {
                 QueuedEvent::StartMap {
@@ -593,11 +608,8 @@ impl<'e> Engine<'e> {
                     chunk,
                     attempt,
                 } => {
-                    let chunk = chunk as usize;
-                    if chunk >= num_chunks {
-                        return Err(Error::storage("checkpoint queue names an unknown chunk"));
-                    }
-                    let attempt = attempt as u32;
+                    let chunk = schedule(chunk)?;
+                    let attempt = narrow(attempt, "attempt number")?;
                     self.queue
                         .push(SimTime(time), Ev::StartMap { chunk, attempt });
                 }
@@ -629,7 +641,9 @@ impl<'e> Engine<'e> {
             }
         }
         for (node, chunks) in saved.pending.iter().enumerate() {
-            self.pending[node].extend(chunks.iter().map(|&c| c as usize));
+            for &chunk in chunks {
+                self.pending[node].push_back(schedule(chunk)?);
+            }
         }
         self.res.restore_disk_free(&saved.disk_free);
         // Progress accounting restarts at the resume instant; pre-seeding
@@ -647,7 +661,11 @@ impl<'e> Engine<'e> {
         self.map_cpu = saved.map_cpu.iter().map(|&c| SimDuration(c)).collect();
         self.ready_at = saved.ready_at.iter().map(|&t| SimTime(t)).collect();
         self.delivery_seq = saved.delivery_seq;
-        self.crash_count = saved.crash_count.iter().map(|&c| c as u32).collect();
+        self.crash_count = saved
+            .crash_count
+            .iter()
+            .map(|&c| narrow(c, "crash count"))
+            .collect::<Result<_>>()?;
         self.reduce_cpu = saved.reduce_cpu.iter().map(|&c| SimDuration(c)).collect();
         self.spill_written_reduce = saved.spill_written_reduce;
         self.output = saved.output;
@@ -1030,7 +1048,7 @@ impl<'e> Engine<'e> {
         let (h1, spec) = (self.plans.h1, &self.plans.cfg.spec);
         let stage = &mut self.stage[at.node];
         let mut merged = 0u64;
-        for (part, payload) in granule.partitions.into_iter().enumerate() {
+        for payload in granule.partitions {
             if payload.is_empty() {
                 continue;
             }
@@ -1042,7 +1060,7 @@ impl<'e> Engine<'e> {
                         let h = hashes.get(i).copied();
                         let h = h.unwrap_or_else(|| h1.hash(p.key.bytes()));
                         let size = p.size();
-                        merged += u64::from(stage.absorb((part, h, p.key, p.value), size, merge));
+                        merged += u64::from(stage.absorb(h, p.key, p.value, size, merge));
                     }
                 }
                 (Payload::States(batch), NodeMerge::States(_)) => {
@@ -1051,7 +1069,7 @@ impl<'e> Engine<'e> {
                         let h = hashes.get(i).copied();
                         let h = h.unwrap_or_else(|| h1.hash(sp.key.bytes()));
                         let size = sp.size();
-                        merged += u64::from(stage.absorb((part, h, sp.key, sp.state), size, merge));
+                        merged += u64::from(stage.absorb(h, sp.key, sp.state, size, merge));
                     }
                 }
                 _ => unreachable!("payload kind matches the merge mode"),
@@ -1076,7 +1094,7 @@ impl<'e> Engine<'e> {
         // The resident rows now cover `at.chunk`: hold a pause below the
         // smallest staged chunk until the flush ships them.
         let over_budget = stage.bytes > spec.node_combine_buffer;
-        if !stage.rows.is_empty() && stage.held.is_none_or(|held| at.chunk < held) {
+        if !stage.table.is_empty() && stage.held.is_none_or(|held| at.chunk < held) {
             if let Some(held) = stage.held.replace(at.chunk) {
                 self.landed(held);
             }
@@ -1096,8 +1114,6 @@ impl<'e> Engine<'e> {
         let Some(held) = stage.held.take() else {
             return; // nothing resident
         };
-        let rows = std::mem::take(&mut stage.rows);
-        stage.index.clear();
         stage.bytes = 0;
         let bytes_in = std::mem::take(&mut stage.bytes_in);
         let cb_cpu = self
@@ -1109,7 +1125,8 @@ impl<'e> Engine<'e> {
         let t1 = self.res.cpu(node, t0, cb_cpu);
         self.map_cpu[node] += cb_cpu;
         let n_reducers = self.reducers.len();
-        let cap = rows.len() / n_reducers + 1;
+        let keys = self.stage[node].table.len();
+        let cap = keys / n_reducers + 1;
         let states_mode = matches!(self.node_merge, Some(NodeMerge::States(_)));
         let mut payloads: Vec<Payload> = (0..n_reducers)
             .map(|_| {
@@ -1120,9 +1137,10 @@ impl<'e> Engine<'e> {
                 }
             })
             .collect();
-        let keys = rows.len() as u64;
-        for (part, h, key, value) in rows {
-            match &mut payloads[part] {
+        // A row's partition is a function of its fingerprint, exactly as
+        // on the map side that produced it.
+        for (h, key, value) in std::mem::take(&mut self.stage[node].table).into_rows() {
+            match &mut payloads[bucket_of(h, n_reducers)] {
                 Payload::Pairs(b) => b.push_hashed(Pair::new(key, value), h),
                 Payload::States(b) => b.push_hashed(StatePair::new(key, value), h),
             }
@@ -1151,7 +1169,7 @@ impl<'e> Engine<'e> {
             node: node as u32,
             bytes_in,
             bytes_out,
-            keys,
+            keys: keys as u64,
         });
     }
 

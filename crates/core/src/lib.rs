@@ -97,6 +97,7 @@ pub mod map_phase;
 pub mod metrics;
 pub mod progress;
 pub mod reduce;
+mod resident;
 pub mod sim;
 
 /// Convenient glob-import surface for applications and examples.

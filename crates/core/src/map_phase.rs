@@ -34,18 +34,18 @@
 //! Because the plan is independent of *when* and *where* it is replayed,
 //! plans may be computed speculatively and out of order while replay stays
 //! in strict event order — the engine's bit-identical determinism contract
-//! rests on this property. [`run_map_task`] composes the two for callers
-//! that do not care about the split.
+//! rests on this property.
 
 use crate::api::{Job, ReduceCtx, Site};
 use crate::cluster::{ClusterSpec, Framework};
+use crate::resident::{cb_sized, colder_resident, entry_size};
 use crate::sim::{OpKind, Resources};
 use bytes::Bytes;
 use opa_common::fault::FaultConfig;
 use opa_common::hash::bucket_of;
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{
-    BatchBuilder, GroupIndex, HashFn, Key, Pair, RecordBatch, StateBatch, StatePair, Value,
+    BatchBuilder, GroupTable, HashFn, Key, Pair, RecordBatch, StateBatch, StatePair, Value,
 };
 use opa_simio::{IoCategory, IoOp};
 
@@ -448,34 +448,6 @@ pub fn finish_map_task(
     }
 }
 
-/// Executes one map task starting at `start` on `node` (compute followed
-/// immediately by accounting).
-#[allow(clippy::too_many_arguments)]
-pub fn run_map_task(
-    job: &dyn Job,
-    framework: Framework,
-    records: &[Bytes],
-    chunk_bytes: u64,
-    node: usize,
-    start: SimTime,
-    spec: &ClusterSpec,
-    h1: HashFn,
-    res: &mut Resources,
-) -> MapTaskResult {
-    let plan = compute_map_task(
-        job,
-        framework,
-        records,
-        chunk_bytes,
-        spec,
-        h1,
-        opa_common::AdmissionPolicy::Off,
-        opa_common::CombineScope::Task,
-        None,
-    );
-    finish_map_task(plan, node, start, spec, res)
-}
-
 /// Sort-merge collection, optionally split into `granules` pipelined
 /// pieces (each sorted and combined independently, like HOP's spills).
 fn plan_sort_merge(
@@ -664,43 +636,35 @@ fn plan_mr_hash(
         // per-group value Vec. Groups stay in insertion order, so the
         // output is identical to the collect-then-combine path below for
         // any law-abiding fold combiner.
-        let mut groups: Vec<(u64, Key, Value)> = Vec::new();
-        let mut index = GroupIndex::with_capacity(pairs.len() / 4 + 1);
+        let mut groups: GroupTable<Value> = GroupTable::with_capacity(pairs.len() / 4 + 1);
         for p in pairs {
             let h = h1.hash(p.key.bytes());
-            match index.get(h, |r| groups[r].1 == p.key) {
+            match groups.find(h, &p.key) {
                 Some(i) => {
-                    let (_, ref key, ref mut acc) = groups[i];
+                    let (key, acc) = groups.row_mut(i);
                     cb.fold(key, acc, p.value);
                 }
-                None => {
-                    index.insert(h, groups.len());
-                    groups.push((h, p.key, p.value));
-                }
+                None => groups.push(h, p.key, p.value),
             }
         }
         plan.op_cpu(cost.cb_time(n));
         groups
+            .into_rows()
             .into_iter()
             .map(|(h, key, acc)| (h, Pair::new(key, acc)))
             .collect()
     } else if let Some(cb) = combiner {
-        // Insertion-ordered hash table: key → collected values. The
-        // index stores only fingerprints and row ids — no key clones.
-        let mut groups: Vec<(u64, Key, Vec<Value>)> = Vec::new();
-        let mut index = GroupIndex::with_capacity(pairs.len() / 4 + 1);
+        // Insertion-ordered hash table: key → collected values.
+        let mut groups: GroupTable<Vec<Value>> = GroupTable::with_capacity(pairs.len() / 4 + 1);
         for p in pairs {
             let h = h1.hash(p.key.bytes());
-            match index.get(h, |r| groups[r].1 == p.key) {
-                Some(i) => groups[i].2.push(p.value),
-                None => {
-                    index.insert(h, groups.len());
-                    groups.push((h, p.key, vec![p.value]));
-                }
+            match groups.find(h, &p.key) {
+                Some(i) => groups.row_mut(i).1.push(p.value),
+                None => groups.push(h, p.key, vec![p.value]),
             }
         }
         let mut combined = Vec::with_capacity(groups.len());
-        for (h, key, values) in groups {
+        for (h, key, values) in groups.into_rows() {
             for v in cb.combine(&key, values) {
                 combined.push((h, Pair::new(key.clone(), v)));
             }
@@ -767,18 +731,20 @@ fn plan_incremental(
     let distinct_hint = ((chunk_bytes / state_hint) as usize + 1).min(pairs.len().max(1));
 
     // init() immediately after map. Each key is hashed exactly once: the
-    // fingerprint probes the insertion-ordered group table, picks the
-    // partition on first sight, and is carried in the outgoing batch.
+    // fingerprint probes the group table, picks the partition, and is
+    // carried in the outgoing batch.
     let mut ctx = ReduceCtx::at_site(Site::Map);
-    let mut order: Vec<(usize, u64, Key, Value)> = Vec::with_capacity(distinct_hint);
-    let mut index = GroupIndex::with_capacity(distinct_hint);
+    let mut table: GroupTable<Value> = GroupTable::with_capacity(distinct_hint);
+    table.reserve_rows(distinct_hint);
     let mut cb_calls = 0u64;
     let mut sketch = admission
         .is_on()
         .then(|| opa_common::FreqSketch::with_capacity(distinct_hint));
     let budget = spec.hardware.map_buffer;
     let mut used = 0u64;
-    let mut evicted: Vec<(usize, u64, Key, Value)> = Vec::new();
+    // Rows that leave the table early, in the order they left: displaced
+    // residents and newcomers the gate turned away.
+    let mut shipped_early: Vec<(u64, Key, Value)> = Vec::new();
     let mut victim_cursor = 0u64;
     for p in pairs {
         let state = inc.init(&p.key, p.value);
@@ -786,79 +752,48 @@ fn plan_incremental(
         if let Some(sk) = sketch.as_mut() {
             sk.touch(h);
         }
-        match index.get(h, |r| order[r].2 == p.key) {
-            Some(i) => {
-                let (_, _, ref key, ref mut acc) = order[i];
-                if sketch.is_some() {
-                    let before = inc.state_mem_size(acc);
-                    inc.cb(key, acc, state, &mut ctx);
-                    used = (used + inc.state_mem_size(acc)).saturating_sub(before);
-                } else {
-                    inc.cb(key, acc, state, &mut ctx);
-                }
-                cb_calls += 1;
+        if let Some(i) = table.find(h, &p.key) {
+            let (key, acc) = table.row_mut(i);
+            if sketch.is_some() {
+                cb_sized(inc, key, acc, state, &mut ctx, &mut used);
+            } else {
+                inc.cb(key, acc, state, &mut ctx);
             }
-            None => {
-                let part = bucket_of(h, n_partitions);
-                let sz = p.key.len() as u64 + inc.state_mem_size(&state) + 16;
-                if let Some(sk) = &sketch {
-                    if used + sz > budget && !order.is_empty() {
-                        // Table full: probe a few resident rows round-robin
-                        // for the coldest and displace it only if the
-                        // newcomer is strictly hotter.
-                        let nres = order.len();
-                        let mut best: Option<(usize, u32)> = None;
-                        for probe in 0..4u64 {
-                            let vi = ((victim_cursor + probe) % nres as u64) as usize;
-                            let est = sk.estimate(order[vi].1);
-                            if best.is_none_or(|(_, b)| est < b) {
-                                best = Some((vi, est));
-                            }
-                        }
-                        victim_cursor = victim_cursor.wrapping_add(4);
-                        let admit = best
-                            .filter(|&(_, vest)| sk.estimate(h) > vest)
-                            .map(|(vi, _)| vi);
-                        if let Some(vi) = admit {
-                            let last = nres - 1;
-                            let victim = order.swap_remove(vi);
-                            index.remove(victim.1, vi);
-                            if vi < last {
-                                index.reindex(order[vi].1, last, vi);
-                            }
-                            used = used.saturating_sub(
-                                victim.2.len() as u64 + inc.state_mem_size(&victim.3) + 16,
-                            );
-                            evicted.push(victim);
-                            used += sz;
-                            index.insert(h, order.len());
-                            order.push((part, h, p.key, state));
-                        } else {
-                            // Not admitted: forward uncombined.
-                            evicted.push((part, h, p.key, state));
-                        }
-                        continue;
-                    }
-                }
-                used += sz;
-                index.insert(h, order.len());
-                order.push((part, h, p.key, state));
-            }
+            cb_calls += 1;
+            continue;
         }
+        if let Some(sk) = &sketch {
+            let sz = entry_size(inc, &p.key, &state);
+            if used + sz > budget && !table.is_empty() {
+                // Table full: displace a resident only for a strictly
+                // hotter newcomer, else forward the newcomer uncombined.
+                let Some(vi) = colder_resident(&table, &mut victim_cursor, sk, h) else {
+                    shipped_early.push((h, p.key, state));
+                    continue;
+                };
+                let victim = table.swap_remove(vi);
+                used = used.saturating_sub(entry_size(inc, &victim.1, &victim.2));
+                shipped_early.push(victim);
+            }
+            used += sz;
+        }
+        table.push(h, p.key, state);
     }
     plan.op_cpu(
-        cost.init_time(n) + cost.hash_time(n + 2 * evicted.len() as u64) + cost.cb_time(cb_calls),
+        cost.init_time(n)
+            + cost.hash_time(n + 2 * shipped_early.len() as u64)
+            + cost.cb_time(cb_calls),
     );
 
-    let cap = order.len() / n_partitions + 1;
+    let cap = table.len() / n_partitions + 1;
     let mut per_part: Vec<StateBatch> = (0..n_partitions)
         .map(|_| StateBatch::with_capacity(cap))
         .collect();
     // Early-displaced entries ship first: a victim's partial state must
     // reach the reducer before later tuples of the same key so bucket
     // files preserve arrival order for order-sensitive jobs.
-    for (part, h, key, state) in evicted.into_iter().chain(order) {
-        per_part[part].push_hashed(StatePair::new(key, state), h);
+    for (h, key, state) in shipped_early.into_iter().chain(table.into_rows()) {
+        per_part[bucket_of(h, n_partitions)].push_hashed(StatePair::new(key, state), h);
     }
     let output_bytes: u64 = per_part.iter().map(StateBatch::bytes).sum();
     plan.output_bytes = output_bytes;
@@ -941,6 +876,29 @@ mod tests {
             .collect()
     }
 
+    /// Executes one map task at time zero on node 0: compute, then
+    /// accounting against `res`.
+    fn run_on(
+        job: &dyn Job,
+        framework: Framework,
+        recs: &[Bytes],
+        spec: &ClusterSpec,
+        res: &mut Resources,
+    ) -> MapTaskResult {
+        let plan = compute_map_task(
+            job,
+            framework,
+            recs,
+            recs.iter().map(|r| r.len() as u64).sum(),
+            spec,
+            opa_common::HashFamily::new(spec.hash_seed).fn_at(0),
+            opa_common::AdmissionPolicy::Off,
+            opa_common::CombineScope::Task,
+            None,
+        );
+        finish_map_task(plan, 0, SimTime::ZERO, spec, res)
+    }
+
     fn run(
         job: &dyn Job,
         framework: Framework,
@@ -948,19 +906,7 @@ mod tests {
         spec: &ClusterSpec,
     ) -> MapTaskResult {
         let mut res = Resources::new(spec.hardware.nodes, 4, false);
-        let h1 = opa_common::HashFamily::new(spec.hash_seed).fn_at(0);
-        let bytes: u64 = recs.iter().map(|r| r.len() as u64).sum();
-        run_map_task(
-            job,
-            framework,
-            recs,
-            bytes,
-            0,
-            SimTime::ZERO,
-            spec,
-            h1,
-            &mut res,
-        )
+        run_on(job, framework, recs, spec, &mut res)
     }
 
     #[test]
@@ -1080,10 +1026,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_replay_matches_direct_execution_for_all_frameworks() {
-        // compute-then-finish must be indistinguishable from the fused
-        // path no matter which framework planned the ops, because the
-        // event loop interleaves plans computed on other threads.
+    fn replay_is_repeatable_for_all_frameworks() {
+        // The event loop interleaves plans computed on other threads, so
+        // whichever framework planned the ops, computing and replaying a
+        // task again must reproduce the result and the timeline.
         let mut spec = ClusterSpec::tiny();
         spec.pipeline_granules = 3;
         for fw in [
@@ -1097,34 +1043,11 @@ mod tests {
                 with_combiner: false,
             };
             let recs = records(90, 11);
-            let bytes: u64 = recs.iter().map(|r| r.len() as u64).sum();
-            let h1 = opa_common::HashFamily::new(spec.hash_seed).fn_at(0);
             let mut res_a = Resources::new(spec.hardware.nodes, 4, false);
-            let direct = run_map_task(
-                &job,
-                fw,
-                &recs,
-                bytes,
-                0,
-                SimTime::ZERO,
-                &spec,
-                h1,
-                &mut res_a,
-            );
-            let plan = compute_map_task(
-                &job,
-                fw,
-                &recs,
-                bytes,
-                &spec,
-                h1,
-                opa_common::AdmissionPolicy::Off,
-                opa_common::CombineScope::Task,
-                None,
-            );
+            let first = run_on(&job, fw, &recs, &spec, &mut res_a);
             let mut res_b = Resources::new(spec.hardware.nodes, 4, false);
-            let replayed = finish_map_task(plan, 0, SimTime::ZERO, &spec, &mut res_b);
-            assert_eq!(format!("{direct:?}"), format!("{replayed:?}"), "{fw:?}");
+            let again = run_on(&job, fw, &recs, &spec, &mut res_b);
+            assert_eq!(format!("{first:?}"), format!("{again:?}"), "{fw:?}");
             assert_eq!(
                 format!("{:?}", res_a.timeline),
                 format!("{:?}", res_b.timeline),

@@ -1,0 +1,196 @@
+//! The spilled-bucket pass of the hash frameworks (§4.1–§4.3): what did
+//! not stay resident was staged to bucket files, and after the input ends
+//! the buckets are read back one at a time, each grouped in a fresh
+//! in-memory table; a bucket whose keys still exceed memory is staged
+//! again under the next hash function of the family and the pass recurses.
+//!
+//! [`next_bucket`] and [`repartition`] are the read-back and the
+//! re-staging step for any tuple type (MR-hash runs them over raw pairs);
+//! [`BucketPass`] is the whole pass over key-state tuples, which INC-hash
+//! and DINC-hash complete with.
+
+use super::{OutputSink, ReduceEnv, WORK_BATCH};
+use crate::api::{IncrementalReducer, ReduceCtx};
+use crate::resident::{cb_sized, entry_size};
+use opa_common::units::SimTime;
+use opa_common::{GroupTable, HashFamily, HashFn, Key, StatePair, Value};
+use opa_simio::{BucketManager, Sized64};
+
+/// Recursive partitioning depth limit — far beyond anything a sane
+/// configuration needs (each level multiplies capacity by the fan-out). At
+/// the limit a bucket is processed in memory whatever its size.
+pub(super) const MAX_DEPTH: usize = 6;
+
+/// Depth of a reducer's own staged buckets: `h1` partitioned the input and
+/// `h2`/`h3` staged it, so re-partitioning draws on the functions after
+/// those.
+pub(super) const TOP_DEPTH: usize = 3;
+
+/// Reads back the next non-empty bucket at or after `*next`, charging the
+/// seal (a no-op once sealed) and every read to `env`. `None` once the
+/// buckets are exhausted.
+pub(super) fn next_bucket<T: Sized64>(
+    t: &mut SimTime,
+    buckets: &mut BucketManager<T>,
+    next: &mut usize,
+    env: &mut ReduceEnv<'_>,
+) -> Option<Vec<T>> {
+    *t = env.spill(*t, buckets.seal());
+    while *next < buckets.num_buckets() {
+        let (recs, op) = buckets.take_bucket(*next);
+        *next += 1;
+        *t = env.spill(*t, op);
+        if !recs.is_empty() {
+            return Some(recs);
+        }
+    }
+    None
+}
+
+/// Stages `items` — too many for memory — into sub-buckets under `h`, the
+/// next hash function of the family, with a fan-out that aims each
+/// sub-bucket at 80 % of `mem_budget`. Read the result back with
+/// [`next_bucket`].
+pub(super) fn repartition<T: Sized64>(
+    t: &mut SimTime,
+    items: Vec<T>,
+    key: impl Fn(&T) -> &Key,
+    h: HashFn,
+    mem_budget: u64,
+    write_buffer: u64,
+    env: &mut ReduceEnv<'_>,
+) -> BucketManager<T> {
+    let bytes: u64 = items.iter().map(Sized64::size).sum();
+    let fan = ((bytes as f64 / (mem_budget as f64 * 0.8)).ceil() as usize).max(2);
+    let mut sub = BucketManager::new(fan, write_buffer);
+    for item in items {
+        let b = h.bucket(key(&item).bytes(), fan);
+        let op = sub.push(b, item);
+        *t = env.spill(*t, op);
+    }
+    sub
+}
+
+/// The bucket pass over key-state tuples, with what it borrows from the
+/// reducer it completes.
+pub(super) struct BucketPass<'a> {
+    pub inc: &'a dyn IncrementalReducer,
+    pub family: &'a HashFamily,
+    pub mem_budget: u64,
+    pub write_buffer: u64,
+    pub ctx: &'a mut ReduceCtx,
+    pub sink: &'a mut OutputSink,
+}
+
+impl BucketPass<'_> {
+    /// Processes every staged bucket of a reducer, in bucket order.
+    pub(super) fn run(
+        &mut self,
+        mut t: SimTime,
+        buckets: &mut BucketManager<StatePair>,
+        env: &mut ReduceEnv<'_>,
+    ) -> SimTime {
+        let mut next = 0;
+        while let Some(tuples) = next_bucket(&mut t, buckets, &mut next, env) {
+            t = self.process_bucket(t, tuples, TOP_DEPTH, env);
+        }
+        t
+    }
+
+    /// Processes one staged bucket with a fresh in-memory table: combine
+    /// in arrival order while the keys fit (first come stay), finalize the
+    /// resident keys, then re-partition the rest and recurse.
+    fn process_bucket(
+        &mut self,
+        mut t: SimTime,
+        tuples: Vec<StatePair>,
+        depth: usize,
+        env: &mut ReduceEnv<'_>,
+    ) -> SimTime {
+        // Replay the bucket under its own watermark: the file preserves
+        // arrival order, so advancing the watermark from the replayed
+        // tuples reproduces the original bounded disorder. Reusing the
+        // end-of-stream watermark would defeat the reorder buffering of
+        // order-sensitive jobs (sessionization).
+        let saved_watermark = self.ctx.watermark.take();
+        let inc = self.inc;
+        let h1 = self.family.fn_at(0);
+        let mut table: GroupTable<Value> = GroupTable::with_capacity(tuples.len() / 4 + 1);
+        let mut used = 0u64;
+        // Once one key overflows, every later new key does: a key's tuples
+        // are never split between this table and the overflow.
+        let mut overflow: Vec<StatePair> = Vec::new();
+        let mut batch = 0u64;
+        for sp in tuples {
+            if let Some(ts) = inc.event_time(&sp.state) {
+                self.ctx.advance_watermark(ts);
+            }
+            let h = h1.hash(sp.key.bytes());
+            match table.find(h, &sp.key) {
+                Some(i) => {
+                    let (key, acc) = table.row_mut(i);
+                    cb_sized(inc, key, acc, sp.state, self.ctx, &mut used);
+                    batch += 1;
+                }
+                None => {
+                    let sz = entry_size(inc, &sp.key, &sp.state);
+                    if (overflow.is_empty() && used + sz <= self.mem_budget) || depth >= MAX_DEPTH {
+                        used += sz;
+                        table.push(h, sp.key, sp.state);
+                        batch += 1;
+                    } else {
+                        overflow.push(sp);
+                    }
+                }
+            }
+            if batch >= WORK_BATCH {
+                t = charge(t, batch, env);
+                batch = 0;
+                if self.ctx.pending() > 0 {
+                    t = self.sink.push(t, self.ctx, env);
+                }
+            }
+        }
+        if batch > 0 {
+            t = charge(t, batch, env);
+        }
+        let resident = table.len() as u64;
+        for (_, key, state) in table.into_rows() {
+            inc.finalize(&key, state, self.ctx);
+        }
+        t = env.cpu(t, env.cost().reduce_time(resident));
+        t = self.sink.push(t, self.ctx, env);
+
+        if !overflow.is_empty() {
+            let mut sub = repartition(
+                &mut t,
+                overflow,
+                |sp| &sp.key,
+                self.family.fn_at(depth + 1),
+                self.mem_budget,
+                self.write_buffer,
+                env,
+            );
+            let mut next = 0;
+            while let Some(tuples) = next_bucket(&mut t, &mut sub, &mut next, env) {
+                t = self.process_bucket(t, tuples, depth + 1, env);
+            }
+        }
+        self.ctx.watermark = match (saved_watermark, self.ctx.watermark) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
+        t
+    }
+}
+
+/// Commits `batch` table operations to the clock and to reduce progress:
+/// one hash probe each, and a `cb()` for about every other one.
+fn charge(t: SimTime, batch: u64, env: &mut ReduceEnv<'_>) -> SimTime {
+    let t = env.cpu(
+        t,
+        env.cost().hash_time(batch) + env.cost().cb_time(batch / 2),
+    );
+    env.worked(t, batch);
+    t
+}

@@ -22,7 +22,8 @@
 //! whose γ ≥ φ are finalized from their partial in-memory state and their
 //! buckets skipped (approximate answers, §4.3).
 
-use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, TopEntry, WORK_BATCH};
+use super::buckets::BucketPass;
+use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, TopEntry};
 use crate::api::{IncrementalReducer, Job, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
@@ -30,8 +31,7 @@ use crate::metrics::AdmissionStats;
 use crate::sim::OpKind;
 use opa_common::units::SimTime;
 use opa_common::{
-    AdmissionPolicy, Error, FreqSketch, GroupIndex, HashFamily, HashFn, Key, Result, StatePair,
-    Value,
+    AdmissionPolicy, Error, FreqSketch, HashFamily, HashFn, Key, Result, StatePair, Value,
 };
 use opa_freq::{MgEntry, MgOutcome, MisraGries, SpaceSavingMonitor};
 use opa_simio::BucketManager;
@@ -46,8 +46,6 @@ const FLAG_SPACE_SAVING: u64 = 1;
 /// Monitor bookkeeping per slot (counter, t, indices) charged against the
 /// memory budget in addition to the key-state bytes.
 const SLOT_OVERHEAD: u64 = 32;
-
-const MAX_DEPTH: usize = 6;
 
 /// Which frequency algorithm drives the DINC monitor. The paper uses
 /// FREQUENT; SpaceSaving is provided for the monitor-choice ablation.
@@ -448,26 +446,15 @@ impl ReduceSide for DincHashReducer<'_> {
         }
 
         // …then process staged buckets exactly like INC-hash.
-        let op = self.buckets.seal();
-        t = env.spill(t, op);
-        for b in 0..self.buckets.num_buckets() {
-            let (recs, op) = self.buckets.take_bucket(b);
-            t = env.spill(t, op);
-            if !recs.is_empty() {
-                t = process_bucket_inc(
-                    self.inc,
-                    &self.family,
-                    self.mem_budget,
-                    self.write_buffer,
-                    &mut self.ctx,
-                    &mut self.sink,
-                    t,
-                    recs,
-                    3,
-                    env,
-                );
-            }
-        }
+        let mut pass = BucketPass {
+            inc: self.inc,
+            family: &self.family,
+            mem_budget: self.mem_budget,
+            write_buffer: self.write_buffer,
+            ctx: &mut self.ctx,
+            sink: &mut self.sink,
+        };
+        t = pass.run(t, &mut self.buckets, env);
         t = self.sink.flush(t, env);
         env.span_close(OpKind::Reduce);
         t
@@ -658,122 +645,4 @@ impl ReduceSide for DincHashReducer<'_> {
     fn watermark(&self) -> Option<u64> {
         self.ctx.watermark
     }
-}
-
-/// Shared INC-style bucket processing (also used by DINC's completion
-/// phase): build a fresh table, combine, finalize, recurse on overflow.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_bucket_inc(
-    inc: &dyn IncrementalReducer,
-    family: &HashFamily,
-    mem_budget: u64,
-    write_buffer: u64,
-    ctx: &mut ReduceCtx,
-    sink: &mut OutputSink,
-    mut t: SimTime,
-    tuples: Vec<StatePair>,
-    depth: usize,
-    env: &mut ReduceEnv<'_>,
-) -> SimTime {
-    // Same bucket-local watermark discipline as INC-hash: the replayed
-    // file preserves arrival order, so the reorder buffering of
-    // order-sensitive jobs keeps working during completion.
-    let saved_watermark = ctx.watermark;
-    ctx.watermark = None;
-    let h1 = family.fn_at(0);
-    let mut states: Vec<(Key, Value)> = Vec::new();
-    let mut index = GroupIndex::with_capacity(tuples.len() / 4 + 1);
-    let mut used = 0u64;
-    let mut overflow: Vec<StatePair> = Vec::new();
-    let mut overflow_started = false;
-    let mut batch = 0u64;
-    for sp in tuples {
-        if let Some(ts) = inc.event_time(&sp.state) {
-            ctx.advance_watermark(ts);
-        }
-        let h = h1.hash(sp.key.bytes());
-        match index.get(h, |r| states[r].0 == sp.key) {
-            Some(i) => {
-                let (ref key, ref mut acc) = states[i];
-                let before = inc.state_mem_size(acc);
-                inc.cb(key, acc, sp.state, ctx);
-                let after = inc.state_mem_size(acc);
-                used = (used + after).saturating_sub(before);
-                batch += 1;
-            }
-            None => {
-                let sz = sp.key.len() as u64 + inc.state_mem_size(&sp.state) + 16;
-                if (!overflow_started && used + sz <= mem_budget) || depth >= MAX_DEPTH {
-                    used += sz;
-                    index.insert(h, states.len());
-                    states.push((sp.key, sp.state));
-                    batch += 1;
-                } else {
-                    overflow_started = true;
-                    overflow.push(sp);
-                }
-            }
-        }
-        if batch >= WORK_BATCH {
-            t = env.cpu(
-                t,
-                env.cost().hash_time(batch) + env.cost().cb_time(batch / 2),
-            );
-            env.worked(t, batch);
-            batch = 0;
-            if ctx.pending() > 0 {
-                t = sink.push(t, ctx, env);
-            }
-        }
-    }
-    if batch > 0 {
-        t = env.cpu(
-            t,
-            env.cost().hash_time(batch) + env.cost().cb_time(batch / 2),
-        );
-        env.worked(t, batch);
-    }
-    let n = states.len() as u64;
-    for (key, state) in states {
-        inc.finalize(&key, state, ctx);
-    }
-    t = env.cpu(t, env.cost().reduce_time(n));
-    t = sink.push(t, ctx, env);
-
-    if !overflow.is_empty() {
-        let h = family.fn_at(depth + 1);
-        let bytes: u64 = overflow.iter().map(StatePair::size).sum();
-        let fan = ((bytes as f64 / (mem_budget as f64 * 0.8)).ceil() as usize).max(2);
-        let mut sub: BucketManager<StatePair> = BucketManager::new(fan, write_buffer);
-        for sp in overflow {
-            let b = h.bucket(sp.key.bytes(), fan);
-            let op = sub.push(b, sp);
-            t = env.spill(t, op);
-        }
-        let op = sub.seal();
-        t = env.spill(t, op);
-        for b in 0..fan {
-            let (recs, op) = sub.take_bucket(b);
-            t = env.spill(t, op);
-            if !recs.is_empty() {
-                t = process_bucket_inc(
-                    inc,
-                    family,
-                    mem_budget,
-                    write_buffer,
-                    ctx,
-                    sink,
-                    t,
-                    recs,
-                    depth + 1,
-                    env,
-                );
-            }
-        }
-    }
-    ctx.watermark = match (saved_watermark, ctx.watermark) {
-        (Some(a), Some(b)) => Some(a.max(b)),
-        (a, b) => a.or(b),
-    };
-    t
 }

@@ -13,15 +13,17 @@
 //! `H` from its first appearance, or *all* of its tuples go to the same
 //! bucket — a key's data is never split between memory and disk.
 
-use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, WORK_BATCH};
+use super::buckets::BucketPass;
+use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing};
 use crate::api::{IncrementalReducer, Job, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::metrics::AdmissionStats;
+use crate::resident::{cb_sized, colder_resident, entry_size};
 use crate::sim::OpKind;
 use opa_common::units::SimTime;
 use opa_common::{
-    AdmissionPolicy, Error, FreqSketch, GroupIndex, HashFamily, HashFn, Key, KeyFilter, Result,
+    AdmissionPolicy, Error, FreqSketch, GroupTable, HashFamily, HashFn, Key, KeyFilter, Result,
     StatePair, Value,
 };
 use opa_simio::BucketManager;
@@ -32,19 +34,6 @@ pub(crate) const CKPT_TAG: u8 = 3;
 /// [`ReducerCkpt::flags`] bit: admissions were closed by a memory overflow.
 const FLAG_ADMISSIONS_CLOSED: u64 = 1;
 
-/// Per-entry bookkeeping overhead charged against the memory budget
-/// (hash-table slot, indices), mirroring the byte-array memory managers of
-/// the prototype (§5).
-const ENTRY_OVERHEAD: u64 = 16;
-
-/// Recursion ceiling for pathological bucket skew.
-const MAX_DEPTH: usize = 6;
-
-/// How many resident keys the LFU victim scan examines per table-full
-/// arrival. A small constant keeps the gate O(1) while the rotating
-/// cursor guarantees every resident is eventually considered.
-const VICTIM_PROBES: usize = 4;
-
 /// One reduce task running the INC-hash framework.
 pub struct IncHashReducer<'j> {
     inc: &'j dyn IncrementalReducer,
@@ -53,12 +42,9 @@ pub struct IncHashReducer<'j> {
     /// delivered batch and double as the table-probe hash.
     h1: HashFn,
     h3: HashFn,
-    /// Insertion-ordered key→state table (`H`).
-    states: Vec<(Key, Value)>,
-    /// Tuples combined into each resident row (parallel to `states`);
-    /// summed at finish into the resident-frequency statistic.
-    counts: Vec<u64>,
-    index: GroupIndex,
+    /// The table `H`: key → (state, tuples combined into it — summed at
+    /// finish into the resident-frequency statistic).
+    table: GroupTable<(Value, u64)>,
     mem_used: u64,
     mem_budget: u64,
     write_buffer: u64,
@@ -114,9 +100,7 @@ impl<'j> IncHashReducer<'j> {
             family: family.clone(),
             h1: family.fn_at(0),
             h3: family.fn_at(2),
-            states: Vec::new(),
-            counts: Vec::new(),
-            index: GroupIndex::default(),
+            table: GroupTable::default(),
             mem_used: 0,
             mem_budget,
             write_buffer,
@@ -158,14 +142,18 @@ impl<'j> IncHashReducer<'j> {
             // pure function of the delivered tuple order.
             sketch.touch(h);
         }
-        match self.index.get(h, |r| self.states[r].0 == sp.key) {
+        match self.table.find(h, &sp.key) {
             Some(i) => {
-                let (ref key, ref mut acc) = self.states[i];
-                let before = self.inc.state_mem_size(acc);
-                self.inc.cb(key, acc, sp.state, &mut self.ctx);
-                let after = self.inc.state_mem_size(acc);
-                self.mem_used = adjust(self.mem_used, before, after);
-                self.counts[i] += 1;
+                let (key, (acc, count)) = self.table.row_mut(i);
+                cb_sized(
+                    self.inc,
+                    key,
+                    acc,
+                    sp.state,
+                    &mut self.ctx,
+                    &mut self.mem_used,
+                );
+                *count += 1;
                 t = env.cpu(t, env.cost().cb_time(1) + env.cost().hash_time(1));
                 self.absorbed += 1;
                 self.stats.absorbed += 1;
@@ -173,32 +161,52 @@ impl<'j> IncHashReducer<'j> {
                 if self.ctx.pending() > 0 {
                     t = self.sink.push(t, &mut self.ctx, env);
                 }
+                t
             }
-            None if self.admission.is_on() => {
-                t = self.absorb_miss_lfu(t, sp, h, env);
-            }
+            None if self.admission.is_on() => self.absorb_miss_lfu(t, sp, h, env),
             None => {
-                let sz = sp.key.len() as u64 + self.inc.state_mem_size(&sp.state) + ENTRY_OVERHEAD;
+                let sz = entry_size(self.inc, &sp.key, &sp.state);
                 if !self.admissions_closed && self.mem_used + sz <= self.mem_budget {
-                    self.mem_used += sz;
-                    self.index.insert(h, self.states.len());
-                    self.states.push((sp.key, sp.state));
-                    self.counts.push(1);
-                    t = env.cpu(t, env.cost().hash_time(1));
-                    self.absorbed += 1;
-                    self.stats.absorbed += 1;
-                    env.worked(t, 1);
+                    self.admit(t, sp, h, sz, 1, env)
                 } else {
                     self.admissions_closed = true;
-                    self.stats.rejected += 1;
-                    self.stats.spill.rejected_arrival += sp.size();
-                    let b = self.h3.bucket(sp.key.bytes(), self.buckets.num_buckets());
-                    let op = self.buckets.push(b, sp);
-                    t = env.spill(t, op);
+                    self.reject(t, sp, env)
                 }
             }
         }
+    }
+
+    /// Installs an arriving key of `sz` bytes as resident, charging
+    /// `probes` table operations (two when an eviction made the room).
+    fn admit(
+        &mut self,
+        t: SimTime,
+        sp: StatePair,
+        h: u64,
+        sz: u64,
+        probes: u64,
+        env: &mut ReduceEnv<'_>,
+    ) -> SimTime {
+        self.mem_used += sz;
+        self.table.push(h, sp.key, (sp.state, 1));
+        let t = env.cpu(t, env.cost().hash_time(probes));
+        self.absorbed += 1;
+        self.stats.absorbed += 1;
+        env.worked(t, 1);
         t
+    }
+
+    /// Stages an arrival that was denied admission to its `h3` bucket.
+    fn reject(&mut self, t: SimTime, sp: StatePair, env: &mut ReduceEnv<'_>) -> SimTime {
+        self.stats.rejected += 1;
+        self.stats.spill.rejected_arrival += sp.size();
+        self.stage(t, sp, env)
+    }
+
+    fn stage(&mut self, t: SimTime, sp: StatePair, env: &mut ReduceEnv<'_>) -> SimTime {
+        let b = self.h3.bucket(sp.key.bytes(), self.buckets.num_buckets());
+        let op = self.buckets.push(b, sp);
+        env.spill(t, op)
     }
 
     /// Table-miss handling under the LFU policy: admit clean keys while
@@ -208,7 +216,7 @@ impl<'j> IncHashReducer<'j> {
     /// Exactness: only keys absent from [`IncHashReducer::filter`] are
     /// ever admitted, so every resident key at `finish` has *all* of its
     /// data in memory (the never-split invariant); an evicted or rejected
-    /// key's bytes all meet in its `h3` bucket, where `process_bucket`
+    /// key's bytes all meet in its `h3` bucket, where the bucket pass
     /// re-combines them in arrival order.
     fn absorb_miss_lfu(
         &mut self,
@@ -217,241 +225,49 @@ impl<'j> IncHashReducer<'j> {
         h: u64,
         env: &mut ReduceEnv<'_>,
     ) -> SimTime {
-        let sz = sp.key.len() as u64 + self.inc.state_mem_size(&sp.state) + ENTRY_OVERHEAD;
-        let clean = !self
-            .filter
-            .as_ref()
-            .expect("LFU policy allocates the filter")
-            .contains(h);
+        const ALLOCATED: &str = "LFU policy allocates the sketch and the filter";
+        let sz = entry_size(self.inc, &sp.key, &sp.state);
+        let clean = !self.filter.as_ref().expect(ALLOCATED).contains(h);
         if clean && self.mem_used + sz <= self.mem_budget {
             // Unlike first-come, a clean key may be admitted even after
             // earlier rejections — draining sessions can free memory.
-            self.mem_used += sz;
-            self.index.insert(h, self.states.len());
-            self.states.push((sp.key, sp.state));
-            self.counts.push(1);
-            t = env.cpu(t, env.cost().hash_time(1));
-            self.absorbed += 1;
-            self.stats.absorbed += 1;
-            env.worked(t, 1);
-            return t;
+            return self.admit(t, sp, h, sz, 1, env);
         }
-        if clean {
-            if let Some(vi) = self.pick_victim(h, sz) {
-                return self.evict_and_admit(t, sp, h, vi, env);
-            }
-        }
-        // Rejected arrival: remember the key so it is never admitted
-        // later, then spill to its bucket exactly as first-come would.
-        self.filter
-            .as_mut()
-            .expect("LFU policy allocates the filter")
-            .insert(h);
-        self.stats.rejected += 1;
-        self.stats.spill.rejected_arrival += sp.size();
-        let b = self.h3.bucket(sp.key.bytes(), self.buckets.num_buckets());
-        let op = self.buckets.push(b, sp);
-        env.spill(t, op)
-    }
-
-    /// Deterministic victim scan: examine up to [`VICTIM_PROBES`] resident
-    /// rows starting at the rotating cursor and return the coldest one —
-    /// provided the arriving key's sketch estimate strictly exceeds the
-    /// victim's and the swap frees enough memory. Pure function of
-    /// (resident table, sketch, cursor), all of which are themselves pure
-    /// functions of the delivered tuple order.
-    fn pick_victim(&mut self, h: u64, incoming_sz: u64) -> Option<usize> {
-        let n = self.states.len();
-        if n == 0 {
-            return None;
-        }
-        let sketch = self
-            .sketch
-            .as_ref()
-            .expect("LFU policy allocates the sketch");
-        let start = (self.victim_cursor % n as u64) as usize;
-        self.victim_cursor = self.victim_cursor.wrapping_add(VICTIM_PROBES as u64);
-        let mut best: Option<(usize, u32)> = None;
-        for probe in 0..VICTIM_PROBES.min(n) {
-            let i = (start + probe) % n;
-            let est = sketch.estimate(self.h1.hash(self.states[i].0.bytes()));
-            if best.is_none_or(|(_, b)| est < b) {
-                best = Some((i, est));
-            }
-        }
-        let (vi, vest) = best?;
-        if sketch.estimate(h) <= vest {
-            return None;
-        }
-        let (vkey, vstate) = &self.states[vi];
-        let vsz = vkey.len() as u64 + self.inc.state_mem_size(vstate) + ENTRY_OVERHEAD;
-        (self.mem_used - vsz + incoming_sz <= self.mem_budget).then_some(vi)
-    }
-
-    /// Evicts resident row `vi` through the existing spill path and
-    /// installs the arriving key in its place. The table stays dense via
-    /// `swap_remove` + index `reindex`, keeping row order (and therefore
-    /// finalize order, seal order and every downstream byte) a pure
-    /// function of the delivered tuple order.
-    fn evict_and_admit(
-        &mut self,
-        mut t: SimTime,
-        sp: StatePair,
-        h: u64,
-        vi: usize,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
-        let vh = self.h1.hash(self.states[vi].0.bytes());
-        let last = self.states.len() - 1;
-        self.index.remove(vh, vi);
-        let (vkey, vstate) = self.states.swap_remove(vi);
-        self.counts.swap_remove(vi);
-        if vi < self.states.len() {
-            let mh = self.h1.hash(self.states[vi].0.bytes());
-            self.index.reindex(mh, last, vi);
-        }
-        let vsz = vkey.len() as u64 + self.inc.state_mem_size(&vstate) + ENTRY_OVERHEAD;
-        self.mem_used = self.mem_used.saturating_sub(vsz);
+        // A strictly colder resident makes way — if the newcomer fits the
+        // budget in its place (the one condition the map-side gate, which
+        // ships what it displaces, does not have).
+        let sketch = self.sketch.as_ref().expect(ALLOCATED);
+        let victim = clean
+            .then(|| colder_resident(&self.table, &mut self.victim_cursor, sketch, h))
+            .flatten()
+            .filter(|&vi| {
+                let (vkey, (vstate, _)) = self.table.row(vi);
+                self.mem_used - entry_size(self.inc, vkey, vstate) + sz <= self.mem_budget
+            });
+        let filter = self.filter.as_mut().expect(ALLOCATED);
+        let Some(vi) = victim else {
+            // Rejected arrival: remember the key so it is never admitted
+            // later, then spill to its bucket exactly as first-come would.
+            filter.insert(h);
+            return self.reject(t, sp, env);
+        };
         // The victim is now a disk key forever: its partial state goes to
         // its h3 bucket first, and every later tuple of the same key will
         // be rejected (filter) into the same bucket, preserving arrival
-        // order for order-sensitive combines.
-        self.filter
-            .as_mut()
-            .expect("LFU policy allocates the filter")
-            .insert(vh);
+        // order for order-sensitive combines. Row order after the removal
+        // (and with it finalize order, seal order and every downstream
+        // byte) stays a pure function of the delivered tuple order.
+        let (vh, vkey, (vstate, _)) = self.table.swap_remove(vi);
+        filter.insert(vh);
+        self.mem_used = self
+            .mem_used
+            .saturating_sub(entry_size(self.inc, &vkey, &vstate));
         let victim = StatePair::new(vkey, vstate);
         self.stats.admitted_evictions += 1;
         self.stats.spill.admitted_evict += victim.size();
-        let b = self
-            .h3
-            .bucket(victim.key.bytes(), self.buckets.num_buckets());
-        let op = self.buckets.push(b, victim);
-        t = env.spill(t, op);
-        // Install the (hotter) newcomer.
-        let sz = sp.key.len() as u64 + self.inc.state_mem_size(&sp.state) + ENTRY_OVERHEAD;
-        self.mem_used += sz;
-        self.index.insert(h, self.states.len());
-        self.states.push((sp.key, sp.state));
-        self.counts.push(1);
-        t = env.cpu(t, env.cost().hash_time(2));
-        self.absorbed += 1;
-        self.stats.absorbed += 1;
-        env.worked(t, 1);
-        t
+        t = self.stage(t, victim, env);
+        self.admit(t, sp, h, sz, 2, env)
     }
-
-    /// Processes one staged bucket with a fresh in-memory table,
-    /// recursively re-partitioning if even the bucket's distinct keys
-    /// exceed memory.
-    fn process_bucket(
-        &mut self,
-        mut t: SimTime,
-        tuples: Vec<StatePair>,
-        depth: usize,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
-        // Replay the bucket under its own watermark: the file preserves
-        // arrival order, so advancing the watermark from the replayed
-        // tuples reproduces the original bounded disorder. Reusing the
-        // end-of-stream watermark would defeat the reorder buffering of
-        // order-sensitive jobs (sessionization).
-        let saved_watermark = self.ctx.watermark;
-        self.ctx.watermark = None;
-        let mut states: Vec<(Key, Value)> = Vec::new();
-        let mut index = GroupIndex::with_capacity(tuples.len() / 4 + 1);
-        let mut used = 0u64;
-        let mut overflow: Vec<StatePair> = Vec::new();
-        let mut overflow_started = false;
-        let mut batch = 0u64;
-        for sp in tuples {
-            if let Some(ts) = self.inc.event_time(&sp.state) {
-                self.ctx.advance_watermark(ts);
-            }
-            let h = self.h1.hash(sp.key.bytes());
-            match index.get(h, |r| states[r].0 == sp.key) {
-                Some(i) => {
-                    let (ref key, ref mut acc) = states[i];
-                    let before = self.inc.state_mem_size(acc);
-                    self.inc.cb(key, acc, sp.state, &mut self.ctx);
-                    let after = self.inc.state_mem_size(acc);
-                    used = adjust(used, before, after);
-                    batch += 1;
-                }
-                None => {
-                    let sz =
-                        sp.key.len() as u64 + self.inc.state_mem_size(&sp.state) + ENTRY_OVERHEAD;
-                    if (!overflow_started && used + sz <= self.mem_budget) || depth >= MAX_DEPTH {
-                        used += sz;
-                        index.insert(h, states.len());
-                        states.push((sp.key, sp.state));
-                        batch += 1;
-                    } else {
-                        overflow_started = true;
-                        overflow.push(sp);
-                    }
-                }
-            }
-            if batch >= WORK_BATCH {
-                t = env.cpu(
-                    t,
-                    env.cost().hash_time(batch) + env.cost().cb_time(batch / 2),
-                );
-                env.worked(t, batch);
-                batch = 0;
-                if self.ctx.pending() > 0 {
-                    t = self.sink.push(t, &mut self.ctx, env);
-                }
-            }
-        }
-        if batch > 0 {
-            t = env.cpu(
-                t,
-                env.cost().hash_time(batch) + env.cost().cb_time(batch / 2),
-            );
-            env.worked(t, batch);
-        }
-        // Finalize this bucket's resident keys.
-        let resident = states.len() as u64;
-        for (key, state) in states {
-            self.inc.finalize(&key, state, &mut self.ctx);
-        }
-        t = env.cpu(t, env.cost().reduce_time(resident));
-        t = self.sink.push(t, &mut self.ctx, env);
-
-        // Overflow keys (key set larger than memory): stage again with the
-        // next hash function and recurse.
-        if !overflow.is_empty() {
-            let h = self.family.fn_at(depth + 1);
-            let bytes: u64 = overflow.iter().map(StatePair::size).sum();
-            let fan = ((bytes as f64 / (self.mem_budget as f64 * 0.8)).ceil() as usize).max(2);
-            let mut sub: BucketManager<StatePair> = BucketManager::new(fan, self.write_buffer);
-            for sp in overflow {
-                let b = h.bucket(sp.key.bytes(), fan);
-                let op = sub.push(b, sp);
-                t = env.spill(t, op);
-            }
-            let op = sub.seal();
-            t = env.spill(t, op);
-            for b in 0..fan {
-                let (recs, op) = sub.take_bucket(b);
-                t = env.spill(t, op);
-                if !recs.is_empty() {
-                    t = self.process_bucket(t, recs, depth + 1, env);
-                }
-            }
-        }
-        self.ctx.watermark = match (saved_watermark, self.ctx.watermark) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        t
-    }
-}
-
-/// Adjusts a memory-usage counter by the signed size change of a state.
-fn adjust(used: u64, before: u64, after: u64) -> u64 {
-    (used + after).saturating_sub(before)
 }
 
 impl ReduceSide for IncHashReducer<'_> {
@@ -478,28 +294,26 @@ impl ReduceSide for IncHashReducer<'_> {
         env.span_open();
         // Finalize every memory-resident key (their data is complete —
         // see the module invariant).
-        let states = std::mem::take(&mut self.states);
-        self.stats.resident_keys = states.len() as u64;
-        self.stats.resident_frequency = self.counts.drain(..).sum();
-        self.index.clear();
+        let n = self.table.len() as u64;
+        self.stats.resident_keys = n;
+        self.stats.resident_frequency = self.table.iter().map(|(_, (_, count))| count).sum();
         self.mem_used = 0;
-        let n = states.len() as u64;
-        for (key, state) in states {
+        for (_, key, (state, _)) in std::mem::take(&mut self.table).into_rows() {
             self.inc.finalize(&key, state, &mut self.ctx);
         }
         t = env.cpu(t, env.cost().reduce_time(n));
         t = self.sink.push(t, &mut self.ctx, env);
 
         // Staged buckets, one at a time.
-        let op = self.buckets.seal();
-        t = env.spill(t, op);
-        for b in 0..self.buckets.num_buckets() {
-            let (recs, op) = self.buckets.take_bucket(b);
-            t = env.spill(t, op);
-            if !recs.is_empty() {
-                t = self.process_bucket(t, recs, 3, env);
-            }
-        }
+        let mut pass = BucketPass {
+            inc: self.inc,
+            family: &self.family,
+            mem_budget: self.mem_budget,
+            write_buffer: self.write_buffer,
+            ctx: &mut self.ctx,
+            sink: &mut self.sink,
+        };
+        t = pass.run(t, &mut self.buckets, env);
         t = self.sink.flush(t, env);
         env.span_close(OpKind::Reduce);
         t
@@ -516,9 +330,9 @@ impl ReduceSide for IncHashReducer<'_> {
     /// decisions from the checkpoint onward.
     fn export_state(&self) -> Result<ReducerCkpt> {
         let mut states = vec![self
-            .states
+            .table
             .iter()
-            .map(|(k, v)| StatePair::new(k.clone(), v.clone()))
+            .map(|(k, (v, _))| StatePair::new(k.clone(), v.clone()))
             .collect::<Vec<_>>()];
         states.extend(self.buckets.export_contents());
         let mut nums = vec![
@@ -532,7 +346,7 @@ impl ReduceSide for IncHashReducer<'_> {
                 self.stats.spill.rejected_arrival,
                 self.victim_cursor,
             ],
-            self.counts.clone(),
+            self.table.iter().map(|(_, (_, count))| *count).collect(),
         ];
         if let (Some(sketch), Some(filter)) = (&self.sketch, &self.filter) {
             nums.push(sketch.to_nums());
@@ -569,16 +383,6 @@ impl ReduceSide for IncHashReducer<'_> {
         let resident = sections.remove(0);
         let [sink_pending, ctx_pending] = <[Vec<opa_common::Pair>; 2]>::try_from(ckpt.pairs)
             .map_err(|_| Error::job("INC-hash checkpoint missing output sections"))?;
-        self.states = Vec::with_capacity(resident.len());
-        self.index = GroupIndex::with_capacity(resident.len());
-        self.mem_used = 0;
-        for sp in resident {
-            self.mem_used +=
-                sp.key.len() as u64 + self.inc.state_mem_size(&sp.state) + ENTRY_OVERHEAD;
-            self.index
-                .insert(self.h1.hash(sp.key.bytes()), self.states.len());
-            self.states.push((sp.key, sp.state));
-        }
         self.buckets.restore_contents(sections);
         self.sink.restore_pending(sink_pending);
         self.ctx.restore_pending(ctx_pending);
@@ -599,12 +403,18 @@ impl ReduceSide for IncHashReducer<'_> {
             self.victim_cursor = cursor;
         }
         let counts = nums.next().unwrap_or_default();
-        if counts.len() != self.states.len() {
+        if counts.len() != resident.len() {
             return Err(Error::job(
                 "INC-hash checkpoint combine-count section disagrees with the resident table",
             ));
         }
-        self.counts = counts;
+        self.table = GroupTable::with_capacity(resident.len());
+        self.mem_used = 0;
+        for (sp, count) in resident.into_iter().zip(counts) {
+            self.mem_used += entry_size(self.inc, &sp.key, &sp.state);
+            self.table
+                .push(self.h1.hash(sp.key.bytes()), sp.key, (sp.state, count));
+        }
         if self.admission.is_on() {
             let (Some(sketch), Some(filter)) = (nums.next(), nums.next()) else {
                 return Err(Error::job(
@@ -620,10 +430,8 @@ impl ReduceSide for IncHashReducer<'_> {
     }
 
     fn query(&self, key: &Key) -> Option<Value> {
-        let h = self.h1.hash(key.bytes());
-        self.index
-            .get(h, |r| self.states[r].0 == *key)
-            .map(|i| self.states[i].1.clone())
+        let i = self.table.find(self.h1.hash(key.bytes()), key)?;
+        Some(self.table.row(i).1 .0.clone())
     }
 
     /// Populated for both policies — the off-policy numbers are what the

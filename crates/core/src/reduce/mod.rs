@@ -19,6 +19,7 @@
 //! ingestion on worker threads while the observable [`crate::job::JobOutcome`]
 //! stays bit-identical to sequential execution.
 
+mod buckets;
 pub mod dinc_hash;
 pub mod inc_hash;
 pub mod mr_hash;

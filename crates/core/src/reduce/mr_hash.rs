@@ -10,22 +10,19 @@
 //! progress blocks at 33% just like sort-merge — the difference is the CPU
 //! saved and the early answers possible for `D1`.
 
+use super::buckets::{next_bucket, repartition, MAX_DEPTH, TOP_DEPTH};
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, WORK_BATCH};
 use crate::api::{Job, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::sim::OpKind;
 use opa_common::units::SimTime;
-use opa_common::{Error, GroupIndex, HashFamily, HashFn, Key, Pair, Result, SeededState, Value};
+use opa_common::{Error, GroupTable, HashFamily, HashFn, Key, Pair, Result, SeededState, Value};
 use opa_simio::BucketManager;
 use std::collections::HashMap;
 
 /// [`ReducerCkpt::tag`] of the MR-hash framework.
 pub(crate) const CKPT_TAG: u8 = 2;
-
-/// Recursive partitioning depth limit; `h2..h8` is far beyond anything a
-/// sane configuration needs (each level multiplies capacity by the fan-out).
-const MAX_DEPTH: usize = 6;
 
 /// One reduce task running the MR-hash framework.
 pub struct MrHashReducer<'j> {
@@ -91,24 +88,19 @@ impl<'j> MrHashReducer<'j> {
     ) -> SimTime {
         let n = pairs.len() as u64;
         t = env.cpu(t, env.cost().hash_time(n));
-        // Insertion-ordered group-by: the index stores fingerprints and
-        // row ids only (no key clones), probed with the same `h1`
-        // fingerprint the map side partitions with — hashed once per pair.
-        let mut groups: Vec<(Key, Vec<Value>)> = Vec::new();
-        let mut index = GroupIndex::with_capacity(pairs.len() / 4 + 1);
+        // Insertion-ordered group-by, probed with the `h1` fingerprint the
+        // map side partitions with.
+        let mut groups: GroupTable<Vec<Value>> = GroupTable::with_capacity(pairs.len() / 4 + 1);
         for p in pairs {
             let h = self.h1.hash(p.key.bytes());
-            match index.get(h, |r| groups[r].0 == p.key) {
-                Some(i) => groups[i].1.push(p.value),
-                None => {
-                    index.insert(h, groups.len());
-                    groups.push((p.key, vec![p.value]));
-                }
+            match groups.find(h, &p.key) {
+                Some(i) => groups.row_mut(i).1.push(p.value),
+                None => groups.push(h, p.key, vec![p.value]),
             }
         }
         let mut ctx = ReduceCtx::new();
         let mut batch = 0u64;
-        for (key, values) in groups {
+        for (_, key, values) in groups.into_rows() {
             let n = values.len() as u64;
             self.job.reduce(&key, values, &mut ctx);
             batch += n;
@@ -155,23 +147,19 @@ impl<'j> MrHashReducer<'j> {
             return self.reduce_in_memory(t, pairs, env);
         }
         // Recursive partitioning with h_{depth}.
-        let h = self.family.fn_at(depth);
-        let fan = ((bytes as f64 / (self.mem_budget as f64 * 0.8)).ceil() as usize).max(2);
-        let mut sub: BucketManager<Pair> = BucketManager::new(fan, self.write_buffer);
         t = env.cpu(t, env.cost().hash_time(pairs.len() as u64));
-        for p in pairs {
-            let b = h.bucket(p.key.bytes(), fan);
-            let op = sub.push(b, p);
-            t = env.spill(t, op);
-        }
-        let op = sub.seal();
-        t = env.spill(t, op);
-        for b in 0..fan {
-            let (recs, op) = sub.take_bucket(b);
-            t = env.spill(t, op);
-            if !recs.is_empty() {
-                t = self.process_bucket(t, recs, depth + 1, env);
-            }
+        let mut sub = repartition(
+            &mut t,
+            pairs,
+            |p| &p.key,
+            self.family.fn_at(depth),
+            self.mem_budget,
+            self.write_buffer,
+            env,
+        );
+        let mut next = 0;
+        while let Some(recs) = next_bucket(&mut t, &mut sub, &mut next, env) {
+            t = self.process_bucket(t, recs, depth + 1, env);
         }
         t
     }
@@ -224,17 +212,14 @@ impl ReduceSide for MrHashReducer<'_> {
         let had_overflow = !overflow.is_empty();
         d1.extend(overflow);
         if had_overflow {
-            t = self.process_bucket(t, d1, 3, env);
+            t = self.process_bucket(t, d1, TOP_DEPTH, env);
         } else {
             t = self.reduce_in_memory(t, d1, env);
         }
         // Phase 2: the remaining staged buckets, one at a time.
-        for b in 1..self.buckets.num_buckets() {
-            let (recs, op) = self.buckets.take_bucket(b);
-            t = env.spill(t, op);
-            if !recs.is_empty() {
-                t = self.process_bucket(t, recs, 3, env);
-            }
+        let mut next = 1;
+        while let Some(recs) = next_bucket(&mut t, &mut self.buckets, &mut next, env) {
+            t = self.process_bucket(t, recs, TOP_DEPTH, env);
         }
         t = self.sink.flush(t, env);
         env.span_close(OpKind::Reduce);

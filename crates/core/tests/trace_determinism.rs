@@ -205,7 +205,7 @@ impl IncrementalReducer for Count {
 /// has cross-task keys to merge), and the tail overflows every table of
 /// [`pin_spec`].
 fn pin_input() -> JobInput {
-    let mut rng = SplitMix64::new(0x51A7_E5);
+    let mut rng = SplitMix64::new(0x0051_A7E5);
     let recs: Vec<Vec<u8>> = (0..4000u64)
         .map(|i| {
             let words: Vec<String> = (0..3 + rng.next_below(4))
@@ -318,7 +318,7 @@ fn golden_hash_path_pins() {
         let name = pin.name;
         let outcome = JobBuilder::new(Count { fold: pin.fold })
             .framework(pin.framework)
-            .cluster(spec.clone())
+            .cluster(spec)
             .admission(pin.admission)
             .combine(pin.combine)
             .trace(true)

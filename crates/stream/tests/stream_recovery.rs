@@ -6,7 +6,7 @@
 use opa_common::fault::FaultConfig;
 use opa_common::{CombineScope, ExecConfig};
 use opa_core::cluster::{ClusterSpec, Framework};
-use opa_stream::{CheckpointView, StreamJobBuilder};
+use opa_stream::{CheckpointView, SavedState, StreamJobBuilder};
 use opa_workloads::click_count::ClickCountJob;
 use opa_workloads::clickstream::ClickStreamSpec;
 use opa_workloads::frequent_users::FrequentUsersJob;
@@ -161,6 +161,28 @@ fn mismatched_checkpoints_are_rejected() {
         .batches(4)
         .resume_stream(&data, &bad, |_| {})
         .is_err());
+
+    // Forged but CRC-valid (the CRC is not a MAC, and `write_to` re-seals):
+    // a schedule naming a chunk that does not exist, or one already mapped,
+    // is an error — not an index or lookup panic once the run reaches it.
+    let saved = SavedState::read_from(&ck).expect("decode checkpoint");
+    let mapped = saved.engine.done[0];
+    for (what, chunk) in [("unknown", 1_000_000), ("already mapped", mapped)] {
+        let mut forged = saved.clone();
+        forged.engine.pending[0].push(chunk);
+        let path = dir.join("forged.opac");
+        forged.write_to(&path).expect("write forged");
+        let err = StreamJobBuilder::new(click_job())
+            .framework(Framework::IncHash)
+            .cluster(ClusterSpec::tiny())
+            .batches(4)
+            .resume_stream(&data, &path, |_| {})
+            .expect_err("forged schedule must be rejected");
+        assert!(
+            err.to_string().contains(&format!("chunk {chunk}")),
+            "{what} chunk: unexpected error: {err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -646,7 +646,10 @@ impl TraceEvent {
         let obj = JsonValue::parse(line)?;
         let ev = obj.str_field("ev")?;
         let t = |k: &str| obj.u64_field(k);
-        let u32f = |k: &str| obj.u64_field(k).map(|v| v as u32);
+        let u32f = |k: &str| {
+            u32::try_from(obj.u64_field(k)?)
+                .map_err(|_| Error::job(format!("field '{k}' does not fit 32 bits")))
+        };
         Ok(match ev {
             "map_start" => TraceEvent::MapStart {
                 t: t("t")?,
@@ -1048,6 +1051,11 @@ mod tests {
         let err = TraceLog::from_jsonl("{\"ev\":\"nope\"}\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
         assert!(TraceLog::from_jsonl("not json\n").is_err());
+        let wide = "{\"ev\":\"map_start\",\"t\":0,\"chunk\":4294967297,\"attempt\":0,\"node\":0}\n";
+        assert!(
+            TraceLog::from_jsonl(wide).is_err(),
+            "chunk 2^32 + 1 is not chunk 1"
+        );
     }
 
     #[test]
