@@ -302,13 +302,9 @@ struct GroupIndex {
 impl GroupIndex {
     /// An index expecting roughly `cap` distinct rows.
     fn with_capacity(cap: usize) -> Self {
-        let slots = (cap.max(4) * 8 / 7).next_power_of_two();
-        GroupIndex {
-            fps: vec![0; slots],
-            rows: vec![EMPTY; slots],
-            mask: slots - 1,
-            len: 0,
-        }
+        let mut index = GroupIndex::default();
+        index.reserve(cap);
+        index
     }
 
     /// Number of rows indexed.
@@ -368,7 +364,19 @@ impl GroupIndex {
     }
 
     fn grow(&mut self) {
-        let new_slots = (self.mask + 1) * 2;
+        self.rebuild((self.mask + 1) * 2);
+    }
+
+    /// Makes room for `cap` rows in one rebuild instead of the doublings
+    /// that lead there. Never shrinks.
+    fn reserve(&mut self, cap: usize) {
+        let slots = (cap.max(4) * 8 / 7).next_power_of_two();
+        if slots > self.rows.len() {
+            self.rebuild(slots);
+        }
+    }
+
+    fn rebuild(&mut self, new_slots: usize) {
         let old_fps = std::mem::replace(&mut self.fps, vec![0; new_slots]);
         let old_rows = std::mem::replace(&mut self.rows, vec![EMPTY; new_slots]);
         self.mask = new_slots - 1;
@@ -480,10 +488,12 @@ impl<V> GroupTable<V> {
         }
     }
 
-    /// Reserves row storage for `additional` more keys — for a caller
-    /// whose estimate is good enough to spend the memory up front.
-    pub fn reserve_rows(&mut self, additional: usize) {
+    /// Makes room — rows and index — for `additional` more keys in one
+    /// step, for a caller whose estimate is good enough to spend the
+    /// memory up front.
+    pub fn reserve(&mut self, additional: usize) {
         self.rows.reserve(additional);
+        self.index.reserve(self.rows.len() + additional);
     }
 
     /// Number of resident keys.
@@ -499,7 +509,15 @@ impl<V> GroupTable<V> {
     /// The row holding `key`, whose fingerprint is `fp`.
     #[inline]
     pub fn find(&self, fp: u64, key: &Key) -> Option<usize> {
-        self.index.get(fp, |r| self.rows[r].1 == *key)
+        self.find_bytes(fp, key.bytes())
+    }
+
+    /// [`GroupTable::find`] for a key the caller holds only as borrowed
+    /// bytes — the map-side collectors probe with what `map()` emitted and
+    /// build a [`Key`] only for a key that turns out to be new.
+    #[inline]
+    pub fn find_bytes(&self, fp: u64, key: &[u8]) -> Option<usize> {
+        self.index.get(fp, |r| self.rows[r].1.bytes() == key)
     }
 
     /// Appends a row for a key that [`GroupTable::find`] just missed.

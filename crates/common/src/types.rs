@@ -11,11 +11,14 @@
 //! indistinguishable through the public API: `Eq`/`Ord`/`Hash` are defined
 //! on the byte content, never on the representation.
 //!
-//! Map output is collected through [`BatchBuilder`], which appends large
-//! payloads into one append-only arena per chunk; sealing the builder turns
-//! the rows into offset/len views over that single allocation
-//! ([`RecordBatch`]), which is the unit shuffled between mappers and
-//! reducers.
+//! Map output that has to exist as a whole run before it can be used —
+//! sort-merge sorts it, combiner-less MR-hash forwards it — is collected
+//! through [`BatchBuilder`], which appends large payloads into one
+//! append-only arena per chunk; sealing the builder turns the rows into
+//! offset/len views over that single allocation. The grouping collectors
+//! build their [`Key`]s and states directly from the emitted slices. Either
+//! way the unit shuffled between mappers and reducers is a [`RecordBatch`]
+//! or a [`StateBatch`].
 
 use bytes::Bytes;
 use std::fmt;
@@ -26,9 +29,10 @@ use std::fmt;
 pub const RECORD_OVERHEAD: u64 = 8;
 
 /// Largest payload stored inline inside a [`Key`]/[`Value`] without a heap
-/// allocation. 22 bytes keeps the whole struct within 24 bytes of inline
-/// storage while covering all fixed-width numeric keys (8 bytes) and the
-/// common run of short text keys.
+/// allocation: 22 bytes plus a length byte and the variant tag, covering
+/// all fixed-width numeric keys (8 bytes) and the common run of short text
+/// keys. The struct itself is 32 bytes — the size of the heap variant's
+/// [`Bytes`] handle.
 pub const INLINE_CAP: usize = 22;
 
 /// Internal payload representation: small payloads live in the struct,
@@ -118,6 +122,16 @@ impl Default for Repr {
     }
 }
 
+/// The first 8 bytes of `bytes` as a big-endian u64 — [`Key::as_u64`] and
+/// [`Value::as_u64`] for a payload still held as a borrowed slice (what
+/// `map()` emitted). `None` for fewer than 8 bytes.
+#[inline]
+pub fn be_u64(bytes: &[u8]) -> Option<u64> {
+    bytes
+        .get(..8)
+        .map(|b| u64::from_be_bytes(b.try_into().expect("slice is 8 bytes")))
+}
+
 /// An opaque record key. Ordering is lexicographic on the raw bytes, which
 /// is what the sort-merge baseline sorts by.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -161,9 +175,7 @@ impl Key {
     /// Interprets the first 8 bytes as a big-endian u64 (the inverse of
     /// [`Key::from_u64`]). Returns `None` for short keys.
     pub fn as_u64(&self) -> Option<u64> {
-        self.bytes()
-            .get(..8)
-            .map(|b| u64::from_be_bytes(b.try_into().expect("slice is 8 bytes")))
+        be_u64(self.bytes())
     }
 
     /// The raw key bytes.
@@ -248,9 +260,7 @@ impl Value {
 
     /// Interprets the first 8 bytes as a big-endian u64.
     pub fn as_u64(&self) -> Option<u64> {
-        self.bytes()
-            .get(..8)
-            .map(|b| u64::from_be_bytes(b.try_into().expect("slice is 8 bytes")))
+        be_u64(self.bytes())
     }
 
     /// The raw value bytes.
@@ -604,7 +614,9 @@ enum Slot {
     Arena { off: u32, len: u32 },
 }
 
-/// Arena-batched map-output collector: the zero-allocation emit path.
+/// Arena-batched map-output collector: the zero-allocation emit path of
+/// the frameworks that need the whole run materialised (sort-merge,
+/// combiner-less MR-hash).
 ///
 /// Payloads of up to [`INLINE_CAP`] bytes become inline representations on
 /// the spot; larger payloads are appended to one append-only byte arena
@@ -701,6 +713,16 @@ mod tests {
     }
 
     #[test]
+    fn key_is_32_bytes_and_a_pair_64() {
+        // What DESIGN §3.4 and the map-collector docs quote. A `Repr` is as
+        // wide as the `Bytes` handle in its heap variant, not as the 22
+        // inline bytes plus a length.
+        assert_eq!(std::mem::size_of::<Key>(), 32);
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+        assert_eq!(std::mem::size_of::<Pair>(), 64);
+    }
+
+    #[test]
     fn pair_size_includes_overhead() {
         let p = Pair::new(Key::from("user1"), Value::from("click"));
         assert_eq!(p.size(), 5 + 5 + RECORD_OVERHEAD);
@@ -734,7 +756,13 @@ mod tests {
         joined.extend_from_slice(&tail);
         assert_eq!(large, Value::new(joined));
         assert_eq!(large.len(), INLINE_CAP + 1);
-        assert!(Value::concat(&[]).is_empty());
+        assert_eq!(Value::concat(&[]), Value::default());
+        assert_eq!(Value::concat(&[b""]), Value::default());
+        // Empty parts between large ones, on the heap path.
+        assert_eq!(
+            Value::concat(&[b"", &tail, b"", b"x", b""]).len(),
+            INLINE_CAP + 1
+        );
     }
 
     #[test]

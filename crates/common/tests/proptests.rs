@@ -155,6 +155,18 @@ fn table_fp(k: u16) -> u64 {
     fp
 }
 
+/// Test key `k`. Key `2j + 1` is key `2j` plus one byte, so of every pair
+/// that shares a fingerprint one key's bytes are a proper prefix of the
+/// other's: a probe that compared only a prefix, or only the fingerprint,
+/// would confuse them.
+fn table_key(k: u16) -> Key {
+    let mut bytes = u64::from(k / 2).to_be_bytes().to_vec();
+    if k % 2 == 1 {
+        bytes.push(0xA5);
+    }
+    Key::from_slice(&bytes)
+}
+
 /// Score the victim scan ranks fingerprints by; coarse, so ties are common.
 fn table_score(fp: u64) -> u32 {
     (fp % 5) as u32
@@ -162,9 +174,11 @@ fn table_score(fp: u64) -> u32 {
 
 proptest! {
     /// `GroupTable` against a `Vec` with linear search, over random
-    /// find / push / row_mut / swap_remove / coldest / into_rows sequences.
+    /// find / push / row_mut / swap_remove / coldest / reserve / into_rows
+    /// sequences.
     /// After every step the rows are dense and in the model's order, and
-    /// every resident key is found at the model's position.
+    /// every resident key is found at the model's position — by `Key` and
+    /// by its borrowed bytes alike.
     #[test]
     fn group_table_matches_linear_search_model(
         ops in proptest::collection::vec((0u8..8, 0u16..48, any::<u64>()), 1..300),
@@ -173,12 +187,13 @@ proptest! {
         let mut model: Vec<(u64, Key, u64)> = Vec::new();
         let (mut cursor, mut model_cursor) = (0u64, 0u64);
         for (op, k, x) in ops {
-            let (fp, key) = (table_fp(k), Key::from_u64(u64::from(k)));
+            let (fp, key) = (table_fp(k), table_key(k));
             match op {
                 // Upsert, the group-by step itself.
                 0..=3 => {
                     let at = model.iter().position(|(_, mk, _)| *mk == key);
                     prop_assert_eq!(table.find(fp, &key), at);
+                    prop_assert_eq!(table.find_bytes(fp, key.bytes()), at);
                     match at {
                         Some(i) => {
                             let (found, v) = table.row_mut(i);
@@ -218,12 +233,15 @@ proptest! {
                     model.clear();
                     prop_assert!(table.is_empty());
                 }
+                // Rebuilds the index in one step; every row must survive it.
+                7 if x % 4 == 1 => table.reserve(x as usize % 200),
                 _ => {}
             }
             prop_assert_eq!(table.len(), model.len());
             for (i, (fp, key, v)) in model.iter().enumerate() {
                 prop_assert_eq!(table.row(i), (key, v));
                 prop_assert_eq!(table.find(*fp, key), Some(i));
+                prop_assert_eq!(table.find_bytes(*fp, key.bytes()), Some(i));
             }
             let in_order: Vec<_> = table.iter().collect();
             let model_order: Vec<_> = model.iter().map(|(_, key, v)| (key, v)).collect();

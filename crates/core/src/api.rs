@@ -157,9 +157,11 @@ pub trait Combiner: Send + Sync {
 /// raw value into a state, `cb()` merges states, `finalize()` produces the
 /// final answer — `reduce = cb ∘ … ∘ cb` followed by `fn`.
 pub trait IncrementalReducer: Send + Sync {
-    /// `init()` — reduces one raw value to a state. Applied map-side,
-    /// immediately after the map function.
-    fn init(&self, key: &Key, value: Value) -> Value;
+    /// `init()` — reduces one raw value to a state. Applied map-side, as
+    /// the map function emits: `value` is the emitted slice itself, read in
+    /// place, so a job with a large value builds its state straight from
+    /// the record instead of from a copy of it.
+    fn init(&self, key: &Key, value: &[u8]) -> Value;
 
     /// `cb()` — merges `other` into `acc`. May emit early output through
     /// `ctx` (e.g. closed sessions, counters crossing a query threshold),
@@ -228,11 +230,11 @@ pub trait Job: Send + Sync {
     fn name(&self) -> &str;
 
     /// The map function: parse one input record, emit ⟨key, value⟩ pairs
-    /// as borrowed byte slices. The engine copies each payload into its
-    /// arena-batched collector (small payloads become inline
-    /// representations, large ones append-only arena views), so map
-    /// functions should emit from stack buffers or record subslices and
-    /// never allocate per pair.
+    /// as borrowed byte slices. The engine hands each emission straight to
+    /// the framework's map-output collector, which copies only what it
+    /// keeps (a new key and its state under the grouping collectors, the
+    /// whole pair under sort-merge), so map functions should emit from
+    /// stack buffers or record subslices and never allocate per pair.
     fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8]));
 
     /// The classic reduce function over a key's complete value list. Used
@@ -337,8 +339,8 @@ mod tests {
 
     struct EchoInc;
     impl IncrementalReducer for EchoInc {
-        fn init(&self, _k: &Key, v: Value) -> Value {
-            v
+        fn init(&self, _k: &Key, v: &[u8]) -> Value {
+            Value::from_slice(v)
         }
         fn cb(&self, _k: &Key, acc: &mut Value, other: Value, _ctx: &mut ReduceCtx) {
             let mut b = acc.bytes().to_vec();

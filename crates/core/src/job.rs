@@ -526,8 +526,8 @@ mod tests {
             }
         }
         impl IncrementalReducer for CountInc {
-            fn init(&self, _k: &Key, v: Value) -> Value {
-                v
+            fn init(&self, _k: &Key, v: &[u8]) -> Value {
+                Value::from_slice(v)
             }
             fn cb(&self, _k: &Key, acc: &mut Value, other: Value, _ctx: &mut ReduceCtx) {
                 *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + other.as_u64().unwrap_or(0));

@@ -1,16 +1,23 @@
 //! Map-task execution and map-output collection.
 //!
-//! A map task reads its chunk, applies the user map function, and then
-//! hands the output to a framework-specific collector:
+//! A map task reads its chunk and applies the user map function, whose
+//! `emit` *is* the framework's collector — one pass from `map()` to the
+//! per-reducer batches:
 //!
-//! - **sort-merge** — sorts by ⟨partition, key⟩ (charging the comparison
-//!   CPU the paper blames for the busy map phase), applies the combiner if
-//!   present, and external-sorts through spill files when the output
-//!   exceeds `B_m`;
-//! - **MR-hash** — partitions by `h1` with a single buffer scan, no sort;
-//! - **INC/DINC-hash** — applies `init()` immediately after map (§4.2) and
-//!   collapses same-key states with `cb()` in an in-memory hash table (the
-//!   Hash-based Map Output component of §5).
+//! - **sort-merge** — materialises the run in a [`BatchBuilder`] (it has to
+//!   exist before it can be sorted), sorts by ⟨partition, key⟩ (charging
+//!   the comparison CPU the paper blames for the busy map phase), applies
+//!   the combiner if present, and external-sorts through spill files when
+//!   the output exceeds `B_m`;
+//! - **MR-hash** — with a combiner, each emission probes an in-memory hash
+//!   table by its borrowed key bytes and is folded (or collected) into its
+//!   group on the spot; without one, every pair is forwarded, so the run is
+//!   materialised in a [`BatchBuilder`] whose arena the payloads share.
+//!   Either way one `h1` scan partitions the result, no sort;
+//! - **INC/DINC-hash** — applies `init()` to each value as it is emitted
+//!   (§4.2) and collapses same-key states with `cb()` in an in-memory hash
+//!   table (the Hash-based Map Output component of §5). A [`Key`] and a
+//!   state are built only for a key the table has not seen.
 //!
 //! Under pipelining the task emits several *granules* (each independently
 //! sorted, like MapReduce Online's eager spills) at interpolated times;
@@ -36,8 +43,9 @@
 //! in strict event order — the engine's bit-identical determinism contract
 //! rests on this property.
 
-use crate::api::{Job, ReduceCtx, Site};
+use crate::api::{Combiner, Job, ReduceCtx, Site};
 use crate::cluster::{ClusterSpec, Framework};
+use crate::cost::CostModel;
 use crate::resident::{cb_sized, colder_resident, entry_size};
 use crate::sim::{OpKind, Resources};
 use bytes::Bytes;
@@ -45,7 +53,8 @@ use opa_common::fault::FaultConfig;
 use opa_common::hash::bucket_of;
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{
-    BatchBuilder, GroupTable, HashFn, Key, Pair, RecordBatch, StateBatch, StatePair, Value,
+    AdmissionPolicy, BatchBuilder, CombineScope, FreqSketch, GroupTable, HashFn, Key, Pair,
+    RecordBatch, StateBatch, StatePair, Value,
 };
 use opa_simio::{IoCategory, IoOp};
 
@@ -330,7 +339,7 @@ fn replay_partial(
 }
 
 /// Computes one map task without touching shared simulation state: runs
-/// the user map function and the framework collector, and records every
+/// the user map function into the framework's collector, and records every
 /// resource operation into the returned plan. Pure — safe to run on any
 /// thread, in any order.
 #[allow(clippy::too_many_arguments)]
@@ -341,12 +350,11 @@ pub fn compute_map_task(
     chunk_bytes: u64,
     spec: &ClusterSpec,
     h1: HashFn,
-    admission: opa_common::AdmissionPolicy,
-    combine: opa_common::CombineScope,
+    admission: AdmissionPolicy,
+    combine: CombineScope,
     poison: Option<PoisonGate>,
 ) -> MapTaskPlan {
     let cost = &spec.cost;
-    let n_partitions = spec.total_reducers();
     let mut plan = MapTaskPlan::new();
 
     // Task startup, then read the input chunk from HDFS.
@@ -355,52 +363,104 @@ pub fn compute_map_task(
     plan.ops
         .push(MapOp::Hdfs(IoCategory::MapInput, IoOp::read(chunk_bytes)));
 
-    // The map function, for real: emissions land in the arena-batched
-    // collector (inline representations for small payloads, one shared
-    // append-only arena for large ones), so the per-record path allocates
-    // nothing.
-    let mut builder = BatchBuilder::with_capacity(records.len());
-    let mut mapped = 0u64;
-    for (i, rec) in records.iter().enumerate() {
-        // Poisoned records never reach the UDF: the verdict is pure in
-        // (seed, offset), so the same record quarantines on every attempt
-        // and the chunk's whole plan stays a pure function of its inputs.
-        if let Some(gate) = &poison {
-            let offset = gate.base + i as u64;
-            if gate.faults.poisons(offset) {
-                plan.poisoned.push((offset, rec.clone()));
-                continue;
-            }
-        }
-        job.map(rec, &mut |k, v| builder.push(k, v));
-        mapped += 1;
-    }
-    let pairs = builder.seal();
-    plan.op_cpu(cost.map_time(mapped));
-
+    let input = MapInput {
+        job,
+        records,
+        poison,
+        cost,
+    };
     // `Off` disables the per-task combiner for the materializing
     // frameworks; the incremental frameworks fold on arrival by
     // construction, so for them the scope has no per-task effect.
     let combiner = job.combiner().filter(|_| combine.task_combining());
     match framework {
-        Framework::SortMerge => plan_sort_merge(combiner, pairs, 1, spec, h1, &mut plan),
-        Framework::SortMergePipelined => {
+        Framework::SortMerge | Framework::SortMergePipelined => {
             // Pipelined granules interpolate between map-fn end and finish.
-            plan_sort_merge(combiner, pairs, spec.pipeline_granules, spec, h1, &mut plan)
+            let granules = match framework {
+                Framework::SortMergePipelined => spec.pipeline_granules,
+                _ => 1,
+            };
+            let pairs = input.collect_rows(&mut plan);
+            plan_sort_merge(combiner, pairs, granules, spec, h1, &mut plan)
         }
-        Framework::MrHash => plan_mr_hash(combiner, pairs, n_partitions, spec, h1, &mut plan),
-        Framework::IncHash | Framework::DincHash => plan_incremental(
-            job,
-            pairs,
-            n_partitions,
-            chunk_bytes,
-            spec,
-            h1,
-            admission,
-            &mut plan,
-        ),
+        Framework::MrHash => plan_mr_hash(&input, combiner, spec, h1, &mut plan),
+        Framework::IncHash | Framework::DincHash => {
+            plan_incremental(&input, chunk_bytes, spec, h1, admission, &mut plan)
+        }
     }
     plan
+}
+
+/// What every collector maps over: the job, the chunk's records and the
+/// poison gate in front of the UDF.
+struct MapInput<'a> {
+    job: &'a dyn Job,
+    records: &'a [Bytes],
+    poison: Option<PoisonGate>,
+    cost: &'a CostModel,
+}
+
+impl MapInput<'_> {
+    /// The map function, for real: every pair it emits goes to `emit`,
+    /// which is the collector's `push`. Charges the map CPU.
+    fn run(&self, plan: &mut MapTaskPlan, mut emit: impl FnMut(&[u8], &[u8])) {
+        let mut mapped = 0u64;
+        for (i, rec) in self.records.iter().enumerate() {
+            // Poisoned records never reach the UDF: the verdict is pure in
+            // (seed, offset), so the same record quarantines on every attempt
+            // and the chunk's whole plan stays a pure function of its inputs.
+            if let Some(gate) = &self.poison {
+                let offset = gate.base + i as u64;
+                if gate.faults.poisons(offset) {
+                    plan.poisoned.push((offset, rec.clone()));
+                    continue;
+                }
+            }
+            self.job.map(rec, &mut emit);
+            mapped += 1;
+        }
+        plan.op_cpu(self.cost.map_time(mapped));
+    }
+
+    /// The materialising collector, for the paths that need the whole run
+    /// before they can act on it: sort-merge sorts it, combiner-less
+    /// MR-hash forwards every pair. Small payloads become inline
+    /// representations, large ones views over one arena per chunk, so the
+    /// per-record path allocates nothing.
+    fn collect_rows(&self, plan: &mut MapTaskPlan) -> Vec<Pair> {
+        let mut rows = BatchBuilder::with_capacity(self.records.len());
+        self.run(plan, |k, v| rows.push(k, v));
+        rows.seal()
+    }
+
+    /// The grouping collector of MR-hash with a combiner: each emission
+    /// probes the table by its borrowed key bytes (hashed once — the
+    /// fingerprint also partitions and rides the batch to the reduce
+    /// side); `hit` folds the value into its group's `V`, `miss` starts a
+    /// group. Returns the emission count and the groups in first-seen
+    /// order.
+    fn group_by_key<V>(
+        &self,
+        h1: HashFn,
+        plan: &mut MapTaskPlan,
+        mut hit: impl FnMut(&Key, &mut V, &[u8]),
+        mut miss: impl FnMut(&[u8]) -> V,
+    ) -> (u64, Vec<(u64, Key, V)>) {
+        let mut groups: GroupTable<V> = GroupTable::with_capacity(self.records.len() / 4 + 1);
+        let mut emitted = 0u64;
+        self.run(plan, |k, v| {
+            emitted += 1;
+            let h = h1.hash(k);
+            match groups.find_bytes(h, k) {
+                Some(i) => {
+                    let (key, group) = groups.row_mut(i);
+                    hit(key, group, v);
+                }
+                None => groups.push(h, Key::from_slice(k), miss(v)),
+            }
+        });
+        (emitted, groups.into_rows())
+    }
 }
 
 /// Replays a map-task plan against the shared resources, resolving disk
@@ -451,7 +511,7 @@ pub fn finish_map_task(
 /// Sort-merge collection, optionally split into `granules` pipelined
 /// pieces (each sorted and combined independently, like HOP's spills).
 fn plan_sort_merge(
-    combiner: Option<&dyn crate::api::Combiner>,
+    combiner: Option<&dyn Combiner>,
     pairs: Vec<Pair>,
     granules: usize,
     spec: &ClusterSpec,
@@ -526,7 +586,7 @@ fn plan_sort_merge(
 /// sorted run, keeping each group's fingerprint. Key handles are shared,
 /// not deep-copied.
 fn combine_sorted(
-    cb: &dyn crate::api::Combiner,
+    cb: &dyn Combiner,
     sorted: impl Iterator<Item = (usize, u64, Pair)>,
 ) -> Vec<(usize, u64, Pair)> {
     let mut out = Vec::new();
@@ -616,67 +676,68 @@ fn plan_external_sort(
 
 /// MR-hash collection: one partitioning scan, no sort. When the job has a
 /// combiner, the Hash-based Map Output component (§5) builds an in-memory
-/// hash table and feeds each key's values through it — map-side partial
-/// aggregation works for every hash framework; what MR-hash lacks is only
-/// *reduce-side* incremental processing.
+/// hash table and feeds each key's values through it as they are emitted
+/// — map-side partial aggregation works for every hash framework; what
+/// MR-hash lacks is only *reduce-side* incremental processing.
 fn plan_mr_hash(
-    combiner: Option<&dyn crate::api::Combiner>,
-    pairs: Vec<Pair>,
-    n_partitions: usize,
+    input: &MapInput<'_>,
+    combiner: Option<&dyn Combiner>,
     spec: &ClusterSpec,
     h1: HashFn,
     plan: &mut MapTaskPlan,
 ) {
     let cost = &spec.cost;
-    let n = pairs.len() as u64;
-    // Hash each key once; the fingerprint drives the group-by probe, the
-    // partition choice, and rides the batch to the reduce side.
-    let hashed: Vec<(u64, Pair)> = if let Some(cb) = combiner.filter(|cb| cb.supports_fold()) {
+    let (n, hashed): (u64, Vec<(u64, Pair)>) = match combiner {
         // Fold fast path: one accumulator per key, updated in place — no
-        // per-group value Vec. Groups stay in insertion order, so the
-        // output is identical to the collect-then-combine path below for
+        // per-group value Vec. Groups stay in first-seen order, so the
+        // output is identical to the collect-then-combine arm below for
         // any law-abiding fold combiner.
-        let mut groups: GroupTable<Value> = GroupTable::with_capacity(pairs.len() / 4 + 1);
-        for p in pairs {
-            let h = h1.hash(p.key.bytes());
-            match groups.find(h, &p.key) {
-                Some(i) => {
-                    let (key, acc) = groups.row_mut(i);
-                    cb.fold(key, acc, p.value);
+        Some(cb) if cb.supports_fold() => {
+            let (n, groups) = input.group_by_key(
+                h1,
+                plan,
+                |key, acc, v| cb.fold(key, acc, Value::from_slice(v)),
+                Value::from_slice,
+            );
+            plan.op_cpu(cost.cb_time(n));
+            let folded = groups
+                .into_iter()
+                .map(|(h, key, acc)| (h, Pair::new(key, acc)));
+            (n, folded.collect())
+        }
+        Some(cb) => {
+            let (n, groups) = input.group_by_key(
+                h1,
+                plan,
+                |_, values: &mut Vec<Value>, v| values.push(Value::from_slice(v)),
+                |v| vec![Value::from_slice(v)],
+            );
+            let mut combined = Vec::with_capacity(groups.len());
+            for (h, key, values) in groups {
+                for v in cb.combine(&key, values) {
+                    combined.push((h, Pair::new(key.clone(), v)));
                 }
-                None => groups.push(h, p.key, p.value),
             }
+            plan.op_cpu(cost.cb_time(n));
+            (n, combined)
         }
-        plan.op_cpu(cost.cb_time(n));
-        groups
-            .into_rows()
-            .into_iter()
-            .map(|(h, key, acc)| (h, Pair::new(key, acc)))
-            .collect()
-    } else if let Some(cb) = combiner {
-        // Insertion-ordered hash table: key → collected values.
-        let mut groups: GroupTable<Vec<Value>> = GroupTable::with_capacity(pairs.len() / 4 + 1);
-        for p in pairs {
-            let h = h1.hash(p.key.bytes());
-            match groups.find(h, &p.key) {
-                Some(i) => groups.row_mut(i).1.push(p.value),
-                None => groups.push(h, p.key, vec![p.value]),
-            }
+        // Nothing to group: every pair is forwarded, its large payloads as
+        // views over the chunk's one arena.
+        None => {
+            let pairs = input.collect_rows(plan);
+            let n = pairs.len() as u64;
+            let hashed = pairs.into_iter().map(|p| (h1.hash(p.key.bytes()), p));
+            (n, hashed.collect())
         }
-        let mut combined = Vec::with_capacity(groups.len());
-        for (h, key, values) in groups.into_rows() {
-            for v in cb.combine(&key, values) {
-                combined.push((h, Pair::new(key.clone(), v)));
-            }
-        }
-        plan.op_cpu(cost.cb_time(n));
-        combined
-    } else {
-        pairs
-            .into_iter()
-            .map(|p| (h1.hash(p.key.bytes()), p))
-            .collect()
     };
+    ship_pairs(hashed, n, spec, plan);
+}
+
+/// The tail every MR-hash variant shares: scatter the fingerprinted pairs
+/// into per-reducer batches and account the partitioning scan and the
+/// map-output write.
+fn ship_pairs(hashed: Vec<(u64, Pair)>, n: u64, spec: &ClusterSpec, plan: &mut MapTaskPlan) {
+    let n_partitions = spec.total_reducers();
     let cap = hashed.len() / n_partitions + 1;
     let mut per_part: Vec<RecordBatch> = (0..n_partitions)
         .map(|_| RecordBatch::with_capacity(cap))
@@ -684,7 +745,7 @@ fn plan_mr_hash(
     for (h, p) in hashed {
         per_part[bucket_of(h, n_partitions)].push_hashed(p, h);
     }
-    plan.op_cpu(cost.hash_time(n));
+    plan.op_cpu(spec.cost.hash_time(n));
 
     let output_bytes: u64 = per_part.iter().map(RecordBatch::bytes).sum();
     plan.output_bytes = output_bytes;
@@ -697,10 +758,10 @@ fn plan_mr_hash(
         .push(per_part.into_iter().map(Payload::Pairs).collect());
 }
 
-/// INC/DINC collection: `init()` per pair, then an insertion-ordered hash
-/// table collapses same-key states with `cb()` (map-side combine). The
-/// per-partition buffers are pre-sized from the job's `state_size_hint`
-/// so the hot path does not grow-and-copy per delivery.
+/// INC/DINC collection: `init()` on each value as `map()` emits it, and an
+/// insertion-ordered hash table that collapses same-key states with `cb()`
+/// (map-side combine) on arrival. A [`Key`] and a state of its own are
+/// built only for a key the table does not hold.
 ///
 /// With the LFU admission policy on, the collapse table is additionally
 /// held to the map buffer budget: once full, a newcomer is admitted only
@@ -709,67 +770,72 @@ fn plan_mr_hash(
 /// re-merges it, so the result is exact either way); otherwise the
 /// newcomer is forwarded uncombined. Decisions are pure functions of the
 /// chunk's record order, so plans stay deterministic at any thread count.
-#[allow(clippy::too_many_arguments)]
 fn plan_incremental(
-    job: &dyn Job,
-    pairs: Vec<Pair>,
-    n_partitions: usize,
+    input: &MapInput<'_>,
     chunk_bytes: u64,
     spec: &ClusterSpec,
     h1: HashFn,
-    admission: opa_common::AdmissionPolicy,
+    admission: AdmissionPolicy,
     plan: &mut MapTaskPlan,
 ) {
     let cost = &spec.cost;
-    let inc = job
+    let n_partitions = spec.total_reducers();
+    let inc = input
+        .job
         .incremental()
         .expect("validated: incremental frameworks require an IncrementalReducer");
-    let n = pairs.len() as u64;
 
-    // Sizing hint: distinct states this chunk can plausibly produce.
-    let state_hint = job.state_size_hint().unwrap_or(64).max(1);
-    let distinct_hint = ((chunk_bytes / state_hint) as usize + 1).min(pairs.len().max(1));
+    // Distinct states the chunk's bytes can plausibly hold. The sketch is
+    // sized by that alone (its width decides admissions, so it must depend
+    // on nothing but the chunk and the job); the table starts with room for
+    // no more than one key per record.
+    let state_hint = input.job.state_size_hint().unwrap_or(64).max(1);
+    let chunk_states = (chunk_bytes / state_hint) as usize + 1;
+    let key_per_record = chunk_states.min(input.records.len().max(1));
 
-    // init() immediately after map. Each key is hashed exactly once: the
-    // fingerprint probes the group table, picks the partition, and is
-    // carried in the outgoing batch.
     let mut ctx = ReduceCtx::at_site(Site::Map);
-    let mut table: GroupTable<Value> = GroupTable::with_capacity(distinct_hint);
-    table.reserve_rows(distinct_hint);
-    let mut cb_calls = 0u64;
+    let mut table: GroupTable<Value> = GroupTable::default();
+    table.reserve(key_per_record);
+    let (mut emitted, mut cb_calls) = (0u64, 0u64);
     let mut sketch = admission
         .is_on()
-        .then(|| opa_common::FreqSketch::with_capacity(distinct_hint));
+        .then(|| FreqSketch::with_capacity(chunk_states));
     let budget = spec.hardware.map_buffer;
     let mut used = 0u64;
     // Rows that leave the table early, in the order they left: displaced
     // residents and newcomers the gate turned away.
     let mut shipped_early: Vec<(u64, Key, Value)> = Vec::new();
     let mut victim_cursor = 0u64;
-    for p in pairs {
-        let state = inc.init(&p.key, p.value);
-        let h = h1.hash(p.key.bytes());
+    input.run(plan, |k, v| {
+        emitted += 1;
+        // Each key is hashed exactly once: the fingerprint probes the
+        // group table, picks the partition, and is carried in the outgoing
+        // batch.
+        let h = h1.hash(k);
         if let Some(sk) = sketch.as_mut() {
             sk.touch(h);
         }
-        if let Some(i) = table.find(h, &p.key) {
+        if let Some(i) = table.find_bytes(h, k) {
             let (key, acc) = table.row_mut(i);
+            let state = inc.init(key, v);
             if sketch.is_some() {
                 cb_sized(inc, key, acc, state, &mut ctx, &mut used);
             } else {
                 inc.cb(key, acc, state, &mut ctx);
             }
             cb_calls += 1;
-            continue;
+            return;
         }
+        let key = Key::from_slice(k);
+        let state = inc.init(&key, v);
         if let Some(sk) = &sketch {
-            let sz = entry_size(inc, &p.key, &state);
+            let sz = entry_size(inc, &key, &state);
             if used + sz > budget && !table.is_empty() {
                 // Table full: displace a resident only for a strictly
                 // hotter newcomer, else forward the newcomer uncombined.
                 let Some(vi) = colder_resident(&table, &mut victim_cursor, sk, h) else {
-                    shipped_early.push((h, p.key, state));
-                    continue;
+                    shipped_early.push((h, key, state));
+                    return;
                 };
                 let victim = table.swap_remove(vi);
                 used = used.saturating_sub(entry_size(inc, &victim.1, &victim.2));
@@ -777,11 +843,16 @@ fn plan_incremental(
             }
             used += sz;
         }
-        table.push(h, p.key, state);
-    }
+        if table.len() == key_per_record {
+            // More keys than records: go straight to what the chunk's
+            // bytes can hold rather than doubling up to it.
+            table.reserve(chunk_states);
+        }
+        table.push(h, key, state);
+    });
     plan.op_cpu(
-        cost.init_time(n)
-            + cost.hash_time(n + 2 * shipped_early.len() as u64)
+        cost.init_time(emitted)
+            + cost.hash_time(emitted + 2 * shipped_early.len() as u64)
             + cost.cb_time(cb_calls),
     );
 
@@ -819,7 +890,7 @@ fn plan_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Combiner;
+    use crate::api::IncrementalReducer;
     use crate::sim::Resources;
 
     /// Word-count-ish job keyed on the record's first byte.
@@ -845,7 +916,7 @@ mod tests {
                 None
             }
         }
-        fn incremental(&self) -> Option<&dyn crate::api::IncrementalReducer> {
+        fn incremental(&self) -> Option<&dyn IncrementalReducer> {
             Some(self)
         }
     }
@@ -858,9 +929,9 @@ mod tests {
         }
     }
 
-    impl crate::api::IncrementalReducer for FirstByte {
-        fn init(&self, _key: &Key, value: Value) -> Value {
-            value
+    impl IncrementalReducer for FirstByte {
+        fn init(&self, _key: &Key, value: &[u8]) -> Value {
+            Value::from_slice(value)
         }
         fn cb(&self, _key: &Key, acc: &mut Value, other: Value, _ctx: &mut ReduceCtx) {
             *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + other.as_u64().unwrap_or(0));
@@ -1054,6 +1125,376 @@ mod tests {
                 "{fw:?}"
             );
         }
+    }
+
+    /// The two-pass grouping code the streamed collectors replaced, kept
+    /// as their reference: every emission is first materialised through
+    /// [`BatchBuilder`] and `seal()`, and only then is the copy grouped.
+    /// The grouping loops are the parent commit's, with two exceptions:
+    /// `init()` is handed the sealed value's bytes, and the LFU sketch is
+    /// sized by the chunk's state capacity alone — the emitted-pair count
+    /// the parent clamped it by is not known while `map()` is still
+    /// running. Also reports how often the LFU gate evicted a resident and
+    /// how often it turned a newcomer away.
+    #[allow(clippy::too_many_arguments)]
+    fn two_pass_plan(
+        job: &dyn Job,
+        framework: Framework,
+        records: &[Bytes],
+        chunk_bytes: u64,
+        spec: &ClusterSpec,
+        h1: HashFn,
+        admission: AdmissionPolicy,
+        poison: Option<PoisonGate>,
+    ) -> (MapTaskPlan, u64, u64) {
+        let cost = &spec.cost;
+        let n_partitions = spec.total_reducers();
+        let mut plan = MapTaskPlan::new();
+        plan.ops
+            .push(MapOp::Advance(SimDuration::from_secs_f64(cost.c_start)));
+        plan.ops
+            .push(MapOp::Hdfs(IoCategory::MapInput, IoOp::read(chunk_bytes)));
+        let mut builder = BatchBuilder::with_capacity(records.len());
+        let mut mapped = 0u64;
+        for (i, rec) in records.iter().enumerate() {
+            if let Some(gate) = &poison {
+                let offset = gate.base + i as u64;
+                if gate.faults.poisons(offset) {
+                    plan.poisoned.push((offset, rec.clone()));
+                    continue;
+                }
+            }
+            job.map(rec, &mut |k, v| builder.push(k, v));
+            mapped += 1;
+        }
+        let pairs = builder.seal();
+        plan.op_cpu(cost.map_time(mapped));
+        let n = pairs.len() as u64;
+
+        if framework == Framework::MrHash {
+            let cb = job
+                .combiner()
+                .expect("the oracle covers the combining arms");
+            let hashed: Vec<(u64, Pair)> = if cb.supports_fold() {
+                let mut groups: GroupTable<Value> = GroupTable::with_capacity(pairs.len() / 4 + 1);
+                for p in pairs {
+                    let h = h1.hash(p.key.bytes());
+                    match groups.find(h, &p.key) {
+                        Some(i) => {
+                            let (key, acc) = groups.row_mut(i);
+                            cb.fold(key, acc, p.value);
+                        }
+                        None => groups.push(h, p.key, p.value),
+                    }
+                }
+                plan.op_cpu(cost.cb_time(n));
+                groups
+                    .into_rows()
+                    .into_iter()
+                    .map(|(h, key, acc)| (h, Pair::new(key, acc)))
+                    .collect()
+            } else {
+                let mut groups: GroupTable<Vec<Value>> =
+                    GroupTable::with_capacity(pairs.len() / 4 + 1);
+                for p in pairs {
+                    let h = h1.hash(p.key.bytes());
+                    match groups.find(h, &p.key) {
+                        Some(i) => groups.row_mut(i).1.push(p.value),
+                        None => groups.push(h, p.key, vec![p.value]),
+                    }
+                }
+                let mut combined = Vec::with_capacity(groups.len());
+                for (h, key, values) in groups.into_rows() {
+                    for v in cb.combine(&key, values) {
+                        combined.push((h, Pair::new(key.clone(), v)));
+                    }
+                }
+                plan.op_cpu(cost.cb_time(n));
+                combined
+            };
+            ship_pairs(hashed, n, spec, &mut plan);
+            return (plan, 0, 0);
+        }
+
+        assert!(
+            framework.is_incremental(),
+            "sort-merge has no grouping pass"
+        );
+        let inc = job.incremental().expect("incremental job");
+        let state_hint = job.state_size_hint().unwrap_or(64).max(1);
+        let chunk_states = (chunk_bytes / state_hint) as usize + 1;
+        let distinct_hint = chunk_states.min(pairs.len().max(1));
+        let mut ctx = ReduceCtx::at_site(Site::Map);
+        let mut table: GroupTable<Value> = GroupTable::default();
+        table.reserve(distinct_hint);
+        let mut cb_calls = 0u64;
+        let mut sketch = admission
+            .is_on()
+            .then(|| FreqSketch::with_capacity(chunk_states));
+        let budget = spec.hardware.map_buffer;
+        let mut used = 0u64;
+        let mut shipped_early: Vec<(u64, Key, Value)> = Vec::new();
+        let mut victim_cursor = 0u64;
+        let (mut evictions, mut turned_away) = (0u64, 0u64);
+        for p in pairs {
+            let state = inc.init(&p.key, p.value.bytes());
+            let h = h1.hash(p.key.bytes());
+            if let Some(sk) = sketch.as_mut() {
+                sk.touch(h);
+            }
+            if let Some(i) = table.find(h, &p.key) {
+                let (key, acc) = table.row_mut(i);
+                if sketch.is_some() {
+                    cb_sized(inc, key, acc, state, &mut ctx, &mut used);
+                } else {
+                    inc.cb(key, acc, state, &mut ctx);
+                }
+                cb_calls += 1;
+                continue;
+            }
+            if let Some(sk) = &sketch {
+                let sz = entry_size(inc, &p.key, &state);
+                if used + sz > budget && !table.is_empty() {
+                    let Some(vi) = colder_resident(&table, &mut victim_cursor, sk, h) else {
+                        shipped_early.push((h, p.key, state));
+                        turned_away += 1;
+                        continue;
+                    };
+                    let victim = table.swap_remove(vi);
+                    used = used.saturating_sub(entry_size(inc, &victim.1, &victim.2));
+                    shipped_early.push(victim);
+                    evictions += 1;
+                }
+                used += sz;
+            }
+            table.push(h, p.key, state);
+        }
+        plan.op_cpu(
+            cost.init_time(n)
+                + cost.hash_time(n + 2 * shipped_early.len() as u64)
+                + cost.cb_time(cb_calls),
+        );
+        let cap = table.len() / n_partitions + 1;
+        let mut per_part: Vec<StateBatch> = (0..n_partitions)
+            .map(|_| StateBatch::with_capacity(cap))
+            .collect();
+        for (h, key, state) in shipped_early.into_iter().chain(table.into_rows()) {
+            per_part[bucket_of(h, n_partitions)].push_hashed(StatePair::new(key, state), h);
+        }
+        let output_bytes: u64 = per_part.iter().map(StateBatch::bytes).sum();
+        plan.output_bytes = output_bytes;
+        plan.ops.push(MapOp::Spill(
+            IoCategory::MapOutput,
+            IoOp::write(output_bytes),
+        ));
+        let early_bytes = ctx.drain_into(&mut plan.early_output);
+        if early_bytes > 0 {
+            plan.ops.push(MapOp::Hdfs(
+                IoCategory::ReduceOutput,
+                IoOp::write(early_bytes),
+            ));
+        }
+        plan.ops.push(MapOp::Granule);
+        plan.granules
+            .push(per_part.into_iter().map(Payload::States).collect());
+        (plan, evictions, turned_away)
+    }
+
+    /// A job whose records spell out what `map()` emits: a record is a
+    /// run of `[key len][value len][key][value]` frames, possibly none.
+    /// Values and states are `[count u8][tail…]`; merging adds the counts
+    /// (wrapping) and keeps the longer tail, so states grow and shrink
+    /// across [`opa_common::INLINE_CAP`] as they merge, and `cb()` emits
+    /// early output whenever a count lands on a multiple of three.
+    struct Scripted {
+        fold: bool,
+    }
+
+    fn merge_scripted(acc: &Value, other: &[u8]) -> Value {
+        let a = acc.bytes();
+        let count = a
+            .first()
+            .unwrap_or(&0)
+            .wrapping_add(*other.first().unwrap_or(&0));
+        let (ta, tb) = (a.get(1..).unwrap_or(&[]), other.get(1..).unwrap_or(&[]));
+        Value::concat(&[&[count], if tb.len() > ta.len() { tb } else { ta }])
+    }
+
+    impl Job for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
+            let mut rest = record;
+            while let [klen, vlen, frame @ ..] = rest {
+                let (key, frame) = frame.split_at(*klen as usize);
+                let (value, frame) = frame.split_at(*vlen as usize);
+                emit(key, value);
+                rest = frame;
+            }
+        }
+        fn reduce(&self, _key: &Key, _values: Vec<Value>, _ctx: &mut ReduceCtx) {
+            unreachable!("only the map side runs here");
+        }
+        fn combiner(&self) -> Option<&dyn Combiner> {
+            Some(self)
+        }
+        fn incremental(&self) -> Option<&dyn IncrementalReducer> {
+            Some(self)
+        }
+        fn state_size_hint(&self) -> Option<u64> {
+            Some(16)
+        }
+    }
+
+    impl Combiner for Scripted {
+        fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
+            let n = values.len();
+            let mut values = values.into_iter();
+            let mut acc = values.next().expect("a group has a value");
+            for v in values {
+                acc = merge_scripted(&acc, v.bytes());
+            }
+            // The collect-only variant may return several values per key.
+            if !self.fold && n >= 3 {
+                return vec![acc, Value::from_u64(n as u64)];
+            }
+            vec![acc]
+        }
+        fn supports_fold(&self) -> bool {
+            self.fold
+        }
+        fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
+            *acc = merge_scripted(acc, value.bytes());
+        }
+    }
+
+    impl IncrementalReducer for Scripted {
+        fn init(&self, _key: &Key, value: &[u8]) -> Value {
+            Value::from_slice(value)
+        }
+        fn cb(&self, key: &Key, acc: &mut Value, other: Value, ctx: &mut ReduceCtx) {
+            *acc = merge_scripted(acc, other.bytes());
+            if acc.bytes()[0].is_multiple_of(3) {
+                ctx.emit(key.clone(), acc.clone());
+            }
+        }
+        fn finalize(&self, key: &Key, state: Value, ctx: &mut ReduceCtx) {
+            ctx.emit(key.clone(), state);
+        }
+    }
+
+    /// A seeded chunk for [`Scripted`]: `n` records of zero to five
+    /// emissions over a pool of keys whose lengths straddle `INLINE_CAP`,
+    /// the hot end of the pool drifting as the chunk goes on (so keys turn
+    /// hot after the LFU table has filled), with value tails of 0–30 bytes.
+    fn scripted_records(seed: u64, n: usize) -> Vec<Bytes> {
+        const KEY_LENS: [usize; 6] = [1, 8, 21, 22, 23, 40];
+        let mut rng = opa_common::rng::SplitMix64::new(seed);
+        (0..n)
+            .map(|i| {
+                let mut rec = Vec::new();
+                for _ in 0..rng.next_below(6) {
+                    let id = if rng.next_below(2) == 0 {
+                        (i / 8) as u64 + rng.next_below(4)
+                    } else {
+                        rng.next_below(60)
+                    };
+                    // Same-length keys differ in their last bytes only, so
+                    // many share long prefixes.
+                    let mut key = vec![b'k'; KEY_LENS[(id % 6) as usize]];
+                    let at = key.len() - 1;
+                    key[at] = (id / 6) as u8;
+                    let tail = [21, 22, 23, 0, 3, 30][rng.next_below(6) as usize];
+                    rec.push(key.len() as u8);
+                    rec.push(1 + tail);
+                    rec.extend_from_slice(&key);
+                    rec.push(1);
+                    rec.extend((0..tail).map(|b| b ^ id as u8));
+                }
+                Bytes::from(rec)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn streamed_collectors_match_the_two_pass_oracle() {
+        use AdmissionPolicy::{Lfu, Off};
+        let (mut evictions, mut turned_away, mut early, mut poisoned) = (0, 0, 0, 0);
+        for seed in 0..40u64 {
+            let recs = scripted_records(seed, 20 + (seed as usize % 5) * 40);
+            let chunk_bytes: u64 = recs.iter().map(|r| r.len() as u64).sum();
+            let mut spec = ClusterSpec::tiny();
+            spec.cost = CostModel::paper_scaled_at(1024.0);
+            // A few entries' worth, so the LFU gate is full almost at once.
+            spec.hardware.map_buffer = 300;
+            let h1 = opa_common::HashFamily::new(spec.hash_seed ^ seed).fn_at(0);
+            let poison = (seed % 2 == 1).then_some(PoisonGate {
+                faults: FaultConfig {
+                    seed,
+                    udf_poison_rate: 0.1,
+                    ..FaultConfig::disabled()
+                },
+                base: seed * 1000,
+            });
+            for (framework, admission, fold) in [
+                (Framework::IncHash, Off, true),
+                (Framework::DincHash, Lfu, true),
+                (Framework::MrHash, Off, true),
+                (Framework::MrHash, Off, false),
+            ] {
+                let job = Scripted { fold };
+                let plan = compute_map_task(
+                    &job,
+                    framework,
+                    &recs,
+                    chunk_bytes,
+                    &spec,
+                    h1,
+                    admission,
+                    CombineScope::Task,
+                    poison,
+                );
+                let (want, evicted, refused) = two_pass_plan(
+                    &job,
+                    framework,
+                    &recs,
+                    chunk_bytes,
+                    &spec,
+                    h1,
+                    admission,
+                    poison,
+                );
+                let case = format!("seed {seed} {framework:?} {admission:?} fold={fold}");
+                assert_eq!(
+                    format!("{:?}", plan.ops),
+                    format!("{:?}", want.ops),
+                    "{case}: ops"
+                );
+                // `Debug` of a batch prints its rows and the fingerprints
+                // they carry.
+                assert_eq!(
+                    format!("{:?}", plan.granules),
+                    format!("{:?}", want.granules),
+                    "{case}: granules"
+                );
+                assert_eq!(plan.early_output, want.early_output, "{case}: early output");
+                assert_eq!(plan.poisoned, want.poisoned, "{case}: poisoned");
+                assert_eq!(plan.cpu, want.cpu, "{case}: cpu");
+                assert_eq!(plan.output_bytes, want.output_bytes, "{case}: output bytes");
+                assert_eq!(plan.spill_bytes, want.spill_bytes, "{case}: spill bytes");
+                evictions += evicted;
+                turned_away += refused;
+                early += plan.early_output.len();
+                poisoned += plan.poisoned.len();
+            }
+        }
+        // Non-vacuity: both LFU outcomes, early output and the poison gate
+        // were all exercised.
+        assert!(evictions > 100, "LFU evictions: {evictions}");
+        assert!(turned_away > 100, "LFU refusals: {turned_away}");
+        assert!(early > 100, "early output pairs: {early}");
+        assert!(poisoned > 100, "poisoned records: {poisoned}");
     }
 
     #[test]

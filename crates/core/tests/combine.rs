@@ -57,8 +57,8 @@ impl Combiner for HitCount {
 }
 
 impl IncrementalReducer for HitCount {
-    fn init(&self, _key: &Key, value: Value) -> Value {
-        value
+    fn init(&self, _key: &Key, value: &[u8]) -> Value {
+        Value::from_slice(value)
     }
     fn cb(&self, _key: &Key, acc: &mut Value, other: Value, _ctx: &mut ReduceCtx) {
         *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + other.as_u64().unwrap_or(0));
@@ -169,10 +169,7 @@ fn node_scope_output_matches_off_under_fault_injection() {
         for threads in [1usize, 4] {
             let node = run(framework, CombineScope::Node, threads, faults, &input);
             assert!(
-                node.metrics
-                    .faults
-                    .as_ref()
-                    .is_some_and(|r| r.any_fired()),
+                node.metrics.faults.as_ref().is_some_and(|r| r.any_fired()),
                 "{framework:?}: fault leg is vacuous, nothing fired"
             );
             assert_eq!(

@@ -49,8 +49,8 @@ impl Combiner for WordCount {
 }
 
 impl IncrementalReducer for WordCount {
-    fn init(&self, _key: &Key, value: Value) -> Value {
-        value
+    fn init(&self, _key: &Key, value: &[u8]) -> Value {
+        Value::from_slice(value)
     }
     fn cb(&self, _key: &Key, acc: &mut Value, other: Value, _ctx: &mut ReduceCtx) {
         *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + other.as_u64().unwrap_or(0));

@@ -82,20 +82,21 @@ impl<T: Sized64> BucketManager<T> {
         b.buffered_bytes += rec.size();
         b.buffered.push(rec);
         if b.buffered_bytes >= cap {
-            Self::flush_bucket(b)
+            let refill = Vec::with_capacity(b.buffered.len());
+            Self::flush_bucket(b, refill)
         } else {
             IoOp::NONE
         }
     }
 
-    fn flush_bucket(b: &mut Bucket<T>) -> IoOp {
+    /// Moves the write buffer out as one flushed segment, leaving `refill`
+    /// in its place.
+    fn flush_bucket(b: &mut Bucket<T>, refill: Vec<T>) -> IoOp {
         if b.buffered.is_empty() {
             return IoOp::NONE;
         }
         let bytes = b.buffered_bytes;
-        let cap = b.buffered.len();
-        b.flushed
-            .push(std::mem::replace(&mut b.buffered, Vec::with_capacity(cap)));
+        b.flushed.push(std::mem::replace(&mut b.buffered, refill));
         b.flushed_bytes += bytes;
         b.buffered_bytes = 0;
         b.flush_count += 1;
@@ -107,7 +108,8 @@ impl<T: Sized64> BucketManager<T> {
         let mut op = IoOp::NONE;
         if !self.sealed {
             for b in &mut self.buckets {
-                op += Self::flush_bucket(b);
+                // A sealed bucket is never pushed to again: no new buffer.
+                op += Self::flush_bucket(b, Vec::new());
             }
             self.sealed = true;
         }
@@ -251,6 +253,30 @@ mod tests {
         assert_eq!(op.seeks, 3);
         assert!(m.seal().is_none());
         assert_eq!(m.total_spilled(), expect);
+    }
+
+    #[test]
+    fn seal_leaves_no_write_buffer_behind() {
+        // Bucket 0 flushes twice on its own and once more at seal, bucket 1
+        // only at seal, bucket 2 never holds anything.
+        let mut m = BucketManager::new(3, 150);
+        for k in 0..5 {
+            let _ = m.push(0, tuple(k, 80));
+        }
+        let _ = m.push(1, tuple(9, 80));
+        assert!(m.buckets[0].buffered.capacity() > 0, "refilled mid-run");
+        let _ = m.seal();
+        for b in &m.buckets {
+            assert_eq!(b.buffered.capacity(), 0, "sealing allocated a dead buffer");
+        }
+        let (recs, op) = m.take_bucket(0);
+        let keys: Vec<u64> = recs.iter().map(|r| r.key.as_u64().unwrap()).collect();
+        assert_eq!(keys, (0..5).collect::<Vec<_>>());
+        assert_eq!((op.read, op.seeks), (5 * 96, 3));
+        let (recs, op) = m.take_bucket(1);
+        assert_eq!(recs.len(), 1);
+        assert_eq!((op.read, op.seeks), (96, 1));
+        assert!(m.take_bucket(2).1.is_none());
     }
 
     #[test]

@@ -41,8 +41,8 @@ impl Combiner for ClickCountJob {
 }
 
 impl IncrementalReducer for ClickCountJob {
-    fn init(&self, _key: &Key, value: Value) -> Value {
-        value // already a count
+    fn init(&self, _key: &Key, value: &[u8]) -> Value {
+        Value::from_slice(value) // already a count
     }
 
     fn cb(&self, _key: &Key, acc: &mut Value, other: Value, _ctx: &mut ReduceCtx) {
@@ -98,7 +98,10 @@ mod tests {
         let job = ClickCountJob::default();
         assert!(Combiner::supports_fold(&job));
         let key = Key::from("user");
-        let values: Vec<Value> = [3u64, 0, 41, 7].iter().map(|&v| Value::from_u64(v)).collect();
+        let values: Vec<Value> = [3u64, 0, 41, 7]
+            .iter()
+            .map(|&v| Value::from_u64(v))
+            .collect();
         let combined = job.combine(&key, values.clone());
         let mut acc = values[0].clone();
         for v in &values[1..] {
@@ -140,7 +143,7 @@ mod tests {
 
         let combined = job.combine(&key, values.clone())[0].as_u64();
 
-        let mut acc = job.init(&key, values[0].clone());
+        let mut acc = job.init(&key, values[0].bytes());
         let mut ictx = ReduceCtx::new();
         for v in &values[1..] {
             job.cb(&key, &mut acc, v.clone(), &mut ictx);

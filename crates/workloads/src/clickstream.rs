@@ -200,12 +200,27 @@ pub fn parse_click(rec: &[u8]) -> Option<(u64, u64, &[u8])> {
     if s.len() < 24 || &s[..2] != b"t=" {
         return None;
     }
-    let ts = std::str::from_utf8(&s[2..12]).ok()?.parse().ok()?;
+    let ts = parse_digits(&s[2..12])?;
     if &s[12..15] != b" u=" {
         return None;
     }
-    let user = std::str::from_utf8(&s[15..23]).ok()?.parse().ok()?;
+    let user = parse_digits(&s[15..23])?;
     Some((ts, user, &s[24..]))
+}
+
+/// Reads a fixed-width decimal field straight from its bytes, accepting
+/// exactly what `str::parse::<u64>` accepts: one optional leading `+`, then
+/// one or more ASCII digits. The record's fields are at most ten bytes
+/// wide, so the value cannot overflow.
+fn parse_digits(field: &[u8]) -> Option<u64> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        (d <= 9).then(|| n * 10 + u64::from(d))
+    })
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ impl Combiner for SessionMarkJob {
 impl IncrementalReducer for SessionMarkJob {
     /// Dedup is the textbook incremental reduce: the state is the single
     /// mark, and further arrivals change nothing.
-    fn init(&self, _key: &Key, _value: Value) -> Value {
+    fn init(&self, _key: &Key, _value: &[u8]) -> Value {
         Value::from_u64(1)
     }
     fn cb(&self, _key: &Key, _acc: &mut Value, _other: Value, _ctx: &mut ReduceCtx) {}

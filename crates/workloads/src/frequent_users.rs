@@ -58,8 +58,8 @@ impl Combiner for FrequentUsersJob {
 }
 
 impl IncrementalReducer for FrequentUsersJob {
-    fn init(&self, _key: &Key, value: Value) -> Value {
-        encode_state(value.as_u64().unwrap_or(0), false)
+    fn init(&self, _key: &Key, value: &[u8]) -> Value {
+        encode_state(opa_common::be_u64(value).unwrap_or(0), false)
     }
 
     fn cb(&self, key: &Key, acc: &mut Value, other: Value, ctx: &mut ReduceCtx) {
@@ -129,12 +129,27 @@ mod tests {
         };
         let key = Key::from_u64(1);
         let mut ctx = ReduceCtx::new();
-        let mut acc = job.init(&key, Value::from_u64(1));
-        job.cb(&key, &mut acc, job.init(&key, Value::from_u64(1)), &mut ctx);
+        let mut acc = job.init(&key, &1u64.to_be_bytes());
+        job.cb(
+            &key,
+            &mut acc,
+            job.init(&key, &1u64.to_be_bytes()),
+            &mut ctx,
+        );
         assert_eq!(ctx.pending(), 0, "below threshold");
-        job.cb(&key, &mut acc, job.init(&key, Value::from_u64(1)), &mut ctx);
+        job.cb(
+            &key,
+            &mut acc,
+            job.init(&key, &1u64.to_be_bytes()),
+            &mut ctx,
+        );
         assert_eq!(ctx.pending(), 1, "crossed threshold");
-        job.cb(&key, &mut acc, job.init(&key, Value::from_u64(1)), &mut ctx);
+        job.cb(
+            &key,
+            &mut acc,
+            job.init(&key, &1u64.to_be_bytes()),
+            &mut ctx,
+        );
         assert_eq!(ctx.pending(), 1, "no re-emission");
         job.finalize(&key, acc, &mut ctx);
         assert_eq!(ctx.pending(), 1, "finalize honours emitted flag");
@@ -148,9 +163,14 @@ mod tests {
         };
         let key = Key::from_u64(2);
         let mut ctx = ReduceCtx::new();
-        let mut acc = job.init(&key, Value::from_u64(1));
+        let mut acc = job.init(&key, &1u64.to_be_bytes());
         for _ in 0..50 {
-            job.cb(&key, &mut acc, job.init(&key, Value::from_u64(1)), &mut ctx);
+            job.cb(
+                &key,
+                &mut acc,
+                job.init(&key, &1u64.to_be_bytes()),
+                &mut ctx,
+            );
         }
         job.finalize(&key, acc, &mut ctx);
         assert_eq!(ctx.pending(), 0);
@@ -164,8 +184,13 @@ mod tests {
         };
         let key = Key::from_u64(3);
         let mut ctx = ReduceCtx::at_site(Site::Map);
-        let mut acc = job.init(&key, Value::from_u64(1));
-        job.cb(&key, &mut acc, job.init(&key, Value::from_u64(1)), &mut ctx);
+        let mut acc = job.init(&key, &1u64.to_be_bytes());
+        job.cb(
+            &key,
+            &mut acc,
+            job.init(&key, &1u64.to_be_bytes()),
+            &mut ctx,
+        );
         assert_eq!(ctx.pending(), 0, "map side must not report");
         // The reducer still reports it (flag not set).
         let mut rctx = ReduceCtx::new();

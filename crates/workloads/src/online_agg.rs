@@ -67,8 +67,8 @@ pub fn decode_estimate(v: &[u8]) -> (u64, u64) {
 }
 
 impl IncrementalReducer for OnlineAvgJob {
-    fn init(&self, _key: &Key, value: Value) -> Value {
-        encode_state(1, value.as_u64().unwrap_or(0), self.first_emit)
+    fn init(&self, _key: &Key, value: &[u8]) -> Value {
+        encode_state(1, opa_common::be_u64(value).unwrap_or(0), self.first_emit)
     }
 
     fn cb(&self, key: &Key, acc: &mut Value, other: Value, ctx: &mut ReduceCtx) {
@@ -145,12 +145,12 @@ mod tests {
         let j = OnlineAvgJob { first_emit: 4 };
         let key = Key::from("avg-page");
         let mut ctx = ReduceCtx::new();
-        let mut acc = j.init(&key, Value::from_u64(10));
+        let mut acc = j.init(&key, &10u64.to_be_bytes());
         for i in 1..64u64 {
             j.cb(
                 &key,
                 &mut acc,
-                j.init(&key, Value::from_u64(10 + i % 3)),
+                j.init(&key, &(10 + i % 3).to_be_bytes()),
                 &mut ctx,
             );
         }
@@ -190,9 +190,9 @@ mod tests {
         let j = OnlineAvgJob { first_emit: 1 };
         let key = Key::from("avg-page");
         let mut ctx = ReduceCtx::at_site(Site::Map);
-        let mut acc = j.init(&key, Value::from_u64(1));
+        let mut acc = j.init(&key, &1u64.to_be_bytes());
         for _ in 0..16 {
-            j.cb(&key, &mut acc, j.init(&key, Value::from_u64(1)), &mut ctx);
+            j.cb(&key, &mut acc, j.init(&key, &1u64.to_be_bytes()), &mut ctx);
         }
         assert_eq!(ctx.pending(), 0, "partial chunk data must not be reported");
     }

@@ -40,8 +40,8 @@ impl Combiner for PageFreqJob {
 }
 
 impl IncrementalReducer for PageFreqJob {
-    fn init(&self, _key: &Key, value: Value) -> Value {
-        value
+    fn init(&self, _key: &Key, value: &[u8]) -> Value {
+        Value::from_slice(value)
     }
 
     fn cb(&self, _key: &Key, acc: &mut Value, other: Value, _ctx: &mut ReduceCtx) {

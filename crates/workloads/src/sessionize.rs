@@ -299,14 +299,14 @@ impl SessionizeJob {
 }
 
 impl IncrementalReducer for SessionizeJob {
-    fn init(&self, _key: &Key, value: Value) -> Value {
+    fn init(&self, _key: &Key, value: &[u8]) -> Value {
         /// Header of a one-click state with no anchor.
         const ONE_CLICK: [u8; HDR] = {
             let mut hdr = [0u8; HDR];
             hdr[HDR - 1] = 1;
             hdr
         };
-        let (ts, tail) = value.bytes().split_at(8);
+        let (ts, tail) = value.split_at(8);
         let tail = &tail[..tail.len().min(MAX_TAIL)];
         Value::concat(&[&ONE_CLICK, ts, &[tail.len() as u8], tail])
     }
@@ -486,7 +486,7 @@ mod tests {
         assert_eq!(seen, vec![(50, &b"/b"[..]), (100, &b"/a"[..])]);
         // `init` writes the same layout for one click.
         let job = SessionizeJob::default();
-        let one = job.init(&Key::from_u64(1), click_value(7, b"/x"));
+        let one = job.init(&Key::from_u64(1), click_value(7, b"/x").bytes());
         assert_eq!(one, state_bytes(None, &[(7, b"/x")]));
     }
 
@@ -520,8 +520,8 @@ mod tests {
                 ..SessionizeJob::default()
             };
             let mut ctx = ReduceCtx::new();
-            let mut acc = job.init(&key, click(10));
-            job.cb(&key, &mut acc, job.init(&key, click(20)), &mut ctx);
+            let mut acc = job.init(&key, click(10).bytes());
+            job.cb(&key, &mut acc, job.init(&key, click(20).bytes()), &mut ctx);
             (acc.len(), ctx.pending())
         };
         assert_eq!(run(41), (41, 0), "an exact fit stays buffered");
@@ -535,7 +535,7 @@ mod tests {
         let late = u64::MAX - 10;
         // Expiry: `late + gap` must not wrap round to a small number and
         // pass for long expired under the end-of-input watermark.
-        let state = job.init(&key, click(late));
+        let state = job.init(&key, click(late).bytes());
         assert!(!job.can_evict(&key, &state, Some(u64::MAX)));
         let mut ctx = ReduceCtx::new();
         assert_eq!(
@@ -595,10 +595,10 @@ mod tests {
         classic.sort_unstable();
         // Incremental with watermark advancing.
         let mut ictx = ReduceCtx::new();
-        let mut acc = job.init(&key, click(ts[0]));
+        let mut acc = job.init(&key, click(ts[0]).bytes());
         for &t in &ts[1..] {
             ictx.advance_watermark(t);
-            job.cb(&key, &mut acc, job.init(&key, click(t)), &mut ictx);
+            job.cb(&key, &mut acc, job.init(&key, click(t).bytes()), &mut ictx);
         }
         job.finalize(&key, acc, &mut ictx);
         let mut inc = labels(&ictx.drain());
@@ -614,15 +614,15 @@ mod tests {
         };
         let key = Key::from_u64(2);
         let mut ctx = ReduceCtx::new();
-        let mut acc = job.init(&key, click(100));
+        let mut acc = job.init(&key, click(100).bytes());
         // Watermark at 300 (close point 290): click 100 drains, opening
         // session 100; click 400 stays buffered.
         ctx.advance_watermark(300);
-        job.cb(&key, &mut acc, job.init(&key, click(400)), &mut ctx);
+        job.cb(&key, &mut acc, job.init(&key, click(400).bytes()), &mut ctx);
         let drained = ctx.drain();
         assert_eq!(drained.len(), 1, "click 100 drained, 400 buffered");
         // A tardy click at 150 still joins session 100 via the anchor.
-        job.cb(&key, &mut acc, job.init(&key, click(150)), &mut ctx);
+        job.cb(&key, &mut acc, job.init(&key, click(150).bytes()), &mut ctx);
         job.finalize(&key, acc, &mut ctx);
         let rest = ctx.drain();
         let mut got = labels(&rest);
@@ -639,10 +639,10 @@ mod tests {
         };
         let key = Key::from_u64(3);
         let mut ctx = ReduceCtx::new();
-        let mut acc = job.init(&key, click(10));
+        let mut acc = job.init(&key, click(10).bytes());
         for t in [20u64, 30, 40, 50, 60] {
             ctx.advance_watermark(t);
-            job.cb(&key, &mut acc, job.init(&key, click(t)), &mut ctx);
+            job.cb(&key, &mut acc, job.init(&key, click(t).bytes()), &mut ctx);
         }
         // Watermark never clears slack, yet the buffer cannot exceed
         // capacity: some clicks must have been force-drained.
@@ -656,8 +656,8 @@ mod tests {
         let key = Key::from_u64(4);
         let mut ctx = ReduceCtx::at_site(Site::Map);
         ctx.advance_watermark(100_000);
-        let mut acc = job.init(&key, click(10));
-        job.cb(&key, &mut acc, job.init(&key, click(20)), &mut ctx);
+        let mut acc = job.init(&key, click(10).bytes());
+        job.cb(&key, &mut acc, job.init(&key, click(20).bytes()), &mut ctx);
         assert_eq!(ctx.pending(), 0);
         assert_eq!(parse_state(acc.bytes()).1.count(), 2);
     }
@@ -666,7 +666,7 @@ mod tests {
     fn eviction_rule_honours_expiry() {
         let job = SessionizeJob::default();
         let key = Key::from_u64(5);
-        let state = job.init(&key, click(100));
+        let state = job.init(&key, click(100).bytes());
         // Watermark close: session may still grow → veto.
         assert!(!job.can_evict(&key, &state, Some(200)));
         // No watermark at all → veto.
@@ -680,7 +680,7 @@ mod tests {
         assert_eq!(ctx.pending(), 1);
         // Eviction of a live state hands it back for spilling.
         let mut ctx2 = ReduceCtx::new();
-        let live = job.init(&key, click(100));
+        let live = job.init(&key, click(100).bytes());
         let out2 = job.evict(&key, live.clone(), Some(150), &mut ctx2);
         assert_eq!(out2, Some(live));
         assert_eq!(ctx2.pending(), 0);
@@ -690,10 +690,10 @@ mod tests {
     fn event_time_tracks_latest_click() {
         let job = SessionizeJob::default();
         let key = Key::from_u64(6);
-        let mut acc = job.init(&key, click(500));
+        let mut acc = job.init(&key, click(500).bytes());
         assert_eq!(job.event_time(&acc), Some(500));
         let mut ctx = ReduceCtx::new();
-        job.cb(&key, &mut acc, job.init(&key, click(300)), &mut ctx);
+        job.cb(&key, &mut acc, job.init(&key, click(300).bytes()), &mut ctx);
         assert_eq!(job.event_time(&acc), Some(500), "max, not last-merged");
     }
 }

@@ -62,8 +62,8 @@ impl Combiner for TrigramCountJob {
 }
 
 impl IncrementalReducer for TrigramCountJob {
-    fn init(&self, _key: &Key, value: Value) -> Value {
-        encode_state(value.as_u64().unwrap_or(0), false)
+    fn init(&self, _key: &Key, value: &[u8]) -> Value {
+        encode_state(opa_common::be_u64(value).unwrap_or(0), false)
     }
 
     fn cb(&self, key: &Key, acc: &mut Value, other: Value, ctx: &mut ReduceCtx) {
@@ -184,9 +184,14 @@ mod tests {
         };
         let key = Key::from("x y z");
         let mut ctx = ReduceCtx::new();
-        let mut acc = job.init(&key, Value::from_u64(1));
+        let mut acc = job.init(&key, &1u64.to_be_bytes());
         for _ in 0..4 {
-            job.cb(&key, &mut acc, job.init(&key, Value::from_u64(1)), &mut ctx);
+            job.cb(
+                &key,
+                &mut acc,
+                job.init(&key, &1u64.to_be_bytes()),
+                &mut ctx,
+            );
         }
         assert_eq!(ctx.pending(), 1);
         job.finalize(&key, acc, &mut ctx);

@@ -118,8 +118,8 @@ impl WindowedCountJob {
 }
 
 impl IncrementalReducer for WindowedCountJob {
-    fn init(&self, _key: &Key, value: Value) -> Value {
-        let ts = value.as_u64().unwrap_or(0);
+    fn init(&self, _key: &Key, value: &[u8]) -> Value {
+        let ts = opa_common::be_u64(value).unwrap_or(0);
         let mut s = WindowState { windows: vec![] };
         s.add((ts / self.window_secs) as u32, 1);
         s.encode()
@@ -255,14 +255,19 @@ mod tests {
         let j = job();
         let key = Key::from_u64(2);
         let mut ctx = ReduceCtx::new();
-        let mut acc = j.init(&key, Value::from_u64(10));
+        let mut acc = j.init(&key, &10u64.to_be_bytes());
         // Watermark 120: close point 70 → window 0 still open.
         ctx.advance_watermark(120);
-        j.cb(&key, &mut acc, j.init(&key, Value::from_u64(50)), &mut ctx);
+        j.cb(&key, &mut acc, j.init(&key, &50u64.to_be_bytes()), &mut ctx);
         assert_eq!(ctx.pending(), 0, "window 0 can still grow");
         // Watermark 260: close point 210 → windows 0 and 1 closed.
         ctx.advance_watermark(260);
-        j.cb(&key, &mut acc, j.init(&key, Value::from_u64(130)), &mut ctx);
+        j.cb(
+            &key,
+            &mut acc,
+            j.init(&key, &130u64.to_be_bytes()),
+            &mut ctx,
+        );
         let out: Vec<(u32, u64)> = ctx
             .drain()
             .iter()
@@ -270,7 +275,12 @@ mod tests {
             .collect();
         assert_eq!(out, vec![(0, 2), (1, 1)]);
         // A click in window 2 stays open (open_from = 2)…
-        j.cb(&key, &mut acc, j.init(&key, Value::from_u64(250)), &mut ctx);
+        j.cb(
+            &key,
+            &mut acc,
+            j.init(&key, &250u64.to_be_bytes()),
+            &mut ctx,
+        );
         assert_eq!(ctx.pending(), 0);
         // …until finalize flushes it.
         j.finalize(&key, acc, &mut ctx);
@@ -286,7 +296,7 @@ mod tests {
     fn eviction_rules_track_window_expiry() {
         let j = job();
         let key = Key::from_u64(3);
-        let state = j.init(&key, Value::from_u64(10)); // window 0
+        let state = j.init(&key, &10u64.to_be_bytes()); // window 0
         assert!(!j.can_evict(&key, &state, Some(60)));
         assert!(j.can_evict(&key, &state, Some(200)));
         let mut ctx = ReduceCtx::new();
@@ -302,7 +312,7 @@ mod tests {
     #[test]
     fn event_time_is_last_window_end() {
         let j = job();
-        let state = j.init(&Key::from_u64(4), Value::from_u64(250)); // window 2
+        let state = j.init(&Key::from_u64(4), &250u64.to_be_bytes()); // window 2
         assert_eq!(j.event_time(&state), Some(299));
     }
 }

@@ -9,6 +9,7 @@ mod session_oracle;
 
 use opa_core::api::{IncrementalReducer, Job, ReduceCtx, Site};
 use opa_core::prelude::{Key, Value};
+use opa_workloads::clickstream::{format_click, parse_click};
 use opa_workloads::sessionize::{decode_output, SessionizeJob};
 use opa_workloads::windowed_count::decode_window_output;
 use opa_workloads::FrequentUsersJob;
@@ -87,7 +88,7 @@ proptest! {
         for &i in &order {
             let t = ts[i];
             ctx.advance_watermark(t);
-            let s = job.init(&key, click_value(t));
+            let s = job.init(&key, click_value(t).bytes());
             match acc.as_mut() {
                 None => acc = Some(s),
                 Some(a) => job.cb(&key, a, s, &mut ctx),
@@ -131,7 +132,7 @@ proptest! {
         for &i in &order {
             let t = ts[i];
             ctx.advance_watermark(t);
-            let s = job.init(&key, Value::from_u64(t));
+            let s = job.init(&key, &t.to_be_bytes());
             match acc.as_mut() {
                 None => acc = Some(s),
                 Some(a) => job.cb(&key, a, s, &mut ctx),
@@ -165,7 +166,7 @@ proptest! {
         let mut ctx = ReduceCtx::new();
         let mut acc: Option<Value> = None;
         for &c in &splits {
-            let s = job.init(&key, Value::from_u64(c));
+            let s = job.init(&key, &c.to_be_bytes());
             match acc.as_mut() {
                 None => acc = Some(s),
                 Some(a) => job.cb(&key, a, s, &mut ctx),
@@ -180,6 +181,74 @@ proptest! {
         } else {
             prop_assert!(emitted.is_empty());
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Click records: digit fields parsed from bytes vs `str::parse`
+// ---------------------------------------------------------------------
+
+/// `parse_click` as it was written before the fields were parsed from the
+/// bytes: `from_utf8` + `str::parse::<u64>` on each.
+fn parse_click_via_str(s: &[u8]) -> Option<(u64, u64, &[u8])> {
+    if s.len() < 24 || &s[..2] != b"t=" {
+        return None;
+    }
+    let ts = std::str::from_utf8(&s[2..12]).ok()?.parse().ok()?;
+    if &s[12..15] != b" u=" {
+        return None;
+    }
+    let user = std::str::from_utf8(&s[15..23]).ok()?.parse().ok()?;
+    Some((ts, user, &s[24..]))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Over arbitrary records of 24 bytes and more — a well-formed click
+    /// with up to six bytes overwritten from an alphabet of digits, signs,
+    /// blanks, the separators and non-UTF-8 bytes, or wholly arbitrary
+    /// bytes — the byte-level parser accepts exactly what `str::parse`
+    /// accepted, with the same fields.
+    #[test]
+    fn parse_click_accepts_what_str_parse_accepted(
+        ts in 0u64..10_000_000_000,
+        user in 0u64..100_000_000,
+        edits in proptest::collection::vec((0usize..26, 0usize..12), 0..7),
+        noise in proptest::collection::vec(any::<u8>(), 24..60),
+        use_noise in 0u8..4,
+    ) {
+        const ALPHABET: [u8; 12] = *b"+-09 5=tu.\xFF\xC3";
+        let mut rec = format_click(ts, user, 7);
+        for (at, c) in edits {
+            rec[at] = ALPHABET[c];
+        }
+        let rec = if use_noise == 0 { noise } else { rec };
+        prop_assert_eq!(parse_click(&rec), parse_click_via_str(&rec));
+    }
+}
+
+#[test]
+fn parse_click_sign_and_blank_cases() {
+    // The accept set's edges, spelled out: a leading `+` parses, a lone or
+    // doubled sign, a `-`, a blank and an interior `+` do not.
+    let with_ts = |field: &[u8; 10]| {
+        let mut rec = format_click(0, 42, 7);
+        rec[2..12].copy_from_slice(field);
+        rec
+    };
+    for (field, want) in [
+        (b"+000000017", Some(17)),
+        (b"0000000017", Some(17)),
+        (b"++00000017", None),
+        (b"-000000017", None),
+        (b" 000000017", None),
+        (b"00000+0017", None),
+        (b"000000017 ", None),
+    ] {
+        let rec = with_ts(field);
+        assert_eq!(parse_click(&rec).map(|c| c.0), want, "{field:?}");
+        assert_eq!(parse_click(&rec), parse_click_via_str(&rec), "{field:?}");
     }
 }
 
@@ -301,8 +370,8 @@ proptest! {
             let (mut mctx, mut moctx) = (ReduceCtx::at_site(Site::Map), ReduceCtx::at_site(Site::Map));
             let mut other: Option<(Value, Value)> = None;
             for (ts, tail) in clicks {
-                let s = job.init(&key, raw_click(*ts, tail));
-                let o = oracle.init(&key, raw_click(*ts, tail));
+                let s = job.init(&key, raw_click(*ts, tail).bytes());
+                let o = oracle.init(&key, raw_click(*ts, tail).bytes());
                 prop_assert_eq!(&s, &o);
                 match other.as_mut() {
                     None => other = Some((s, o)),

@@ -145,8 +145,7 @@ pub struct OracleSessionize {
 }
 
 impl IncrementalReducer for OracleSessionize {
-    fn init(&self, _key: &Key, value: Value) -> Value {
-        let v = value.bytes();
+    fn init(&self, _key: &Key, v: &[u8]) -> Value {
         let ts = u64::from_be_bytes(v[..8].try_into().expect("click value has ts"));
         SessionState {
             anchor: None,

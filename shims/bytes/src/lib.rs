@@ -43,15 +43,21 @@ impl Bytes {
     /// crate spells this `BytesMut::with_capacity` + `freeze`.
     pub fn concat(parts: &[&[u8]]) -> Self {
         let len = parts.iter().map(|p| p.len()).sum();
-        // A `TrustedLen` iterator collects straight into the final
-        // allocation; the zero fill is overwritten below.
-        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        let mut data = Arc::<[u8]>::new_uninit_slice(len);
         let buf = Arc::get_mut(&mut data).expect("a freshly built Arc is unique");
         let mut at = 0;
         for p in parts {
-            buf[at..at + p.len()].copy_from_slice(p);
+            let dst = buf[at..at + p.len()].as_mut_ptr().cast::<u8>();
+            // SAFETY: `dst` is the start of an in-bounds `p.len()`-byte
+            // window of the new allocation (the slice index above checked
+            // it), which nothing borrowed by `parts` can overlap.
+            unsafe { std::ptr::copy_nonoverlapping(p.as_ptr(), dst, p.len()) };
             at += p.len();
         }
+        // SAFETY: the windows written above are consecutive from 0 and
+        // their lengths sum to `len`, so every byte of `0..len` is
+        // initialised.
+        let data = unsafe { data.assume_init() };
         Bytes { data, off: 0, len }
     }
 
@@ -261,6 +267,7 @@ mod tests {
         let b = Bytes::concat(&[b"ab", b"", b"cde"]);
         assert_eq!(&b[..], b"abcde");
         assert!(Bytes::concat(&[]).is_empty());
+        assert!(Bytes::concat(&[b""]).is_empty());
     }
 
     #[test]
