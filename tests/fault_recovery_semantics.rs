@@ -228,12 +228,14 @@ fn stream_checkpoint_resume_round_trips_admission_sketch_and_counters_exactly() 
     // The admission round-trip contract: a stream checkpointed mid-run
     // with the LFU gate on and restored into fresh reducers must reach
     // the *same end state* as the uninterrupted run — identical output
-    // multiset and identical admission counters. Post-checkpoint
-    // decisions depend on the frequency sketch and the spilled-key
-    // filter, so the counters agree only if `export_state`/`import_state`
-    // carried both bit-exactly; any drift in the restored sketch shows up
-    // as a diverged absorbed/rejected split. A 4 KB reduce buffer (vs the
-    // stream's ~450 distinct users) guarantees the gate actually fires.
+    // multiset and identical admission counters — and that end state is
+    // the one-shot batch run's: batching the arrivals must not change a
+    // single admission decision. Post-checkpoint decisions depend on the
+    // frequency sketch and the spilled-key filter, so the counters agree
+    // only if `export_state`/`import_state` carried both bit-exactly; any
+    // drift in the restored sketch shows up as a diverged
+    // absorbed/rejected split. A 4 KB reduce buffer (vs the stream's ~450
+    // distinct users) guarantees the gate actually fires.
     use opa::common::units::KB;
     use opa::common::AdmissionPolicy;
     use opa::stream::StreamJobBuilder;
@@ -264,6 +266,23 @@ fn stream_checkpoint_resume_round_trips_admission_sketch_and_counters_exactly() 
         assert!(
             full_adm.rejected > 0,
             "{fw:?}: the gate never fired — the round-trip is vacuous"
+        );
+
+        let batch = JobBuilder::new(job.clone())
+            .framework(fw)
+            .cluster(cluster)
+            .admission(AdmissionPolicy::Lfu)
+            .run(&input)
+            .expect("batch run");
+        assert_eq!(
+            full.job.sorted_output(),
+            batch.sorted_output(),
+            "{fw:?}: gated streamed output differs from the gated batch run"
+        );
+        assert_eq!(
+            batch.metrics.admission,
+            Some(full_adm),
+            "{fw:?}: streaming perturbed the admission counters"
         );
 
         let ck = dir.join(format!("{fw:?}.opac"));
