@@ -37,14 +37,22 @@ impl Args {
         args
     }
 
-    /// Looks up an option, parsed.
-    pub fn get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.options.get(key).and_then(|v| v.parse().ok())
+    /// Looks up an option, parsed. An absent option is `None`; a value
+    /// that does not parse is an error naming the flag and the text, never
+    /// a silent fall-back to the default.
+    pub fn get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.options
+            .get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{key}: cannot parse '{v}'"))
+            })
+            .transpose()
     }
 
-    /// Looks up an option with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key).unwrap_or(default)
+    /// Looks up an option with a default for when it is absent.
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.get(key)?.unwrap_or(default))
     }
 
     /// Whether a bare flag was given.
@@ -88,15 +96,30 @@ mod tests {
     fn option_followed_by_option_is_flag() {
         let a = parse(&["--quick", "--seed", "7"]);
         assert!(a.has_flag("quick"));
-        assert_eq!(a.get::<u64>("seed"), Some(7));
+        assert_eq!(a.get::<u64>("seed"), Ok(Some(7)));
     }
 
     #[test]
     fn typed_getters() {
-        let a = parse(&["--n", "42", "--x", "not-a-number"]);
-        assert_eq!(a.get::<u64>("n"), Some(42));
-        assert_eq!(a.get::<u64>("x"), None);
-        assert_eq!(a.get_or("missing", 9u64), 9);
+        let a = parse(&["--n", "42"]);
+        assert_eq!(a.get::<u64>("n"), Ok(Some(42)));
+        assert_eq!(a.get::<u64>("missing"), Ok(None));
+        assert_eq!(a.get_or("n", 9u64), Ok(42));
+        assert_eq!(a.get_or("missing", 9u64), Ok(9));
+    }
+
+    #[test]
+    fn unparsable_value_is_an_error_naming_flag_and_text() {
+        let a = parse(&["--checkpoint-every", "2x", "--rate", "0.5", "--n", "-1"]);
+        let msg = "--checkpoint-every: cannot parse '2x'".to_string();
+        assert_eq!(a.get::<usize>("checkpoint-every"), Err(msg.clone()));
+        assert_eq!(a.get_or("checkpoint-every", 4usize), Err(msg));
+        // The target type decides: the same text can suit one option and
+        // not another.
+        assert_eq!(a.get::<f64>("rate"), Ok(Some(0.5)));
+        assert!(a.get::<u64>("rate").is_err());
+        assert_eq!(a.get::<i64>("n"), Ok(Some(-1)));
+        assert!(a.get::<usize>("n").is_err());
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn configure(mut flow: Dataflow, args: &Args) -> Result<Dataflow, String> {
     flow = flow
         .exec(parse_exec(args)?)
         .policy(parse_policy(args)?)
-        .faults(parse_faults(args))
+        .faults(parse_faults(args)?)
         .trace(args.options.contains_key("trace-out"));
     if let Some(dir) = args.options.get("checkpoint-dir") {
         flow = flow.checkpoints(dir);
@@ -60,7 +60,7 @@ pub(crate) fn dataflow(chain: &str, args: &Args) -> Result<(), String> {
 
     let outcome: DataflowOutcome = match chain {
         "pagerank" => {
-            let rounds: usize = args.get_or("rounds", 3usize);
+            let rounds: usize = args.get_or("rounds", 3usize)?;
             let mut flow = Dataflow::new(cluster).then(PageRankInitJob, framework);
             for _ in 0..rounds {
                 flow = flow.then(PageRankRoundJob, framework);
@@ -71,14 +71,14 @@ pub(crate) fn dataflow(chain: &str, args: &Args) -> Result<(), String> {
             let flow = Dataflow::new(cluster)
                 .then(
                     SessionMarkJob {
-                        window_secs: args.get_or("window", 300u64),
-                        expected_users: args.get_or("expected-keys", 50_000u64),
+                        window_secs: args.get_or("window", 300u64)?,
+                        expected_users: args.get_or("expected-keys", 50_000u64)?,
                     },
                     framework,
                 )
                 .then(
                     SessionCountJob {
-                        expected_users: args.get_or("expected-keys", 50_000u64),
+                        expected_users: args.get_or("expected-keys", 50_000u64)?,
                     },
                     framework,
                 );
@@ -86,7 +86,7 @@ pub(crate) fn dataflow(chain: &str, args: &Args) -> Result<(), String> {
         }
         "top-pages" => {
             // Two producer jobs over the same cluster, unioned by URL.
-            let expected_pages = args.get_or("expected-keys", 100_000u64);
+            let expected_pages = args.get_or("expected-keys", 100_000u64)?;
             let exec = parse_exec(args)?;
             let freq = JobBuilder::new(PageFreqJob { expected_pages })
                 .framework(Framework::IncHash)
@@ -111,7 +111,7 @@ pub(crate) fn dataflow(chain: &str, args: &Args) -> Result<(), String> {
                 .then(TopPagesJoinJob, framework)
                 .then(
                     TopKFunnelJob {
-                        k: args.get_or("k", 10usize),
+                        k: args.get_or("k", 10usize)?,
                     },
                     framework,
                 );

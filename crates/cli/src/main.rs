@@ -148,7 +148,7 @@ fn out_path(args: &Args) -> Result<PathBuf, String> {
 
 fn generate_clickstream(args: &Args) -> Result<(), String> {
     let bytes = required_bytes(args, "bytes")?;
-    let seed = args.get_or("seed", 42u64);
+    let seed = args.get_or("seed", 42u64)?;
     let preset = args
         .options
         .get("preset")
@@ -174,7 +174,7 @@ fn generate_clickstream(args: &Args) -> Result<(), String> {
 
 fn generate_documents(args: &Args) -> Result<(), String> {
     let bytes = required_bytes(args, "bytes")?;
-    let seed = args.get_or("seed", 42u64);
+    let seed = args.get_or("seed", 42u64)?;
     let input = DocumentSpec::paper_scaled(bytes).generate(seed);
     let path = out_path(args)?;
     write_lines(&path, &input)?;
@@ -197,29 +197,26 @@ fn write_lines(path: &PathBuf, input: &JobInput) -> Result<(), String> {
 /// Fault configuration shared by `run`, `stream` and `serve` submits:
 /// `--fault-rate` drives the four crash classes uniformly, and
 /// `--poison-rate` independently quarantines map records to the DLQ.
-pub(crate) fn parse_faults(args: &Args) -> opa_common::fault::FaultConfig {
-    let fault_rate = args.get_or("fault-rate", 0.0f64);
-    let seed = args.get_or("fault-seed", 42u64);
+pub(crate) fn parse_faults(args: &Args) -> Result<opa_common::fault::FaultConfig, String> {
+    let fault_rate = args.get_or("fault-rate", 0.0f64)?;
+    let seed = args.get_or("fault-seed", 42u64)?;
     let mut faults = if fault_rate > 0.0 {
         opa_common::fault::FaultConfig::uniform(seed, fault_rate)
     } else {
         opa_common::fault::FaultConfig::disabled()
     };
     faults.seed = seed;
-    faults.udf_poison_rate = args.get_or("poison-rate", 0.0f64);
-    faults
+    faults.udf_poison_rate = args.get_or("poison-rate", 0.0f64)?;
+    Ok(faults)
 }
 
 /// Execution-layer threads: default to the machine's parallelism. The
 /// outcome is bit-identical at any count; threads only buy wall-clock.
 pub(crate) fn parse_exec(args: &Args) -> Result<opa_common::ExecConfig, String> {
-    match args.options.get("threads") {
-        Some(v) => v
-            .parse()
-            .map(opa_common::ExecConfig::with_threads)
-            .map_err(|_| format!("--threads: cannot parse '{v}' as a thread count")),
-        None => Ok(opa_common::ExecConfig::available_parallelism()),
-    }
+    Ok(match args.get("threads")? {
+        Some(n) => opa_common::ExecConfig::with_threads(n),
+        None => opa_common::ExecConfig::available_parallelism(),
+    })
 }
 
 pub(crate) fn parse_admission(args: &Args) -> Result<opa_common::AdmissionPolicy, String> {
@@ -255,25 +252,28 @@ fn run_job(job: &str, args: &Args) -> Result<(), String> {
             .map(String::as_str)
             .unwrap_or("inc-hash"),
     )?;
-    let km = args.get_or("km", 1.0f64);
+    let km = args.get_or("km", 1.0f64)?;
     let cluster = ClusterSpec::paper_scaled();
     let exec = parse_exec(args)?;
     // Deterministic fault injection: one uniform rate across all four
     // fault classes, seeded so a failing run can be replayed exactly;
     // --poison-rate additionally quarantines map records to the DLQ.
-    let faults = parse_faults(args);
+    let faults = parse_faults(args)?;
     let admission = parse_admission(args)?;
     let combine = parse_combine(args)?;
     let want_drift = args.has_flag("drift") || args.options.contains_key("drift");
     let trace_on = args.options.contains_key("trace-out") || want_drift;
+    // Read before the job runs, so a typo costs no run.
+    let model_zipf = args.get::<f64>("model-zipf")?;
+    let model_keys = args.get_or("model-keys", args.get_or("expected-keys", 50_000u64)?)?;
 
     let outcome: JobOutcome = match job {
         "sessionize" => JobBuilder::new(SessionizeJob {
-            gap_secs: args.get_or("gap", 300u64),
-            slack_secs: args.get_or("slack", 400u64),
-            state_capacity: args.get_or("state", 512usize),
+            gap_secs: args.get_or("gap", 300u64)?,
+            slack_secs: args.get_or("slack", 400u64)?,
+            state_capacity: args.get_or("state", 512usize)?,
             charge_fixed_footprint: true,
-            expected_users: args.get_or("expected-keys", 50_000u64),
+            expected_users: args.get_or("expected-keys", 50_000u64)?,
         })
         .framework(framework)
         .cluster(cluster)
@@ -285,7 +285,7 @@ fn run_job(job: &str, args: &Args) -> Result<(), String> {
         .trace(trace_on)
         .run(&input),
         "click-count" => JobBuilder::new(ClickCountJob {
-            expected_users: args.get_or("expected-keys", 50_000u64),
+            expected_users: args.get_or("expected-keys", 50_000u64)?,
         })
         .framework(framework)
         .cluster(cluster)
@@ -297,8 +297,8 @@ fn run_job(job: &str, args: &Args) -> Result<(), String> {
         .trace(trace_on)
         .run(&input),
         "frequent-users" => JobBuilder::new(FrequentUsersJob {
-            threshold: args.get_or("threshold", 50u64),
-            expected_users: args.get_or("expected-keys", 50_000u64),
+            threshold: args.get_or("threshold", 50u64)?,
+            expected_users: args.get_or("expected-keys", 50_000u64)?,
         })
         .framework(framework)
         .cluster(cluster)
@@ -310,7 +310,7 @@ fn run_job(job: &str, args: &Args) -> Result<(), String> {
         .trace(trace_on)
         .run(&input),
         "page-freq" => JobBuilder::new(PageFreqJob {
-            expected_pages: args.get_or("expected-keys", 10_000u64),
+            expected_pages: args.get_or("expected-keys", 10_000u64)?,
         })
         .framework(framework)
         .cluster(cluster)
@@ -322,8 +322,8 @@ fn run_job(job: &str, args: &Args) -> Result<(), String> {
         .trace(trace_on)
         .run(&input),
         "trigrams" => JobBuilder::new(TrigramCountJob {
-            threshold: args.get_or("threshold", 1000u64),
-            expected_trigrams: args.get_or("expected-keys", 1_000_000u64),
+            threshold: args.get_or("threshold", 1000u64)?,
+            expected_trigrams: args.get_or("expected-keys", 1_000_000u64)?,
         })
         .framework(framework)
         .cluster(cluster)
@@ -393,13 +393,11 @@ fn run_job(job: &str, args: &Args) -> Result<(), String> {
             // which only the user knows (it is a property of the generator,
             // not the trace): --model-zipf opts in, --model-keys defaults
             // to the job's --expected-keys hint.
-            let combine_model = args.options.get("model-zipf").map(|z| {
-                let zipf: f64 = z.parse().unwrap_or(1.0);
-                let keys = args.get_or("model-keys", args.get_or("expected-keys", 50_000u64));
+            let combine_model = model_zipf.map(|zipf| {
                 let model = opa_model::CombineModel {
                     pairs: input.records.len() as f64,
                     pair_bytes: 24.0,
-                    keys,
+                    keys: model_keys,
                     zipf,
                     maps: rollup.map_tasks as f64,
                     nodes: cluster.hardware.nodes as f64,
@@ -462,41 +460,41 @@ fn stream_job(job: &str, args: &Args) -> Result<(), String> {
     match job {
         "sessionize" => stream_with(
             SessionizeJob {
-                gap_secs: args.get_or("gap", 300u64),
-                slack_secs: args.get_or("slack", 400u64),
-                state_capacity: args.get_or("state", 512usize),
+                gap_secs: args.get_or("gap", 300u64)?,
+                slack_secs: args.get_or("slack", 400u64)?,
+                state_capacity: args.get_or("state", 512usize)?,
                 charge_fixed_footprint: true,
-                expected_users: args.get_or("expected-keys", 50_000u64),
+                expected_users: args.get_or("expected-keys", 50_000u64)?,
             },
             args,
             &input,
         ),
         "click-count" => stream_with(
             ClickCountJob {
-                expected_users: args.get_or("expected-keys", 50_000u64),
+                expected_users: args.get_or("expected-keys", 50_000u64)?,
             },
             args,
             &input,
         ),
         "frequent-users" => stream_with(
             FrequentUsersJob {
-                threshold: args.get_or("threshold", 50u64),
-                expected_users: args.get_or("expected-keys", 50_000u64),
+                threshold: args.get_or("threshold", 50u64)?,
+                expected_users: args.get_or("expected-keys", 50_000u64)?,
             },
             args,
             &input,
         ),
         "page-freq" => stream_with(
             PageFreqJob {
-                expected_pages: args.get_or("expected-keys", 10_000u64),
+                expected_pages: args.get_or("expected-keys", 10_000u64)?,
             },
             args,
             &input,
         ),
         "trigrams" => stream_with(
             TrigramCountJob {
-                threshold: args.get_or("threshold", 1000u64),
-                expected_trigrams: args.get_or("expected-keys", 1_000_000u64),
+                threshold: args.get_or("threshold", 1000u64)?,
+                expected_trigrams: args.get_or("expected-keys", 1_000_000u64)?,
             },
             args,
             &input,
@@ -515,22 +513,22 @@ fn stream_with<J: opa_core::api::Job>(job: J, args: &Args, input: &JobInput) -> 
     let mut builder = StreamJobBuilder::new(job)
         .framework(framework)
         .cluster(ClusterSpec::paper_scaled())
-        .km_hint(args.get_or("km", 1.0f64))
+        .km_hint(args.get_or("km", 1.0f64)?)
         .exec(parse_exec(args)?)
-        .faults(parse_faults(args))
+        .faults(parse_faults(args)?)
         .admission(parse_admission(args)?)
         .combine(parse_combine(args)?)
         .trace(args.options.contains_key("trace-out"))
-        .batches(args.get_or("batches", 4usize));
-    if let Some(n) = args.get::<usize>("checkpoint-every") {
+        .batches(args.get_or("batches", 4usize)?);
+    if let Some(n) = args.get::<usize>("checkpoint-every")? {
         builder = builder.checkpoint_every(n);
     }
     if let Some(dir) = args.options.get("checkpoint-dir") {
         builder = builder.checkpoint_dir(dir);
     }
 
-    let watch = args.get::<u64>("watch-key").map(Key::from_u64);
-    let top_k = args.get::<usize>("top-k");
+    let watch = args.get::<u64>("watch-key")?.map(Key::from_u64);
+    let top_k = args.get::<usize>("top-k")?;
     let on_batch = |ctl: &mut opa_stream::BatchCtl<'_, '_>| {
         let p = ctl.progress();
         print!(
@@ -665,13 +663,13 @@ fn query_checkpoint(args: &Args) -> Result<(), String> {
     if let Some(wm) = p.watermark {
         println!("event-time watermark {wm}");
     }
-    if let Some(k) = args.get::<u64>("key") {
+    if let Some(k) = args.get::<u64>("key")? {
         match view.lookup(&Key::from_u64(k)).and_then(|v| v.as_u64()) {
             Some(v) => println!("key[{k}]             {v}"),
             None => println!("key[{k}]             not resident"),
         }
     }
-    if let Some(k) = args.get::<usize>("top-k") {
+    if let Some(k) = args.get::<usize>("top-k")? {
         match view.top_k(k) {
             Some((entries, gamma)) => {
                 println!("top-{k} (γ ≥ {gamma:.4})   {}", fmt_top(&entries));
@@ -686,14 +684,14 @@ fn model(args: &Args) -> Result<(), String> {
     use opa_common::units::MB;
     use opa_common::{HardwareSpec, SystemSettings, WorkloadSpec};
     let d = required_bytes(args, "d")?;
-    let workload = WorkloadSpec::new(d, args.get_or("km", 1.0), args.get_or("kr", 1.0));
+    let workload = WorkloadSpec::new(d, args.get_or("km", 1.0)?, args.get_or("kr", 1.0)?);
     let hardware = HardwareSpec::paper_cluster_full();
     let constants = CostConstants::default();
 
     let system = SystemSettings {
-        reducers_per_node: args.get_or("r", 4usize),
-        chunk_size: args.get_or("chunk-mb", 64u64) * MB,
-        merge_factor: args.get_or("merge-factor", 10usize),
+        reducers_per_node: args.get_or("r", 4usize)?,
+        chunk_size: args.get_or("chunk-mb", 64u64)? * MB,
+        merge_factor: args.get_or("merge-factor", 10usize)?,
     };
     let input = ModelInput::new(system, workload, hardware).map_err(|e| e.to_string())?;
     let bytes = input.io_bytes();

@@ -32,9 +32,9 @@ use std::sync::Arc;
 /// FILE` when given, stdin otherwise.
 pub fn serve(args: &Args) -> Result<(), String> {
     let cfg = ServeConfig {
-        slots_per_tenant: args.get_or("slots", 2usize),
-        queue_per_tenant: args.get_or("queue", 4usize),
-        queue_total: args.get_or("queue-total", 16usize),
+        slots_per_tenant: args.get_or("slots", 2usize)?,
+        queue_per_tenant: args.get_or("queue", 4usize)?,
+        queue_total: args.get_or("queue-total", 16usize)?,
     };
     let mut server = Server::new(cfg);
     if let Some(dir) = args.options.get("dlq-dir") {
@@ -157,8 +157,8 @@ fn cmd_submit(
         }
     };
 
-    let faults = crate::parse_faults(args);
-    let threads = args.get_or("threads", 1usize);
+    let faults = crate::parse_faults(args)?;
+    let threads = args.get_or("threads", 1usize)?;
     let spec = JobSpec {
         framework: crate::parse_framework(
             args.options
@@ -167,13 +167,13 @@ fn cmd_submit(
                 .unwrap_or("inc-hash"),
         )?,
         cluster: opa_core::cluster::ClusterSpec::tiny(),
-        batches: args.get_or("batches", 4usize),
+        batches: args.get_or("batches", 4usize)?,
         exec: if args.has_flag("oversubscribe") {
             opa_common::ExecConfig::oversubscribed(threads)
         } else {
             opa_common::ExecConfig::with_threads(threads)
         },
-        km_hint: args.get_or("km", 1.0f64),
+        km_hint: args.get_or("km", 1.0f64)?,
         admission: crate::parse_admission(args)?,
         faults,
         trace: args.has_flag("trace"),
@@ -200,11 +200,11 @@ fn submit_by_name(
         "sessionize" => server.submit(
             tenant,
             SessionizeJob {
-                gap_secs: args.get_or("gap", 300u64),
-                slack_secs: args.get_or("slack", 400u64),
-                state_capacity: args.get_or("state", 512usize),
+                gap_secs: args.get_or("gap", 300u64)?,
+                slack_secs: args.get_or("slack", 400u64)?,
+                state_capacity: args.get_or("state", 512usize)?,
                 charge_fixed_footprint: true,
-                expected_users: args.get_or("expected-keys", 50_000u64),
+                expected_users: args.get_or("expected-keys", 50_000u64)?,
             },
             input,
             spec,
@@ -212,7 +212,7 @@ fn submit_by_name(
         "click-count" => server.submit(
             tenant,
             ClickCountJob {
-                expected_users: args.get_or("expected-keys", 50_000u64),
+                expected_users: args.get_or("expected-keys", 50_000u64)?,
             },
             input,
             spec,
@@ -220,8 +220,8 @@ fn submit_by_name(
         "frequent-users" => server.submit(
             tenant,
             FrequentUsersJob {
-                threshold: args.get_or("threshold", 50u64),
-                expected_users: args.get_or("expected-keys", 50_000u64),
+                threshold: args.get_or("threshold", 50u64)?,
+                expected_users: args.get_or("expected-keys", 50_000u64)?,
             },
             input,
             spec,
@@ -229,7 +229,7 @@ fn submit_by_name(
         "page-freq" => server.submit(
             tenant,
             PageFreqJob {
-                expected_pages: args.get_or("expected-keys", 10_000u64),
+                expected_pages: args.get_or("expected-keys", 10_000u64)?,
             },
             input,
             spec,
@@ -237,8 +237,8 @@ fn submit_by_name(
         "trigrams" => server.submit(
             tenant,
             TrigramCountJob {
-                threshold: args.get_or("threshold", 1000u64),
-                expected_trigrams: args.get_or("expected-keys", 1_000_000u64),
+                threshold: args.get_or("threshold", 1000u64)?,
+                expected_trigrams: args.get_or("expected-keys", 1_000_000u64)?,
             },
             input,
             spec,
@@ -258,7 +258,7 @@ fn job_id(args: &Args) -> Result<u32, String> {
 
 fn cmd_query(server: &Server, args: &Args) -> Result<(), String> {
     let id = job_id(args)?;
-    if let Some(k) = args.get::<u64>("key") {
+    if let Some(k) = args.get::<u64>("key")? {
         match server
             .query(id, &ServeQuery::Lookup(Key::from_u64(k)))
             .map_err(|e| e.to_string())?
@@ -271,7 +271,7 @@ fn cmd_query(server: &Server, args: &Args) -> Result<(), String> {
             _ => unreachable!("lookup answers with Value"),
         }
     }
-    if let Some(k) = args.get::<usize>("top-k") {
+    if let Some(k) = args.get::<usize>("top-k")? {
         match server
             .query(id, &ServeQuery::TopK(k))
             .map_err(|e| e.to_string())?

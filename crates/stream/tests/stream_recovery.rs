@@ -37,13 +37,21 @@ fn resume_matches_uninterrupted_for_every_framework() {
         };
         let full = build().run_stream(&data, |_| {}).expect("full run");
         let ckp = ck.clone();
-        build()
+        let checkpointed = build()
             .run_stream(&data, |ctl| {
                 if ctl.batch() == 2 {
                     ctl.checkpoint(ckp.clone());
                 }
             })
             .expect("checkpointed run");
+        assert_eq!(
+            (&full.job.output, format!("{:?}", full.job.metrics)),
+            (
+                &checkpointed.job.output,
+                format!("{:?}", checkpointed.job.metrics)
+            ),
+            "{fw:?}: writing a checkpoint must not perturb the run"
+        );
         let view = CheckpointView::open(&ck).expect("view opens");
         assert_eq!(view.progress().batches_sealed, 2, "{fw:?}");
         assert_eq!(view.framework().expect("framework"), fw);
