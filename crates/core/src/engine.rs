@@ -480,7 +480,7 @@ impl<'e> Engine<'e> {
             admission: cfg.admission,
             ..ReducerSizing::from_hints(
                 plans.job,
-                plans.input.total_bytes(),
+                plans.store.total_bytes(),
                 cfg.km_hint,
                 n_reducers,
             )
@@ -1446,7 +1446,7 @@ impl<'e> Engine<'e> {
             job: self.plans.job.name().to_string(),
             running_time: end,
             map_finish,
-            input_bytes: self.plans.input.total_bytes(),
+            input_bytes: self.plans.store.total_bytes(),
             map_output_bytes: self.map_output_bytes,
             map_spill_bytes: self.spill_written_map,
             reduce_spill_bytes: self.spill_written_reduce.iter().sum(),
@@ -1540,5 +1540,55 @@ mod tests {
             submitted <= chunks + reducers,
             "{submitted} pool tasks for {chunks} map tasks and {reducers} reducers"
         );
+    }
+
+    #[test]
+    fn incremental_deliveries_log_runs_never_a_charge_and_ack_per_tuple() {
+        let input = JobInput::from_records(
+            (0..6000u32)
+                .map(|i| vec![(i % 251) as u8, (i % 7) as u8, b'c', b'l', b'k'])
+                .collect(),
+        );
+        for framework in [Framework::IncHash, Framework::DincHash] {
+            let mut cfg = RunConfig {
+                framework,
+                ..RunConfig::default()
+            };
+            cfg.spec.system.chunk_size = 512;
+            // Too small for 251 × 7 keys: the miss, stage and eviction
+            // sites run beside the hit path.
+            cfg.spec.hardware.reduce_buffer = 1024;
+            cfg.spec.bucket_write_buffer = 128;
+            // A rate no delivery draws below: the engine keeps every
+            // delivery log (the crash history) and nothing crashes.
+            cfg.faults.reduce_failure_rate = f64::MIN_POSITIVE;
+            let (history, outcome) =
+                Engine::scoped(&cfg, &ClickCount, &input, None, |mut engine| {
+                    engine.run_until(engine.num_chunks());
+                    let history = engine.history.concat();
+                    Ok((history, engine.finish()))
+                })
+                .expect("job runs");
+            assert_eq!(outcome.metrics.output_records, 251 * 7);
+            let absorbed: u64 = history
+                .iter()
+                .map(|e| match e {
+                    Effect::Absorbed { n, .. } => u64::from(*n),
+                    _ => 0,
+                })
+                .sum();
+            let admission = outcome
+                .metrics
+                .admission
+                .expect("incremental frameworks report");
+            assert_eq!(absorbed, admission.absorbed, "{framework:?}");
+            assert!(admission.rejected > 0, "{framework:?}: memory must bind");
+            assert!(
+                !history
+                    .windows(2)
+                    .any(|w| matches!(w, [Effect::Cpu(_), Effect::Worked(1)])),
+                "{framework:?}: a delivery logged a per-tuple Cpu + Worked(1) pair"
+            );
+        }
     }
 }

@@ -8,28 +8,48 @@
 //!
 //! The tracker records raw cumulative counters on every simulation event
 //! and normalizes post-hoc (totals are only known when the job ends), then
-//! resamples to an even grid for plotting.
+//! resamples to an even grid for plotting. A run of equal tuple charges
+//! ([`crate::reduce::Effect::Absorbed`]) is `n` events — one sample per
+//! tuple, `step` apart — held as one entry and walked arithmetically.
 
-use opa_common::units::SimTime;
+use opa_common::units::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Number of points every stage executor resamples its progress curves to.
 pub(crate) const PROGRESS_POINTS: usize = 400;
 
+/// `n` consecutive samples: sample `j < n` is taken at `t + j·step` and
+/// reads `work + j`; the other counters do not move within an entry. A
+/// single event is the entry with `n = 1`.
 #[derive(Debug, Clone, Copy)]
 struct Raw {
     t: SimTime,
-    maps_done: u64,
+    step: SimDuration,
+    n: u32,
+    maps_done: u32,
     shuffled: u64,
     work: u64,
     output: u64,
 }
 
+impl Raw {
+    /// The counters sample `j` of this entry reads.
+    fn sample(&self, j: u64) -> Counters {
+        Counters {
+            maps_done: u64::from(self.maps_done),
+            shuffled: self.shuffled,
+            work: self.work + j,
+            output: self.output,
+        }
+    }
+}
+
 /// Records progress events during a run.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub struct ProgressTracker {
     map_total: u64,
-    maps_done: u64,
+    maps_done: u32,
     shuffled: u64,
     work: u64,
     output: u64,
@@ -51,14 +71,31 @@ impl ProgressTracker {
         tr
     }
 
-    fn snapshot(&mut self, t: SimTime) {
+    fn counters(&self) -> Counters {
+        Counters {
+            maps_done: u64::from(self.maps_done),
+            shuffled: self.shuffled,
+            work: self.work,
+            output: self.output,
+        }
+    }
+
+    /// Records `n` samples from `t` on, `step` apart, the first reading
+    /// the current counters.
+    fn entry(&mut self, t: SimTime, step: SimDuration, n: u32) {
         self.raw.push(Raw {
             t,
+            step,
+            n,
             maps_done: self.maps_done,
             shuffled: self.shuffled,
             work: self.work,
             output: self.output,
         });
+    }
+
+    fn snapshot(&mut self, t: SimTime) {
+        self.entry(t, SimDuration::ZERO, 1);
     }
 
     /// One map task finished at `t`.
@@ -82,6 +119,16 @@ impl ProgressTracker {
         }
     }
 
+    /// `n` units of work, one every `step`, the first at `t + step` — what
+    /// `n` calls `worked(t + j·step, 1)`, `j = 1..=n`, record.
+    pub fn worked_run(&mut self, t: SimTime, step: SimDuration, n: u32) {
+        if n > 0 {
+            self.work += 1;
+            self.entry(t + step, step, n);
+            self.work += u64::from(n - 1);
+        }
+    }
+
     /// `bytes` of job output were produced at `t`.
     pub fn emitted(&mut self, t: SimTime, bytes: u64) {
         if bytes > 0 {
@@ -91,10 +138,55 @@ impl ProgressTracker {
     }
 
     /// Normalizes against the final totals and resamples to `points`
-    /// evenly spaced instants over `[0, end]`.
+    /// evenly spaced instants over `[0, end]`. Each grid instant reads the
+    /// last sample of the longest prefix of the recorded sequence whose
+    /// samples are all at or before it (reducer clocks interleave, so the
+    /// sequence is not sorted: a sample that is too late holds back
+    /// everything recorded after it).
     pub fn finish(mut self, end: SimTime, points: usize) -> ProgressCurve {
         self.snapshot(end);
-        let totals = self.raw.last().copied().expect("at least one snapshot");
+        let totals = self.counters();
+        let grid = points.max(2);
+        let mut out = Vec::with_capacity(grid);
+        let end_s = end.as_secs_f64();
+        // `raw[..idx]` is wholly behind the cursor; `raw[idx]` may be a
+        // run read part-way, re-read from its start at each instant.
+        let mut idx = 0usize;
+        let mut cur = Counters::default();
+        for g in 0..grid {
+            let t = SimTime::from_secs_f64(end_s * g as f64 / (grid - 1) as f64);
+            while let Some(r) = self.raw.get(idx).filter(|r| r.t <= t) {
+                // The entry's samples at or before `t`: all of them when
+                // they share an instant, else one per whole step.
+                let n = u64::from(r.n);
+                let reached = match r.step.0 {
+                    0 => n,
+                    step => n.min((t.0 - r.t.0) / step + 1),
+                };
+                cur = r.sample(reached - 1);
+                if reached < n {
+                    break;
+                }
+                idx += 1;
+            }
+            out.push(cur.point(t, self.map_total, totals));
+        }
+        ProgressCurve { points: out }
+    }
+}
+
+/// The cumulative counters one sample reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counters {
+    maps_done: u64,
+    shuffled: u64,
+    work: u64,
+    output: u64,
+}
+
+impl Counters {
+    /// This sample at grid instant `t`, normalized against the job totals.
+    fn point(self, t: SimTime, map_total: u64, totals: Counters) -> ProgressPoint {
         let pct = |v: u64, total: u64| -> f64 {
             if total == 0 {
                 100.0
@@ -102,38 +194,17 @@ impl ProgressTracker {
                 100.0 * v as f64 / total as f64
             }
         };
-        let map_total = self.map_total;
-
-        let grid = points.max(2);
-        let mut out = Vec::with_capacity(grid);
-        let end_s = end.as_secs_f64();
-        let mut idx = 0usize;
-        let mut cur = Raw {
-            t: SimTime::ZERO,
-            maps_done: 0,
-            shuffled: 0,
-            work: 0,
-            output: 0,
-        };
-        for g in 0..grid {
-            let t = SimTime::from_secs_f64(end_s * g as f64 / (grid - 1) as f64);
-            while idx < self.raw.len() && self.raw[idx].t <= t {
-                cur = self.raw[idx];
-                idx += 1;
-            }
-            let shuffle_pct = pct(cur.shuffled, totals.shuffled);
-            let work_pct = pct(cur.work, totals.work);
-            let output_pct = pct(cur.output, totals.output);
-            out.push(ProgressPoint {
-                t,
-                map_pct: pct(cur.maps_done, map_total),
-                reduce_pct: (shuffle_pct + work_pct + output_pct) / 3.0,
-                shuffle_pct,
-                work_pct,
-                output_pct,
-            });
+        let shuffle_pct = pct(self.shuffled, totals.shuffled);
+        let work_pct = pct(self.work, totals.work);
+        let output_pct = pct(self.output, totals.output);
+        ProgressPoint {
+            t,
+            map_pct: pct(self.maps_done, map_total),
+            reduce_pct: (shuffle_pct + work_pct + output_pct) / 3.0,
+            shuffle_pct,
+            work_pct,
+            output_pct,
         }
-        ProgressCurve { points: out }
     }
 }
 
@@ -212,6 +283,66 @@ impl ProgressCurve {
             .map(|p| (p.map_pct - p.reduce_pct).max(0.0))
             .sum::<f64>()
             / during_map.len() as f64
+    }
+}
+
+/// The one-entry-per-sample tracker the run entries replaced, kept as the
+/// test oracle: a tracker's entries expanded to their samples, and the flat
+/// resampling scan over them.
+#[cfg(test)]
+pub(crate) mod flat {
+    use super::*;
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct FlatTracker {
+        map_total: u64,
+        raw: Vec<(SimTime, Counters)>,
+    }
+
+    impl ProgressTracker {
+        /// Every sample this tracker stands for, in recording order.
+        pub(crate) fn flat(&self) -> FlatTracker {
+            let mut raw = Vec::new();
+            for r in &self.raw {
+                for j in 0..u64::from(r.n) {
+                    raw.push((SimTime(r.t.0 + j * r.step.0), r.sample(j)));
+                }
+            }
+            FlatTracker {
+                map_total: self.map_total,
+                raw,
+            }
+        }
+
+        /// Entries held (a run is one).
+        pub(crate) fn entries(&self) -> usize {
+            self.raw.len()
+        }
+    }
+
+    impl FlatTracker {
+        pub(crate) fn samples(&self) -> usize {
+            self.raw.len()
+        }
+
+        pub(crate) fn finish(mut self, end: SimTime, points: usize) -> ProgressCurve {
+            let totals = self.raw.last().expect("at least one sample").1;
+            self.raw.push((end, totals));
+            let grid = points.max(2);
+            let mut out = Vec::with_capacity(grid);
+            let end_s = end.as_secs_f64();
+            let mut idx = 0usize;
+            let mut cur = Counters::default();
+            for g in 0..grid {
+                let t = SimTime::from_secs_f64(end_s * g as f64 / (grid - 1) as f64);
+                while idx < self.raw.len() && self.raw[idx].0 <= t {
+                    cur = self.raw[idx].1;
+                    idx += 1;
+                }
+                out.push(cur.point(t, self.map_total, totals));
+            }
+            ProgressCurve { points: out }
+        }
     }
 }
 
@@ -295,6 +426,50 @@ mod tests {
         tr.worked(t(2.0), 1);
         let curve = tr.finish(t(2.0), 3);
         assert_eq!(curve.points.last().unwrap().reduce_pct, 100.0);
+    }
+
+    #[test]
+    fn an_entry_is_six_words() {
+        // Entries that are not runs pay for `step` and `n` too: 40 → 48
+        // bytes (`maps_done` and `n` share a word).
+        assert_eq!(std::mem::size_of::<Raw>(), 48);
+    }
+
+    #[test]
+    fn a_run_is_its_samples() {
+        // Runs against the same work fed one unit at a time, with a run
+        // that outlasts several grid instants, one under a free cost model
+        // (step 0) and a late run that holds back an earlier-clocked one.
+        let runs: [(u64, u64, u32); 4] = [
+            (1_000_000, 70_000, 100),
+            (2_000_000, 0, 50),
+            (9_500_000, 13, 3),
+            (3_000_000, 1, 1),
+        ];
+        let mut by_run = ProgressTracker::new(2);
+        let mut by_unit = ProgressTracker::new(2);
+        for tr in [&mut by_run, &mut by_unit] {
+            tr.map_done(t(0.5));
+            tr.shuffled(t(0.9), 64);
+        }
+        for (start, step, n) in runs {
+            by_run.worked_run(SimTime(start), SimDuration(step), n);
+            for j in 1..=u64::from(n) {
+                by_unit.worked(SimTime(start + j * step), 1);
+            }
+        }
+        assert_eq!(by_run.entries(), 3 + runs.len());
+        assert_eq!(by_unit.entries(), 3 + 154);
+        assert_eq!(by_run.flat(), by_unit.flat());
+        let end = t(10.0);
+        for points in [2, 7, 400, 4_001] {
+            let flat = by_unit.flat().finish(end, points);
+            assert_eq!(by_run.clone().finish(end, points).points, flat.points);
+            assert_eq!(by_unit.clone().finish(end, points).points, flat.points);
+        }
+        // Non-vacuity: the long run is read part-way through.
+        let curve = by_run.finish(end, 11);
+        assert!((curve.points[4].work_pct - 100.0 * 42.0 / 154.0).abs() < 1e-9);
     }
 
     #[test]

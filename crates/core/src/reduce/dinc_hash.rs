@@ -29,7 +29,7 @@ use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::metrics::AdmissionStats;
 use crate::sim::OpKind;
-use opa_common::units::SimTime;
+use opa_common::units::{SimDuration, SimTime};
 use opa_common::{
     AdmissionPolicy, Error, FreqSketch, HashFamily, HashFn, Key, Result, StatePair, Value,
 };
@@ -194,6 +194,8 @@ pub struct DincHashReducer<'j> {
     /// delivered tuple order.
     sketch: Option<FreqSketch>,
     adm: AdmissionStats,
+    /// What a tuple whose key is monitored costs: one probe and one `cb()`.
+    hit_charge: SimDuration,
 }
 
 impl<'j> DincHashReducer<'j> {
@@ -220,6 +222,7 @@ impl<'j> DincHashReducer<'j> {
                 .is_on()
                 .then(|| FreqSketch::with_capacity(expected)),
             adm: AdmissionStats::default(),
+            hit_charge: spec.cost.cb_time(1) + spec.cost.hash_time(1),
             inc,
             family: family.clone(),
             h3: family.fn_at(2),
@@ -281,7 +284,8 @@ impl<'j> DincHashReducer<'j> {
     /// newcomer is strictly hotter than the coldest evictable occupant,
     /// that occupant is displaced through the usual eviction hook and the
     /// newcomer takes its slot. Otherwise (and always when the policy is
-    /// off) the tuple is staged to disk exactly as before.
+    /// off) the tuple is staged to disk exactly as before. `fp` is the
+    /// key's `h3` fingerprint, computed only when the sketch exists.
     #[allow(clippy::too_many_arguments)]
     fn reject_or_admit(
         &mut self,
@@ -289,13 +293,12 @@ impl<'j> DincHashReducer<'j> {
         key: Key,
         state: Value,
         sp_size: u64,
-        fp: u64,
+        fp: Option<u64>,
         wm: Option<u64>,
         env: &mut ReduceEnv<'_>,
     ) -> SimTime {
-        if self.admission.is_on() {
+        if let (Some(sketch), Some(fp)) = (self.sketch.as_ref(), fp) {
             let inc = self.inc;
-            let sketch = self.sketch.as_ref().expect("sketch exists when policy on");
             let h3 = &self.h3;
             let est_new = sketch.estimate(fp);
             let outcome = self.monitor.replace_min_guarded(key, state, |k, s| {
@@ -306,8 +309,7 @@ impl<'j> DincHashReducer<'j> {
                 MgOutcome::Installed { evicted } => {
                     self.adm.absorbed += 1;
                     self.adm.admitted_evictions += 1;
-                    t = env.cpu(t, env.cost().hash_time(2));
-                    env.worked(t, 1);
+                    t = env.absorbed(t, env.cost().hash_time(2));
                     if let Some(e) = evicted {
                         let victim_size = e.key.len() as u64
                             + e.state.len() as u64
@@ -357,10 +359,13 @@ impl ReduceSide for DincHashReducer<'_> {
             let sp_size = sp.size();
             let StatePair { key, state } = sp;
             self.adm.offered += 1;
-            let fp = self.h3.hash(key.bytes());
-            if let Some(sk) = self.sketch.as_mut() {
+            // Only the LFU gate reads the fingerprint.
+            let h3 = &self.h3;
+            let fp = self.sketch.as_mut().map(|sk| {
+                let fp = h3.hash(key.bytes());
                 sk.touch(fp);
-            }
+                fp
+            });
             let inc = self.inc;
             let ctx = &mut self.ctx;
             let outcome = self.monitor.offer_guarded(
@@ -372,16 +377,14 @@ impl ReduceSide for DincHashReducer<'_> {
             match outcome {
                 MgOutcome::Combined => {
                     self.adm.absorbed += 1;
-                    t = env.cpu(t, env.cost().cb_time(1) + env.cost().hash_time(1));
-                    env.worked(t, 1);
+                    t = env.absorbed(t, self.hit_charge);
                     if self.ctx.pending() > 0 {
                         t = self.sink.push(t, &mut self.ctx, env);
                     }
                 }
                 MgOutcome::Installed { evicted } => {
                     self.adm.absorbed += 1;
-                    t = env.cpu(t, env.cost().hash_time(1));
-                    env.worked(t, 1);
+                    t = env.absorbed(t, env.cost().hash_time(1));
                     if let Some(e) = evicted {
                         t = self.handle_eviction(t, e.key, e.state, env);
                     }

@@ -21,7 +21,7 @@ use crate::map_phase::Payload;
 use crate::metrics::AdmissionStats;
 use crate::resident::{cb_sized, colder_resident, entry_size};
 use crate::sim::OpKind;
-use opa_common::units::SimTime;
+use opa_common::units::{SimDuration, SimTime};
 use opa_common::{
     AdmissionPolicy, Error, FreqSketch, GroupTable, HashFamily, HashFn, Key, KeyFilter, Result,
     StatePair, Value,
@@ -53,6 +53,8 @@ pub struct IncHashReducer<'j> {
     sink: OutputSink,
     /// Tuples absorbed in memory during the streaming phase.
     absorbed: u64,
+    /// What a tuple whose key is resident costs: one probe and one `cb()`.
+    hit_charge: SimDuration,
     /// Set on the first rejection: no further keys are admitted even if
     /// draining states later frees memory. A key admitted after one of its
     /// tuples spilled would be split between memory and disk, breaking the
@@ -108,6 +110,7 @@ impl<'j> IncHashReducer<'j> {
             ctx: ReduceCtx::new(),
             sink: OutputSink::new(),
             absorbed: 0,
+            hit_charge: spec.cost.cb_time(1) + spec.cost.hash_time(1),
             admissions_closed: false,
             admission,
             sketch: admission
@@ -154,10 +157,9 @@ impl<'j> IncHashReducer<'j> {
                     &mut self.mem_used,
                 );
                 *count += 1;
-                t = env.cpu(t, env.cost().cb_time(1) + env.cost().hash_time(1));
+                t = env.absorbed(t, self.hit_charge);
                 self.absorbed += 1;
                 self.stats.absorbed += 1;
-                env.worked(t, 1);
                 if self.ctx.pending() > 0 {
                     t = self.sink.push(t, &mut self.ctx, env);
                 }
@@ -189,11 +191,9 @@ impl<'j> IncHashReducer<'j> {
     ) -> SimTime {
         self.mem_used += sz;
         self.table.push(h, sp.key, (sp.state, 1));
-        let t = env.cpu(t, env.cost().hash_time(probes));
         self.absorbed += 1;
         self.stats.absorbed += 1;
-        env.worked(t, 1);
-        t
+        env.absorbed(t, env.cost().hash_time(probes))
     }
 
     /// Stages an arrival that was denied admission to its `h3` bucket.

@@ -18,6 +18,24 @@
 //! order. This lets the execution layer ([`crate::exec`]) run reducer
 //! ingestion on worker threads while the observable [`crate::job::JobOutcome`]
 //! stays bit-identical to sequential execution.
+//!
+//! A log entry is one side effect — except [`Effect::Absorbed`], which is a
+//! *run*: `n` back-to-back repetitions of "charge `dur` of CPU, then
+//! acknowledge one unit of work", the whole virtual-time cost of `n` tuples
+//! absorbed in memory at the same price (§4.2: a tuple whose key is
+//! resident costs one `cb()` and nothing else). It is not an
+//! [`Effect::Cpu`] of `n·dur` followed by an [`Effect::Worked`] of `n`:
+//! that pair takes *one* progress sample, after the whole charge — what
+//! the callers that batch want (sort-merge, MR-hash and the bucket pass
+//! commit 512 records at a time) — whereas the incremental frameworks'
+//! reduce progress rises tuple by tuple while the mappers still run. A run
+//! keeps every per-tuple sample ([`replay`] hands it to the tracker as `n`
+//! samples `dur` apart) at the cost of one entry in the log, one CPU
+//! interval on the node and one entry in the tracker, whatever `n` is.
+//! [`ReduceEnv::absorbed`] only ever extends the log's *last* entry, so a
+//! run never spans another effect and effect order is exactly what
+//! recording each tuple's charge and acknowledgement separately would give
+//! — the per-tuple form the `run_oracle` tests expand every log back to.
 
 mod buckets;
 pub mod dinc_hash;
@@ -25,6 +43,8 @@ pub mod inc_hash;
 pub mod mr_hash;
 pub mod sort_merge;
 
+#[cfg(test)]
+mod run_oracle;
 #[cfg(test)]
 #[path = "tests.rs"]
 mod tests_frameworks;
@@ -108,6 +128,14 @@ pub enum Effect {
     Shuffled(u64),
     /// Reduce-work units acknowledged into Definition-1 progress.
     Worked(u64),
+    /// A run of `n` absorbed tuples: `n` times over, `dur` of CPU charged
+    /// to the reducer's node, then one reduce-work unit acknowledged.
+    Absorbed {
+        /// The per-tuple CPU charge.
+        dur: SimDuration,
+        /// Tuples in the run (at least one).
+        n: u32,
+    },
     /// Output pairs written to HDFS (flushed sink batch).
     Emit(Vec<Pair>),
     /// A snapshot write of this many bytes (HOP periodic output; does not
@@ -149,6 +177,18 @@ impl<'a> ReduceEnv<'a> {
     /// completion (exact under replay: CPU is uncontended).
     pub fn cpu(&mut self, t: SimTime, dur: SimDuration) -> SimTime {
         self.log.push(Effect::Cpu(dur));
+        t + dur
+    }
+
+    /// Absorbs one tuple at `t`: charges `dur` of CPU, then acknowledges
+    /// one reduce-work unit at the advanced clock, which it returns. Tuples
+    /// absorbed back to back at the same charge share one log entry (see
+    /// [`Effect::Absorbed`]).
+    pub fn absorbed(&mut self, t: SimTime, dur: SimDuration) -> SimTime {
+        match self.log.last_mut() {
+            Some(Effect::Absorbed { dur: d, n }) if *d == dur && *n < u32::MAX => *n += 1,
+            _ => self.log.push(Effect::Absorbed { dur, n: 1 }),
+        }
         t + dur
     }
 
@@ -251,6 +291,12 @@ pub fn replay(
             }
             Effect::Shuffled(bytes) => target.progress.shuffled(t, bytes),
             Effect::Worked(units) => target.progress.worked(t, units),
+            Effect::Absorbed { dur, n } => {
+                let total = SimDuration(dur.0 * u64::from(n));
+                *target.reduce_cpu += total;
+                target.progress.worked_run(t, dur, n);
+                t = target.res.cpu(target.node, t, total);
+            }
             Effect::Emit(pairs) => {
                 let bytes: u64 = pairs.iter().map(Pair::size).sum();
                 t = target.res.hdfs_io(
@@ -323,6 +369,11 @@ pub fn replay_recovery(
             Effect::Cpu(dur) => {
                 wasted_cpu += *dur;
                 t = res.cpu(node, t, *dur);
+            }
+            Effect::Absorbed { dur, n } => {
+                let total = SimDuration(dur.0 * u64::from(*n));
+                wasted_cpu += total;
+                t = res.cpu(node, t, total);
             }
             Effect::Spill(op) => {
                 wasted_bytes += op.written;

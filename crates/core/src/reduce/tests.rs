@@ -54,18 +54,19 @@ impl IncrementalReducer for Count {
     }
 }
 
-struct Harness {
+/// One copy of everything a replay writes into.
+pub(super) struct Harness {
     spec: ClusterSpec,
-    res: Resources,
-    progress: ProgressTracker,
-    output: Vec<Pair>,
-    reduce_cpu: SimDuration,
-    spill_written: u64,
-    snapshot_bytes: u64,
+    pub(super) res: Resources,
+    pub(super) progress: ProgressTracker,
+    pub(super) output: Vec<Pair>,
+    pub(super) reduce_cpu: SimDuration,
+    pub(super) spill_written: u64,
+    pub(super) snapshot_bytes: u64,
 }
 
 impl Harness {
-    fn new(spec: ClusterSpec) -> Self {
+    pub(super) fn new(spec: ClusterSpec) -> Self {
         Harness {
             spec,
             res: Resources::new(spec.hardware.nodes, 4, false),
@@ -80,13 +81,18 @@ impl Harness {
     /// Applies a recorded effect log to the harness state, as the engine's
     /// scheduling layer would.
     fn apply(&mut self, log: Vec<Effect>, t0: SimTime) -> SimTime {
+        self.apply_on(0, log, t0)
+    }
+
+    /// [`Harness::apply`] for a reducer hosted on `node`.
+    pub(super) fn apply_on(&mut self, node: usize, log: Vec<Effect>, t0: SimTime) -> SimTime {
         let spec = self.spec;
         replay(
             log,
             t0,
             &spec,
             ReplayTarget {
-                node: 0,
+                node,
                 res: &mut self.res,
                 progress: &mut self.progress,
                 output: &mut self.output,

@@ -53,60 +53,69 @@ pub struct Span {
 
 /// Cluster-wide busy-time accounting in fixed-width buckets, from which the
 /// harness derives CPU-utilization and disk-busy (iowait-proxy) series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Buckets hold whole microseconds, so an interval adds exactly what its
+/// pieces would: the series do not depend on how a stretch of work is split
+/// into charges (one interval per run of tuples, or one per tuple).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Usage {
     /// Bucket width in seconds.
     pub bucket_secs: f64,
-    /// CPU busy seconds per bucket (all nodes pooled).
-    pub cpu: Vec<f64>,
-    /// Disk busy seconds per bucket (all devices pooled).
-    pub disk: Vec<f64>,
+    /// CPU busy microseconds per bucket (all nodes pooled).
+    pub cpu: Vec<u64>,
+    /// Disk busy microseconds per bucket (all devices pooled).
+    pub disk: Vec<u64>,
+    /// Bucket width in microseconds.
+    width: u64,
     nodes: usize,
     cores_per_node: usize,
 }
 
 impl Usage {
-    fn new(bucket_secs: f64, nodes: usize, cores_per_node: usize) -> Self {
+    fn new(width: SimDuration, nodes: usize, cores_per_node: usize) -> Self {
+        assert!(width.0 > 0, "bucket width must be positive");
         Usage {
-            bucket_secs,
+            bucket_secs: width.as_secs_f64(),
             cpu: Vec::new(),
             disk: Vec::new(),
+            width: width.0,
             nodes,
             cores_per_node,
         }
     }
 
-    fn add(series: &mut Vec<f64>, bucket_secs: f64, start: SimTime, end: SimTime) {
+    /// Adds `[start, end)` to `series`. An interval that ends exactly on a
+    /// bucket edge opens the bucket after it, with nothing in it.
+    fn add(series: &mut Vec<u64>, width: u64, start: SimTime, end: SimTime) {
         if end <= start {
             return;
         }
-        let (s, e) = (start.as_secs_f64(), end.as_secs_f64());
-        let first = (s / bucket_secs) as usize;
-        let last = (e / bucket_secs) as usize;
+        let first = (start.0 / width) as usize;
+        let last = (end.0 / width) as usize;
         if series.len() <= last {
-            series.resize(last + 1, 0.0);
+            series.resize(last + 1, 0);
         }
         for (b, slot) in series.iter_mut().enumerate().take(last + 1).skip(first) {
-            let lo = (b as f64) * bucket_secs;
-            let hi = lo + bucket_secs;
-            *slot += (e.min(hi) - s.max(lo)).max(0.0);
+            let lo = b as u64 * width;
+            *slot += end.0.min(lo + width) - start.0.max(lo);
         }
     }
 
     fn add_cpu(&mut self, start: SimTime, end: SimTime) {
-        let w = self.bucket_secs;
-        Self::add(&mut self.cpu, w, start, end);
+        Self::add(&mut self.cpu, self.width, start, end);
     }
 
     fn add_disk(&mut self, start: SimTime, end: SimTime) {
-        let w = self.bucket_secs;
-        Self::add(&mut self.disk, w, start, end);
+        Self::add(&mut self.disk, self.width, start, end);
     }
 
     /// CPU utilization percentage per bucket (busy cores / total cores).
     pub fn cpu_utilization(&self) -> Vec<f64> {
         let cap = self.bucket_secs * (self.nodes * self.cores_per_node) as f64;
-        self.cpu.iter().map(|&b| 100.0 * b / cap).collect()
+        self.cpu
+            .iter()
+            .map(|&b| 100.0 * SimDuration(b).as_secs_f64() / cap)
+            .collect()
     }
 
     /// Disk busy percentage per bucket — the engine's proxy for the
@@ -115,7 +124,7 @@ impl Usage {
         let cap = self.bucket_secs * self.nodes as f64;
         self.disk
             .iter()
-            .map(|&b| (100.0 * b / cap).min(100.0))
+            .map(|&b| (100.0 * SimDuration(b).as_secs_f64() / cap).min(100.0))
             .collect()
     }
 }
@@ -175,7 +184,7 @@ impl Resources {
                 nodes
             ],
             shared_device: !separate_spill_device,
-            usage: Usage::new(10.0, nodes, cores_per_node),
+            usage: Usage::new(SimDuration::from_secs_f64(10.0), nodes, cores_per_node),
             timeline: Vec::new(),
             io: IoStats::new(),
             io_recovery: IoStats::new(),
@@ -515,17 +524,84 @@ mod tests {
         assert_eq!(res.io.total_seeks(), 0);
     }
 
+    const BUCKET: SimDuration = SimDuration(10_000_000);
+
     #[test]
     fn usage_buckets_accumulate() {
-        let mut u = Usage::new(10.0, 1, 4);
+        let mut u = Usage::new(BUCKET, 1, 4);
         u.add_cpu(t(5.0), t(25.0)); // spans buckets 0,1,2
-        assert_eq!(u.cpu.len(), 3);
-        assert!((u.cpu[0] - 5.0).abs() < 1e-9);
-        assert!((u.cpu[1] - 10.0).abs() < 1e-9);
-        assert!((u.cpu[2] - 5.0).abs() < 1e-9);
-        let util = u.cpu_utilization();
+        assert_eq!(u.cpu, [5_000_000, 10_000_000, 5_000_000]);
         // Bucket 1: 10 busy seconds / (10 s × 4 cores) = 25%.
-        assert!((util[1] - 25.0).abs() < 1e-9);
+        assert_eq!(u.cpu_utilization(), [12.5, 25.0, 12.5]);
+        // Ending exactly on an edge fills bucket 2 and opens an empty
+        // bucket 3, as the float buckets did.
+        u.add_cpu(t(25.0), t(30.0));
+        assert_eq!(u.cpu, [5_000_000, 10_000_000, 10_000_000, 0]);
+        u.add_cpu(t(7.0), t(7.0)); // empty
+        assert_eq!(u.cpu.len(), 4);
+    }
+
+    #[test]
+    fn usage_does_not_depend_on_how_work_is_split() {
+        // One interval per run against one per tuple, across two edges.
+        let (start, step, n) = (SimTime(9_999_990), 7u64, 1_500_000u64);
+        let mut whole = Usage::new(BUCKET, 2, 4);
+        whole.add_cpu(start, SimTime(start.0 + step * n));
+        let mut split = Usage::new(BUCKET, 2, 4);
+        for j in 0..n {
+            split.add_cpu(
+                SimTime(start.0 + step * j),
+                SimTime(start.0 + step * (j + 1)),
+            );
+        }
+        assert_eq!(whole, split);
+        assert_eq!(whole.cpu, [10, 10_000_000, 499_990]);
+    }
+
+    /// The float buckets `Usage` accumulated before it counted whole
+    /// microseconds, kept as the oracle for what the integer series mean.
+    fn add_float(series: &mut Vec<f64>, bucket_secs: f64, start: SimTime, end: SimTime) {
+        if end <= start {
+            return;
+        }
+        let (s, e) = (start.as_secs_f64(), end.as_secs_f64());
+        let first = (s / bucket_secs) as usize;
+        let last = (e / bucket_secs) as usize;
+        if series.len() <= last {
+            series.resize(last + 1, 0.0);
+        }
+        for (b, slot) in series.iter_mut().enumerate().take(last + 1).skip(first) {
+            let lo = (b as f64) * bucket_secs;
+            let hi = lo + bucket_secs;
+            *slot += (e.min(hi) - s.max(lo)).max(0.0);
+        }
+    }
+
+    #[test]
+    fn integer_buckets_agree_with_the_float_oracle() {
+        let mut rng = opa_common::rng::SplitMix64::new(19);
+        let mut u = Usage::new(BUCKET, 1, 1);
+        let mut oracle: Vec<f64> = Vec::new();
+        for _ in 0..20_000 {
+            // Mostly tuple-sized charges, some spanning several buckets,
+            // some ending exactly on an edge.
+            let start = SimTime(rng.next_below(90_000_000));
+            let end = match rng.next_below(10) {
+                0 => SimTime(start.0 + rng.next_below(35_000_000)),
+                1 => SimTime((start.0 / BUCKET.0 + 1) * BUCKET.0),
+                _ => SimTime(start.0 + rng.next_below(20)),
+            };
+            u.add_disk(start, end);
+            add_float(&mut oracle, u.bucket_secs, start, end);
+        }
+        assert_eq!(u.disk.len(), oracle.len(), "same buckets opened");
+        for (&us, &secs) in u.disk.iter().zip(&oracle) {
+            let exact = SimDuration(us).as_secs_f64();
+            assert!(
+                (exact - secs).abs() <= 1e-9 * exact.max(1.0),
+                "{exact} vs {secs}"
+            );
+        }
     }
 
     #[test]

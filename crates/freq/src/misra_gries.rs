@@ -9,11 +9,16 @@
 //!
 //! The decrement-all step is O(1) amortized here via a global `base` offset:
 //! a slot's effective counter is `stored − base`, so "decrement everything"
-//! is `base += 1`. Zero-counter slots are found through a lazy min-heap of
-//! `(stored, slot)` entries.
+//! is `base += 1`. Zero-counter slots are found through a lazy min-heap
+//! holding one `(bound, slot)` entry per occupied slot, `bound` being at
+//! most the slot's stored counter: a combine leaves the entry alone, and an
+//! entry that surfaces below its slot's counter is re-keyed, not dropped.
+//! Every entry being a lower bound, the first exact entry to surface is
+//! the minimum `(stored, slot)` of all.
 
 use opa_common::SeededState;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
 
@@ -70,7 +75,9 @@ struct Slot<K, S> {
 pub struct MisraGries<K, S> {
     slots: Vec<Slot<K, S>>,
     index: HashMap<K, usize, SeededState>,
-    /// Lazy min-heap over stored counters for zero-slot discovery.
+    /// Lazy min-heap of one `(lower bound of stored, slot)` entry per
+    /// occupied slot (none for a slot a search has popped and not yet put
+    /// back), for zero-slot and minimum discovery.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     base: u64,
     capacity: usize,
@@ -141,7 +148,6 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
             cb(&slot.key, &mut slot.state, state);
             slot.stored += 1;
             slot.t += 1;
-            self.heap.push(Reverse((slot.stored, i)));
             return MgOutcome::Combined;
         }
         // Unoccupied capacity counts as zero slots.
@@ -162,7 +168,7 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
         // their zero counters and stay candidates for later offers).
         let mut vetoed: Vec<usize> = Vec::new();
         let mut chosen: Option<usize> = None;
-        while let Some(i) = self.pop_zero_slot() {
+        while let Some(i) = self.pop_min_slot(self.base) {
             if guard(&self.slots[i].key, &self.slots[i].state) {
                 chosen = Some(i);
                 break;
@@ -247,24 +253,19 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
             self.heap.push(Reverse((self.base + 1, i)));
             return MgOutcome::Installed { evicted: None };
         }
-        // Walk the heap in increasing counter order, setting vetoed slots
+        // Walk the slots in increasing counter order, setting vetoed ones
         // aside (restored afterwards) until the guard accepts a victim.
-        let mut vetoed: Vec<(u64, usize)> = Vec::new();
+        let mut vetoed: Vec<usize> = Vec::new();
         let mut chosen: Option<usize> = None;
-        while let Some(&Reverse((stored, i))) = self.heap.peek() {
-            if self.slots[i].stored != stored {
-                self.heap.pop(); // stale
-                continue;
-            }
-            self.heap.pop();
+        while let Some(i) = self.pop_min_slot(u64::MAX) {
             if guard(&self.slots[i].key, &self.slots[i].state) {
                 chosen = Some(i);
                 break;
             }
-            vetoed.push((stored, i));
+            vetoed.push(i);
         }
-        for (stored, i) in vetoed {
-            self.heap.push(Reverse((stored, i)));
+        for i in vetoed {
+            self.heap.push(Reverse((self.slots[i].stored, i)));
         }
         match chosen {
             Some(i) => {
@@ -291,23 +292,31 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
         }
     }
 
-    /// Finds a slot whose effective counter is zero, discarding stale heap
-    /// entries along the way.
-    fn pop_zero_slot(&mut self) -> Option<usize> {
-        while let Some(&Reverse((stored, i))) = self.heap.peek() {
-            if self.slots[i].stored != stored {
-                self.heap.pop(); // stale
-                continue;
-            }
-            if stored <= self.base {
-                // Effective counter is zero; leave the (still-accurate)
-                // entry out of the heap — install will push a fresh one.
-                self.heap.pop();
+    /// Takes the slot with the least `(stored, slot)` off the heap, if its
+    /// stored counter is at most `limit` (`base` finds a zero slot); the
+    /// caller pushes a fresh entry for it. An entry that surfaces below
+    /// its slot's counter (the slot combined since) sinks back under the
+    /// current one.
+    fn pop_min_slot(&mut self, limit: u64) -> Option<usize> {
+        while let Some(mut top) = self.heap.peek_mut() {
+            let Reverse((bound, i)) = *top;
+            let stored = self.slots[i].stored;
+            if bound != stored {
+                *top = Reverse((stored, i));
+            } else if stored <= limit {
+                PeekMut::pop(top);
                 return Some(i);
+            } else {
+                return None; // the minimum counter is over the limit
             }
-            return None; // min effective counter > 0 ⇒ no zero slot
         }
         None
+    }
+
+    /// Entries in the lazy heap.
+    #[cfg(test)]
+    fn heap_len(&self) -> usize {
+        self.heap.len()
     }
 
     /// Looks up a monitored key.
@@ -665,6 +674,267 @@ mod tests {
             mg.offer(3, 3, |_, a, b| *a += b),
             MgOutcome::Installed { evicted: Some(_) }
         ));
+    }
+}
+
+/// The monitor as it was when its lazy heap took one entry per combined
+/// tuple and dropped the stale ones it met (heap memory O(tuples offered)):
+/// the reference the one-entry-per-slot heap must agree with, decision for
+/// decision.
+#[cfg(test)]
+mod reference {
+    use super::{MgEntry, MgOutcome, Slot};
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashMap};
+
+    pub struct PushPerCombine {
+        slots: Vec<Slot<u64, u64>>,
+        index: HashMap<u64, usize>,
+        heap: BinaryHeap<Reverse<(u64, usize)>>,
+        base: u64,
+        capacity: usize,
+    }
+
+    impl PushPerCombine {
+        pub fn new(capacity: usize) -> Self {
+            PushPerCombine {
+                slots: Vec::new(),
+                index: HashMap::new(),
+                heap: BinaryHeap::new(),
+                base: 0,
+                capacity,
+            }
+        }
+
+        pub fn heap_len(&self) -> usize {
+            self.heap.len()
+        }
+
+        pub fn entries(&self) -> Vec<MgEntry<u64, u64>> {
+            self.slots
+                .iter()
+                .map(|s| MgEntry {
+                    key: s.key,
+                    count: s.stored - self.base,
+                    t: s.t,
+                    state: s.state,
+                })
+                .collect()
+        }
+
+        fn install_spare(&mut self, key: u64, state: u64) -> MgOutcome<u64, u64> {
+            let i = self.slots.len();
+            self.slots.push(Slot {
+                key,
+                stored: self.base + 1,
+                t: 1,
+                state,
+            });
+            self.index.insert(key, i);
+            self.heap.push(Reverse((self.base + 1, i)));
+            MgOutcome::Installed { evicted: None }
+        }
+
+        fn install_over(&mut self, i: usize, key: u64, state: u64) -> MgOutcome<u64, u64> {
+            let slot = &mut self.slots[i];
+            let evicted = MgEntry {
+                key: slot.key,
+                count: slot.stored.saturating_sub(self.base),
+                t: slot.t,
+                state: slot.state,
+            };
+            (slot.key, slot.state, slot.stored, slot.t) = (key, state, self.base + 1, 1);
+            self.index.remove(&evicted.key);
+            self.index.insert(key, i);
+            self.heap.push(Reverse((self.base + 1, i)));
+            MgOutcome::Installed {
+                evicted: Some(evicted),
+            }
+        }
+
+        pub fn offer_guarded(
+            &mut self,
+            key: u64,
+            state: u64,
+            mut guard: impl FnMut(&u64, &u64) -> bool,
+        ) -> MgOutcome<u64, u64> {
+            if let Some(&i) = self.index.get(&key) {
+                let slot = &mut self.slots[i];
+                slot.state += state;
+                slot.stored += 1;
+                slot.t += 1;
+                self.heap.push(Reverse((slot.stored, i)));
+                return MgOutcome::Combined;
+            }
+            if self.slots.len() < self.capacity {
+                return self.install_spare(key, state);
+            }
+            let mut vetoed: Vec<usize> = Vec::new();
+            let mut chosen: Option<usize> = None;
+            while let Some(i) = self.pop_zero_slot() {
+                if guard(&self.slots[i].key, &self.slots[i].state) {
+                    chosen = Some(i);
+                    break;
+                }
+                vetoed.push(i);
+            }
+            if chosen.is_none() && !vetoed.is_empty() {
+                self.base += 1;
+                for i in vetoed {
+                    self.slots[i].stored += 1;
+                    self.heap.push(Reverse((self.slots[i].stored, i)));
+                }
+                return MgOutcome::Rejected { key, state };
+            }
+            for i in vetoed {
+                self.heap.push(Reverse((self.slots[i].stored, i)));
+            }
+            match chosen {
+                Some(i) => self.install_over(i, key, state),
+                None => {
+                    self.base += 1;
+                    MgOutcome::Rejected { key, state }
+                }
+            }
+        }
+
+        pub fn replace_min_guarded(
+            &mut self,
+            key: u64,
+            state: u64,
+            mut guard: impl FnMut(&u64, &u64) -> bool,
+        ) -> MgOutcome<u64, u64> {
+            if self.index.contains_key(&key) {
+                return MgOutcome::Rejected { key, state };
+            }
+            if self.slots.len() < self.capacity {
+                return self.install_spare(key, state);
+            }
+            let mut vetoed: Vec<(u64, usize)> = Vec::new();
+            let mut chosen: Option<usize> = None;
+            while let Some(&Reverse((stored, i))) = self.heap.peek() {
+                self.heap.pop();
+                if self.slots[i].stored != stored {
+                    continue; // stale
+                }
+                if guard(&self.slots[i].key, &self.slots[i].state) {
+                    chosen = Some(i);
+                    break;
+                }
+                vetoed.push((stored, i));
+            }
+            for (stored, i) in vetoed {
+                self.heap.push(Reverse((stored, i)));
+            }
+            match chosen {
+                Some(i) => self.install_over(i, key, state),
+                None => MgOutcome::Rejected { key, state },
+            }
+        }
+
+        fn pop_zero_slot(&mut self) -> Option<usize> {
+            while let Some(&Reverse((stored, i))) = self.heap.peek() {
+                if self.slots[i].stored != stored {
+                    self.heap.pop(); // stale
+                    continue;
+                }
+                if stored <= self.base {
+                    self.heap.pop();
+                    return Some(i);
+                }
+                return None;
+            }
+            None
+        }
+    }
+}
+
+#[cfg(test)]
+mod heap_tests {
+    use super::reference::PushPerCombine;
+    use super::*;
+    use opa_common::rng::SplitMix64;
+
+    #[test]
+    fn heap_holds_one_entry_per_slot() {
+        // Eight hot keys in a 16-slot monitor: every offer after the first
+        // eight combines.
+        let mut mg: MisraGries<u64, u64> = MisraGries::new(16);
+        let mut old = PushPerCombine::new(16);
+        for i in 0..100_000u64 {
+            let _ = mg.offer(i % 8, 1, |_, a, b| *a += b);
+            let _ = old.offer_guarded(i % 8, 1, |_, _| true);
+        }
+        assert_eq!((mg.len(), mg.heap_len()), (8, 8));
+        assert_eq!(old.heap_len(), 100_000, "the reference grows per tuple");
+
+        // A full monitor, a cold key every fourth tuple: rejections,
+        // decrements, evictions and re-installs all keep the bound.
+        let mut mg: MisraGries<u64, u64> = MisraGries::new(16);
+        let mut old = PushPerCombine::new(16);
+        for i in 0..100_000u64 {
+            let key = if i % 4 == 3 { 1_000 + i } else { i % 16 };
+            let _ = mg.offer(key, 1, |_, a, b| *a += b);
+            let _ = old.offer_guarded(key, 1, |_, _| true);
+            assert_eq!(mg.heap_len(), mg.len(), "after offer {i}");
+        }
+        assert_eq!(mg.heap_len(), 16);
+        assert!(old.heap_len() > 10_000, "{}", old.heap_len());
+    }
+
+    #[test]
+    fn one_entry_per_slot_decides_as_a_push_per_combine_did() {
+        let (mut rejected, mut evicted, mut vetoes) = (0u64, 0u64, 0u64);
+        for seed in 0..8u64 {
+            let mut rng = SplitMix64::new(0x0f4e_0000 + seed);
+            let capacity = 1 + rng.next_below(12) as usize;
+            let keys = capacity as u64 + 1 + rng.next_below(24);
+            let mut mg: MisraGries<u64, u64> = MisraGries::new(capacity);
+            let mut old = PushPerCombine::new(capacity);
+            for step in 0..20_000u64 {
+                // Skewed keys: low ones stay hot, the tail churns.
+                let key = rng.next_below(keys).min(rng.next_below(keys));
+                let state = 1 + rng.next_below(9);
+                // A seeded veto over (occupant, state), about one in four;
+                // each monitor's questions are logged.
+                let salt = rng.next();
+                let veto = |asked: &mut Vec<u64>, k: &u64, s: &u64| {
+                    asked.push(*k);
+                    (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ s ^ salt) & 3 != 0
+                };
+                let (mut asked_new, mut asked_old) = (Vec::new(), Vec::new());
+                let guard_new = |k: &u64, s: &u64| veto(&mut asked_new, k, s);
+                let guard_old = |k: &u64, s: &u64| veto(&mut asked_old, k, s);
+                let (new, was) = if rng.next_below(5) == 0 {
+                    (
+                        mg.replace_min_guarded(key, state, guard_new),
+                        old.replace_min_guarded(key, state, guard_old),
+                    )
+                } else {
+                    (
+                        mg.offer_guarded(key, state, |_, a, b| *a += b, guard_new),
+                        old.offer_guarded(key, state, guard_old),
+                    )
+                };
+                assert_eq!(
+                    asked_new, asked_old,
+                    "seed {seed} step {step}: victims tried"
+                );
+                assert_eq!(new, was, "seed {seed} step {step}");
+                assert_eq!(mg.iter().collect::<Vec<_>>(), old.entries());
+                assert!(mg.heap_len() <= capacity);
+                vetoes += asked_new.len() as u64;
+                match new {
+                    MgOutcome::Rejected { .. } => rejected += 1,
+                    MgOutcome::Installed { evicted: Some(_) } => evicted += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            rejected > 10_000 && evicted > 10_000 && vetoes > 10_000,
+            "{rejected} rejections, {evicted} evictions, {vetoes} guard calls"
+        );
     }
 }
 

@@ -70,6 +70,11 @@ fn resume_matches_uninterrupted_for_every_framework() {
             full.job.output, resumed.job.output,
             "{fw:?}: resumed output must be bit-identical"
         );
+        // The engine reads the input size off its block store, which on
+        // resume still splits the whole input, mapped chunks included.
+        for out in [&full, &resumed] {
+            assert_eq!(out.job.metrics.input_bytes, data.total_bytes(), "{fw:?}");
+        }
         // Thread-count invariance extends across the crash/restore divide.
         let resumed8 = build()
             .exec(ExecConfig::oversubscribed(8))
