@@ -19,6 +19,7 @@ mod serve_cmd;
 
 use args::{parse_bytes, Args};
 use opa_common::Key;
+use opa_core::api::Job;
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::job::{JobBuilder, JobInput, JobOutcome};
 use opa_model::io_model::ModelInput;
@@ -244,7 +245,39 @@ pub(crate) fn parse_framework(s: &str) -> Result<Framework, String> {
     })
 }
 
+/// The workload catalog: the job `name` selects, configured from `args`.
+/// `run`, `stream` and `serve submit` all resolve their JOB here, so the
+/// names and the option defaults cannot differ between them.
+pub(crate) fn named_job(name: &str, args: &Args) -> Result<Box<dyn Job>, String> {
+    Ok(match name {
+        "sessionize" => Box::new(SessionizeJob {
+            gap_secs: args.get_or("gap", 300u64)?,
+            slack_secs: args.get_or("slack", 400u64)?,
+            state_capacity: args.get_or("state", 512usize)?,
+            charge_fixed_footprint: true,
+            expected_users: args.get_or("expected-keys", 50_000u64)?,
+        }),
+        "click-count" => Box::new(ClickCountJob {
+            expected_users: args.get_or("expected-keys", 50_000u64)?,
+        }),
+        "frequent-users" => Box::new(FrequentUsersJob {
+            threshold: args.get_or("threshold", 50u64)?,
+            expected_users: args.get_or("expected-keys", 50_000u64)?,
+        }),
+        "page-freq" => Box::new(PageFreqJob {
+            expected_pages: args.get_or("expected-keys", 10_000u64)?,
+        }),
+        "trigrams" => Box::new(TrigramCountJob {
+            threshold: args.get_or("threshold", 1000u64)?,
+            expected_trigrams: args.get_or("expected-keys", 1_000_000u64)?,
+        }),
+        other => return Err(format!("unknown job '{other}'")),
+    })
+}
+
 fn run_job(job: &str, args: &Args) -> Result<(), String> {
+    // Resolved before the input is read, so a typo costs no I/O.
+    let job = named_job(job, args)?;
     let input = read_input(args)?;
     let framework = parse_framework(
         args.options
@@ -267,14 +300,7 @@ fn run_job(job: &str, args: &Args) -> Result<(), String> {
     let model_zipf = args.get::<f64>("model-zipf")?;
     let model_keys = args.get_or("model-keys", args.get_or("expected-keys", 50_000u64)?)?;
 
-    let outcome: JobOutcome = match job {
-        "sessionize" => JobBuilder::new(SessionizeJob {
-            gap_secs: args.get_or("gap", 300u64)?,
-            slack_secs: args.get_or("slack", 400u64)?,
-            state_capacity: args.get_or("state", 512usize)?,
-            charge_fixed_footprint: true,
-            expected_users: args.get_or("expected-keys", 50_000u64)?,
-        })
+    let outcome: JobOutcome = JobBuilder::new(job)
         .framework(framework)
         .cluster(cluster)
         .km_hint(km)
@@ -283,60 +309,8 @@ fn run_job(job: &str, args: &Args) -> Result<(), String> {
         .admission(admission)
         .combine(combine)
         .trace(trace_on)
-        .run(&input),
-        "click-count" => JobBuilder::new(ClickCountJob {
-            expected_users: args.get_or("expected-keys", 50_000u64)?,
-        })
-        .framework(framework)
-        .cluster(cluster)
-        .km_hint(km)
-        .exec(exec)
-        .faults(faults)
-        .admission(admission)
-        .combine(combine)
-        .trace(trace_on)
-        .run(&input),
-        "frequent-users" => JobBuilder::new(FrequentUsersJob {
-            threshold: args.get_or("threshold", 50u64)?,
-            expected_users: args.get_or("expected-keys", 50_000u64)?,
-        })
-        .framework(framework)
-        .cluster(cluster)
-        .km_hint(km)
-        .exec(exec)
-        .faults(faults)
-        .admission(admission)
-        .combine(combine)
-        .trace(trace_on)
-        .run(&input),
-        "page-freq" => JobBuilder::new(PageFreqJob {
-            expected_pages: args.get_or("expected-keys", 10_000u64)?,
-        })
-        .framework(framework)
-        .cluster(cluster)
-        .km_hint(km)
-        .exec(exec)
-        .faults(faults)
-        .admission(admission)
-        .combine(combine)
-        .trace(trace_on)
-        .run(&input),
-        "trigrams" => JobBuilder::new(TrigramCountJob {
-            threshold: args.get_or("threshold", 1000u64)?,
-            expected_trigrams: args.get_or("expected-keys", 1_000_000u64)?,
-        })
-        .framework(framework)
-        .cluster(cluster)
-        .km_hint(km)
-        .exec(exec)
-        .faults(faults)
-        .admission(admission)
-        .combine(combine)
-        .trace(trace_on)
-        .run(&input),
-        other => return Err(format!("unknown job '{other}'")),
-    }
-    .map_err(|e| e.to_string())?;
+        .run(&input)
+        .map_err(|e| e.to_string())?;
 
     println!("{}", outcome.metrics);
     println!(
@@ -456,54 +430,8 @@ pub(crate) fn read_input(args: &Args) -> Result<JobInput, String> {
 }
 
 fn stream_job(job: &str, args: &Args) -> Result<(), String> {
-    let input = read_input(args)?;
-    match job {
-        "sessionize" => stream_with(
-            SessionizeJob {
-                gap_secs: args.get_or("gap", 300u64)?,
-                slack_secs: args.get_or("slack", 400u64)?,
-                state_capacity: args.get_or("state", 512usize)?,
-                charge_fixed_footprint: true,
-                expected_users: args.get_or("expected-keys", 50_000u64)?,
-            },
-            args,
-            &input,
-        ),
-        "click-count" => stream_with(
-            ClickCountJob {
-                expected_users: args.get_or("expected-keys", 50_000u64)?,
-            },
-            args,
-            &input,
-        ),
-        "frequent-users" => stream_with(
-            FrequentUsersJob {
-                threshold: args.get_or("threshold", 50u64)?,
-                expected_users: args.get_or("expected-keys", 50_000u64)?,
-            },
-            args,
-            &input,
-        ),
-        "page-freq" => stream_with(
-            PageFreqJob {
-                expected_pages: args.get_or("expected-keys", 10_000u64)?,
-            },
-            args,
-            &input,
-        ),
-        "trigrams" => stream_with(
-            TrigramCountJob {
-                threshold: args.get_or("threshold", 1000u64)?,
-                expected_trigrams: args.get_or("expected-keys", 1_000_000u64)?,
-            },
-            args,
-            &input,
-        ),
-        other => Err(format!("unknown job '{other}'")),
-    }
-}
-
-fn stream_with<J: opa_core::api::Job>(job: J, args: &Args, input: &JobInput) -> Result<(), String> {
+    let job = named_job(job, args)?;
+    let input = &read_input(args)?;
     let framework = parse_framework(
         args.options
             .get("framework")

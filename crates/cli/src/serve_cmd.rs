@@ -22,8 +22,7 @@
 use crate::args::Args;
 use opa_common::Key;
 use opa_core::job::JobInput;
-use opa_serve::{JobSpec, ServeAnswer, ServeConfig, ServeQuery, Server, SubmitReceipt};
-use opa_workloads::{ClickCountJob, FrequentUsersJob, PageFreqJob, SessionizeJob, TrigramCountJob};
+use opa_serve::{JobSpec, ServeAnswer, ServeConfig, ServeQuery, Server};
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::sync::Arc;
@@ -142,6 +141,7 @@ fn cmd_submit(
         .get(1)
         .ok_or("submit: JOB missing")?
         .as_str();
+    let job = crate::named_job(job_name, args)?;
     let input_path = args
         .options
         .get("input")
@@ -179,73 +179,14 @@ fn cmd_submit(
         trace: args.has_flag("trace"),
     };
 
-    let receipt = submit_by_name(server, tenant, job_name, args, input, &spec)?;
+    let receipt = server
+        .submit(tenant, job, input, &spec)
+        .map_err(|e| e.to_string())?;
     println!(
         "job {} tenant {} {}: {:?}",
         receipt.job, tenant, job_name, receipt.outcome
     );
     Ok(())
-}
-
-/// Dispatches the generic `Server::submit` over the workload catalog.
-fn submit_by_name(
-    server: &mut Server,
-    tenant: u32,
-    job: &str,
-    args: &Args,
-    input: Arc<JobInput>,
-    spec: &JobSpec,
-) -> Result<SubmitReceipt, String> {
-    let receipt = match job {
-        "sessionize" => server.submit(
-            tenant,
-            SessionizeJob {
-                gap_secs: args.get_or("gap", 300u64)?,
-                slack_secs: args.get_or("slack", 400u64)?,
-                state_capacity: args.get_or("state", 512usize)?,
-                charge_fixed_footprint: true,
-                expected_users: args.get_or("expected-keys", 50_000u64)?,
-            },
-            input,
-            spec,
-        ),
-        "click-count" => server.submit(
-            tenant,
-            ClickCountJob {
-                expected_users: args.get_or("expected-keys", 50_000u64)?,
-            },
-            input,
-            spec,
-        ),
-        "frequent-users" => server.submit(
-            tenant,
-            FrequentUsersJob {
-                threshold: args.get_or("threshold", 50u64)?,
-                expected_users: args.get_or("expected-keys", 50_000u64)?,
-            },
-            input,
-            spec,
-        ),
-        "page-freq" => server.submit(
-            tenant,
-            PageFreqJob {
-                expected_pages: args.get_or("expected-keys", 10_000u64)?,
-            },
-            input,
-            spec,
-        ),
-        "trigrams" => server.submit(
-            tenant,
-            TrigramCountJob {
-                threshold: args.get_or("threshold", 1000u64)?,
-                expected_trigrams: args.get_or("expected-keys", 1_000_000u64)?,
-            },
-            input,
-            spec,
-        ),
-        other => return Err(format!("unknown job '{other}'")),
-    };
-    receipt.map_err(|e| e.to_string())
 }
 
 fn job_id(args: &Args) -> Result<u32, String> {

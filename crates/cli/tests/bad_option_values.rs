@@ -140,3 +140,24 @@ fn dataflow_rejects_unparsable_values() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn unknown_job_fails_the_same_way_everywhere() {
+    // `run`, `stream` and `serve submit` resolve JOB through one catalog,
+    // before any input is read — so no input file is needed to see it.
+    let dir = std::env::temp_dir().join(format!("opa-cli-nojob-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let ctl = dir.join("serve.ctl").display().to_string();
+    std::fs::write(&ctl, "submit 0 word-count --input /no/such/file\n").expect("write");
+    let want = "error: unknown job 'word-count'\n";
+    for cmd in ["run", "stream"] {
+        let out = opa(&[cmd, "word-count", "--input", "/no/such/file"]);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{cmd}");
+    }
+    // On a control line the command fails and the loop goes on.
+    let out = opa(&["serve", "--control", &ctl]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), want, "serve submit");
+    std::fs::remove_dir_all(&dir).ok();
+}

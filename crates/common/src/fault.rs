@@ -14,12 +14,11 @@
 
 use crate::error::{Error, Result};
 use crate::units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// How much fault injection a job run should experience. All rates are
 /// probabilities in `[0, 1)`; the all-zero config (the default) disables
 /// the subsystem entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed for the deterministic per-decision hash.
     pub seed: u64,
@@ -165,7 +164,7 @@ impl FaultConfig {
 }
 
 /// The classes of injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultKind {
     /// A map-task attempt died partway through its chunk.
     MapFailure,
@@ -182,7 +181,7 @@ pub enum FaultKind {
 }
 
 /// One fault firing, for the reproducible failure trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Virtual time at which the fault fired.
     pub time: SimTime,
@@ -196,7 +195,7 @@ pub struct FaultEvent {
 }
 
 /// Aggregated recovery cost of one job run, surfaced in `JobMetrics`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultReport {
     /// Map-task attempts that failed.
     pub map_failures: u64,

@@ -558,11 +558,6 @@ impl StateBatch {
         self.hashes.get(i).copied()
     }
 
-    /// Consumes the batch, returning the rows.
-    pub fn into_states(self) -> Vec<StatePair> {
-        self.states
-    }
-
     /// Consumes the batch, returning rows and the (possibly empty) hash
     /// cache separately.
     pub fn into_parts(self) -> (Vec<StatePair>, Vec<u64>) {

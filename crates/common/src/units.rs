@@ -7,7 +7,6 @@
 //! are microsecond-granular integers so event ordering is exact and runs are
 //! bit-for-bit reproducible.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
@@ -25,9 +24,7 @@ pub const GB: u64 = 1024 * MB;
 /// use opa_common::units::{ByteSize, MB};
 /// assert_eq!(ByteSize(256 * MB).to_string(), "256.00 MB");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {
@@ -72,15 +69,11 @@ impl From<u64> for ByteSize {
 }
 
 /// An instant on the simulated clock, in microseconds since job start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time, in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

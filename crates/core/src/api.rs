@@ -282,6 +282,42 @@ pub trait Job: Send + Sync {
     }
 }
 
+/// A boxed or borrowed job is a job: every method forwards, the hints and
+/// optional interfaces included, so `Box<dyn Job>` picked by name at run
+/// time goes wherever a concrete job type does.
+macro_rules! forward_job {
+    ($($ptr:ty),+) => {$(
+        impl<J: Job + ?Sized> Job for $ptr {
+            fn name(&self) -> &str {
+                (**self).name()
+            }
+            fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
+                (**self).map(record, emit);
+            }
+            fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
+                (**self).reduce(key, values, ctx);
+            }
+            fn combiner(&self) -> Option<&dyn Combiner> {
+                (**self).combiner()
+            }
+            fn incremental(&self) -> Option<&dyn IncrementalReducer> {
+                (**self).incremental()
+            }
+            fn expected_keys(&self) -> Option<u64> {
+                (**self).expected_keys()
+            }
+            fn state_size_hint(&self) -> Option<u64> {
+                (**self).state_size_hint()
+            }
+            fn partition_preserving(&self) -> bool {
+                (**self).partition_preserving()
+            }
+        }
+    )+};
+}
+
+forward_job!(Box<J>, &J);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,6 +371,53 @@ mod tests {
         assert!(j.expected_keys().is_none());
         assert!(j.state_size_hint().is_none());
         assert!(!j.partition_preserving());
+    }
+
+    /// Overrides every hook `CountJob` leaves at its default.
+    struct HintedJob;
+    impl Job for HintedJob {
+        fn name(&self) -> &str {
+            "hinted"
+        }
+        fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
+            CountJob.map(record, emit);
+        }
+        fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
+            CountJob.reduce(key, values, ctx);
+        }
+        fn incremental(&self) -> Option<&dyn IncrementalReducer> {
+            Some(&EchoInc)
+        }
+        fn expected_keys(&self) -> Option<u64> {
+            Some(7)
+        }
+        fn state_size_hint(&self) -> Option<u64> {
+            Some(9)
+        }
+        fn partition_preserving(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn boxed_and_borrowed_jobs_forward_every_hook() {
+        fn hooks(j: impl Job) -> (String, bool, Option<u64>, Option<u64>, bool) {
+            let mut emitted = 0;
+            j.map(b"r", &mut |_, _| emitted += 1);
+            assert_eq!(emitted, 1);
+            (
+                j.name().to_string(),
+                j.incremental().is_some(),
+                j.expected_keys(),
+                j.state_size_hint(),
+                j.partition_preserving(),
+            )
+        }
+        let want = ("hinted".to_string(), true, Some(7), Some(9), true);
+        let boxed: Box<dyn Job> = Box::new(HintedJob);
+        assert_eq!(hooks(&*boxed), want);
+        assert_eq!(hooks(boxed), want);
+        assert!(!hooks(&CountJob).1 && hooks(&CountJob).2.is_none());
     }
 
     struct EchoInc;

@@ -3,12 +3,11 @@
 use crate::cost::CostModel;
 use opa_common::units::KB;
 use opa_common::{Error, HardwareSpec, Result, SystemSettings};
-use serde::{Deserialize, Serialize};
 
 /// Which group-by framework the reduce side runs (and, for the hash
 /// variants, how the map side collects output). See the crate docs for the
 /// paper sections each one reproduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Framework {
     /// Hadoop's sort-merge baseline ("1-pass SM" when tuned via the model).
     SortMerge,
@@ -53,7 +52,7 @@ impl Framework {
 }
 
 /// Full description of the simulated cluster a job runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// `N`, `B_m`, `B_r`, slot counts.
     pub hardware: HardwareSpec,

@@ -16,10 +16,9 @@
 
 use opa_common::units::{SimDuration, MB};
 use opa_simio::{DiskProfile, IoOp};
-use serde::{Deserialize, Serialize};
 
 /// All virtual-time constants used by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Data scale factor relative to the paper (1024 = run MBs, report as
     /// if GBs). Only recorded for reporting; the constants below are

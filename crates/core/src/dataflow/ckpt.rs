@@ -11,7 +11,7 @@
 
 use super::dataset::Dataset;
 use opa_common::{Error, Result};
-use opa_simio::ckpt::{decode_sections, encode_sections, Section};
+use opa_simio::ckpt::{encode_sections, Section, SectionReader};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a over the chain's identity strings: stage job names, framework
@@ -61,13 +61,8 @@ pub(crate) fn write_stage(
 pub(crate) fn read_stage(path: &Path, chain_fp: u64, stage: usize) -> Result<Dataset> {
     let buf =
         std::fs::read(path).map_err(|e| Error::storage(format!("read {}: {e}", path.display())))?;
-    let sections = decode_sections(&buf)?;
-    let Some(Section::Nums(header)) = sections.first() else {
-        return Err(Error::job("malformed dataflow checkpoint header"));
-    };
-    let [fp, idx] = header[..] else {
-        return Err(Error::job("malformed dataflow checkpoint header"));
-    };
+    let mut r = SectionReader::new(&buf, "dataflow checkpoint")?;
+    let [fp, idx] = r.nums_exact("header")?;
     if fp != chain_fp {
         return Err(Error::job(format!(
             "dataflow checkpoint {} belongs to a different chain \
@@ -75,13 +70,13 @@ pub(crate) fn read_stage(path: &Path, chain_fp: u64, stage: usize) -> Result<Dat
             path.display()
         )));
     }
-    if idx as usize != stage {
+    if idx != stage as u64 {
         return Err(Error::job(format!(
             "dataflow checkpoint {} is stamped for stage {idx}, not {stage}",
             path.display()
         )));
     }
-    Dataset::from_sections(&sections[1..])
+    Dataset::from_reader(r)
 }
 
 /// Scans `dir` for the highest-numbered stage checkpoint (`stage <

@@ -14,7 +14,7 @@ use crate::job::JobInput;
 use bytes::Bytes;
 use opa_common::hash::{bucket_of, HashFamily};
 use opa_common::{encode_kv, Error, Pair, Result};
-use opa_simio::ckpt::{decode_sections, encode_sections, Section};
+use opa_simio::ckpt::{encode_sections, Section, SectionReader};
 
 /// Identity of a partition function: the engine partitions by
 /// `bucket_of(h1(key), partitions)` where `h1` is the first member of the
@@ -202,31 +202,28 @@ impl Dataset {
         sections
     }
 
-    /// Rebuilds a dataset from [`Dataset::to_sections`] output, verifying
-    /// record placement against the restored fingerprints.
-    pub(crate) fn from_sections(sections: &[Section]) -> Result<Dataset> {
+    /// Rebuilds a dataset from the [`Dataset::to_sections`] sections `r`
+    /// still holds (all of them: leftovers are an error), verifying record
+    /// placement against the restored fingerprints.
+    pub(crate) fn from_reader(mut r: SectionReader) -> Result<Dataset> {
         let bad = || Error::job("malformed dataset checkpoint sections");
-        let Some(Section::Nums(header)) = sections.first() else {
-            return Err(bad());
-        };
-        let [hash_seed, partitions] = header[..] else {
-            return Err(bad());
-        };
-        let partitions = partitions as usize;
-        if partitions == 0 || sections.len() != 1 + 2 * partitions {
+        let [hash_seed, partitions] = r.nums_exact("dataset header")?;
+        // The file-supplied fan-out is believed only if the file holds
+        // exactly its two sections per partition.
+        let held = r.remaining();
+        if partitions == 0 || partitions.checked_mul(2) != Some(held as u64) {
             return Err(bad());
         }
+        let partitions = held / 2;
         let mut parts = Vec::with_capacity(partitions);
         let mut hashes = Vec::with_capacity(partitions);
-        for chunk in sections[1..].chunks(2) {
-            let (Section::Pairs(pairs), Section::Nums(hs)) = (&chunk[0], &chunk[1]) else {
-                return Err(bad());
-            };
+        for _ in 0..partitions {
+            let (pairs, hs) = (r.pairs("partition pairs")?, r.nums("fingerprints")?);
             if pairs.len() != hs.len() {
                 return Err(bad());
             }
-            parts.push(pairs.clone());
-            hashes.push(hs.clone());
+            parts.push(pairs);
+            hashes.push(hs);
         }
         let ds = Dataset {
             spec: PartitionSpec {
@@ -261,7 +258,7 @@ impl Dataset {
     pub fn read(path: &std::path::Path) -> Result<Dataset> {
         let buf = std::fs::read(path)
             .map_err(|e| Error::storage(format!("read {}: {e}", path.display())))?;
-        Dataset::from_sections(&decode_sections(&buf)?)
+        Dataset::from_reader(SectionReader::new(&buf, "dataset file")?)
     }
 }
 
@@ -323,6 +320,23 @@ mod tests {
         let back = Dataset::read(&path).expect("read");
         assert_eq!(ds, back);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn forged_partition_count_is_an_error() {
+        let read = |sections: &[Section]| {
+            Dataset::from_reader(SectionReader::new(&encode_sections(sections), "unit")?)
+        };
+        let honest = sample().to_sections();
+        assert_eq!(read(&honest).expect("decodes"), sample());
+        // `1 + 2 * partitions` overflows for the first; the second wraps it
+        // to 1 in release arithmetic, matching a one-section file.
+        for forged in [u64::MAX, 1 << 63, 1 << 62, 5, 0] {
+            let mut sections = honest.clone();
+            sections[0] = Section::Nums(vec![7, forged]);
+            assert!(read(&sections).is_err(), "partitions = {forged}");
+            assert!(read(&sections[..1]).is_err(), "header only, {forged}");
+        }
     }
 
     #[test]

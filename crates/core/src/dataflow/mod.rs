@@ -104,7 +104,7 @@ use crate::cluster::{ClusterSpec, Framework};
 use crate::job::{JobBuilder, JobInput, JobOutcome};
 use crate::metrics::JobMetrics;
 use opa_common::fault::FaultConfig;
-use opa_common::{Error, ExecConfig, Key, Pair, Result, Value};
+use opa_common::{Error, ExecConfig, Pair, Result};
 use opa_trace::{TraceEvent, TraceLog, Tracer};
 use std::path::PathBuf;
 
@@ -199,44 +199,10 @@ impl DataflowOutcome {
     }
 }
 
-/// One stage of a chain: a job plus the framework (and optionally a
-/// cluster override) to run it under.
+/// One stage of a chain: a job plus the framework to run it under.
 struct Stage {
     job: Box<dyn Job>,
     framework: Framework,
-    cluster: Option<ClusterSpec>,
-    km_hint: f64,
-}
-
-/// Borrowed view of a boxed stage job, so the ordinary [`JobBuilder`]
-/// engine path can run it without taking ownership.
-struct DynJob<'a>(&'a dyn Job);
-
-impl Job for DynJob<'_> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
-        self.0.map(record, emit);
-    }
-    fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut crate::api::ReduceCtx) {
-        self.0.reduce(key, values, ctx);
-    }
-    fn combiner(&self) -> Option<&dyn crate::api::Combiner> {
-        self.0.combiner()
-    }
-    fn incremental(&self) -> Option<&dyn crate::api::IncrementalReducer> {
-        self.0.incremental()
-    }
-    fn expected_keys(&self) -> Option<u64> {
-        self.0.expected_keys()
-    }
-    fn state_size_hint(&self) -> Option<u64> {
-        self.0.state_size_hint()
-    }
-    fn partition_preserving(&self) -> bool {
-        self.0.partition_preserving()
-    }
 }
 
 /// A chain of jobs executed with in-memory handoffs where possible.
@@ -276,28 +242,7 @@ impl Dataflow {
         self.stages.push(Stage {
             job: Box::new(job),
             framework,
-            cluster: None,
-            km_hint: 1.0,
         });
-        self
-    }
-
-    /// Overrides the cluster of the most recently appended stage. Note a
-    /// stage whose partition function differs from its input's can never
-    /// skip its shuffle.
-    pub fn stage_cluster(mut self, spec: ClusterSpec) -> Self {
-        if let Some(stage) = self.stages.last_mut() {
-            stage.cluster = Some(spec);
-        }
-        self
-    }
-
-    /// Sets the map output/input ratio hint `K_m` of the most recently
-    /// appended stage (see [`JobBuilder::km_hint`]).
-    pub fn stage_km_hint(mut self, km: f64) -> Self {
-        if let Some(stage) = self.stages.last_mut() {
-            stage.km_hint = km;
-        }
         self
     }
 
@@ -351,19 +296,15 @@ impl Dataflow {
         self
     }
 
-    fn stage_spec(&self, stage: &Stage) -> ClusterSpec {
-        stage.cluster.unwrap_or(self.cluster)
-    }
-
     /// Fingerprint of the chain's identity: stage job names, frameworks
     /// and partition functions, in order. Checkpoints from a different
     /// chain (or an edited one) never restore.
     fn fingerprint(&self) -> u64 {
+        let spec = &self.cluster;
         let parts: Vec<String> = self
             .stages
             .iter()
             .flat_map(|s| {
-                let spec = self.stage_spec(s);
                 [
                     s.job.name().to_string(),
                     s.framework.label().to_string(),
@@ -419,7 +360,7 @@ impl Dataflow {
         let mut pending_handoff: Option<(usize, u64, u64)> = None;
 
         for (i, stage) in self.stages.iter().enumerate().skip(start) {
-            let spec = self.stage_spec(stage);
+            let spec = self.cluster;
             let target = PartitionSpec::of(&spec);
 
             // Decide how this stage's input arrives.
@@ -472,7 +413,6 @@ impl Dataflow {
                         stage.framework,
                         &spec,
                         self.exec,
-                        stage.km_hint,
                         ds,
                         self.trace,
                     )?
@@ -538,11 +478,10 @@ impl Dataflow {
     /// Runs one stage through the ordinary engine (real shuffle), with
     /// fault injection if configured.
     fn engine_run(&self, stage: &Stage, spec: ClusterSpec, input: &JobInput) -> Result<JobOutcome> {
-        JobBuilder::new(DynJob(stage.job.as_ref()))
+        JobBuilder::new(stage.job.as_ref())
             .framework(stage.framework)
             .cluster(spec)
             .exec(self.exec)
-            .km_hint(stage.km_hint)
             .faults(self.faults)
             .trace(self.trace)
             .run(input)

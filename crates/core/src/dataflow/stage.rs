@@ -48,7 +48,6 @@ pub(crate) fn run_chained_stage(
     framework: Framework,
     spec: &ClusterSpec,
     exec: ExecConfig,
-    km_hint: f64,
     input: &Dataset,
     trace: bool,
 ) -> Result<(JobOutcome, u64)> {
@@ -127,7 +126,8 @@ pub(crate) fn run_chained_stage(
     }
     let mut progress = ProgressTracker::new(live.len() as u64);
 
-    let sizing = ReducerSizing::from_hints(job, input_bytes, km_hint, n_partitions);
+    // `K_m` hint 1.0, `RunConfig`'s default: what the engine path sizes by.
+    let sizing = ReducerSizing::from_hints(job, input_bytes, 1.0, n_partitions);
 
     let mut output: Vec<Pair> = Vec::new();
     let mut map_cpu = SimDuration::ZERO;

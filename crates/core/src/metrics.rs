@@ -2,12 +2,11 @@
 
 use opa_common::units::{ByteSize, SimDuration, SimTime};
 use opa_simio::{IoStats, SpillSplit};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// DINC-hash monitor statistics, aggregated over all reducers. `None`
 /// for other frameworks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DincStats {
     /// Monitor slot capacity `s` per reducer.
     pub slots_per_reducer: u64,
@@ -26,7 +25,7 @@ pub struct DincStats {
 /// policy (the eviction fields stay zero with admission off, so a test
 /// can compare measured γ and spill attribution across policies); `None`
 /// for the sort-merge/MR-hash frameworks, which keep no resident state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
     /// Tuples offered to reduce-side tables.
     pub offered: u64,
@@ -75,7 +74,7 @@ impl AdmissionStats {
 /// In-node combining statistics, aggregated over all nodes. Present in
 /// [`JobMetrics`] only when the job ran under `CombineScope::Node` with a
 /// combiner (or `init/cb` for the incremental frameworks) to merge with.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeCombineStats {
     /// Pre-combine bytes offered to the node staging tables (what the
     /// shuffle would have carried without node-level combining).
@@ -100,7 +99,7 @@ impl NodeCombineStats {
 }
 
 /// Everything the paper reports about one job run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobMetrics {
     /// Framework label ("SM", "MR-hash", …).
     pub framework: String,

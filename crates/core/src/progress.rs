@@ -13,7 +13,6 @@
 //! tuple, `step` apart — held as one entry and walked arithmetically.
 
 use opa_common::units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Number of points every stage executor resamples its progress curves to.
 pub(crate) const PROGRESS_POINTS: usize = 400;
@@ -209,7 +208,7 @@ impl Counters {
 }
 
 /// One point of a progress curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgressPoint {
     /// Instant.
     pub t: SimTime,
@@ -226,7 +225,7 @@ pub struct ProgressPoint {
 }
 
 /// A normalized, evenly resampled pair of map/reduce progress curves.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProgressCurve {
     /// Evenly spaced samples from job start to job end.
     pub points: Vec<ProgressPoint>,

@@ -240,11 +240,6 @@ impl<'j> DincHashReducer<'j> {
         }
     }
 
-    /// Enables approximate early termination at coverage threshold `phi`.
-    pub fn set_early_stop(&mut self, phi: f64) {
-        self.early_stop_coverage = Some(phi);
-    }
-
     /// Monitor slot capacity `s`.
     pub fn slots(&self) -> usize {
         self.monitor.capacity()

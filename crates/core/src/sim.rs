@@ -12,10 +12,9 @@ use crate::cost::CostModel;
 use opa_common::units::{SimDuration, SimTime};
 use opa_simio::{IoCategory, IoOp, IoStats};
 use opa_trace::{SpanKind, TraceEvent, TraceLog, Tracer};
-use serde::{Deserialize, Serialize};
 
 /// Operation classes shown on the paper's task timelines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A map task (includes its sort, as in Fig 2(a)).
     Map,
@@ -41,7 +40,7 @@ impl OpKind {
 }
 
 /// One timeline interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// Operation class.
     pub kind: OpKind,
@@ -57,7 +56,7 @@ pub struct Span {
 /// Buckets hold whole microseconds, so an interval adds exactly what its
 /// pieces would: the series do not depend on how a stretch of work is split
 /// into charges (one interval per run of tuples, or one per tuple).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Usage {
     /// Bucket width in seconds.
     pub bucket_secs: f64,
@@ -199,11 +198,6 @@ impl Resources {
     /// bit-identical at any execution-thread count.
     pub fn enable_trace(&mut self) {
         self.trace = Some(Box::new(Tracer::new()));
-    }
-
-    /// Whether event collection is on.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// Appends one event to the trace, if tracing is on.
@@ -348,11 +342,6 @@ impl Resources {
                 });
             }
         }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Per-node disk-queue availability `(hdfs_free_at, spill_free_at)` in

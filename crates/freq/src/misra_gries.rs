@@ -969,119 +969,4 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
         }
         mg
     }
-
-    /// Merges two summaries (Agarwal et al., "Mergeable Summaries"):
-    /// same-key counters add (states combine through `cb`), then the
-    /// result is trimmed back to this summary's capacity by subtracting
-    /// the (s+1)-th largest counter from everything kept. Entries trimmed
-    /// away are returned for the caller to stage, mirroring DINC's
-    /// eviction flow. The merged frequency-error bound is at most the sum
-    /// of the inputs' bounds.
-    pub fn merge_with(
-        self,
-        other: MisraGries<K, S>,
-        mut cb: impl FnMut(&K, &mut S, S),
-    ) -> (MisraGries<K, S>, Vec<MgEntry<K, S>>) {
-        let capacity = self.capacity;
-        let offered = self.offered + other.offered;
-        let mut combined: HashMap<K, MgEntry<K, S>, SeededState> =
-            HashMap::with_hasher(SeededState::fixed());
-        for e in self.drain().into_iter().chain(other.drain()) {
-            match combined.entry(e.key.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let cur = o.get_mut();
-                    cur.count += e.count;
-                    cur.t += e.t;
-                    cb(&e.key, &mut cur.state, e.state);
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(e);
-                }
-            }
-        }
-        let mut entries: Vec<MgEntry<K, S>> = combined.into_values().collect();
-        entries.sort_by_key(|e| std::cmp::Reverse(e.count));
-        // Subtract the (s+1)-th largest counter from the survivors.
-        let cut = entries.get(capacity).map(|e| e.count).unwrap_or(0);
-        let spilled = if entries.len() > capacity {
-            entries.split_off(capacity)
-        } else {
-            Vec::new()
-        };
-        let mut merged = MisraGries::new(capacity);
-        merged.offered = offered;
-        for e in entries {
-            let i = merged.slots.len();
-            merged.slots.push(Slot {
-                key: e.key.clone(),
-                stored: merged.base + (e.count - cut).max(1),
-                t: e.t,
-                state: e.state,
-            });
-            merged.index.insert(e.key, i);
-            merged.heap.push(Reverse((merged.slots[i].stored, i)));
-        }
-        (merged, spilled)
-    }
-}
-
-#[cfg(test)]
-mod merge_tests {
-    use super::*;
-    use std::collections::HashMap;
-
-    fn feed(stream: &[u64], s: usize) -> MisraGries<u64, u64> {
-        let mut mg = MisraGries::new(s);
-        for &k in stream {
-            let _ = mg.offer(k, 1, |_, a, b| *a += b);
-        }
-        mg
-    }
-
-    #[test]
-    fn merged_summary_keeps_error_bound() {
-        // Two halves of a skewed stream, summarized independently, then
-        // merged: the error bound f − f̂ ≤ M1/(s+1) + M2/(s+1) must hold.
-        let mut stream = Vec::new();
-        for k in 1..=30u64 {
-            for _ in 0..(900 / k) {
-                stream.push(k);
-            }
-        }
-        stream.sort_by_key(|&k| k.wrapping_mul(0x9e3779b97f4a7c15).rotate_left(23));
-        let (a, b) = stream.split_at(stream.len() / 2);
-        let s = 8;
-        let (merged, _spilled) = feed(a, s).merge_with(feed(b, s), |_, x, y| *x += y);
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for &k in &stream {
-            *truth.entry(k).or_default() += 1;
-        }
-        let slack = a.len() as u64 / (s as u64 + 1) + b.len() as u64 / (s as u64 + 1) + 2;
-        for (&k, &f) in &truth {
-            let est = merged.estimate(&k);
-            assert!(est <= f + 1, "overestimate for {k}: {est} > {f}");
-            assert!(
-                est + slack >= f,
-                "merged bound violated for {k}: {est} + {slack} < {f}"
-            );
-        }
-        assert!(merged.len() <= s);
-        assert_eq!(merged.offered(), stream.len() as u64);
-    }
-
-    #[test]
-    fn merge_combines_states_and_spills_overflow() {
-        let a = feed(&[1, 1, 1, 2, 2], 2);
-        let b = feed(&[1, 3, 3, 3, 3], 2);
-        let (merged, spilled) = a.merge_with(b, |_, x, y| *x += y);
-        // Keys 1 (mass 4) and 3 (mass 4) dominate key 2 (mass 2).
-        assert!(merged.get(&1).is_some());
-        assert!(merged.get(&3).is_some());
-        let spilled_keys: Vec<u64> = spilled.iter().map(|e| e.key).collect();
-        assert_eq!(spilled_keys, vec![2]);
-        // State mass is conserved across survivors + spills.
-        let kept: u64 = merged.iter().map(|e| e.state).sum();
-        let lost: u64 = spilled.iter().map(|e| e.state).sum();
-        assert_eq!(kept + lost, 10);
-    }
 }

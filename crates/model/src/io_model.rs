@@ -25,10 +25,9 @@
 
 use crate::lambda::lambda_f;
 use opa_common::{HardwareSpec, SystemSettings, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// Everything the model needs: the three Table 2 sections.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelInput {
     /// Part (1): `R`, `C`, `F`.
     pub system: SystemSettings,
@@ -157,7 +156,7 @@ impl ModelInput {
 /// - **node** combines across all of a node's tasks, flushing its staging
 ///   table `ν` times (resident post-combine volume over the budget) —
 ///   `nodes · ν · E[distinct(pairs/(nodes·ν))] · b`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CombineModel {
     /// Raw map-output pairs before any combining (cluster-wide).
     pub pairs: f64,
@@ -242,7 +241,7 @@ impl CombineModel {
 }
 
 /// Per-node I/O bytes in the five Table 2 categories.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoBytesBreakdown {
     /// `U_1` — map input.
     pub u1: f64,

@@ -17,7 +17,6 @@
 use crate::io_model::ModelInput;
 use crate::time_model::CostConstants;
 use opa_common::{HardwareSpec, SystemSettings, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// The largest chunk size whose map output still fits the map buffer:
 /// `max C s.t. C·K_m ≤ B_m`.
@@ -39,7 +38,7 @@ pub fn recommended_merge_factor(
 }
 
 /// One evaluated grid point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridPoint {
     /// Chunk size `C` (bytes).
     pub chunk_size: u64,
@@ -50,7 +49,7 @@ pub struct GridPoint {
 }
 
 /// Result of a full optimization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recommendation {
     /// Chosen chunk size.
     pub chunk_size: u64,

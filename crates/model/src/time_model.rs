@@ -6,10 +6,9 @@
 //! 4 ms, and `c_start` to 100 ms; those are the defaults here.
 
 use crate::io_model::ModelInput;
-use serde::{Deserialize, Serialize};
 
 /// The three constants of Eq. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConstants {
     /// Seconds per byte of sequential I/O (`c_byte`).
     pub c_byte: f64,
@@ -46,7 +45,7 @@ impl CostConstants {
 }
 
 /// The Eq. 4 measurement, decomposed into its three cost sources.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeBreakdown {
     /// `c_byte · U` — sequential transfer time.
     pub byte_time: f64,

@@ -16,7 +16,7 @@
 
 use bytes::Bytes;
 use opa_common::{Error, Result};
-use opa_simio::ckpt::{decode_sections, encode_sections, Section};
+use opa_simio::ckpt::{encode_sections, Section, SectionReader};
 use std::path::Path;
 
 /// First-section magic distinguishing a quarantine file from the other
@@ -81,45 +81,26 @@ impl QuarantineFile {
     /// interpreted; this layer additionally validates the quarantine
     /// schema (magic, counts, field widths).
     pub fn decode(buf: &[u8]) -> Result<QuarantineFile> {
-        let sections = decode_sections(buf)?;
-        let mut it = sections.into_iter();
-        match it.next() {
-            Some(Section::Bytes(m)) if m == DLQ_MAGIC => {}
-            _ => return Err(Error::storage("not a quarantine file (bad magic)")),
+        let mut r = SectionReader::new(buf, "quarantine")?;
+        if !matches!(r.bytes("magic"), Ok(m) if m == DLQ_MAGIC) {
+            return Err(Error::storage("not a quarantine file (bad magic)"));
         }
-        let head = match it.next() {
-            Some(Section::Nums(ns)) if ns.len() == 4 => ns,
-            _ => return Err(Error::storage("quarantine header malformed")),
+        let narrow = |v: u64, what: &str| {
+            u32::try_from(v).map_err(|_| Error::storage(format!("quarantine {what} out of range")))
         };
-        let tenant =
-            u32::try_from(head[0]).map_err(|_| Error::storage("quarantine tenant out of range"))?;
-        let job =
-            u32::try_from(head[1]).map_err(|_| Error::storage("quarantine job out of range"))?;
-        let seed = head[2];
-        let count = head[3];
-        let job_name = match it.next() {
-            Some(Section::Bytes(b)) => String::from_utf8(b)
-                .map_err(|_| Error::storage("quarantine job name is not UTF-8"))?,
-            _ => return Err(Error::storage("quarantine job name missing")),
-        };
-        let mut entries = Vec::new();
-        loop {
-            let nums = match it.next() {
-                None => break,
-                Some(Section::Nums(ns)) if ns.len() == 3 => ns,
-                _ => return Err(Error::storage("quarantine entry header malformed")),
-            };
-            let record = match it.next() {
-                Some(Section::Bytes(b)) => Bytes::copy_from_slice(&b),
-                _ => return Err(Error::storage("quarantine entry payload missing")),
-            };
+        let [tenant, job, seed, count] = r.nums_exact("header")?;
+        let (tenant, job) = (narrow(tenant, "tenant")?, narrow(job, "job")?);
+        let job_name = r.string("job name")?;
+        // Sized by the sections the file holds, never by the header's
+        // `count`, which is only compared afterwards.
+        let mut entries = Vec::with_capacity(r.remaining() / 2);
+        while r.remaining() > 0 {
+            let [chunk, attempt, offset] = r.nums_exact("entry header")?;
             entries.push(QuarantineEntry {
-                chunk: u32::try_from(nums[0])
-                    .map_err(|_| Error::storage("quarantine chunk out of range"))?,
-                attempt: u32::try_from(nums[1])
-                    .map_err(|_| Error::storage("quarantine attempt out of range"))?,
-                offset: nums[2],
-                record,
+                chunk: narrow(chunk, "chunk")?,
+                attempt: narrow(attempt, "attempt")?,
+                offset,
+                record: Bytes::from(r.bytes("entry payload")?),
             });
         }
         if entries.len() as u64 != count {

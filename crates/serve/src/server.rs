@@ -237,7 +237,7 @@ impl Server {
     /// Submits a job for `tenant`. Admission is decided synchronously;
     /// an admitted job with a free slot starts immediately and runs to
     /// its first wave boundary before this returns (so it is queryable).
-    pub fn submit<J: Job + Clone + 'static>(
+    pub fn submit<J: Job + 'static>(
         &mut self,
         tenant: u32,
         job: J,
@@ -251,7 +251,7 @@ impl Server {
             let spec = spec.clone();
             Arc::new(
                 move |faults, on_batch: &mut dyn FnMut(&mut BatchCtl<'_, '_>)| {
-                    StreamJobBuilder::new(job.clone())
+                    StreamJobBuilder::new(&job)
                         .framework(spec.framework)
                         .cluster(spec.cluster)
                         .exec(spec.exec)

@@ -6,11 +6,10 @@
 //! home node round-robin, modelling uniform block placement with map-side
 //! locality (Hadoop schedules maps on the node holding the block).
 
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// One input chunk: a contiguous range of record indices resident on a node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
     /// Node holding (and mapping) this chunk.
     pub node: usize,
@@ -33,7 +32,7 @@ impl Chunk {
 }
 
 /// The split of one job input into node-assigned chunks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockStore {
     chunks: Vec<Chunk>,
     total_bytes: u64,

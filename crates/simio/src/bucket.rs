@@ -65,11 +65,6 @@ impl<T: Sized64> BucketManager<T> {
         self.buckets.len()
     }
 
-    /// Memory held by write buffers: `h × buffer_capacity`.
-    pub fn buffer_memory(&self) -> u64 {
-        self.buckets.len() as u64 * self.buffer_capacity
-    }
-
     /// Appends a tuple to bucket `i`, flushing the write buffer if it
     /// overflows. Returns the I/O (if any) the flush performed.
     ///

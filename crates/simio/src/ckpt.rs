@@ -13,6 +13,11 @@
 //! (BE) of everything before it. Pair/state sections embed a complete
 //! [`crate::codec::encode_run`] buffer, so they carry (and verify) their
 //! own record-level checksums too.
+//!
+//! Formats built on the container read it through one typed, consuming
+//! [`SectionReader`]; a count a file supplies is checked against the
+//! sections the file still holds ([`SectionReader::count`]) before it
+//! sizes anything.
 
 use crate::codec::{crc32, decode_run, decode_state_run, encode_run, encode_state_run};
 use opa_common::{Error, Pair, Result, StatePair};
@@ -123,6 +128,105 @@ pub fn decode_sections(buf: &[u8]) -> Result<Vec<Section>> {
     Ok(sections)
 }
 
+/// The one typed, consuming reader over a decoded container. Every user
+/// of the format (stream checkpoints, `.opadf` datasets, dataflow stage
+/// files, `.opaq` quarantines) reads its schema through it: each call
+/// takes the next section, checks its kind, and names the file format
+/// and the expected field in the error. Sections are moved out, never
+/// cloned.
+#[derive(Debug)]
+pub struct SectionReader {
+    format: &'static str,
+    sections: std::vec::IntoIter<Section>,
+}
+
+impl SectionReader {
+    /// Verifies and decodes `buf` (see [`decode_sections`]); `format`
+    /// names the file kind in every error this reader returns.
+    pub fn new(buf: &[u8], format: &'static str) -> Result<SectionReader> {
+        Ok(SectionReader {
+            format,
+            sections: decode_sections(buf)?.into_iter(),
+        })
+    }
+
+    /// `<format>: <what>: <problem>` — every error names the file kind
+    /// and the field the schema expected.
+    fn err(&self, what: &str, problem: &str) -> Error {
+        Error::storage(format!("{}: {what}: {problem}", self.format))
+    }
+
+    fn next(&mut self, what: &str) -> Result<Section> {
+        let section = self.sections.next();
+        section.ok_or_else(|| self.err(what, "the file ends before this section"))
+    }
+
+    /// The next section, which must be a `u64` array.
+    pub fn nums(&mut self, what: &str) -> Result<Vec<u64>> {
+        match self.next(what)? {
+            Section::Nums(v) => Ok(v),
+            _ => Err(self.err(what, "expected a numeric section")),
+        }
+    }
+
+    /// The next section, which must be a `u64` array of exactly `N` values.
+    pub fn nums_exact<const N: usize>(&mut self, what: &str) -> Result<[u64; N]> {
+        <[u64; N]>::try_from(self.nums(what)?).map_err(|_| self.err(what, "wrong number of values"))
+    }
+
+    /// The next section, which must be raw bytes.
+    pub fn bytes(&mut self, what: &str) -> Result<Vec<u8>> {
+        match self.next(what)? {
+            Section::Bytes(v) => Ok(v),
+            _ => Err(self.err(what, "expected a byte section")),
+        }
+    }
+
+    /// The next section, which must be raw bytes holding UTF-8 text.
+    pub fn string(&mut self, what: &str) -> Result<String> {
+        String::from_utf8(self.bytes(what)?).map_err(|_| self.err(what, "not UTF-8"))
+    }
+
+    /// The next section, which must be a pair run.
+    pub fn pairs(&mut self, what: &str) -> Result<Vec<Pair>> {
+        match self.next(what)? {
+            Section::Pairs(v) => Ok(v),
+            _ => Err(self.err(what, "expected a pair section")),
+        }
+    }
+
+    /// The next section, which must be a state run.
+    pub fn states(&mut self, what: &str) -> Result<Vec<StatePair>> {
+        match self.next(what)? {
+            Section::States(v) => Ok(v),
+            _ => Err(self.err(what, "expected a state section")),
+        }
+    }
+
+    /// Sections not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.sections.len()
+    }
+
+    /// Checks a file-supplied count of sections still to come against the
+    /// sections the file actually holds, so a forged count is an error
+    /// before it sizes an allocation or bounds a loop.
+    pub fn count(&self, n: u64, what: &str) -> Result<usize> {
+        match usize::try_from(n) {
+            Ok(n) if n <= self.remaining() => Ok(n),
+            _ => Err(self.err(what, &format!("count {n} exceeds the sections left"))),
+        }
+    }
+
+    /// Ends the read: sections left over are an error.
+    pub fn finish(self) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(self.err("end of file", &format!("{n} trailing sections"))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,5 +308,35 @@ mod tests {
         let n = v2.len();
         v2[n - 4..].copy_from_slice(&crc.to_be_bytes());
         assert!(decode_sections(&v2).is_err());
+    }
+
+    #[test]
+    fn reader_hands_out_typed_sections_in_order() {
+        let mut r = SectionReader::new(&encode_sections(&sample()), "unit file").unwrap();
+        assert_eq!(r.remaining(), 5);
+        assert_eq!(r.string("meta").unwrap(), "stream-meta");
+        assert_eq!(r.nums_exact::<4>("nums").unwrap(), [0, 1, u64::MAX, 42]);
+        assert_eq!(r.pairs("pairs").unwrap().len(), 2);
+        assert_eq!(r.count(2, "rest").unwrap(), 2);
+        assert!(r.count(3, "rest").is_err());
+        assert!(r.count(1 << 62, "rest").is_err());
+        assert_eq!(r.states("states").unwrap().len(), 1);
+        assert_eq!(r.nums("tail").unwrap(), Vec::<u64>::new());
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn reader_rejects_wrong_kind_wrong_width_truncation_and_leftovers() {
+        let buf = encode_sections(&sample());
+        let reader = || SectionReader::new(&buf, "unit file").unwrap();
+        let err = reader().nums("meta").unwrap_err().to_string();
+        assert!(err.contains("unit file: meta: expected a numeric"), "{err}");
+        let mut r = reader();
+        r.bytes("meta").unwrap();
+        assert!(r.nums_exact::<3>("nums").is_err(), "4 values are not 3");
+        assert!(reader().finish().is_err(), "5 sections left over");
+        let mut empty = SectionReader::new(&encode_sections(&[]), "unit file").unwrap();
+        let err = empty.pairs("output").unwrap_err().to_string();
+        assert!(err.contains("unit file: output: the file ends"), "{err}");
     }
 }

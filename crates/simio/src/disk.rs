@@ -8,10 +8,9 @@
 
 use crate::iostats::IoOp;
 use opa_common::units::{SimDuration, MB};
-use serde::{Deserialize, Serialize};
 
 /// Cost profile of one storage device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskProfile {
     /// Seconds per byte of sequential transfer (`c_byte`).
     pub secs_per_byte: f64,
@@ -51,12 +50,6 @@ impl DiskProfile {
         SimDuration::from_secs_f64(
             self.secs_per_byte * op.total_bytes() as f64 + self.secs_per_seek * op.seeks as f64,
         )
-    }
-
-    /// Time to move `bytes` in one sequential request.
-    #[inline]
-    pub fn time_for_bytes(&self, bytes: u64) -> SimDuration {
-        self.time_for(IoOp::write(bytes))
     }
 }
 

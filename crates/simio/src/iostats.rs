@@ -7,12 +7,11 @@
 //! [`IoOp`] that the engine both merges into an [`IoStats`] and prices
 //! through a [`crate::DiskProfile`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
 /// The paper's five I/O categories (Table 2, symbol `U_i`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoCategory {
     /// `U_1` — reading job input (HDFS).
     MapInput,
@@ -120,7 +119,7 @@ impl AddAssign for IoOp {
 }
 
 /// Aggregated I/O statistics with the paper's five-way decomposition.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IoStats {
     read: [u64; 5],
     written: [u64; 5],
@@ -199,7 +198,7 @@ impl IoStats {
 /// key's state written out to make room for a hotter newcomer. The split
 /// lets the bench/CI sweep verify that total spill bytes drop *because*
 /// eviction traffic replaces (rather than adds to) rejection traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillSplit {
     /// Bytes spilled as evicted resident state (victim writes performed
     /// to admit a hotter arriving key).

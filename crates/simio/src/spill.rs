@@ -76,11 +76,6 @@ impl<T: Sized64> SpillStore<T> {
         Some((f, op))
     }
 
-    /// Size in bytes of a live file.
-    pub fn file_bytes(&self, id: FileId) -> Option<u64> {
-        self.files.get(id)?.as_ref().map(|f| f.bytes)
-    }
-
     /// Ids and sizes of all live files, in creation order.
     pub fn live_files(&self) -> impl Iterator<Item = (FileId, u64)> + '_ {
         self.files.iter().flatten().map(|f| (f.id, f.bytes))

@@ -22,11 +22,11 @@
 //! functions of their inputs, the resumed run's output is bit-identical
 //! to the uninterrupted run's for the map/reduce fault classes.
 
-use opa_common::{Error, Pair, RecordBatch, Result, StateBatch, StatePair};
+use opa_common::{Error, RecordBatch, Result, StateBatch};
 pub use opa_core::engine::{DeferredDelivery, EngineState, QueuedEvent};
 use opa_core::map_phase::Payload;
 use opa_core::reduce::ReducerCkpt;
-use opa_simio::ckpt::{decode_sections, encode_sections, Section};
+use opa_simio::ckpt::{encode_sections, Section, SectionReader};
 use std::path::Path;
 
 /// Stream checkpoint format version (stored in the fingerprint section).
@@ -204,15 +204,10 @@ impl SavedState {
     /// Decodes a checkpoint produced by [`SavedState::encode`], verifying
     /// framing, CRC and the structural layout.
     pub fn decode(buf: &[u8]) -> Result<SavedState> {
-        let sections = decode_sections(buf)?;
-        let mut cur = Cursor {
-            sections: sections.into_iter(),
-        };
+        let mut cur = SectionReader::new(buf, "stream checkpoint")?;
 
-        let fp_nums = cur.nums("fingerprint")?;
         let [version, records, total_bytes, framework_idx, chunk_size, nodes, reducers, batches, hash_seed, next_batch] =
-            <[u64; 10]>::try_from(fp_nums)
-                .map_err(|_| Error::storage("stream checkpoint fingerprint malformed"))?;
+            cur.nums_exact("fingerprint")?;
         if version != FORMAT_VERSION {
             return Err(Error::storage(format!(
                 "stream checkpoint format version {version} (expected {FORMAT_VERSION})"
@@ -228,8 +223,7 @@ impl SavedState {
             batches,
             hash_seed,
         };
-        let job_name = String::from_utf8(cur.bytes("job name")?)
-            .map_err(|_| Error::storage("stream checkpoint job name is not UTF-8"))?;
+        let job_name = cur.string("job name")?;
 
         let qtags = cur.nums("event queue header")?;
         let n_events = *qtags
@@ -241,11 +235,9 @@ impl SavedState {
         }
         let mut queue = Vec::with_capacity(n_events);
         for &tag in &qtags[1..] {
-            let nums = cur.nums("queue event")?;
             queue.push(match tag {
                 QEV_START_MAP => {
-                    let [time, chunk, attempt] = <[u64; 3]>::try_from(nums)
-                        .map_err(|_| Error::storage("stream checkpoint map event malformed"))?;
+                    let [time, chunk, attempt] = cur.nums_exact("map event")?;
                     QueuedEvent::StartMap {
                         time,
                         chunk,
@@ -253,10 +245,7 @@ impl SavedState {
                     }
                 }
                 QEV_DELIVER_PAIRS | QEV_DELIVER_STATES => {
-                    let [time, reducer, from_node, chunk] =
-                        <[u64; 4]>::try_from(nums).map_err(|_| {
-                            Error::storage("stream checkpoint delivery event malformed")
-                        })?;
+                    let [time, reducer, from_node, chunk] = cur.nums_exact("delivery event")?;
                     let payload = if tag == QEV_DELIVER_PAIRS {
                         Payload::Pairs(RecordBatch::from_pairs(cur.pairs("delivery payload")?))
                     } else {
@@ -279,6 +268,13 @@ impl SavedState {
         }
 
         let raw = cur.nums("pending chunks")?;
+        // Every node owns at least its length entry, so a node count past
+        // the section's size is forged; checked before it sizes `pending`.
+        if nodes > raw.len() as u64 {
+            return Err(Error::storage(
+                "stream checkpoint pending section truncated",
+            ));
+        }
         let mut pending = Vec::with_capacity(nodes as usize);
         let mut pos = 0usize;
         for _ in 0..nodes {
@@ -307,10 +303,8 @@ impl SavedState {
         let disk_free = raw.chunks_exact(2).map(|c| (c[0], c[1])).collect();
 
         let done = cur.nums("done chunks")?;
-        let scalars = cur.nums("scheduler counters")?;
         let [map_output_bytes, spill_written_map, map_finish, maps_completed] =
-            <[u64; 4]>::try_from(scalars)
-                .map_err(|_| Error::storage("stream checkpoint counter section malformed"))?;
+            cur.nums_exact("scheduler counters")?;
         let map_cpu = expect_len(cur.nums("map cpu")?, nodes, "map cpu")?;
         let ready_at = expect_len(cur.nums("ready-at")?, reducers, "ready-at")?;
         let delivery_seq = expect_len(cur.nums("delivery seq")?, reducers, "delivery seq")?;
@@ -352,25 +346,21 @@ impl SavedState {
             }
             deferred.push(defs);
 
-            let header = cur.nums("reducer header")?;
             let [tag, flags, wm_present, wm_value, n_nums, n_pairs, n_states] =
-                <[u64; 7]>::try_from(header).map_err(|_| {
-                    Error::storage(format!("reducer {r} checkpoint header malformed"))
-                })?;
+                cur.nums_exact("reducer header")?;
             let tag = u8::try_from(tag)
                 .map_err(|_| Error::storage(format!("reducer {r} tag out of range")))?;
-            let mut nums = Vec::with_capacity(n_nums as usize);
-            for _ in 0..n_nums {
-                nums.push(cur.nums("reducer nums")?);
-            }
-            let mut pairs = Vec::with_capacity(n_pairs as usize);
-            for _ in 0..n_pairs {
-                pairs.push(cur.pairs("reducer pairs")?);
-            }
-            let mut states = Vec::with_capacity(n_states as usize);
-            for _ in 0..n_states {
-                states.push(cur.states("reducer states")?);
-            }
+            // A reducer cannot own more sections than the file still
+            // holds: each count is bounded before it drives a loop.
+            let nums = (0..cur.count(n_nums, "reducer nums")?)
+                .map(|_| cur.nums("reducer nums"))
+                .collect::<Result<_>>()?;
+            let pairs = (0..cur.count(n_pairs, "reducer pairs")?)
+                .map(|_| cur.pairs("reducer pairs"))
+                .collect::<Result<_>>()?;
+            let states = (0..cur.count(n_states, "reducer states")?)
+                .map(|_| cur.states("reducer states"))
+                .collect::<Result<_>>()?;
             reducer_ckpts.push(ReducerCkpt {
                 tag,
                 flags,
@@ -380,9 +370,7 @@ impl SavedState {
                 states,
             });
         }
-        if cur.sections.next().is_some() {
-            return Err(Error::storage("stream checkpoint has trailing sections"));
-        }
+        cur.finish()?;
 
         Ok(SavedState {
             fingerprint,
@@ -430,11 +418,6 @@ impl SavedState {
     }
 }
 
-/// Typed section reader over the decoded section stream.
-struct Cursor {
-    sections: std::vec::IntoIter<Section>,
-}
-
 /// Checks a fixed-width numeric section against its expected length.
 fn expect_len(v: Vec<u64>, want: u64, what: &str) -> Result<Vec<u64>> {
     if v.len() as u64 != want {
@@ -446,48 +429,11 @@ fn expect_len(v: Vec<u64>, want: u64, what: &str) -> Result<Vec<u64>> {
     Ok(v)
 }
 
-impl Cursor {
-    fn next(&mut self, what: &str) -> Result<Section> {
-        self.sections
-            .next()
-            .ok_or_else(|| Error::storage(format!("stream checkpoint truncated at {what}")))
-    }
-
-    fn nums(&mut self, what: &str) -> Result<Vec<u64>> {
-        match self.next(what)? {
-            Section::Nums(v) => Ok(v),
-            _ => Err(Error::storage(format!(
-                "{what}: expected a numeric section"
-            ))),
-        }
-    }
-
-    fn bytes(&mut self, what: &str) -> Result<Vec<u8>> {
-        match self.next(what)? {
-            Section::Bytes(v) => Ok(v),
-            _ => Err(Error::storage(format!("{what}: expected a byte section"))),
-        }
-    }
-
-    fn pairs(&mut self, what: &str) -> Result<Vec<Pair>> {
-        match self.next(what)? {
-            Section::Pairs(v) => Ok(v),
-            _ => Err(Error::storage(format!("{what}: expected a pair section"))),
-        }
-    }
-
-    fn states(&mut self, what: &str) -> Result<Vec<StatePair>> {
-        match self.next(what)? {
-            Section::States(v) => Ok(v),
-            _ => Err(Error::storage(format!("{what}: expected a state section"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opa_common::{Key, Value};
+    use opa_common::{Key, Pair, StatePair, Value};
+    use opa_simio::ckpt::decode_sections;
 
     fn sample() -> SavedState {
         SavedState {
@@ -617,5 +563,48 @@ mod tests {
         let back = SavedState::read_from(&path).expect("reads");
         assert_eq!(back.engine.output, st.engine.output);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Re-encodes the sample with one number of its first `width`-wide
+    /// numeric section overwritten — and the CRC recomputed, as any forger
+    /// would. Width 10 is the fingerprint; width 7 is reducer 0's header
+    /// (`tag, flags, wm?, wm, n_nums, n_pairs, n_states`).
+    fn forged(width: usize, slot: usize, value: u64) -> Vec<u8> {
+        let mut sections = decode_sections(&sample().encode()).expect("decodes");
+        let hit = sections.iter_mut().find_map(|s| match s {
+            Section::Nums(ns) if ns.len() == width => Some(ns),
+            _ => None,
+        });
+        hit.expect("a section of that width")[slot] = value;
+        encode_sections(&sections)
+    }
+
+    /// A count no file could back, one that overflows `usize` arithmetic,
+    /// and a merely wrong one.
+    const FORGED: [u64; 3] = [1 << 62, u64::MAX, 1000];
+
+    #[test]
+    fn forged_node_count_is_an_error() {
+        // Fingerprint slot 5 is `nodes`, which sizes `pending`.
+        assert!(SavedState::decode(&forged(10, 5, 2)).is_ok(), "true count");
+        for n in FORGED {
+            assert!(SavedState::decode(&forged(10, 5, n)).is_err(), "{n}");
+        }
+    }
+
+    #[test]
+    fn forged_reducer_nums_count_is_an_error() {
+        assert!(SavedState::decode(&forged(7, 4, 1)).is_ok(), "true count");
+        for n in FORGED {
+            assert!(SavedState::decode(&forged(7, 4, n)).is_err(), "{n}");
+        }
+    }
+
+    #[test]
+    fn forged_reducer_pairs_and_states_counts_are_errors() {
+        for (slot, n) in [5, 6].into_iter().flat_map(|s| FORGED.map(|n| (s, n))) {
+            let res = SavedState::decode(&forged(7, slot, n));
+            assert!(res.is_err(), "header slot {slot} = {n}");
+        }
     }
 }

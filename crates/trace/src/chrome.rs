@@ -33,26 +33,7 @@ fn lane(kind: SpanKind) -> u32 {
 pub fn to_chrome(events: &[TraceEvent]) -> String {
     // Pass 1: which nodes exist? (Names every pid, and places the
     // control track past the last node.)
-    let mut nodes: BTreeSet<u32> = BTreeSet::new();
-    for ev in events {
-        match *ev {
-            TraceEvent::MapStart { node, .. }
-            | TraceEvent::MapFinish { node, .. }
-            | TraceEvent::Io { node, .. }
-            | TraceEvent::Span { node, .. }
-            | TraceEvent::ReduceStart { node, .. }
-            | TraceEvent::ReduceFinish { node, .. } => {
-                nodes.insert(node);
-            }
-            TraceEvent::Shuffle { from_node, .. } => {
-                nodes.insert(from_node);
-            }
-            TraceEvent::NodeCombine { node, .. } => {
-                nodes.insert(node);
-            }
-            _ => {}
-        }
-    }
+    let nodes: BTreeSet<u32> = events.iter().filter_map(TraceEvent::node).collect();
     let control_pid = nodes.iter().next_back().map_or(0, |n| n + 1);
 
     let mut out = String::with_capacity(events.len() * 128 + 1024);
@@ -257,12 +238,7 @@ pub fn to_chrome(events: &[TraceEvent]) -> String {
             // timestamps (scheduler rounds / stage indices) from a
             // different clock domain than the engine's virtual µs; they
             // are omitted from the per-job Chrome timeline.
-            TraceEvent::ServeJob { .. }
-            | TraceEvent::WaveGrant { .. }
-            | TraceEvent::DlqReplay { .. }
-            | TraceEvent::StageStart { .. }
-            | TraceEvent::StageHandoff { .. }
-            | TraceEvent::ReshuffleSkipped { .. } => {}
+            _ => {}
         }
     }
     out.push_str("\n]}\n");

@@ -1,11 +1,11 @@
 //! A minimal JSON reader used by the trace decoder and the Chrome-export
 //! tests.
 //!
-//! The workspace's `serde` shim is a deliberate no-op (derives expand to
-//! nothing), so trace records are hand-serialized with fixed field order
-//! and hand-parsed here. The grammar supported is the full JSON value
-//! grammar; numbers are kept as `i64`/`u64` when integral (trace records
-//! only ever contain integers, strings and booleans).
+//! The workspace has no serialization dependency: trace records are
+//! written with fixed field order by [`crate::TraceEvent::write_json`] and
+//! parsed here. The grammar supported is the full JSON value grammar;
+//! numbers are kept as `i64`/`u64` when integral (trace records only ever
+//! contain integers, strings and booleans).
 
 use opa_common::{Error, Result};
 

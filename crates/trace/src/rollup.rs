@@ -191,13 +191,10 @@ impl Rollup {
             ) {
                 r.t_end = r.t_end.max(ev.time());
             }
+            nodes.extend(ev.node());
             match *ev {
-                TraceEvent::MapStart { node, .. } => {
-                    r.map_attempts += 1;
-                    nodes.insert(node);
-                }
+                TraceEvent::MapStart { .. } => r.map_attempts += 1,
                 TraceEvent::MapFinish {
-                    node,
                     cpu,
                     output_bytes,
                     spill_bytes,
@@ -207,17 +204,12 @@ impl Rollup {
                     r.map_cpu += cpu;
                     r.map_output_bytes += output_bytes;
                     r.map_spill_bytes += spill_bytes;
-                    nodes.insert(node);
                 }
-                TraceEvent::Shuffle {
-                    from_node, bytes, ..
-                } => {
+                TraceEvent::Shuffle { bytes, .. } => {
                     r.shuffle_transfers += 1;
                     r.shuffle_bytes += bytes;
-                    nodes.insert(from_node);
                 }
                 TraceEvent::NodeCombine {
-                    node,
                     bytes_in,
                     bytes_out,
                     ..
@@ -225,10 +217,8 @@ impl Rollup {
                     r.node_combine_flushes += 1;
                     r.node_combine_staged += bytes_in;
                     r.node_combine_flushed += bytes_out;
-                    nodes.insert(node);
                 }
                 TraceEvent::Io {
-                    node,
                     cat,
                     read,
                     written,
@@ -236,7 +226,6 @@ impl Rollup {
                     recovery,
                     ..
                 } => {
-                    nodes.insert(node);
                     let op = IoOp {
                         read,
                         written,
@@ -254,21 +243,14 @@ impl Rollup {
                         }
                     }
                 }
-                TraceEvent::Span { t0, t, node, kind } => {
-                    nodes.insert(node);
+                TraceEvent::Span { t0, t, kind, .. } => {
                     let i = span_index(kind);
                     r.span_time[i] += t.saturating_sub(t0);
                     r.span_count[i] += 1;
                 }
                 TraceEvent::Fault { .. } => r.faults += 1,
                 TraceEvent::Retry { .. } => r.retries += 1,
-                TraceEvent::ReduceStart { node, .. } => {
-                    nodes.insert(node);
-                }
-                TraceEvent::ReduceFinish { node, .. } => {
-                    r.reduce_tasks += 1;
-                    nodes.insert(node);
-                }
+                TraceEvent::ReduceFinish { .. } => r.reduce_tasks += 1,
                 TraceEvent::BatchSeal { .. } => r.batch_seals += 1,
                 TraceEvent::Checkpoint { bytes, .. } => {
                     r.checkpoints += 1;
@@ -288,12 +270,6 @@ impl Rollup {
                     r.admission_rejected += rejected;
                 }
                 TraceEvent::Poison { .. } => r.poisons += 1,
-                // Serving-layer events carry scheduler rounds, not virtual
-                // µs — they label multi-tenant traces but contribute
-                // nothing to a single job's phase rollup.
-                TraceEvent::ServeJob { .. }
-                | TraceEvent::WaveGrant { .. }
-                | TraceEvent::DlqReplay { .. } => {}
                 TraceEvent::StageStart {
                     stage,
                     records,
@@ -332,6 +308,11 @@ impl Rollup {
                     let i = stage_row(&mut r.stage_rows, stage);
                     r.stage_rows[i].bytes_saved = bytes_saved;
                 }
+                // Nothing else aggregates: `reduce_start` only names its
+                // node, and serving-layer events carry scheduler rounds,
+                // not virtual µs — they label multi-tenant traces but add
+                // nothing to a single job's phase rollup.
+                _ => {}
             }
         }
         r.nodes = nodes.len() as u32;

@@ -84,16 +84,6 @@ impl Default for SessionizeJob {
     }
 }
 
-impl SessionizeJob {
-    /// Job with an explicit state capacity.
-    pub fn with_state_capacity(capacity: usize) -> Self {
-        SessionizeJob {
-            state_capacity: capacity,
-            ..SessionizeJob::default()
-        }
-    }
-}
-
 /// Longest click tail a record keeps, in bytes: the state layout frames a
 /// tail with a one-byte length. [`SessionizeJob::map`] clamps longer tails
 /// (oversized URLs), for every framework alike.
