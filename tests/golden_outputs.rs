@@ -245,3 +245,85 @@ fn digests_are_stable_across_repeat_runs() {
     let b = digest(job, Framework::DincHash, &clicks);
     assert_eq!(a, b);
 }
+
+/// CRC-32 of the records concatenated, and of their lengths (as `u32` LE):
+/// together they fix every byte and every record boundary of an input.
+fn input_digest(input: &JobInput) -> (u32, u32) {
+    let bytes: Vec<u8> = input
+        .records
+        .iter()
+        .flat_map(|r| r.iter().copied())
+        .collect();
+    let lens: Vec<u8> = input
+        .records
+        .iter()
+        .flat_map(|r| (r.len() as u32).to_le_bytes())
+        .collect();
+    (crc32(&bytes), crc32(&lens))
+}
+
+fn computed_inputs() -> Vec<(&'static str, (u32, u32))> {
+    const MB: u64 = 1 << 20;
+    // A fixed three-partition dataset with keys and values of mixed widths
+    // (inline and shared), re-framed the way a reshuffling stage reads it.
+    let pairs: Vec<Pair> = (0..500u64)
+        .map(|i| {
+            let key = format!("key-{:0w$}", i * 7919, w = 1 + (i % 23) as usize);
+            let value = vec![(i % 251) as u8; (i % 41) as usize];
+            Pair::new(Key::from_slice(key.as_bytes()), Value::from_slice(&value))
+        })
+        .collect();
+    let dataset = Dataset::from_pairs(
+        pairs,
+        opa::core::dataflow::PartitionSpec {
+            hash_seed: 7,
+            partitions: 3,
+        },
+    );
+    vec![
+        (
+            "clicks-small",
+            input_digest(&ClickStreamSpec::small().generate(7)),
+        ),
+        (
+            "clicks-sessions-1mb",
+            input_digest(&ClickStreamSpec::paper_scaled(MB).generate(7)),
+        ),
+        (
+            "clicks-counting-1mb",
+            input_digest(&ClickStreamSpec::counting_scaled(MB).generate(7)),
+        ),
+        (
+            "documents-1mb",
+            input_digest(&DocumentSpec::paper_scaled(MB).generate(7)),
+        ),
+        ("dataset-to-input", input_digest(&dataset.to_input())),
+    ]
+}
+
+/// (input, (CRC of the bytes, CRC of the record lengths)): the generators
+/// and `Dataset::to_input` pinned directly, so a drifted digit width or
+/// frame shows up here and not only through the output pins above.
+const GOLDEN_INPUTS: [(&str, (u32, u32)); 5] = [
+    ("clicks-small", (0x40cf2a1f, 0xd74c39ec)),
+    ("clicks-sessions-1mb", (0xc7286a66, 0x6689c47c)),
+    ("clicks-counting-1mb", (0xafb15d18, 0x6689c47c)),
+    ("documents-1mb", (0x5d1576ef, 0xcc35cb21)),
+    ("dataset-to-input", (0x427ab645, 0xee4276dc)),
+];
+
+#[test]
+fn input_digests_match() {
+    let got = computed_inputs();
+    if std::env::var("OPA_PRINT_GOLDEN").is_ok() {
+        for (name, (bytes, lens)) in &got {
+            println!("    (\"{name}\", ({bytes:#010x}, {lens:#010x})),");
+        }
+        return;
+    }
+    assert_eq!(
+        got, GOLDEN_INPUTS,
+        "a generated input drifted (run with OPA_PRINT_GOLDEN=1 to re-pin \
+         after an intentional change)"
+    );
+}
