@@ -28,6 +28,59 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// This process's peak resident set (`VmHWM`) in MB; `None` off Linux.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
+/// Minor page faults of this process so far; `None` off Linux.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) may hold spaces; what follows its closing
+    // parenthesis starts at field 3, and `minflt` is field 10.
+    stat.rsplit_once(')')?
+        .1
+        .split_whitespace()
+        .nth(7)?
+        .parse()
+        .ok()
+}
+
+/// What one experiment cost the host, for stderr: wall time, peak RSS and
+/// minor page faults (ROADMAP item 3c). Best effort: where the kernel
+/// refuses the reset, the peak covers the experiments before it too.
+struct HostCost {
+    started: std::time::Instant,
+    faults: Option<u64>,
+}
+
+impl HostCost {
+    fn start() -> Self {
+        // Writing 5 resets the process's peak-RSS mark to its current RSS.
+        let _ = std::fs::write("/proc/self/clear_refs", "5");
+        HostCost {
+            started: std::time::Instant::now(),
+            faults: minor_faults(),
+        }
+    }
+
+    fn report(&self, experiment: &str) {
+        let or_na = |v: Option<String>| v.unwrap_or_else(|| "n/a".into());
+        let faults = minor_faults()
+            .zip(self.faults)
+            .map(|(now, then)| now - then);
+        eprintln!(
+            "  [{experiment}] host: wall {:.1?}, peak_rss_mb {}, minor faults {}",
+            self.started.elapsed(),
+            or_na(peak_rss_mb().map(|mb| format!("{mb:.1}"))),
+            or_na(faults.map(|n| n.to_string())),
+        );
+    }
+}
+
 fn main() -> ExitCode {
     let mut cfg = ExpConfig::default();
     let mut wanted: Vec<String> = Vec::new();
@@ -65,6 +118,7 @@ fn main() -> ExitCode {
 
     let started = std::time::Instant::now();
     for w in &wanted {
+        let host = HostCost::start();
         match w.as_str() {
             "table1" => experiments::table1::run(&cfg),
             "table3" => experiments::table3::run(&cfg),
@@ -86,6 +140,7 @@ fn main() -> ExitCode {
                 return usage();
             }
         }
+        host.report(w);
     }
     eprintln!("repro finished in {:.1?}", started.elapsed());
     ExitCode::SUCCESS

@@ -22,10 +22,9 @@ pub fn encode_kv(key: &[u8], value: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Encodes one pair into a caller-owned buffer (cleared first), for
-/// encoders that recycle scratch allocations.
+/// Appends one pair's framed record to a caller-owned buffer, for
+/// encoders that write many records into one allocation.
 pub fn encode_kv_into(buf: &mut Vec<u8>, key: &[u8], value: &[u8]) {
-    buf.clear();
     buf.reserve(4 + key.len() + value.len());
     buf.extend_from_slice(&(key.len() as u32).to_be_bytes());
     buf.extend_from_slice(key);
@@ -72,9 +71,11 @@ mod tests {
     }
 
     #[test]
-    fn into_variant_clears_scratch() {
+    fn into_variant_appends() {
         let mut buf = vec![9u8; 32];
         encode_kv_into(&mut buf, b"k", b"v");
-        assert_eq!(decode_kv(&buf), Some((&b"k"[..], &b"v"[..])));
+        assert_eq!(buf[..32], [9u8; 32]);
+        assert_eq!(decode_kv(&buf[32..]), Some((&b"k"[..], &b"v"[..])));
+        assert_eq!(buf[32..], encode_kv(b"k", b"v"));
     }
 }

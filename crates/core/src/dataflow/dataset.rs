@@ -10,10 +10,10 @@
 //! would send it to.
 
 use crate::cluster::ClusterSpec;
-use crate::job::JobInput;
+use crate::job::{InputBuilder, JobInput};
 use bytes::Bytes;
 use opa_common::hash::{bucket_of, HashFamily};
-use opa_common::{encode_kv, Error, Pair, Result};
+use opa_common::{encode_kv_into, Error, Pair, Result};
 use opa_simio::ckpt::{encode_sections, Section, SectionReader};
 
 /// Identity of a partition function: the engine partitions by
@@ -125,24 +125,32 @@ impl Dataset {
         out
     }
 
+    /// Frames one partition's pairs as dataflow records into `out`.
+    fn frame_partition(&self, p: usize, out: &mut InputBuilder) {
+        for pair in &self.parts[p] {
+            out.push_with(|block| encode_kv_into(block, pair.key.bytes(), pair.value.bytes()));
+        }
+    }
+
     /// One partition's records in framed dataflow form, ready to feed a
     /// colocated map task on the shuffle-skip path.
     pub(crate) fn partition_records(&self, p: usize) -> Vec<Bytes> {
-        self.parts[p]
-            .iter()
-            .map(|pair| Bytes::from(encode_kv(pair.key.bytes(), pair.value.bytes())))
-            .collect()
+        let mut out = JobInput::builder();
+        out.reserve(self.parts[p].len());
+        self.frame_partition(p, &mut out);
+        out.finish().records
     }
 
     /// Re-encodes the whole dataset as a [`JobInput`] of framed dataflow
     /// records (partition-major order) — the reshuffle-fallback path, and
     /// the exact bytes a materialize-to-disk handoff would read back.
     pub fn to_input(&self) -> JobInput {
-        JobInput {
-            records: (0..self.parts.len())
-                .flat_map(|p| self.partition_records(p))
-                .collect(),
+        let mut out = JobInput::builder();
+        out.reserve(self.len());
+        for p in 0..self.parts.len() {
+            self.frame_partition(p, &mut out);
         }
+        out.finish()
     }
 
     /// Checks the carried fingerprints against the dataset's own partition

@@ -412,7 +412,7 @@ impl MapInput<'_> {
             if let Some(gate) = &self.poison {
                 let offset = gate.base + i as u64;
                 if gate.faults.poisons(offset) {
-                    plan.poisoned.push((offset, rec.clone()));
+                    plan.poisoned.push((offset, Bytes::copy_from_slice(rec)));
                     continue;
                 }
             }
@@ -1160,7 +1160,7 @@ mod tests {
             if let Some(gate) = &poison {
                 let offset = gate.base + i as u64;
                 if gate.faults.poisons(offset) {
-                    plan.poisoned.push((offset, rec.clone()));
+                    plan.poisoned.push((offset, Bytes::copy_from_slice(rec)));
                     continue;
                 }
             }

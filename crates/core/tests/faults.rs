@@ -218,3 +218,35 @@ fn invalid_configs_are_rejected() {
         assert!(res.is_err(), "config should be rejected: {bad:?}");
     }
 }
+
+/// Input records are views into shared 64 KB blocks, so a quarantined
+/// record must be a copy: a dead-letter entry that outlives the input pins
+/// its own few bytes, never the block it was read from.
+#[test]
+fn quarantined_records_do_not_pin_input_blocks() {
+    let input = seeded_input(0xFA0A, 600);
+    let originals: Vec<Vec<u8>> = input.records.iter().map(|r| r.to_vec()).collect();
+    // Every address an input block occupies, recorded before the drop.
+    let held: Vec<std::ops::Range<usize>> = input
+        .records
+        .iter()
+        .map(|r| r.as_ptr() as usize..r.as_ptr() as usize + r.len())
+        .collect();
+    // The highest poison rate the fault config admits.
+    let out = run_with(FaultConfig::poison(3, 0.99), Framework::IncHash, &input);
+    drop(input);
+    assert!(
+        out.dlq.len() > 500,
+        "poison at 0.99 quarantined {}",
+        out.dlq.len()
+    );
+    for entry in &out.dlq {
+        assert_eq!(entry.record[..], originals[entry.offset as usize][..]);
+        let at = entry.record.as_ptr() as usize;
+        assert!(
+            !held.iter().any(|block| block.contains(&at)),
+            "DLQ entry at offset {} is a view into the input",
+            entry.offset
+        );
+    }
+}

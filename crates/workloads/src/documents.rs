@@ -8,6 +8,7 @@
 //! why DINC-hash barely beats INC-hash there. A Zipf(~0.9) vocabulary
 //! reproduces that regime.
 
+use crate::clickstream::push_decimal;
 use crate::zipf::Zipf;
 use opa_common::rng::SplitMix64;
 use opa_core::job::JobInput;
@@ -52,21 +53,22 @@ impl DocumentSpec {
     pub fn generate(&self, seed: u64) -> JobInput {
         let mut rng = SplitMix64::new(seed);
         let zipf = Zipf::new(self.vocabulary, self.zipf_exponent);
-        let mut records = Vec::new();
+        let mut input = JobInput::builder();
         let mut bytes = 0u64;
         while bytes < self.target_bytes {
-            let mut doc = String::with_capacity(self.words_per_doc * 8);
-            for i in 0..self.words_per_doc {
-                if i > 0 {
-                    doc.push(' ');
+            input.push_with(|doc| {
+                let start = doc.len();
+                for i in 0..self.words_per_doc {
+                    if i > 0 {
+                        doc.push(b' ');
+                    }
+                    doc.push(b'w');
+                    push_decimal(doc, zipf.sample(&mut rng) as u64, 5);
                 }
-                let w = zipf.sample(&mut rng);
-                doc.push_str(&format!("w{w:05}"));
-            }
-            bytes += doc.len() as u64;
-            records.push(doc.into_bytes());
+                bytes += (doc.len() - start) as u64;
+            });
         }
-        JobInput::from_records(records)
+        input.finish()
     }
 }
 
