@@ -31,8 +31,8 @@ pub const RECORD_OVERHEAD: u64 = 8;
 /// Largest payload stored inline inside a [`Key`]/[`Value`] without a heap
 /// allocation: 22 bytes plus a length byte and the variant tag, covering
 /// all fixed-width numeric keys (8 bytes) and the common run of short text
-/// keys. The struct itself is 32 bytes — the size of the heap variant's
-/// [`Bytes`] handle.
+/// keys. That makes the struct 24 bytes, which the heap variant — a tag and
+/// an 8-aligned 16-byte [`Bytes`] handle — needs anyway.
 pub const INLINE_CAP: usize = 22;
 
 /// Internal payload representation: small payloads live in the struct,
@@ -708,13 +708,21 @@ mod tests {
     }
 
     #[test]
-    fn key_is_32_bytes_and_a_pair_64() {
-        // What DESIGN §3.4 and the map-collector docs quote. A `Repr` is as
-        // wide as the `Bytes` handle in its heap variant, not as the 22
-        // inline bytes plus a length.
-        assert_eq!(std::mem::size_of::<Key>(), 32);
-        assert_eq!(std::mem::size_of::<Value>(), 32);
-        assert_eq!(std::mem::size_of::<Pair>(), 64);
+    fn footprints() {
+        use std::mem::size_of;
+        // What DESIGN §3.4 and the map-collector docs quote: the width of
+        // every row the engine holds follows from the 16-byte handle.
+        assert_eq!(size_of::<Bytes>(), 16);
+        assert_eq!(INLINE_CAP, 22);
+        assert_eq!(size_of::<Key>(), 24);
+        assert_eq!(size_of::<Value>(), 24);
+        assert_eq!(size_of::<Option<Key>>(), 24);
+        assert_eq!(size_of::<Pair>(), 48);
+        assert_eq!(size_of::<StatePair>(), 48);
+        // A `GroupTable` row: fingerprint, key, state.
+        assert_eq!(size_of::<(u64, Key, Value)>(), 56);
+        // One payload of a `BatchBuilder` row before sealing.
+        assert_eq!(size_of::<Slot>(), 24);
     }
 
     #[test]

@@ -127,7 +127,8 @@ proptest! {
 
 /// Deterministic boundary sweep: equality, ordering adjacency and hashes
 /// at exactly the sizes where the representation flips (0, 21, 22 inline;
-/// 23, 1024 heap).
+/// 23, 1024 heap), the heap side both as a whole buffer and as an offset
+/// view of a larger one.
 #[test]
 fn boundary_sizes_cross_repr_semantics() {
     for &n in &BOUNDARY_SIZES {
@@ -143,6 +144,33 @@ fn boundary_sizes_cross_repr_semantics() {
         longer.push(0x5A);
         assert!(Key::from_slice(&longer) > inline_or_heap, "size {n}");
         assert!(Key::forced_heap(longer) > heap, "size {n}");
+
+        // The heap variant as the data plane really builds it — a window
+        // at a non-zero offset of a larger shared buffer (an input block,
+        // a sealed arena) — against its inline twin.
+        for off in [1usize, 7, 4093] {
+            // Distinct bytes all through, so a window one byte off shows.
+            let block: Vec<u8> = (0..off + n + 9).map(|i| (i * 37 + n) as u8).collect();
+            let want = &block[off..off + n];
+            let view = bytes::Bytes::from(block.clone()).slice(off..off + n);
+            let at = format!("size {n} at offset {off}");
+
+            let (twin, heap) = (Key::from_slice(want), Key::forced_heap(view.clone()));
+            assert_eq!(heap.bytes(), want, "{at}");
+            assert_eq!(twin, heap, "{at}");
+            assert_eq!(twin.cmp(&heap), std::cmp::Ordering::Equal, "{at}");
+            assert_eq!(std_hash(&twin), std_hash(&heap), "{at}");
+            assert_eq!(twin.as_u64(), heap.as_u64(), "{at}");
+            // The byte after the window belongs to the block, not the key.
+            let longer = Key::from_slice(&block[off..off + n + 1]);
+            assert!(heap < longer && twin < longer, "{at}");
+
+            let (twin, heap) = (Value::from_slice(want), Value::forced_heap(view));
+            assert_eq!(twin, heap, "{at}");
+            assert_eq!(twin.cmp(&heap), std::cmp::Ordering::Equal, "{at}");
+            assert_eq!(std_hash(&twin), std_hash(&heap), "{at}");
+            assert_eq!(twin.as_u64(), heap.as_u64(), "{at}");
+        }
     }
 }
 

@@ -447,8 +447,12 @@ impl Dataflow {
             }
 
             // The stage's output becomes the next stage's resident input,
-            // bucketed under *this* stage's partition function.
-            let out = outcome.dataset(&spec);
+            // bucketed under *this* stage's partition function. The pairs
+            // move: nothing below reads the outcome but its metrics.
+            let JobOutcome {
+                output, metrics, ..
+            } = outcome;
+            let out = Dataset::from_pairs(output, PartitionSpec::of(&spec));
             if let Some(dir) = &self.checkpoint_dir {
                 ckpt::write_stage(dir, chain_fp, i, &out)?;
             }
@@ -462,7 +466,7 @@ impl Dataflow {
                 records_out: out.len() as u64,
                 bytes_out: out.record_bytes(),
                 bytes_saved,
-                metrics: outcome.metrics,
+                metrics,
             });
             current = Some(out);
         }

@@ -492,7 +492,7 @@ mod tests {
 
     /// The backing blocks of `records`, in order, as `(bytes, records)`:
     /// consecutive records share a block exactly when one starts where the
-    /// other ends (separate allocations have an `Arc` header in between).
+    /// other ends (separate allocations have a header in between).
     fn blocks(records: &[Bytes]) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         let mut next = 0;
@@ -558,6 +558,24 @@ mod tests {
             blocks(&input.records),
             [(682 * 96, 682), (682 * 96, 682), (636 * 96, 636)]
         );
+    }
+
+    #[test]
+    fn footprints() {
+        // What an input costs beyond its bytes: a 16-byte handle per record
+        // and one allocation per block — ⌈n / 682⌉ for 96-byte records (682
+        // fit 64 KB) plus one per record too large to share a block.
+        const N: usize = 2000;
+        let mut input = JobInput::builder();
+        input.push(&[7u8; 3 * INPUT_BLOCK_BYTES]);
+        input.push(&[8u8; INPUT_BLOCK_BYTES + 1]);
+        for i in 0..N {
+            input.push(&[i as u8; 96]);
+        }
+        let input = input.finish();
+        assert_eq!(input.len(), N + 2);
+        assert_eq!(std::mem::size_of_val(&input.records[..]), (N + 2) * 16);
+        assert_eq!(blocks(&input.records).len(), N.div_ceil(682) + 2);
     }
 
     #[test]

@@ -126,9 +126,10 @@ impl ClickStreamSpec {
             / self.concurrency.max(1) as u64)
             .max(1);
 
-        // The record handles are the largest single allocation here, so they
-        // are asked for first, before the scratch vectors below split up
-        // whatever free heap an earlier input left behind.
+        // The record handles are the one large allocation here that outlives
+        // this function, so they are asked for first, before the scratch
+        // vectors below split up whatever free heap an earlier input left
+        // behind.
         let mut input = JobInput::builder();
         input.reserve(total_clicks as usize);
         let pages = Zipf::new(10_000, 1.3);
