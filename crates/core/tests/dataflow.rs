@@ -17,8 +17,11 @@ use opa_common::fault::FaultConfig;
 use opa_common::{decode_kv, Key, Pair, Value};
 use opa_core::api::{Job, ReduceCtx};
 use opa_core::cluster::{ClusterSpec, Framework};
-use opa_core::dataflow::{Dataflow, Dataset, Handoff, HandoffPolicy, PartitionSpec};
+use opa_core::dataflow::{
+    Dataflow, DataflowOutcome, Dataset, Handoff, HandoffPolicy, PartitionSpec,
+};
 use opa_core::job::{JobBuilder, JobInput};
+use opa_simio::codec::crc32;
 use opa_trace::TraceEvent;
 use std::path::PathBuf;
 
@@ -80,6 +83,29 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// What no rewrite of the shuffle-skip path may move: the CRC-32 of the
+/// chain's output written as an `.opadf` file (partition-major order
+/// included), then the skipped stage's `records_out`, `bytes_out`,
+/// `bytes_saved`, `map_spill_bytes`, `reduce_spill_bytes` and
+/// `output_records`.
+fn skip_pin(out: &DataflowOutcome, skipped: usize, tag: &str) -> (u32, [u64; 6]) {
+    let path = tmp_dir(tag).join("out.opadf");
+    out.output.write(&path).expect("write the output dataset");
+    let crc = crc32(&std::fs::read(&path).expect("read it back"));
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    let s = &out.stages[skipped];
+    assert_eq!(s.handoff, Handoff::InMemory);
+    let books = [
+        s.records_out,
+        s.bytes_out,
+        s.bytes_saved,
+        s.metrics.map_spill_bytes,
+        s.metrics.reduce_spill_bytes,
+        s.metrics.output_records,
+    ];
+    (crc, books)
+}
+
 /// The classic pipeline the chain must match: each stage through the
 /// ordinary engine, every intermediate written to and re-read from a
 /// real file.
@@ -131,6 +157,11 @@ fn chained_matches_staged_files_at_every_thread_count() {
             out.sorted_output(),
             reference,
             "chained output must be bit-identical to the staged pipeline at {threads} threads"
+        );
+        assert_eq!(
+            skip_pin(&out, 1, &format!("pin-chain-{threads}")),
+            (2_284_290_593, [307, 4803, 6031, 0, 2855, 307]),
+            "{threads} threads"
         );
     }
 }
@@ -246,6 +277,10 @@ fn run_from_makes_a_dataset_a_first_class_source() {
         .map(|p| Pair::new(p.key, Value::from_u64(p.value.as_u64().unwrap() * 3)))
         .collect();
     assert_eq!(out.sorted_output(), want);
+    assert_eq!(
+        skip_pin(&out, 0, "pin-run-from"),
+        (2_668_104_082, [298, 4661, 5853, 0, 2815, 298])
+    );
 }
 
 #[test]

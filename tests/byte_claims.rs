@@ -23,6 +23,7 @@ use opa::common::units::KB;
 use opa::common::{AdmissionPolicy, CombineScope};
 use opa::core::prelude::*;
 use opa::model::CombineModel;
+use opa::simio::codec::crc32;
 use opa::trace::drift;
 use opa::workloads::clickstream::{format_click, ClickStreamSpec};
 use opa::workloads::top_pages::{PageSessionsJob, TopKFunnelJob, TopPagesJoinJob};
@@ -278,6 +279,26 @@ fn top_pages_join_skips_its_shuffle_and_saves_every_byte_of_it() {
     assert_eq!(skip.stages[0].handoff, Handoff::InMemory);
     assert_eq!(skip.stages[0].metrics.map_output_bytes, 0);
     assert_eq!(skip.stages[0].bytes_saved, 288_765);
+    // The chain's output as an `.opadf` file (partition-major order
+    // included) and the skipped stage's books: no rewrite of the skip
+    // path may move them.
+    let path = std::env::temp_dir().join(format!("opa-byte-claims-{}.opadf", std::process::id()));
+    skip.output.write(&path).expect("write the output dataset");
+    let opadf_crc = crc32(&std::fs::read(&path).expect("read it back"));
+    std::fs::remove_file(&path).ok();
+    let join = &skip.stages[0];
+    assert_eq!(
+        (
+            opadf_crc,
+            join.records_out,
+            join.bytes_out,
+            join.metrics.map_spill_bytes,
+            join.metrics.reduce_spill_bytes,
+            join.metrics.output_records,
+        ),
+        (911_625_913, 4185, 159_030, 0, 337_892, 4185),
+        "(opadf crc, records_out, bytes_out, map spill, reduce spill, output records)"
+    );
     for policy in [HandoffPolicy::Reshuffle, HandoffPolicy::Materialize] {
         assert_eq!(
             chain(policy).sorted_output(),
