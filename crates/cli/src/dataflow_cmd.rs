@@ -11,7 +11,8 @@
 //!   outright (zero shuffle bytes), then a top-k funnel reshuffles.
 //!
 //! The command prints a per-stage handoff table and, with `--trace-out`,
-//! writes the chain-level `stage_*` events alongside engine events.
+//! writes the chain-level `stage_*` events (the stages' own engine events
+//! are not recorded).
 
 use crate::args::Args;
 use crate::{parse_exec, parse_faults, parse_framework, read_input};

@@ -10,8 +10,7 @@
 //! would send it to.
 
 use crate::cluster::ClusterSpec;
-use crate::job::{InputBuilder, JobInput};
-use bytes::Bytes;
+use crate::job::JobInput;
 use opa_common::hash::{bucket_of, HashFamily};
 use opa_common::{encode_kv_into, Error, Pair, Result};
 use opa_simio::ckpt::{encode_sections, Section, SectionReader};
@@ -125,30 +124,15 @@ impl Dataset {
         out
     }
 
-    /// Frames one partition's pairs as dataflow records into `out`.
-    fn frame_partition(&self, p: usize, out: &mut InputBuilder) {
-        for pair in &self.parts[p] {
-            out.push_with(|block| encode_kv_into(block, pair.key.bytes(), pair.value.bytes()));
-        }
-    }
-
-    /// One partition's records in framed dataflow form, ready to feed a
-    /// colocated map task on the shuffle-skip path.
-    pub(crate) fn partition_records(&self, p: usize) -> Vec<Bytes> {
-        let mut out = JobInput::builder();
-        out.reserve(self.parts[p].len());
-        self.frame_partition(p, &mut out);
-        out.finish().records
-    }
-
     /// Re-encodes the whole dataset as a [`JobInput`] of framed dataflow
-    /// records (partition-major order) — the reshuffle-fallback path, and
-    /// the exact bytes a materialize-to-disk handoff would read back.
+    /// records, partition-major: what every chained stage maps over,
+    /// whichever handoff it takes, and the exact bytes a
+    /// materialize-to-disk handoff reads back.
     pub fn to_input(&self) -> JobInput {
         let mut out = JobInput::builder();
         out.reserve(self.len());
-        for p in 0..self.parts.len() {
-            self.frame_partition(p, &mut out);
+        for pair in self.pairs() {
+            out.push_with(|block| encode_kv_into(block, pair.key.bytes(), pair.value.bytes()));
         }
         out.finish()
     }

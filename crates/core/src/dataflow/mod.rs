@@ -9,8 +9,11 @@
 //! spirit of M3R (Shinnar et al., VLDB 2012): job N's reduce output stays
 //! resident as a partition-bucketed [`Dataset`], and when the downstream
 //! job's partitioning is *compatible*, the shuffle is skipped outright —
-//! each partition is mapped and reduced in place by a colocated task
-//! pair, contributing zero shuffle bytes.
+//! the engine places each partition's map task on the node its reducer
+//! runs on, and the pair exchanges its data in place, contributing zero
+//! shuffle bytes. As in M3R, partition stability comes from *where* a
+//! task is placed, not from a second runtime: every stage, whatever its
+//! handoff, is one run of the same [`Engine`].
 //!
 //! Compatibility is checked, never assumed, in three parts:
 //!
@@ -21,21 +24,21 @@
 //!    under a key hashing to the same `h1` partition as the input key.
 //! 3. **Runtime verification** — the dataset's carried `h1` fingerprints
 //!    are re-checked against the partition function
-//!    ([`Dataset::verify_placement`]), and after every chained map task
-//!    the executor hard-errors if any payload targets a foreign
-//!    partition.
+//!    ([`Dataset::verify_placement`]), and the engine checks every
+//!    payload a colocated map task ships: one bound for a foreign
+//!    partition makes [`Dataflow::run`] return an error.
 //!
-//! When any check fails, the chain falls back to a real shuffle
-//! (re-running the stage through the ordinary engine), so a wrong
-//! declaration costs performance, never correctness. The path taken is
+//! When check 1 or 2 fails, or the fingerprints do not verify, the stage
+//! takes a real shuffle instead, so a missing declaration costs
+//! performance, never correctness; a *wrong* one fails loudly instead of
+//! silently splitting key groups. The path taken is
 //! recorded per stage in [`StageReport::handoff`] and, when tracing is
 //! on, as `stage_start` / `stage_handoff` / `reshuffle_skipped` events
 //! in the chain's [`TraceLog`].
 //!
-//! Determinism: chained stages compute map plans in parallel but replay
-//! all shared-state effects sequentially in partition order, so a
-//! [`DataflowOutcome`] is bit-identical at any thread count — the same
-//! contract the single-job engine offers.
+//! Determinism: every stage is an engine run, so a [`DataflowOutcome`]
+//! is bit-identical at any thread count by the single-job engine's own
+//! contract (see [`crate::engine`]).
 //!
 //! # Example
 //!
@@ -95,18 +98,19 @@
 
 mod ckpt;
 mod dataset;
-mod stage;
 
 pub use dataset::{Dataset, PartitionSpec};
 
 use crate::api::Job;
 use crate::cluster::{ClusterSpec, Framework};
-use crate::job::{JobBuilder, JobInput, JobOutcome};
+use crate::engine::Engine;
+use crate::job::{JobInput, JobOutcome, RunConfig};
 use crate::metrics::JobMetrics;
 use opa_common::fault::FaultConfig;
 use opa_common::{Error, ExecConfig, Pair, Result};
 use opa_trace::{TraceEvent, TraceLog, Tracer};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a [`Dataflow`] hands each stage's output to the next stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -252,7 +256,8 @@ impl Dataflow {
         self
     }
 
-    /// Sets the execution-layer thread count (see [`JobBuilder::threads`]).
+    /// Sets the execution-layer thread count (see
+    /// [`JobBuilder::threads`](crate::job::JobBuilder::threads)).
     pub fn threads(mut self, threads: usize) -> Self {
         self.exec = ExecConfig::with_threads(threads);
         self
@@ -266,17 +271,16 @@ impl Dataflow {
 
     /// Turns on chain-level tracing: the outcome then carries a
     /// [`TraceLog`] of `stage_*` events (ordinal time: `t` = stage
-    /// index), and each engine-run stage records its own trace too.
+    /// index). The stages' own engine events are not recorded: the
+    /// outcome has nowhere to carry them.
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
         self
     }
 
-    /// Enables deterministic fault injection for the *engine-run* stages
-    /// (the source stage and any reshuffled/materialized handoff).
-    /// Chained in-memory stages run fault-free: they model colocated
-    /// tasks over resident data, which the engine's fault plan — keyed
-    /// on chunk/reducer identities of a shuffled job — does not cover.
+    /// Enables deterministic fault injection for every stage of the
+    /// chain, whatever handoff it takes (see
+    /// [`JobBuilder::faults`](crate::job::JobBuilder::faults)).
     pub fn faults(mut self, cfg: FaultConfig) -> Self {
         self.faults = cfg;
         self
@@ -404,39 +408,23 @@ impl Dataflow {
                 });
             }
 
-            // Run the stage along its handoff path.
-            let (outcome, bytes_saved) = match handoff {
-                Handoff::InMemory => {
-                    let ds = current.as_ref().expect("in-memory handoff has a dataset");
-                    stage::run_chained_stage(
-                        stage.job.as_ref(),
-                        stage.framework,
-                        &spec,
-                        self.exec,
-                        ds,
-                        self.trace,
-                    )?
+            // Run the stage over its input: the raw records, or the
+            // upstream dataset framed as records — resident, re-shuffled,
+            // or read back from a real file first.
+            let framed;
+            let (records, resident) = match (handoff, &current) {
+                (Handoff::Source, _) => (input.expect("source stage has records"), None),
+                (_, None) => unreachable!("a dataset handoff has a dataset"),
+                (Handoff::Materialized, Some(ds)) => {
+                    framed = self.through_file(ds, i)?.to_input();
+                    (&framed, None)
                 }
-                Handoff::Source => {
-                    let input = input.expect("source stage has records");
-                    (self.engine_run(stage, spec, input)?, 0)
-                }
-                Handoff::Reshuffled => {
-                    let ds = current.as_ref().expect("reshuffle handoff has a dataset");
-                    (self.engine_run(stage, spec, &ds.to_input())?, 0)
-                }
-                Handoff::Materialized => {
-                    let ds = current.as_ref().expect("materialize handoff has a dataset");
-                    let dir = self.checkpoint_dir.clone().unwrap_or_else(|| {
-                        std::env::temp_dir().join(format!("opa-dataflow-{}", std::process::id()))
-                    });
-                    let path = dir.join(format!("handoff-{i}.opadf"));
-                    ds.write(&path)?;
-                    let back = Dataset::read(&path)?;
-                    std::fs::remove_file(&path).ok();
-                    (self.engine_run(stage, spec, &back.to_input())?, 0)
+                (_, Some(ds)) => {
+                    framed = ds.to_input();
+                    (&framed, (handoff == Handoff::InMemory).then_some(ds))
                 }
             };
+            let (outcome, bytes_saved) = self.run_stage(stage, records, resident)?;
 
             if let (Some(tr), Handoff::InMemory) = (tracer.as_mut(), handoff) {
                 tr.push(TraceEvent::ReshuffleSkipped {
@@ -479,15 +467,68 @@ impl Dataflow {
         })
     }
 
-    /// Runs one stage through the ordinary engine (real shuffle), with
-    /// fault injection if configured.
-    fn engine_run(&self, stage: &Stage, spec: ClusterSpec, input: &JobInput) -> Result<JobOutcome> {
-        JobBuilder::new(stage.job.as_ref())
-            .framework(stage.framework)
-            .cluster(spec)
-            .exec(self.exec)
-            .faults(self.faults)
-            .trace(self.trace)
-            .run(input)
+    /// Runs one stage — the one way any stage runs: an [`Engine`] over
+    /// `input`, with the chain's threads and fault plan. `resident` is the
+    /// dataset `input` was framed from when the stage takes the in-memory
+    /// handoff; the engine then runs its colocated placement, and the
+    /// second value returned is the shuffle volume that saved (0
+    /// otherwise).
+    ///
+    /// # Errors
+    /// An empty input, or a colocated map task that shipped across
+    /// partitions (the job's `partition_preserving` declaration is wrong).
+    fn run_stage(
+        &self,
+        stage: &Stage,
+        input: &JobInput,
+        resident: Option<&Dataset>,
+    ) -> Result<(JobOutcome, u64)> {
+        let cfg = RunConfig {
+            framework: stage.framework,
+            spec: self.cluster,
+            exec: self.exec,
+            faults: self.faults,
+            ..RunConfig::default()
+        };
+        cfg.validate()?;
+        if input.is_empty() {
+            return Err(Error::job("job input is empty"));
+        }
+        let lens: Option<Vec<usize>> = resident.map(|ds| {
+            (0..ds.spec().partitions)
+                .map(|p| ds.partition(p).len())
+                .collect()
+        });
+        let job = stage.job.as_ref();
+        Engine::scoped_over(&cfg, job, input, lens.as_deref(), None, |mut engine| {
+            // Every map task has committed once the last chunk is below
+            // the pause quota: the books read here are final.
+            engine.run_until(engine.num_chunks());
+            let saved = engine.colocated_bytes()?;
+            Ok((engine.finish(), saved))
+        })
+    }
+
+    /// The materialize handoff: writes stage `i`'s input dataset to a real
+    /// file and reads it back. Without a checkpoint directory the file
+    /// lives in a scratch directory of its own — named by the process id
+    /// and a process-wide counter, so concurrent chains never share one —
+    /// which is removed again.
+    fn through_file(&self, ds: &Dataset, i: usize) -> Result<Dataset> {
+        static SCRATCH: AtomicU64 = AtomicU64::new(0);
+        let scratch = self.checkpoint_dir.is_none().then(|| {
+            let n = SCRATCH.fetch_add(1, Ordering::Relaxed);
+            std::env::temp_dir().join(format!("opa-dataflow-{}-{n}", std::process::id()))
+        });
+        let dir = self.checkpoint_dir.as_ref().or(scratch.as_ref());
+        let path = dir
+            .expect("a checkpoint or a scratch directory")
+            .join(format!("handoff-{i}.opadf"));
+        let back = ds.write(&path).and_then(|()| Dataset::read(&path));
+        std::fs::remove_file(&path).ok();
+        if let Some(dir) = scratch {
+            std::fs::remove_dir(dir).ok();
+        }
+        back
     }
 }

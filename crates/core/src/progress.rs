@@ -14,7 +14,7 @@
 
 use opa_common::units::{SimDuration, SimTime};
 
-/// Number of points every stage executor resamples its progress curves to.
+/// Number of points the engine resamples its progress curves to.
 pub(crate) const PROGRESS_POINTS: usize = 400;
 
 /// `n` consecutive samples: sample `j < n` is taken at `t + j·step` and

@@ -4,8 +4,11 @@
 //! reshuffles and all — produces output *bit-identical* to the classic
 //! staged pipeline that materializes every intermediate through a real
 //! file, at any thread count and under fault injection; the skip path
-//! really moves zero shuffle bytes; and mid-chain checkpoint/restore
-//! changes nothing but the amount of work re-done.
+//! really moves zero shuffle bytes, is an ordinary engine run (faults
+//! reach it, its map tasks queue on map slots) and refuses a job whose
+//! `partition_preserving` declaration is false; concurrent materialize
+//! chains keep their handoff files apart; and mid-chain
+//! checkpoint/restore changes nothing but the amount of work re-done.
 
 // Only `WordCount` and `seeded_input` are needed here; the fault-matrix
 // fixtures in `common` stay unused in this binary.
@@ -17,6 +20,7 @@ use opa_common::fault::FaultConfig;
 use opa_common::{decode_kv, Key, Pair, Value};
 use opa_core::api::{Job, ReduceCtx};
 use opa_core::cluster::{ClusterSpec, Framework};
+use opa_core::cost::CostModel;
 use opa_core::dataflow::{
     Dataflow, DataflowOutcome, Dataset, Handoff, HandoffPolicy, PartitionSpec,
 };
@@ -65,16 +69,39 @@ impl Job for ByFirstLetter {
     }
 }
 
+/// `ByFirstLetter` under a false declaration: it re-keys, and says it
+/// does not.
+struct Mislabelled;
+
+impl Job for Mislabelled {
+    fn name(&self) -> &str {
+        "mislabelled"
+    }
+    fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
+        ByFirstLetter.map(record, emit);
+    }
+    fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
+        ByFirstLetter.reduce(key, values, ctx);
+    }
+    fn partition_preserving(&self) -> bool {
+        true
+    }
+}
+
 fn tiny() -> ClusterSpec {
     ClusterSpec::tiny()
 }
 
-fn chain(threads: usize) -> Dataflow {
-    Dataflow::new(tiny())
+fn chain_on(spec: ClusterSpec, threads: usize) -> Dataflow {
+    Dataflow::new(spec)
         .then(WordCount, Framework::MrHash)
         .then(Scale, Framework::MrHash)
         .then(ByFirstLetter, Framework::SortMerge)
         .threads(threads)
+}
+
+fn chain(threads: usize) -> Dataflow {
+    chain_on(tiny(), threads)
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -140,8 +167,17 @@ fn chained_matches_staged_files_at_every_thread_count() {
     let input = seeded_input(11, 600);
     let reference = staged_through_files(&input, &tmp_dir("staged"));
     assert!(!reference.is_empty());
+    let mut skipped_metrics: Option<String> = None;
     for threads in [1, 2, 4, 8] {
         let out = chain(threads).run(&input).expect("chain runs");
+        // The skipped stage is an engine run like any other: its whole
+        // `JobMetrics`, not just its output, is thread-count invariant.
+        let metrics = format!("{:?}", out.stages[1].metrics);
+        assert_eq!(
+            skipped_metrics.get_or_insert_with(|| metrics.clone()),
+            &metrics,
+            "skipped stage's metrics at {threads} threads"
+        );
         assert_eq!(out.stages[0].handoff, Handoff::Source);
         assert_eq!(
             out.stages[1].handoff,
@@ -199,7 +235,147 @@ fn faults_do_not_change_chained_output() {
             .any(|s| s.metrics.faults.as_ref().is_some_and(|f| f.any_fired())),
         "the fault plan must actually fire for this test to mean anything"
     );
+    // The plan reaches the in-memory stage too. Seed 9 is one under
+    // which it fires there: of the stage's four colocated map tasks two
+    // fail and one straggles, and two of its reducers crash.
+    let skipped = &faulty.stages[1];
+    assert_eq!(skipped.handoff, Handoff::InMemory);
+    let report = skipped.metrics.faults.as_ref().expect("fault report");
+    assert!(report.any_fired(), "{report:?}");
+    assert!(report.map_failures > 0 && report.reduce_failures > 0);
+    assert!(clean.stages[1].metrics.faults.is_none());
     assert_eq!(clean.sorted_output(), faulty.sorted_output());
+}
+
+#[test]
+fn a_false_partition_preserving_declaration_is_an_error_not_a_wrong_answer() {
+    let input = seeded_input(18, 400);
+    let lying = |threads: usize, policy: HandoffPolicy| {
+        Dataflow::new(tiny())
+            .then(WordCount, Framework::MrHash)
+            .then(Mislabelled, Framework::MrHash)
+            .threads(threads)
+            .policy(policy)
+            .run(&input)
+    };
+    let mut messages = Vec::new();
+    for threads in [1, 8] {
+        let err = lying(threads, HandoffPolicy::Auto)
+            .expect_err("the skip must refuse a map that re-keys")
+            .to_string();
+        assert!(
+            err.contains("job 'mislabelled' declared partition_preserving"),
+            "{err}"
+        );
+        // Both partitions are named, and they differ.
+        let (_, tail) = err.split_once("from partition ").expect(&err);
+        let (from, tail) = tail.split_once(" to partition ").expect(&err);
+        let (to, _) = tail.split_once(';').expect(&err);
+        let (from, to): (usize, usize) = (from.parse().expect(&err), to.parse().expect(&err));
+        assert!(
+            from != to && from.max(to) < tiny().total_reducers(),
+            "{err}"
+        );
+        messages.push(err);
+    }
+    assert_eq!(messages[0], messages[1], "the first violation is the same");
+
+    // Forced through a real shuffle the declaration is never relied on:
+    // the job runs, and agrees with its honestly declared twin.
+    let honest = Dataflow::new(tiny())
+        .then(WordCount, Framework::MrHash)
+        .then(ByFirstLetter, Framework::MrHash)
+        .run(&input)
+        .expect("honest chain");
+    assert_eq!(honest.stages[1].handoff, Handoff::Reshuffled);
+    let forced = lying(1, HandoffPolicy::Reshuffle).expect("reshuffled, the job is fine");
+    assert_eq!(forced.sorted_output(), honest.sorted_output());
+}
+
+#[test]
+fn colocated_map_tasks_queue_on_map_slots() {
+    // Eight partitions over two nodes: four resident partitions per node
+    // against two map slots, and twice as many reducers per node as
+    // reduce slots (a colocated stage still starts them all in wave one).
+    // Paper costs, so virtual time is not identically zero.
+    let mut spec = tiny();
+    spec.cost = CostModel::paper_scaled();
+    spec.system.reducers_per_node = 2 * spec.hardware.reduce_slots;
+    let per_node = spec.system.reducers_per_node;
+    assert!(per_node > spec.hardware.map_slots);
+    let input = seeded_input(19, 600);
+
+    let queued = chain_on(spec, 2).run(&input).expect("auto");
+    let skipped = &queued.stages[1];
+    assert_eq!(skipped.handoff, Handoff::InMemory);
+    assert_eq!(skipped.metrics.shuffle_bytes, 0);
+    let resident = queued.stages[0].records_out;
+    assert!(
+        resident >= 8 * per_node as u64,
+        "every partition is resident"
+    );
+    let reshuffled = chain_on(spec, 2)
+        .policy(HandoffPolicy::Reshuffle)
+        .run(&input)
+        .expect("reshuffle");
+    assert_eq!(queued.sorted_output(), reshuffled.sorted_output());
+
+    // A slot per resident partition: no map task waits, the map phase
+    // ends strictly earlier.
+    let mut roomy = spec;
+    roomy.hardware.map_slots = per_node;
+    let unqueued = chain_on(roomy, 2).run(&input).expect("auto, roomy");
+    assert_eq!(unqueued.stages[1].handoff, Handoff::InMemory);
+    assert_eq!(queued.sorted_output(), unqueued.sorted_output());
+    assert!(
+        skipped.metrics.map_finish > unqueued.stages[1].metrics.map_finish,
+        "map_finish {:?} with {} slots vs {:?} with {per_node}",
+        skipped.metrics.map_finish,
+        spec.hardware.map_slots,
+        unqueued.stages[1].metrics.map_finish
+    );
+}
+
+#[test]
+fn concurrent_materialize_chains_keep_their_handoffs_apart() {
+    // Two different chains, each materializing its handoffs through the
+    // process's temp directory, on two threads at once.
+    let (a, b) = (seeded_input(20, 300), seeded_input(21, 500));
+    let run = |input: &JobInput, policy: HandoffPolicy| {
+        chain(1)
+            .policy(policy)
+            .run(input)
+            .map(|out| out.sorted_output())
+    };
+    let want_a = run(&a, HandoffPolicy::Reshuffle).expect("reference a");
+    let want_b = run(&b, HandoffPolicy::Reshuffle).expect("reference b");
+    assert_ne!(want_a, want_b);
+    for round in 0..20 {
+        let (got_a, got_b) = std::thread::scope(|s| {
+            let ta = s.spawn(|| run(&a, HandoffPolicy::Materialize));
+            let tb = s.spawn(|| run(&b, HandoffPolicy::Materialize));
+            (ta.join().expect("thread a"), tb.join().expect("thread b"))
+        });
+        assert_eq!(got_a.expect("chain a"), want_a, "round {round}");
+        assert_eq!(got_b.expect("chain b"), want_b, "round {round}");
+    }
+    // Nothing of this process's handoffs is left behind. (Another test
+    // of this binary may be mid-handoff: a directory gets a second to go
+    // away before it counts.)
+    let prefix = format!("opa-dataflow-{}-", std::process::id());
+    let lingers = |name: &String| {
+        let dir = std::env::temp_dir().join(name);
+        (0..100).all(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            dir.exists()
+        })
+    };
+    let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .expect("temp dir lists")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(&prefix) && lingers(name))
+        .collect();
+    assert!(left.is_empty(), "{left:?}");
 }
 
 #[test]

@@ -87,6 +87,45 @@ impl BlockStore {
         }
     }
 
+    /// Cuts records that are already grouped — `group_lens[g]` consecutive
+    /// records belong to group `g` — on the group boundaries instead of by
+    /// size: one chunk per non-empty group, homed on node `g % nodes`.
+    /// This is the placement of a resident, partition-bucketed input whose
+    /// partition `g` already lives where reducer `g` runs.
+    ///
+    /// # Panics
+    /// Panics if `nodes == 0` or the groups do not cover the records
+    /// exactly.
+    pub fn split_at<I, G>(record_sizes: I, group_lens: G, nodes: usize) -> Self
+    where
+        I: IntoIterator<Item = u64>,
+        G: IntoIterator<Item = usize>,
+    {
+        assert!(nodes > 0, "node count must be positive");
+        let mut sizes = record_sizes.into_iter();
+        let mut chunks = Vec::new();
+        let mut start = 0usize;
+        for (group, len) in group_lens.into_iter().enumerate() {
+            let bytes: u64 = (0..len)
+                .map(|_| sizes.next().expect("a group runs past the last record"))
+                .sum();
+            if len > 0 {
+                chunks.push(Chunk {
+                    node: group % nodes,
+                    range: start..start + len,
+                    bytes,
+                });
+                start += len;
+            }
+        }
+        assert!(sizes.next().is_none(), "records past the last group");
+        BlockStore {
+            total_bytes: chunks.iter().map(|c| c.bytes).sum(),
+            total_records: start,
+            chunks,
+        }
+    }
+
     /// All chunks in input order.
     pub fn chunks(&self) -> &[Chunk] {
         &self.chunks
@@ -156,6 +195,28 @@ mod tests {
         // the final 5 starts fresh.
         assert_eq!(lens, vec![1, 1, 1]);
         assert_eq!(bs.chunks()[1].bytes, 500);
+    }
+
+    #[test]
+    fn split_at_cuts_on_group_boundaries_and_homes_by_group() {
+        // Groups of 2, 0, 3 and 1 records over 3 nodes: the empty group
+        // yields no chunk and does not shift the others' nodes.
+        let sizes = [5u64, 7, 1, 2, 3, 900];
+        let bs = BlockStore::split_at(sizes, [2, 0, 3, 1, 0], 3);
+        let got: Vec<(usize, Range<usize>, u64)> = bs
+            .chunks()
+            .iter()
+            .map(|c| (c.node, c.range.clone(), c.bytes))
+            .collect();
+        assert_eq!(got, vec![(0, 0..2, 12), (2, 2..5, 6), (0, 5..6, 900)]);
+        assert_eq!(bs.total_bytes(), 918);
+        assert_eq!(bs.total_records(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "records past the last group")]
+    fn split_at_rejects_uncovered_records() {
+        BlockStore::split_at([1u64, 1, 1], [2], 1);
     }
 
     #[test]
