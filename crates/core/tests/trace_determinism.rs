@@ -370,6 +370,87 @@ fn golden_hash_path_pins() {
 }
 
 #[test]
+fn golden_delivery_path_pins() {
+    // The rows above run on a free cost model, where every delivery of a
+    // granule arrives at once. These run on the paper-scaled cluster, where
+    // deliveries arrive in size order and interleave with other map tasks'
+    // granules, and pin the delivery paths no other row reaches: snapshots
+    // taken at the next delivery after a progress point, deliveries parked
+    // for a second-wave reducer and re-read from the mappers' disks, and
+    // reduce crashes that re-replay the recorded history. Same columns as
+    // `golden_hash_path_pins`; update a row only for a change that means to
+    // move it.
+    struct Pin {
+        name: &'static str,
+        framework: Framework,
+        snapshots: &'static [f64],
+        /// Reducers per node as a multiple of the reduce slots.
+        waves: usize,
+        faults: FaultConfig,
+        trace_crc: u32,
+        output_crc: u32,
+        /// map output, shuffle, reduce spill, output bytes.
+        bytes: [u64; 4],
+    }
+    let none = FaultConfig::disabled();
+    #[rustfmt::skip]
+    let pins = [
+        Pin { name: "sort-merge pipelined snapshots", framework: Framework::SortMergePipelined,
+              snapshots: &[0.25, 0.5, 0.75], waves: 1, faults: none,
+              trace_crc: 0xEAE3_7A9B, output_crc: 0x6CEB_3E65, bytes: [104_410, 104_410, 13_455, 6_050] },
+        Pin { name: "dinc-hash two waves", framework: Framework::DincHash,
+              snapshots: &[], waves: 2, faults: none,
+              trace_crc: 0x5B8C_CEE0, output_crc: 0xD631_FB9B, bytes: [66_920, 66_920, 6_050, 6_050] },
+        Pin { name: "inc-hash reduce crashes", framework: Framework::IncHash,
+              snapshots: &[], waves: 1, faults: FaultConfig::uniform(3, 0.05),
+              trace_crc: 0xCFF0_4EFC, output_crc: 0x81A1_C022, bytes: [66_920, 66_920, 0, 6_050] },
+    ];
+    let input = seeded_input(0xC0FFEE, 1500);
+    for pin in pins {
+        let name = pin.name;
+        // 1 KB of reduce memory: sort-merge spills runs, so its snapshots
+        // read them back and its background merges open spans.
+        let mut cluster = spec();
+        cluster.hardware.reduce_buffer = 1024;
+        cluster.bucket_write_buffer = 256;
+        cluster.system.reducers_per_node = pin.waves * cluster.hardware.reduce_slots;
+        let outcome = JobBuilder::new(WordCount)
+            .framework(pin.framework)
+            .cluster(cluster)
+            .snapshot_points(pin.snapshots)
+            .faults(pin.faults)
+            .trace(true)
+            .run(&input)
+            .expect("job runs");
+        let m = &outcome.metrics;
+        let text = jsonl(&outcome);
+
+        // Non-vacuity: the row really runs the path it pins.
+        assert_eq!(m.snapshot_bytes > 0, !pin.snapshots.is_empty(), "{name}");
+        assert_eq!(
+            text.contains("\"ev\":\"reduce_start\""),
+            pin.waves > 1,
+            "{name}: second-wave reducers start late"
+        );
+        let crashes = m.faults.as_ref().map_or(0, |f| f.reduce_failures);
+        assert_eq!(crashes > 0, pin.faults.enabled(), "{name}: {crashes}");
+
+        let trace_crc = crc32(text.as_bytes());
+        let output_crc = crc32(&opa_simio::codec::encode_run(&outcome.output));
+        let bytes = [
+            m.map_output_bytes,
+            m.shuffle_bytes,
+            m.reduce_spill_bytes,
+            m.output_bytes,
+        ];
+        println!("{name}: trace 0x{trace_crc:08X}, output 0x{output_crc:08X}, bytes {bytes:?}");
+        assert_eq!(trace_crc, pin.trace_crc, "{name}: effect order drifted");
+        assert_eq!(output_crc, pin.output_crc, "{name}: finalize order drifted");
+        assert_eq!(bytes, pin.bytes, "{name}: byte counts drifted");
+    }
+}
+
+#[test]
 fn jsonl_roundtrip_preserves_every_event() {
     let outcome = run_traced(Framework::DincHash, 2, None);
     let log = outcome.trace.as_ref().expect("trace enabled");
