@@ -69,16 +69,67 @@ use std::collections::VecDeque;
 /// holds it for the finish wave).
 pub type LiveReducer<'e> = Option<Box<dyn ReduceSide + Send + 'e>>;
 
-/// One shuffle transfer: a map-output partition on its way to a reducer.
-struct Delivery {
+/// One shuffle transfer: a map-output partition on its way to a reducer,
+/// keyed in the queue by `(arrival, seq)` as if pushed on its own. Its
+/// `seq` is assigned by [`Flight::launch`].
+struct Part {
+    arrival: SimTime,
+    seq: u64,
     reducer: usize,
+    payload: Payload,
+}
+
+/// One granule's shuffle in the air: its non-empty partitions, queued as a
+/// single event under the key of the part that lands next.
+struct Flight {
     from_node: usize,
     /// Source chunk — provenance for pause accounting (a quota is met when
     /// *its* chunks' deliveries are absorbed, regardless of later chunks
     /// still shuffling). A node-scope flush carries the smallest chunk it
     /// staged rows from.
     chunk: usize,
-    payload: Payload,
+    /// The parts still in the air, latest `(arrival, seq)` first: the next
+    /// to land is the last.
+    parts: Vec<Part>,
+}
+
+impl Flight {
+    /// Queues `parts`, in reducer order, as one flight. They take
+    /// consecutive sequence numbers in that order — the ones as many
+    /// separate pushes would have taken — so every part keeps the place
+    /// in the pop order it would have had as an event of its own.
+    fn launch(queue: &mut EventQueue<Ev>, from_node: usize, chunk: usize, mut parts: Vec<Part>) {
+        if parts.is_empty() {
+            return;
+        }
+        let first = queue.reserve(parts.len() as u64);
+        for (part, seq) in parts.iter_mut().zip(first..) {
+            part.seq = seq;
+        }
+        parts.sort_unstable_by_key(|p| std::cmp::Reverse((p.arrival, p.seq)));
+        let next = parts.last().expect("non-empty");
+        let (time, seq) = (next.arrival, next.seq);
+        let flight = Flight {
+            from_node,
+            chunk,
+            parts,
+        };
+        queue.push_seq(time, seq, Ev::Shuffle(flight));
+    }
+
+    /// Where the flight goes once a part has landed: on to its next part
+    /// while that is still the earliest event in `queue` and no pause has
+    /// become possible (`pause`); otherwise back into `queue` under the
+    /// next part's key; nowhere once every part has landed.
+    fn onward(self, queue: &mut EventQueue<Ev>, pause: bool) -> Option<Flight> {
+        let next = self.parts.last()?;
+        let key = (next.arrival, next.seq);
+        if pause || queue.peek_key().is_some_and(|top| top < key) {
+            queue.push_seq(key.0, key.1, Ev::Shuffle(self));
+            return None;
+        }
+        Some(self)
+    }
 }
 
 enum Ev {
@@ -88,7 +139,7 @@ enum Ev {
         /// count up. Drives the fault plan's per-attempt decisions.
         attempt: u32,
     },
-    Deliver(Delivery),
+    Shuffle(Flight),
 }
 
 /// One map-task attempt the scheduler is executing.
@@ -178,33 +229,6 @@ pub struct EngineState {
     pub deferred: Vec<Vec<DeferredDelivery>>,
     /// Per-reducer framework state.
     pub reducers: Vec<ReducerCkpt>,
-}
-
-/// One recorded delivery: its effect log and the logs of the snapshots
-/// taken right after it.
-type DeliveryLogs = (Vec<Effect>, Vec<Vec<Effect>>);
-
-/// Records one delivery to `rec`, followed by `snaps` snapshot
-/// repetitions, into effect logs; returns the reducer's estimated clock
-/// after it. Runs on the scheduler thread with the reducer in place — a
-/// delivery is about a microsecond of work on a table that is hot where
-/// it lives — and touches no shared state: replay does that, in pop order.
-fn record_delivery(
-    rec: &mut dyn ReduceSide,
-    est: SimTime,
-    payload: Payload,
-    snaps: usize,
-    spec: &crate::cluster::ClusterSpec,
-) -> (SimTime, DeliveryLogs) {
-    let mut env = ReduceEnv::new(spec);
-    let mut te = rec.on_delivery(est, payload, &mut env);
-    let mut slogs = Vec::with_capacity(snaps);
-    for _ in 0..snaps {
-        let mut senv = ReduceEnv::new(spec);
-        te = rec.snapshot(te, &mut senv);
-        slogs.push(senv.into_log());
-    }
-    (te, (env.into_log(), slogs))
 }
 
 /// What a map-task plan is a pure function of. `Copy`, so the speculative
@@ -354,6 +378,9 @@ pub struct Engine<'e> {
     /// Per-reducer effect history for crash re-replay (kept only when
     /// reduce crashes can fire).
     history: Vec<Vec<Effect>>,
+    /// The one effect log every delivery and snapshot is recorded into
+    /// and replayed from (see [`Engine::step`]).
+    log: Vec<Effect>,
 
     // Scheduler.
     queue: EventQueue<Ev>,
@@ -377,6 +404,7 @@ pub struct Engine<'e> {
     /// at time zero; the rest queue their deliveries in `deferred`.
     started: Vec<bool>,
     ready_at: Vec<SimTime>,
+    /// Per-reducer deliveries parked for the second wave, by source node.
     deferred: Vec<Vec<(usize, Payload)>>,
     /// Sorted MapReduce-Online snapshot points, the count crossed so far,
     /// and how many of those each reducer has taken.
@@ -557,6 +585,7 @@ impl<'e> Engine<'e> {
             delivery_seq: vec![0; n_reducers],
             crash_count: vec![0; n_reducers],
             history: vec![Vec::new(); n_reducers],
+            log: Vec::new(),
             queue: EventQueue::new(),
             pending: vec![VecDeque::new(); n_nodes],
             done_prefix: done.iter().take_while(|&&d| d).count(),
@@ -617,10 +646,23 @@ impl<'e> Engine<'e> {
 
     /// Rebuilds the scheduler from a checkpoint: every event is re-pushed
     /// in its saved pop order (fresh ascending sequence numbers preserve
-    /// ties), so the resumed run continues the uninterrupted one's event
-    /// sequence.
+    /// ties), each delivery as a flight of one part, so the resumed run
+    /// continues the uninterrupted one's event sequence.
     fn import_state(&mut self, saved: EngineState) -> Result<()> {
         let (n_reducers, num_chunks) = (self.reducers.len(), self.done.len());
+        // A delivery's source node is where a second-wave reducer re-reads
+        // it from: `Resources::spill_io` indexes by it.
+        let n_nodes = self.pending.len();
+        let source = |node: u64| {
+            usize::try_from(node)
+                .ok()
+                .filter(|&n| n < n_nodes)
+                .ok_or_else(|| {
+                    Error::storage(format!(
+                        "checkpoint delivery comes from node {node}, which is unknown"
+                    ))
+                })
+        };
         // A chunk still to map is scheduled once: queued, or pending on
         // its node. `start_map` indexes by it and looks it up among the
         // chunks not yet done, so anything else must not get that far.
@@ -668,17 +710,14 @@ impl<'e> Engine<'e> {
                             "checkpoint delivery names an unknown reducer or chunk",
                         ));
                     }
+                    let part = Part {
+                        arrival: SimTime(time),
+                        seq: 0,
+                        reducer,
+                        payload,
+                    };
                     self.inflight_by_chunk[chunk] += 1;
-                    let from_node = from_node as usize;
-                    self.queue.push(
-                        SimTime(time),
-                        Ev::Deliver(Delivery {
-                            reducer,
-                            from_node,
-                            chunk,
-                            payload,
-                        }),
-                    );
+                    Flight::launch(&mut self.queue, source(from_node)?, chunk, vec![part]);
                 }
             }
         }
@@ -714,8 +753,8 @@ impl<'e> Engine<'e> {
         for (slot, defs) in self.deferred.iter_mut().zip(saved.deferred) {
             *slot = defs
                 .into_iter()
-                .map(|d| (d.from_node as usize, d.payload))
-                .collect();
+                .map(|d| Ok((source(d.from_node)?, d.payload)))
+                .collect::<Result<_>>()?;
         }
         for (rec, ckpt) in self.reducers.iter_mut().zip(saved.reducers) {
             rec.as_mut().expect("reducer in place").import_state(ckpt)?;
@@ -726,32 +765,34 @@ impl<'e> Engine<'e> {
     /// Serializes the paused engine. Staging tables and the dead-letter
     /// queue are not part of the state: callers checkpoint only runs with
     /// neither (task-scope combining, no poison injection).
-    pub fn export_state(&mut self) -> Result<EngineState> {
-        // Read the queue by draining and re-pushing in pop order: fresh
-        // ascending sequence numbers preserve every relative ordering, so
-        // the run is unaffected.
-        let mut events = Vec::with_capacity(self.queue.len());
-        let mut stash = Vec::with_capacity(self.queue.len());
-        while let Some((t, ev)) = self.queue.pop() {
-            events.push(match &ev {
-                Ev::StartMap { chunk, attempt } => QueuedEvent::StartMap {
-                    time: t.0,
-                    chunk: *chunk as u64,
-                    attempt: u64::from(*attempt),
-                },
-                Ev::Deliver(d) => QueuedEvent::Deliver {
-                    time: t.0,
-                    reducer: d.reducer as u64,
-                    from_node: d.from_node as u64,
-                    chunk: d.chunk as u64,
-                    payload: d.payload.clone(),
-                },
-            });
-            stash.push((t, ev));
+    pub fn export_state(&self) -> Result<EngineState> {
+        // The queue in pop order: every part of a flight under its own
+        // key, merged with the map starts.
+        let mut keyed = Vec::with_capacity(self.queue.len());
+        for (time, seq, ev) in self.queue.iter() {
+            match ev {
+                &Ev::StartMap { chunk, attempt } => keyed.push((
+                    (time, seq),
+                    QueuedEvent::StartMap {
+                        time: time.0,
+                        chunk: chunk as u64,
+                        attempt: u64::from(attempt),
+                    },
+                )),
+                Ev::Shuffle(f) => keyed.extend(f.parts.iter().map(|p| {
+                    let deliver = QueuedEvent::Deliver {
+                        time: p.arrival.0,
+                        reducer: p.reducer as u64,
+                        from_node: f.from_node as u64,
+                        chunk: f.chunk as u64,
+                        payload: p.payload.clone(),
+                    };
+                    ((p.arrival, p.seq), deliver)
+                })),
+            }
         }
-        for (t, ev) in stash {
-            self.queue.push(t, ev);
-        }
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        let events = keyed.into_iter().map(|(_, ev)| ev).collect();
         let reducers = self
             .reducers
             .iter()
@@ -802,7 +843,8 @@ impl<'e> Engine<'e> {
         self.plans.h1
     }
 
-    /// Virtual time of the last processed event.
+    /// Virtual time of the last processed event; a run of deliveries
+    /// popped back to back counts as one event, at its first arrival.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -847,9 +889,11 @@ impl<'e> Engine<'e> {
         self.inflight_gating == 0 && self.done_prefix >= self.quota
     }
 
-    fn took_off(&mut self, chunk: usize) {
-        self.inflight_by_chunk[chunk] += 1;
-        self.inflight_gating += usize::from(chunk < self.quota);
+    fn took_off(&mut self, chunk: usize, n: usize) {
+        self.inflight_by_chunk[chunk] += n as u32;
+        if chunk < self.quota {
+            self.inflight_gating += n;
+        }
     }
 
     fn landed(&mut self, chunk: usize) {
@@ -870,14 +914,21 @@ impl<'e> Engine<'e> {
             .iter()
             .map(|&n| n as usize)
             .sum();
+        // Whether the last event popped was a flight: the clock stays at
+        // the first arrival of a run of deliveries.
+        let mut landing = false;
         while !self.paused() {
             let Some((t, ev)) = self.queue.pop() else {
                 break;
             };
-            self.now = t;
+            let shuffle = matches!(ev, Ev::Shuffle(_));
+            if !(landing && shuffle) {
+                self.now = t;
+            }
+            landing = shuffle;
             match ev {
                 Ev::StartMap { chunk, attempt } => self.start_map(t, chunk, attempt),
-                Ev::Deliver(first) => self.deliver_burst(t, first),
+                Ev::Shuffle(flight) => self.land(flight),
             }
         }
     }
@@ -1050,20 +1101,9 @@ impl<'e> Engine<'e> {
             self.output.extend(result.early_output);
         }
         for granule in result.granules {
-            if let Some(merge) = self.node_merge {
-                self.stage_granule(at, granule, merge);
-                continue;
-            }
-            for (reducer, payload) in granule.partitions.into_iter().enumerate() {
-                if !payload.is_empty() {
-                    let d = Delivery {
-                        reducer,
-                        from_node: node,
-                        chunk,
-                        payload,
-                    };
-                    self.ship(granule.time, d);
-                }
+            match self.node_merge {
+                Some(merge) => self.stage_granule(at, granule, merge),
+                None => self.ship(granule.time, node, chunk, granule.partitions),
             }
         }
         // Node scope: the last committed chunk on a node takes the node's
@@ -1079,24 +1119,38 @@ impl<'e> Engine<'e> {
         }
     }
 
-    /// Books one shuffle transfer leaving its node at `depart`.
-    fn ship(&mut self, depart: SimTime, d: Delivery) {
+    /// Books one granule's shuffle: each non-empty partition leaves
+    /// `from_node` at `depart` and arrives after its own transfer time.
+    /// The transfers fly as one queued [`Flight`].
+    fn ship(&mut self, depart: SimTime, from_node: usize, chunk: usize, partitions: Vec<Payload>) {
         if self.plans.home.is_some() {
-            return self.hand_over(depart, d);
+            return self.hand_over(depart, from_node, chunk, partitions);
         }
-        let bytes = d.payload.bytes();
-        let arrival = depart + self.plans.cfg.spec.cost.net_time(bytes);
-        self.shuffle_booked += bytes;
-        self.res.span(d.from_node, OpKind::Shuffle, depart, arrival);
-        self.res.emit(TraceEvent::Shuffle {
-            t0: depart.0,
-            t: arrival.0,
-            from_node: d.from_node as u32,
-            reducer: d.reducer as u32,
-            bytes,
-        });
-        self.took_off(d.chunk);
-        self.queue.push(arrival, Ev::Deliver(d));
+        let cost = &self.plans.cfg.spec.cost;
+        let mut parts = Vec::with_capacity(partitions.iter().filter(|p| !p.is_empty()).count());
+        for (reducer, payload) in partitions.into_iter().enumerate() {
+            if payload.is_empty() {
+                continue;
+            }
+            let bytes = payload.bytes();
+            let arrival = depart + cost.net_time(bytes);
+            self.shuffle_booked += bytes;
+            self.res.span(from_node, OpKind::Shuffle, depart, arrival);
+            self.res.emit(TraceEvent::Shuffle {
+                t0: depart.0,
+                t: arrival.0,
+                from_node: from_node as u32,
+                reducer: reducer as u32,
+                bytes,
+            });
+            parts.push(Part {
+                arrival,
+                seq: 0,
+                reducer,
+                payload,
+            });
+        }
+        self.launch(from_node, chunk, parts);
     }
 
     /// [`Engine::ship`] under the colocated placement: the reducer absorbs
@@ -1106,24 +1160,46 @@ impl<'e> Engine<'e> {
     /// run's error instead. Out of line on purpose: folded into `ship`,
     /// the branch cost `clicks_inc` ~6 % of `records_per_s` (6/6 pairs).
     #[inline(never)]
-    fn hand_over(&mut self, depart: SimTime, d: Delivery) {
-        let own = self.plans.home.expect("colocated placement")[d.chunk];
-        let bytes = d.payload.bytes();
-        match &mut self.colocated {
-            Ok(n) if d.reducer == own => *n += bytes,
-            Ok(_) => {
-                self.colocated = Err(Error::job(format!(
-                    "job '{}' declared partition_preserving but its map emitted {bytes} bytes \
-                     from partition {own} to partition {}; the shuffle-skip handoff would \
-                     mis-group keys",
-                    self.plans.job.name(),
-                    d.reducer
-                )));
+    fn hand_over(
+        &mut self,
+        depart: SimTime,
+        from_node: usize,
+        chunk: usize,
+        partitions: Vec<Payload>,
+    ) {
+        let own = self.plans.home.expect("colocated placement")[chunk];
+        let mut parts = Vec::with_capacity(partitions.iter().filter(|p| !p.is_empty()).count());
+        for (reducer, payload) in partitions.into_iter().enumerate() {
+            if payload.is_empty() {
+                continue;
             }
-            Err(_) => {}
+            let bytes = payload.bytes();
+            match &mut self.colocated {
+                Ok(n) if reducer == own => *n += bytes,
+                Ok(_) => {
+                    self.colocated = Err(Error::job(format!(
+                        "job '{}' declared partition_preserving but its map emitted {bytes} \
+                         bytes from partition {own} to partition {reducer}; the shuffle-skip \
+                         handoff would mis-group keys",
+                        self.plans.job.name(),
+                    )));
+                }
+                Err(_) => {}
+            }
+            parts.push(Part {
+                arrival: depart,
+                seq: 0,
+                reducer,
+                payload,
+            });
         }
-        self.took_off(d.chunk);
-        self.queue.push(depart, Ev::Deliver(d));
+        self.launch(from_node, chunk, parts);
+    }
+
+    /// Counts `parts` in flight from `chunk` and queues them as one flight.
+    fn launch(&mut self, from_node: usize, chunk: usize, parts: Vec<Part>) {
+        self.took_off(chunk, parts.len());
+        Flight::launch(&mut self.queue, from_node, chunk, parts);
     }
 
     /// Merges one committed granule into its node's staging table instead
@@ -1182,7 +1258,7 @@ impl<'e> Engine<'e> {
             if let Some(held) = stage.held.replace(at.chunk) {
                 self.landed(held);
             }
-            self.took_off(at.chunk);
+            self.took_off(at.chunk, 1);
         }
         if over_budget {
             self.flush_node(at.node, granule.time);
@@ -1229,20 +1305,8 @@ impl<'e> Engine<'e> {
                 Payload::States(b) => b.push_hashed(StatePair::new(key, value), h),
             }
         }
-        let mut bytes_out = 0u64;
-        for (reducer, payload) in payloads.into_iter().enumerate() {
-            if payload.is_empty() {
-                continue;
-            }
-            bytes_out += payload.bytes();
-            let d = Delivery {
-                reducer,
-                from_node: node,
-                chunk: held,
-                payload,
-            };
-            self.ship(t1, d);
-        }
+        let bytes_out: u64 = payloads.iter().map(Payload::bytes).sum();
+        self.ship(t1, node, held, payloads);
         self.landed(held);
         self.nc_stats.flushes += 1;
         self.nc_stats.staged_bytes += bytes_in;
@@ -1257,74 +1321,68 @@ impl<'e> Engine<'e> {
         });
     }
 
-    /// Absorbs the maximal run of consecutive deliveries starting with
-    /// `first`: processing a delivery never schedules new events, so
-    /// everything up to the next `StartMap` can be regrouped per reducer
-    /// without changing the pop order. The run stops early where a pause
-    /// becomes possible, so `run_until` observes it; grouping deliveries
-    /// differently is output- and metric-transparent (effect logs carry
-    /// durations and ops, never absolute times, and replay still runs in
-    /// pop order).
-    fn deliver_burst(&mut self, t: SimTime, first: Delivery) {
-        let spec = &self.plans.cfg.spec;
-        // Arrivals at started reducers, tagged with their pop position.
-        // Second-wave reducers defer: parked in scheduler state, their
-        // deliveries count as absorbed.
-        let mut arrivals: Vec<(usize, SimTime, Delivery)> = Vec::new();
-        let mut next = Some((t, first));
-        while let Some((t_ev, d)) = next.take() {
-            self.landed(d.chunk);
-            if self.started[d.reducer] {
-                arrivals.push((arrivals.len(), t_ev, d));
-            } else {
-                self.deferred[d.reducer].push((d.from_node, d.payload));
-            }
-            if !self.paused() && matches!(self.queue.peek(), Some((_, Ev::Deliver(_)))) {
-                let Some((t2, Ev::Deliver(d))) = self.queue.pop() else {
-                    unreachable!("peeked a delivery");
-                };
-                next = Some((t2, d));
-            }
+    /// Lands `flight`'s parts in pop order, for as long as the next part
+    /// is still the queue's earliest event and no pause has become
+    /// possible; the rest of the flight goes back in the queue.
+    fn land(&mut self, flight: Flight) {
+        let mut flight = Some(flight);
+        while let Some(mut f) = flight {
+            let part = f.parts.pop().expect("a queued flight has a part left");
+            self.arrive(f.from_node, f.chunk, part);
+            let pause = self.paused();
+            flight = f.onward(&mut self.queue, pause);
         }
+    }
 
-        // Record mailbox by mailbox: a reducer absorbs all its deliveries
-        // of the burst back to back, in arrival order (the sort is
-        // stable), while its table is hot.
-        arrivals.sort_by_key(|(_, _, d)| d.reducer);
-        let mut recorded: Vec<(usize, usize, SimTime, DeliveryLogs)> =
-            Vec::with_capacity(arrivals.len());
-        let mut mailbox = None;
-        let mut te = SimTime::ZERO;
-        for (pos, t_ev, d) in arrivals {
-            let r = d.reducer;
-            // A mailbox opens at the reducer's clock, with the snapshots
-            // it owes: they catch up after the first delivery a reducer
-            // processes past each snapshot point.
-            let mut snaps = 0;
-            if mailbox != Some(r) {
-                mailbox = Some(r);
-                te = self.ready_at[r];
-                snaps = self.next_snapshot.saturating_sub(self.snapshots_taken[r]);
-            }
-            let rec = self.reducers[r].as_deref_mut().expect("reducer in place");
-            let (end, logs) = record_delivery(rec, te, d.payload, snaps, spec);
-            te = end;
-            recorded.push((pos, r, t_ev, logs));
+    /// One delivery reaches its reducer. A started reducer absorbs it as
+    /// soon as it is free, then takes the snapshots it owes: one for every
+    /// snapshot point map progress has crossed since its last delivery.
+    /// A second-wave reducer is not running yet: the payload is parked in
+    /// scheduler state and counts as absorbed.
+    fn arrive(&mut self, from_node: usize, chunk: usize, part: Part) {
+        self.landed(chunk);
+        let r = part.reducer;
+        if !self.started[r] {
+            return self.deferred[r].push((from_node, part.payload));
         }
+        let t0 = self.survive_crash(r, self.ready_at[r].max(part.arrival));
+        let mut t = self.step(r, t0, |rec, t, env| {
+            rec.on_delivery(t, part.payload, env);
+        });
+        while self.snapshots_taken[r] < self.next_snapshot {
+            self.snapshots_taken[r] += 1;
+            t = self.step(r, t, |rec, t, env| {
+                rec.snapshot(t, env);
+            });
+        }
+        self.ready_at[r] = t;
+    }
 
-        // Replay against the shared state in pop order.
-        recorded.sort_unstable_by_key(|&(pos, ..)| pos);
-        for (_, r, t_ev, (dlog, slogs)) in recorded {
-            let t0 = self.survive_crash(r, self.ready_at[r].max(t_ev));
-            if self.plans.cfg.faults.reduce_failure_rate > 0.0 {
-                self.history[r].extend(dlog.iter().chain(slogs.iter().flatten()).cloned());
-            }
-            self.ready_at[r] = self.replay_into(r, dlog, t0);
-            for slog in slogs {
-                self.snapshots_taken[r] += 1;
-                self.ready_at[r] = self.replay_into(r, slog, self.ready_at[r]);
-            }
+    /// Records one step of reducer `r` starting at `t0` — `work` runs on
+    /// the reducer in place, on the scheduler thread, where its table is
+    /// hot — into the engine's one effect log, keeps it in the crash
+    /// history if crashes can fire, and replays it against the shared state
+    /// at once. Returns the reducer's clock after the step.
+    fn step(
+        &mut self,
+        r: usize,
+        t0: SimTime,
+        work: impl FnOnce(&mut dyn ReduceSide, SimTime, &mut ReduceEnv<'_>),
+    ) -> SimTime {
+        let cfg = self.plans.cfg;
+        let mut env = ReduceEnv::with_log(&cfg.spec, std::mem::take(&mut self.log));
+        work(
+            self.reducers[r].as_deref_mut().expect("reducer in place"),
+            t0,
+            &mut env,
+        );
+        let mut log = env.into_log();
+        if cfg.faults.reduce_failure_rate > 0.0 {
+            self.history[r].extend(log.iter().cloned());
         }
+        let t = self.replay_into(r, log.drain(..), t0);
+        self.log = log;
+        t
     }
 
     /// Consults the fault plan for reducer `r`'s next delivery, due at
@@ -1362,7 +1420,12 @@ impl<'e> Engine<'e> {
     }
 
     /// Replays one of reducer `r`'s effect logs against the shared state.
-    fn replay_into(&mut self, r: usize, log: Vec<Effect>, t0: SimTime) -> SimTime {
+    fn replay_into(
+        &mut self,
+        r: usize,
+        log: impl IntoIterator<Item = Effect>,
+        t0: SimTime,
+    ) -> SimTime {
         let target = ReplayTarget {
             node: r % self.stage.len(),
             res: &mut self.res,
@@ -1496,14 +1559,9 @@ impl<'e> Engine<'e> {
                 // Second-wave reducers crash and recover the same way as
                 // wave one: backoff, then time-only history re-replay.
                 let t0 = self.survive_crash(r, t.max(arrival));
-                let mut env = ReduceEnv::new(spec);
-                let rec = self.reducers[r].as_mut().expect("reducer in place");
-                rec.on_delivery(t0, payload, &mut env);
-                let dlog = env.into_log();
-                if cfg.faults.reduce_failure_rate > 0.0 {
-                    self.history[r].extend(dlog.iter().cloned());
-                }
-                t = self.replay_into(r, dlog, t0);
+                t = self.step(r, t0, |rec, t, env| {
+                    rec.on_delivery(t, payload, env);
+                });
             }
             let mut env = ReduceEnv::new(spec);
             let rec = self.reducers[r].as_mut().expect("reducer in place");
@@ -1594,13 +1652,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_pool_sees_plans_and_the_finish_wave_never_deliveries() {
-        let input = JobInput::from_records(
+    /// 6 000 five-byte records over 251 × 7 keys: in 512-byte chunks
+    /// nearly every map task delivers to every one of the 40 reducers.
+    fn clicks() -> JobInput {
+        JobInput::from_records(
             (0..6000u32)
                 .map(|i| vec![(i % 251) as u8, (i % 7) as u8, b'c', b'l', b'k'])
                 .collect(),
-        );
+        )
+    }
+
+    #[test]
+    fn the_pool_sees_plans_and_the_finish_wave_never_deliveries() {
+        let input = clicks();
         let mut cfg = RunConfig {
             framework: Framework::IncHash,
             exec: ExecConfig::oversubscribed(4),
@@ -1628,11 +1692,7 @@ mod tests {
 
     #[test]
     fn incremental_deliveries_log_runs_never_a_charge_and_ack_per_tuple() {
-        let input = JobInput::from_records(
-            (0..6000u32)
-                .map(|i| vec![(i % 251) as u8, (i % 7) as u8, b'c', b'l', b'k'])
-                .collect(),
-        );
+        let input = clicks();
         for framework in [Framework::IncHash, Framework::DincHash] {
             let mut cfg = RunConfig {
                 framework,
@@ -1673,6 +1733,142 @@ mod tests {
                     .any(|w| matches!(w, [Effect::Cpu(_), Effect::Worked(1)])),
                 "{framework:?}: a delivery logged a per-tuple Cpu + Worked(1) pair"
             );
+        }
+    }
+
+    #[test]
+    fn a_map_task_costs_the_queue_a_few_entries_not_one_per_reducer() {
+        let mut cfg = RunConfig {
+            framework: Framework::IncHash,
+            ..RunConfig::default()
+        };
+        cfg.spec.system.chunk_size = 512;
+        let (chunks, pushes, numbered, outcome) =
+            Engine::scoped(&cfg, &ClickCount, &clicks(), None, |mut engine| {
+                engine.run_until(engine.num_chunks());
+                let (pushes, numbered) = (engine.queue.pushes, engine.queue.reserve(0));
+                Ok((
+                    engine.num_chunks() as u64,
+                    pushes,
+                    numbered,
+                    engine.finish(),
+                ))
+            })
+            .expect("job runs");
+        assert_eq!(outcome.metrics.output_records, 251 * 7);
+        // One sequence number per map start and per delivery: what one
+        // queue entry per delivery pushed (2 241 for 59 map tasks). A
+        // flight is one push, plus one each time another node's flight or
+        // a map start interleaves with it: 408 pushes, ~7 per map task.
+        assert!(numbered > 30 * chunks, "{numbered} deliveries and starts");
+        assert!(
+            pushes <= 8 * chunks,
+            "{pushes} queue pushes for {chunks} map tasks ({numbered} numbered)"
+        );
+    }
+
+    /// The queue the engine had before flights, kept as the oracle for the
+    /// order they land in: one entry per delivery.
+    enum OneEach {
+        StartMap(usize),
+        Deliver { reducer: usize, chunk: usize },
+    }
+
+    /// One map task's shuffle, drawn from `chunk` and `seed` alone: a few
+    /// granules, each leaving at `start` plus a step, whose non-empty
+    /// parts (in reducer order) arrive after one of three transfer times —
+    /// so arrivals tie within a granule and across tasks — and the map
+    /// task's length.
+    #[allow(clippy::type_complexity)]
+    fn shuffle_of(seed: u64, chunk: usize, start: SimTime) -> (Vec<Vec<(usize, SimTime)>>, u64) {
+        let mut rng = opa_common::rng::SplitMix64::new(seed ^ (chunk as u64) << 32);
+        let mut depart = start;
+        let granules = (0..1 + rng.next_below(3))
+            .map(|_| {
+                depart = SimTime(depart.0 + rng.next_below(4));
+                (0..8)
+                    .filter_map(|r| {
+                        let transfer = 5 * rng.next_below(3);
+                        (rng.next_below(4) != 0).then_some((r, SimTime(depart.0 + transfer)))
+                    })
+                    .collect()
+            })
+            .collect();
+        (granules, 1 + rng.next_below(12))
+    }
+
+    #[test]
+    fn flights_land_in_the_order_one_entry_per_delivery_pops() {
+        let (chunks, slots) = (24, 3);
+        for seed in 0..300u64 {
+            // Flights, landing as the engine lands them, stopping at
+            // pseudo-random pause points.
+            let mut pauses = opa_common::rng::SplitMix64::new(seed);
+            let mut queue = EventQueue::new();
+            for chunk in 0..slots {
+                queue.push(SimTime::ZERO, Ev::StartMap { chunk, attempt: 0 });
+            }
+            let mut flown = Vec::new();
+            while let Some((t, ev)) = queue.pop() {
+                match ev {
+                    Ev::StartMap { chunk, .. } => {
+                        let (granules, len) = shuffle_of(seed, chunk, t);
+                        for arrivals in granules {
+                            let parts = arrivals
+                                .into_iter()
+                                .map(|(reducer, arrival)| Part {
+                                    arrival,
+                                    seq: 0,
+                                    reducer,
+                                    payload: Payload::Pairs(RecordBatch::default()),
+                                })
+                                .collect();
+                            Flight::launch(&mut queue, 0, chunk, parts);
+                        }
+                        if chunk + slots < chunks {
+                            let next = Ev::StartMap {
+                                chunk: chunk + slots,
+                                attempt: 0,
+                            };
+                            queue.push(SimTime(t.0 + len), next);
+                        }
+                    }
+                    Ev::Shuffle(flight) => {
+                        let mut flight = Some(flight);
+                        while let Some(mut f) = flight {
+                            let part = f.parts.pop().expect("a part left");
+                            flown.push((part.arrival, part.reducer, f.chunk));
+                            flight = f.onward(&mut queue, pauses.next_below(4) == 0);
+                        }
+                    }
+                }
+            }
+
+            let mut queue = EventQueue::new();
+            for chunk in 0..slots {
+                queue.push(SimTime::ZERO, OneEach::StartMap(chunk));
+            }
+            let mut oracle = Vec::new();
+            while let Some((t, ev)) = queue.pop() {
+                match ev {
+                    OneEach::StartMap(chunk) => {
+                        let (granules, len) = shuffle_of(seed, chunk, t);
+                        for (reducer, arrival) in granules.into_iter().flatten() {
+                            queue.push(arrival, OneEach::Deliver { reducer, chunk });
+                        }
+                        if chunk + slots < chunks {
+                            queue.push(SimTime(t.0 + len), OneEach::StartMap(chunk + slots));
+                        }
+                    }
+                    OneEach::Deliver { reducer, chunk } => oracle.push((t, reducer, chunk)),
+                }
+            }
+            assert!(
+                oracle.len() > 200,
+                "seed {seed}: {} deliveries",
+                oracle.len()
+            );
+            assert_eq!(flown, oracle, "seed {seed}");
         }
     }
 }

@@ -19,7 +19,7 @@
 //! What is *not* here: shuffle deliveries. A reducer's mailbox is ~1.5 µs
 //! of work, far below the cost of handing it to another thread and of
 //! moving the reducer's table to that thread's cache, so the scheduler
-//! records deliveries itself (`Engine::deliver_burst`).
+//! records and replays deliveries itself, in pop order (`Engine::land`).
 //!
 //! Three primitives:
 //!

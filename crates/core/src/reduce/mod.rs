@@ -162,10 +162,15 @@ pub struct ReduceEnv<'a> {
 impl<'a> ReduceEnv<'a> {
     /// A fresh recorder.
     pub fn new(spec: &'a ClusterSpec) -> Self {
-        ReduceEnv {
-            spec,
-            log: Vec::new(),
-        }
+        ReduceEnv::with_log(spec, Vec::new())
+    }
+
+    /// A recorder that writes into `log`, emptied first: a caller that
+    /// records step after step hands the same vector back each time and
+    /// allocates only when a step logs more than any before it.
+    pub fn with_log(spec: &'a ClusterSpec, mut log: Vec<Effect>) -> Self {
+        log.clear();
+        ReduceEnv { spec, log }
     }
 
     /// Shortcut: cost model.
@@ -267,9 +272,10 @@ pub struct ReplayTarget<'a> {
 /// at `t0`, resolving disk-queue contention and progress/timeline order.
 /// Returns the reducer's real completion time. Must be called on the
 /// scheduling thread, in event order — this is what makes parallel
-/// recording observationally identical to sequential execution.
+/// recording observationally identical to sequential execution. The log
+/// is consumed; a `Vec::drain` keeps its buffer for the next recording.
 pub fn replay(
-    log: Vec<Effect>,
+    log: impl IntoIterator<Item = Effect>,
     t0: SimTime,
     spec: &ClusterSpec,
     target: ReplayTarget<'_>,

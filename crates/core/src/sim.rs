@@ -369,11 +369,15 @@ impl Resources {
     }
 }
 
-/// A time-ordered event queue with stable FIFO tie-breaking.
+/// A time-ordered event queue with stable FIFO tie-breaking: an entry's
+/// key is `(time, seq)`, `seq` counting up from the first push.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: std::collections::BinaryHeap<QueueEntry<E>>,
     seq: u64,
+    /// Entries pushed so far, re-queued ones included.
+    #[cfg(test)]
+    pub(crate) pushes: u64,
 }
 
 #[derive(Debug)]
@@ -407,13 +411,33 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: std::collections::BinaryHeap::new(),
             seq: 0,
+            #[cfg(test)]
+            pushes: 0,
         }
     }
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.reserve(1);
+        self.push_seq(time, seq, event);
+    }
+
+    /// Reserves `n` consecutive sequence numbers, as `n` pushes would take
+    /// them, and returns the first. An event that stands for several
+    /// pushes is queued under one of them with [`EventQueue::push_seq`].
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// Schedules `event` at `time` under a sequence number taken from
+    /// [`EventQueue::reserve`]; the key `(time, seq)` must not be queued.
+    pub fn push_seq(&mut self, time: SimTime, seq: u64, event: E) {
+        #[cfg(test)]
+        {
+            self.pushes += 1;
+        }
         self.heap.push(QueueEntry { time, seq, event });
     }
 
@@ -422,11 +446,20 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// The earliest event without removing it. The scheduler uses this to
-    /// detect runs of consecutive deliveries that can be recorded as one
-    /// batch on the worker pool.
+    /// The earliest event without removing it.
     pub fn peek(&self) -> Option<(SimTime, &E)> {
         self.heap.peek().map(|e| (e.time, &e.event))
+    }
+
+    /// The `(time, seq)` key of the earliest event.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|e| (e.time, e.seq))
+    }
+
+    /// Every pending event with its `(time, seq)` key, in no particular
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
+        self.heap.iter().map(|e| (e.time, e.seq, &e.event))
     }
 
     /// Whether the queue is empty.
