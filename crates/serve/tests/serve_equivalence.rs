@@ -235,6 +235,12 @@ fn poison_quarantines_with_provenance_and_replay_restores_output() {
         );
         assert_eq!(e.record, r.record);
     }
+    // What the file decodes to holds through any change of the container.
+    assert_eq!(
+        crc32(format!("{file:?}").as_bytes()),
+        473_156_320,
+        "decoded quarantine drifted"
+    );
 
     // Replay with the poison cleared ≡ the fault-free solo run.
     let clean = spec_at(2, FaultConfig::disabled());
