@@ -1,6 +1,7 @@
 //! A present-but-unparsable option value is an error that names the flag
 //! and the text — never a silent fall-back to the default — in every
-//! subcommand family of the real `opa` binary.
+//! subcommand family of the real `opa` binary; so is a file of the wrong
+//! kind, which names both kinds.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -159,5 +160,53 @@ fn unknown_job_fails_the_same_way_everywhere() {
     let out = opa(&["serve", "--control", &ctl]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(String::from_utf8_lossy(&out.stderr), want, "serve submit");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn query_names_the_kind_of_a_file_that_is_not_a_checkpoint() {
+    let (dir, clicks) = scratch("query");
+    let dlq = dir.join("dlq");
+    let ctl = dir.join("serve.ctl").display().to_string();
+    std::fs::write(
+        &ctl,
+        format!(
+            "submit 0 click-count --input {clicks} --batches 2 --poison-rate 0.05 --fault-seed 5\n\
+             run\n"
+        ),
+    )
+    .expect("write control file");
+    let out = opa(&[
+        "serve",
+        "--control",
+        &ctl,
+        "--dlq-dir",
+        &dlq.display().to_string(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stages = dir.join("stages");
+    let out = opa(&[
+        "dataflow",
+        "pagerank",
+        "--input",
+        &clicks,
+        "--rounds",
+        "1",
+        "--checkpoint-dir",
+        &stages.display().to_string(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    for (file, kind) in [
+        (dlq.join("dlq-t0-j0.opaq"), "a quarantine file"),
+        (
+            stages.join("stage-0.opadf"),
+            "a dataflow stage checkpoint file",
+        ),
+    ] {
+        assert_rejected(
+            &opa(&["query", "--checkpoint", &file.display().to_string()]),
+            &format!("expected a stream checkpoint file, found {kind}"),
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,8 +10,8 @@
 //! from a different or edited chain is ignored rather than trusted.
 
 use super::dataset::Dataset;
-use opa_common::{Error, Result};
-use opa_simio::ckpt::{encode_sections, Section, SectionReader};
+use opa_common::Result;
+use opa_simio::ckpt::{Kind, SectionReader, SectionWriter};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a over the chain's identity strings: stage job names, framework
@@ -47,54 +47,55 @@ pub(crate) fn write_stage(
     stage: usize,
     dataset: &Dataset,
 ) -> Result<()> {
-    let mut sections = vec![Section::Nums(vec![chain_fp, stage as u64])];
-    sections.extend(dataset.to_sections());
-    let buf = encode_sections(&sections);
-    std::fs::create_dir_all(dir)
-        .map_err(|e| Error::storage(format!("mkdir {}: {e}", dir.display())))?;
-    let path = stage_path(dir, stage);
-    std::fs::write(&path, buf).map_err(|e| Error::storage(format!("write {}: {e}", path.display())))
+    let mut w = SectionWriter::new(Kind::DATAFLOW_STAGE);
+    w.nums(&[chain_fp, stage as u64]);
+    dataset.write_sections(&mut w);
+    w.write_to(&stage_path(dir, stage))
 }
 
-/// Decodes one stage checkpoint, verifying the chain fingerprint and the
-/// stage index stamped inside the file.
-pub(crate) fn read_stage(path: &Path, chain_fp: u64, stage: usize) -> Result<Dataset> {
-    let buf =
-        std::fs::read(path).map_err(|e| Error::storage(format!("read {}: {e}", path.display())))?;
-    let mut r = SectionReader::new(&buf, "dataflow checkpoint")?;
-    let [fp, idx] = r.nums_exact("header")?;
-    if fp != chain_fp {
-        return Err(Error::job(format!(
-            "dataflow checkpoint {} belongs to a different chain \
-             (fingerprint {fp:#x}, expected {chain_fp:#x})",
-            path.display()
-        )));
+/// One stage checkpoint as stored in `stage-<i>.opadf`: the chain
+/// fingerprint and stage index stamped in its header section, and the
+/// stage's output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StageCheckpoint {
+    /// Fingerprint of the chain that wrote the file.
+    pub chain: u64,
+    /// The stage index stamped inside the file.
+    pub stage: u64,
+    /// The stage's output dataset.
+    pub output: Dataset,
+}
+
+impl StageCheckpoint {
+    /// Reads and verifies a [`Kind::DATAFLOW_STAGE`] file: its checksum,
+    /// its header section and its dataset's record placement.
+    pub fn read(path: &Path) -> Result<StageCheckpoint> {
+        let mut r = SectionReader::open(path, Kind::DATAFLOW_STAGE)?;
+        let [chain, stage] = r.nums_exact("header")?;
+        Ok(StageCheckpoint {
+            chain,
+            stage,
+            output: Dataset::from_reader(r)?,
+        })
     }
-    if idx != stage as u64 {
-        return Err(Error::job(format!(
-            "dataflow checkpoint {} is stamped for stage {idx}, not {stage}",
-            path.display()
-        )));
-    }
-    Dataset::from_reader(r)
 }
 
 /// Scans `dir` for the highest-numbered stage checkpoint (`stage <
-/// n_stages`) that decodes cleanly and matches this chain's fingerprint.
-/// Returns `(stage index, restored dataset)`; corrupt, foreign or missing
-/// files are skipped, not fatal — resume falls back to an earlier stage
-/// or a cold start.
+/// n_stages`) that decodes cleanly and carries this chain's fingerprint
+/// and its own stage index. Returns `(stage index, restored dataset)`;
+/// corrupt, foreign or missing files are skipped, not fatal — resume
+/// falls back to an earlier stage or a cold start.
 pub(crate) fn load_latest(dir: &Path, chain_fp: u64, n_stages: usize) -> Option<(usize, Dataset)> {
-    for stage in (0..n_stages).rev() {
+    (0..n_stages).rev().find_map(|stage| {
         let path = stage_path(dir, stage);
         if !path.is_file() {
-            continue;
+            return None;
         }
-        if let Ok(ds) = read_stage(&path, chain_fp, stage) {
-            return Some((stage, ds));
-        }
-    }
-    None
+        StageCheckpoint::read(&path)
+            .ok()
+            .filter(|c| c.chain == chain_fp && c.stage == stage as u64)
+            .map(|c| (stage, c.output))
+    })
 }
 
 #[cfg(test)]
@@ -139,11 +140,22 @@ mod tests {
         let (stage, restored) = load_latest(&dir, fp, 3).expect("restorable");
         assert_eq!(stage, 1);
         assert_eq!(restored, ds(16));
-        // Corrupt the stage-1 file: resume falls back to stage 0.
-        std::fs::write(stage_path(&dir, 1), b"garbage").unwrap();
-        let (stage, restored) = load_latest(&dir, fp, 3).expect("restorable");
-        assert_eq!(stage, 0);
-        assert_eq!(restored, ds(8));
+        // Corrupt the stage-1 file, or put a plain dataset file or stage
+        // 0's file in its place: resume falls back to stage 0.
+        let stage0 = std::fs::read(stage_path(&dir, 0)).unwrap();
+        let plain = dir.join("plain.opadf");
+        ds(16).write(&plain).unwrap();
+        for bytes in [b"garbage".to_vec(), std::fs::read(&plain).unwrap(), stage0] {
+            std::fs::write(stage_path(&dir, 1), bytes).unwrap();
+            let (stage, restored) = load_latest(&dir, fp, 3).expect("restorable");
+            assert_eq!(stage, 0);
+            assert_eq!(restored, ds(8));
+        }
+        let err = StageCheckpoint::read(&plain).unwrap_err().to_string();
+        assert!(
+            err.contains("expected a dataflow stage checkpoint file, found a dataset file"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,7 +13,7 @@ use crate::cluster::ClusterSpec;
 use crate::job::JobInput;
 use opa_common::hash::{bucket_of, HashFamily};
 use opa_common::{encode_kv_into, Error, Pair, Result};
-use opa_simio::ckpt::{encode_sections, Section, SectionReader};
+use opa_simio::ckpt::{Kind, SectionReader, SectionWriter};
 
 /// Identity of a partition function: the engine partitions by
 /// `bucket_of(h1(key), partitions)` where `h1` is the first member of the
@@ -178,23 +178,16 @@ impl Dataset {
         Ok(out)
     }
 
-    /// Serializes the dataset into checkpoint sections: one `Nums` header
-    /// (seed, fan-out), then a `Pairs` + `Nums` (fingerprints) couple per
-    /// partition.
-    pub(crate) fn to_sections(&self) -> Vec<Section> {
-        let mut sections = Vec::with_capacity(1 + 2 * self.parts.len());
-        sections.push(Section::Nums(vec![
-            self.spec.hash_seed,
-            self.spec.partitions as u64,
-        ]));
+    /// Appends the dataset's sections: one numeric header (seed,
+    /// fan-out), then a pair run and its fingerprints per partition.
+    pub(crate) fn write_sections(&self, w: &mut SectionWriter) {
+        w.nums(&[self.spec.hash_seed, self.spec.partitions as u64]);
         for (pairs, hashes) in self.parts.iter().zip(&self.hashes) {
-            sections.push(Section::Pairs(pairs.clone()));
-            sections.push(Section::Nums(hashes.clone()));
+            w.pairs(pairs).nums(hashes);
         }
-        sections
     }
 
-    /// Rebuilds a dataset from the [`Dataset::to_sections`] sections `r`
+    /// Rebuilds a dataset from the [`Dataset::write_sections`] sections `r`
     /// still holds (all of them: leftovers are an error), verifying record
     /// placement against the restored fingerprints.
     pub(crate) fn from_reader(mut r: SectionReader) -> Result<Dataset> {
@@ -233,24 +226,18 @@ impl Dataset {
         Ok(ds)
     }
 
-    /// Writes the dataset to a checkpoint-format file (`OPAC` framing +
-    /// CRC, see [`opa_simio::ckpt`]).
+    /// Writes the dataset to a [`Kind::DATASET`] container file (`OPAC`
+    /// header + CRC, see [`opa_simio::ckpt`]).
     pub fn write(&self, path: &std::path::Path) -> Result<()> {
-        let buf = encode_sections(&self.to_sections());
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| Error::storage(format!("mkdir {}: {e}", dir.display())))?;
-        }
-        std::fs::write(path, buf)
-            .map_err(|e| Error::storage(format!("write {}: {e}", path.display())))
+        let mut w = SectionWriter::new(Kind::DATASET);
+        self.write_sections(&mut w);
+        w.write_to(path)
     }
 
     /// Reads back a dataset written by [`Dataset::write`], verifying the
-    /// file checksum and record placement.
+    /// file's kind, checksum and record placement.
     pub fn read(path: &std::path::Path) -> Result<Dataset> {
-        let buf = std::fs::read(path)
-            .map_err(|e| Error::storage(format!("read {}: {e}", path.display())))?;
-        Dataset::from_reader(SectionReader::new(&buf, "dataset file")?)
+        Dataset::from_reader(SectionReader::open(path, Kind::DATASET)?)
     }
 }
 
@@ -316,18 +303,23 @@ mod tests {
 
     #[test]
     fn forged_partition_count_is_an_error() {
-        let read = |sections: &[Section]| {
-            Dataset::from_reader(SectionReader::new(&encode_sections(sections), "unit")?)
+        let ds = sample();
+        // The sample's sections with `header` in place of its own and the
+        // first `parts` partitions after it.
+        let read = |header: [u64; 2], parts: usize| {
+            let mut w = SectionWriter::new(Kind::DATASET);
+            w.nums(&header);
+            for p in 0..parts {
+                w.pairs(&ds.parts[p]).nums(&ds.hashes[p]);
+            }
+            Dataset::from_reader(SectionReader::new(&w.finish(), Kind::DATASET)?)
         };
-        let honest = sample().to_sections();
-        assert_eq!(read(&honest).expect("decodes"), sample());
+        assert_eq!(read([7, 4], 4).expect("decodes"), ds);
         // `1 + 2 * partitions` overflows for the first; the second wraps it
         // to 1 in release arithmetic, matching a one-section file.
         for forged in [u64::MAX, 1 << 63, 1 << 62, 5, 0] {
-            let mut sections = honest.clone();
-            sections[0] = Section::Nums(vec![7, forged]);
-            assert!(read(&sections).is_err(), "partitions = {forged}");
-            assert!(read(&sections[..1]).is_err(), "header only, {forged}");
+            assert!(read([7, forged], 4).is_err(), "partitions = {forged}");
+            assert!(read([7, forged], 0).is_err(), "header only, {forged}");
         }
     }
 

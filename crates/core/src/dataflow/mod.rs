@@ -99,6 +99,7 @@
 mod ckpt;
 mod dataset;
 
+pub use ckpt::StageCheckpoint;
 pub use dataset::{Dataset, PartitionSpec};
 
 use crate::api::Job;

@@ -170,6 +170,86 @@ impl Monitor {
             Monitor::SpaceSaving(m) => m.offered() as f64 / (m.capacity() as f64).max(1.0),
         }
     }
+
+    /// The `k` entries with the highest counts (ties in slot order, so the
+    /// answer is deterministic) and the coverage lower bound γ of the
+    /// weakest of them.
+    fn top_entries(&self, k: usize) -> (Vec<TopEntry>, f64) {
+        let mut entries = self.entries();
+        entries.sort_by_key(|e| std::cmp::Reverse(e.count));
+        entries.truncate(k);
+        let slack = self.slack();
+        let gamma = entries
+            .iter()
+            .map(|e| e.t as f64 / (e.t as f64 + slack))
+            .fold(1.0f64, f64::min);
+        let top = entries
+            .into_iter()
+            .map(|e| TopEntry {
+                key: e.key,
+                count: e.count,
+                state: e.state,
+            })
+            .collect();
+        (top, gamma)
+    }
+}
+
+/// The monitor kind a checkpoint's flags record.
+fn monitor_kind(flags: u64) -> MonitorKind {
+    if flags & FLAG_SPACE_SAVING != 0 {
+        MonitorKind::SpaceSaving
+    } else {
+        MonitorKind::Frequent
+    }
+}
+
+/// Zips the monitor's checkpointed (key, state) slots with their counts
+/// and true frequencies `t`.
+fn monitor_entries(slots: Vec<StatePair>, counts: &[u64], ts: &[u64]) -> Vec<MgEntry<Key, Value>> {
+    slots
+        .into_iter()
+        .zip(counts.iter().zip(ts))
+        .map(|(sp, (&count, &t))| MgEntry {
+            key: sp.key,
+            count,
+            t,
+            state: sp.state,
+        })
+        .collect()
+}
+
+/// Rebuilds the monitor a DINC-hash checkpoint holds from the sections
+/// [`DincHashReducer::export_state`] writes, at the slot count `s` its
+/// stats section records; `None` when the sections disagree.
+fn checkpointed_monitor(ckpt: &ReducerCkpt) -> Option<Monitor> {
+    let slots = ckpt.states.first()?;
+    let [offered, counts, ts, stats, ..] = ckpt.nums.as_slice() else {
+        return None;
+    };
+    let capacity = usize::try_from(*stats.first()?).ok()?;
+    if counts.len() != slots.len() || ts.len() != slots.len() || slots.len() > capacity {
+        return None;
+    }
+    Some(Monitor::restore(
+        monitor_kind(ckpt.flags),
+        capacity,
+        *offered.first()?,
+        monitor_entries(slots.clone(), counts, ts),
+    ))
+}
+
+/// [`ReduceSide::query`] on a DINC-hash checkpoint.
+pub(super) fn checkpointed_query(ckpt: &ReducerCkpt, key: &Key) -> Option<Value> {
+    checkpointed_monitor(ckpt)?.get(key).map(|e| e.state)
+}
+
+/// [`ReduceSide::top_entries`] on a DINC-hash checkpoint.
+pub(super) fn checkpointed_top_entries(
+    ckpt: &ReducerCkpt,
+    k: usize,
+) -> Option<(Vec<TopEntry>, f64)> {
+    Some(checkpointed_monitor(ckpt)?.top_entries(k))
 }
 
 /// One reduce task running the DINC-hash framework.
@@ -523,7 +603,7 @@ impl ReduceSide for DincHashReducer<'_> {
                  the same cluster spec and sizing hints as the original run",
             ));
         }
-        let monitor_entries = states.remove(0);
+        let monitored = states.remove(0);
         let mut nums = ckpt.nums.into_iter();
         let mut section = |name: &str| {
             nums.next()
@@ -535,7 +615,7 @@ impl ReduceSide for DincHashReducer<'_> {
         let stats = section("stats")?;
         let adm = section("admission counters")?;
         let sketch_nums = nums.next();
-        if counts.len() != monitor_entries.len() || ts.len() != monitor_entries.len() {
+        if counts.len() != monitored.len() || ts.len() != monitored.len() {
             return Err(Error::job("DINC-hash checkpoint monitor sections disagree"));
         }
         let [slots, st_offered, rejected, evict_output, evict_spilled] =
@@ -567,35 +647,20 @@ impl ReduceSide for DincHashReducer<'_> {
             resident_keys: 0,
             resident_frequency: 0,
         };
-        let kind = if ckpt.flags & FLAG_SPACE_SAVING != 0 {
-            MonitorKind::SpaceSaving
-        } else {
-            MonitorKind::Frequent
-        };
         let capacity = self.monitor.capacity();
-        if monitor_entries.len() > capacity {
+        if monitored.len() > capacity {
             return Err(Error::job(format!(
                 "DINC-hash checkpoint holds {} monitor entries but the \
                  restored reducer has only {capacity} slots — restore \
                  requires the same cluster spec and sizing hints",
-                monitor_entries.len()
+                monitored.len()
             )));
         }
-        let entries = monitor_entries
-            .into_iter()
-            .zip(counts.iter().zip(&ts))
-            .map(|(sp, (&count, &t))| MgEntry {
-                key: sp.key,
-                count,
-                t,
-                state: sp.state,
-            })
-            .collect();
         self.monitor = Monitor::restore(
-            kind,
+            monitor_kind(ckpt.flags),
             capacity,
             offered.first().copied().unwrap_or(0),
-            entries,
+            monitor_entries(monitored, &counts, &ts),
         );
         let [sink_pending, ctx_pending] = <[Vec<opa_common::Pair>; 2]>::try_from(ckpt.pairs)
             .map_err(|_| Error::job("DINC-hash checkpoint missing output sections"))?;
@@ -618,26 +683,7 @@ impl ReduceSide for DincHashReducer<'_> {
     }
 
     fn top_entries(&self, k: usize) -> Option<(Vec<TopEntry>, f64)> {
-        let mut entries = self.monitor.entries();
-        // Stable sort: ties keep slot order, so the answer is deterministic.
-        entries.sort_by_key(|e| std::cmp::Reverse(e.count));
-        entries.truncate(k);
-        let slack = self.monitor.slack();
-        let gamma = entries
-            .iter()
-            .map(|e| e.t as f64 / (e.t as f64 + slack))
-            .fold(1.0f64, f64::min);
-        Some((
-            entries
-                .into_iter()
-                .map(|e| TopEntry {
-                    key: e.key,
-                    count: e.count,
-                    state: e.state,
-                })
-                .collect(),
-            gamma,
-        ))
+        Some(self.monitor.top_entries(k))
     }
 
     fn watermark(&self) -> Option<u64> {

@@ -34,6 +34,16 @@ pub(crate) const CKPT_TAG: u8 = 3;
 /// [`ReducerCkpt::flags`] bit: admissions were closed by a memory overflow.
 const FLAG_ADMISSIONS_CLOSED: u64 = 1;
 
+/// [`ReduceSide::query`] on an INC-hash checkpoint: `states[0]` is the
+/// resident table `H`.
+pub(super) fn checkpointed_query(ckpt: &ReducerCkpt, key: &Key) -> Option<Value> {
+    let table = ckpt.states.first()?;
+    table
+        .iter()
+        .find(|sp| &sp.key == key)
+        .map(|sp| sp.state.clone())
+}
+
 /// One reduce task running the INC-hash framework.
 pub struct IncHashReducer<'j> {
     inc: &'j dyn IncrementalReducer,

@@ -418,10 +418,12 @@ pub fn replay_recovery(
 ///
 /// Each framework packs its internals into flat typed sections — `u64`
 /// arrays, pair runs, state runs — that map 1:1 onto
-/// [`opa_simio::ckpt::Section`]s. The layout of the sections is private to
-/// the framework: only the matching framework (identified by `tag`) can
-/// re-import a checkpoint, and [`ReduceSide::import_state`] rejects a
-/// mismatched tag.
+/// [`opa_simio::ckpt`] container sections. The layout of the sections is
+/// private to the framework: only the matching framework (identified by
+/// `tag`) can re-import a checkpoint, and [`ReduceSide::import_state`]
+/// rejects a mismatched tag. Offline reads of a checkpoint go through the
+/// same framework code ([`ReducerCkpt::lookup`],
+/// [`ReducerCkpt::top_entries`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReducerCkpt {
     /// Framework discriminant: 1 = sort-merge (both variants), 2 = MR-hash,
@@ -440,14 +442,27 @@ pub struct ReducerCkpt {
 }
 
 impl ReducerCkpt {
-    /// [`ReducerCkpt::tag`] of the sort-merge frameworks (both variants).
-    pub const TAG_SORT_MERGE: u8 = 1;
-    /// [`ReducerCkpt::tag`] of the MR-hash framework.
-    pub const TAG_MR_HASH: u8 = 2;
-    /// [`ReducerCkpt::tag`] of the INC-hash framework.
-    pub const TAG_INC_HASH: u8 = 3;
-    /// [`ReducerCkpt::tag`] of the DINC-hash framework.
-    pub const TAG_DINC_HASH: u8 = 4;
+    /// Point lookup of `key`'s resident partial aggregate in the
+    /// checkpointed state: what [`ReduceSide::query`] answered when the
+    /// checkpoint was taken. `None` for a framework that keeps no
+    /// queryable state.
+    pub fn lookup(&self, key: &Key) -> Option<Value> {
+        match self.tag {
+            inc_hash::CKPT_TAG => inc_hash::checkpointed_query(self, key),
+            dinc_hash::CKPT_TAG => dinc_hash::checkpointed_query(self, key),
+            _ => None,
+        }
+    }
+
+    /// The top-`k` answer with γ of the checkpointed state: what
+    /// [`ReduceSide::top_entries`] answered when the checkpoint was taken.
+    /// `None` unless the checkpoint is a well-formed DINC-hash one.
+    pub fn top_entries(&self, k: usize) -> Option<(Vec<TopEntry>, f64)> {
+        match self.tag {
+            dinc_hash::CKPT_TAG => dinc_hash::checkpointed_top_entries(self, k),
+            _ => None,
+        }
+    }
 }
 
 /// One entry of a DINC top-k answer: the key, its estimated frequency

@@ -8,20 +8,16 @@
 //! operator can inspect exactly what was dropped and why, and replay the
 //! job after fixing the UDF.
 //!
-//! The container rides on [`opa_simio::ckpt`]'s framed-section format
-//! (`"OPAC"` magic, per-section kind + bounds-checked `u64` length,
-//! trailing CRC-32), inheriting its hardening: corruption is detected
-//! before any section is interpreted, and a forged section length fails
-//! the bounds check instead of sizing an allocation.
+//! The file is an [`opa_simio::ckpt`] container of kind
+//! [`Kind::QUARANTINE`], inheriting its hardening: the header says what
+//! the file is, corruption is detected before any section is interpreted,
+//! and a forged section length fails the bounds check instead of sizing an
+//! allocation.
 
 use bytes::Bytes;
 use opa_common::{Error, Result};
-use opa_simio::ckpt::{encode_sections, Section, SectionReader};
+use opa_simio::ckpt::{Kind, SectionReader, SectionWriter};
 use std::path::Path;
-
-/// First-section magic distinguishing a quarantine file from the other
-/// `.opac`-container users (stream checkpoints, run outputs).
-const DLQ_MAGIC: &[u8] = b"OPA-DLQ v1";
 
 /// One quarantined record with full provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,37 +50,29 @@ pub struct QuarantineFile {
 }
 
 impl QuarantineFile {
-    /// Serializes the quarantine to the CRC-guarded section container.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut sections = Vec::with_capacity(3 + self.entries.len() * 2);
-        sections.push(Section::Bytes(DLQ_MAGIC.to_vec()));
-        sections.push(Section::Nums(vec![
+    /// Writes the quarantine to `path`, creating parent directories.
+    pub fn write_to(&self, path: &Path) -> Result<()> {
+        let mut w = SectionWriter::new(Kind::QUARANTINE);
+        w.nums(&[
             u64::from(self.tenant),
             u64::from(self.job),
             self.seed,
             self.entries.len() as u64,
-        ]));
-        sections.push(Section::Bytes(self.job_name.as_bytes().to_vec()));
+        ])
+        .bytes(self.job_name.as_bytes());
         for e in &self.entries {
-            sections.push(Section::Nums(vec![
-                u64::from(e.chunk),
-                u64::from(e.attempt),
-                e.offset,
-            ]));
-            sections.push(Section::Bytes(e.record.as_slice().to_vec()));
+            w.nums(&[u64::from(e.chunk), u64::from(e.attempt), e.offset])
+                .bytes(e.record.as_slice());
         }
-        encode_sections(&sections)
+        w.write_to(path)
     }
 
-    /// Parses and verifies a quarantine buffer. The container CRC has
-    /// already caught bit corruption by the time section contents are
-    /// interpreted; this layer additionally validates the quarantine
-    /// schema (magic, counts, field widths).
-    pub fn decode(buf: &[u8]) -> Result<QuarantineFile> {
-        let mut r = SectionReader::new(buf, "quarantine")?;
-        if !matches!(r.bytes("magic"), Ok(m) if m == DLQ_MAGIC) {
-            return Err(Error::storage("not a quarantine file (bad magic)"));
-        }
+    /// Reads and verifies a quarantine from `path`. The container checks
+    /// the CRC and the header's kind and version before any section is
+    /// interpreted; this layer validates the quarantine schema (counts,
+    /// field widths).
+    pub fn read_from(path: &Path) -> Result<QuarantineFile> {
+        let mut r = SectionReader::open(path, Kind::QUARANTINE)?;
         let narrow = |v: u64, what: &str| {
             u32::try_from(v).map_err(|_| Error::storage(format!("quarantine {what} out of range")))
         };
@@ -117,23 +105,6 @@ impl QuarantineFile {
             entries,
         })
     }
-
-    /// Writes the quarantine to `path`.
-    pub fn write_to(&self, path: &Path) -> Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| Error::storage(format!("mkdir {}: {e}", dir.display())))?;
-        }
-        std::fs::write(path, self.encode())
-            .map_err(|e| Error::storage(format!("write {}: {e}", path.display())))
-    }
-
-    /// Reads and verifies a quarantine from `path`.
-    pub fn read_from(path: &Path) -> Result<QuarantineFile> {
-        let buf = std::fs::read(path)
-            .map_err(|e| Error::storage(format!("read {}: {e}", path.display())))?;
-        QuarantineFile::decode(&buf)
-    }
 }
 
 #[cfg(test)]
@@ -163,10 +134,34 @@ mod tests {
         }
     }
 
+    /// A scratch file of the test's own.
+    fn scratch(test: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("opa-dlq-{test}-{}.opaq", std::process::id()))
+    }
+
+    /// The bytes `q` writes.
+    fn encoded(q: &QuarantineFile, test: &str) -> Vec<u8> {
+        let path = scratch(test);
+        q.write_to(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    /// What `bytes` read back as.
+    fn decoded(bytes: &[u8], test: &str) -> Result<QuarantineFile> {
+        let path = scratch(test);
+        std::fs::write(&path, bytes).unwrap();
+        let back = QuarantineFile::read_from(&path);
+        std::fs::remove_file(&path).ok();
+        back
+    }
+
     #[test]
     fn quarantine_roundtrips() {
         let q = sample();
-        assert_eq!(QuarantineFile::decode(&q.encode()).unwrap(), q);
+        let back = decoded(&encoded(&q, "roundtrip"), "roundtrip");
+        assert_eq!(back.unwrap(), q);
     }
 
     #[test]
@@ -175,22 +170,22 @@ mod tests {
             entries: Vec::new(),
             ..sample()
         };
-        assert_eq!(QuarantineFile::decode(&q.encode()).unwrap(), q);
+        assert_eq!(decoded(&encoded(&q, "empty"), "empty").unwrap(), q);
     }
 
     #[test]
     fn corruption_is_rejected() {
-        let mut buf = sample().encode();
+        let mut buf = encoded(&sample(), "corrupt");
         let mid = buf.len() / 2;
         buf[mid] ^= 0x04;
-        assert!(QuarantineFile::decode(&buf).is_err());
+        assert!(decoded(&buf, "corrupt").is_err());
     }
 
     #[test]
     fn truncation_is_rejected() {
-        let buf = sample().encode();
+        let buf = encoded(&sample(), "cut");
         for cut in [0, 4, 11, buf.len() - 1] {
-            assert!(QuarantineFile::decode(&buf[..cut]).is_err(), "cut at {cut}");
+            assert!(decoded(&buf[..cut], "cut").is_err(), "cut at {cut}");
         }
     }
 
@@ -199,37 +194,37 @@ mod tests {
         // Splice a near-u64::MAX length into the first section header and
         // re-seal the CRC: the container bounds check must reject it (the
         // CRC alone would not — the attacker controls the whole file).
-        let mut buf = sample().encode();
+        let mut buf = encoded(&sample(), "forged");
         let len = buf.len();
         buf.truncate(len - 4); // drop CRC
         buf[9..17].copy_from_slice(&(u64::MAX - 7).to_be_bytes());
         let crc = opa_simio::codec::crc32(&buf);
         buf.extend_from_slice(&crc.to_be_bytes());
-        assert!(QuarantineFile::decode(&buf).is_err());
+        assert!(decoded(&buf, "forged").is_err());
     }
 
     #[test]
-    fn foreign_container_is_rejected_by_magic() {
-        // A structurally valid section file that isn't a quarantine.
-        let buf = encode_sections(&[Section::Nums(vec![1, 2, 3])]);
-        let err = QuarantineFile::decode(&buf).unwrap_err().to_string();
-        assert!(err.contains("magic"), "{err}");
+    fn foreign_container_is_rejected_by_kind() {
+        // A structurally valid container that isn't a quarantine.
+        let mut w = SectionWriter::new(Kind::STREAM_CHECKPOINT);
+        w.nums(&[1, 2, 3]);
+        let err = decoded(&w.finish(), "foreign").unwrap_err().to_string();
+        assert!(
+            err.contains("expected a quarantine file, found a stream checkpoint file"),
+            "{err}"
+        );
     }
 
     #[test]
     fn header_count_mismatch_is_rejected() {
         // A hand-built file whose header claims 5 entries but holds 1.
         let e = &sample().entries[0];
-        let inconsistent = encode_sections(&[
-            Section::Bytes(DLQ_MAGIC.to_vec()),
-            Section::Nums(vec![3, 12, 0xfeed, 5]),
-            Section::Bytes(b"click-count".to_vec()),
-            Section::Nums(vec![u64::from(e.chunk), u64::from(e.attempt), e.offset]),
-            Section::Bytes(e.record.as_slice().to_vec()),
-        ]);
-        let err = QuarantineFile::decode(&inconsistent)
-            .unwrap_err()
-            .to_string();
+        let mut w = SectionWriter::new(Kind::QUARANTINE);
+        w.nums(&[3, 12, 0xfeed, 5])
+            .bytes(b"click-count")
+            .nums(&[u64::from(e.chunk), u64::from(e.attempt), e.offset])
+            .bytes(e.record.as_slice());
+        let err = decoded(&w.finish(), "count").unwrap_err().to_string();
         assert!(err.contains("count mismatch"), "{err}");
     }
 }

@@ -1,172 +1,271 @@
-//! Checkpoint container format: CRC-guarded framed sections.
+//! The one persisted-state container: CRC-guarded framed sections.
 //!
-//! A stream-job checkpoint is a flat sequence of typed sections — raw
-//! bytes, `u64` arrays, pair runs and state runs — so `opa-simio` stays
-//! ignorant of the engine types layered on top (the stream runtime decides
-//! what each section *means*). The container reuses the IFile-style
-//! hardening of [`crate::codec`]: every length is bounds-checked before it
-//! sizes an allocation, and a trailing CRC-32 over the whole file detects
-//! corruption before any section is interpreted.
+//! Every file the platform persists is this container: stream
+//! checkpoints (`.opac`), serve quarantines (`.opaq`), datasets (`.opadf`)
+//! and dataflow stage checkpoints. A file is a flat sequence of typed
+//! sections — raw bytes, `u64` arrays, pair runs and state runs — so
+//! `opa-simio` stays ignorant of what each format's sections *mean*. The
+//! hardening is [`crate::codec`]'s: every length is bounds-checked before
+//! it sizes an allocation, and a trailing CRC-32 detects corruption before
+//! any section is interpreted.
 //!
-//! Layout: `"OPAC"`, format version (`u32` BE), then per section a kind
-//! byte, a `u64` BE payload length and the payload, and finally a CRC-32
-//! (BE) of everything before it. Pair/state sections embed a complete
-//! [`crate::codec::encode_run`] buffer, so they carry (and verify) their
-//! own record-level checksums too.
+//! Layout: an 8-byte header — `"OPAC"`, the file's [`Kind`] code and that
+//! kind's schema version, each a `u16` BE — then per section a tag byte, a
+//! `u64` BE payload length and the payload, and finally a CRC-32 (BE) of
+//! everything before it. Pair/state sections embed a complete
+//! [`crate::codec::encode_run`] buffer with its own record checksum.
 //!
-//! Formats built on the container read it through one typed, consuming
-//! [`SectionReader`]; a count a file supplies is checked against the
-//! sections the file still holds ([`SectionReader::count`]) before it
-//! sizes anything.
+//! A file says what it is: [`SectionWriter`] stamps the kind and version,
+//! and [`SectionReader`] opens a file *for* a kind, rejecting any other
+//! kind or version — naming both — before it reads a section.
 
-use crate::codec::{crc32, decode_run, decode_state_run, encode_run, encode_state_run};
+use crate::codec::{crc32, decode_run, decode_state_run, encode_run_into};
 use opa_common::{Error, Pair, Result, StatePair};
+use std::path::Path;
 
-/// Magic prefix of a checkpoint file.
+/// Magic prefix of every container file.
 const MAGIC: &[u8; 4] = b"OPAC";
-/// Container format version.
-const VERSION: u32 = 1;
 
-const KIND_BYTES: u8 = 0;
-const KIND_NUMS: u8 = 1;
-const KIND_PAIRS: u8 = 2;
-const KIND_STATES: u8 = 3;
+const SEC_BYTES: u8 = 0;
+const SEC_NUMS: u8 = 1;
+const SEC_PAIRS: u8 = 2;
+const SEC_STATES: u8 = 3;
 
-/// One typed checkpoint section.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Section {
-    /// Uninterpreted bytes (e.g. a framework tag or free-form metadata).
-    Bytes(Vec<u8>),
-    /// An array of `u64` values (counters, times, queue entries).
-    Nums(Vec<u64>),
-    /// A run of key-value pairs.
-    Pairs(Vec<Pair>),
-    /// A run of key-state pairs.
-    States(Vec<StatePair>),
+/// What a container file holds, and the schema version this build writes
+/// and reads for it. Codes start at 1, so a file written before the
+/// header carried a kind (bytes 4..8 were a `u32` version, `00 00 00 01`)
+/// reads as unknown kind 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kind {
+    code: u16,
+    version: u16,
+    name: &'static str,
 }
 
-/// Serializes sections into a checkpoint buffer.
-pub fn encode_sections(sections: &[Section]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_be_bytes());
-    for s in sections {
-        let (kind, payload) = match s {
-            Section::Bytes(b) => (KIND_BYTES, b.clone()),
-            Section::Nums(ns) => {
-                let mut p = Vec::with_capacity(ns.len() * 8);
-                for n in ns {
-                    p.extend_from_slice(&n.to_be_bytes());
-                }
-                (KIND_NUMS, p)
-            }
-            Section::Pairs(ps) => (KIND_PAIRS, encode_run(ps)),
-            Section::States(ts) => (KIND_STATES, encode_state_run(ts)),
-        };
-        out.push(kind);
-        out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-        out.extend_from_slice(&payload);
+impl Kind {
+    /// A paused stream job (`opa_stream::SavedState`). Versions 1 and 2
+    /// sat in its first section's first slot.
+    pub const STREAM_CHECKPOINT: Kind = Kind::new(1, 3, "stream checkpoint");
+    /// A served job's dead-letter queue (`opa_serve::QuarantineFile`).
+    /// Version 1 was an in-band `OPA-DLQ v1` first section.
+    pub const QUARANTINE: Kind = Kind::new(2, 2, "quarantine");
+    /// A resident dataset (`opa_core::dataflow::Dataset`).
+    pub const DATASET: Kind = Kind::new(3, 1, "dataset");
+    /// A dataflow stage's output stamped with its chain
+    /// (`opa_core::dataflow::StageCheckpoint`).
+    pub const DATAFLOW_STAGE: Kind = Kind::new(4, 1, "dataflow stage checkpoint");
+    const ALL: [Kind; 4] = [
+        Kind::STREAM_CHECKPOINT,
+        Kind::QUARANTINE,
+        Kind::DATASET,
+        Kind::DATAFLOW_STAGE,
+    ];
+
+    const fn new(code: u16, version: u16, name: &'static str) -> Kind {
+        Kind {
+            code,
+            version,
+            name,
+        }
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_be_bytes());
-    out
 }
 
-/// Deserializes a checkpoint buffer, verifying the container CRC and every
-/// embedded run checksum. All lengths are bounds-checked against the
-/// remaining buffer before they size an allocation.
-pub fn decode_sections(buf: &[u8]) -> Result<Vec<Section>> {
-    if buf.len() < 12 || &buf[..4] != MAGIC {
-        return Err(Error::storage("bad checkpoint header"));
-    }
-    let version = u32::from_be_bytes(buf[4..8].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(Error::storage(format!(
-            "unsupported checkpoint format version {version} (expected {VERSION})"
-        )));
-    }
-    let body = &buf[..buf.len() - 4];
-    let stored = u32::from_be_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(body) != stored {
-        return Err(Error::storage("checkpoint checksum mismatch"));
-    }
-    let mut sections = Vec::new();
-    let mut pos = 8usize;
-    while pos < body.len() {
-        let kind = body[pos];
-        let len_bytes = body
-            .get(pos + 1..pos + 9)
-            .ok_or_else(|| Error::storage("truncated section header"))?;
-        let len = u64::from_be_bytes(len_bytes.try_into().expect("8 bytes")) as usize;
-        // Checked: a forged length near u64::MAX must hit the bounds
-        // error, not overflow the slice arithmetic.
-        let end = (pos + 9)
-            .checked_add(len)
-            .ok_or_else(|| Error::storage("section length exceeds buffer"))?;
-        let payload = body
-            .get(pos + 9..end)
-            .ok_or_else(|| Error::storage("section length exceeds buffer"))?;
-        sections.push(match kind {
-            KIND_BYTES => Section::Bytes(payload.to_vec()),
-            KIND_NUMS => {
-                if !len.is_multiple_of(8) {
-                    return Err(Error::storage("number section length not a multiple of 8"));
-                }
-                Section::Nums(
-                    payload
-                        .chunks_exact(8)
-                        .map(|c| u64::from_be_bytes(c.try_into().expect("8 bytes")))
-                        .collect(),
-                )
-            }
-            KIND_PAIRS => Section::Pairs(decode_run(payload)?),
-            KIND_STATES => Section::States(decode_state_run(payload)?),
-            other => return Err(Error::storage(format!("unknown section kind {other}"))),
-        });
-        pos = end;
-    }
-    Ok(sections)
-}
-
-/// The one typed, consuming reader over a decoded container. Every user
-/// of the format (stream checkpoints, `.opadf` datasets, dataflow stage
-/// files, `.opaq` quarantines) reads its schema through it: each call
-/// takes the next section, checks its kind, and names the file format
-/// and the expected field in the error. Sections are moved out, never
-/// cloned.
+/// The one writer of container files: each call appends one typed section
+/// straight into the file buffer, encoded from borrowed data.
 #[derive(Debug)]
-pub struct SectionReader {
-    format: &'static str,
-    sections: std::vec::IntoIter<Section>,
+pub struct SectionWriter {
+    buf: Vec<u8>,
 }
 
-impl SectionReader {
-    /// Verifies and decodes `buf` (see [`decode_sections`]); `format`
-    /// names the file kind in every error this reader returns.
-    pub fn new(buf: &[u8], format: &'static str) -> Result<SectionReader> {
-        Ok(SectionReader {
-            format,
-            sections: decode_sections(buf)?.into_iter(),
+impl SectionWriter {
+    /// Starts a file of `kind`, at the kind's current schema version.
+    pub fn new(kind: Kind) -> SectionWriter {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&kind.code.to_be_bytes());
+        buf.extend_from_slice(&kind.version.to_be_bytes());
+        SectionWriter { buf }
+    }
+
+    /// Appends a section: its tag, its payload as `fill` writes it, and
+    /// the payload length patched in ahead of the payload.
+    fn framed(&mut self, tag: u8, fill: impl FnOnce(&mut Vec<u8>)) -> &mut Self {
+        self.buf.push(tag);
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        fill(&mut self.buf);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_be_bytes());
+        self
+    }
+
+    /// Appends a `u64` array.
+    pub fn nums(&mut self, nums: &[u64]) -> &mut Self {
+        self.framed(SEC_NUMS, |out| {
+            out.reserve(8 * nums.len());
+            for n in nums {
+                out.extend_from_slice(&n.to_be_bytes());
+            }
         })
     }
 
-    /// `<format>: <what>: <problem>` — every error names the file kind
-    /// and the field the schema expected.
-    fn err(&self, what: &str, problem: &str) -> Error {
-        Error::storage(format!("{}: {what}: {problem}", self.format))
+    /// Appends raw bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.framed(SEC_BYTES, |out| out.extend_from_slice(bytes))
     }
 
-    fn next(&mut self, what: &str) -> Result<Section> {
-        let section = self.sections.next();
-        section.ok_or_else(|| self.err(what, "the file ends before this section"))
+    /// Appends a pair run.
+    pub fn pairs(&mut self, pairs: &[Pair]) -> &mut Self {
+        self.framed(SEC_PAIRS, |out| {
+            encode_run_into(out, pairs.iter().map(|p| (p.key.bytes(), p.value.bytes())))
+        })
+    }
+
+    /// Appends a state run.
+    pub fn states(&mut self, states: &[StatePair]) -> &mut Self {
+        self.framed(SEC_STATES, |out| {
+            encode_run_into(out, states.iter().map(|s| (s.key.bytes(), s.state.bytes())))
+        })
+    }
+
+    /// Seals the file with its CRC-32 and returns its bytes.
+    pub fn finish(mut self) -> Vec<u8> {
+        let crc = crc32(&self.buf);
+        self.buf.extend_from_slice(&crc.to_be_bytes());
+        self.buf
+    }
+
+    /// Seals the file and writes it to `path`, creating parent
+    /// directories.
+    pub fn write_to(self, path: &Path) -> Result<()> {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| Error::storage(format!("mkdir {}: {e}", dir.display())))?;
+        }
+        std::fs::write(path, self.finish())
+            .map_err(|e| Error::storage(format!("write {}: {e}", path.display())))
+    }
+}
+
+/// The one reader of container files. It opens a file *for* a [`Kind`]
+/// and hands out the sections in order, each checked against the type the
+/// caller asks for; every error names the file kind and the field the
+/// schema expected. Nothing is decoded before it is asked for, but every
+/// section's tag and length are checked when the file is opened.
+#[derive(Debug)]
+pub struct SectionReader {
+    kind: Kind,
+    /// The file without its CRC trailer.
+    file: Vec<u8>,
+    /// Offset of the next section's tag byte.
+    pos: usize,
+    /// Sections not yet read.
+    left: usize,
+}
+
+impl SectionReader {
+    /// Opens `buf` as a file of `kind` (see [`SectionReader::open`]).
+    pub fn new(buf: &[u8], kind: Kind) -> Result<SectionReader> {
+        SectionReader::verified(buf.to_vec(), kind)
+    }
+
+    /// Reads `path` and opens it as a file of `kind`: magic, CRC, then the
+    /// header's kind and version, then every section's tag and length.
+    pub fn open(path: &Path, kind: Kind) -> Result<SectionReader> {
+        let file = std::fs::read(path)
+            .map_err(|e| Error::storage(format!("read {}: {e}", path.display())))?;
+        SectionReader::verified(file, kind)
+    }
+
+    fn verified(mut file: Vec<u8>, kind: Kind) -> Result<SectionReader> {
+        let name = kind.name;
+        if file.len() < 12 || &file[..4] != MAGIC {
+            return Err(Error::storage(format!("not a {name} file: no OPAC header")));
+        }
+        let stored = file.split_off(file.len() - 4);
+        if crc32(&file) != u32::from_be_bytes(stored.try_into().expect("4 bytes")) {
+            return Err(Error::storage(format!("{name} checksum mismatch")));
+        }
+        let code = u16::from_be_bytes([file[4], file[5]]);
+        let version = u16::from_be_bytes([file[6], file[7]]);
+        if code != kind.code {
+            let found = match Kind::ALL.iter().find(|k| k.code == code) {
+                Some(k) => format!("a {} file", k.name),
+                None => format!("unknown kind {code}"),
+            };
+            return Err(Error::storage(format!(
+                "expected a {name} file, found {found}"
+            )));
+        }
+        if version != kind.version {
+            return Err(Error::storage(format!(
+                "{name} schema version {version}; this build reads version {}",
+                kind.version
+            )));
+        }
+        let mut r = SectionReader {
+            kind,
+            file,
+            pos: 8,
+            left: 0,
+        };
+        let mut pos = r.pos;
+        while pos < r.file.len() {
+            pos = r.section_at(pos)?.2;
+            r.left += 1;
+        }
+        Ok(r)
+    }
+
+    /// The section whose tag byte is at `pos`: its tag and the start and
+    /// end of its payload. A forged length near `u64::MAX` hits the bounds
+    /// error, never overflows the offset arithmetic.
+    fn section_at(&self, pos: usize) -> Result<(u8, usize, usize)> {
+        let len = self
+            .file
+            .get(pos + 1..pos + 9)
+            .ok_or_else(|| Error::storage("truncated section header"))?;
+        let len = u64::from_be_bytes(len.try_into().expect("8 bytes")) as usize;
+        let end = (pos + 9)
+            .checked_add(len)
+            .filter(|&end| end <= self.file.len())
+            .ok_or_else(|| Error::storage("section length exceeds buffer"))?;
+        match self.file[pos] {
+            SEC_NUMS if !len.is_multiple_of(8) => {
+                Err(Error::storage("number section length not a multiple of 8"))
+            }
+            tag @ SEC_BYTES..=SEC_STATES => Ok((tag, pos + 9, end)),
+            tag => Err(Error::storage(format!("unknown section tag {tag}"))),
+        }
+    }
+
+    /// `<kind>: <what>: <problem>` — every error names the file kind and
+    /// the field the schema expected.
+    fn err(&self, what: &str, problem: &str) -> Error {
+        Error::storage(format!("{}: {what}: {problem}", self.kind.name))
+    }
+
+    /// The next section's payload, which must carry `tag`.
+    fn next(&mut self, tag: u8, what: &str) -> Result<&[u8]> {
+        if self.left == 0 {
+            return Err(self.err(what, "the file ends before this section"));
+        }
+        let (found, start, end) = self.section_at(self.pos)?;
+        if found != tag {
+            let expected = ["a byte", "a numeric", "a pair", "a state"][usize::from(tag)];
+            return Err(self.err(what, &format!("expected {expected} section")));
+        }
+        (self.pos, self.left) = (end, self.left - 1);
+        Ok(&self.file[start..end])
     }
 
     /// The next section, which must be a `u64` array.
     pub fn nums(&mut self, what: &str) -> Result<Vec<u64>> {
-        match self.next(what)? {
-            Section::Nums(v) => Ok(v),
-            _ => Err(self.err(what, "expected a numeric section")),
-        }
+        let payload = self.next(SEC_NUMS, what)?;
+        Ok(payload
+            .chunks_exact(8)
+            .map(|c| u64::from_be_bytes(c.try_into().expect("8 bytes")))
+            .collect())
     }
 
     /// The next section, which must be a `u64` array of exactly `N` values.
@@ -176,10 +275,7 @@ impl SectionReader {
 
     /// The next section, which must be raw bytes.
     pub fn bytes(&mut self, what: &str) -> Result<Vec<u8>> {
-        match self.next(what)? {
-            Section::Bytes(v) => Ok(v),
-            _ => Err(self.err(what, "expected a byte section")),
-        }
+        Ok(self.next(SEC_BYTES, what)?.to_vec())
     }
 
     /// The next section, which must be raw bytes holding UTF-8 text.
@@ -187,25 +283,20 @@ impl SectionReader {
         String::from_utf8(self.bytes(what)?).map_err(|_| self.err(what, "not UTF-8"))
     }
 
-    /// The next section, which must be a pair run.
+    /// The next section, which must be a pair run (its own checksum is
+    /// verified here).
     pub fn pairs(&mut self, what: &str) -> Result<Vec<Pair>> {
-        match self.next(what)? {
-            Section::Pairs(v) => Ok(v),
-            _ => Err(self.err(what, "expected a pair section")),
-        }
+        decode_run(self.next(SEC_PAIRS, what)?)
     }
 
     /// The next section, which must be a state run.
     pub fn states(&mut self, what: &str) -> Result<Vec<StatePair>> {
-        match self.next(what)? {
-            Section::States(v) => Ok(v),
-            _ => Err(self.err(what, "expected a state section")),
-        }
+        decode_state_run(self.next(SEC_STATES, what)?)
     }
 
-    /// Sections not yet consumed.
+    /// Sections not yet read.
     pub fn remaining(&self) -> usize {
-        self.sections.len()
+        self.left
     }
 
     /// Checks a file-supplied count of sections still to come against the
@@ -232,87 +323,115 @@ mod tests {
     use super::*;
     use opa_common::{Key, Value};
 
-    fn sample() -> Vec<Section> {
-        vec![
-            Section::Bytes(b"stream-meta".to_vec()),
-            Section::Nums(vec![0, 1, u64::MAX, 42]),
-            Section::Pairs(vec![
+    /// A file of `kind` holding one section of each type, then an empty
+    /// numeric one.
+    fn sample(kind: Kind) -> Vec<u8> {
+        let mut w = SectionWriter::new(kind);
+        w.bytes(b"stream-meta")
+            .nums(&[0, 1, u64::MAX, 42])
+            .pairs(&[
                 Pair::new(Key::from_u64(1), Value::from_u64(10)),
                 Pair::new(Key::from_u64(2), Value::new(vec![7u8; 33])),
-            ]),
-            Section::States(vec![StatePair::new(
-                Key::from_u64(9),
-                Value::new(vec![1, 2, 3]),
-            )]),
-            Section::Nums(Vec::new()),
-        ]
+            ])
+            .states(&[StatePair::new(Key::from_u64(9), Value::new(vec![1, 2, 3]))])
+            .nums(&[]);
+        w.finish()
+    }
+
+    fn reader(buf: &[u8]) -> Result<SectionReader> {
+        SectionReader::new(buf, Kind::DATASET)
+    }
+
+    /// `buf` with its trailing CRC recomputed, as any forger would.
+    fn resealed(mut buf: Vec<u8>) -> Vec<u8> {
+        let n = buf.len() - 4;
+        let crc = crc32(&buf[..n]);
+        buf[n..].copy_from_slice(&crc.to_be_bytes());
+        buf
     }
 
     #[test]
     fn sections_roundtrip() {
-        let sections = sample();
-        let buf = encode_sections(&sections);
-        assert_eq!(decode_sections(&buf).unwrap(), sections);
+        let mut r = reader(&sample(Kind::DATASET)).unwrap();
+        assert_eq!(r.bytes("meta").unwrap(), b"stream-meta");
+        assert_eq!(r.nums("nums").unwrap(), [0, 1, u64::MAX, 42]);
+        let pairs = r.pairs("pairs").unwrap();
+        assert_eq!(pairs[1].value, Value::new(vec![7u8; 33]));
+        let states = r.states("states").unwrap();
+        assert_eq!(states[0].state, Value::new(vec![1, 2, 3]));
+        assert_eq!(r.nums("tail").unwrap(), Vec::<u64>::new());
+        r.finish().unwrap();
     }
 
     #[test]
     fn empty_checkpoint_roundtrips() {
-        let buf = encode_sections(&[]);
-        assert_eq!(decode_sections(&buf).unwrap(), Vec::<Section>::new());
+        let buf = SectionWriter::new(Kind::QUARANTINE).finish();
+        assert_eq!(buf.len(), 12, "header and CRC only");
+        let r = SectionReader::new(&buf, Kind::QUARANTINE).unwrap();
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn header_is_magic_kind_and_version() {
+        let buf = SectionWriter::new(Kind::STREAM_CHECKPOINT).finish();
+        assert_eq!(&buf[..8], b"OPAC\x00\x01\x00\x03");
+        let buf = SectionWriter::new(Kind::DATAFLOW_STAGE).finish();
+        assert_eq!(&buf[..8], b"OPAC\x00\x04\x00\x01");
     }
 
     #[test]
     fn corruption_is_detected() {
-        let mut buf = encode_sections(&sample());
+        let mut buf = sample(Kind::DATASET);
         let mid = buf.len() / 2;
         buf[mid] ^= 0x10;
-        assert!(decode_sections(&buf).is_err());
+        assert!(reader(&buf).is_err());
     }
 
     #[test]
     fn truncation_is_detected() {
-        let buf = encode_sections(&sample());
+        let buf = sample(Kind::DATASET);
         for cut in [3, 9, buf.len() - 1] {
-            assert!(decode_sections(&buf[..cut]).is_err(), "cut at {cut}");
+            assert!(reader(&buf[..cut]).is_err(), "cut at {cut}");
         }
     }
 
     #[test]
     fn oversized_section_length_rejected_without_allocating() {
         // Forge a section claiming more payload than the file holds; the
-        // decoder must fail on the bounds check, not attempt the read.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"OPAC");
-        buf.extend_from_slice(&1u32.to_be_bytes());
-        buf.push(0u8);
-        buf.extend_from_slice(&u64::MAX.to_be_bytes());
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_be_bytes());
-        assert!(decode_sections(&buf).is_err());
+        // reader must fail on the bounds check, not attempt the read.
+        let mut buf = sample(Kind::DATASET);
+        buf[9..17].copy_from_slice(&u64::MAX.to_be_bytes());
+        assert!(reader(&resealed(buf)).is_err());
     }
 
     #[test]
     fn unknown_kind_and_version_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"OPAC");
-        buf.extend_from_slice(&1u32.to_be_bytes());
-        buf.push(99u8);
-        buf.extend_from_slice(&0u64.to_be_bytes());
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_be_bytes());
-        assert!(decode_sections(&buf).is_err());
-
-        let mut v2 = encode_sections(&[]);
-        v2[7] = 9; // bump version, fix CRC
-        let crc = crc32(&v2[..v2.len() - 4]);
-        let n = v2.len();
-        v2[n - 4..].copy_from_slice(&crc.to_be_bytes());
-        assert!(decode_sections(&v2).is_err());
+        let mut buf = sample(Kind::DATASET);
+        buf[8] = 99;
+        let err = reader(&resealed(buf)).unwrap_err();
+        assert!(err.to_string().contains("unknown section tag 99"), "{err}");
+        // Before the header carried a kind, bytes 4..8 were `u32` 1.
+        let mut old = sample(Kind::STREAM_CHECKPOINT);
+        old[4..8].copy_from_slice(&1u32.to_be_bytes());
+        let err = SectionReader::new(&resealed(old), Kind::STREAM_CHECKPOINT).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("expected a stream checkpoint file, found unknown kind 0"),
+            "{err}"
+        );
+        let mut next = sample(Kind::QUARANTINE);
+        next[7] = 9;
+        let err = SectionReader::new(&resealed(next), Kind::QUARANTINE).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("quarantine schema version 9; this build reads version 2"),
+            "{err}"
+        );
     }
 
     #[test]
     fn reader_hands_out_typed_sections_in_order() {
-        let mut r = SectionReader::new(&encode_sections(&sample()), "unit file").unwrap();
+        let mut r = reader(&sample(Kind::DATASET)).unwrap();
         assert_eq!(r.remaining(), 5);
         assert_eq!(r.string("meta").unwrap(), "stream-meta");
         assert_eq!(r.nums_exact::<4>("nums").unwrap(), [0, 1, u64::MAX, 42]);
@@ -327,16 +446,33 @@ mod tests {
 
     #[test]
     fn reader_rejects_wrong_kind_wrong_width_truncation_and_leftovers() {
-        let buf = encode_sections(&sample());
-        let reader = || SectionReader::new(&buf, "unit file").unwrap();
-        let err = reader().nums("meta").unwrap_err().to_string();
-        assert!(err.contains("unit file: meta: expected a numeric"), "{err}");
-        let mut r = reader();
+        let buf = sample(Kind::DATASET);
+        let err = reader(&buf).unwrap().nums("meta").unwrap_err().to_string();
+        assert!(err.contains("dataset: meta: expected a numeric"), "{err}");
+        let mut r = reader(&buf).unwrap();
         r.bytes("meta").unwrap();
         assert!(r.nums_exact::<3>("nums").is_err(), "4 values are not 3");
-        assert!(reader().finish().is_err(), "5 sections left over");
-        let mut empty = SectionReader::new(&encode_sections(&[]), "unit file").unwrap();
-        let err = empty.pairs("output").unwrap_err().to_string();
-        assert!(err.contains("unit file: output: the file ends"), "{err}");
+        assert!(
+            reader(&buf).unwrap().finish().is_err(),
+            "5 sections left over"
+        );
+        let empty = SectionWriter::new(Kind::DATASET).finish();
+        let err = reader(&empty).unwrap().pairs("output").unwrap_err();
+        let err = err.to_string();
+        assert!(err.contains("dataset: output: the file ends"), "{err}");
+    }
+
+    #[test]
+    fn file_roundtrip_through_one_path() {
+        let dir = std::env::temp_dir().join(format!("opa-ckpt-unit-{}", std::process::id()));
+        let path = dir.join("sub").join("f.opadf");
+        let mut w = SectionWriter::new(Kind::DATASET);
+        w.nums(&[1, 2]).bytes(b"x");
+        w.write_to(&path).unwrap();
+        let mut r = SectionReader::open(&path, Kind::DATASET).unwrap();
+        assert_eq!(r.nums_exact::<2>("a").unwrap(), [1, 2]);
+        assert_eq!(r.bytes("b").unwrap(), b"x");
+        assert!(SectionReader::open(&path, Kind::QUARANTINE).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

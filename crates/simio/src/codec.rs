@@ -123,14 +123,26 @@ const MAGIC: &[u8; 4] = b"OPA1";
 pub fn encode_run(pairs: &[Pair]) -> Vec<u8> {
     let payload_len: usize = pairs.iter().map(|p| p.size() as usize).sum();
     let mut out = Vec::with_capacity(payload_len + 16);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(pairs.len() as u64).to_be_bytes());
-    for p in pairs {
-        encode_record(&mut out, p.key.bytes(), p.value.bytes());
-    }
-    let crc = crc32(&out[12..]);
-    out.extend_from_slice(&crc.to_be_bytes());
+    encode_run_into(
+        &mut out,
+        pairs.iter().map(|p| (p.key.bytes(), p.value.bytes())),
+    );
     out
+}
+
+/// Appends the [`encode_run`] form of `records` (key, value) to `out`.
+pub fn encode_run_into<'a>(
+    out: &mut Vec<u8>,
+    records: impl ExactSizeIterator<Item = (&'a [u8], &'a [u8])>,
+) {
+    let start = out.len();
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&(records.len() as u64).to_be_bytes());
+    for (key, value) in records {
+        encode_record(out, key, value);
+    }
+    let crc = crc32(&out[start + 12..]);
+    out.extend_from_slice(&crc.to_be_bytes());
 }
 
 /// Deserializes a run produced by [`encode_run`], verifying the checksum.
@@ -165,11 +177,12 @@ pub fn decode_run(buf: &[u8]) -> Result<Vec<Pair>> {
 
 /// Serializes a run of key-state pairs (same framing).
 pub fn encode_state_run(tuples: &[StatePair]) -> Vec<u8> {
-    let pairs: Vec<Pair> = tuples
-        .iter()
-        .map(|t| Pair::new(t.key.clone(), t.state.clone()))
-        .collect();
-    encode_run(&pairs)
+    let mut out = Vec::new();
+    encode_run_into(
+        &mut out,
+        tuples.iter().map(|t| (t.key.bytes(), t.state.bytes())),
+    );
+    out
 }
 
 /// Deserializes a key-state run.

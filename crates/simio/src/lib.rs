@@ -20,8 +20,9 @@
 //!   blocks to nodes ([`BlockStore`]);
 //! - [`codec`] — IFile-style record framing with CRC-32 checksums, for
 //!   persisting runs and job outputs to real files;
-//! - [`ckpt`] — the CRC-guarded framed-section container used by stream
-//!   job checkpoints ([`ckpt::Section`]);
+//! - [`ckpt`] — the one persisted-state container: CRC-guarded framed
+//!   sections behind a header naming the file's [`ckpt::Kind`], written by
+//!   [`ckpt::SectionWriter`] and read by [`ckpt::SectionReader`];
 //! - [`fault`] — deterministic spill-disk error injection
 //!   ([`DiskFaultInjector`]), consulted by the engine's disk queues when a
 //!   fault plan is active.

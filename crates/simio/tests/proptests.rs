@@ -144,20 +144,23 @@ fn codec_roundtrips_boundary_sizes() {
 /// Checkpoint sections round-trip boundary-size pair and state runs.
 #[test]
 fn checkpoint_sections_roundtrip_boundary_sizes() {
-    use opa_simio::ckpt::{decode_sections, encode_sections, Section};
+    use opa_simio::ckpt::{Kind, SectionReader, SectionWriter};
     let pairs = boundary_pairs();
     let states: Vec<StatePair> = pairs
         .iter()
         .map(|p| StatePair::new(p.key.clone(), p.value.clone()))
         .collect();
-    let sections = vec![
-        Section::Bytes(vec![7; 3]),
-        Section::Nums(vec![0, u64::MAX, 42]),
-        Section::Pairs(pairs),
-        Section::States(states),
-    ];
-    let back = decode_sections(&encode_sections(&sections)).expect("sections decode");
-    assert_eq!(back, sections);
+    let mut w = SectionWriter::new(Kind::DATASET);
+    w.bytes(&[7; 3])
+        .nums(&[0, u64::MAX, 42])
+        .pairs(&pairs)
+        .states(&states);
+    let mut r = SectionReader::new(&w.finish(), Kind::DATASET).expect("sections decode");
+    assert_eq!(r.bytes("bytes").unwrap(), [7; 3]);
+    assert_eq!(r.nums("nums").unwrap(), [0, u64::MAX, 42]);
+    assert_eq!(r.pairs("pairs").unwrap(), pairs);
+    assert_eq!(r.states("states").unwrap(), states);
+    r.finish().expect("nothing left over");
 }
 
 proptest! {

@@ -26,11 +26,8 @@ use opa_common::{Error, RecordBatch, Result, StateBatch};
 pub use opa_core::engine::{DeferredDelivery, EngineState, QueuedEvent};
 use opa_core::map_phase::Payload;
 use opa_core::reduce::ReducerCkpt;
-use opa_simio::ckpt::{encode_sections, Section, SectionReader};
+use opa_simio::ckpt::{Kind, SectionReader, SectionWriter};
 use std::path::Path;
-
-/// Stream checkpoint format version (stored in the fingerprint section).
-pub const FORMAT_VERSION: u64 = 2;
 
 /// Payload-kind tag used inside deferred-delivery headers.
 const PAYLOAD_PAIRS: u64 = 0;
@@ -84,28 +81,37 @@ pub struct SavedState {
     pub engine: EngineState,
 }
 
+/// Appends a delivery payload as a pair or state section.
+fn write_payload(w: &mut SectionWriter, payload: &Payload) {
+    match payload {
+        Payload::Pairs(v) => w.pairs(v.pairs()),
+        Payload::States(v) => w.states(v.states()),
+    };
+}
+
 impl SavedState {
     /// Serializes the state into the framed checkpoint format.
     pub fn encode(&self) -> Vec<u8> {
+        self.writer().finish()
+    }
+
+    fn writer(&self) -> SectionWriter {
         let (fp, st) = (&self.fingerprint, &self.engine);
-        let mut sections: Vec<Section> = vec![
-            Section::Nums(vec![
-                FORMAT_VERSION,
-                fp.records,
-                fp.total_bytes,
-                fp.framework_idx,
-                fp.chunk_size,
-                fp.nodes,
-                fp.reducers,
-                fp.batches,
-                fp.hash_seed,
-                self.next_batch,
-            ]),
-            Section::Bytes(self.job_name.as_bytes().to_vec()),
-        ];
-        let mut qtags = vec![st.queue.len() as u64];
-        for ev in &st.queue {
-            qtags.push(match ev {
+        let mut w = SectionWriter::new(Kind::STREAM_CHECKPOINT);
+        w.nums(&[
+            fp.records,
+            fp.total_bytes,
+            fp.framework_idx,
+            fp.chunk_size,
+            fp.nodes,
+            fp.reducers,
+            fp.batches,
+            fp.hash_seed,
+            self.next_batch,
+        ])
+        .bytes(self.job_name.as_bytes());
+        let qtags: Vec<u64> = std::iter::once(st.queue.len() as u64)
+            .chain(st.queue.iter().map(|ev| match ev {
                 QueuedEvent::StartMap { .. } => QEV_START_MAP,
                 QueuedEvent::Deliver {
                     payload: Payload::Pairs(_),
@@ -115,16 +121,18 @@ impl SavedState {
                     payload: Payload::States(_),
                     ..
                 } => QEV_DELIVER_STATES,
-            });
-        }
-        sections.push(Section::Nums(qtags));
+            }))
+            .collect();
+        w.nums(&qtags);
         for ev in &st.queue {
             match ev {
                 QueuedEvent::StartMap {
                     time,
                     chunk,
                     attempt,
-                } => sections.push(Section::Nums(vec![*time, *chunk, *attempt])),
+                } => {
+                    w.nums(&[*time, *chunk, *attempt]);
+                }
                 QueuedEvent::Deliver {
                     time,
                     reducer,
@@ -132,54 +140,48 @@ impl SavedState {
                     chunk,
                     payload,
                 } => {
-                    sections.push(Section::Nums(vec![*time, *reducer, *from_node, *chunk]));
-                    sections.push(match payload {
-                        Payload::Pairs(v) => Section::Pairs(v.pairs().to_vec()),
-                        Payload::States(v) => Section::States(v.states().to_vec()),
-                    });
+                    w.nums(&[*time, *reducer, *from_node, *chunk]);
+                    write_payload(&mut w, payload);
                 }
             }
         }
-        sections.extend([
-            Section::Nums(
-                st.pending
-                    .iter()
-                    .flat_map(|q| std::iter::once(q.len() as u64).chain(q.iter().copied()))
-                    .collect(),
-            ),
-            Section::Nums(st.disk_free.iter().flat_map(|&(h, s)| [h, s]).collect()),
-            Section::Nums(st.done.clone()),
-            Section::Nums(vec![
+        let pending: Vec<u64> = st
+            .pending
+            .iter()
+            .flat_map(|q| std::iter::once(q.len() as u64).chain(q.iter().copied()))
+            .collect();
+        let disk_free: Vec<u64> = st.disk_free.iter().flat_map(|&(h, s)| [h, s]).collect();
+        w.nums(&pending)
+            .nums(&disk_free)
+            .nums(&st.done)
+            .nums(&[
                 st.map_output_bytes,
                 st.spill_written_map,
                 st.map_finish,
                 st.maps_completed,
-            ]),
-            Section::Nums(st.map_cpu.clone()),
-            Section::Nums(st.ready_at.clone()),
-            Section::Nums(st.delivery_seq.clone()),
-            Section::Nums(st.crash_count.clone()),
-            Section::Nums(st.reduce_cpu.clone()),
-            Section::Nums(st.spill_written_reduce.clone()),
-            Section::Pairs(st.output.clone()),
-        ]);
+            ])
+            .nums(&st.map_cpu)
+            .nums(&st.ready_at)
+            .nums(&st.delivery_seq)
+            .nums(&st.crash_count)
+            .nums(&st.reduce_cpu)
+            .nums(&st.spill_written_reduce)
+            .pairs(&st.output);
         for (defs, ckpt) in st.deferred.iter().zip(&st.reducers) {
-            let mut header = vec![defs.len() as u64];
+            let header: Vec<u64> = std::iter::once(defs.len() as u64)
+                .chain(defs.iter().flat_map(|d| {
+                    let kind = match d.payload {
+                        Payload::Pairs(_) => PAYLOAD_PAIRS,
+                        Payload::States(_) => PAYLOAD_STATES,
+                    };
+                    [d.from_node, kind]
+                }))
+                .collect();
+            w.nums(&header);
             for d in defs {
-                header.push(d.from_node);
-                header.push(match d.payload {
-                    Payload::Pairs(_) => PAYLOAD_PAIRS,
-                    Payload::States(_) => PAYLOAD_STATES,
-                });
+                write_payload(&mut w, &d.payload);
             }
-            sections.push(Section::Nums(header));
-            for d in defs {
-                sections.push(match &d.payload {
-                    Payload::Pairs(v) => Section::Pairs(v.pairs().to_vec()),
-                    Payload::States(v) => Section::States(v.states().to_vec()),
-                });
-            }
-            sections.push(Section::Nums(vec![
+            w.nums(&[
                 u64::from(ckpt.tag),
                 ckpt.flags,
                 u64::from(ckpt.watermark.is_some()),
@@ -187,32 +189,30 @@ impl SavedState {
                 ckpt.nums.len() as u64,
                 ckpt.pairs.len() as u64,
                 ckpt.states.len() as u64,
-            ]));
+            ]);
             for n in &ckpt.nums {
-                sections.push(Section::Nums(n.clone()));
+                w.nums(n);
             }
             for p in &ckpt.pairs {
-                sections.push(Section::Pairs(p.clone()));
+                w.pairs(p);
             }
             for s in &ckpt.states {
-                sections.push(Section::States(s.clone()));
+                w.states(s);
             }
         }
-        encode_sections(&sections)
+        w
     }
 
     /// Decodes a checkpoint produced by [`SavedState::encode`], verifying
-    /// framing, CRC and the structural layout.
+    /// framing, CRC, the header's kind and version and the structural
+    /// layout.
     pub fn decode(buf: &[u8]) -> Result<SavedState> {
-        let mut cur = SectionReader::new(buf, "stream checkpoint")?;
+        SavedState::from_reader(SectionReader::new(buf, Kind::STREAM_CHECKPOINT)?)
+    }
 
-        let [version, records, total_bytes, framework_idx, chunk_size, nodes, reducers, batches, hash_seed, next_batch] =
+    fn from_reader(mut cur: SectionReader) -> Result<SavedState> {
+        let [records, total_bytes, framework_idx, chunk_size, nodes, reducers, batches, hash_seed, next_batch] =
             cur.nums_exact("fingerprint")?;
-        if version != FORMAT_VERSION {
-            return Err(Error::storage(format!(
-                "stream checkpoint format version {version} (expected {FORMAT_VERSION})"
-            )));
-        }
         let fingerprint = Fingerprint {
             records,
             total_bytes,
@@ -226,15 +226,14 @@ impl SavedState {
         let job_name = cur.string("job name")?;
 
         let qtags = cur.nums("event queue header")?;
-        let n_events = *qtags
-            .first()
-            .ok_or_else(|| Error::storage("stream checkpoint queue header empty"))?
-            as usize;
-        if qtags.len() != 1 + n_events {
+        let (&n_events, tags) = qtags
+            .split_first()
+            .ok_or_else(|| Error::storage("stream checkpoint queue header empty"))?;
+        if tags.len() as u64 != n_events {
             return Err(Error::storage("stream checkpoint queue header malformed"));
         }
-        let mut queue = Vec::with_capacity(n_events);
-        for &tag in &qtags[1..] {
+        let mut queue = Vec::with_capacity(tags.len());
+        for &tag in tags {
             queue.push(match tag {
                 QEV_START_MAP => {
                     let [time, chunk, attempt] = cur.nums_exact("map event")?;
@@ -268,27 +267,25 @@ impl SavedState {
         }
 
         let raw = cur.nums("pending chunks")?;
+        let truncated = || Error::storage("stream checkpoint pending section truncated");
         // Every node owns at least its length entry, so a node count past
         // the section's size is forged; checked before it sizes `pending`.
         if nodes > raw.len() as u64 {
-            return Err(Error::storage(
-                "stream checkpoint pending section truncated",
-            ));
+            return Err(truncated());
         }
         let mut pending = Vec::with_capacity(nodes as usize);
-        let mut pos = 0usize;
+        let mut rest = raw.as_slice();
         for _ in 0..nodes {
-            let n = *raw
-                .get(pos)
-                .ok_or_else(|| Error::storage("stream checkpoint pending section truncated"))?
-                as usize;
-            let items = raw
-                .get(pos + 1..pos + 1 + n)
-                .ok_or_else(|| Error::storage("stream checkpoint pending section truncated"))?;
+            let (&n, tail) = rest.split_first().ok_or_else(truncated)?;
+            let n = usize::try_from(n)
+                .ok()
+                .filter(|&n| n <= tail.len())
+                .ok_or_else(truncated)?;
+            let (items, tail) = tail.split_at(n);
             pending.push(items.to_vec());
-            pos += 1 + n;
+            rest = tail;
         }
-        if pos != raw.len() {
+        if !rest.is_empty() {
             return Err(Error::storage(
                 "stream checkpoint pending section oversized",
             ));
@@ -317,19 +314,19 @@ impl SavedState {
         let mut reducer_ckpts = Vec::with_capacity(reducers as usize);
         for r in 0..reducers {
             let header = cur.nums("deferred header")?;
-            let n = *header
-                .first()
-                .ok_or_else(|| Error::storage(format!("reducer {r} deferred header empty")))?
-                as usize;
-            if header.len() != 1 + 2 * n {
+            let (&n, entries) = header
+                .split_first()
+                .ok_or_else(|| Error::storage(format!("reducer {r} deferred header empty")))?;
+            // Two entries per delivery; the count is compared, never
+            // multiplied, so no forged value can overflow.
+            if entries.len() % 2 != 0 || (entries.len() / 2) as u64 != n {
                 return Err(Error::storage(format!(
                     "reducer {r} deferred header malformed"
                 )));
             }
-            let mut defs = Vec::with_capacity(n);
-            for i in 0..n {
-                let from_node = header[1 + 2 * i];
-                let payload = match header[2 + 2 * i] {
+            let mut defs = Vec::with_capacity(entries.len() / 2);
+            for entry in entries.chunks_exact(2) {
+                let payload = match entry[1] {
                     PAYLOAD_PAIRS => {
                         Payload::Pairs(RecordBatch::from_pairs(cur.pairs("deferred payload")?))
                     }
@@ -342,7 +339,10 @@ impl SavedState {
                         )))
                     }
                 };
-                defs.push(DeferredDelivery { from_node, payload });
+                defs.push(DeferredDelivery {
+                    from_node: entry[0],
+                    payload,
+                });
             }
             deferred.push(defs);
 
@@ -400,21 +400,12 @@ impl SavedState {
 
     /// Writes the checkpoint to `path`, creating parent directories.
     pub fn write_to(&self, path: &Path) -> Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| Error::storage(format!("mkdir {}: {e}", dir.display())))?;
-            }
-        }
-        std::fs::write(path, self.encode())
-            .map_err(|e| Error::storage(format!("write {}: {e}", path.display())))
+        self.writer().write_to(path)
     }
 
     /// Reads and decodes a checkpoint file.
     pub fn read_from(path: &Path) -> Result<SavedState> {
-        let buf = std::fs::read(path)
-            .map_err(|e| Error::storage(format!("read {}: {e}", path.display())))?;
-        SavedState::decode(&buf)
+        SavedState::from_reader(SectionReader::open(path, Kind::STREAM_CHECKPOINT)?)
     }
 }
 
@@ -433,7 +424,6 @@ fn expect_len(v: Vec<u64>, want: u64, what: &str) -> Result<Vec<u64>> {
 mod tests {
     use super::*;
     use opa_common::{Key, Pair, StatePair, Value};
-    use opa_simio::ckpt::decode_sections;
 
     fn sample() -> SavedState {
         SavedState {
@@ -565,45 +555,83 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Re-encodes the sample with one number of its first `width`-wide
-    /// numeric section overwritten — and the CRC recomputed, as any forger
-    /// would. Width 10 is the fingerprint; width 7 is reducer 0's header
-    /// (`tag, flags, wm?, wm, n_nums, n_pairs, n_states`).
-    fn forged(width: usize, slot: usize, value: u64) -> Vec<u8> {
-        let mut sections = decode_sections(&sample().encode()).expect("decodes");
-        let hit = sections.iter_mut().find_map(|s| match s {
-            Section::Nums(ns) if ns.len() == width => Some(ns),
-            _ => None,
-        });
-        hit.expect("a section of that width")[slot] = value;
-        encode_sections(&sections)
+    /// The sample's encoding with one number of the numeric section that
+    /// holds exactly `values` overwritten — and the CRC recomputed, as any
+    /// forger would.
+    fn forged(values: &[u64], slot: usize, value: u64) -> Vec<u8> {
+        let mut section = vec![1u8]; // the numeric-section tag
+        section.extend((8 * values.len() as u64).to_be_bytes());
+        section.extend(values.iter().flat_map(|v| v.to_be_bytes()));
+        let mut buf = sample().encode();
+        let at = buf.windows(section.len()).position(|w| w == section);
+        let at = at.expect("a section holding those values") + 9 + 8 * slot;
+        buf[at..at + 8].copy_from_slice(&value.to_be_bytes());
+        let body = buf.len() - 4;
+        let crc = opa_simio::codec::crc32(&buf[..body]);
+        buf[body..].copy_from_slice(&crc.to_be_bytes());
+        buf
     }
 
+    /// The sample's fingerprint, event-queue header (three events: map,
+    /// delivery, map), pending chunks (node 0 holds two, node 1 none),
+    /// reducer 1's empty deferred header and reducer 0's reducer header.
+    const FINGERPRINT: &[u64] = &[100, 1234, 3, 4096, 2, 2, 4, 7, 2];
+    const QUEUE_HEADER: &[u64] = &[3, QEV_START_MAP, QEV_DELIVER_PAIRS, QEV_START_MAP];
+    const PENDING: &[u64] = &[2, 5, 6, 0];
+    const DEFERRED_NONE: &[u64] = &[0];
+    const REDUCER_HEADER: &[u64] = &[3, 1, 1, 42, 1, 1, 1];
+
     /// A count no file could back, one that overflows `usize` arithmetic,
-    /// and a merely wrong one.
-    const FORGED: [u64; 3] = [1 << 62, u64::MAX, 1000];
+    /// one whose double wraps to zero, and a merely wrong one.
+    const FORGED: [u64; 4] = [1 << 62, u64::MAX, 1 << 63, 1000];
 
     #[test]
     fn forged_node_count_is_an_error() {
-        // Fingerprint slot 5 is `nodes`, which sizes `pending`.
-        assert!(SavedState::decode(&forged(10, 5, 2)).is_ok(), "true count");
+        // Fingerprint slot 4 is `nodes`, which sizes `pending`.
+        assert!(
+            SavedState::decode(&forged(FINGERPRINT, 4, 2)).is_ok(),
+            "true count"
+        );
         for n in FORGED {
-            assert!(SavedState::decode(&forged(10, 5, n)).is_err(), "{n}");
+            assert!(
+                SavedState::decode(&forged(FINGERPRINT, 4, n)).is_err(),
+                "{n}"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_queue_pending_and_deferred_counts_are_errors() {
+        for (values, truth) in [(QUEUE_HEADER, 3), (PENDING, 2), (DEFERRED_NONE, 0)] {
+            assert!(
+                SavedState::decode(&forged(values, 0, truth)).is_ok(),
+                "{values:?}"
+            );
+            for n in FORGED {
+                let res = SavedState::decode(&forged(values, 0, n));
+                assert!(res.is_err(), "{values:?} count {n}");
+            }
         }
     }
 
     #[test]
     fn forged_reducer_nums_count_is_an_error() {
-        assert!(SavedState::decode(&forged(7, 4, 1)).is_ok(), "true count");
+        assert!(
+            SavedState::decode(&forged(REDUCER_HEADER, 4, 1)).is_ok(),
+            "true count"
+        );
         for n in FORGED {
-            assert!(SavedState::decode(&forged(7, 4, n)).is_err(), "{n}");
+            assert!(
+                SavedState::decode(&forged(REDUCER_HEADER, 4, n)).is_err(),
+                "{n}"
+            );
         }
     }
 
     #[test]
     fn forged_reducer_pairs_and_states_counts_are_errors() {
         for (slot, n) in [5, 6].into_iter().flat_map(|s| FORGED.map(|n| (s, n))) {
-            let res = SavedState::decode(&forged(7, slot, n));
+            let res = SavedState::decode(&forged(REDUCER_HEADER, slot, n));
             assert!(res.is_err(), "header slot {slot} = {n}");
         }
     }

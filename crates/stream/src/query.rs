@@ -13,7 +13,7 @@ use opa_common::units::SimTime;
 use opa_common::{Error, HashFamily, HashFn, Key, Result, Value};
 use opa_core::cluster::Framework;
 use opa_core::engine::LiveReducer;
-use opa_core::reduce::{ReducerCkpt, TopEntry};
+use opa_core::reduce::TopEntry;
 use std::path::{Path, PathBuf};
 
 /// Progress metadata of a paused stream job.
@@ -169,75 +169,27 @@ impl CheckpointView {
             .ok_or_else(|| Error::storage("checkpoint names an unknown framework"))
     }
 
-    /// Point lookup of `key`'s checkpointed resident aggregate. Interprets
-    /// the framework-tagged section layout: INC-hash and DINC-hash store
-    /// their queryable table/monitor as the first state section.
+    /// Point lookup of `key`'s checkpointed resident aggregate, routed to
+    /// the owning reducer and answered by its framework's own code
+    /// ([`opa_core::reduce::ReducerCkpt::lookup`]).
     pub fn lookup(&self, key: &Key) -> Option<Value> {
-        let r = self
-            .h1
-            .bucket(key.bytes(), self.state.engine.reducers.len());
-        let ckpt = &self.state.engine.reducers[r];
-        match ckpt.tag {
-            ReducerCkpt::TAG_INC_HASH | ReducerCkpt::TAG_DINC_HASH => ckpt
-                .states
-                .first()?
-                .iter()
-                .find(|sp| &sp.key == key)
-                .map(|sp| sp.state.clone()),
-            _ => None,
-        }
+        let reducers = &self.state.engine.reducers;
+        // A forged file may hold no reducer at all: bucket 0 of none.
+        let r = self.h1.bucket(key.bytes(), reducers.len().max(1));
+        reducers.get(r)?.lookup(key)
     }
 
-    /// The checkpointed top-k answer with γ, DINC-hash checkpoints only.
-    /// Reconstructs each monitor's entries and slack from its sections:
-    /// `states[0]` holds (key, state) in slot order, `nums[0] = [offered]`,
-    /// `nums[1]` the per-entry counts, `nums[2]` the per-entry true
-    /// frequencies, `nums[3]` the running stats (whose first element is
-    /// the monitor slot count `s`).
+    /// The checkpointed top-k answer with γ, DINC-hash checkpoints only:
+    /// each reducer's rebuilt monitor answers
+    /// ([`opa_core::reduce::ReducerCkpt::top_entries`]), merged as live.
     pub fn top_k(&self, k: usize) -> Option<(Vec<TopEntry>, f64)> {
-        /// Bit 0 of a DINC checkpoint's flags selects SpaceSaving.
-        const FLAG_SPACE_SAVING: u64 = 1;
         merge_top_k(
             k,
-            self.state.engine.reducers.iter().filter_map(|ckpt| {
-                if ckpt.tag != ReducerCkpt::TAG_DINC_HASH {
-                    return None;
-                }
-                let entries = ckpt.states.first()?;
-                let offered = *ckpt.nums.first()?.first()? as f64;
-                let counts = ckpt.nums.get(1)?;
-                let ts = ckpt.nums.get(2)?;
-                let slots = *ckpt.nums.get(3)?.first()? as f64;
-                if counts.len() != entries.len() || ts.len() != entries.len() {
-                    return None;
-                }
-                let slack = if ckpt.flags & FLAG_SPACE_SAVING != 0 {
-                    offered / slots.max(1.0)
-                } else {
-                    offered / (slots + 1.0)
-                };
-                let mut top: Vec<(u64, u64, usize)> = counts
-                    .iter()
-                    .zip(ts)
-                    .enumerate()
-                    .map(|(i, (&c, &t))| (c, t, i))
-                    .collect();
-                top.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.2.cmp(&b.2)));
-                top.truncate(k);
-                let gamma = top
-                    .iter()
-                    .map(|&(_, t, _)| t as f64 / (t as f64 + slack))
-                    .fold(1.0f64, f64::min);
-                let out = top
-                    .into_iter()
-                    .map(|(count, _, i)| TopEntry {
-                        key: entries[i].key.clone(),
-                        count,
-                        state: entries[i].state.clone(),
-                    })
-                    .collect();
-                Some((out, gamma))
-            }),
+            self.state
+                .engine
+                .reducers
+                .iter()
+                .filter_map(|ckpt| ckpt.top_entries(k)),
         )
     }
 
@@ -250,7 +202,8 @@ impl CheckpointView {
         StreamProgress {
             batches_sealed: sealed,
             batches: k,
-            records_sealed: sealed * n / k.max(1),
+            // Saturating: a forged file may pair any two counts.
+            records_sealed: sealed.saturating_mul(n) / k.max(1),
             total_records: n,
             maps_completed: self.state.engine.maps_completed as usize,
             maps_total: self.state.engine.done.len()
