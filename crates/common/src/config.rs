@@ -351,11 +351,16 @@ impl CombineScope {
     }
 }
 
-/// The host's core count as reported by the OS (1 when unknown).
+/// The host's core count as reported by the OS (1 when unknown), read
+/// once per process: on Linux the OS answer comes from cgroup files, and an
+/// engine asks on every build.
 fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 #[cfg(test)]

@@ -137,6 +137,16 @@ impl<'env> Pool<'env> {
         task.map(|task| task()).is_some()
     }
 
+    /// Drops every task no worker has started, and returns how many. An
+    /// engine call ends with this: what is still queued then is
+    /// speculation, planned again by the next call (see
+    /// [`super::Planner::rewind`]).
+    pub fn discard_queued(&self) -> usize {
+        let discarded =
+            std::mem::take(&mut self.shared.queue.lock().expect("pool queue lock").tasks);
+        discarded.len()
+    }
+
     /// Propagates a worker-thread panic to the caller. Waiters call this
     /// inside their wait loops so a crashed worker cannot deadlock the
     /// scheduler.

@@ -24,7 +24,7 @@
 
 use super::buckets::BucketPass;
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, TopEntry};
-use crate::api::{IncrementalReducer, Job, ReduceCtx};
+use crate::api::{Handle, IncrementalReducer, JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::metrics::AdmissionStats;
@@ -254,7 +254,7 @@ pub(super) fn checkpointed_top_entries(
 
 /// One reduce task running the DINC-hash framework.
 pub struct DincHashReducer<'j> {
-    inc: &'j dyn IncrementalReducer,
+    inc: Handle<'j, dyn IncrementalReducer + 'j>,
     family: HashFamily,
     h3: HashFn,
     monitor: Monitor,
@@ -282,12 +282,12 @@ impl<'j> DincHashReducer<'j> {
     /// Creates the reducer: `h` buckets per the `K·n_p/B` rule, monitor
     /// capacity `s` from the remaining memory and the state-size hint.
     pub fn new(
-        job: &'j dyn Job,
+        job: JobRef<'j>,
         spec: &ClusterSpec,
         sizing: ReducerSizing,
         family: &HashFamily,
     ) -> Self {
-        let inc = job.incremental().expect("checked by make_reducer");
+        let inc = job.incremental().expect("checked by make_reducer").clone();
         let mem = spec.hardware.reduce_buffer;
         let write_buffer = spec.bucket_write_buffer;
         let h = sizing.bucket_count(mem, write_buffer);
@@ -373,7 +373,7 @@ impl<'j> DincHashReducer<'j> {
         env: &mut ReduceEnv<'_>,
     ) -> SimTime {
         if let (Some(sketch), Some(fp)) = (self.sketch.as_ref(), fp) {
-            let inc = self.inc;
+            let inc = &*self.inc;
             let h3 = &self.h3;
             let est_new = sketch.estimate(fp);
             let outcome = self.monitor.replace_min_guarded(key, state, |k, s| {
@@ -441,7 +441,7 @@ impl ReduceSide for DincHashReducer<'_> {
                 sk.touch(fp);
                 fp
             });
-            let inc = self.inc;
+            let inc = &*self.inc;
             let ctx = &mut self.ctx;
             let outcome = self.monitor.offer_guarded(
                 key,
@@ -525,7 +525,7 @@ impl ReduceSide for DincHashReducer<'_> {
 
         // …then process staged buckets exactly like INC-hash.
         let mut pass = BucketPass {
-            inc: self.inc,
+            inc: &*self.inc,
             family: &self.family,
             mem_budget: self.mem_budget,
             write_buffer: self.write_buffer,

@@ -15,7 +15,7 @@
 
 use super::buckets::BucketPass;
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing};
-use crate::api::{IncrementalReducer, Job, ReduceCtx};
+use crate::api::{Handle, IncrementalReducer, JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::metrics::AdmissionStats;
@@ -46,7 +46,7 @@ pub(super) fn checkpointed_query(ckpt: &ReducerCkpt, key: &Key) -> Option<Value>
 
 /// One reduce task running the INC-hash framework.
 pub struct IncHashReducer<'j> {
-    inc: &'j dyn IncrementalReducer,
+    inc: Handle<'j, dyn IncrementalReducer + 'j>,
     family: HashFamily,
     /// Partitioning function — its fingerprints arrive cached in every
     /// delivered batch and double as the table-probe hash.
@@ -95,12 +95,12 @@ impl<'j> IncHashReducer<'j> {
     /// Creates the reducer; the bucket fan-out follows the paper's
     /// `h = K·n_p/B` sizing so each staged bucket's keys fit in memory.
     pub fn new(
-        job: &'j dyn Job,
+        job: JobRef<'j>,
         spec: &ClusterSpec,
         sizing: ReducerSizing,
         family: &HashFamily,
     ) -> Self {
-        let inc = job.incremental().expect("checked by make_reducer");
+        let inc = job.incremental().expect("checked by make_reducer").clone();
         let mem = spec.hardware.reduce_buffer;
         let write_buffer = spec.bucket_write_buffer;
         let h = sizing.bucket_count(mem, write_buffer);
@@ -159,7 +159,7 @@ impl<'j> IncHashReducer<'j> {
             Some(i) => {
                 let (key, (acc, count)) = self.table.row_mut(i);
                 cb_sized(
-                    self.inc,
+                    &*self.inc,
                     key,
                     acc,
                     sp.state,
@@ -177,7 +177,7 @@ impl<'j> IncHashReducer<'j> {
             }
             None if self.admission.is_on() => self.absorb_miss_lfu(t, sp, h, env),
             None => {
-                let sz = entry_size(self.inc, &sp.key, &sp.state);
+                let sz = entry_size(&*self.inc, &sp.key, &sp.state);
                 if !self.admissions_closed && self.mem_used + sz <= self.mem_budget {
                     self.admit(t, sp, h, sz, 1, env)
                 } else {
@@ -236,7 +236,7 @@ impl<'j> IncHashReducer<'j> {
         env: &mut ReduceEnv<'_>,
     ) -> SimTime {
         const ALLOCATED: &str = "LFU policy allocates the sketch and the filter";
-        let sz = entry_size(self.inc, &sp.key, &sp.state);
+        let sz = entry_size(&*self.inc, &sp.key, &sp.state);
         let clean = !self.filter.as_ref().expect(ALLOCATED).contains(h);
         if clean && self.mem_used + sz <= self.mem_budget {
             // Unlike first-come, a clean key may be admitted even after
@@ -252,7 +252,7 @@ impl<'j> IncHashReducer<'j> {
             .flatten()
             .filter(|&vi| {
                 let (vkey, (vstate, _)) = self.table.row(vi);
-                self.mem_used - entry_size(self.inc, vkey, vstate) + sz <= self.mem_budget
+                self.mem_used - entry_size(&*self.inc, vkey, vstate) + sz <= self.mem_budget
             });
         let filter = self.filter.as_mut().expect(ALLOCATED);
         let Some(vi) = victim else {
@@ -271,7 +271,7 @@ impl<'j> IncHashReducer<'j> {
         filter.insert(vh);
         self.mem_used = self
             .mem_used
-            .saturating_sub(entry_size(self.inc, &vkey, &vstate));
+            .saturating_sub(entry_size(&*self.inc, &vkey, &vstate));
         let victim = StatePair::new(vkey, vstate);
         self.stats.admitted_evictions += 1;
         self.stats.spill.admitted_evict += victim.size();
@@ -316,7 +316,7 @@ impl ReduceSide for IncHashReducer<'_> {
 
         // Staged buckets, one at a time.
         let mut pass = BucketPass {
-            inc: self.inc,
+            inc: &*self.inc,
             family: &self.family,
             mem_budget: self.mem_budget,
             write_buffer: self.write_buffer,
@@ -421,7 +421,7 @@ impl ReduceSide for IncHashReducer<'_> {
         self.table = GroupTable::with_capacity(resident.len());
         self.mem_used = 0;
         for (sp, count) in resident.into_iter().zip(counts) {
-            self.mem_used += entry_size(self.inc, &sp.key, &sp.state);
+            self.mem_used += entry_size(&*self.inc, &sp.key, &sp.state);
             self.table
                 .push(self.h1.hash(sp.key.bytes()), sp.key, (sp.state, count));
         }

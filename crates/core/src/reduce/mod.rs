@@ -49,7 +49,7 @@ mod run_oracle;
 #[path = "tests.rs"]
 mod tests_frameworks;
 
-use crate::api::{Job, ReduceCtx};
+use crate::api::{Job, JobRef, ReduceCtx};
 use crate::cluster::{ClusterSpec, Framework};
 use crate::cost::CostModel;
 use crate::map_phase::Payload;
@@ -612,11 +612,23 @@ pub trait ReduceSide {
     }
 }
 
-/// Instantiates the reduce-side framework for one reduce task. The box is
-/// `Send` so the execution layer can record deliveries on worker threads.
+/// Instantiates the reduce-side framework for one reduce task over a
+/// borrowed job. The box is `Send` so the execution layer can record
+/// deliveries on worker threads.
 pub fn make_reducer<'j>(
     framework: Framework,
     job: &'j dyn Job,
+    spec: &ClusterSpec,
+    sizing: ReducerSizing,
+    family: &HashFamily,
+) -> Result<Box<dyn ReduceSide + Send + 'j>> {
+    build_reducer(framework, JobRef::borrowed(job), spec, sizing, family)
+}
+
+/// [`make_reducer`] over a job however the engine holds it.
+pub(crate) fn build_reducer<'j>(
+    framework: Framework,
+    job: JobRef<'j>,
     spec: &ClusterSpec,
     sizing: ReducerSizing,
     family: &HashFamily,

@@ -12,7 +12,7 @@
 
 use super::buckets::{next_bucket, repartition, MAX_DEPTH, TOP_DEPTH};
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, WORK_BATCH};
-use crate::api::{Job, ReduceCtx};
+use crate::api::{JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::sim::OpKind;
@@ -26,7 +26,7 @@ pub(crate) const CKPT_TAG: u8 = 2;
 
 /// One reduce task running the MR-hash framework.
 pub struct MrHashReducer<'j> {
-    job: &'j dyn Job,
+    job: JobRef<'j>,
     family: HashFamily,
     h1: HashFn,
     h2: HashFn,
@@ -47,7 +47,7 @@ impl<'j> MrHashReducer<'j> {
     /// reducer input (hybrid-hash style: each on-disk bucket should fit in
     /// memory when read back).
     pub fn new(
-        job: &'j dyn Job,
+        job: JobRef<'j>,
         spec: &ClusterSpec,
         sizing: ReducerSizing,
         family: &HashFamily,

@@ -9,7 +9,7 @@
 //! that pins sort-merge reduce progress at 33% for non-combiner workloads.
 
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, WORK_BATCH};
-use crate::api::{Job, ReduceCtx};
+use crate::api::{JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::sim::OpKind;
@@ -22,7 +22,7 @@ pub(crate) const CKPT_TAG: u8 = 1;
 
 /// One reduce task running the sort-merge framework.
 pub struct SortMergeReducer<'j> {
-    job: &'j dyn Job,
+    job: JobRef<'j>,
     merge_factor: usize,
     buffer_cap: u64,
     /// Sorted in-memory segments (one per delivery since the last spill).
@@ -34,7 +34,7 @@ pub struct SortMergeReducer<'j> {
 
 impl<'j> SortMergeReducer<'j> {
     /// Creates the reducer.
-    pub fn new(job: &'j dyn Job, spec: &ClusterSpec) -> Self {
+    pub fn new(job: JobRef<'j>, spec: &ClusterSpec) -> Self {
         SortMergeReducer {
             job,
             merge_factor: spec.system.merge_factor,

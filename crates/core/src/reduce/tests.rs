@@ -164,7 +164,7 @@ fn sort_merge_counts_across_spills() {
     spec.hardware.reduce_buffer = 256; // force many buffer spills
     let mut h = Harness::new(spec);
     let job = Count;
-    let mut r = sort_merge::SortMergeReducer::new(&job, &spec);
+    let mut r = sort_merge::SortMergeReducer::new(JobRef::borrowed(&job), &spec);
     let mut t = SimTime::ZERO;
     for batch in 0..20u64 {
         let keys: Vec<u64> = (0..5).map(|i| (batch + i) % 7).collect();
@@ -185,7 +185,7 @@ fn sort_merge_background_merge_bounds_files() {
     spec.system.merge_factor = 2; // merge whenever 3 files exist
     let mut h = Harness::new(spec);
     let job = Count;
-    let mut r = sort_merge::SortMergeReducer::new(&job, &spec);
+    let mut r = sort_merge::SortMergeReducer::new(JobRef::borrowed(&job), &spec);
     let mut t = SimTime::ZERO;
     for batch in 0..40u64 {
         t = h.deliver(
@@ -210,7 +210,7 @@ fn mr_hash_stages_and_recovers_everything() {
         expected_input: 1 << 16, // well over memory → several buckets
         ..sizing()
     };
-    let mut r = mr_hash::MrHashReducer::new(&job, &spec, big, &family);
+    let mut r = mr_hash::MrHashReducer::new(JobRef::borrowed(&job), &spec, big, &family);
     let mut t = SimTime::ZERO;
     for batch in 0..50u64 {
         let keys: Vec<u64> = (0..8).map(|i| (batch * 3 + i) % 23).collect();
@@ -228,7 +228,7 @@ fn inc_hash_zero_spill_when_memory_suffices() {
     let mut h = Harness::new(spec);
     let job = Count;
     let family = HashFamily::new(4);
-    let mut r = inc_hash::IncHashReducer::new(&job, &spec, sizing(), &family);
+    let mut r = inc_hash::IncHashReducer::new(JobRef::borrowed(&job), &spec, sizing(), &family);
     let mut t = SimTime::ZERO;
     for batch in 0..100u64 {
         t = h.deliver(&mut r, t, Payload::States(states(&[batch % 10])));
@@ -247,7 +247,7 @@ fn inc_hash_bucket_path_is_exact() {
     let mut h = Harness::new(spec);
     let job = Count;
     let family = HashFamily::new(5);
-    let mut r = inc_hash::IncHashReducer::new(&job, &spec, sizing(), &family);
+    let mut r = inc_hash::IncHashReducer::new(JobRef::borrowed(&job), &spec, sizing(), &family);
     let mut t = SimTime::ZERO;
     for round in 0..60u64 {
         let keys: Vec<u64> = (0..4).map(|i| (round + i * 17) % 50).collect();
@@ -267,7 +267,7 @@ fn dinc_hash_counts_survive_eviction_churn() {
     let mut h = Harness::new(spec);
     let job = Count;
     let family = HashFamily::new(6);
-    let mut r = dinc_hash::DincHashReducer::new(&job, &spec, sizing(), &family);
+    let mut r = dinc_hash::DincHashReducer::new(JobRef::borrowed(&job), &spec, sizing(), &family);
     assert!(r.slots() >= 1);
     let mut t = SimTime::ZERO;
     // A hot key interleaved with a churning cold tail.
@@ -295,7 +295,7 @@ fn dinc_early_stop_reports_only_covered_keys() {
         early_stop_coverage: Some(0.5),
         ..sizing()
     };
-    let mut r = dinc_hash::DincHashReducer::new(&job, &spec, approx, &family);
+    let mut r = dinc_hash::DincHashReducer::new(JobRef::borrowed(&job), &spec, approx, &family);
     let mut t = SimTime::ZERO;
     for round in 0..200u64 {
         let keys = [7u64, 2000 + (round % 80)];

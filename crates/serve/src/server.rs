@@ -1,44 +1,43 @@
 //! The resident job server: deterministic interleaved wave scheduling.
 //!
-//! Each admitted job runs the unmodified stream driver on its own OS
-//! thread. The driver's micro-batch pause points become the server's
-//! **wave boundaries**: at every pause the job thread parks, reports in,
-//! and waits for a grant. The server advances the fleet in **rounds** —
-//! it waits until *every* running job is parked (or finished), then
-//! issues one `Continue` grant per job **in admission order**. Queries
-//! are answered while parked, against the live [`BatchCtl`] state.
+//! Each admitted job is a [`StreamRun`] the server keeps between calls —
+//! the unmodified stream run, its engine stepped one micro-batch at a
+//! time. The run's micro-batch pause points are the server's **wave
+//! boundaries**. The server advances the fleet in **rounds**: every
+//! running job gets one wave, **in admission order**, and between rounds
+//! every running job is paused. A query is a method call on the paused
+//! run's [`BatchCtl`] state.
 //!
 //! Determinism falls out of two facts:
 //!
-//! 1. each job's engine run is untouched — the pause callback only
-//!    observes state and blocks, so its [`opa_core::job::JobOutcome`] is
-//!    bit-identical to the same job run solo, at any thread count (the
-//!    engine already guarantees that for any callback);
-//! 2. the server mutates shared state (books, queue, trace) only at
-//!    quiescent points — full barriers where no job thread is running —
-//!    and always iterates jobs in admission (id) order, so the grant
-//!    sequence and the serving-layer trace are pure functions of the
-//!    submission sequence.
+//! 1. each job's engine run is untouched — a pause only observes state,
+//!    so its [`opa_core::job::JobOutcome`] is bit-identical to the same
+//!    job run solo, at any thread count (the engine already guarantees
+//!    that for any pause schedule);
+//! 2. one thread mutates server state (books, queue, trace), in
+//!    admission order, between waves — so the grant sequence and the
+//!    serving-layer trace are pure functions of the submission sequence.
 //!
-//! Job threads run concurrently *between* barriers (that is the point:
-//! wall-clock overlap), but nothing the server emits depends on which
-//! thread parks first.
+//! With more than one job moving in a round on a multi-core host, their
+//! waves run on scoped threads, one job each, and the round ends when the
+//! last returns. A wave touches only its own job, and the server books the
+//! results in admission order after the round, so nothing the server
+//! emits depends on which wave ends first.
 
 use crate::admission::{Admission, AdmissionOutcome, ServeConfig, TenantBook};
 use crate::dlq::{QuarantineEntry, QuarantineFile};
 use opa_common::fault::FaultConfig;
-use opa_common::{Error, Key, Result, Value};
-use opa_core::api::Job;
+use opa_common::{Error, ExecConfig, Key, Result, Value};
+use opa_core::api::{Job, JobRef};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::job::{JobInput, PoisonedRecord};
 use opa_core::reduce::TopEntry;
-use opa_stream::{BatchCtl, StreamJobBuilder, StreamOutcome, StreamProgress};
+use opa_stream::{BatchCtl, StreamJobBuilder, StreamOutcome, StreamProgress, StreamRun};
 use opa_trace::{ServeJobState, TraceEvent};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Per-job configuration carried by a submission.
 #[derive(Debug, Clone)]
@@ -81,10 +80,8 @@ impl Default for JobSpec {
 pub enum ServeQuery {
     /// Point lookup of a key's resident partial aggregate.
     Lookup(Key),
-    /// Batched point lookups: answers every key in one channel
-    /// round-trip against the *same* parked state snapshot, instead of
-    /// paying one `Lookup` round-trip (and potentially interleaved
-    /// steps) per key.
+    /// Batched point lookups: answers every key against the *same* paused
+    /// state, with no step in between.
     LookupBatch(Vec<Key>),
     /// The DINC top-k answer with its γ coverage bound.
     TopK(usize),
@@ -110,7 +107,7 @@ pub enum ServeAnswer {
 pub enum JobPhase {
     /// Admitted, waiting for a tenant run slot.
     Waiting,
-    /// Executing (parked at a wave boundary between rounds).
+    /// Executing (paused at a wave boundary between rounds).
     Running,
     /// Completed successfully; outcome retained for queries and replay.
     Finished,
@@ -151,49 +148,82 @@ pub struct SubmitReceipt {
     pub outcome: AdmissionOutcome,
 }
 
-enum ToJob {
-    Query {
-        query: ServeQuery,
-        reply: Sender<ServeAnswer>,
-    },
-    Continue,
-}
-
-enum FromJob {
-    Paused {
-        id: u32,
-        progress: StreamProgress,
-    },
-    Done {
-        id: u32,
-        result: std::result::Result<Box<StreamOutcome>, String>,
-    },
-}
-
-/// A re-runnable job closure: the server keeps it so a finished job can
-/// be replayed (DLQ recovery) under a different fault configuration.
-type Runner = Arc<
-    dyn Fn(FaultConfig, &mut dyn FnMut(&mut BatchCtl<'_, '_>)) -> Result<StreamOutcome>
-        + Send
-        + Sync,
->;
-
 struct JobEntry {
     tenant: u32,
     label: String,
     phase: JobPhase,
-    paused: bool,
     progress: Option<StreamProgress>,
-    cmd: Option<Sender<ToJob>>,
-    handle: Option<JoinHandle<()>>,
-    runner: Option<Runner>,
-    faults: FaultConfig,
+    /// The job's stream run while it is running: one wave per grant,
+    /// queried in between.
+    run: Option<StreamRun<'static>>,
+    /// Kept so a finished job can be replayed (DLQ recovery) under a
+    /// different fault configuration.
+    job: JobRef<'static>,
+    input: Arc<JobInput>,
+    spec: JobSpec,
     waves: u32,
     submitted_round: u64,
     outcome: Option<Box<StreamOutcome>>,
     error: Option<String>,
     dlq_path: Option<PathBuf>,
     finalized: bool,
+}
+
+impl JobEntry {
+    /// The job's stream run under `faults`, ready to step.
+    fn open(&self, faults: FaultConfig) -> Result<StreamRun<'static>> {
+        let spec = &self.spec;
+        StreamJobBuilder::new(self.job.clone())
+            .framework(spec.framework)
+            .cluster(spec.cluster)
+            .exec(spec.exec)
+            .km_hint(spec.km_hint)
+            .admission(spec.admission)
+            .faults(faults)
+            .batches(spec.batches)
+            .trace(spec.trace)
+            .start(Arc::clone(&self.input))
+    }
+
+    /// Moves the running job one wave: seals its next micro-batch or, once
+    /// every batch is sealed, finishes it. A panic — a UDF's — fails this
+    /// job and nothing else.
+    fn wave(&mut self) {
+        let slot = &mut self.run;
+        let waved = guarded(|| {
+            let run = slot.as_mut().expect("a running job holds its run");
+            Ok((!run.seal_next()).then(|| slot.take().map(StreamRun::finish)))
+        });
+        match waved {
+            Ok(None) => self.progress = self.run.as_ref().map(|run| run.ctl().progress()),
+            Ok(Some(outcome)) => {
+                self.phase = JobPhase::Finished;
+                self.outcome = outcome.map(Box::new);
+            }
+            Err(msg) => self.fail(msg),
+        }
+    }
+
+    fn fail(&mut self, msg: String) {
+        self.run = None;
+        self.phase = JobPhase::Failed;
+        self.error = Some(msg);
+    }
+}
+
+/// Runs `f`, turning its error or its panic into the job's failure message.
+fn guarded<T>(f: impl FnOnce() -> Result<T>) -> std::result::Result<T, String> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(panic) => {
+            let msg = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            Err(format!("job panicked: {msg}"))
+        }
+    }
 }
 
 /// The resident multi-tenant job server. See the module docs for the
@@ -206,14 +236,11 @@ pub struct Server {
     round: u64,
     trace: Vec<TraceEvent>,
     dlq_dir: Option<PathBuf>,
-    tx: Sender<FromJob>,
-    rx: Receiver<FromJob>,
 }
 
 impl Server {
     /// Creates a server with the given sizing.
     pub fn new(cfg: ServeConfig) -> Server {
-        let (tx, rx) = channel();
         Server {
             cfg,
             admission: Admission::default(),
@@ -222,8 +249,6 @@ impl Server {
             round: 0,
             trace: Vec::new(),
             dlq_dir: None,
-            tx,
-            rx,
         }
     }
 
@@ -247,23 +272,6 @@ impl Server {
         spec.faults.validate()?;
         let id = self.jobs.len() as u32;
         let label = job.name().to_string();
-        let runner: Runner = {
-            let spec = spec.clone();
-            Arc::new(
-                move |faults, on_batch: &mut dyn FnMut(&mut BatchCtl<'_, '_>)| {
-                    StreamJobBuilder::new(&job)
-                        .framework(spec.framework)
-                        .cluster(spec.cluster)
-                        .exec(spec.exec)
-                        .km_hint(spec.km_hint)
-                        .admission(spec.admission)
-                        .faults(faults)
-                        .batches(spec.batches)
-                        .trace(spec.trace)
-                        .run_stream(&input, on_batch)
-                },
-            )
-        };
         let outcome = self.admission.decide(tenant, &self.cfg);
         let (phase, state, error) = match outcome {
             AdmissionOutcome::Started | AdmissionOutcome::Queued => {
@@ -290,12 +298,11 @@ impl Server {
             tenant,
             label,
             phase,
-            paused: false,
             progress: None,
-            cmd: None,
-            handle: None,
-            runner: Some(runner),
-            faults: spec.faults,
+            run: None,
+            job: JobRef::shared(job),
+            input,
+            spec: spec.clone(),
             waves: 0,
             submitted_round: self.round,
             outcome: None,
@@ -306,7 +313,7 @@ impl Server {
         match outcome {
             AdmissionOutcome::Started => {
                 self.start_job(id);
-                self.settle()?;
+                self.settle(vec![id])?;
             }
             AdmissionOutcome::Queued => self.wait_queue.push_back(id),
             _ => {}
@@ -314,6 +321,8 @@ impl Server {
         Ok(SubmitReceipt { job: id, outcome })
     }
 
+    /// Opens an admitted job's stream run; its first wave is the caller's
+    /// to run. A run that cannot open fails the job.
     fn start_job(&mut self, id: u32) {
         self.trace.push(TraceEvent::ServeJob {
             t: self.round,
@@ -323,86 +332,50 @@ impl Server {
         });
         let entry = &mut self.jobs[id as usize];
         entry.phase = JobPhase::Running;
-        let (cmd_tx, cmd_rx) = channel::<ToJob>();
-        entry.cmd = Some(cmd_tx);
-        let runner = entry.runner.clone().expect("admitted job keeps its runner");
-        let faults = entry.faults;
-        let tx = self.tx.clone();
-        entry.handle = Some(std::thread::spawn(move || {
-            let mut on_batch = |ctl: &mut BatchCtl<'_, '_>| {
-                let progress = ctl.progress();
-                if tx.send(FromJob::Paused { id, progress }).is_err() {
-                    // Server gone: free-run to completion.
-                    return;
-                }
-                // A `Continue` grant or a dropped sender (server shutting
-                // down) both release the wave boundary.
-                while let Ok(ToJob::Query { query, reply }) = cmd_rx.recv() {
-                    let _ = reply.send(answer_live(ctl, &query));
-                }
-            };
-            // A panicking UDF must fail this job, not strand the server:
-            // `settle` blocks until every running job reports.
-            let run = std::panic::AssertUnwindSafe(|| runner(faults, &mut on_batch));
-            let result = match std::panic::catch_unwind(run) {
-                Ok(result) => result.map(Box::new).map_err(|e| e.to_string()),
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| panic.downcast_ref::<&str>().copied())
-                        .unwrap_or("non-string panic payload");
-                    Err(format!("job panicked: {msg}"))
-                }
-            };
-            let _ = tx.send(FromJob::Done { id, result });
-        }));
+        match guarded(|| entry.open(entry.spec.faults)) {
+            Ok(run) => entry.run = Some(run),
+            Err(msg) => entry.fail(msg),
+        }
     }
 
-    fn running_unparked(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|e| e.phase == JobPhase::Running && !e.paused)
-            .count()
-    }
-
-    /// Runs the barrier: blocks until every running job is parked at a
-    /// wave boundary or finished, finalizing completions and promoting
-    /// waiting jobs into freed slots (FIFO per arrival, skipping tenants
-    /// whose slots are still full) until the fleet is quiescent.
-    fn settle(&mut self) -> Result<()> {
-        loop {
-            while self.running_unparked() > 0 {
-                match self.rx.recv() {
-                    Ok(FromJob::Paused { id, progress }) => {
-                        let entry = &mut self.jobs[id as usize];
-                        entry.paused = true;
-                        entry.progress = Some(progress);
+    /// Moves each job in `ids` one wave. With more than one on a multi-core
+    /// host the waves run on scoped threads, one job each; otherwise on
+    /// this thread, in admission order.
+    fn advance(&mut self, ids: &[u32]) {
+        let mut moving: Vec<&mut JobEntry> = self
+            .jobs
+            .iter_mut()
+            .enumerate()
+            .filter(|(id, entry)| ids.contains(&(*id as u32)) && entry.run.is_some())
+            .map(|(_, entry)| entry)
+            .collect();
+        match moving.split_first_mut() {
+            Some((first, rest))
+                if !rest.is_empty() && ExecConfig::available_parallelism().threads > 1 =>
+            {
+                std::thread::scope(|scope| {
+                    for entry in rest {
+                        scope.spawn(|| entry.wave());
                     }
-                    Ok(FromJob::Done { id, result }) => {
-                        let entry = &mut self.jobs[id as usize];
-                        entry.paused = false;
-                        match result {
-                            Ok(outcome) => {
-                                entry.phase = JobPhase::Finished;
-                                entry.outcome = Some(outcome);
-                            }
-                            Err(msg) => {
-                                entry.phase = JobPhase::Failed;
-                                entry.error = Some(msg);
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        return Err(Error::job(
-                            "a job thread exited without reporting completion",
-                        ));
-                    }
-                }
+                    first.wave();
+                });
             }
-            // Quiescent: finalize completions in admission order, then
-            // promote waiters into the freed slots. Both mutate books and
-            // trace deterministically — no job thread is running here.
+            _ => moving.into_iter().for_each(JobEntry::wave),
+        }
+    }
+
+    /// Runs the barrier: moves `ids` one wave, then — with no job moving —
+    /// finalizes completions and promotes waiting jobs into freed slots
+    /// (FIFO per arrival, skipping tenants whose slots are still full),
+    /// moving the promoted jobs to their first wave boundary, until
+    /// nothing changes.
+    fn settle(&mut self, mut ids: Vec<u32>) -> Result<()> {
+        loop {
+            self.advance(&ids);
+            ids.clear();
+            // Finalize completions in admission order, then promote
+            // waiters into the freed slots: both mutate books and trace,
+            // on this thread alone.
             let mut acted = false;
             for id in 0..self.jobs.len() as u32 {
                 let entry = &self.jobs[id as usize];
@@ -422,6 +395,7 @@ impl Server {
                     let waited = self.round - self.jobs[id as usize].submitted_round;
                     self.admission.promote(tenant, waited);
                     self.start_job(id);
+                    ids.push(id);
                     acted = true;
                 } else {
                     i += 1;
@@ -434,15 +408,10 @@ impl Server {
     }
 
     /// Books a completed job out: slot release, terminal trace event and
-    /// quarantine-file write. Runs only at quiescent points, in id order.
+    /// quarantine-file write. Runs only between waves, in id order.
     fn finalize(&mut self, id: u32) -> Result<()> {
         let entry = &mut self.jobs[id as usize];
         entry.finalized = true;
-        entry.cmd = None;
-        if let Some(h) = entry.handle.take() {
-            h.join()
-                .map_err(|_| Error::job(format!("job {id} thread panicked")))?;
-        }
         let failed = entry.phase == JobPhase::Failed;
         let tenant = entry.tenant;
         self.admission.release(tenant, failed);
@@ -464,7 +433,7 @@ impl Server {
                     tenant,
                     id,
                     &entry.label,
-                    entry.faults.seed,
+                    entry.spec.faults.seed,
                     &outcome.job.dlq,
                 )
                 .write_to(&path)?;
@@ -474,41 +443,28 @@ impl Server {
         Ok(())
     }
 
-    /// Advances the fleet by one wave: grants every parked job its next
-    /// micro-batch **in admission order**, then barriers until all of
-    /// them park again. Returns `false` once no job is running or
-    /// waiting (the server is drained).
+    /// Advances the fleet by one wave: grants every running job its next
+    /// micro-batch **in admission order**, then settles. Returns `false`
+    /// once no job is running or waiting (the server is drained).
     pub fn step(&mut self) -> Result<bool> {
-        let parked: Vec<u32> = (0..self.jobs.len() as u32)
-            .filter(|&id| {
-                let e = &self.jobs[id as usize];
-                e.phase == JobPhase::Running && e.paused
-            })
+        let running: Vec<u32> = (0..self.jobs.len() as u32)
+            .filter(|&id| self.jobs[id as usize].phase == JobPhase::Running)
             .collect();
-        if parked.is_empty() && self.wait_queue.is_empty() {
+        if running.is_empty() && self.wait_queue.is_empty() {
             return Ok(false);
         }
         self.round += 1;
-        for id in parked {
+        for &id in &running {
             let entry = &mut self.jobs[id as usize];
             entry.waves += 1;
-            entry.paused = false;
-            let wave = entry.waves;
-            let tenant = entry.tenant;
             self.trace.push(TraceEvent::WaveGrant {
                 t: self.round,
-                tenant,
+                tenant: entry.tenant,
                 job: id,
-                wave,
+                wave: entry.waves,
             });
-            let cmd = self.jobs[id as usize]
-                .cmd
-                .as_ref()
-                .expect("running job keeps its command channel");
-            cmd.send(ToJob::Continue)
-                .map_err(|_| Error::job(format!("job {id} hung up mid-run")))?;
         }
-        self.settle()?;
+        self.settle(running)?;
         Ok(true)
     }
 
@@ -519,7 +475,7 @@ impl Server {
     }
 
     /// Answers a query against `job`'s live state. A running job answers
-    /// from its parked [`BatchCtl`] (resident partial aggregates); a
+    /// from its paused [`BatchCtl`] (resident partial aggregates); a
     /// finished job answers from its final outcome.
     pub fn query(&self, job: u32, query: &ServeQuery) -> Result<ServeAnswer> {
         let entry = self
@@ -528,16 +484,8 @@ impl Server {
             .ok_or_else(|| Error::job(format!("unknown job {job}")))?;
         match entry.phase {
             JobPhase::Running => {
-                let cmd = entry.cmd.as_ref().expect("running job has a channel");
-                let (reply_tx, reply_rx) = channel();
-                cmd.send(ToJob::Query {
-                    query: query.clone(),
-                    reply: reply_tx,
-                })
-                .map_err(|_| Error::job(format!("job {job} hung up")))?;
-                reply_rx
-                    .recv()
-                    .map_err(|_| Error::job(format!("job {job} dropped a query")))
+                let run = entry.run.as_ref().expect("a running job holds its run");
+                Ok(answer_live(&run.ctl(), query))
             }
             JobPhase::Finished => {
                 let outcome = entry.outcome.as_ref().expect("finished job has an outcome");
@@ -570,9 +518,9 @@ impl Server {
     }
 
     /// Replays a finished job with its poison rate zeroed — the "operator
-    /// fixed the UDF" recovery path. Runs inline (solo) and returns the
-    /// fresh outcome; the engine's determinism makes it bit-identical to
-    /// a fault-free run of the same spec.
+    /// fixed the UDF" recovery path. Runs on this thread (solo) and returns
+    /// the fresh outcome; the engine's determinism makes it bit-identical
+    /// to a fault-free run of the same spec.
     pub fn replay_dlq(&mut self, job: u32) -> Result<Box<StreamOutcome>> {
         let entry = self
             .jobs
@@ -582,11 +530,12 @@ impl Server {
             return Err(Error::job(format!("job {job} has not finished")));
         }
         let entries = entry.outcome.as_ref().map_or(0, |o| o.job.dlq.len() as u64);
-        let runner = entry.runner.clone().expect("finished job keeps its runner");
-        let mut faults = entry.faults;
+        let mut faults = entry.spec.faults;
         faults.udf_poison_rate = 0.0;
         let tenant = entry.tenant;
-        let outcome = runner(faults, &mut |_ctl| {})?;
+        let mut run = entry.open(faults)?;
+        while run.seal_next() {}
+        let outcome = run.finish();
         self.trace.push(TraceEvent::DlqReplay {
             t: self.round,
             tenant,
@@ -644,22 +593,6 @@ impl Server {
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        // Unpark every surviving job thread (dropping its command channel
-        // makes the pause callback return immediately) and join, so no
-        // thread outlives the server.
-        for entry in &mut self.jobs {
-            entry.cmd = None;
-        }
-        for entry in &mut self.jobs {
-            if let Some(h) = entry.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
 fn answer_live(ctl: &BatchCtl<'_, '_>, query: &ServeQuery) -> ServeAnswer {
     match query {
         ServeQuery::Lookup(key) => ServeAnswer::Value(ctl.lookup(key)),
@@ -672,29 +605,15 @@ fn answer_live(ctl: &BatchCtl<'_, '_>, query: &ServeQuery) -> ServeAnswer {
 }
 
 fn answer_finished(entry: &JobEntry, outcome: &StreamOutcome, query: &ServeQuery) -> ServeAnswer {
+    // After completion the resident state is gone; the final output pairs
+    // are the authoritative answer.
+    let lookup = |key: &Key| {
+        let pair = outcome.job.output.iter().find(|p| &p.key == key);
+        pair.map(|p| p.value.clone())
+    };
     match query {
-        // After completion the resident state is gone; the final output
-        // pairs are the authoritative answer.
-        ServeQuery::Lookup(key) => ServeAnswer::Value(
-            outcome
-                .job
-                .output
-                .iter()
-                .find(|p| &p.key == key)
-                .map(|p| p.value.clone()),
-        ),
-        ServeQuery::LookupBatch(keys) => ServeAnswer::Values(
-            keys.iter()
-                .map(|key| {
-                    outcome
-                        .job
-                        .output
-                        .iter()
-                        .find(|p| &p.key == key)
-                        .map(|p| p.value.clone())
-                })
-                .collect(),
-        ),
+        ServeQuery::Lookup(key) => ServeAnswer::Value(lookup(key)),
+        ServeQuery::LookupBatch(keys) => ServeAnswer::Values(keys.iter().map(lookup).collect()),
         ServeQuery::TopK(_) => ServeAnswer::TopK(None),
         ServeQuery::Progress => {
             ServeAnswer::Progress(entry.progress.clone().unwrap_or(StreamProgress {

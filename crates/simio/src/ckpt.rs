@@ -138,13 +138,19 @@ impl SectionWriter {
     /// Seals the file and writes it to `path`, creating parent
     /// directories.
     pub fn write_to(self, path: &Path) -> Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| Error::storage(format!("mkdir {}: {e}", dir.display())))?;
-        }
-        std::fs::write(path, self.finish())
-            .map_err(|e| Error::storage(format!("write {}: {e}", path.display())))
+        write_file(path, &self.finish())
     }
+}
+
+/// Writes sealed container bytes ([`SectionWriter::finish`]) to `path`,
+/// creating parent directories — how one encoding goes to several files.
+pub fn write_file(path: &Path, bytes: &[u8]) -> Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| Error::storage(format!("mkdir {}: {e}", dir.display())))?;
+    }
+    std::fs::write(path, bytes)
+        .map_err(|e| Error::storage(format!("write {}: {e}", path.display())))
 }
 
 /// The one reader of container files. It opens a file *for* a [`Kind`]

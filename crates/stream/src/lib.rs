@@ -53,13 +53,14 @@ mod driver;
 pub mod query;
 
 pub use checkpoint::{EngineState, Fingerprint, QueuedEvent, SavedState};
-pub use driver::StreamOutcome;
+pub use driver::{StreamOutcome, StreamRun};
 pub use query::{BatchCtl, CheckpointView, StreamProgress};
 
 use opa_common::{Error, Result, StreamConfig};
-use opa_core::api::Job;
+use opa_core::api::{Handle, Job, JobRef};
 use opa_core::job::{JobInput, RunConfig};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Fluent builder for one stream run — the streaming counterpart of
 /// [`opa_core::job::JobBuilder`]: the same [`RunConfig`] behind the same
@@ -113,31 +114,6 @@ impl<J: Job> StreamJobBuilder<J> {
         self
     }
 
-    /// The run options a checkpoint cannot capture, as one table. Checked
-    /// when the job is built with a checkpoint directory or a resume, and
-    /// again if a callback requests a checkpoint mid-run.
-    fn check_checkpointable(&self) -> Result<()> {
-        let unsupported = [
-            (
-                self.run.faults.poison_enabled(),
-                "udf poison injection",
-                "quarantined records",
-            ),
-            (
-                self.run.combine.is_node(),
-                "node-scope combining",
-                "rows resident in the node staging tables",
-            ),
-        ];
-        match unsupported.iter().find(|(on, ..)| *on) {
-            Some((_, option, lost)) => Err(Error::job(format!(
-                "{option} cannot be combined with checkpointing or resume — \
-                 {lost} are not part of the checkpoint format"
-            ))),
-            None => Ok(()),
-        }
-    }
-
     fn validate(&self, input: &JobInput, resuming: bool) -> Result<()> {
         self.run.validate()?;
         if input.is_empty() {
@@ -151,7 +127,7 @@ impl<J: Job> StreamJobBuilder<J> {
             ));
         }
         if resuming || self.checkpoint_dir.is_some() {
-            self.check_checkpointable()?;
+            check_checkpointable(&self.run)?;
         }
         Ok(())
     }
@@ -166,7 +142,8 @@ impl<J: Job> StreamJobBuilder<J> {
         mut on_batch: impl FnMut(&mut BatchCtl<'_, '_>),
     ) -> Result<StreamOutcome> {
         self.validate(input, false)?;
-        self.drive(input, None, &mut on_batch)
+        self.open(JobRef::borrowed(&self.job), Handle::Borrowed(input), None)?
+            .drive(&mut on_batch)
     }
 
     /// Resumes a stream job from a checkpoint file written by a previous
@@ -182,6 +159,47 @@ impl<J: Job> StreamJobBuilder<J> {
     ) -> Result<StreamOutcome> {
         self.validate(input, true)?;
         let saved = SavedState::read_from(checkpoint)?;
-        self.drive(input, Some(saved), &mut on_batch)
+        self.open(
+            JobRef::borrowed(&self.job),
+            Handle::Borrowed(input),
+            Some(saved),
+        )?
+        .drive(&mut on_batch)
+    }
+}
+
+impl<'e> StreamJobBuilder<JobRef<'e>> {
+    /// Opens the stream job over a shared input as a [`StreamRun`] the
+    /// caller keeps and steps — the form a server holds between waves
+    /// (with a [`JobRef::shared`] job, the run borrows nothing). Nothing
+    /// runs until the first [`StreamRun::seal_next`].
+    pub fn start(&self, input: Arc<JobInput>) -> Result<StreamRun<'e>> {
+        self.validate(&input, false)?;
+        self.open(self.job.clone(), Handle::Shared(input), None)
+    }
+}
+
+/// The run options a checkpoint cannot capture, as one table. Checked when
+/// a job is built with a checkpoint directory or a resume, and again if a
+/// callback requests a checkpoint mid-run.
+pub(crate) fn check_checkpointable(run: &RunConfig) -> Result<()> {
+    let unsupported = [
+        (
+            run.faults.poison_enabled(),
+            "udf poison injection",
+            "quarantined records",
+        ),
+        (
+            run.combine.is_node(),
+            "node-scope combining",
+            "rows resident in the node staging tables",
+        ),
+    ];
+    match unsupported.iter().find(|(on, ..)| *on) {
+        Some((_, option, lost)) => Err(Error::job(format!(
+            "{option} cannot be combined with checkpointing or resume — \
+             {lost} are not part of the checkpoint format"
+        ))),
+        None => Ok(()),
     }
 }

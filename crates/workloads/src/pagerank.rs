@@ -78,8 +78,12 @@ impl Job for PageRankInitJob {
     fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
         if let Some((_, user, tail)) = parse_click(record) {
             let url = tail.split(|&b| b == b' ').next().unwrap_or(tail);
-            let mut ukey = *b"u!00000000";
-            ukey[2..].copy_from_slice(format!("{user:08}").as_bytes());
+            // The user id as 8 zero-padded digits, written in place.
+            let (mut ukey, mut rest) = (*b"u!00000000", user);
+            for digit in ukey[2..].iter_mut().rev() {
+                *digit = b'0' + (rest % 10) as u8;
+                rest /= 10;
+            }
             emit(&ukey, url);
             emit(url, &ukey);
         }
