@@ -9,14 +9,14 @@
 //!   with a bounded shared wait queue; every submission is either
 //!   admitted, queued (backpressure) or *explicitly* rejected, and
 //!   `AdmissionStats`-style books reconcile the counters;
-//! - **deterministic interleaved scheduling** ([`server`]) — each job
-//!   runs the unmodified stream driver on its own thread; the server
-//!   advances the fleet in waves, granting micro-batches in admission
-//!   order at full barriers, so every job's outcome is bit-identical to
-//!   its solo run and the serving trace is a pure function of the
-//!   submission sequence;
+//! - **deterministic interleaved scheduling** ([`server`]) — the server
+//!   keeps each running job's unmodified [`opa_stream::StreamRun`] and
+//!   advances the fleet in waves, one micro-batch per job in admission
+//!   order, changing its own state only between waves, so every job's
+//!   outcome is bit-identical to its solo run and the serving trace is a
+//!   pure function of the submission sequence;
 //! - **live queries** — point lookups, DINC top-k and progress answered
-//!   at wave boundaries against the paused engine state, through the
+//!   at wave boundaries by a method call on the paused run, through the
 //!   same [`opa_stream::BatchCtl`] surface the stream callback sees;
 //! - **a dead-letter queue** ([`dlq`]) — records a map UDF rejects are
 //!   quarantined with full provenance (tenant, job, task, attempt,
