@@ -31,17 +31,18 @@
 //! ## Scheduling vs execution
 //!
 //! The engine is the *scheduling layer*: it owns every piece of shared
-//! simulation state and touches it strictly in event order. The coarse,
-//! pure data work — map-task computation ([`compute_map_task`]) and the
-//! reducers' finish wave — runs on the *execution layer*
-//! ([`crate::exec`]): a pool of `threads − 1` worker threads plus the
-//! scheduler itself, scoped to one [`Engine::run_until`] or
-//! [`Engine::finish`] call, so no borrow outlives a call. Shuffle deliveries are too fine-grained to hand off
-//! and are recorded (through [`ReduceEnv`]) on the scheduler thread.
-//! Either way the work comes back as plans and effect logs that are
-//! replayed here in the exact order the sequential engine would have
-//! produced, so a [`JobOutcome`] is bit-identical at any thread count (see
-//! `tests/determinism.rs`).
+//! simulation state, touches it strictly in event order, and keeps the
+//! only clock. The coarse, pure data work — map-task computation
+//! ([`compute_map_task`]) and the reducers' finish wave — runs on the
+//! *execution layer* ([`crate::exec`]): a pool of `threads − 1` worker
+//! threads plus the scheduler itself, scoped to one [`Engine::run_until`]
+//! or [`Engine::finish`] call, so no borrow outlives a call. Shuffle
+//! deliveries are too fine-grained to hand off and run on the scheduler
+//! thread. Either way the work comes back as plans and effect logs: a
+//! reducer records its charges through [`ReduceEnv`] and keeps no clock.
+//! Both are replayed here, into virtual time, in the exact order the
+//! sequential engine would have produced, so a [`JobOutcome`] is
+//! bit-identical at any thread count (see `tests/determinism.rs`).
 
 use crate::api::{Combiner, Handle, IncrementalReducer, JobRef, ReduceCtx, Site};
 use crate::exec::{Gather, Planner, Pool, Task};
@@ -54,8 +55,8 @@ use crate::map_phase::{
 use crate::metrics::{AdmissionStats, DincStats, JobMetrics, NodeCombineStats};
 use crate::progress::{ProgressTracker, PROGRESS_POINTS};
 use crate::reduce::{
-    build_reducer, replay, replay_recovery, Effect, ReduceEnv, ReduceSide, ReducerCkpt,
-    ReducerSizing, ReplayTarget,
+    build_reducer, history_entry, replay, replay_recovery, Effect, ReduceEnv, ReduceSide,
+    ReducerCkpt, ReducerSizing, ReplayTarget,
 };
 use crate::resident::cb_sized;
 use crate::sim::{EventQueue, OpKind, Resources};
@@ -397,7 +398,7 @@ pub struct Engine<'e> {
     delivery_seq: Vec<u64>,
     crash_count: Vec<u32>,
     /// Per-reducer effect history for crash re-replay (kept only when
-    /// reduce crashes can fire).
+    /// reduce crashes can fire), output batches by their bytes alone.
     history: Vec<Vec<Effect>>,
     /// The one effect log every delivery and snapshot is recorded into
     /// and replayed from (see [`Engine::step`]).
@@ -1403,39 +1404,34 @@ impl<'e> Engine<'e> {
             return self.deferred[r].push((from_node, part.payload));
         }
         let t0 = self.survive_crash(r, self.ready_at[r].max(part.arrival));
-        let mut t = self.step(r, t0, |rec, t, env| {
-            rec.on_delivery(t, part.payload, env);
-        });
+        let mut t = self.step(r, t0, |rec, env| rec.deliver(part.payload, env));
         while self.snapshots_taken[r] < self.next_snapshot {
             self.snapshots_taken[r] += 1;
-            t = self.step(r, t, |rec, t, env| {
-                rec.snapshot(t, env);
-            });
+            t = self.step(r, t, |rec, env| rec.snapshot(env));
         }
         self.ready_at[r] = t;
     }
 
-    /// Records one step of reducer `r` starting at `t0` — `work` runs on
-    /// the reducer in place, on the scheduler thread, where its table is
-    /// hot — into the engine's one effect log, keeps it in the crash
-    /// history if crashes can fire, and replays it against the shared state
-    /// at once. Returns the reducer's clock after the step.
+    /// Records one step of reducer `r` — `work` runs on the reducer in
+    /// place, on the scheduler thread, where its table is hot — into the
+    /// engine's one effect log, keeps it in the crash history if crashes
+    /// can fire, and replays it against the shared state from `t0` at once.
+    /// Returns the reducer's clock after the step.
     fn step(
         &mut self,
         r: usize,
         t0: SimTime,
-        work: impl FnOnce(&mut dyn ReduceSide, SimTime, &mut ReduceEnv<'_>),
+        work: impl FnOnce(&mut dyn ReduceSide, &mut ReduceEnv<'_>),
     ) -> SimTime {
         let cfg = &self.plans.cfg;
         let mut env = ReduceEnv::with_log(&cfg.spec, std::mem::take(&mut self.log));
         work(
             self.reducers[r].as_deref_mut().expect("reducer in place"),
-            t0,
             &mut env,
         );
         let mut log = env.into_log();
         if cfg.faults.reduce_failure_rate > 0.0 {
-            self.history[r].extend(log.iter().cloned());
+            self.history[r].extend(log.iter().map(history_entry));
         }
         let t = self.replay_into(r, log.drain(..), t0);
         self.log = log;
@@ -1532,10 +1528,10 @@ impl<'e> Engine<'e> {
         }
     }
 
-    /// The reducers that started in wave one finish: each records on the
-    /// pool, and the records replay in reducer order (identical to the
-    /// sequential engine's iteration order). Returns the latest finish and
-    /// each node's wave-one finish times.
+    /// The reducers that started in wave one finish: each records its
+    /// completion on the pool, and the logs replay in reducer order
+    /// (identical to the sequential engine's iteration order). Returns the
+    /// latest finish and each node's wave-one finish times.
     fn finish_wave_one<'p>(
         &mut self,
         plans: &'p Plans<'e>,
@@ -1551,11 +1547,10 @@ impl<'e> Engine<'e> {
         let mut batch: Vec<Task<'p>> = Vec::with_capacity(wave1.len());
         for (slot, &r) in wave1.iter().enumerate() {
             let mut rec = self.reducers[r].take().expect("reducer in place");
-            let est = self.ready_at[r].max(map_finish);
             let g = gather.clone();
             batch.push(Box::new(move || {
                 let mut env = ReduceEnv::new(spec);
-                rec.finish(est, &mut env);
+                rec.complete(&mut env);
                 g.put(slot, (rec, env.into_log()));
             }));
         }
@@ -1636,13 +1631,11 @@ impl<'e> Engine<'e> {
                 // Second-wave reducers crash and recover the same way as
                 // wave one: backoff, then time-only history re-replay.
                 let t0 = self.survive_crash(r, t.max(arrival));
-                t = self.step(r, t0, |rec, t, env| {
-                    rec.on_delivery(t, payload, env);
-                });
+                t = self.step(r, t0, |rec, env| rec.deliver(payload, env));
             }
             let mut env = ReduceEnv::new(spec);
             let rec = self.reducers[r].as_mut().expect("reducer in place");
-            rec.finish(t, &mut env);
+            rec.complete(&mut env);
             let done = self.replay_into(r, env.into_log(), t);
             self.reducer_done(r, done);
             end = end.max(done);
@@ -1820,6 +1813,78 @@ mod tests {
                 "{framework:?}: a delivery logged a per-tuple Cpu + Worked(1) pair"
             );
         }
+    }
+
+    /// Click counting that also writes a 1 KB pair for every click it
+    /// combines, so output flows while deliveries still arrive.
+    struct EchoClicks;
+    impl Job for EchoClicks {
+        fn name(&self) -> &str {
+            "echo-clicks"
+        }
+        fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
+            ClickCount.map(record, emit);
+        }
+        fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
+            ClickCount.reduce(key, values, ctx);
+        }
+        fn incremental(&self) -> Option<&dyn IncrementalReducer> {
+            Some(self)
+        }
+    }
+    impl IncrementalReducer for EchoClicks {
+        fn init(&self, key: &Key, value: &[u8]) -> Value {
+            ClickCount.init(key, value)
+        }
+        fn cb(&self, key: &Key, acc: &mut Value, other: Value, ctx: &mut ReduceCtx) {
+            ctx.emit(key.clone(), Value::from_slice(&[0; 1024]));
+            ClickCount.cb(key, acc, other, ctx);
+        }
+        fn finalize(&self, key: &Key, state: Value, ctx: &mut ReduceCtx) {
+            ClickCount.finalize(key, state, ctx);
+        }
+    }
+
+    #[test]
+    fn crash_history_keeps_output_batches_by_their_bytes_not_their_pairs() {
+        let input = clicks();
+        let mut cfg = RunConfig {
+            framework: Framework::IncHash,
+            ..RunConfig::default()
+        };
+        cfg.spec.system.chunk_size = 512;
+        cfg.faults = opa_common::fault::FaultConfig::uniform(3, 0.05);
+        let mut engine = Engine::new(
+            &cfg,
+            JobRef::borrowed(&EchoClicks),
+            Handle::Borrowed(&input),
+            None,
+        )
+        .expect("job builds");
+        engine.run_until(engine.num_chunks());
+        let history = engine.history.concat();
+        let written: u64 = engine.output.iter().map(Pair::size).sum();
+        let outcome = engine.finish();
+        let crashes = outcome
+            .metrics
+            .faults
+            .as_ref()
+            .map_or(0, |f| f.reduce_failures);
+        assert!(crashes > 0, "reducers must crash");
+        assert!(written > 0, "output must flow before the input ends");
+        assert!(
+            !history.iter().any(|e| matches!(e, Effect::Emit(_))),
+            "the crash history holds output pairs"
+        );
+        // No snapshot is configured: every staged byte is an output batch.
+        let staged: u64 = history
+            .iter()
+            .map(|e| match e {
+                Effect::Snapshot(bytes) => *bytes,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(staged, written, "every output batch's write is kept");
     }
 
     #[test]

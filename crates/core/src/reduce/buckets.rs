@@ -12,7 +12,6 @@
 use super::{OutputSink, ReduceEnv, WORK_BATCH};
 use crate::api::{IncrementalReducer, ReduceCtx};
 use crate::resident::{cb_sized, entry_size};
-use opa_common::units::SimTime;
 use opa_common::{GroupTable, HashFamily, HashFn, Key, StatePair, Value};
 use opa_simio::{BucketManager, Sized64};
 
@@ -30,16 +29,15 @@ pub(super) const TOP_DEPTH: usize = 3;
 /// seal (a no-op once sealed) and every read to `env`. `None` once the
 /// buckets are exhausted.
 pub(super) fn next_bucket<T: Sized64>(
-    t: &mut SimTime,
     buckets: &mut BucketManager<T>,
     next: &mut usize,
     env: &mut ReduceEnv<'_>,
 ) -> Option<Vec<T>> {
-    *t = env.spill(*t, buckets.seal());
+    env.spill(buckets.seal());
     while *next < buckets.num_buckets() {
         let (recs, op) = buckets.take_bucket(*next);
         *next += 1;
-        *t = env.spill(*t, op);
+        env.spill(op);
         if !recs.is_empty() {
             return Some(recs);
         }
@@ -52,7 +50,6 @@ pub(super) fn next_bucket<T: Sized64>(
 /// sub-bucket at 80 % of `mem_budget`. Read the result back with
 /// [`next_bucket`].
 pub(super) fn repartition<T: Sized64>(
-    t: &mut SimTime,
     items: Vec<T>,
     key: impl Fn(&T) -> &Key,
     h: HashFn,
@@ -65,8 +62,7 @@ pub(super) fn repartition<T: Sized64>(
     let mut sub = BucketManager::new(fan, write_buffer);
     for item in items {
         let b = h.bucket(key(&item).bytes(), fan);
-        let op = sub.push(b, item);
-        *t = env.spill(*t, op);
+        env.spill(sub.push(b, item));
     }
     sub
 }
@@ -84,29 +80,17 @@ pub(super) struct BucketPass<'a> {
 
 impl BucketPass<'_> {
     /// Processes every staged bucket of a reducer, in bucket order.
-    pub(super) fn run(
-        &mut self,
-        mut t: SimTime,
-        buckets: &mut BucketManager<StatePair>,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    pub(super) fn run(&mut self, buckets: &mut BucketManager<StatePair>, env: &mut ReduceEnv<'_>) {
         let mut next = 0;
-        while let Some(tuples) = next_bucket(&mut t, buckets, &mut next, env) {
-            t = self.process_bucket(t, tuples, TOP_DEPTH, env);
+        while let Some(tuples) = next_bucket(buckets, &mut next, env) {
+            self.process_bucket(tuples, TOP_DEPTH, env);
         }
-        t
     }
 
     /// Processes one staged bucket with a fresh in-memory table: combine
     /// in arrival order while the keys fit (first come stay), finalize the
     /// resident keys, then re-partition the rest and recurse.
-    fn process_bucket(
-        &mut self,
-        mut t: SimTime,
-        tuples: Vec<StatePair>,
-        depth: usize,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    fn process_bucket(&mut self, tuples: Vec<StatePair>, depth: usize, env: &mut ReduceEnv<'_>) {
         // Replay the bucket under its own watermark: the file preserves
         // arrival order, so advancing the watermark from the replayed
         // tuples reproduces the original bounded disorder. Reusing the
@@ -144,26 +128,23 @@ impl BucketPass<'_> {
                 }
             }
             if batch >= WORK_BATCH {
-                t = charge(t, batch, env);
+                charge(batch, env);
                 batch = 0;
-                if self.ctx.pending() > 0 {
-                    t = self.sink.push(t, self.ctx, env);
-                }
+                self.sink.push(self.ctx, env);
             }
         }
         if batch > 0 {
-            t = charge(t, batch, env);
+            charge(batch, env);
         }
         let resident = table.len() as u64;
         for (_, key, state) in table.into_rows() {
             inc.finalize(&key, state, self.ctx);
         }
-        t = env.cpu(t, env.cost().reduce_time(resident));
-        t = self.sink.push(t, self.ctx, env);
+        env.cpu(env.cost().reduce_time(resident));
+        self.sink.push(self.ctx, env);
 
         if !overflow.is_empty() {
             let mut sub = repartition(
-                &mut t,
                 overflow,
                 |sp| &sp.key,
                 self.family.fn_at(depth + 1),
@@ -172,25 +153,20 @@ impl BucketPass<'_> {
                 env,
             );
             let mut next = 0;
-            while let Some(tuples) = next_bucket(&mut t, &mut sub, &mut next, env) {
-                t = self.process_bucket(t, tuples, depth + 1, env);
+            while let Some(tuples) = next_bucket(&mut sub, &mut next, env) {
+                self.process_bucket(tuples, depth + 1, env);
             }
         }
         self.ctx.watermark = match (saved_watermark, self.ctx.watermark) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
-        t
     }
 }
 
-/// Commits `batch` table operations to the clock and to reduce progress:
-/// one hash probe each, and a `cb()` for about every other one.
-fn charge(t: SimTime, batch: u64, env: &mut ReduceEnv<'_>) -> SimTime {
-    let t = env.cpu(
-        t,
-        env.cost().hash_time(batch) + env.cost().cb_time(batch / 2),
-    );
-    env.worked(t, batch);
-    t
+/// Charges `batch` table operations and acknowledges them into reduce
+/// progress: one hash probe each, and a `cb()` for about every other one.
+fn charge(batch: u64, env: &mut ReduceEnv<'_>) {
+    env.cpu(env.cost().hash_time(batch) + env.cost().cb_time(batch / 2));
+    env.worked(batch);
 }

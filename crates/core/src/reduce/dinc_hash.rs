@@ -29,7 +29,7 @@ use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::metrics::AdmissionStats;
 use crate::sim::OpKind;
-use opa_common::units::{SimDuration, SimTime};
+use opa_common::units::SimDuration;
 use opa_common::{
     AdmissionPolicy, Error, FreqSketch, HashFamily, HashFn, Key, Result, StatePair, Value,
 };
@@ -325,33 +325,25 @@ impl<'j> DincHashReducer<'j> {
         self.monitor.capacity()
     }
 
-    fn stage(&mut self, t: SimTime, sp: StatePair, env: &mut ReduceEnv<'_>) -> SimTime {
+    fn stage(&mut self, sp: StatePair, env: &mut ReduceEnv<'_>) {
         let b = self.h3.bucket(sp.key.bytes(), self.buckets.num_buckets());
-        let op = self.buckets.push(b, sp);
-        env.spill(t, op)
+        env.spill(self.buckets.push(b, sp));
     }
 
     /// Runs the workload eviction hook on a displaced entry.
-    fn handle_eviction(
-        &mut self,
-        mut t: SimTime,
-        key: Key,
-        state: Value,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    fn handle_eviction(&mut self, key: Key, state: Value, env: &mut ReduceEnv<'_>) {
         let wm = self.ctx.watermark;
         match self.inc.evict(&key, state, wm, &mut self.ctx) {
             None => {
                 // Fully output — the 0.1 GB-vs-370 GB headline lives here.
                 self.stats.evict_output += 1;
-                t = self.sink.push(t, &mut self.ctx, env);
+                self.sink.push(&mut self.ctx, env);
             }
             Some(state) => {
                 self.stats.evict_spilled += 1;
-                t = self.stage(t, StatePair::new(key, state), env);
+                self.stage(StatePair::new(key, state), env);
             }
         }
-        t
     }
 
     /// Handles a [`MgOutcome::Rejected`] tuple. With the LFU admission
@@ -361,17 +353,15 @@ impl<'j> DincHashReducer<'j> {
     /// newcomer takes its slot. Otherwise (and always when the policy is
     /// off) the tuple is staged to disk exactly as before. `fp` is the
     /// key's `h3` fingerprint, computed only when the sketch exists.
-    #[allow(clippy::too_many_arguments)]
     fn reject_or_admit(
         &mut self,
-        mut t: SimTime,
         key: Key,
         state: Value,
         sp_size: u64,
         fp: Option<u64>,
         wm: Option<u64>,
         env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    ) {
         if let (Some(sketch), Some(fp)) = (self.sketch.as_ref(), fp) {
             let inc = &*self.inc;
             let h3 = &self.h3;
@@ -384,25 +374,25 @@ impl<'j> DincHashReducer<'j> {
                 MgOutcome::Installed { evicted } => {
                     self.adm.absorbed += 1;
                     self.adm.admitted_evictions += 1;
-                    t = env.absorbed(t, env.cost().hash_time(2));
+                    env.absorbed(env.cost().hash_time(2));
                     if let Some(e) = evicted {
                         let victim_size = e.key.len() as u64
                             + e.state.len() as u64
                             + opa_common::types::RECORD_OVERHEAD;
                         let spilled_before = self.stats.evict_spilled;
-                        t = self.handle_eviction(t, e.key, e.state, env);
+                        self.handle_eviction(e.key, e.state, env);
                         if self.stats.evict_spilled > spilled_before {
                             self.adm.spill.admitted_evict += victim_size;
                         }
                     }
-                    return t;
+                    return;
                 }
                 MgOutcome::Rejected { key, state } => {
                     self.stats.rejected += 1;
                     self.adm.rejected += 1;
                     self.adm.spill.rejected_arrival += sp_size;
-                    t = env.cpu(t, env.cost().hash_time(1));
-                    return self.stage(t, StatePair::new(key, state), env);
+                    env.cpu(env.cost().hash_time(1));
+                    return self.stage(StatePair::new(key, state), env);
                 }
             }
         }
@@ -410,22 +400,17 @@ impl<'j> DincHashReducer<'j> {
         self.stats.rejected += 1;
         self.adm.rejected += 1;
         self.adm.spill.rejected_arrival += sp_size;
-        t = env.cpu(t, env.cost().hash_time(1));
-        self.stage(t, StatePair::new(key, state), env)
+        env.cpu(env.cost().hash_time(1));
+        self.stage(StatePair::new(key, state), env);
     }
 }
 
 impl ReduceSide for DincHashReducer<'_> {
-    fn on_delivery(
-        &mut self,
-        mut t: SimTime,
-        payload: Payload,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    fn deliver(&mut self, payload: Payload, env: &mut ReduceEnv<'_>) {
         let Payload::States(batch) = payload else {
             unreachable!("DINC-hash receives key-state pairs");
         };
-        env.shuffled(t, batch.bytes());
+        env.shuffled(batch.bytes());
         for sp in batch {
             if let Some(ts) = self.inc.event_time(&sp.state) {
                 self.ctx.advance_watermark(ts);
@@ -452,24 +437,21 @@ impl ReduceSide for DincHashReducer<'_> {
             match outcome {
                 MgOutcome::Combined => {
                     self.adm.absorbed += 1;
-                    t = env.absorbed(t, self.hit_charge);
-                    if self.ctx.pending() > 0 {
-                        t = self.sink.push(t, &mut self.ctx, env);
-                    }
+                    env.absorbed(self.hit_charge);
+                    self.sink.push(&mut self.ctx, env);
                 }
                 MgOutcome::Installed { evicted } => {
                     self.adm.absorbed += 1;
-                    t = env.absorbed(t, env.cost().hash_time(1));
+                    env.absorbed(env.cost().hash_time(1));
                     if let Some(e) = evicted {
-                        t = self.handle_eviction(t, e.key, e.state, env);
+                        self.handle_eviction(e.key, e.state, env);
                     }
                 }
                 MgOutcome::Rejected { key, state } => {
-                    t = self.reject_or_admit(t, key, state, sp_size, fp, wm, env);
+                    self.reject_or_admit(key, state, sp_size, fp, wm, env);
                 }
             }
         }
-        t
     }
 
     fn dinc_stats(&self) -> Option<crate::metrics::DincStats> {
@@ -480,7 +462,7 @@ impl ReduceSide for DincHashReducer<'_> {
         Some(self.adm)
     }
 
-    fn finish(&mut self, mut t: SimTime, env: &mut ReduceEnv<'_>) -> SimTime {
+    fn complete(&mut self, env: &mut ReduceEnv<'_>) {
         env.span_open();
         self.stats.offered = self.monitor.offered();
         let offered = self.monitor.offered();
@@ -505,11 +487,11 @@ impl ReduceSide for DincHashReducer<'_> {
                     finalized += 1;
                 }
             }
-            t = env.cpu(t, env.cost().reduce_time(finalized));
-            t = self.sink.push(t, &mut self.ctx, env);
-            t = self.sink.flush(t, env);
+            env.cpu(env.cost().reduce_time(finalized));
+            self.sink.push(&mut self.ctx, env);
+            self.sink.flush(env);
             env.span_close(OpKind::Reduce);
-            return t;
+            return;
         }
 
         // Exact completion: flush the monitor through the eviction hook.
@@ -520,7 +502,7 @@ impl ReduceSide for DincHashReducer<'_> {
             self.ctx.watermark = Some(u64::MAX);
         }
         for e in entries {
-            t = self.handle_eviction(t, e.key, e.state, env);
+            self.handle_eviction(e.key, e.state, env);
         }
 
         // …then process staged buckets exactly like INC-hash.
@@ -532,10 +514,9 @@ impl ReduceSide for DincHashReducer<'_> {
             ctx: &mut self.ctx,
             sink: &mut self.sink,
         };
-        t = pass.run(t, &mut self.buckets, env);
-        t = self.sink.flush(t, env);
+        pass.run(&mut self.buckets, env);
+        self.sink.flush(env);
         env.span_close(OpKind::Reduce);
-        t
     }
 
     /// Sections: `states[0]` holds the monitor's (key, state) entries in

@@ -21,7 +21,7 @@ use crate::map_phase::Payload;
 use crate::metrics::AdmissionStats;
 use crate::resident::{cb_sized, colder_resident, entry_size};
 use crate::sim::OpKind;
-use opa_common::units::{SimDuration, SimTime};
+use opa_common::units::SimDuration;
 use opa_common::{
     AdmissionPolicy, Error, FreqSketch, GroupTable, HashFamily, HashFn, Key, KeyFilter, Result,
     StatePair, Value,
@@ -136,15 +136,8 @@ impl<'j> IncHashReducer<'j> {
 
     /// Streams one tuple through the table, probing with the batch-carried
     /// `h1` fingerprint when the shuffle delivered one (re-hashing only
-    /// for restored tuples whose cache was dropped). Returns the advanced
-    /// clock.
-    fn absorb(
-        &mut self,
-        mut t: SimTime,
-        sp: StatePair,
-        hash: Option<u64>,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    /// for restored tuples whose cache was dropped).
+    fn absorb(&mut self, sp: StatePair, hash: Option<u64>, env: &mut ReduceEnv<'_>) {
         if let Some(ts) = self.inc.event_time(&sp.state) {
             self.ctx.advance_watermark(ts);
         }
@@ -167,22 +160,19 @@ impl<'j> IncHashReducer<'j> {
                     &mut self.mem_used,
                 );
                 *count += 1;
-                t = env.absorbed(t, self.hit_charge);
+                env.absorbed(self.hit_charge);
                 self.absorbed += 1;
                 self.stats.absorbed += 1;
-                if self.ctx.pending() > 0 {
-                    t = self.sink.push(t, &mut self.ctx, env);
-                }
-                t
+                self.sink.push(&mut self.ctx, env);
             }
-            None if self.admission.is_on() => self.absorb_miss_lfu(t, sp, h, env),
+            None if self.admission.is_on() => self.absorb_miss_lfu(sp, h, env),
             None => {
                 let sz = entry_size(&*self.inc, &sp.key, &sp.state);
                 if !self.admissions_closed && self.mem_used + sz <= self.mem_budget {
-                    self.admit(t, sp, h, sz, 1, env)
+                    self.admit(sp, h, sz, 1, env);
                 } else {
                     self.admissions_closed = true;
-                    self.reject(t, sp, env)
+                    self.reject(sp, env);
                 }
             }
         }
@@ -190,33 +180,24 @@ impl<'j> IncHashReducer<'j> {
 
     /// Installs an arriving key of `sz` bytes as resident, charging
     /// `probes` table operations (two when an eviction made the room).
-    fn admit(
-        &mut self,
-        t: SimTime,
-        sp: StatePair,
-        h: u64,
-        sz: u64,
-        probes: u64,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    fn admit(&mut self, sp: StatePair, h: u64, sz: u64, probes: u64, env: &mut ReduceEnv<'_>) {
         self.mem_used += sz;
         self.table.push(h, sp.key, (sp.state, 1));
         self.absorbed += 1;
         self.stats.absorbed += 1;
-        env.absorbed(t, env.cost().hash_time(probes))
+        env.absorbed(env.cost().hash_time(probes));
     }
 
     /// Stages an arrival that was denied admission to its `h3` bucket.
-    fn reject(&mut self, t: SimTime, sp: StatePair, env: &mut ReduceEnv<'_>) -> SimTime {
+    fn reject(&mut self, sp: StatePair, env: &mut ReduceEnv<'_>) {
         self.stats.rejected += 1;
         self.stats.spill.rejected_arrival += sp.size();
-        self.stage(t, sp, env)
+        self.stage(sp, env);
     }
 
-    fn stage(&mut self, t: SimTime, sp: StatePair, env: &mut ReduceEnv<'_>) -> SimTime {
+    fn stage(&mut self, sp: StatePair, env: &mut ReduceEnv<'_>) {
         let b = self.h3.bucket(sp.key.bytes(), self.buckets.num_buckets());
-        let op = self.buckets.push(b, sp);
-        env.spill(t, op)
+        env.spill(self.buckets.push(b, sp));
     }
 
     /// Table-miss handling under the LFU policy: admit clean keys while
@@ -228,20 +209,14 @@ impl<'j> IncHashReducer<'j> {
     /// data in memory (the never-split invariant); an evicted or rejected
     /// key's bytes all meet in its `h3` bucket, where the bucket pass
     /// re-combines them in arrival order.
-    fn absorb_miss_lfu(
-        &mut self,
-        mut t: SimTime,
-        sp: StatePair,
-        h: u64,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    fn absorb_miss_lfu(&mut self, sp: StatePair, h: u64, env: &mut ReduceEnv<'_>) {
         const ALLOCATED: &str = "LFU policy allocates the sketch and the filter";
         let sz = entry_size(&*self.inc, &sp.key, &sp.state);
         let clean = !self.filter.as_ref().expect(ALLOCATED).contains(h);
         if clean && self.mem_used + sz <= self.mem_budget {
             // Unlike first-come, a clean key may be admitted even after
             // earlier rejections — draining sessions can free memory.
-            return self.admit(t, sp, h, sz, 1, env);
+            return self.admit(sp, h, sz, 1, env);
         }
         // A strictly colder resident makes way — if the newcomer fits the
         // budget in its place (the one condition the map-side gate, which
@@ -259,7 +234,7 @@ impl<'j> IncHashReducer<'j> {
             // Rejected arrival: remember the key so it is never admitted
             // later, then spill to its bucket exactly as first-come would.
             filter.insert(h);
-            return self.reject(t, sp, env);
+            return self.reject(sp, env);
         };
         // The victim is now a disk key forever: its partial state goes to
         // its h3 bucket first, and every later tuple of the same key will
@@ -275,32 +250,26 @@ impl<'j> IncHashReducer<'j> {
         let victim = StatePair::new(vkey, vstate);
         self.stats.admitted_evictions += 1;
         self.stats.spill.admitted_evict += victim.size();
-        t = self.stage(t, victim, env);
-        self.admit(t, sp, h, sz, 2, env)
+        self.stage(victim, env);
+        self.admit(sp, h, sz, 2, env);
     }
 }
 
 impl ReduceSide for IncHashReducer<'_> {
-    fn on_delivery(
-        &mut self,
-        mut t: SimTime,
-        payload: Payload,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    fn deliver(&mut self, payload: Payload, env: &mut ReduceEnv<'_>) {
         let Payload::States(batch) = payload else {
             unreachable!("INC-hash receives key-state pairs");
         };
-        env.shuffled(t, batch.bytes());
+        env.shuffled(batch.bytes());
         let (tuples, hashes) = batch.into_parts();
         let mut hashes = hashes.into_iter();
         for sp in tuples {
             let h = hashes.next();
-            t = self.absorb(t, sp, h, env);
+            self.absorb(sp, h, env);
         }
-        t
     }
 
-    fn finish(&mut self, mut t: SimTime, env: &mut ReduceEnv<'_>) -> SimTime {
+    fn complete(&mut self, env: &mut ReduceEnv<'_>) {
         env.span_open();
         // Finalize every memory-resident key (their data is complete —
         // see the module invariant).
@@ -311,8 +280,8 @@ impl ReduceSide for IncHashReducer<'_> {
         for (_, key, (state, _)) in std::mem::take(&mut self.table).into_rows() {
             self.inc.finalize(&key, state, &mut self.ctx);
         }
-        t = env.cpu(t, env.cost().reduce_time(n));
-        t = self.sink.push(t, &mut self.ctx, env);
+        env.cpu(env.cost().reduce_time(n));
+        self.sink.push(&mut self.ctx, env);
 
         // Staged buckets, one at a time.
         let mut pass = BucketPass {
@@ -323,10 +292,9 @@ impl ReduceSide for IncHashReducer<'_> {
             ctx: &mut self.ctx,
             sink: &mut self.sink,
         };
-        t = pass.run(t, &mut self.buckets, env);
-        t = self.sink.flush(t, env);
+        pass.run(&mut self.buckets, env);
+        self.sink.flush(env);
         env.span_close(OpKind::Reduce);
-        t
     }
 
     /// Sections: `states` holds the resident table `H` (insertion order —

@@ -16,7 +16,6 @@ use crate::api::{JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::sim::OpKind;
-use opa_common::units::SimTime;
 use opa_common::{Error, GroupTable, HashFamily, HashFn, Key, Pair, Result, SeededState, Value};
 use opa_simio::BucketManager;
 use std::collections::HashMap;
@@ -80,14 +79,8 @@ impl<'j> MrHashReducer<'j> {
 
     /// Groups `pairs` by key with the depth-`d` hash function and streams
     /// each group through the reduce function.
-    fn reduce_in_memory(
-        &mut self,
-        mut t: SimTime,
-        pairs: Vec<Pair>,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
-        let n = pairs.len() as u64;
-        t = env.cpu(t, env.cost().hash_time(n));
+    fn reduce_in_memory(&mut self, pairs: Vec<Pair>, env: &mut ReduceEnv<'_>) {
+        env.cpu(env.cost().hash_time(pairs.len() as u64));
         // Insertion-ordered group-by, probed with the `h1` fingerprint the
         // map side partitions with.
         let mut groups: GroupTable<Vec<Value>> = GroupTable::with_capacity(pairs.len() / 4 + 1);
@@ -105,31 +98,25 @@ impl<'j> MrHashReducer<'j> {
             self.job.reduce(&key, values, &mut ctx);
             batch += n;
             if batch >= WORK_BATCH {
-                t = env.cpu(t, env.cost().reduce_time(batch));
-                env.worked(t, batch);
+                env.cpu(env.cost().reduce_time(batch));
+                env.worked(batch);
                 batch = 0;
-                t = self.sink.push(t, &mut ctx, env);
+                self.sink.push(&mut ctx, env);
             }
         }
         if batch > 0 {
-            t = env.cpu(t, env.cost().reduce_time(batch));
-            env.worked(t, batch);
+            env.cpu(env.cost().reduce_time(batch));
+            env.worked(batch);
         }
-        self.sink.push(t, &mut ctx, env)
+        self.sink.push(&mut ctx, env);
     }
 
     /// Processes one staged bucket: reduce in memory if it fits, otherwise
     /// recursively partition with the next hash function.
-    fn process_bucket(
-        &mut self,
-        mut t: SimTime,
-        pairs: Vec<Pair>,
-        depth: usize,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    fn process_bucket(&mut self, pairs: Vec<Pair>, depth: usize, env: &mut ReduceEnv<'_>) {
         let bytes: u64 = pairs.iter().map(Pair::size).sum();
         if bytes <= self.mem_budget || depth >= MAX_DEPTH {
-            return self.reduce_in_memory(t, pairs, env);
+            return self.reduce_in_memory(pairs, env);
         }
         // Rehashing cannot split a bucket whose size is dominated by one
         // hot key: its pairs collide under every hash function. When even
@@ -144,12 +131,11 @@ impl<'j> MrHashReducer<'j> {
         }
         let dominant = per_key.values().copied().max().unwrap_or(0);
         if dominant > self.mem_budget || per_key.len() == 1 {
-            return self.reduce_in_memory(t, pairs, env);
+            return self.reduce_in_memory(pairs, env);
         }
         // Recursive partitioning with h_{depth}.
-        t = env.cpu(t, env.cost().hash_time(pairs.len() as u64));
+        env.cpu(env.cost().hash_time(pairs.len() as u64));
         let mut sub = repartition(
-            &mut t,
             pairs,
             |p| &p.key,
             self.family.fn_at(depth),
@@ -158,26 +144,20 @@ impl<'j> MrHashReducer<'j> {
             env,
         );
         let mut next = 0;
-        while let Some(recs) = next_bucket(&mut t, &mut sub, &mut next, env) {
-            t = self.process_bucket(t, recs, depth + 1, env);
+        while let Some(recs) = next_bucket(&mut sub, &mut next, env) {
+            self.process_bucket(recs, depth + 1, env);
         }
-        t
     }
 }
 
 impl ReduceSide for MrHashReducer<'_> {
-    fn on_delivery(
-        &mut self,
-        mut t: SimTime,
-        payload: Payload,
-        env: &mut ReduceEnv<'_>,
-    ) -> SimTime {
+    fn deliver(&mut self, payload: Payload, env: &mut ReduceEnv<'_>) {
         let Payload::Pairs(pairs) = payload else {
             unreachable!("MR-hash receives key-value pairs");
         };
         let bytes: u64 = pairs.iter().map(Pair::size).sum();
-        env.shuffled(t, bytes);
-        t = env.cpu(t, env.cost().hash_time(pairs.len() as u64));
+        env.shuffled(bytes);
+        env.cpu(env.cost().hash_time(pairs.len() as u64));
         for p in pairs {
             let b = self.h2.bucket(p.key.bytes(), self.n_buckets);
             if b == 0 {
@@ -187,43 +167,38 @@ impl ReduceSide for MrHashReducer<'_> {
                     self.d1.push(p);
                 } else {
                     // D1 overflow shares bucket file 0.
-                    let op = self.buckets.push(0, p);
-                    t = env.spill(t, op);
+                    env.spill(self.buckets.push(0, p));
                 }
             } else {
-                let op = self.buckets.push(b - 1, p);
-                t = env.spill(t, op);
+                env.spill(self.buckets.push(b - 1, p));
             }
         }
-        t
     }
 
-    fn finish(&mut self, mut t: SimTime, env: &mut ReduceEnv<'_>) -> SimTime {
+    fn complete(&mut self, env: &mut ReduceEnv<'_>) {
         env.span_open();
-        let op = self.buckets.seal();
-        t = env.spill(t, op);
+        env.spill(self.buckets.seal());
         // Phase 1: the memory-resident bucket, joined with its overflow
         // file (keys hashing to bucket 0 may have pairs in both — they
         // must be grouped together).
         let mut d1 = std::mem::take(&mut self.d1);
         self.d1_bytes = 0;
         let (overflow, op) = self.buckets.take_bucket(0);
-        t = env.spill(t, op);
+        env.spill(op);
         let had_overflow = !overflow.is_empty();
         d1.extend(overflow);
         if had_overflow {
-            t = self.process_bucket(t, d1, TOP_DEPTH, env);
+            self.process_bucket(d1, TOP_DEPTH, env);
         } else {
-            t = self.reduce_in_memory(t, d1, env);
+            self.reduce_in_memory(d1, env);
         }
         // Phase 2: the remaining staged buckets, one at a time.
         let mut next = 1;
-        while let Some(recs) = next_bucket(&mut t, &mut self.buckets, &mut next, env) {
-            t = self.process_bucket(t, recs, TOP_DEPTH, env);
+        while let Some(recs) = next_bucket(&mut self.buckets, &mut next, env) {
+            self.process_bucket(recs, TOP_DEPTH, env);
         }
-        t = self.sink.flush(t, env);
+        self.sink.flush(env);
         env.span_close(OpKind::Reduce);
-        t
     }
 
     /// Sections: `pairs` holds `D1`, then one section per on-disk bucket

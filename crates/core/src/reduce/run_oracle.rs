@@ -35,21 +35,20 @@ fn expand(log: &[Effect]) -> Vec<Effect> {
 fn random_log(rng: &mut SplitMix64, spec: &ClusterSpec) -> Vec<Effect> {
     const CHARGES: [u64; 4] = [0, 1, 7, 13];
     let mut env = ReduceEnv::new(spec);
-    let mut t = SimTime::ZERO;
     let mut open_spans = 0;
-    env.shuffled(t, 1 + rng.next_below(4096));
+    env.shuffled(1 + rng.next_below(4096));
     for step in 0..1 + rng.next_below(12) {
         // Every other log leads with a run.
         let lead = if step == 0 { rng.next_below(2) * 9 } else { 0 };
         match rng.next_below(10).max(lead) {
-            0 => t = env.spill(t, IoOp::write(1 + rng.next_below(8192))),
+            0 => env.spill(IoOp::write(1 + rng.next_below(8192))),
             1 => {
                 let pairs = (0..1 + rng.next_below(3))
                     .map(|_| Pair::new(Key::from_u64(rng.next()), Value::from_u64(1)))
                     .collect();
-                t = env.emit(t, pairs);
+                env.emit(pairs);
             }
-            2 => t = env.snapshot_write(t, 1 + rng.next_below(2048)),
+            2 => env.snapshot_write(1 + rng.next_below(2048)),
             3 => {
                 env.span_open();
                 open_spans += 1;
@@ -61,8 +60,8 @@ fn random_log(rng: &mut SplitMix64, spec: &ClusterSpec) -> Vec<Effect> {
             5 => {
                 // A batched charge, as sort-merge and the bucket pass log it.
                 let batch = 1 + rng.next_below(512);
-                t = env.cpu(t, SimDuration(batch * 3));
-                env.worked(t, batch);
+                env.cpu(SimDuration(batch * 3));
+                env.worked(batch);
             }
             _ => {
                 let dur = SimDuration(CHARGES[rng.next_below(4) as usize]);
@@ -72,7 +71,7 @@ fn random_log(rng: &mut SplitMix64, spec: &ClusterSpec) -> Vec<Effect> {
                     _ => 1 + rng.next_below(5_000),
                 };
                 for _ in 0..n {
-                    t = env.absorbed(t, dur);
+                    env.absorbed(dur);
                 }
             }
         }
@@ -192,21 +191,18 @@ fn recorder_merges_only_equal_consecutive_charges() {
     let spec = ClusterSpec::paper_scaled();
     let (a, b) = (SimDuration(7), SimDuration(13));
     let mut env = ReduceEnv::new(&spec);
-    let mut t = SimTime(100);
     for _ in 0..3 {
-        t = env.absorbed(t, a);
+        env.absorbed(a);
     }
-    assert_eq!(t, SimTime(121), "the clock advances one charge per tuple");
-    t = env.absorbed(t, b); // another charge: a run of its own
-    t = env.absorbed(t, a); // the first charge again: not merged backwards
-    env.shuffled(t, 10);
-    t = env.absorbed(t, a); // same charge, but an effect lies between
-    t = env.cpu(t, a);
-    env.worked(t, 1);
-    t = env.absorbed(t, a); // never merged into a Cpu + Worked pair
-    t = env.absorbed(t, SimDuration::ZERO);
-    t = env.absorbed(t, SimDuration::ZERO); // free tuples still count
-    assert_eq!(t, SimTime(162));
+    env.absorbed(b); // another charge: a run of its own
+    env.absorbed(a); // the first charge again: not merged backwards
+    env.shuffled(10);
+    env.absorbed(a); // same charge, but an effect lies between
+    env.cpu(a);
+    env.worked(1);
+    env.absorbed(a); // never merged into a Cpu + Worked pair
+    env.absorbed(SimDuration::ZERO);
+    env.absorbed(SimDuration::ZERO); // free tuples still count
     let shape: Vec<(u64, u32)> = env
         .into_log()
         .iter()

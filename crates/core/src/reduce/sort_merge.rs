@@ -13,7 +13,6 @@ use crate::api::{JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
 use crate::sim::OpKind;
-use opa_common::units::SimTime;
 use opa_common::{Error, Pair, Result, Value};
 use opa_simio::{IoOp, SpillStore};
 
@@ -49,35 +48,33 @@ impl<'j> SortMergeReducer<'j> {
     /// Merges the buffered segments into one sorted run (stable sort keeps
     /// within-segment order; segments are key-sorted already, so groups are
     /// exact).
-    fn merge_segments(&mut self, t: SimTime, env: &mut ReduceEnv<'_>) -> (Vec<Pair>, SimTime) {
+    fn merge_segments(&mut self, env: &mut ReduceEnv<'_>) -> Vec<Pair> {
         let fan_in = self.segments.len();
         let mut run: Vec<Pair> = self.segments.drain(..).flatten().collect();
         run.sort_by(|a, b| a.key.cmp(&b.key));
-        let dur = env.cost().merge_time(run.len() as u64, fan_in);
-        let t = env.cpu(t, dur);
+        env.cpu(env.cost().merge_time(run.len() as u64, fan_in));
         self.buffered_bytes = 0;
-        (run, t)
+        run
     }
 
     /// Buffer overflow: merge segments, apply the combiner, spill one run,
     /// then run the background-merge policy.
-    fn spill_buffer(&mut self, t: SimTime, env: &mut ReduceEnv<'_>) -> SimTime {
-        let (mut run, mut t) = self.merge_segments(t, env);
+    fn spill_buffer(&mut self, env: &mut ReduceEnv<'_>) {
+        let mut run = self.merge_segments(env);
         if let Some(cb) = self.job.combiner() {
             let before = run.len() as u64;
             run = combine_run(cb, run);
-            let dur = env.cost().cb_time(before);
-            t = env.cpu(t, dur);
+            env.cpu(env.cost().cb_time(before));
             // Combine calls are user work under Definition 1.
-            env.worked(t, before);
+            env.worked(before);
         }
         let (_id, op) = self.spills.write_file(run);
-        t = env.spill(t, op);
-        self.background_merge(t, env)
+        env.spill(op);
+        self.background_merge(env);
     }
 
     /// While `2F − 1` files sit on disk, merge the smallest `F`.
-    fn background_merge(&mut self, mut t: SimTime, env: &mut ReduceEnv<'_>) -> SimTime {
+    fn background_merge(&mut self, env: &mut ReduceEnv<'_>) {
         let f = self.merge_factor;
         while self.spills.live_count() >= 2 * f - 1 {
             let mut live: Vec<(usize, u64)> = self.spills.live_files().collect();
@@ -90,15 +87,13 @@ impl<'j> SortMergeReducer<'j> {
                 read_op += op;
                 merged.extend(file.records);
             }
-            t = env.spill(t, read_op);
+            env.spill(read_op);
             merged.sort_by(|a, b| a.key.cmp(&b.key));
-            let dur = env.cost().merge_time(merged.len() as u64, f);
-            t = env.cpu(t, dur);
+            env.cpu(env.cost().merge_time(merged.len() as u64, f));
             let (_id, wop) = self.spills.write_file(merged);
-            t = env.spill(t, wop);
+            env.spill(wop);
             env.span_close(OpKind::Merge);
         }
-        t
     }
 }
 
@@ -108,7 +103,7 @@ impl ReduceSide for SortMergeReducer<'_> {
     /// snapshot output. None of the work is reusable — the inputs stay on
     /// disk for the real final merge — which is the paper's point about
     /// snapshots being expensive.
-    fn snapshot(&mut self, mut t: SimTime, env: &mut ReduceEnv<'_>) -> SimTime {
+    fn snapshot(&mut self, env: &mut ReduceEnv<'_>) {
         env.span_open();
         let ids: Vec<usize> = self.spills.live_files().map(|(id, _)| id).collect();
         let mut all: Vec<Pair> = Vec::new();
@@ -118,22 +113,19 @@ impl ReduceSide for SortMergeReducer<'_> {
             read_op += op;
             all.extend(records);
         }
-        t = env.spill(
-            t,
-            IoOp {
-                read: read_op.read,
-                written: 0,
-                seeks: read_op.seeks,
-            },
-        );
+        env.spill(IoOp {
+            read: read_op.read,
+            written: 0,
+            seeks: read_op.seeks,
+        });
         for seg in &self.segments {
             all.extend(seg.iter().cloned());
         }
         if all.is_empty() {
-            return t;
+            return;
         }
         all.sort_by(|a, b| a.key.cmp(&b.key));
-        t = env.cpu(t, env.cost().merge_time(all.len() as u64, 8));
+        env.cpu(env.cost().merge_time(all.len() as u64, 8));
         let mut ctx = ReduceCtx::new();
         let mut i = 0usize;
         let mut reduced = 0u64;
@@ -147,36 +139,31 @@ impl ReduceSide for SortMergeReducer<'_> {
             self.job.reduce(&all[i].key, values, &mut ctx);
             i = j;
         }
-        t = env.cpu(t, env.cost().reduce_time(reduced));
+        env.cpu(env.cost().reduce_time(reduced));
         let out = ctx.drain();
-        let bytes: u64 = out.iter().map(Pair::size).sum();
-        t = env.snapshot_write(t, bytes);
+        env.snapshot_write(out.iter().map(Pair::size).sum());
         env.span_close(OpKind::Reduce);
-        t
     }
 
-    fn on_delivery(&mut self, t: SimTime, payload: Payload, env: &mut ReduceEnv<'_>) -> SimTime {
+    fn deliver(&mut self, payload: Payload, env: &mut ReduceEnv<'_>) {
         let Payload::Pairs(batch) = payload else {
             unreachable!("sort-merge receives key-value pairs");
         };
         let bytes = batch.bytes();
-        env.shuffled(t, bytes);
+        env.shuffled(bytes);
         self.buffered_bytes += bytes;
         if !batch.is_empty() {
             self.segments.push(batch.into_pairs());
         }
         if self.buffered_bytes >= self.buffer_cap {
-            self.spill_buffer(t, env)
-        } else {
-            t
+            self.spill_buffer(env);
         }
     }
 
-    fn finish(&mut self, t: SimTime, env: &mut ReduceEnv<'_>) -> SimTime {
+    fn complete(&mut self, env: &mut ReduceEnv<'_>) {
         // Final merge: every on-disk run plus the in-memory tail, streamed
         // through the reduce function.
         env.span_open();
-        let mut t = t;
         let disk_files: Vec<usize> = self.spills.live_files().map(|(id, _)| id).collect();
         let fan_in = disk_files.len() + self.segments.len();
         let mut all: Vec<Pair> = Vec::new();
@@ -186,15 +173,14 @@ impl ReduceSide for SortMergeReducer<'_> {
             read_op += op;
             all.extend(file.records);
         }
-        t = env.spill(t, read_op);
+        env.spill(read_op);
         all.extend(self.segments.drain(..).flatten());
         self.buffered_bytes = 0;
         all.sort_by(|a, b| a.key.cmp(&b.key));
-        let dur = env.cost().merge_time(all.len() as u64, fan_in.max(2));
-        t = env.cpu(t, dur);
+        env.cpu(env.cost().merge_time(all.len() as u64, fan_in.max(2)));
 
-        // Stream groups through reduce, advancing the clock in batches so
-        // the post-map progress curve rises smoothly.
+        // Stream groups through reduce, charging the work in batches so the
+        // post-map progress curve rises smoothly.
         let mut ctx = ReduceCtx::new();
         let mut batch_work = 0u64;
         let mut i = 0usize;
@@ -210,21 +196,20 @@ impl ReduceSide for SortMergeReducer<'_> {
             self.job.reduce(&all[i].key, values, &mut ctx);
             batch_work += n;
             if batch_work >= WORK_BATCH {
-                t = env.cpu(t, env.cost().reduce_time(batch_work));
-                env.worked(t, batch_work);
+                env.cpu(env.cost().reduce_time(batch_work));
+                env.worked(batch_work);
                 batch_work = 0;
-                t = self.sink.push(t, &mut ctx, env);
+                self.sink.push(&mut ctx, env);
             }
             i = j;
         }
         if batch_work > 0 {
-            t = env.cpu(t, env.cost().reduce_time(batch_work));
-            env.worked(t, batch_work);
+            env.cpu(env.cost().reduce_time(batch_work));
+            env.worked(batch_work);
         }
-        t = self.sink.push(t, &mut ctx, env);
-        t = self.sink.flush(t, env);
+        self.sink.push(&mut ctx, env);
+        self.sink.flush(env);
         env.span_close(OpKind::Reduce);
-        t
     }
 
     /// Sections: `nums[0] = [n_segments, n_spill_runs]`; `pairs` holds the

@@ -103,19 +103,19 @@ impl Harness {
         )
     }
 
-    /// Records one delivery and immediately replays it (sequential mode).
+    /// Records one delivery and immediately replays it from `t`.
     fn deliver(&mut self, r: &mut dyn ReduceSide, t: SimTime, payload: Payload) -> SimTime {
         let spec = self.spec;
         let mut env = ReduceEnv::new(&spec);
-        r.on_delivery(t, payload, &mut env);
+        r.deliver(payload, &mut env);
         self.apply(env.into_log(), t)
     }
 
-    /// Records the finish phase and immediately replays it.
+    /// Records the finish phase and immediately replays it from `t`.
     fn finish(&mut self, r: &mut dyn ReduceSide, t: SimTime) -> SimTime {
         let spec = self.spec;
         let mut env = ReduceEnv::new(&spec);
-        r.finish(t, &mut env);
+        r.complete(&mut env);
         self.apply(env.into_log(), t)
     }
 
