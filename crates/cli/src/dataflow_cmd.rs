@@ -141,6 +141,14 @@ pub(crate) fn dataflow(chain: &str, args: &Args) -> Result<(), String> {
             format!("{} B", s.bytes_saved),
         );
     }
+    for (i, s) in outcome.stages.iter().enumerate() {
+        if !s.dlq.is_empty() {
+            println!(
+                "stage {i} dead-letter queue: {} record(s) quarantined",
+                s.dlq.len()
+            );
+        }
+    }
     let saved: u64 = outcome.stages.iter().map(|s| s.bytes_saved).sum();
     println!(
         "chain output: {} records across {} partitions; reshuffles skipped saved {} bytes",

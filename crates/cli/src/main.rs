@@ -81,7 +81,8 @@ usage:
   opa dataflow CHAIN --input FILE [--framework FW] [--threads N]
               [--policy auto|reshuffle|materialize] [--rounds K] [--k N]
               [--window SECS] [--checkpoint-dir DIR] [--resume]
-              [--fault-rate P] [--fault-seed N] [--trace-out FILE] [--output FILE]
+              [--fault-rate P] [--fault-seed N] [--poison-rate P]
+              [--trace-out FILE] [--output FILE]
       CHAIN: pagerank | distinct-sessions | top-pages
       Chains several jobs with M3R-style in-memory handoffs: when a stage
       declares itself partition-preserving and its input dataset was

@@ -105,7 +105,7 @@ pub use dataset::{Dataset, PartitionSpec};
 use crate::api::{Handle, Job, JobRef};
 use crate::cluster::{ClusterSpec, Framework};
 use crate::engine::Engine;
-use crate::job::{JobInput, JobOutcome, RunConfig};
+use crate::job::{JobInput, JobOutcome, PoisonedRecord, RunConfig};
 use crate::metrics::JobMetrics;
 use opa_common::fault::FaultConfig;
 use opa_common::{Error, ExecConfig, Pair, Result};
@@ -176,6 +176,9 @@ pub struct StageReport {
     pub bytes_saved: u64,
     /// The stage's full engine metrics.
     pub metrics: JobMetrics,
+    /// Records the stage's map UDF quarantined, in the order their chunks
+    /// committed (offsets index the stage's own input).
+    pub dlq: Vec<PoisonedRecord>,
 }
 
 /// Everything a finished chain yields.
@@ -437,11 +440,8 @@ impl Dataflow {
 
             // The stage's output becomes the next stage's resident input,
             // bucketed under *this* stage's partition function. The pairs
-            // move: nothing below reads the outcome but its metrics.
-            let JobOutcome {
-                output, metrics, ..
-            } = outcome;
-            let out = Dataset::from_pairs(output, PartitionSpec::of(&spec));
+            // move: nothing below reads the outcome but its metrics and DLQ.
+            let out = Dataset::from_pairs(outcome.output, PartitionSpec::of(&spec));
             if let Some(dir) = &self.checkpoint_dir {
                 ckpt::write_stage(dir, chain_fp, i, &out)?;
             }
@@ -455,7 +455,8 @@ impl Dataflow {
                 records_out: out.len() as u64,
                 bytes_out: out.record_bytes(),
                 bytes_saved,
-                metrics,
+                metrics: outcome.metrics,
+                dlq: outcome.dlq,
             });
             current = Some(out);
         }

@@ -237,6 +237,27 @@ pub struct EngineState {
     pub deferred: Vec<Vec<DeferredDelivery>>,
     /// Per-reducer framework state.
     pub reducers: Vec<ReducerCkpt>,
+    /// Records quarantined so far, in commit order.
+    pub dlq: Vec<PoisonedRecord>,
+    /// Per-node staging tables under node-scope combining; empty otherwise.
+    pub staged: Vec<StagedTable>,
+    /// Node-combine counters so far.
+    pub node_combine: NodeCombineStats,
+}
+
+/// One node's staging table at a pause (see [`EngineState::staged`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StagedTable {
+    /// Resident rows, first-seen order (states, incremental frameworks).
+    pub rows: Vec<Pair>,
+    /// Resident bytes, post-combine.
+    pub bytes: u64,
+    /// Bytes offered since the last flush, pre-combine.
+    pub bytes_in: u64,
+    /// Merges since the last flush.
+    pub merges: u64,
+    /// The smallest chunk a resident row came from.
+    pub held: Option<u64>,
 }
 
 /// What a map-task plan is a pure function of: everything the engine
@@ -739,7 +760,7 @@ impl<'e> Engine<'e> {
             self.progress.map_done(SimTime::ZERO);
         }
         self.map_output_bytes = saved.map_output_bytes;
-        // Exact under task scope, the only scope checkpoints support.
+        // Under node scope only the flushes book shuffle bytes.
         self.shuffle_booked = saved.map_output_bytes;
         self.spill_written_map = saved.spill_written_map;
         self.map_finish = SimTime(saved.map_finish);
@@ -765,12 +786,41 @@ impl<'e> Engine<'e> {
         for (rec, ckpt) in self.reducers.iter_mut().zip(saved.reducers) {
             rec.as_mut().expect("reducer in place").import_state(ckpt)?;
         }
+        if saved.staged.len() != if self.node_scope { n_nodes } else { 0 } {
+            return Err(Error::storage(
+                "checkpoint staging tables do not match the run's combine scope",
+            ));
+        }
+        // Each table re-holds its smallest chunk, as `stage_granule` does,
+        // so a pause below it still waits for the node's flush.
+        let holds = |c: u64| match usize::try_from(c) {
+            Ok(chunk) if chunk < num_chunks && done[chunk] => Ok(chunk),
+            _ => Err(Error::storage(format!(
+                "checkpoint stages rows under chunk {c}, which is unknown or not mapped"
+            ))),
+        };
+        let h1 = self.plans.h1;
+        for (node, table) in saved.staged.into_iter().enumerate() {
+            let held = table.held.map(holds).transpose()?;
+            let stage = &mut self.stage[node];
+            for p in table.rows {
+                stage.table.push(h1.hash(p.key.bytes()), p.key, p.value);
+            }
+            (stage.bytes, stage.bytes_in) = (table.bytes, table.bytes_in);
+            (stage.merges, stage.held) = (table.merges, held);
+            if let Some(c) = held {
+                self.inflight_by_chunk[c] += 1;
+            }
+        }
+        self.nc_stats = saved.node_combine;
+        if self.node_scope {
+            self.shuffle_booked = self.nc_stats.flushed_bytes;
+        }
+        self.dlq = saved.dlq;
         Ok(())
     }
 
-    /// Serializes the paused engine. Staging tables and the dead-letter
-    /// queue are not part of the state: callers checkpoint only runs with
-    /// neither (task-scope combining, no poison injection).
+    /// Serializes the paused engine.
     pub fn export_state(&self) -> Result<EngineState> {
         // The queue in pop order: every part of a flight under its own
         // key, merged with the map starts.
@@ -836,12 +886,20 @@ impl<'e> Engine<'e> {
             output: self.output.clone(),
             deferred: deferred.collect(),
             reducers,
+            dlq: self.dlq.clone(),
+            staged: (self.stage.iter().filter(|_| self.node_scope))
+                .map(|s| StagedTable {
+                    rows: (s.table.iter())
+                        .map(|(key, value)| Pair::new(key.clone(), value.clone()))
+                        .collect(),
+                    bytes: s.bytes,
+                    bytes_in: s.bytes_in,
+                    merges: s.merges,
+                    held: s.held.map(|c| c as u64),
+                })
+                .collect(),
+            node_combine: self.nc_stats,
         })
-    }
-
-    /// The run's configuration.
-    pub fn config(&self) -> &RunConfig {
-        &self.plans.cfg
     }
 
     /// The job's name.

@@ -59,11 +59,6 @@ impl FaultPlan {
         FaultPlan { cfg }
     }
 
-    /// The configuration behind this plan.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Decides the fate of attempt `attempt` of the map task for `chunk`.
     /// Attempts at or past `max_retries` always succeed (bounded retry);
     /// only the first attempt may straggle — a speculative backup is

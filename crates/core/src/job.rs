@@ -17,6 +17,7 @@ use crate::sim::{Span, Usage};
 use bytes::Bytes;
 use opa_common::fault::FaultConfig;
 use opa_common::{AdmissionPolicy, CombineScope, Error, ExecConfig, Pair, Result};
+use opa_simio::ckpt::{SectionReader, SectionWriter};
 use opa_trace::TraceLog;
 
 /// Size at which [`InputBuilder`] seals the records written so far into one
@@ -168,6 +169,30 @@ pub struct PoisonedRecord {
     pub offset: u64,
     /// The raw record bytes, exactly as read from the input.
     pub record: Bytes,
+}
+
+impl PoisonedRecord {
+    /// Appends the record as two container sections, its provenance and
+    /// its bytes: the one encoding of a quarantined record, shared by the
+    /// quarantine file and the stream checkpoint.
+    pub fn write(&self, w: &mut SectionWriter) {
+        w.nums(&[u64::from(self.chunk), u64::from(self.attempt), self.offset]);
+        w.bytes(self.record.as_slice());
+    }
+
+    /// Reads one record [`PoisonedRecord::write`] appended.
+    pub fn read(r: &mut SectionReader) -> Result<PoisonedRecord> {
+        let [chunk, attempt, offset] = r.nums_exact("quarantined record")?;
+        let narrow = |v: u64, what: &str| {
+            u32::try_from(v).map_err(|_| Error::storage(format!("quarantine {what} out of range")))
+        };
+        Ok(PoisonedRecord {
+            chunk: narrow(chunk, "chunk")?,
+            attempt: narrow(attempt, "attempt")?,
+            offset,
+            record: Bytes::from(r.bytes("quarantined record bytes")?),
+        })
+    }
 }
 
 /// Everything a finished job yields.

@@ -91,7 +91,7 @@ pub mod cost;
 pub mod dataflow;
 pub mod engine;
 pub mod exec;
-pub mod fault;
+mod fault;
 pub mod job;
 pub mod map_phase;
 pub mod metrics;

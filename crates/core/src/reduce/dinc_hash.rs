@@ -227,7 +227,7 @@ fn checkpointed_monitor(ckpt: &ReducerCkpt) -> Option<Monitor> {
     let [offered, counts, ts, stats, ..] = ckpt.nums.as_slice() else {
         return None;
     };
-    let capacity = usize::try_from(*stats.first()?).ok()?;
+    let capacity = usize::try_from(*stats.first()?).ok().filter(|&s| s > 0)?;
     if counts.len() != slots.len() || ts.len() != slots.len() || slots.len() > capacity {
         return None;
     }

@@ -13,8 +13,9 @@
 //!
 //! The paper rejects "sketch-based" frequency estimators (Count-Min and
 //! friends) because they do not *explicitly encode* the hot-key set; the
-//! counter-based [`SpaceSaving`] algorithm, which does, is provided as a
-//! comparator for ablation studies.
+//! counter-based SpaceSaving algorithm, which does, is provided as
+//! [`SpaceSavingMonitor`], the monitor-choice ablation's alternative
+//! monitor.
 //!
 //! Guarantees implemented and tested here:
 //!
@@ -30,4 +31,4 @@ pub mod misra_gries;
 pub mod space_saving;
 
 pub use misra_gries::{MgEntry, MgOutcome, MisraGries};
-pub use space_saving::{SpaceSaving, SpaceSavingMonitor};
+pub use space_saving::SpaceSavingMonitor;

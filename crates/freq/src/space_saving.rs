@@ -2,167 +2,13 @@
 //!
 //! The other classic counter-based heavy-hitters algorithm: when a new key
 //! arrives and all `s` slots are taken, the *minimum-count* slot is evicted
-//! and the newcomer inherits `min + 1` with error `min`. Like FREQUENT it
-//! explicitly encodes the hot-key set, so it satisfies the paper's
-//! requirement for DINC (§4.3); OPA ships it as an ablation comparator
-//! (bench `ablation_monitor`).
+//! and the newcomer inherits `min + 1`, so its count over-estimates its
+//! true frequency by at most `min` — `count − t`, with `t` the tuples
+//! combined since the install. Like FREQUENT it explicitly encodes the
+//! hot-key set, so it satisfies the paper's requirement for DINC (§4.3);
+//! OPA runs it as the monitor-choice ablation (`repro ablation`).
 
 use opa_common::SeededState;
-use std::collections::HashMap;
-use std::hash::Hash;
-
-/// A SpaceSaving summary over keys of type `K`.
-#[derive(Debug)]
-pub struct SpaceSaving<K> {
-    /// key → (count, overestimation error). Seeded hasher: the min-scan in
-    /// [`SpaceSaving::offer`] iterates this map, so tie-breaks must not
-    /// depend on a per-process random hash seed.
-    counts: HashMap<K, (u64, u64), SeededState>,
-    capacity: usize,
-    offered: u64,
-}
-
-impl<K: Clone + Eq + Hash> SpaceSaving<K> {
-    /// Creates a summary with `s` slots.
-    ///
-    /// # Panics
-    /// Panics if `s == 0`.
-    pub fn new(s: usize) -> Self {
-        assert!(s > 0, "slot count must be positive");
-        SpaceSaving {
-            counts: HashMap::with_capacity_and_hasher(s.min(1 << 20), SeededState::fixed()),
-            capacity: s,
-            offered: 0,
-        }
-    }
-
-    /// Offers one item. Returns the evicted key, if the offer displaced one.
-    pub fn offer(&mut self, key: K) -> Option<K> {
-        self.offered += 1;
-        if let Some(e) = self.counts.get_mut(&key) {
-            e.0 += 1;
-            return None;
-        }
-        if self.counts.len() < self.capacity {
-            self.counts.insert(key, (1, 0));
-            return None;
-        }
-        // Evict the minimum-count key. O(s) scan: SpaceSaving is the
-        // ablation baseline, not the hot path, and `s` is modest in every
-        // experiment that uses it.
-        let (min_key, &(min_count, _)) = self
-            .counts
-            .iter()
-            .min_by_key(|(_, &(c, _))| c)
-            .expect("capacity > 0, map non-empty");
-        let min_key = min_key.clone();
-        self.counts.remove(&min_key);
-        self.counts.insert(key, (min_count + 1, min_count));
-        Some(min_key)
-    }
-
-    /// Estimated frequency (an over-estimate: `f ≤ f̂ ≤ f + M/s`).
-    pub fn estimate(&self, key: &K) -> u64 {
-        self.counts.get(key).map(|&(c, _)| c).unwrap_or(0)
-    }
-
-    /// Guaranteed over-estimation error for a monitored key.
-    pub fn error(&self, key: &K) -> Option<u64> {
-        self.counts.get(key).map(|&(_, e)| e)
-    }
-
-    /// Whether the key is currently monitored.
-    pub fn contains(&self, key: &K) -> bool {
-        self.counts.contains_key(key)
-    }
-
-    /// Total items offered (`M`).
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Monitored keys with their (count, error) pairs, highest count first.
-    pub fn top(&self) -> Vec<(K, u64, u64)> {
-        let mut v: Vec<_> = self
-            .counts
-            .iter()
-            .map(|(k, &(c, e))| (k.clone(), c, e))
-            .collect();
-        v.sort_by_key(|e| std::cmp::Reverse(e.1));
-        v
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::HashMap;
-
-    #[test]
-    fn hot_key_survives_cold_stream() {
-        let mut ss = SpaceSaving::new(4);
-        for i in 0..2000u64 {
-            let _ = ss.offer(7);
-            let _ = ss.offer(1000 + i);
-        }
-        assert!(ss.contains(&7));
-        assert!(ss.estimate(&7) >= 2000);
-    }
-
-    #[test]
-    fn estimates_are_overestimates_within_bound() {
-        let mut stream = Vec::new();
-        for k in 1..=40u64 {
-            for _ in 0..(1200 / k) {
-                stream.push(k);
-            }
-        }
-        stream.sort_by_key(|&k| k.wrapping_mul(0x2545f4914f6cdd1d).rotate_left(9));
-        let s = 12;
-        let mut ss = SpaceSaving::new(s);
-        for &k in &stream {
-            let _ = ss.offer(k);
-        }
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for &k in &stream {
-            *truth.entry(k).or_default() += 1;
-        }
-        let m = stream.len() as u64;
-        for (k, est, err) in ss.top() {
-            let f = truth[&k];
-            assert!(est >= f, "underestimate for {k}");
-            assert!(est <= f + m / s as u64, "bound violated for {k}");
-            assert!(est - err <= f, "error field not a valid bound for {k}");
-        }
-    }
-
-    #[test]
-    fn eviction_reports_displaced_key() {
-        let mut ss = SpaceSaving::new(1);
-        assert_eq!(ss.offer("a"), None);
-        assert_eq!(ss.offer("b"), Some("a"));
-        assert!(ss.contains(&"b"));
-        assert_eq!(ss.estimate(&"b"), 2); // min(1) + 1
-        assert_eq!(ss.error(&"b"), Some(1));
-    }
-
-    #[test]
-    fn top_sorted_descending() {
-        let mut ss = SpaceSaving::new(8);
-        for _ in 0..5 {
-            let _ = ss.offer("x");
-        }
-        for _ in 0..3 {
-            let _ = ss.offer("y");
-        }
-        let _ = ss.offer("z");
-        let top = ss.top();
-        assert_eq!(top[0].0, "x");
-        assert_eq!(top[1].0, "y");
-        assert_eq!(top[2].0, "z");
-        assert_eq!(ss.offered(), 9);
-    }
-}
 
 /// SpaceSaving with attached per-key state — the drop-in alternative to
 /// [`MisraGries`](crate::MisraGries) for DINC-hash's monitor, used by the
@@ -343,7 +189,6 @@ impl<K: Clone + Eq + std::hash::Hash, S> SpaceSavingMonitor<K, S> {
 mod monitor_tests {
     use super::*;
     use crate::MgOutcome;
-
     #[test]
     fn monitor_combines_and_installs() {
         let mut m: SpaceSavingMonitor<u64, u64> = SpaceSavingMonitor::new(2);
@@ -383,5 +228,81 @@ mod monitor_tests {
         // Occupant unharmed.
         let out = m.offer_guarded(1, (), |_, _, _| {}, |_, _| false);
         assert!(matches!(out, MgOutcome::Combined));
+    }
+}
+
+/// SpaceSaving's own guarantees, checked on the monitor the engine runs
+/// (`S = ()`), where a key's over-estimation error is `count − t`.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MgOutcome;
+    use std::collections::HashMap;
+
+    /// Offers `key` with no state and no eviction guard.
+    fn offer<K: Clone + Eq + std::hash::Hash>(
+        m: &mut SpaceSavingMonitor<K, ()>,
+        key: K,
+    ) -> MgOutcome<K, ()> {
+        m.offer_guarded(key, (), |_, _, _| {}, |_, _| true)
+    }
+
+    #[test]
+    fn hot_key_survives_cold_stream() {
+        let mut m = SpaceSavingMonitor::new(4);
+        for i in 0..2000u64 {
+            let _ = offer(&mut m, 7);
+            let _ = offer(&mut m, 1000 + i);
+        }
+        let hot = m.get(&7).expect("the hot key is monitored");
+        assert!(hot.count >= 2000);
+    }
+
+    #[test]
+    fn estimates_are_overestimates_within_bound() {
+        let mut stream = Vec::new();
+        for k in 1..=40u64 {
+            for _ in 0..(1200 / k) {
+                stream.push(k);
+            }
+        }
+        stream.sort_by_key(|&k| k.wrapping_mul(0x2545f4914f6cdd1d).rotate_left(9));
+        let s = 12;
+        let mut m = SpaceSavingMonitor::new(s);
+        let mut truth: HashMap<u64, u64> = HashMap::new();
+        for &k in &stream {
+            let _ = offer(&mut m, k);
+            *truth.entry(k).or_default() += 1;
+        }
+        let total = stream.len() as u64;
+        for e in m.iter() {
+            let f = truth[&e.key];
+            assert!(e.count >= f, "underestimate for {}", e.key);
+            assert!(
+                e.count <= f + total / s as u64,
+                "bound violated for {}",
+                e.key
+            );
+            assert!(
+                e.t <= f,
+                "count − error (= t) exceeds the truth for {}",
+                e.key
+            );
+        }
+    }
+
+    #[test]
+    fn eviction_reports_displaced_key() {
+        let mut m = SpaceSavingMonitor::new(1);
+        assert!(matches!(
+            offer(&mut m, "a"),
+            MgOutcome::Installed { evicted: None }
+        ));
+        match offer(&mut m, "b") {
+            MgOutcome::Installed { evicted: Some(e) } => assert_eq!(e.key, "a"),
+            other => panic!("expected the eviction of a, got {other:?}"),
+        }
+        let b = m.get(&"b").expect("b is monitored");
+        assert_eq!((b.count, b.count - b.t), (2, 1)); // min(1) + 1, error min
     }
 }

@@ -2,10 +2,11 @@
 //! Zipf-distributed streams, the monitor-reported coverage estimate
 //! `γ = t/(t + slack)` never exceeds the true coverage, where the slack is
 //! the algorithm's frequency-estimation error bound — `M/(s+1)` for
-//! Misra-Gries (FREQUENT), `M/s` for SpaceSaving.
+//! Misra-Gries (FREQUENT), `M/s` for SpaceSaving. Both run as the monitors
+//! DINC-hash uses, with no attached state (`S = ()`).
 
 use opa_common::rng::SplitMix64;
-use opa_freq::{MisraGries, SpaceSaving};
+use opa_freq::{MisraGries, SpaceSavingMonitor};
 use opa_workloads::zipf::Zipf;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -74,9 +75,9 @@ proptest! {
     }
 
     /// SpaceSaving: the estimate *over*-counts by at most the per-key
-    /// error (itself ≤ M/s), so the guaranteed count `f̂ − err` is a lower
-    /// bound on the true frequency and the derived coverage
-    /// `γ = g/(g + M/s)` never exceeds `g/f ≤ 1`.
+    /// error `err = count − t` (itself ≤ M/s), so the guaranteed count
+    /// `f̂ − err = t` is a lower bound on the true frequency and the
+    /// derived coverage `γ = g/(g + M/s)` never exceeds `g/f ≤ 1`.
     #[test]
     fn space_saving_gamma_is_a_lower_bound(
         seed in 0u64..200,
@@ -88,15 +89,16 @@ proptest! {
         let stream = zipf_stream(seed, n_keys, exponent, len);
         let truth = true_counts(&stream);
 
-        let mut ss: SpaceSaving<u64> = SpaceSaving::new(capacity);
+        let mut ss: SpaceSavingMonitor<u64, ()> = SpaceSavingMonitor::new(capacity);
         for &k in &stream {
-            ss.offer(k);
+            ss.offer_guarded(k, (), |_, _, _| {}, |_, _| true);
         }
         prop_assert_eq!(ss.offered(), stream.len() as u64);
 
         let slack = ss.offered() as f64 / capacity as f64;
-        for (key, est, err) in ss.top() {
-            let f = truth[&key] as f64;
+        for entry in ss.iter() {
+            let (est, err) = (entry.count, entry.count - entry.t);
+            let f = truth[&entry.key] as f64;
             // Frequency guarantee: f ≤ f̂ ≤ f + M/s, and err ≤ M/s.
             prop_assert!(est as f64 >= f - 1e-9, "SS under-estimated: {est} < {f}");
             prop_assert!(
@@ -166,13 +168,13 @@ proptest! {
         let top_key = *truth.iter().max_by_key(|&(_, &c)| c).unwrap().0;
 
         let mut mg: MisraGries<u64, ()> = MisraGries::new(24);
-        let mut ss: SpaceSaving<u64> = SpaceSaving::new(24);
+        let mut ss: SpaceSavingMonitor<u64, ()> = SpaceSavingMonitor::new(24);
         for &k in &stream {
             mg.offer(k, (), |_, _, _| {});
-            ss.offer(k);
+            ss.offer_guarded(k, (), |_, _, _| {}, |_, _| true);
         }
         prop_assert!(mg.estimate(&top_key) > 0, "MG lost the hottest key");
-        prop_assert!(ss.contains(&top_key), "SS lost the hottest key");
+        prop_assert!(ss.get(&top_key).is_some(), "SS lost the hottest key");
         prop_assert!(mg.coverage_lower_bound(&top_key) > 0.0);
     }
 }

@@ -2,7 +2,7 @@
 //! FREQUENT guarantees must hold for *arbitrary* streams, not just the
 //! hand-built ones in the unit tests.
 
-use opa_freq::{MgOutcome, MisraGries, SpaceSaving};
+use opa_freq::{MgOutcome, MisraGries, SpaceSavingMonitor};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -127,22 +127,23 @@ proptest! {
         }
     }
 
-    /// SpaceSaving estimates always dominate true counts, within M/s.
+    /// SpaceSaving estimates always dominate true counts, within M/s, and
+    /// `t` (count − error) lower-bounds them.
     #[test]
     fn space_saving_bounds(
         stream in proptest::collection::vec(0u8..40, 1..1500),
         s in 1usize..12,
     ) {
-        let mut ss = SpaceSaving::new(s);
+        let mut ss = SpaceSavingMonitor::new(s);
         for &k in &stream {
-            let _ = ss.offer(k);
+            let _ = ss.offer_guarded(k, (), |_, _, _| {}, |_, _| true);
         }
         let m = stream.len() as u64;
-        for (k, est, err) in ss.top() {
-            let f = true_counts(&stream)[&k];
-            prop_assert!(est >= f);
-            prop_assert!(est <= f + m / s as u64);
-            prop_assert!(est - err <= f, "count − error must lower-bound truth");
+        for e in ss.iter() {
+            let f = true_counts(&stream)[&e.key];
+            prop_assert!(e.count >= f);
+            prop_assert!(e.count <= f + m / s as u64);
+            prop_assert!(e.t <= f, "count − error must lower-bound truth");
         }
     }
 }

@@ -14,23 +14,10 @@
 //! and a forged section length fails the bounds check instead of sizing an
 //! allocation.
 
-use bytes::Bytes;
 use opa_common::{Error, Result};
+use opa_core::job::PoisonedRecord;
 use opa_simio::ckpt::{Kind, SectionReader, SectionWriter};
 use std::path::Path;
-
-/// One quarantined record with full provenance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantineEntry {
-    /// Map task (chunk) index the record belonged to.
-    pub chunk: u32,
-    /// Map-task attempt that committed the chunk (and the verdict).
-    pub attempt: u32,
-    /// The record's global input offset (arrival order).
-    pub offset: u64,
-    /// The rejected record, byte-exact.
-    pub record: Bytes,
-}
 
 /// A job's dead-letter queue as persisted to disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +33,7 @@ pub struct QuarantineFile {
     /// is what makes the replay comparable to the original run.
     pub seed: u64,
     /// The quarantined records, in engine commit order.
-    pub entries: Vec<QuarantineEntry>,
+    pub entries: Vec<PoisonedRecord>,
 }
 
 impl QuarantineFile {
@@ -61,8 +48,7 @@ impl QuarantineFile {
         ])
         .bytes(self.job_name.as_bytes());
         for e in &self.entries {
-            w.nums(&[u64::from(e.chunk), u64::from(e.attempt), e.offset])
-                .bytes(e.record.as_slice());
+            e.write(&mut w);
         }
         w.write_to(path)
     }
@@ -83,13 +69,7 @@ impl QuarantineFile {
         // `count`, which is only compared afterwards.
         let mut entries = Vec::with_capacity(r.remaining() / 2);
         while r.remaining() > 0 {
-            let [chunk, attempt, offset] = r.nums_exact("entry header")?;
-            entries.push(QuarantineEntry {
-                chunk: narrow(chunk, "chunk")?,
-                attempt: narrow(attempt, "attempt")?,
-                offset,
-                record: Bytes::from(r.bytes("entry payload")?),
-            });
+            entries.push(PoisonedRecord::read(&mut r)?);
         }
         if entries.len() as u64 != count {
             return Err(Error::storage(format!(
@@ -110,6 +90,7 @@ impl QuarantineFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn sample() -> QuarantineFile {
         QuarantineFile {
@@ -118,13 +99,13 @@ mod tests {
             job_name: "click-count".into(),
             seed: 0xfeed,
             entries: vec![
-                QuarantineEntry {
+                PoisonedRecord {
                     chunk: 0,
                     attempt: 0,
                     offset: 17,
                     record: Bytes::copy_from_slice(b"1000 42 /a 200"),
                 },
-                QuarantineEntry {
+                PoisonedRecord {
                     chunk: 5,
                     attempt: 2,
                     offset: 40_961,

@@ -48,5 +48,5 @@ pub mod dlq;
 pub mod server;
 
 pub use admission::{Admission, AdmissionOutcome, ServeConfig, TenantBook};
-pub use dlq::{QuarantineEntry, QuarantineFile};
+pub use dlq::QuarantineFile;
 pub use server::{JobPhase, JobSpec, JobStatus, ServeAnswer, ServeQuery, Server, SubmitReceipt};

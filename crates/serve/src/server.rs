@@ -25,7 +25,7 @@
 //! emits depends on which wave ends first.
 
 use crate::admission::{Admission, AdmissionOutcome, ServeConfig, TenantBook};
-use crate::dlq::{QuarantineEntry, QuarantineFile};
+use crate::dlq::QuarantineFile;
 use opa_common::fault::FaultConfig;
 use opa_common::{Error, ExecConfig, Key, Result, Value};
 use opa_core::api::{Job, JobRef};
@@ -429,13 +429,13 @@ impl Server {
         if let (Some(dir), Some(outcome)) = (&self.dlq_dir, &entry.outcome) {
             if !outcome.job.dlq.is_empty() {
                 let path = dir.join(format!("dlq-t{tenant}-j{id}.opaq"));
-                quarantine_of(
+                QuarantineFile {
                     tenant,
-                    id,
-                    &entry.label,
-                    entry.spec.faults.seed,
-                    &outcome.job.dlq,
-                )
+                    job: id,
+                    job_name: entry.label.clone(),
+                    seed: entry.spec.faults.seed,
+                    entries: outcome.job.dlq.clone(),
+                }
                 .write_to(&path)?;
                 self.jobs[id as usize].dlq_path = Some(path);
             }
@@ -627,29 +627,5 @@ fn answer_finished(entry: &JobEntry, outcome: &StreamOutcome, query: &ServeQuery
                 sim_time: opa_common::units::SimTime::ZERO,
             }))
         }
-    }
-}
-
-fn quarantine_of(
-    tenant: u32,
-    job: u32,
-    label: &str,
-    seed: u64,
-    dlq: &[PoisonedRecord],
-) -> QuarantineFile {
-    QuarantineFile {
-        tenant,
-        job,
-        job_name: label.to_string(),
-        seed,
-        entries: dlq
-            .iter()
-            .map(|p| QuarantineEntry {
-                chunk: p.chunk,
-                attempt: p.attempt,
-                offset: p.offset,
-                record: p.record.clone(),
-            })
-            .collect(),
     }
 }

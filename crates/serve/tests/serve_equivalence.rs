@@ -238,7 +238,7 @@ fn poison_quarantines_with_provenance_and_replay_restores_output() {
     // What the file decodes to holds through any change of the container.
     assert_eq!(
         crc32(format!("{file:?}").as_bytes()),
-        473_156_320,
+        1_536_046_744,
         "decoded quarantine drifted"
     );
 

@@ -9,10 +9,12 @@
 //! events *and* in-flight deliveries, payloads included; both serialize
 //! in pop order as [`QueuedEvent`]s. The rest of the engine state
 //! flattens into typed sections ([`opa_simio::ckpt`]): scheduler
-//! bookkeeping, per-node disk clocks, the output emitted so far, and one
-//! [`ReducerCkpt`] per reducer. The file format inherits the framed
-//! layout and CRC-32 trailer of the spill codec, so a torn or corrupted
-//! checkpoint is detected on load, never silently resumed from.
+//! bookkeeping, per-node disk clocks, the output emitted so far, one
+//! [`ReducerCkpt`] per reducer, and, only when the run has them, the
+//! quarantined records and the node staging tables. The file format
+//! inherits the framed layout and CRC-32 trailer of the spill codec, so a
+//! torn or corrupted checkpoint is detected on load, never silently
+//! resumed from.
 //!
 //! Resume rebuilds fresh reducers from the *same* job/cluster/sizing
 //! configuration, re-imports their state, re-seeds the event queue in
@@ -23,8 +25,10 @@
 //! to the uninterrupted run's for the map/reduce fault classes.
 
 use opa_common::{Error, RecordBatch, Result, StateBatch};
-pub use opa_core::engine::{DeferredDelivery, EngineState, QueuedEvent};
+pub use opa_core::engine::{DeferredDelivery, EngineState, QueuedEvent, StagedTable};
+use opa_core::job::PoisonedRecord;
 use opa_core::map_phase::Payload;
+use opa_core::metrics::NodeCombineStats;
 use opa_core::reduce::ReducerCkpt;
 use opa_simio::ckpt::{Kind, SectionReader, SectionWriter};
 use std::path::Path;
@@ -40,6 +44,11 @@ const QEV_START_MAP: u64 = 0;
 const QEV_DELIVER_PAIRS: u64 = 1;
 /// Queue-event tag: an in-flight delivery carrying partial states.
 const QEV_DELIVER_STATES: u64 = 2;
+
+/// Trailing-group tag: the quarantined records.
+const GROUP_DLQ: u64 = 0;
+/// Trailing-group tag: the node staging tables.
+const GROUP_STAGED: u64 = 1;
 
 /// Identity of the run a checkpoint belongs to. Resume refuses a
 /// checkpoint whose fingerprint disagrees with the configured job — a
@@ -198,6 +207,26 @@ impl SavedState {
             }
             for s in &ckpt.states {
                 w.states(s);
+            }
+        }
+        // Trailing groups, written only when the run has them, so a run
+        // with neither writes the bytes it wrote before they existed.
+        if !st.dlq.is_empty() {
+            w.nums(&[GROUP_DLQ, st.dlq.len() as u64]);
+            st.dlq.iter().for_each(|rec| rec.write(&mut w));
+        }
+        if !st.staged.is_empty() {
+            // Four counters and five numbers per table; the tables' rows follow.
+            let c = &st.node_combine;
+            let mut nums = vec![GROUP_STAGED];
+            nums.extend([c.staged_bytes, c.flushed_bytes, c.flushes, c.merged_rows]);
+            for t in &st.staged {
+                let held = t.held.map_or([0, 0], |c| [1, c]);
+                nums.extend([t.bytes, t.bytes_in, t.merges, held[0], held[1]]);
+            }
+            w.nums(&nums);
+            for t in &st.staged {
+                w.pairs(&t.rows);
             }
         }
         w
@@ -370,7 +399,42 @@ impl SavedState {
                 states,
             });
         }
-        cur.finish()?;
+        // The trailing groups, in tag order.
+        let (mut dlq, mut staged) = (Vec::new(), Vec::new());
+        let mut node_combine = NodeCombineStats::default();
+        while cur.remaining() > 0 {
+            match *cur.nums("trailing group header")?.as_slice() {
+                [GROUP_DLQ, n] if dlq.is_empty() && staged.is_empty() => {
+                    dlq = (0..cur.count(n, "quarantined records")?)
+                        .map(|_| PoisonedRecord::read(&mut cur))
+                        .collect::<Result<_>>()?;
+                }
+                // `nodes` is at most a section's length: no overflow.
+                [GROUP_STAGED, ref nums @ ..]
+                    if staged.is_empty() && nums.len() == 4 + 5 * nodes as usize =>
+                {
+                    let (c, tables) = nums.split_at(4);
+                    node_combine = NodeCombineStats {
+                        staged_bytes: c[0],
+                        flushed_bytes: c[1],
+                        flushes: c[2],
+                        merged_rows: c[3],
+                    };
+                    staged = (tables.chunks_exact(5))
+                        .map(|t| {
+                            Ok(StagedTable {
+                                rows: cur.pairs("staged rows")?,
+                                bytes: t[0],
+                                bytes_in: t[1],
+                                merges: t[2],
+                                held: (t[3] != 0).then_some(t[4]),
+                            })
+                        })
+                        .collect::<Result<_>>()?;
+                }
+                _ => return Err(Error::storage("stream checkpoint trailing group malformed")),
+            }
+        }
 
         Ok(SavedState {
             fingerprint,
@@ -394,6 +458,9 @@ impl SavedState {
                 output,
                 deferred,
                 reducers: reducer_ckpts,
+                dlq,
+                staged,
+                node_combine,
             },
         })
     }
@@ -502,6 +569,30 @@ mod tests {
                 },
                 ReducerCkpt::default(),
             ],
+            dlq: (0..2)
+                .map(|i| PoisonedRecord {
+                    chunk: i,
+                    attempt: 1 - i,
+                    offset: 40 * u64::from(i) + 3,
+                    record: b"1000 42 /a 200".to_vec().into(),
+                })
+                .collect(),
+            staged: vec![
+                StagedTable {
+                    rows: vec![Pair::new(Key::from("u"), Value::from_u64(6))],
+                    bytes: 20,
+                    bytes_in: 60,
+                    merges: 2,
+                    held: Some(1),
+                },
+                StagedTable::default(),
+            ],
+            node_combine: NodeCombineStats {
+                staged_bytes: 300,
+                flushed_bytes: 120,
+                flushes: 3,
+                merged_rows: 9,
+            },
         }
     }
 
@@ -528,6 +619,23 @@ mod tests {
         assert!(
             matches!(back.engine.deferred[0][0].payload, Payload::Pairs(ref v) if v.len() == 1)
         );
+        assert_eq!(back.engine.dlq, st.engine.dlq);
+        assert_eq!(back.engine.staged, st.engine.staged);
+        assert_eq!(back.engine.node_combine, st.engine.node_combine);
+    }
+
+    #[test]
+    fn a_run_without_quarantine_or_staging_writes_no_trailing_group() {
+        let mut st = sample();
+        let full = st.encode();
+        (st.engine.dlq, st.engine.staged) = (Vec::new(), Vec::new());
+        let bare = st.encode();
+        let back = SavedState::decode(&bare).expect("decodes");
+        assert!(back.engine.dlq.is_empty() && back.engine.staged.is_empty());
+        // Two group headers, two records of two sections each and two
+        // tables' rows.
+        let sections = |buf: &[u8]| SectionReader::new(buf, Kind::STREAM_CHECKPOINT).unwrap();
+        assert_eq!(sections(&full).remaining() - sections(&bare).remaining(), 8);
     }
 
     #[test]
@@ -580,6 +688,10 @@ mod tests {
     const PENDING: &[u64] = &[2, 5, 6, 0];
     const DEFERRED_NONE: &[u64] = &[0];
     const REDUCER_HEADER: &[u64] = &[3, 1, 1, 42, 1, 1, 1];
+    /// The sample's two trailing group headers; the second holds both
+    /// tables' numbers.
+    const DLQ_HEADER: &[u64] = &[GROUP_DLQ, 2];
+    const STAGED_HEADER: &[u64] = &[GROUP_STAGED, 300, 120, 3, 9, 20, 60, 2, 1, 1, 0, 0, 0, 0, 0];
 
     /// A count no file could back, one that overflows `usize` arithmetic,
     /// one whose double wraps to zero, and a merely wrong one.
@@ -633,6 +745,20 @@ mod tests {
         for (slot, n) in [5, 6].into_iter().flat_map(|s| FORGED.map(|n| (s, n))) {
             let res = SavedState::decode(&forged(REDUCER_HEADER, slot, n));
             assert!(res.is_err(), "header slot {slot} = {n}");
+        }
+    }
+
+    #[test]
+    fn forged_trailing_groups_are_errors() {
+        assert!(SavedState::decode(&forged(DLQ_HEADER, 1, 2)).is_ok());
+        for n in FORGED.into_iter().chain([1, 3]) {
+            let res = SavedState::decode(&forged(DLQ_HEADER, 1, n));
+            assert!(res.is_err(), "quarantined-record count {n}");
+        }
+        // A tag out of order (the staging group twice), or unknown.
+        for tag in [GROUP_DLQ, GROUP_STAGED + 1, u64::MAX] {
+            let res = SavedState::decode(&forged(STAGED_HEADER, 0, tag));
+            assert!(res.is_err(), "group tag {tag}");
         }
     }
 }

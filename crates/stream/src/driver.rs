@@ -18,7 +18,7 @@
 
 use crate::checkpoint::{Fingerprint, SavedState};
 use crate::query::BatchCtl;
-use crate::{check_checkpointable, StreamJobBuilder};
+use crate::StreamJobBuilder;
 use opa_common::{Error, Result, StreamConfig};
 use opa_core::api::{Handle, Job, JobRef};
 use opa_core::cluster::{ClusterSpec, Framework};
@@ -118,7 +118,7 @@ impl<'e> StreamRun<'e> {
     /// number of files.
     ///
     /// # Errors
-    /// A run option a checkpoint cannot capture, or a failed write.
+    /// A reducer whose state does not export, or a failed write.
     pub fn checkpoint(&mut self, requested: Option<PathBuf>) -> Result<()> {
         let sealed = self.sealed;
         let mut paths: Vec<PathBuf> = requested.into_iter().collect();
@@ -130,9 +130,6 @@ impl<'e> StreamRun<'e> {
         if paths.is_empty() {
             return Ok(());
         }
-        // A callback can request a checkpoint the build-time check could
-        // not foresee.
-        check_checkpointable(self.engine.config())?;
         let bytes = SavedState {
             fingerprint: self.fingerprint.clone(),
             job_name: self.engine.job_name().to_string(),

@@ -52,7 +52,7 @@ pub mod checkpoint;
 mod driver;
 pub mod query;
 
-pub use checkpoint::{EngineState, Fingerprint, QueuedEvent, SavedState};
+pub use checkpoint::{EngineState, Fingerprint, QueuedEvent, SavedState, StagedTable};
 pub use driver::{StreamOutcome, StreamRun};
 pub use query::{BatchCtl, CheckpointView, StreamProgress};
 
@@ -114,7 +114,7 @@ impl<J: Job> StreamJobBuilder<J> {
         self
     }
 
-    fn validate(&self, input: &JobInput, resuming: bool) -> Result<()> {
+    fn validate(&self, input: &JobInput) -> Result<()> {
         self.run.validate()?;
         if input.is_empty() {
             return Err(Error::job("stream input is empty"));
@@ -125,9 +125,6 @@ impl<J: Job> StreamJobBuilder<J> {
                 "checkpoint cadence set without a checkpoint directory — \
                  call checkpoint_dir(..) (CLI: --checkpoint-dir)",
             ));
-        }
-        if resuming || self.checkpoint_dir.is_some() {
-            check_checkpointable(&self.run)?;
         }
         Ok(())
     }
@@ -141,7 +138,7 @@ impl<J: Job> StreamJobBuilder<J> {
         input: &JobInput,
         mut on_batch: impl FnMut(&mut BatchCtl<'_, '_>),
     ) -> Result<StreamOutcome> {
-        self.validate(input, false)?;
+        self.validate(input)?;
         self.open(JobRef::borrowed(&self.job), Handle::Borrowed(input), None)?
             .drive(&mut on_batch)
     }
@@ -157,7 +154,7 @@ impl<J: Job> StreamJobBuilder<J> {
         checkpoint: &Path,
         mut on_batch: impl FnMut(&mut BatchCtl<'_, '_>),
     ) -> Result<StreamOutcome> {
-        self.validate(input, true)?;
+        self.validate(input)?;
         let saved = SavedState::read_from(checkpoint)?;
         self.open(
             JobRef::borrowed(&self.job),
@@ -174,32 +171,7 @@ impl<'e> StreamJobBuilder<JobRef<'e>> {
     /// (with a [`JobRef::shared`] job, the run borrows nothing). Nothing
     /// runs until the first [`StreamRun::seal_next`].
     pub fn start(&self, input: Arc<JobInput>) -> Result<StreamRun<'e>> {
-        self.validate(&input, false)?;
+        self.validate(&input)?;
         self.open(self.job.clone(), Handle::Shared(input), None)
-    }
-}
-
-/// The run options a checkpoint cannot capture, as one table. Checked when
-/// a job is built with a checkpoint directory or a resume, and again if a
-/// callback requests a checkpoint mid-run.
-pub(crate) fn check_checkpointable(run: &RunConfig) -> Result<()> {
-    let unsupported = [
-        (
-            run.faults.poison_enabled(),
-            "udf poison injection",
-            "quarantined records",
-        ),
-        (
-            run.combine.is_node(),
-            "node-scope combining",
-            "rows resident in the node staging tables",
-        ),
-    ];
-    match unsupported.iter().find(|(on, ..)| *on) {
-        Some((_, option, lost)) => Err(Error::job(format!(
-            "{option} cannot be combined with checkpointing or resume — \
-             {lost} are not part of the checkpoint format"
-        ))),
-        None => Ok(()),
     }
 }

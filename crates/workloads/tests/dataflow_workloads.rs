@@ -5,6 +5,7 @@
 //! computed answer and for bit-identity across thread counts.
 
 use opa_common::decode_kv;
+use opa_common::fault::FaultConfig;
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::dataflow::{Dataflow, Dataset, Handoff};
 use opa_core::job::JobBuilder;
@@ -51,6 +52,30 @@ fn pagerank_chain_reshuffles_every_round_and_is_thread_stable() {
     // Bit-identical at any thread count.
     for threads in [2, 4] {
         assert_eq!(run(threads).sorted_output(), pairs);
+    }
+}
+
+#[test]
+fn a_poisoned_chain_keeps_every_stage_dead_letter_queue() {
+    let (input, _) = clicks();
+    let faults = FaultConfig::poison(7, 0.01);
+    let out = Dataflow::new(ClusterSpec::tiny())
+        .then(PageRankInitJob, Framework::MrHash)
+        .then(PageRankRoundJob, Framework::MrHash)
+        .faults(faults)
+        .run(&input)
+        .expect("poisoned chain");
+    for (i, stage) in out.stages.iter().enumerate() {
+        let report = stage.metrics.faults.as_ref().expect("a fault report");
+        assert!(!stage.dlq.is_empty(), "stage {i} quarantined nothing");
+        assert_eq!(stage.dlq.len() as u64, report.udf_poisoned, "stage {i}");
+        for rec in &stage.dlq {
+            assert!(
+                faults.poisons(rec.offset),
+                "stage {i}: offset {}",
+                rec.offset
+            );
+        }
     }
 }
 

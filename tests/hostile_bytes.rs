@@ -5,27 +5,40 @@
 //! so the forgery reaches the schema parser behind the checksum.
 //!
 //! The samples are one file of each container kind — stream checkpoint,
-//! quarantine, dataset, dataflow stage checkpoint — plus a record run
-//! (`codec::decode_run`) and a JSONL trace (`TraceLog::from_jsonl`).
+//! quarantine, dataset, dataflow stage checkpoint — and a stream checkpoint
+//! carrying both trailing groups (quarantined records, staging tables),
+//! plus a record run (`codec::decode_run`) and a JSONL trace
+//! (`TraceLog::from_jsonl`). The compatibility corpus (`tests/corpus/`,
+//! files an earlier build wrote) is mutated the same way.
 //! Integer overflow traps in debug builds and wraps in release, so the two
 //! builds reach different code: run this file under both.
 
+use opa::common::fault::FaultConfig;
 use opa::common::rng::SplitMix64;
-use opa::common::{Key, Pair, Result, Value};
+use opa::common::{CombineScope, Key, Pair, Result, Value};
 use opa::core::cluster::{ClusterSpec, Framework};
 use opa::core::dataflow::{Dataflow, Dataset, PartitionSpec, StageCheckpoint};
+use opa::core::job::{JobInput, PoisonedRecord};
 use opa::simio::codec::{crc32, decode_run, encode_run};
-use opa::stream::{CheckpointView, StreamJobBuilder};
+use opa::stream::{CheckpointView, SavedState, StagedTable, StreamJobBuilder};
 use opa::trace::TraceLog;
 use opa::workloads::clickstream::ClickStreamSpec;
 use opa::workloads::ClickCountJob;
-use opa_serve::{QuarantineEntry, QuarantineFile};
+use opa_serve::QuarantineFile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// Values a forger splices in, plus one drawn per position: zero, one, two
 /// counts no file can back, and the two that overflow `1 + n` and `2 * n`.
 const FORGED: [u64; 6] = [0, 1, 1 << 32, 1 << 62, 1 << 63, u64::MAX];
+
+/// The compatibility corpus: each file, under the name of its kind.
+const CORPUS: [(&str, &str); 4] = [
+    ("stream checkpoint", "stream-ckpt-b2.opac"),
+    ("quarantine", "dlq-t1-j2.opaq"),
+    ("dataset", "click-count.opadf"),
+    ("dataflow stage checkpoint", "stage-0.opadf"),
+];
 
 /// Byte flips and truncation points drawn per sample.
 const DRAWS: usize = 64;
@@ -134,14 +147,48 @@ struct Samples {
     trace: String,
 }
 
-fn samples(dir: &Path) -> Samples {
-    // 500 clicks from 100 users: every section kind, few values.
+/// 500 clicks from 100 users: every section kind, few values.
+fn clicks() -> JobInput {
     let mut clicks = ClickStreamSpec::small();
     clicks.target_bytes /= 4;
-    let data = clicks.generate(5);
-    let job = ClickCountJob {
+    clicks.generate(5)
+}
+
+fn click_job() -> ClickCountJob {
+    ClickCountJob {
         expected_users: 100,
-    };
+    }
+}
+
+/// A poisoned stream run that combines at node scope, on a staging budget
+/// small enough that its checkpoint at batch 2 holds both trailing groups:
+/// quarantined records and staged rows.
+fn grouped() -> StreamJobBuilder<ClickCountJob> {
+    let mut cluster = ClusterSpec::tiny();
+    cluster.system.chunk_size = 1024;
+    cluster.node_combine_buffer = 512;
+    StreamJobBuilder::new(click_job())
+        .framework(Framework::IncHash)
+        .cluster(cluster)
+        .faults(FaultConfig::poison(7, 0.02))
+        .combine(CombineScope::Node)
+        .batches(4)
+}
+
+/// Runs `build` over `data`, checkpointing at batch 2 to `path`.
+fn checkpoint_at_2(build: StreamJobBuilder<ClickCountJob>, data: &JobInput, path: &Path) {
+    build
+        .run_stream(data, |ctl| {
+            if ctl.batch() == 2 {
+                ctl.checkpoint(path);
+            }
+        })
+        .expect("stream run");
+}
+
+fn samples(dir: &Path) -> Samples {
+    let data = clicks();
+    let job = click_job();
 
     // A DINC-hash stream checkpoint, traced: a decoded forgery also feeds
     // every offline query `opa query` makes, which rebuild each reducer's
@@ -158,13 +205,17 @@ fn samples(dir: &Path) -> Samples {
             }
         })
         .expect("stream run");
-    let query = via_file(dir.join("mutated.opac"), |path| {
-        let view = CheckpointView::open(path)?;
-        view.lookup(&Key::from_u64(1));
-        view.top_k(3);
-        view.progress();
-        view.framework()
-    });
+    let query = |scratch: &str| {
+        via_file(dir.join(scratch), |path| {
+            let view = CheckpointView::open(path)?;
+            view.lookup(&Key::from_u64(1));
+            view.top_k(3);
+            view.progress();
+            view.framework()
+        })
+    };
+    let grouped_ck = dir.join("g.opac");
+    checkpoint_at_2(grouped(), &data, &grouped_ck);
 
     let quarantine = QuarantineFile {
         tenant: 1,
@@ -172,7 +223,7 @@ fn samples(dir: &Path) -> Samples {
         job_name: "click-count".into(),
         seed: 9,
         entries: (0..3)
-            .map(|i| QuarantineEntry {
+            .map(|i| PoisonedRecord {
                 chunk: i,
                 attempt: 0,
                 offset: u64::from(i) * 40,
@@ -211,7 +262,12 @@ fn samples(dir: &Path) -> Samples {
     let read = |path: &Path| std::fs::read(path).expect("sample file");
     Samples {
         containers: vec![
-            ("stream checkpoint", read(&ck), query),
+            ("stream checkpoint", read(&ck), query("mutated.opac")),
+            (
+                "stream checkpoint",
+                read(&grouped_ck),
+                query("mutated-groups.opac"),
+            ),
             (
                 "quarantine",
                 read(&opaq),
@@ -240,6 +296,14 @@ fn every_decoder_survives_hostile_bytes() {
     let mut failures = Vec::new();
     for (name, bytes, read) in &samples.containers {
         failures.extend(container(name, bytes, read.as_ref()));
+    }
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    for (kind, file) in CORPUS {
+        let bytes = std::fs::read(corpus.join(file)).expect("corpus file");
+        let (.., read) = (samples.containers.iter())
+            .find(|(name, ..)| *name == kind)
+            .expect("a reader of each kind");
+        failures.extend(container(&format!("corpus {file}"), &bytes, read.as_ref()));
     }
 
     // A record run: its count field sits outside the run's CRC.
@@ -292,5 +356,63 @@ fn every_reader_rejects_every_other_kind_naming_both() {
         let want = format!("expected a {expected} file, found unknown kind 0");
         assert!(err.contains(&want), "{err}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Forged trailing groups of a stream checkpoint, behind a valid CRC: a
+/// quarantined-record count past the sections present, a staged table
+/// holding a chunk that is unknown or not yet mapped, and more staged
+/// tables than the cluster has nodes. Each is an `Err` — on decode, or
+/// when the resume imports it — never a panic or an unbounded allocation.
+#[test]
+fn forged_quarantine_and_staging_groups_are_errors() {
+    let dir = scratch("groups");
+    let data = clicks();
+    let ck = dir.join("g.opac");
+    checkpoint_at_2(grouped(), &data, &ck);
+    let saved = SavedState::read_from(&ck).expect("decodes");
+    let engine = &saved.engine;
+    let node = engine.staged.iter().position(|t| t.held.is_some());
+    let node = node.expect("a node holds staged rows at the pause");
+    assert!(!engine.dlq.is_empty(), "records quarantined by the pause");
+
+    // The quarantined-record count sits in the group header `[0, n]`.
+    let n = engine.dlq.len() as u64;
+    let mut header = vec![1u8]; // the numeric-section tag
+    header.extend(16u64.to_be_bytes());
+    header.extend(0u64.to_be_bytes());
+    header.extend(n.to_be_bytes());
+    let bytes = std::fs::read(&ck).expect("read checkpoint");
+    let at = bytes.windows(header.len()).position(|w| w == header);
+    let at = at.expect("the quarantine group header") + header.len() - 8;
+    for forged in [n + 1, n + 1000, 1 << 62, u64::MAX] {
+        let mut b = bytes.clone();
+        b[at..at + 8].copy_from_slice(&forged.to_be_bytes());
+        assert!(SavedState::decode(&resealed(b)).is_err(), "count {forged}");
+    }
+
+    let unmapped = (0..).find(|c| !engine.done.contains(c)).expect("a chunk");
+    let mut cases = Vec::new();
+    for held in [1 << 40, unmapped] {
+        let mut forged = saved.clone();
+        forged.engine.staged[node].held = Some(held);
+        cases.push((
+            forged,
+            format!("chunk {held}, which is unknown or not mapped"),
+        ));
+    }
+    let mut extra = saved.clone();
+    extra.engine.staged.push(StagedTable::default());
+    cases.push((extra, "trailing group malformed".to_string()));
+    for (forged, want) in cases {
+        let path = dir.join("forged.opac");
+        forged.write_to(&path).expect("write forged");
+        let res = grouped().resume_stream(&data, &path, |_| {});
+        let err = res.expect_err("a forged group resumed").to_string();
+        assert!(err.contains(&want), "{err}");
+    }
+    grouped()
+        .resume_stream(&data, &ck, |_| {})
+        .expect("the unforged checkpoint resumes");
     std::fs::remove_dir_all(&dir).ok();
 }
