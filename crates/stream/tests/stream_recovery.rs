@@ -7,6 +7,7 @@ use opa_common::fault::FaultConfig;
 use opa_common::{CombineScope, ExecConfig};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::engine::QueuedEvent;
+use opa_core::reduce::dinc_hash::MonitorKind;
 use opa_simio::codec::crc32;
 use opa_stream::{CheckpointView, SavedState, StreamJobBuilder};
 use opa_workloads::click_count::ClickCountJob;
@@ -342,7 +343,8 @@ fn invalid_stream_configurations_are_rejected_up_front() {
 /// run resumed from batch `k/2` at 1 and 8 threads ends with the
 /// uninterrupted run's output, dead-letter queue (each record quarantined
 /// once, by the attempt that committed its chunk) and node-combine
-/// counters, for every framework and k ∈ {2, 4, 8}.
+/// counters, for every framework, DINC-hash under both monitors, and
+/// k ∈ {2, 4, 8}.
 #[test]
 fn every_option_resumes_to_the_uninterrupted_run() {
     let data = ClickStreamSpec::small().generate(101);
@@ -364,13 +366,25 @@ fn every_option_resumes_to_the_uninterrupted_run() {
         ("poison + crashes", crashes, CombineScope::Task),
         ("both + crashes", crashes, CombineScope::Node),
     ];
-    for fw in Framework::ALL {
+    let columns = Framework::ALL
+        .map(|fw| (fw, MonitorKind::Frequent))
+        .into_iter()
+        .chain([(Framework::DincHash, MonitorKind::SpaceSaving)]);
+    for (fw, monitor) in columns {
         for (option, faults, combine) in options {
             for k in [2, 4, 8] {
-                let cell = format!("{fw:?}, {option}, k = {k}");
+                let cell = format!("{fw:?} ({monitor:?}), {option}, k = {k}");
+                let mut cluster = cluster;
+                if monitor == MonitorKind::SpaceSaving {
+                    // Nine slots a reducer: the monitor fills and evicts
+                    // before the pause.
+                    cluster.hardware.reduce_buffer = 512;
+                    cluster.bucket_write_buffer = 128;
+                }
                 let build = || {
                     StreamJobBuilder::new(click_job())
                         .framework(fw)
+                        .dinc_monitor(monitor)
                         .cluster(cluster)
                         .faults(faults)
                         .combine(combine)
@@ -399,6 +413,18 @@ fn every_option_resumes_to_the_uninterrupted_run() {
                     !saved.engine.dlq.is_empty() || staged > 0,
                     "{cell}: the checkpoint holds neither a quarantined record nor a staged row"
                 );
+                if monitor == MonitorKind::SpaceSaving {
+                    // DINC-hash's stats section: [s, offered, rejected,
+                    // evicted to output, evicted to a bucket].
+                    let full_and_evicted = saved.engine.reducers.iter().any(|r| {
+                        let stats = &r.nums[3];
+                        r.states[0].len() as u64 == stats[0] && stats[3] + stats[4] > 0
+                    });
+                    assert!(
+                        full_and_evicted,
+                        "{cell}: no monitor is full and has evicted by the pause"
+                    );
+                }
                 if faults.enabled() {
                     let fired = full.job.metrics.faults.as_ref().expect("a fault report");
                     let retried = fired.map_failures + fired.stragglers + fired.reduce_failures;

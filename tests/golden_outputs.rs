@@ -5,12 +5,16 @@
 //! [`encode_run`] serialization. The digests below are *pins*: any engine
 //! change that alters even one output byte of one cell fails loudly here,
 //! which is exactly what the fault-injection work needs as a tripwire.
+//! DINC-hash runs twice, once per monitor algorithm, and once more under
+//! SpaceSaving with the LFU admission policy on.
 //!
 //! To re-pin after an *intentional* output change, run with
 //! `OPA_PRINT_GOLDEN=1 cargo test -q --test golden_outputs -- --nocapture`
 //! and paste the printed table.
 
+use opa::common::AdmissionPolicy;
 use opa::core::prelude::*;
+use opa::core::reduce::dinc_hash::MonitorKind;
 use opa::simio::codec::{crc32, encode_run};
 use opa::workloads::clickstream::ClickStreamSpec;
 use opa::workloads::documents::DocumentSpec;
@@ -18,19 +22,85 @@ use opa::workloads::{
     ClickCountJob, FrequentUsersJob, PageFreqJob, SessionizeJob, TrigramCountJob,
 };
 
-const FRAMEWORKS: [Framework; 4] = [
-    Framework::SortMerge,
-    Framework::MrHash,
-    Framework::IncHash,
-    Framework::DincHash,
+/// A digest column: a framework, the monitor DINC-hash runs, and the
+/// reduce-side admission policy.
+type Column = (Framework, MonitorKind, AdmissionPolicy);
+
+const COLUMNS: [Column; 5] = [
+    (
+        Framework::SortMerge,
+        MonitorKind::Frequent,
+        AdmissionPolicy::Off,
+    ),
+    (
+        Framework::MrHash,
+        MonitorKind::Frequent,
+        AdmissionPolicy::Off,
+    ),
+    (
+        Framework::IncHash,
+        MonitorKind::Frequent,
+        AdmissionPolicy::Off,
+    ),
+    (
+        Framework::DincHash,
+        MonitorKind::Frequent,
+        AdmissionPolicy::Off,
+    ),
+    (
+        Framework::DincHash,
+        MonitorKind::SpaceSaving,
+        AdmissionPolicy::Off,
+    ),
 ];
 
-fn digest(job: impl Job + Clone + 'static, framework: Framework, input: &JobInput) -> u32 {
+/// SpaceSaving under the LFU policy: a table-full arrival whose every
+/// victim the expiry guard vetoes is rejected, and the second chance the
+/// policy would give it is refused.
+const SPACE_SAVING_LFU: Column = (
+    Framework::DincHash,
+    MonitorKind::SpaceSaving,
+    AdmissionPolicy::Lfu,
+);
+
+/// The cluster a column runs on: `tiny`, with a 1 KB reduce buffer under
+/// SpaceSaving, so that its monitor fills and evicts on every workload
+/// (on `tiny`'s 16 KB, click counting keeps every key resident).
+fn cluster((_, monitor, _): Column) -> ClusterSpec {
+    let mut spec = ClusterSpec::tiny();
+    if monitor == MonitorKind::SpaceSaving {
+        spec.hardware.reduce_buffer = 1024;
+        spec.bucket_write_buffer = 256;
+    }
+    spec
+}
+
+/// A SpaceSaving cell pins nothing about the monitor unless the monitor
+/// filled and displaced an occupant before the input ended: the
+/// end-of-input flush evicts every resident key too, so the evictions
+/// must outnumber the keys resident at the end.
+fn check_monitor(cell: &str, (_, monitor, _): Column, metrics: &JobMetrics) {
+    if monitor == MonitorKind::SpaceSaving {
+        let d = metrics.dinc.expect("DINC-hash reports monitor stats");
+        let resident = metrics.admission.expect("admission stats").resident_keys;
+        assert!(
+            d.evict_output + d.evict_spilled > resident,
+            "{cell}: the SpaceSaving monitor never evicted before the input \
+             ended ({d:?}, {resident} resident at the end)"
+        );
+    }
+}
+
+fn digest(job: impl Job + Clone + 'static, column: Column, input: &JobInput) -> u32 {
+    let (framework, monitor, admission) = column;
     let outcome = JobBuilder::new(job)
         .framework(framework)
-        .cluster(ClusterSpec::tiny())
+        .cluster(cluster(column))
+        .dinc_monitor(monitor)
+        .admission(admission)
         .run(input)
         .expect("job runs");
+    check_monitor(&format!("{column:?}"), column, &outcome.metrics);
     crc32(&encode_run(&outcome.sorted_output()))
 }
 
@@ -39,33 +109,33 @@ fn digest(job: impl Job + Clone + 'static, framework: Framework, input: &JobInpu
 /// so this digest must equal the batch pin.
 fn stream_digest(
     job: impl Job + Clone + 'static,
-    framework: Framework,
+    column: Column,
     input: &JobInput,
     batches: usize,
 ) -> u32 {
+    let (framework, monitor, admission) = column;
     let outcome = opa::stream::StreamJobBuilder::new(job)
         .framework(framework)
-        .cluster(ClusterSpec::tiny())
+        .cluster(cluster(column))
+        .dinc_monitor(monitor)
+        .admission(admission)
         .batches(batches)
         .run_stream(input, |_| {})
         .expect("stream runs");
+    check_monitor(
+        &format!("{column:?}, streamed"),
+        column,
+        &outcome.job.metrics,
+    );
     crc32(&encode_run(&outcome.job.sorted_output()))
 }
 
-fn row(job: impl Job + Clone + 'static, input: &JobInput) -> [u32; 4] {
-    let mut out = [0u32; 4];
-    for (i, fw) in FRAMEWORKS.into_iter().enumerate() {
-        out[i] = digest(job.clone(), fw, input);
-    }
-    out
+fn row(job: impl Job + Clone + 'static, input: &JobInput) -> [u32; 5] {
+    COLUMNS.map(|column| digest(job.clone(), column, input))
 }
 
-fn stream_row(job: impl Job + Clone + 'static, input: &JobInput, batches: usize) -> [u32; 4] {
-    let mut out = [0u32; 4];
-    for (i, fw) in FRAMEWORKS.into_iter().enumerate() {
-        out[i] = stream_digest(job.clone(), fw, input, batches);
-    }
-    out
+fn stream_row(job: impl Job + Clone + 'static, input: &JobInput, batches: usize) -> [u32; 5] {
+    COLUMNS.map(|column| stream_digest(job.clone(), column, input, batches))
 }
 
 fn sessionize_job() -> SessionizeJob {
@@ -78,7 +148,7 @@ fn sessionize_job() -> SessionizeJob {
     }
 }
 
-fn computed() -> Vec<(&'static str, [u32; 4])> {
+fn computed() -> Vec<(&'static str, [u32; 5])> {
     let clicks = ClickStreamSpec::small().generate(101);
     let docs = DocumentSpec::small().generate(102);
     vec![
@@ -124,26 +194,30 @@ fn computed() -> Vec<(&'static str, [u32; 4])> {
     ]
 }
 
-/// (workload, [SortMerge, MrHash, IncHash, DincHash]) digest table,
-/// computed once from this revision of the engine and pinned.
-const GOLDEN: [(&str, [u32; 4]); 5] = [
+/// (workload, [SortMerge, MrHash, IncHash, DincHash, DincHash under
+/// SpaceSaving]) digest table, computed once from this revision of the
+/// engine and pinned.
+const GOLDEN: [(&str, [u32; 5]); 5] = [
     (
         "sessionization",
-        [0x398ad04a, 0x398ad04a, 0x398ad04a, 0x98cf5831],
+        [0x398ad04a, 0x398ad04a, 0x398ad04a, 0x98cf5831, 0x98cf5831],
     ),
     (
         "click-count",
-        [0xadab7b67, 0xadab7b67, 0xadab7b67, 0xadab7b67],
+        [0xadab7b67, 0xadab7b67, 0xadab7b67, 0xadab7b67, 0xadab7b67],
     ),
     (
         "frequent-users",
-        [0xb012ef27, 0xb012ef27, 0x2fbba150, 0x2fbba150],
+        [0xb012ef27, 0xb012ef27, 0x2fbba150, 0x2fbba150, 0x2fbba150],
     ),
     (
         "page-freq",
-        [0x13a36f26, 0x13a36f26, 0x13a36f26, 0x13a36f26],
+        [0x13a36f26, 0x13a36f26, 0x13a36f26, 0x13a36f26, 0x13a36f26],
     ),
-    ("trigrams", [0xd438209e, 0xd438209e, 0x0fb159c1, 0xd438209e]),
+    (
+        "trigrams",
+        [0xd438209e, 0xd438209e, 0x0fb159c1, 0xd438209e, 0x0fb159c1],
+    ),
 ];
 
 #[test]
@@ -151,18 +225,16 @@ fn golden_digests_match() {
     let got = computed();
     if std::env::var("OPA_PRINT_GOLDEN").is_ok() {
         for (name, r) in &got {
-            println!(
-                "    (\"{name}\", [{:#010x}, {:#010x}, {:#010x}, {:#010x}]),",
-                r[0], r[1], r[2], r[3]
-            );
+            let r = r.map(|d| format!("{d:#010x}")).join(", ");
+            println!("    (\"{name}\", [{r}]),");
         }
         return;
     }
     for ((name, want), (_, have)) in GOLDEN.iter().zip(&got) {
-        for (i, fw) in FRAMEWORKS.into_iter().enumerate() {
+        for (i, column) in COLUMNS.into_iter().enumerate() {
             assert_eq!(
                 want[i], have[i],
-                "{name} / {fw:?}: output digest drifted (run with \
+                "{name} / {column:?}: output digest drifted (run with \
                  OPA_PRINT_GOLDEN=1 to re-pin after an intentional change)"
             );
         }
@@ -177,7 +249,7 @@ fn streamed_runs_match_golden_digests() {
     // one-shot batch run.
     let clicks = ClickStreamSpec::small().generate(101);
     let docs = DocumentSpec::small().generate(102);
-    let streamed: Vec<(&str, [u32; 4])> = vec![
+    let streamed: Vec<(&str, [u32; 5])> = vec![
         ("sessionization", stream_row(sessionize_job(), &clicks, 4)),
         (
             "click-count",
@@ -223,10 +295,10 @@ fn streamed_runs_match_golden_digests() {
         ),
     ];
     for ((name, want), (_, have)) in GOLDEN.iter().zip(&streamed) {
-        for (i, fw) in FRAMEWORKS.into_iter().enumerate() {
+        for (i, column) in COLUMNS.into_iter().enumerate() {
             assert_eq!(
                 want[i], have[i],
-                "{name} / {fw:?}: streamed output diverges from the \
+                "{name} / {column:?}: streamed output diverges from the \
                  one-shot batch pin"
             );
         }
@@ -241,9 +313,40 @@ fn digests_are_stable_across_repeat_runs() {
     let job = ClickCountJob {
         expected_users: 100,
     };
-    let a = digest(job.clone(), Framework::DincHash, &clicks);
-    let b = digest(job, Framework::DincHash, &clicks);
+    let a = digest(job.clone(), COLUMNS[3], &clicks);
+    let b = digest(job, COLUMNS[3], &clicks);
     assert_eq!(a, b);
+}
+
+/// Sessionization's digest with the SpaceSaving monitor under the LFU
+/// admission policy, batch and streamed.
+const GOLDEN_SPACE_SAVING_LFU: u32 = 0x98cf5831;
+
+/// The LFU policy's second chance, refused under SpaceSaving: the
+/// sessions' expiry guard vetoes every victim of some arrivals, those
+/// arrivals are rejected, and none of them displaces an occupant.
+#[test]
+fn space_saving_refuses_the_second_chance() {
+    let clicks = ClickStreamSpec::small().generate(101);
+    let outcome = JobBuilder::new(sessionize_job())
+        .framework(Framework::DincHash)
+        .cluster(ClusterSpec::tiny())
+        .dinc_monitor(MonitorKind::SpaceSaving)
+        .admission(AdmissionPolicy::Lfu)
+        .run(&clicks)
+        .expect("job runs");
+    let adm = outcome.metrics.admission.expect("admission stats");
+    assert!(adm.rejected > 0, "no arrival was rejected: {adm:?}");
+    assert_eq!(adm.admitted_evictions, 0, "a second chance was granted");
+    let got = [
+        digest(sessionize_job(), SPACE_SAVING_LFU, &clicks),
+        stream_digest(sessionize_job(), SPACE_SAVING_LFU, &clicks, 4),
+    ];
+    if std::env::var("OPA_PRINT_GOLDEN").is_ok() {
+        println!("const GOLDEN_SPACE_SAVING_LFU: u32 = {:#010x};", got[0]);
+        return;
+    }
+    assert_eq!(got, [GOLDEN_SPACE_SAVING_LFU; 2]);
 }
 
 /// CRC-32 of the records concatenated, and of their lengths (as `u32` LE):

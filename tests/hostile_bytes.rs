@@ -5,11 +5,12 @@
 //! so the forgery reaches the schema parser behind the checksum.
 //!
 //! The samples are one file of each container kind — stream checkpoint,
-//! quarantine, dataset, dataflow stage checkpoint — and a stream checkpoint
-//! carrying both trailing groups (quarantined records, staging tables),
-//! plus a record run (`codec::decode_run`) and a JSONL trace
-//! (`TraceLog::from_jsonl`). The compatibility corpus (`tests/corpus/`,
-//! files an earlier build wrote) is mutated the same way.
+//! quarantine, dataset, dataflow stage checkpoint — a stream checkpoint
+//! carrying both trailing groups (quarantined records, staging tables) and
+//! one of DINC-hash under the SpaceSaving monitor, plus a record run
+//! (`codec::decode_run`) and a JSONL trace (`TraceLog::from_jsonl`). The
+//! compatibility corpus (`tests/corpus/`, files an earlier build wrote) is
+//! mutated the same way.
 //! Integer overflow traps in debug builds and wraps in release, so the two
 //! builds reach different code: run this file under both.
 
@@ -19,6 +20,7 @@ use opa::common::{CombineScope, Key, Pair, Result, Value};
 use opa::core::cluster::{ClusterSpec, Framework};
 use opa::core::dataflow::{Dataflow, Dataset, PartitionSpec, StageCheckpoint};
 use opa::core::job::{JobInput, PoisonedRecord};
+use opa::core::reduce::dinc_hash::MonitorKind;
 use opa::simio::codec::{crc32, decode_run, encode_run};
 use opa::stream::{CheckpointView, SavedState, StagedTable, StreamJobBuilder};
 use opa::trace::TraceLog;
@@ -217,6 +219,27 @@ fn samples(dir: &Path) -> Samples {
     let grouped_ck = dir.join("g.opac");
     checkpoint_at_2(grouped(), &data, &grouped_ck);
 
+    // DINC-hash under SpaceSaving (flags bit 0 set), on a reduce buffer
+    // small enough that a monitor is full at the checkpoint (its stats
+    // section starts with the slot count): a forgery reaches the other
+    // eviction rule's restore and slack.
+    let space_saving_ck = dir.join("ss.opac");
+    let mut small = ClusterSpec::tiny();
+    small.hardware.reduce_buffer = 256;
+    small.bucket_write_buffer = 64;
+    let space_saving = StreamJobBuilder::new(job.clone())
+        .framework(Framework::DincHash)
+        .dinc_monitor(MonitorKind::SpaceSaving)
+        .cluster(small)
+        .batches(4);
+    checkpoint_at_2(space_saving, &data, &space_saving_ck);
+    let saved = SavedState::read_from(&space_saving_ck).expect("decodes");
+    let reducers = &saved.engine.reducers;
+    assert!(reducers.iter().all(|r| r.flags == 1));
+    assert!(reducers
+        .iter()
+        .any(|r| r.states[0].len() as u64 == r.nums[3][0]));
+
     let quarantine = QuarantineFile {
         tenant: 1,
         job: 2,
@@ -267,6 +290,11 @@ fn samples(dir: &Path) -> Samples {
                 "stream checkpoint",
                 read(&grouped_ck),
                 query("mutated-groups.opac"),
+            ),
+            (
+                "stream checkpoint",
+                read(&space_saving_ck),
+                query("mutated-space-saving.opac"),
             ),
             (
                 "quarantine",
