@@ -11,7 +11,7 @@
 //! hotter newcomer.
 //!
 //! Both structures share the **seeding discipline** of the
-//! Misra-Gries/SpaceSaving monitors in `opa-freq`: every hash function is
+//! FREQUENT/SpaceSaving monitor in `opa-freq`: every hash function is
 //! drawn from the same fixed [`HashFamily`] seed that backs
 //! [`SeededState::fixed`](crate::hash::SeededState::fixed)
 //! (`0x6f70_615f_6873_6831`), at member indices that collide with neither

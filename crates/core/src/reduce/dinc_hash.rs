@@ -8,7 +8,10 @@
 //! every counter is positive, is itself staged to disk while all counters
 //! decrement. The §6.2 refinement is honoured: the workload's `can_evict`
 //! guard can veto displacing a state whose work is not finished (an active
-//! session), in which case the tuple spills without the decrement.
+//! session), in which case the tuple spills without the decrement. Under
+//! [`MonitorKind::SpaceSaving`] the same monitor runs that algorithm's
+//! rule instead: the newcomer displaces the minimum-count occupant the
+//! guard lets go, and nothing decrements.
 //!
 //! After the input ends, the monitored states are flushed through the same
 //! eviction hook (complete states go straight to output, the rest join
@@ -16,7 +19,8 @@
 //! every key's partial states and stray tuples meet again and final answers
 //! are exact.
 //!
-//! Coverage estimation (`γ = t/(t + M/(s+1))`) is exposed through
+//! Coverage estimation (`γ = t/(t + slack)`, the slack `M/(s+1)` under
+//! FREQUENT and `M/s` under SpaceSaving) is exposed through
 //! [`DincHashReducer`]'s underlying monitor for the approximate-answer
 //! mode: with an `early_stop_coverage` threshold φ set on the builder, keys
 //! whose γ ≥ φ are finalized from their partial in-memory state and their
@@ -33,8 +37,12 @@ use opa_common::units::SimDuration;
 use opa_common::{
     AdmissionPolicy, Error, FreqSketch, HashFamily, HashFn, Key, Result, StatePair, Value,
 };
-use opa_freq::{MgEntry, MgOutcome, MisraGries, SpaceSavingMonitor};
+use opa_freq::{MgEntry, MgOutcome, MisraGries};
 use opa_simio::BucketManager;
+
+// `RunConfig` and the monitor-choice ablation name the monitor's
+// algorithm at this path.
+pub use opa_freq::MonitorKind;
 
 /// [`ReducerCkpt::tag`] of the DINC-hash framework.
 pub(crate) const CKPT_TAG: u8 = 4;
@@ -47,152 +55,33 @@ const FLAG_SPACE_SAVING: u64 = 1;
 /// memory budget in addition to the key-state bytes.
 const SLOT_OVERHEAD: u64 = 32;
 
-/// Which frequency algorithm drives the DINC monitor. The paper uses
-/// FREQUENT; SpaceSaving is provided for the monitor-choice ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MonitorKind {
-    /// Misra-Gries / FREQUENT (the paper's choice, §4.3).
-    #[default]
-    Frequent,
-    /// SpaceSaving (Metwally et al. 2005): displace the minimum counter.
-    SpaceSaving,
+/// Coverage lower bound `γ = t/(t + slack)` of a monitored key that has
+/// combined `t` tuples since its install.
+fn gamma(t: u64, slack: f64) -> f64 {
+    t as f64 / (t as f64 + slack)
 }
 
-/// Either monitor behind one interface.
-enum Monitor {
-    Frequent(MisraGries<Key, Value>),
-    SpaceSaving(SpaceSavingMonitor<Key, Value>),
-}
-
-impl Monitor {
-    fn new(kind: MonitorKind, s: usize) -> Monitor {
-        match kind {
-            MonitorKind::Frequent => Monitor::Frequent(MisraGries::new(s)),
-            MonitorKind::SpaceSaving => Monitor::SpaceSaving(SpaceSavingMonitor::new(s)),
-        }
-    }
-
-    fn offer_guarded(
-        &mut self,
-        key: Key,
-        state: Value,
-        cb: impl FnOnce(&Key, &mut Value, Value),
-        guard: impl FnMut(&Key, &Value) -> bool,
-    ) -> MgOutcome<Key, Value> {
-        match self {
-            Monitor::Frequent(m) => m.offer_guarded(key, state, cb, guard),
-            Monitor::SpaceSaving(m) => m.offer_guarded(key, state, cb, guard),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            Monitor::Frequent(m) => m.capacity(),
-            Monitor::SpaceSaving(m) => m.capacity(),
-        }
-    }
-
-    fn offered(&self) -> u64 {
-        match self {
-            Monitor::Frequent(m) => m.offered(),
-            Monitor::SpaceSaving(m) => m.offered(),
-        }
-    }
-
-    fn drain(self) -> Vec<MgEntry<Key, Value>> {
-        match self {
-            Monitor::Frequent(m) => m.drain(),
-            Monitor::SpaceSaving(m) => m.drain(),
-        }
-    }
-
-    fn kind(&self) -> MonitorKind {
-        match self {
-            Monitor::Frequent(_) => MonitorKind::Frequent,
-            Monitor::SpaceSaving(_) => MonitorKind::SpaceSaving,
-        }
-    }
-
-    fn get(&self, key: &Key) -> Option<MgEntry<Key, Value>> {
-        match self {
-            Monitor::Frequent(m) => m.get(key),
-            Monitor::SpaceSaving(m) => m.get(key),
-        }
-    }
-
-    /// Non-consuming snapshot of every monitored entry, in slot order —
-    /// restore must preserve this order for deterministic resumption.
-    fn entries(&self) -> Vec<MgEntry<Key, Value>> {
-        match self {
-            Monitor::Frequent(m) => m.iter().collect(),
-            Monitor::SpaceSaving(m) => m.iter().collect(),
-        }
-    }
-
-    /// Second-chance LFU install after a [`MgOutcome::Rejected`]: evict
-    /// the coldest guard-approved occupant in favour of `key`. Only the
-    /// FREQUENT monitor supports this (SpaceSaving already displaces its
-    /// minimum on every offer, so a rejection there was a guard veto and
-    /// stands).
-    fn replace_min_guarded(
-        &mut self,
-        key: Key,
-        state: Value,
-        guard: impl FnMut(&Key, &Value) -> bool,
-    ) -> MgOutcome<Key, Value> {
-        match self {
-            Monitor::Frequent(m) => m.replace_min_guarded(key, state, guard),
-            Monitor::SpaceSaving(_) => MgOutcome::Rejected { key, state },
-        }
-    }
-
-    fn restore(
-        kind: MonitorKind,
-        capacity: usize,
-        offered: u64,
-        entries: Vec<MgEntry<Key, Value>>,
-    ) -> Monitor {
-        match kind {
-            MonitorKind::Frequent => {
-                Monitor::Frequent(MisraGries::restore(capacity, offered, entries))
-            }
-            MonitorKind::SpaceSaving => {
-                Monitor::SpaceSaving(SpaceSavingMonitor::restore(capacity, offered, entries))
-            }
-        }
-    }
-
-    /// Per-key coverage slack `M/(s+1)` (FREQUENT) or `M/s` (SpaceSaving)
-    /// — the denominator term of the γ lower bound.
-    fn slack(&self) -> f64 {
-        match self {
-            Monitor::Frequent(m) => m.offered() as f64 / (m.capacity() as f64 + 1.0),
-            Monitor::SpaceSaving(m) => m.offered() as f64 / (m.capacity() as f64).max(1.0),
-        }
-    }
-
-    /// The `k` entries with the highest counts (ties in slot order, so the
-    /// answer is deterministic) and the coverage lower bound γ of the
-    /// weakest of them.
-    fn top_entries(&self, k: usize) -> (Vec<TopEntry>, f64) {
-        let mut entries = self.entries();
-        entries.sort_by_key(|e| std::cmp::Reverse(e.count));
-        entries.truncate(k);
-        let slack = self.slack();
-        let gamma = entries
-            .iter()
-            .map(|e| e.t as f64 / (e.t as f64 + slack))
-            .fold(1.0f64, f64::min);
-        let top = entries
-            .into_iter()
-            .map(|e| TopEntry {
-                key: e.key,
-                count: e.count,
-                state: e.state,
-            })
-            .collect();
-        (top, gamma)
-    }
+/// The `k` entries of `monitor` with the highest counts (ties in slot
+/// order, so the answer is deterministic) and the coverage lower bound γ
+/// of the weakest of them.
+fn top_entries(monitor: &MisraGries<Key, Value>, k: usize) -> (Vec<TopEntry>, f64) {
+    let mut entries: Vec<_> = monitor.iter().collect();
+    entries.sort_by_key(|e| std::cmp::Reverse(e.count));
+    entries.truncate(k);
+    let slack = monitor.slack();
+    let weakest = entries
+        .iter()
+        .map(|e| gamma(e.t, slack))
+        .fold(1.0f64, f64::min);
+    let top = entries
+        .into_iter()
+        .map(|e| TopEntry {
+            key: e.key,
+            count: e.count,
+            state: e.state,
+        })
+        .collect();
+    (top, weakest)
 }
 
 /// The monitor kind a checkpoint's flags record.
@@ -222,7 +111,7 @@ fn monitor_entries(slots: Vec<StatePair>, counts: &[u64], ts: &[u64]) -> Vec<MgE
 /// Rebuilds the monitor a DINC-hash checkpoint holds from the sections
 /// [`DincHashReducer::export_state`] writes, at the slot count `s` its
 /// stats section records; `None` when the sections disagree.
-fn checkpointed_monitor(ckpt: &ReducerCkpt) -> Option<Monitor> {
+fn checkpointed_monitor(ckpt: &ReducerCkpt) -> Option<MisraGries<Key, Value>> {
     let slots = ckpt.states.first()?;
     let [offered, counts, ts, stats, ..] = ckpt.nums.as_slice() else {
         return None;
@@ -231,7 +120,7 @@ fn checkpointed_monitor(ckpt: &ReducerCkpt) -> Option<Monitor> {
     if counts.len() != slots.len() || ts.len() != slots.len() || slots.len() > capacity {
         return None;
     }
-    Some(Monitor::restore(
+    Some(MisraGries::restore(
         monitor_kind(ckpt.flags),
         capacity,
         *offered.first()?,
@@ -249,7 +138,7 @@ pub(super) fn checkpointed_top_entries(
     ckpt: &ReducerCkpt,
     k: usize,
 ) -> Option<(Vec<TopEntry>, f64)> {
-    Some(checkpointed_monitor(ckpt)?.top_entries(k))
+    Some(top_entries(&checkpointed_monitor(ckpt)?, k))
 }
 
 /// One reduce task running the DINC-hash framework.
@@ -257,7 +146,7 @@ pub struct DincHashReducer<'j> {
     inc: Handle<'j, dyn IncrementalReducer + 'j>,
     family: HashFamily,
     h3: HashFn,
-    monitor: Monitor,
+    monitor: MisraGries<Key, Value>,
     mem_budget: u64,
     write_buffer: u64,
     buckets: BucketManager<StatePair>,
@@ -306,7 +195,7 @@ impl<'j> DincHashReducer<'j> {
             inc,
             family: family.clone(),
             h3: family.fn_at(2),
-            monitor: Monitor::new(sizing.monitor, s),
+            monitor: MisraGries::with_kind(sizing.monitor, s),
             mem_budget: monitor_mem,
             write_buffer,
             buckets: BucketManager::new(h, write_buffer),
@@ -350,8 +239,10 @@ impl<'j> DincHashReducer<'j> {
     /// policy on, the monitor gets a second chance: if the sketch says the
     /// newcomer is strictly hotter than the coldest evictable occupant,
     /// that occupant is displaced through the usual eviction hook and the
-    /// newcomer takes its slot. Otherwise (and always when the policy is
-    /// off) the tuple is staged to disk exactly as before. `fp` is the
+    /// newcomer takes its slot; a SpaceSaving monitor refuses it, its
+    /// rejection being a veto of every occupant. Otherwise (and always
+    /// when the policy is off) the tuple is staged to disk exactly as
+    /// before. `fp` is the
     /// key's `h3` fingerprint, computed only when the sketch exists.
     fn reject_or_admit(
         &mut self,
@@ -465,24 +356,20 @@ impl ReduceSide for DincHashReducer<'_> {
     fn complete(&mut self, env: &mut ReduceEnv<'_>) {
         env.span_open();
         self.stats.offered = self.monitor.offered();
-        let offered = self.monitor.offered();
-        let capacity = self.monitor.capacity();
-        let monitor = std::mem::replace(&mut self.monitor, Monitor::new(MonitorKind::Frequent, 1));
-        let entries = monitor.drain();
+        let entries = self.monitor.drain();
         self.adm.resident_keys = entries.len() as u64;
         self.adm.resident_frequency = entries.iter().map(|e| e.t).sum();
 
         // Approximate early termination (§4.3): finalize monitored keys
-        // whose coverage lower bound γ = t/(t + M/(s+1)) clears φ, skip
-        // the disk-resident remainder entirely. φ = 1.0 demands full
-        // coverage, which the bound can never certify while any slack
-        // remains — that request is exact processing, handled below.
+        // whose coverage lower bound γ = t/(t + slack) clears φ, skip the
+        // disk-resident remainder entirely. φ = 1.0 demands full coverage,
+        // which the bound can never certify while any slack remains — that
+        // request is exact processing, handled below.
         if let Some(phi) = self.early_stop_coverage.filter(|&phi| phi < 1.0) {
-            let slack = offered as f64 / (capacity as f64 + 1.0);
+            let slack = self.monitor.slack();
             let mut finalized = 0u64;
             for e in entries {
-                let gamma = e.t as f64 / (e.t as f64 + slack);
-                if gamma >= phi {
+                if gamma(e.t, slack) >= phi {
                     self.inc.finalize(&e.key, e.state, &mut self.ctx);
                     finalized += 1;
                 }
@@ -528,7 +415,7 @@ impl ReduceSide for DincHashReducer<'_> {
     /// context emissions. Monitor capacity is derived from the (identical)
     /// sizing on restore.
     fn export_state(&self) -> Result<ReducerCkpt> {
-        let entries = self.monitor.entries();
+        let entries: Vec<_> = self.monitor.iter().collect();
         let mut states = vec![entries
             .iter()
             .map(|e| StatePair::new(e.key.clone(), e.state.clone()))
@@ -637,7 +524,7 @@ impl ReduceSide for DincHashReducer<'_> {
                 monitored.len()
             )));
         }
-        self.monitor = Monitor::restore(
+        self.monitor = MisraGries::restore(
             monitor_kind(ckpt.flags),
             capacity,
             offered.first().copied().unwrap_or(0),
@@ -664,7 +551,7 @@ impl ReduceSide for DincHashReducer<'_> {
     }
 
     fn top_entries(&self, k: usize) -> Option<(Vec<TopEntry>, f64)> {
-        Some(self.monitor.top_entries(k))
+        Some(top_entries(&self.monitor, k))
     }
 
     fn watermark(&self) -> Option<u64> {

@@ -315,3 +315,55 @@ fn dinc_early_stop_reports_only_covered_keys() {
     // The reported hot-key count is a partial (≤ true) count.
     assert!(counts[&7] <= 200);
 }
+
+/// Early stop finalizes a monitored key only when its γ under the
+/// monitor's own slack clears φ. With φ between the hot key's γ under
+/// FREQUENT (slack `M/(s+1)`) and under SpaceSaving (slack `M/s`), the
+/// FREQUENT reducer reports the key and the SpaceSaving one does not.
+#[test]
+fn dinc_early_stop_uses_the_monitors_own_slack() {
+    let mut spec = ClusterSpec::tiny();
+    spec.hardware.reduce_buffer = 512;
+    spec.bucket_write_buffer = 128;
+    let job = Count;
+    let family = HashFamily::new(8);
+    let rounds = 200u64;
+    let make = |monitor, phi| {
+        let sizing = ReducerSizing {
+            early_stop_coverage: Some(phi),
+            monitor,
+            ..sizing()
+        };
+        dinc_hash::DincHashReducer::new(JobRef::borrowed(&job), &spec, sizing, &family)
+    };
+    // Key 7 arrives first and every other tuple, so under either rule it
+    // is installed at once, never displaced, and combines all of its
+    // tuples: t = f = `rounds`, out of M = 2·`rounds` offered.
+    let run = |mut r: dinc_hash::DincHashReducer<'_>| {
+        let mut h = Harness::new(spec);
+        let mut t = SimTime::ZERO;
+        for round in 0..rounds {
+            let keys = [7u64, 3000 + round];
+            t = h.deliver(&mut r, t, Payload::States(states(&keys)));
+        }
+        let hot = r.query(&Key::from_u64(7)).and_then(|v| v.as_u64());
+        assert_eq!(hot, Some(rounds), "the hot key combined every tuple");
+        let _ = h.finish(&mut r, t);
+        h.counts().contains_key(&7)
+    };
+    let s = make(dinc_hash::MonitorKind::Frequent, 0.5).slots() as f64;
+    assert!(
+        s >= 2.0,
+        "one slot would let SpaceSaving displace the hot key"
+    );
+    let (t, m) = (rounds as f64, 2.0 * rounds as f64);
+    let frequent = t / (t + m / (s + 1.0));
+    let space_saving = t / (t + m / s);
+    let phi = (frequent + space_saving) / 2.0;
+    assert!(space_saving < phi && phi < frequent);
+    assert!(run(make(dinc_hash::MonitorKind::Frequent, phi)));
+    assert!(
+        !run(make(dinc_hash::MonitorKind::SpaceSaving, phi)),
+        "SpaceSaving finalized a key whose γ = {space_saving:.4} < φ = {phi:.4}"
+    );
+}

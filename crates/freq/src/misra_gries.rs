@@ -1,4 +1,5 @@
-//! The FREQUENT algorithm with attached per-key state.
+//! The counter-based hot-key monitor: FREQUENT and SpaceSaving over one
+//! slot table, with attached per-key state.
 //!
 //! Classic FREQUENT maintains `s` (key, counter) slots: a monitored key's
 //! arrival increments its counter; an unmonitored key takes over a
@@ -7,14 +8,22 @@
 //! the reduce state `s[i]` and a coverage counter `t[i]`, and instead of
 //! discarding rejected tuples it spills them to a hash bucket.
 //!
+//! SpaceSaving (Metwally, Agrawal, El Abbadi 2005) keeps the same slots
+//! and differs only when a new key meets a full table (Agarwal et al.,
+//! *Mergeable Summaries*, PODS 2012, show the two summaries isomorphic):
+//! the newcomer displaces the *minimum*-count occupant and inherits its
+//! count plus one, and nothing is ever decremented. [`MonitorKind`] picks
+//! the rule; everything else — slots, heap, guard, checkpoint — is shared.
+//!
 //! The decrement-all step is O(1) amortized here via a global `base` offset:
 //! a slot's effective counter is `stored − base`, so "decrement everything"
-//! is `base += 1`. Zero-counter slots are found through a lazy min-heap
-//! holding one `(bound, slot)` entry per occupied slot, `bound` being at
-//! most the slot's stored counter: a combine leaves the entry alone, and an
-//! entry that surfaces below its slot's counter is re-keyed, not dropped.
-//! Every entry being a lower bound, the first exact entry to surface is
-//! the minimum `(stored, slot)` of all.
+//! is `base += 1` (SpaceSaving leaves `base` at zero). Victims are found
+//! through a lazy min-heap holding one `(bound, slot)` entry per occupied
+//! slot, `bound` being at most the slot's stored counter: a combine leaves
+//! the entry alone, and an entry that surfaces below its slot's counter is
+//! re-keyed, not dropped. Every entry being a lower bound, the first exact
+//! entry to surface is the minimum `(stored, slot)` of all, so both rules
+//! offer candidates to the eviction guard in `(stored, slot)` order.
 
 use opa_common::SeededState;
 use std::cmp::Reverse;
@@ -22,12 +31,27 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
 
+/// Which counter-based algorithm a [`MisraGries`] monitor runs. The two
+/// differ only in what a new key does to a full table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MonitorKind {
+    /// FREQUENT / Misra-Gries (the paper's choice, §4.3): the newcomer
+    /// takes over a zero-counter slot at count 1, or every counter is
+    /// decremented and the tuple rejected.
+    #[default]
+    Frequent,
+    /// SpaceSaving (Metwally et al. 2005): the newcomer displaces the
+    /// minimum-count occupant and inherits its count plus one.
+    SpaceSaving,
+}
+
 /// One monitored slot, as exposed to callers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MgEntry<K, S> {
     /// The monitored key (`k[i]` in the paper).
     pub key: K,
-    /// Effective FREQUENT counter (`c[i]`).
+    /// Effective counter (`c[i]`): under FREQUENT an under-estimate of the
+    /// key's frequency, under SpaceSaving an over-estimate.
     pub count: u64,
     /// Tuples combined since the key was last installed (`t[i]`), used for
     /// coverage estimation.
@@ -42,17 +66,18 @@ pub enum MgOutcome<K, S> {
     /// The key was already monitored: the combine closure ran, `c` and `t`
     /// were incremented. The tuple is fully absorbed.
     Combined,
-    /// The key was not monitored but a zero-counter slot existed: the new
-    /// key was installed with `c = 1`, `t = 1`. If the slot previously held
-    /// a key, that entry is returned for the caller to spill (or, per
-    /// workload policy, output directly).
+    /// The key was not monitored and took a slot — a free one, a
+    /// zero-counter one (FREQUENT) or the minimum-count one (SpaceSaving) —
+    /// with `t = 1`. If the slot previously held a key, that entry is
+    /// returned for the caller to spill (or, per workload policy, output
+    /// directly).
     Installed {
         /// The displaced occupant, if the slot was not empty.
         evicted: Option<MgEntry<K, S>>,
     },
-    /// No slot was available (every counter positive, or every
-    /// zero-counter occupant vetoed by the guard): the tuple is handed
-    /// back for the caller to stage to disk.
+    /// No slot was available (FREQUENT: every counter positive; either
+    /// kind: every candidate occupant vetoed by the guard): the tuple is
+    /// handed back for the caller to stage to disk.
     Rejected {
         /// The offered key, returned unconsumed.
         key: K,
@@ -70,14 +95,16 @@ struct Slot<K, S> {
     state: S,
 }
 
-/// FREQUENT with `s` slots and attached state.
+/// A hot-key monitor with `s` slots and attached state: FREQUENT by
+/// default, SpaceSaving through [`MisraGries::with_kind`].
 #[derive(Debug)]
 pub struct MisraGries<K, S> {
+    kind: MonitorKind,
     slots: Vec<Slot<K, S>>,
     index: HashMap<K, usize, SeededState>,
     /// Lazy min-heap of one `(lower bound of stored, slot)` entry per
     /// occupied slot (none for a slot a search has popped and not yet put
-    /// back), for zero-slot and minimum discovery.
+    /// back), for victim discovery.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     base: u64,
     capacity: usize,
@@ -85,13 +112,22 @@ pub struct MisraGries<K, S> {
 }
 
 impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
-    /// Creates a monitor with `s` slots.
+    /// Creates a FREQUENT monitor with `s` slots.
     ///
     /// # Panics
     /// Panics if `s == 0`.
     pub fn new(s: usize) -> Self {
+        Self::with_kind(MonitorKind::Frequent, s)
+    }
+
+    /// Creates a monitor of the given kind with `s` slots.
+    ///
+    /// # Panics
+    /// Panics if `s == 0`.
+    pub fn with_kind(kind: MonitorKind, s: usize) -> Self {
         assert!(s > 0, "slot count must be positive");
         MisraGries {
+            kind,
             slots: Vec::with_capacity(s.min(1 << 20)),
             index: HashMap::with_capacity_and_hasher(s.min(1 << 20), SeededState::fixed()),
             heap: BinaryHeap::new(),
@@ -99,6 +135,47 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
             capacity: s,
             offered: 0,
         }
+    }
+
+    /// Rebuilds a monitor from previously exported entries (the checkpoint
+    /// counterpart of [`MisraGries::iter`]). The restored monitor behaves
+    /// identically to the original from this point on: entries are
+    /// installed in the given order with `base = 0` and `stored = count`
+    /// exactly, so zero-count occupants remain immediate eviction
+    /// candidates and the `(counter, slot)` tie-break order is preserved.
+    ///
+    /// # Panics
+    /// Panics if `capacity == 0` or more than `capacity` entries are given.
+    pub fn restore(
+        kind: MonitorKind,
+        capacity: usize,
+        offered: u64,
+        entries: Vec<MgEntry<K, S>>,
+    ) -> Self {
+        assert!(
+            entries.len() <= capacity,
+            "restore: {} entries exceed capacity {capacity}",
+            entries.len()
+        );
+        let mut mg = MisraGries::with_kind(kind, capacity);
+        mg.offered = offered;
+        for e in entries {
+            let i = mg.slots.len();
+            mg.slots.push(Slot {
+                key: e.key.clone(),
+                stored: e.count,
+                t: e.t,
+                state: e.state,
+            });
+            mg.index.insert(e.key, i);
+            mg.heap.push(Reverse((e.count, i)));
+        }
+        mg
+    }
+
+    /// The algorithm this monitor runs.
+    pub fn kind(&self) -> MonitorKind {
+        self.kind
     }
 
     /// Capacity `s`.
@@ -129,18 +206,20 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
     }
 
     /// Like [`MisraGries::offer`], but `guard(key, state)` can veto the
-    /// eviction of a zero-counter occupant (the paper's §6.2 sessionization
-    /// rule: evict only when the state's sessions have all expired). When
-    /// every zero-counter slot is vetoed the tuple is rejected and the
+    /// eviction of an occupant (the paper's §6.2 sessionization rule:
+    /// evict only when the state's sessions have all expired). Candidates
+    /// are asked in `(counter, slot)` order: under FREQUENT the
+    /// zero-counter occupants, under SpaceSaving every occupant. When
+    /// every candidate is vetoed the tuple is rejected; under FREQUENT the
     /// classic decrement still applies to every *positive* counter (idle
-    /// keys keep decaying toward evictability); the vetoed slots are
-    /// clamped at zero.
+    /// keys keep decaying toward evictability) and the vetoed slots are
+    /// clamped at zero, while SpaceSaving changes nothing.
     pub fn offer_guarded(
         &mut self,
         key: K,
         state: S,
         cb: impl FnOnce(&K, &mut S, S),
-        mut guard: impl FnMut(&K, &S) -> bool,
+        guard: impl FnMut(&K, &S) -> bool,
     ) -> MgOutcome<K, S> {
         self.offered += 1;
         if let Some(&i) = self.index.get(&key) {
@@ -152,69 +231,33 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
         }
         // Unoccupied capacity counts as zero slots.
         if self.slots.len() < self.capacity {
-            let i = self.slots.len();
-            self.slots.push(Slot {
-                key: key.clone(),
-                stored: self.base + 1,
-                t: 1,
-                state,
-            });
-            self.index.insert(key, i);
-            self.heap.push(Reverse((self.base + 1, i)));
-            return MgOutcome::Installed { evicted: None };
+            return self.install_spare(key, state);
         }
-        // Find a zero-counter slot whose occupant the guard lets us evict.
-        // Vetoed slots are set aside and restored afterwards (they keep
-        // their zero counters and stay candidates for later offers).
-        let mut vetoed: Vec<usize> = Vec::new();
-        let mut chosen: Option<usize> = None;
-        while let Some(i) = self.pop_min_slot(self.base) {
-            if guard(&self.slots[i].key, &self.slots[i].state) {
-                chosen = Some(i);
-                break;
-            }
-            vetoed.push(i);
-        }
-        if chosen.is_none() && !vetoed.is_empty() {
-            // Rejection with protected zero-counter occupants: keep the
-            // classic decrement pressure on every *positive* counter so
-            // idle keys keep decaying toward evictability, while the
-            // vetoed slots (exactly the zero-counter ones — the scan above
-            // exhausted them) are clamped at zero.
-            self.base += 1;
-            for i in vetoed {
-                self.slots[i].stored += 1;
-                self.heap.push(Reverse((self.slots[i].stored, i)));
-            }
-            return MgOutcome::Rejected { key, state };
-        }
-        for i in vetoed {
-            self.heap.push(Reverse((self.slots[i].stored, i)));
-        }
+        let limit = match self.kind {
+            MonitorKind::Frequent => self.base,
+            MonitorKind::SpaceSaving => u64::MAX,
+        };
+        let (chosen, vetoed) = self.find_victim(limit, guard);
         match chosen {
             Some(i) => {
-                let slot = &mut self.slots[i];
-                let old_key = std::mem::replace(&mut slot.key, key.clone());
-                let old_state = std::mem::replace(&mut slot.state, state);
-                let evicted = MgEntry {
-                    key: old_key.clone(),
-                    count: 0,
-                    t: slot.t,
-                    state: old_state,
-                };
-                slot.stored = self.base + 1;
-                slot.t = 1;
-                self.index.remove(&old_key);
-                self.index.insert(key, i);
-                self.heap.push(Reverse((slot.stored, i)));
-                MgOutcome::Installed {
-                    evicted: Some(evicted),
-                }
+                self.put_back(vetoed);
+                // The newcomer inherits the victim's count plus one: under
+                // FREQUENT that count is zero (stored = base).
+                let stored = self.slots[i].stored + 1;
+                self.install_over(i, key, state, stored)
             }
             None => {
-                // Decrement every counter: all are ≥ 1, so base + 1 never
-                // exceeds any stored value.
-                self.base += 1;
+                if self.kind == MonitorKind::Frequent {
+                    // Decrement every counter: all are ≥ 1 but the vetoed
+                    // ones (exactly the zero-counter slots — the search
+                    // exhausted them), which are clamped at zero, so
+                    // base + 1 never exceeds any stored value.
+                    self.base += 1;
+                    for &i in &vetoed {
+                        self.slots[i].stored += 1;
+                    }
+                }
+                self.put_back(vetoed);
                 MgOutcome::Rejected { key, state }
             }
         }
@@ -231,64 +274,87 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
     /// an offer returned [`MgOutcome::Rejected`], handing back the
     /// rejected key/state. A key that is already monitored, or a monitor
     /// whose minimum-counter occupants are all vetoed, rejects the tuple
-    /// unchanged.
+    /// unchanged. SpaceSaving always refuses: its offer already asked the
+    /// guard about every occupant, so a rejection there was a veto and
+    /// stands.
     pub fn replace_min_guarded(
         &mut self,
         key: K,
         state: S,
-        mut guard: impl FnMut(&K, &S) -> bool,
+        guard: impl FnMut(&K, &S) -> bool,
     ) -> MgOutcome<K, S> {
-        if self.index.contains_key(&key) {
+        if self.kind == MonitorKind::SpaceSaving || self.index.contains_key(&key) {
             return MgOutcome::Rejected { key, state };
         }
         if self.slots.len() < self.capacity {
-            let i = self.slots.len();
-            self.slots.push(Slot {
-                key: key.clone(),
-                stored: self.base + 1,
-                t: 1,
-                state,
-            });
-            self.index.insert(key, i);
-            self.heap.push(Reverse((self.base + 1, i)));
-            return MgOutcome::Installed { evicted: None };
+            return self.install_spare(key, state);
         }
-        // Walk the slots in increasing counter order, setting vetoed ones
-        // aside (restored afterwards) until the guard accepts a victim.
-        let mut vetoed: Vec<usize> = Vec::new();
-        let mut chosen: Option<usize> = None;
-        while let Some(i) = self.pop_min_slot(u64::MAX) {
+        let (chosen, vetoed) = self.find_victim(u64::MAX, guard);
+        self.put_back(vetoed);
+        match chosen {
+            Some(i) => self.install_over(i, key, state, self.base + 1),
+            None => MgOutcome::Rejected { key, state },
+        }
+    }
+
+    /// Installs `key` in a fresh slot at counter 1.
+    fn install_spare(&mut self, key: K, state: S) -> MgOutcome<K, S> {
+        let i = self.slots.len();
+        let stored = self.base + 1;
+        self.slots.push(Slot {
+            key: key.clone(),
+            stored,
+            t: 1,
+            state,
+        });
+        self.index.insert(key, i);
+        self.heap.push(Reverse((stored, i)));
+        MgOutcome::Installed { evicted: None }
+    }
+
+    /// Installs `key` over slot `i` (off the heap) at stored counter
+    /// `stored`, handing back the occupant with its effective counter.
+    fn install_over(&mut self, i: usize, key: K, state: S, stored: u64) -> MgOutcome<K, S> {
+        let slot = &mut self.slots[i];
+        let evicted = MgEntry {
+            key: std::mem::replace(&mut slot.key, key.clone()),
+            count: slot.stored - self.base,
+            t: slot.t,
+            state: std::mem::replace(&mut slot.state, state),
+        };
+        slot.stored = stored;
+        slot.t = 1;
+        self.index.remove(&evicted.key);
+        self.index.insert(key, i);
+        self.heap.push(Reverse((stored, i)));
+        MgOutcome::Installed {
+            evicted: Some(evicted),
+        }
+    }
+
+    /// Takes slots off the heap in `(stored, slot)` order, stored counter
+    /// at most `limit`, until `guard` accepts an occupant. Returns that
+    /// slot and the vetoed ones; all are off the heap until
+    /// [`Self::put_back`] or an install pushes them again.
+    fn find_victim(
+        &mut self,
+        limit: u64,
+        mut guard: impl FnMut(&K, &S) -> bool,
+    ) -> (Option<usize>, Vec<usize>) {
+        let mut vetoed = Vec::new();
+        while let Some(i) = self.pop_min_slot(limit) {
             if guard(&self.slots[i].key, &self.slots[i].state) {
-                chosen = Some(i);
-                break;
+                return (Some(i), vetoed);
             }
             vetoed.push(i);
         }
-        for i in vetoed {
+        (None, vetoed)
+    }
+
+    /// Pushes the given slots back on the heap at their stored counters.
+    fn put_back(&mut self, slots: Vec<usize>) {
+        for i in slots {
             self.heap.push(Reverse((self.slots[i].stored, i)));
-        }
-        match chosen {
-            Some(i) => {
-                let base = self.base;
-                let slot = &mut self.slots[i];
-                let old_key = std::mem::replace(&mut slot.key, key.clone());
-                let old_state = std::mem::replace(&mut slot.state, state);
-                let evicted = MgEntry {
-                    key: old_key.clone(),
-                    count: slot.stored - base,
-                    t: slot.t,
-                    state: old_state,
-                };
-                slot.stored = base + 1;
-                slot.t = 1;
-                self.index.remove(&old_key);
-                self.index.insert(key, i);
-                self.heap.push(Reverse((slot.stored, i)));
-                MgOutcome::Installed {
-                    evicted: Some(evicted),
-                }
-            }
-            None => MgOutcome::Rejected { key, state },
         }
     }
 
@@ -335,8 +401,9 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
     }
 
     /// Estimated frequency of a key: the effective counter if monitored,
-    /// zero otherwise. Guaranteed to satisfy
-    /// `f_k − M/(s+1) ≤ estimate ≤ f_k`.
+    /// zero otherwise. Under FREQUENT `f_k − M/(s+1) ≤ estimate ≤ f_k`;
+    /// under SpaceSaving a monitored key has
+    /// `f_k ≤ estimate ≤ f_k + M/s`.
     pub fn estimate(&self, key: &K) -> u64 {
         self.index
             .get(key)
@@ -344,22 +411,36 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
             .unwrap_or(0)
     }
 
+    /// The most a monitored key's count can be off by: `M/(s+1)` under
+    /// FREQUENT, `M/s` under SpaceSaving — the slack term of the coverage
+    /// bound γ.
+    pub fn slack(&self) -> f64 {
+        let s = self.capacity as f64;
+        match self.kind {
+            MonitorKind::Frequent => self.offered as f64 / (s + 1.0),
+            MonitorKind::SpaceSaving => self.offered as f64 / s,
+        }
+    }
+
     /// Lower bound on the coverage of a monitored key:
-    /// `γ = t / (t + M/(s+1)) ≤ t/f_k = coverage(k)` (paper §4.3).
-    /// Returns 0 for unmonitored keys.
+    /// `γ = t / (t + slack) ≤ t/f_k = coverage(k)` (paper §4.3), with
+    /// [`MisraGries::slack`]. Returns 0 for unmonitored keys.
     pub fn coverage_lower_bound(&self, key: &K) -> f64 {
         match self.index.get(key) {
             Some(&i) => {
                 let t = self.slots[i].t as f64;
-                let slack = self.offered as f64 / (self.capacity as f64 + 1.0);
-                t / (t + slack)
+                t / (t + self.slack())
             }
             None => 0.0,
         }
     }
 
-    /// Iterates over the monitored entries (arbitrary order), exposing the
-    /// effective counters.
+    /// Iterates over the monitored entries in slot order, exposing the
+    /// effective counters. A key keeps its slot from install to eviction,
+    /// a newcomer takes its victim's slot, and [`MisraGries::restore`]
+    /// installs entries in the order given: exporting this order and
+    /// restoring it keeps the `(counter, slot)` tie-break, and so every
+    /// later eviction, of the original monitor.
     pub fn iter(&self) -> impl Iterator<Item = MgEntry<K, S>> + '_
     where
         S: Clone,
@@ -373,13 +454,14 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
         })
     }
 
-    /// Consumes the monitor, returning all monitored entries. This is the
-    /// end-of-input step where DINC writes the in-memory key-state pairs to
-    /// their bucket files.
-    pub fn drain(mut self) -> Vec<MgEntry<K, S>> {
-        self.index.clear();
+    /// Empties the monitor, returning its entries in slot order. This is
+    /// the end-of-input step where DINC writes the in-memory key-state
+    /// pairs to their bucket files. `offered`, the capacity and the kind
+    /// stay, so [`MisraGries::slack`] still describes the stream offered.
+    pub fn drain(&mut self) -> Vec<MgEntry<K, S>> {
         let base = self.base;
-        self.slots
+        let entries = self
+            .slots
             .drain(..)
             .map(|s| MgEntry {
                 key: s.key,
@@ -387,7 +469,13 @@ impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
                 t: s.t,
                 state: s.state,
             })
-            .collect()
+            .collect();
+        // Free the table, not only its contents: DINC keeps the drained
+        // monitor through its bucket pass.
+        self.slots = Vec::new();
+        self.index = HashMap::with_hasher(SeededState::fixed());
+        self.heap = BinaryHeap::new();
+        entries
     }
 }
 
@@ -555,7 +643,7 @@ mod tests {
 
     #[test]
     fn drain_returns_every_monitored_entry() {
-        let mg = run(&[1, 1, 2, 3, 2, 1], 4);
+        let mut mg = run(&[1, 1, 2, 3, 2, 1], 4);
         let mut entries = mg.drain();
         entries.sort_by_key(|e| e.key);
         let keys: Vec<u64> = entries.iter().map(|e| e.key).collect();
@@ -675,17 +763,151 @@ mod tests {
             MgOutcome::Installed { evicted: Some(_) }
         ));
     }
+
+    const KINDS: [MonitorKind; 2] = [MonitorKind::Frequent, MonitorKind::SpaceSaving];
+
+    #[test]
+    fn space_saving_refuses_the_second_chance() {
+        let mut m: MisraGries<u64, u64> = MisraGries::with_kind(MonitorKind::SpaceSaving, 2);
+        let _ = m.offer(1, 1, |_, a, b| *a += b);
+        let _ = m.offer(2, 1, |_, a, b| *a += b);
+        let before: Vec<_> = m.iter().collect();
+        let mut asked = 0;
+        match m.replace_min_guarded(3, 7, |_, _| {
+            asked += 1;
+            true
+        }) {
+            MgOutcome::Rejected { key, state } => assert_eq!((key, state), (3, 7)),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(asked, 0, "the guard is not asked");
+        assert_eq!(m.iter().collect::<Vec<_>>(), before);
+    }
+
+    #[test]
+    fn slack_is_the_kinds_error_bound() {
+        for (kind, slack) in KINDS.into_iter().zip([12.0, 15.0]) {
+            let mut m: MisraGries<u64, ()> = MisraGries::with_kind(kind, 4);
+            for k in 0..60u64 {
+                let _ = m.offer(k % 9, (), |_, _, _| {});
+            }
+            assert_eq!(m.slack(), slack, "{kind:?}: 60 tuples over 4 slots");
+            for e in m.iter() {
+                let gamma = e.t as f64 / (e.t as f64 + slack);
+                assert_eq!(m.coverage_lower_bound(&e.key), gamma, "{kind:?}");
+            }
+            // Draining empties the table but keeps the stream's slack.
+            assert_eq!(m.drain().len(), 4);
+            assert!(m.is_empty());
+            assert_eq!((m.offered(), m.slack()), (60, slack));
+        }
+    }
+
+    #[test]
+    fn restored_monitor_decides_as_the_original() {
+        for kind in KINDS {
+            let mut orig: MisraGries<u64, u64> = MisraGries::with_kind(kind, 5);
+            let key = |i: u64| (i * 7) % 13 + i.is_multiple_of(3) as u64 * 100;
+            for i in 0..200u64 {
+                let _ = orig.offer(key(i), 1, |_, a, b| *a += b);
+            }
+            let mut copy =
+                MisraGries::restore(kind, 5, orig.offered(), orig.iter().collect::<Vec<_>>());
+            for i in 200..600u64 {
+                // A guard that vetoes odd occupants.
+                let guard = |k: &u64, _: &u64| k.is_multiple_of(2);
+                let a = orig.offer_guarded(key(i), 1, |_, a, b| *a += b, guard);
+                let b = copy.offer_guarded(key(i), 1, |_, a, b| *a += b, guard);
+                assert_eq!(a, b, "{kind:?} offer {i}");
+                assert_eq!(
+                    orig.iter().collect::<Vec<_>>(),
+                    copy.iter().collect::<Vec<_>>()
+                );
+            }
+            assert_eq!(
+                (orig.offered(), orig.slack()),
+                (copy.offered(), copy.slack())
+            );
+        }
+    }
 }
 
-/// The monitor as it was when its lazy heap took one entry per combined
-/// tuple and dropped the stale ones it met (heap memory O(tuples offered)):
-/// the reference the one-entry-per-slot heap must agree with, decision for
-/// decision.
+/// Earlier designs the monitor must agree with, decision for decision:
+/// the FREQUENT heap as it was when it took one entry per combined tuple
+/// and dropped the stale ones it met (heap memory O(tuples offered)), and
+/// SpaceSaving as it was when it had a slot table of its own and sorted
+/// every slot on each full-table install.
 #[cfg(test)]
 mod reference {
     use super::{MgEntry, MgOutcome, Slot};
     use std::cmp::Reverse;
     use std::collections::{BinaryHeap, HashMap};
+
+    /// SpaceSaving with a `(key, count, t, state)` slot table and a stable
+    /// sort of all slots by count for each install into a full table.
+    pub struct SortScan {
+        slots: Vec<(u64, u64, u64, u64)>,
+        index: HashMap<u64, usize>,
+        capacity: usize,
+    }
+
+    impl SortScan {
+        pub fn new(capacity: usize) -> Self {
+            SortScan {
+                slots: Vec::new(),
+                index: HashMap::new(),
+                capacity,
+            }
+        }
+
+        pub fn entries(&self) -> Vec<MgEntry<u64, u64>> {
+            let entry = |&(key, count, t, state)| MgEntry {
+                key,
+                count,
+                t,
+                state,
+            };
+            self.slots.iter().map(entry).collect()
+        }
+
+        pub fn offer_guarded(
+            &mut self,
+            key: u64,
+            state: u64,
+            mut guard: impl FnMut(&u64, &u64) -> bool,
+        ) -> MgOutcome<u64, u64> {
+            if let Some(&i) = self.index.get(&key) {
+                let (_, count, t, acc) = &mut self.slots[i];
+                (*count, *t, *acc) = (*count + 1, *t + 1, *acc + state);
+                return MgOutcome::Combined;
+            }
+            if self.slots.len() < self.capacity {
+                self.index.insert(key, self.slots.len());
+                self.slots.push((key, 1, 1, state));
+                return MgOutcome::Installed { evicted: None };
+            }
+            let mut order: Vec<usize> = (0..self.slots.len()).collect();
+            order.sort_by_key(|&i| self.slots[i].1);
+            let Some(i) = (order.into_iter()).find(|&i| guard(&self.slots[i].0, &self.slots[i].3))
+            else {
+                return MgOutcome::Rejected { key, state };
+            };
+            let min = self.slots[i].1;
+            let (old, count, t, old_state) =
+                std::mem::replace(&mut self.slots[i], (key, min + 1, 1, state));
+            self.index.remove(&old);
+            self.index.insert(key, i);
+            let evicted = MgEntry {
+                key: old,
+                count,
+                t,
+                state: old_state,
+            };
+            MgOutcome::Installed {
+                evicted: Some(evicted),
+            }
+        }
+    }
 
     pub struct PushPerCombine {
         slots: Vec<Slot<u64, u64>>,
@@ -851,9 +1073,86 @@ mod reference {
 
 #[cfg(test)]
 mod heap_tests {
-    use super::reference::PushPerCombine;
+    use super::reference::{PushPerCombine, SortScan};
     use super::*;
     use opa_common::rng::SplitMix64;
+    use proptest::prelude::*;
+
+    /// Drives the SpaceSaving monitor and the sort-scan oracle with
+    /// `steps` seeded tuples over a skewed key space, a seeded guard
+    /// vetoing about one occupant in four, and a second-chance request
+    /// after one offer in five (the monitor must refuse it untouched).
+    /// Outcomes, guard calls and entries must match after every step;
+    /// returns the (rejection, eviction, guard call) counts.
+    fn against_sort_scan(seed: u64, capacity: usize, keys: u64, steps: u64) -> (u64, u64, u64) {
+        let mut rng = SplitMix64::new(seed);
+        let mut mg: MisraGries<u64, u64> =
+            MisraGries::with_kind(MonitorKind::SpaceSaving, capacity);
+        let mut old = SortScan::new(capacity);
+        let (mut rejected, mut evicted, mut vetoes) = (0u64, 0u64, 0u64);
+        for step in 0..steps {
+            let key = rng.next_below(keys).min(rng.next_below(keys));
+            let state = 1 + rng.next_below(9);
+            let salt = rng.next();
+            let veto = |asked: &mut Vec<u64>, k: &u64, s: &u64| {
+                asked.push(*k);
+                (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ s ^ salt) & 3 != 0
+            };
+            let (mut asked_new, mut asked_old) = (Vec::new(), Vec::new());
+            let new = mg.offer_guarded(
+                key,
+                state,
+                |_, a, b| *a += b,
+                |k, s| veto(&mut asked_new, k, s),
+            );
+            let was = old.offer_guarded(key, state, |k, s| veto(&mut asked_old, k, s));
+            assert_eq!(
+                asked_new, asked_old,
+                "seed {seed} step {step}: victims tried"
+            );
+            assert_eq!(new, was, "seed {seed} step {step}");
+            if let MgOutcome::Rejected { key, state } = new {
+                if rng.next_below(5) == 0 {
+                    let again = mg.replace_min_guarded(key, state, |_, _| unreachable!());
+                    assert_eq!(again, MgOutcome::Rejected { key, state });
+                }
+                rejected += 1;
+            }
+            assert_eq!(mg.iter().collect::<Vec<_>>(), old.entries());
+            assert_eq!(mg.heap_len(), mg.len());
+            vetoes += asked_new.len() as u64;
+            evicted += matches!(was, MgOutcome::Installed { evicted: Some(_) }) as u64;
+        }
+        (rejected, evicted, vetoes)
+    }
+
+    #[test]
+    fn space_saving_decides_as_the_sort_scan_did() {
+        let (mut rejected, mut evicted, mut vetoes) = (0, 0, 0);
+        for seed in 0..8u64 {
+            let mut rng = SplitMix64::new(0x55_0000 + seed);
+            let capacity = 1 + rng.next_below(12) as usize;
+            let keys = capacity as u64 + 1 + rng.next_below(24);
+            let (r, e, v) = against_sort_scan(rng.next(), capacity, keys, 5_000);
+            (rejected, evicted, vetoes) = (rejected + r, evicted + e, vetoes + v);
+        }
+        assert!(
+            rejected > 1_000 && evicted > 1_000 && vetoes > 10_000,
+            "{rejected} rejections, {evicted} evictions, {vetoes} guard calls"
+        );
+    }
+
+    proptest! {
+        /// The same agreement over arbitrary seeds and table shapes.
+        #[test]
+        fn space_saving_matches_the_sort_scan(
+            seed in any::<u64>(),
+            capacity in 1usize..16,
+            extra_keys in 1u64..40,
+        ) {
+            against_sort_scan(seed, capacity, capacity as u64 + extra_keys, 400);
+        }
+    }
 
     #[test]
     fn heap_holds_one_entry_per_slot() {
@@ -935,38 +1234,5 @@ mod heap_tests {
             rejected > 10_000 && evicted > 10_000 && vetoes > 10_000,
             "{rejected} rejections, {evicted} evictions, {vetoes} guard calls"
         );
-    }
-}
-
-impl<K: Clone + Eq + Hash, S> MisraGries<K, S> {
-    /// Rebuilds a monitor from previously exported entries (the checkpoint
-    /// counterpart of [`MisraGries::iter`]). The restored monitor behaves
-    /// identically to the original from this point on: entries are
-    /// installed in the given order with `base = 0` and `stored = count`
-    /// exactly, so zero-count occupants remain immediate eviction
-    /// candidates and the `(counter, slot)` tie-break order is preserved.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0` or more than `capacity` entries are given.
-    pub fn restore(capacity: usize, offered: u64, entries: Vec<MgEntry<K, S>>) -> Self {
-        assert!(
-            entries.len() <= capacity,
-            "restore: {} entries exceed capacity {capacity}",
-            entries.len()
-        );
-        let mut mg = MisraGries::new(capacity);
-        mg.offered = offered;
-        for e in entries {
-            let i = mg.slots.len();
-            mg.slots.push(Slot {
-                key: e.key.clone(),
-                stored: e.count,
-                t: e.t,
-                state: e.state,
-            });
-            mg.index.insert(e.key, i);
-            mg.heap.push(Reverse((e.count, i)));
-        }
-        mg
     }
 }

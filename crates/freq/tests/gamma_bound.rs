@@ -2,11 +2,11 @@
 //! Zipf-distributed streams, the monitor-reported coverage estimate
 //! `γ = t/(t + slack)` never exceeds the true coverage, where the slack is
 //! the algorithm's frequency-estimation error bound — `M/(s+1)` for
-//! Misra-Gries (FREQUENT), `M/s` for SpaceSaving. Both run as the monitors
-//! DINC-hash uses, with no attached state (`S = ()`).
+//! Misra-Gries (FREQUENT), `M/s` for SpaceSaving. Both kinds run on the
+//! monitor DINC-hash uses, with no attached state (`S = ()`).
 
 use opa_common::rng::SplitMix64;
-use opa_freq::{MisraGries, SpaceSavingMonitor};
+use opa_freq::{MisraGries, MonitorKind};
 use opa_workloads::zipf::Zipf;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -26,12 +26,84 @@ fn true_counts(stream: &[u64]) -> HashMap<u64, u64> {
     m
 }
 
+/// Each kind's frequency guarantee, and `coverage_lower_bound` a genuine
+/// lower bound on the true coverage `t/f_k` of every monitored key, over
+/// one Zipf stream. Misra-Gries under-counts by at most `M/(s+1)`.
+/// SpaceSaving *over*-counts by at most the per-key error
+/// `err = count − t` (itself ≤ M/s), so the guaranteed count
+/// `f̂ − err = t` is a lower bound on the true frequency and
+/// `γ = t/(t + M/s)` never exceeds `t/f ≤ 1` (`f ≤ f̂ = t + err ≤ t + M/s`).
+fn gamma_is_a_lower_bound(
+    kind: MonitorKind,
+    seed: u64,
+    n_keys: usize,
+    exponent: f64,
+    capacity: usize,
+    len: usize,
+) -> Result<(), TestCaseError> {
+    let stream = zipf_stream(seed, n_keys, exponent, len);
+    let truth = true_counts(&stream);
+
+    let mut mg: MisraGries<u64, ()> = MisraGries::with_kind(kind, capacity);
+    for &k in &stream {
+        mg.offer(k, (), |_, _, _| {});
+    }
+    prop_assert_eq!(mg.offered(), stream.len() as u64);
+
+    let m = mg.offered() as f64;
+    let slack = match kind {
+        MonitorKind::Frequent => m / (capacity as f64 + 1.0),
+        MonitorKind::SpaceSaving => m / capacity as f64,
+    };
+    prop_assert_eq!(mg.slack(), slack);
+    for entry in mg.iter() {
+        let f = truth[&entry.key] as f64;
+        let est = mg.estimate(&entry.key) as f64;
+        prop_assert_eq!(est, entry.count as f64);
+        if kind == MonitorKind::Frequent {
+            // f − M/(s+1) ≤ f̂ ≤ f.
+            prop_assert!(est <= f + 1e-9, "MG over-estimated: {est} > {f}");
+            prop_assert!(
+                est >= f - slack - 1e-9,
+                "MG under-estimated beyond slack: {est} < {f} - {slack}"
+            );
+        } else {
+            // f ≤ f̂ ≤ f + M/s, err ≤ M/s, and the guaranteed
+            // count never exceeds the truth.
+            let err = (entry.count - entry.t) as f64;
+            prop_assert!(est >= f - 1e-9, "SS under-estimated: {est} < {f}");
+            prop_assert!(
+                est <= f + slack + 1e-9,
+                "SS over-estimated beyond slack: {est} > {f} + {slack}"
+            );
+            prop_assert!(err <= slack + 1e-9);
+            prop_assert!(
+                est - err <= f + 1e-9,
+                "guaranteed {} exceeds true {f}",
+                est - err
+            );
+        }
+        // Coverage guarantee: γ = t/(t + slack) ≤ t/f.
+        let gamma = mg.coverage_lower_bound(&entry.key);
+        let t = entry.t as f64;
+        prop_assert_eq!(gamma, t / (t + slack));
+        prop_assert!(
+            gamma <= t / f + 1e-9,
+            "{kind:?}: γ={gamma} exceeds true coverage {} (t={t}, f={f}, slack={slack})",
+            t / f
+        );
+        prop_assert!((0.0..=1.0 + 1e-9).contains(&gamma));
+    }
+    // Unmonitored keys report zero coverage, never a false promise.
+    let absent = n_keys as u64 + 1;
+    prop_assert_eq!(mg.coverage_lower_bound(&absent), 0.0);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Misra-Gries: the frequency estimate under-counts by at most
-    /// `M/(s+1)`, and `coverage_lower_bound` is a genuine lower bound on
-    /// the true coverage `t/f_k` of every monitored key.
+    /// Misra-Gries: [`gamma_is_a_lower_bound`] under FREQUENT.
     #[test]
     fn misra_gries_gamma_is_a_lower_bound(
         seed in 0u64..200,
@@ -40,44 +112,10 @@ proptest! {
         capacity in 4usize..40,
         len in 1500usize..5000,
     ) {
-        let stream = zipf_stream(seed, n_keys, exponent, len);
-        let truth = true_counts(&stream);
-
-        let mut mg: MisraGries<u64, ()> = MisraGries::new(capacity);
-        for &k in &stream {
-            mg.offer(k, (), |_, _, _| {});
-        }
-        prop_assert_eq!(mg.offered(), stream.len() as u64);
-
-        let slack = mg.offered() as f64 / (capacity as f64 + 1.0);
-        for entry in mg.iter() {
-            let f = truth[&entry.key] as f64;
-            // Frequency guarantee: f − M/(s+1) ≤ f̂ ≤ f.
-            let est = mg.estimate(&entry.key) as f64;
-            prop_assert!(est <= f + 1e-9, "MG over-estimated: {est} > {f}");
-            prop_assert!(
-                est >= f - slack - 1e-9,
-                "MG under-estimated beyond slack: {est} < {f} - {slack}"
-            );
-            // Coverage guarantee: γ = t/(t + M/(s+1)) ≤ t/f.
-            let gamma = mg.coverage_lower_bound(&entry.key);
-            let true_cov = entry.t as f64 / f;
-            prop_assert!(
-                gamma <= true_cov + 1e-9,
-                "γ={gamma} exceeds true coverage {true_cov} (t={}, f={f}, slack={slack})",
-                entry.t
-            );
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&gamma));
-        }
-        // Unmonitored keys report zero coverage, never a false promise.
-        let absent = n_keys as u64 + 1;
-        prop_assert_eq!(mg.coverage_lower_bound(&absent), 0.0);
+        gamma_is_a_lower_bound(MonitorKind::Frequent, seed, n_keys, exponent, capacity, len)?;
     }
 
-    /// SpaceSaving: the estimate *over*-counts by at most the per-key
-    /// error `err = count − t` (itself ≤ M/s), so the guaranteed count
-    /// `f̂ − err = t` is a lower bound on the true frequency and the
-    /// derived coverage `γ = g/(g + M/s)` never exceeds `g/f ≤ 1`.
+    /// SpaceSaving: [`gamma_is_a_lower_bound`] under SpaceSaving.
     #[test]
     fn space_saving_gamma_is_a_lower_bound(
         seed in 0u64..200,
@@ -86,39 +124,7 @@ proptest! {
         capacity in 4usize..40,
         len in 1500usize..5000,
     ) {
-        let stream = zipf_stream(seed, n_keys, exponent, len);
-        let truth = true_counts(&stream);
-
-        let mut ss: SpaceSavingMonitor<u64, ()> = SpaceSavingMonitor::new(capacity);
-        for &k in &stream {
-            ss.offer_guarded(k, (), |_, _, _| {}, |_, _| true);
-        }
-        prop_assert_eq!(ss.offered(), stream.len() as u64);
-
-        let slack = ss.offered() as f64 / capacity as f64;
-        for entry in ss.iter() {
-            let (est, err) = (entry.count, entry.count - entry.t);
-            let f = truth[&entry.key] as f64;
-            // Frequency guarantee: f ≤ f̂ ≤ f + M/s, and err ≤ M/s.
-            prop_assert!(est as f64 >= f - 1e-9, "SS under-estimated: {est} < {f}");
-            prop_assert!(
-                est as f64 <= f + slack + 1e-9,
-                "SS over-estimated beyond slack: {est} > {f} + {slack}"
-            );
-            prop_assert!(err as f64 <= slack + 1e-9);
-            // Guaranteed count never exceeds the truth...
-            let g = (est - err) as f64;
-            prop_assert!(g <= f + 1e-9, "guaranteed {g} exceeds true {f}");
-            // ... so γ = g/(g + M/s) lower-bounds the coverage g/f
-            // (f ≤ f̂ = g + err ≤ g + M/s).
-            let gamma = g / (g + slack);
-            prop_assert!(
-                gamma <= g / f + 1e-9,
-                "γ={gamma} exceeds g/f={} (g={g}, f={f}, slack={slack})",
-                g / f
-            );
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&gamma));
-        }
+        gamma_is_a_lower_bound(MonitorKind::SpaceSaving, seed, n_keys, exponent, capacity, len)?;
     }
 
     /// The monitor's coverage estimate and the analytical model agree:
@@ -168,14 +174,15 @@ proptest! {
         let top_key = *truth.iter().max_by_key(|&(_, &c)| c).unwrap().0;
 
         let mut mg: MisraGries<u64, ()> = MisraGries::new(24);
-        let mut ss: SpaceSavingMonitor<u64, ()> = SpaceSavingMonitor::new(24);
+        let mut ss: MisraGries<u64, ()> = MisraGries::with_kind(MonitorKind::SpaceSaving, 24);
         for &k in &stream {
             mg.offer(k, (), |_, _, _| {});
-            ss.offer_guarded(k, (), |_, _, _| {}, |_, _| true);
+            ss.offer(k, (), |_, _, _| {});
         }
         prop_assert!(mg.estimate(&top_key) > 0, "MG lost the hottest key");
         prop_assert!(ss.get(&top_key).is_some(), "SS lost the hottest key");
         prop_assert!(mg.coverage_lower_bound(&top_key) > 0.0);
+        prop_assert!(ss.coverage_lower_bound(&top_key) > 0.0);
     }
 }
 

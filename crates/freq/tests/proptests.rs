@@ -1,10 +1,14 @@
 //! Property-based tests for the frequency-monitoring substrate: the
-//! FREQUENT guarantees must hold for *arbitrary* streams, not just the
-//! hand-built ones in the unit tests.
+//! FREQUENT and SpaceSaving guarantees must hold for *arbitrary* streams,
+//! not just the hand-built ones in the unit tests. The properties both
+//! algorithms share run every case under both monitor kinds.
 
-use opa_freq::{MgOutcome, MisraGries, SpaceSavingMonitor};
+use opa_freq::{MgOutcome, MisraGries, MonitorKind};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// Both kinds of monitor: the shared properties run each case on both.
+const KINDS: [MonitorKind; 2] = [MonitorKind::Frequent, MonitorKind::SpaceSaving];
 
 fn true_counts(stream: &[u8]) -> HashMap<u8, u64> {
     let mut m = HashMap::new();
@@ -45,18 +49,20 @@ proptest! {
         stream in proptest::collection::vec(0u8..60, 1..1500),
         s in 1usize..12,
     ) {
-        let mut mg: MisraGries<u8, u64> = MisraGries::new(s);
-        let (mut combined, mut installed, mut rejected) = (0u64, 0u64, 0u64);
-        for &k in &stream {
-            match mg.offer(k, 1, |_, a, b| *a += b) {
-                MgOutcome::Combined => combined += 1,
-                MgOutcome::Installed { .. } => installed += 1,
-                MgOutcome::Rejected { .. } => rejected += 1,
+        for kind in KINDS {
+            let mut mg: MisraGries<u8, u64> = MisraGries::with_kind(kind, s);
+            let (mut combined, mut installed, mut rejected) = (0u64, 0u64, 0u64);
+            for &k in &stream {
+                match mg.offer(k, 1, |_, a, b| *a += b) {
+                    MgOutcome::Combined => combined += 1,
+                    MgOutcome::Installed { .. } => installed += 1,
+                    MgOutcome::Rejected { .. } => rejected += 1,
+                }
+                prop_assert!(mg.len() <= s);
             }
-            prop_assert!(mg.len() <= s);
+            prop_assert_eq!(combined + installed + rejected, stream.len() as u64);
+            prop_assert_eq!(mg.offered(), stream.len() as u64);
         }
-        prop_assert_eq!(combined + installed + rejected, stream.len() as u64);
-        prop_assert_eq!(mg.offered(), stream.len() as u64);
     }
 
     /// Attached states absorb exactly the tuples reported as Combined or
@@ -67,17 +73,19 @@ proptest! {
         stream in proptest::collection::vec(0u8..30, 1..1000),
         s in 1usize..10,
     ) {
-        let mut mg: MisraGries<u8, u64> = MisraGries::new(s);
-        let mut outside = 0u64; // mass spilled via eviction or rejection
-        for &k in &stream {
-            match mg.offer(k, 1, |_, a, b| *a += b) {
-                MgOutcome::Combined | MgOutcome::Installed { evicted: None } => {}
-                MgOutcome::Installed { evicted: Some(e) } => outside += e.state,
-                MgOutcome::Rejected { state, .. } => outside += state,
+        for kind in KINDS {
+            let mut mg: MisraGries<u8, u64> = MisraGries::with_kind(kind, s);
+            let mut outside = 0u64; // mass spilled via eviction or rejection
+            for &k in &stream {
+                match mg.offer(k, 1, |_, a, b| *a += b) {
+                    MgOutcome::Combined | MgOutcome::Installed { evicted: None } => {}
+                    MgOutcome::Installed { evicted: Some(e) } => outside += e.state,
+                    MgOutcome::Rejected { state, .. } => outside += state,
+                }
             }
+            let resident: u64 = mg.drain().into_iter().map(|e| e.state).sum();
+            prop_assert_eq!(resident + outside, stream.len() as u64);
         }
-        let resident: u64 = mg.drain().into_iter().map(|e| e.state).sum();
-        prop_assert_eq!(resident + outside, stream.len() as u64);
     }
 
     /// A guard that always vetoes means no occupant is ever displaced.
@@ -86,20 +94,22 @@ proptest! {
         stream in proptest::collection::vec(0u8..50, 1..800),
         s in 1usize..6,
     ) {
-        let mut mg: MisraGries<u8, ()> = MisraGries::new(s);
-        let mut first_keys: Vec<u8> = Vec::new();
-        for &k in &stream {
-            let before: Vec<u8> = first_keys.clone();
-            let out = mg.offer_guarded(k, (), |_, _, _| {}, |_, _| false);
-            if matches!(out, MgOutcome::Installed { .. }) {
-                first_keys.push(k);
+        for kind in KINDS {
+            let mut mg: MisraGries<u8, ()> = MisraGries::with_kind(kind, s);
+            let mut first_keys: Vec<u8> = Vec::new();
+            for &k in &stream {
+                let before: Vec<u8> = first_keys.clone();
+                let out = mg.offer_guarded(k, (), |_, _, _| {}, |_, _| false);
+                if matches!(out, MgOutcome::Installed { .. }) {
+                    first_keys.push(k);
+                }
+                // Every previously installed key must still be monitored.
+                for fk in &before {
+                    prop_assert!(mg.get(fk).is_some(), "guarded occupant {fk} was displaced");
+                }
             }
-            // Every previously installed key must still be monitored.
-            for fk in &before {
-                prop_assert!(mg.get(fk).is_some(), "guarded occupant {fk} was displaced");
-            }
+            prop_assert!(first_keys.len() <= s);
         }
-        prop_assert!(first_keys.len() <= s);
     }
 
     /// Coverage lower bound never exceeds the true coverage t/f.
@@ -108,21 +118,23 @@ proptest! {
         stream in proptest::collection::vec(0u8..20, 10..1500),
         s in 2usize..10,
     ) {
-        let mut mg: MisraGries<u8, ()> = MisraGries::new(s);
-        for &k in &stream {
-            let _ = mg.offer(k, (), |_, _, _| {});
-        }
-        let truth = true_counts(&stream);
-        for (&k, &f) in &truth {
-            let gamma = mg.coverage_lower_bound(&k);
-            if let Some(e) = mg.get(&k) {
-                let true_cov = e.t as f64 / f as f64;
-                prop_assert!(
-                    gamma <= true_cov + 1e-9,
-                    "γ {gamma} exceeds true coverage {true_cov} for key {k}"
-                );
-            } else {
-                prop_assert_eq!(gamma, 0.0);
+        for kind in KINDS {
+            let mut mg: MisraGries<u8, ()> = MisraGries::with_kind(kind, s);
+            for &k in &stream {
+                let _ = mg.offer(k, (), |_, _, _| {});
+            }
+            let truth = true_counts(&stream);
+            for (&k, &f) in &truth {
+                let gamma = mg.coverage_lower_bound(&k);
+                if let Some(e) = mg.get(&k) {
+                    let true_cov = e.t as f64 / f as f64;
+                    prop_assert!(
+                        gamma <= true_cov + 1e-9,
+                        "γ {gamma} exceeds true coverage {true_cov} for key {k}"
+                    );
+                } else {
+                    prop_assert_eq!(gamma, 0.0);
+                }
             }
         }
     }
@@ -134,9 +146,9 @@ proptest! {
         stream in proptest::collection::vec(0u8..40, 1..1500),
         s in 1usize..12,
     ) {
-        let mut ss = SpaceSavingMonitor::new(s);
+        let mut ss = MisraGries::with_kind(MonitorKind::SpaceSaving, s);
         for &k in &stream {
-            let _ = ss.offer_guarded(k, (), |_, _, _| {}, |_, _| true);
+            let _ = ss.offer(k, (), |_, _, _| {});
         }
         let m = stream.len() as u64;
         for e in ss.iter() {

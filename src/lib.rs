@@ -9,8 +9,8 @@
 //! - [`common`] — records, universal hashing, configuration, virtual time;
 //! - [`simio`] — simulated storage: disks, I/O accounting, spill and bucket
 //!   files, the HDFS-like block store;
-//! - [`freq`] — stream-frequency substrate: Misra-Gries (FREQUENT),
-//!   SpaceSaving, coverage estimation;
+//! - [`freq`] — stream-frequency substrate: the DINC hot-key monitor,
+//!   running Misra-Gries (FREQUENT) or SpaceSaving, coverage estimation;
 //! - [`model`] — the analytical model of Hadoop (§3): `λ_F`, Propositions
 //!   3.1/3.2, the Eq. 4 time measurement, and the `(C, F)` optimizer;
 //! - [`trace`] — structured observability: deterministic JSONL event
