@@ -9,7 +9,6 @@
 use super::*;
 use crate::report::{ascii_progress, write_progress_csv, Table};
 use crate::ExpConfig;
-use opa_common::units::KB;
 use opa_common::WorkloadSpec;
 use opa_model::io_model::ModelInput;
 use opa_model::time_model::CostConstants;
@@ -55,11 +54,11 @@ pub fn run_grid(cfg: &ExpConfig) {
                 &input,
                 1.0,
             );
-            let model = ModelInput::new(cluster.system, WorkloadSpec::new(d, 1.0, 1.0), {
-                let mut hw = cluster.hardware;
-                hw.reduce_buffer = 260 * KB;
-                hw
-            })
+            let model = ModelInput::new(
+                cluster.system,
+                WorkloadSpec::new(d, 1.0, 1.0),
+                cluster.hardware,
+            )
             .expect("valid model input")
             .time_measurement(&constants)
             .total();

@@ -2,22 +2,47 @@
 //!
 //! - `λ_F` closed form (Eq. 2) against an exact replay of the merge-tree
 //!   policy;
-//! - Proposition 3.1's predicted I/O bytes against the engine's measured
-//!   five-category `IoStats` (the paper reports < 10% difference).
+//! - Propositions 3.1 and 3.2 against the engine, through the one
+//!   model-vs-engine comparer, `opa_trace::drift::check`: each (C, F) cell
+//!   runs once with tracing on, and the model is evaluated with the
+//!   cell's own `B_r` and the `D`, `K_m`, `K_r` measured from the trace
+//!   (the paper reports < 10% difference for Prop 3.1).
 
 use super::*;
 use crate::report::Table;
 use crate::ExpConfig;
-use opa_common::units::KB;
-use opa_common::WorkloadSpec;
-use opa_model::io_model::ModelInput;
 use opa_model::lambda::{exact_merge_cost, lambda_f};
-#[allow(unused_imports)]
-use opa_model::time_model::CostConstants;
+use opa_trace::drift::{self, DriftReport};
+
+/// Runs one sort-merge sessionization cell of the (C, F) grid with tracing
+/// on and compares the §3 model against its first-pass I/O.
+fn drift_cell(
+    cfg: &ExpConfig,
+    info: &StreamInfo,
+    input: &JobInput,
+    ckb: u64,
+    f: usize,
+) -> DriftReport {
+    let cluster = fig4_cluster(cfg, ckb, f);
+    let wall = std::time::Instant::now();
+    let outcome = JobBuilder::new(session_job(info, 512))
+        .framework(Framework::SortMerge)
+        .cluster(cluster)
+        .trace(true)
+        .run(input)
+        .expect("experiment job must run");
+    eprintln!(
+        "  [modelcheck/C={ckb}KB,F={f}] virtual {:.0}s, wall {:.1?}",
+        outcome.metrics.running_time.as_secs_f64(),
+        wall.elapsed()
+    );
+    let rollup = outcome.trace.as_ref().expect("trace was enabled").rollup();
+    drift::check(cluster.system, cluster.hardware, &rollup).expect("drift check")
+}
 
 /// Runs the validation.
 pub fn run(cfg: &ExpConfig) {
-    println!("== Model check: λ_F closed form and Prop 3.1 vs the engine ==\n");
+    println!("== Model check: λ_F closed form and Props 3.1/3.2 vs the engine ==\n");
 
     // --- λ_F vs exact merge-tree replay ---------------------------------
     let mut t = Table::new([
@@ -31,7 +56,7 @@ pub fn run(cfg: &ExpConfig) {
     for f in [4usize, 10, 16] {
         for n in [8usize, 20, 50, 120, 300] {
             let lam = 2.0 * lambda_f(n as f64, 1.0, f);
-            let exact = exact_merge_cost(n, 1.0, f).total();
+            let exact = exact_merge_cost(n, 1, f).total() as f64;
             let rel = (lam - exact).abs() / exact;
             worst = worst.max(rel);
             t.row([
@@ -51,9 +76,10 @@ pub fn run(cfg: &ExpConfig) {
     t.write_csv(&cfg.outdir.join("modelcheck_lambda.csv"))
         .expect("write lambda csv");
 
-    // --- Prop 3.1 vs engine-measured bytes ------------------------------
+    // --- Props 3.1 and 3.2 vs the engine, one run per cell --------------
     let (input, info) = session_input(cfg, FIG4_INPUT);
     let d = input.total_bytes();
+    let nodes = stock_cluster(cfg).hardware.nodes as f64;
     let mut t = Table::new([
         "C (KB)",
         "F",
@@ -61,72 +87,41 @@ pub fn run(cfg: &ExpConfig) {
         "U measured (GB, paper scale)",
         "rel err",
     ]);
-    let mut errs = Vec::new();
-    for (ckb, f) in [(64u64, 10usize), (64, 16), (32, 16), (140, 16)] {
-        let cluster = fig4_cluster(cfg, ckb, f);
-        let outcome = run_job(
-            &format!("modelcheck/C={ckb}KB,F={f}"),
-            session_job(&info, 512),
-            Framework::SortMerge,
-            cluster,
-            &input,
-            1.0,
-        );
-        let mut hw = cluster.hardware;
-        hw.reduce_buffer = 260 * KB;
-        let model = ModelInput::new(cluster.system, WorkloadSpec::new(d, 1.0, 1.0), hw)
-            .expect("valid model input");
-        // Per-node bytes → cluster bytes.
-        let predicted = model.io_bytes().total() * cluster.hardware.nodes as f64;
-        let measured = outcome.metrics.io.total_bytes() as f64;
-        let rel = (predicted - measured).abs() / measured;
-        errs.push(rel);
+    let mut t32 = Table::new(["C (KB)", "F", "S predicted", "S measured", "ratio"]);
+    let cells = [(64u64, 10usize), (64, 16), (32, 16), (140, 16)];
+    let mut mean = 0.0;
+    for (ckb, f) in cells {
+        let report = drift_cell(cfg, &info, &input, ckb, f);
+        // Per-node terms → cluster totals.
+        let (u, s) = (&report.bytes_total, &report.requests);
+        mean += u.rel_err() / cells.len() as f64;
         t.row([
             ckb.to_string(),
             f.to_string(),
-            format!("{:.1}", cfg.to_paper_gb(predicted as u64)),
-            format!("{:.1}", cfg.to_paper_gb(measured as u64)),
-            format!("{:.1}%", rel * 100.0),
+            gb(cfg, (u.predicted * nodes) as u64),
+            gb(cfg, (u.measured * nodes).round() as u64),
+            format!("{:.1}%", u.rel_err() * 100.0),
         ]);
+        if matches!((ckb, f), (64, 10) | (32, 16)) {
+            t32.row([
+                ckb.to_string(),
+                f.to_string(),
+                format!("{:.0}", s.predicted * nodes),
+                format!("{:.0}", s.measured * nodes),
+                format!("{:.2}", s.predicted / s.measured),
+            ]);
+        }
     }
     println!("{}", t.render());
-    let mean = errs.iter().sum::<f64>() / errs.len() as f64;
     println!(
         "mean Prop 3.1 error: {:.1}% (paper: predicted within 10% of observed)\n",
         mean * 100.0
     );
     t.write_csv(&cfg.outdir.join("modelcheck_prop31.csv"))
         .expect("write prop31 csv");
-
-    // --- Prop 3.2 vs engine-measured I/O requests ------------------------
-    let mut t = Table::new(["C (KB)", "F", "S predicted", "S measured", "ratio"]);
-    for (ckb, f) in [(64u64, 10usize), (32, 16)] {
-        let cluster = fig4_cluster(cfg, ckb, f);
-        let outcome = run_job(
-            &format!("modelcheck32/C={ckb}KB,F={f}"),
-            session_job(&info, 512),
-            Framework::SortMerge,
-            cluster,
-            &input,
-            1.0,
-        );
-        let mut hw = cluster.hardware;
-        hw.reduce_buffer = 260 * KB;
-        let model = ModelInput::new(cluster.system, WorkloadSpec::new(d, 1.0, 1.0), hw)
-            .expect("valid model input");
-        let predicted = model.io_requests() * cluster.hardware.nodes as f64;
-        let measured = outcome.metrics.io.total_seeks() as f64;
-        t.row([
-            ckb.to_string(),
-            f.to_string(),
-            format!("{predicted:.0}"),
-            format!("{measured:.0}"),
-            format!("{:.2}", predicted / measured),
-        ]);
-    }
-    println!("{}", t.render());
+    println!("{}", t32.render());
     println!("(Prop 3.2 counts model-idealized requests; the engine batches differently — order-of-magnitude agreement is the paper's own bar)\n");
-    t.write_csv(&cfg.outdir.join("modelcheck_prop32.csv"))
+    t32.write_csv(&cfg.outdir.join("modelcheck_prop32.csv"))
         .expect("write prop32 csv");
 
     // --- §4 hash-framework I/O model vs engine spill ---------------------

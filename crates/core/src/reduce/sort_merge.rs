@@ -3,7 +3,7 @@
 //! Sorted segments accumulate in the shuffle buffer; when it exceeds `B_r`
 //! they are merged (combiner applied if the job has one) and spilled as one
 //! sorted run. A background merge collapses the smallest `F` on-disk files
-//! whenever `2F − 1` accumulate — the exact policy analyzed by `λ_F`. Only
+//! whenever `2F − 1` accumulate (`merge_schedule`, the policy `λ_F` prices). Only
 //! after the last delivery does the *final merge* stream every remaining
 //! run through the user's reduce function: this is the blocking behaviour
 //! that pins sort-merge reduce progress at 33% for non-combiner workloads.
@@ -15,6 +15,7 @@ use crate::map_phase::Payload;
 use crate::sim::OpKind;
 use opa_common::{Error, Pair, Result, Value};
 use opa_simio::{IoOp, SpillStore};
+use opa_trace::model::lambda::merge_schedule;
 
 /// [`ReducerCkpt::tag`] of the sort-merge framework (both variants).
 pub(crate) const CKPT_TAG: u8 = 1;
@@ -73,27 +74,27 @@ impl<'j> SortMergeReducer<'j> {
         self.background_merge(env);
     }
 
-    /// While `2F − 1` files sit on disk, merge the smallest `F`.
+    /// After a new run, merges the live files [`merge_schedule`] picks, if any.
     fn background_merge(&mut self, env: &mut ReduceEnv<'_>) {
         let f = self.merge_factor;
-        while self.spills.live_count() >= 2 * f - 1 {
-            let mut live: Vec<(usize, u64)> = self.spills.live_files().collect();
-            live.sort_by_key(|&(_, bytes)| bytes);
-            env.span_open();
-            let mut merged: Vec<Pair> = Vec::new();
-            let mut read_op = IoOp::NONE;
-            for &(id, _) in live.iter().take(f) {
-                let (file, op) = self.spills.take_file(id).expect("live file");
-                read_op += op;
-                merged.extend(file.records);
-            }
-            env.spill(read_op);
-            merged.sort_by(|a, b| a.key.cmp(&b.key));
-            env.cpu(env.cost().merge_time(merged.len() as u64, f));
-            let (_id, wop) = self.spills.write_file(merged);
-            env.spill(wop);
-            env.span_close(OpKind::Merge);
+        let (ids, sizes): (Vec<usize>, Vec<u64>) = self.spills.live_files().unzip();
+        let Some(picks) = merge_schedule(&sizes, f) else {
+            return;
+        };
+        env.span_open();
+        let mut merged: Vec<Pair> = Vec::new();
+        let mut read_op = IoOp::NONE;
+        for i in picks {
+            let (file, op) = self.spills.take_file(ids[i]).expect("live file");
+            read_op += op;
+            merged.extend(file.records);
         }
+        env.spill(read_op);
+        merged.sort_by(|a, b| a.key.cmp(&b.key));
+        env.cpu(env.cost().merge_time(merged.len() as u64, f));
+        let (_id, wop) = self.spills.write_file(merged);
+        env.spill(wop);
+        env.span_close(OpKind::Merge);
     }
 }
 

@@ -40,24 +40,40 @@ pub fn lambda_f(n: f64, b: f64, f: usize) -> f64 {
     ((quad + lin - konst) * b).max(n * b)
 }
 
+/// Hadoop's background-merge policy, implemented once for the engine and
+/// for [`MergeTreeSim`]: with `sizes` the live files in creation order,
+/// `None` while fewer than `2F − 1` are live, else the positions of the
+/// `F` smallest, smallest first, ties going to the older file.
+///
+/// # Panics
+/// Panics if `f < 2`.
+pub fn merge_schedule(sizes: &[u64], f: usize) -> Option<Vec<usize>> {
+    assert!(f >= 2, "merge factor must be >= 2, got {f}");
+    if sizes.len() < 2 * f - 1 {
+        return None;
+    }
+    let mut picks: Vec<usize> = (0..sizes.len()).collect();
+    picks.sort_unstable_by_key(|&i| (sizes[i], i));
+    picks.truncate(f);
+    Some(picks)
+}
+
 /// Exact size-only replay of Hadoop's background-merge policy.
 ///
-/// Files are modelled by their sizes. Runs of size `b` arrive one at a
-/// time; when `2F − 1` files are on disk the smallest `F` merge into one
-/// (reading and re-writing their bytes). [`MergeTreeSim::finish`] performs
-/// the final-merge *completion* passes (merging until ≤ `2F − 1` files
-/// remain, which for the background policy is already true, then reading
-/// everything once for the final merge that feeds the reduce function).
+/// Files are modelled by their sizes, in creation order. Runs arrive one
+/// at a time; [`merge_schedule`] decides when files merge and which
+/// (reading and re-writing their bytes; the merged file is the newest).
+/// [`MergeTreeSim::finish`] reads everything left once, for the final
+/// merge that feeds the reduce function.
 #[derive(Debug)]
 pub struct MergeTreeSim {
     f: usize,
-    /// Live on-disk file sizes.
-    files: Vec<f64>,
+    /// Live on-disk file sizes, oldest first.
+    files: Vec<u64>,
     /// Bytes written to disk so far (initial runs + merge outputs).
-    written: f64,
+    written: u64,
     /// Bytes read from disk so far (merge inputs).
-    read: f64,
-    merges: usize,
+    read: u64,
 }
 
 impl MergeTreeSim {
@@ -70,80 +86,66 @@ impl MergeTreeSim {
         MergeTreeSim {
             f,
             files: Vec::new(),
-            written: 0.0,
-            read: 0.0,
-            merges: 0,
+            written: 0,
+            read: 0,
         }
     }
 
-    /// Spills one initial run of `b` bytes, triggering a background merge
-    /// if the file count reaches `2F − 1`.
-    pub fn add_run(&mut self, b: f64) {
+    /// Spills one initial run of `b` bytes. If that triggers a background
+    /// merge, performs it and returns the sizes it merged. One run triggers
+    /// at most one merge: a merge leaves `F` files, fewer than `2F − 1`.
+    pub fn add_run(&mut self, b: u64) -> Option<Vec<u64>> {
         self.files.push(b);
         self.written += b;
-        if self.files.len() >= 2 * self.f - 1 {
-            self.merge_smallest();
-        }
-    }
-
-    fn merge_smallest(&mut self) {
-        // Sort descending; the smallest F files sit at the tail.
-        self.files
-            .sort_unstable_by(|a, b| b.partial_cmp(a).expect("sizes are finite"));
-        let tail = self.files.split_off(self.files.len() - self.f);
-        let merged: f64 = tail.iter().sum();
+        let mut picks = merge_schedule(&self.files, self.f)?;
+        // Back to front, so each removal leaves the other positions valid.
+        picks.sort_unstable_by(|a, b| b.cmp(a));
+        let inputs: Vec<u64> = picks.iter().map(|&i| self.files.remove(i)).collect();
+        let merged: u64 = inputs.iter().sum();
         self.read += merged;
         self.written += merged;
         self.files.push(merged);
-        self.merges += 1;
+        Some(inputs)
     }
 
-    /// Completes the job: merges until at most `2F − 1` files remain (a
-    /// no-op under the background policy), then reads every remaining file
-    /// once for the final merge. Returns the total `(written, read)` bytes
-    /// of the whole merge history.
+    /// Completes the job: reads every remaining file once for the final
+    /// merge. Returns the total `(written, read)` bytes of the whole merge
+    /// history.
     pub fn finish(mut self) -> MergeCost {
-        while self.files.len() > 2 * self.f - 1 {
-            self.merge_smallest();
-        }
-        let final_read: f64 = self.files.iter().sum();
-        self.read += final_read;
+        self.read += self.files.iter().sum::<u64>();
         MergeCost {
             written: self.written,
             read: self.read,
-            background_merges: self.merges,
             final_fan_in: self.files.len(),
         }
     }
 
-    /// Live file count.
-    pub fn live_files(&self) -> usize {
-        self.files.len()
+    /// Live file sizes, oldest first.
+    pub fn live_files(&self) -> &[u64] {
+        &self.files
     }
 }
 
 /// Outcome of an exact merge-tree replay.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeCost {
     /// Total bytes written (initial runs + merge outputs).
-    pub written: f64,
+    pub written: u64,
     /// Total bytes read (merge inputs + final merge).
-    pub read: f64,
-    /// Number of background merges performed.
-    pub background_merges: usize,
+    pub read: u64,
     /// Files feeding the final merge.
     pub final_fan_in: usize,
 }
 
 impl MergeCost {
     /// Total I/O traffic of the merge phase.
-    pub fn total(&self) -> f64 {
+    pub fn total(&self) -> u64 {
         self.written + self.read
     }
 }
 
 /// Replays `n` runs of size `b` with factor `f` and returns the exact cost.
-pub fn exact_merge_cost(n: usize, b: f64, f: usize) -> MergeCost {
+pub fn exact_merge_cost(n: usize, b: u64, f: usize) -> MergeCost {
     let mut sim = MergeTreeSim::new(f);
     for _ in 0..n {
         sim.add_run(b);
@@ -175,14 +177,13 @@ mod tests {
         for f in [3usize, 4, 5, 8] {
             for h in 2..6 {
                 let n = complete_n(f, h);
-                let exact = exact_merge_cost(n, 1.0, f);
+                let exact = exact_merge_cost(n, 1, f).total() as f64;
                 // λ counts every file once; exact total is write+read = 2λ.
                 let lam = lambda_f(n as f64, 1.0, f);
-                let rel = (exact.total() - 2.0 * lam).abs() / exact.total();
+                let rel = (exact - 2.0 * lam).abs() / exact;
                 assert!(
                     rel < 0.12,
-                    "F={f} h={h} n={n}: exact={} 2λ={} rel={rel}",
-                    exact.total(),
+                    "F={f} h={h} n={n}: exact={exact} 2λ={} rel={rel}",
                     2.0 * lam
                 );
             }
@@ -205,22 +206,19 @@ mod tests {
         // Fewer merge passes with bigger F ⇒ fewer bytes (the paper's
         // Fig 4(b) trend: time decreases from F=4 to F=16).
         for n in [50usize, 120, 400] {
-            let small = exact_merge_cost(n, 1.0, 4).total();
-            let big = exact_merge_cost(n, 1.0, 16).total();
-            assert!(
-                big <= small + 1e-9,
-                "n={n}: F=16 cost {big} > F=4 cost {small}"
-            );
+            let small = exact_merge_cost(n, 1, 4).total();
+            let big = exact_merge_cost(n, 1, 16).total();
+            assert!(big <= small, "n={n}: F=16 cost {big} > F=4 cost {small}");
         }
     }
 
     #[test]
     fn one_pass_merge_when_f_at_least_runs() {
-        // F ≥ n ⇒ no background merge; only the final read.
-        let cost = exact_merge_cost(12, 2.0, 16);
-        assert_eq!(cost.background_merges, 0);
-        assert_eq!(cost.written, 24.0);
-        assert_eq!(cost.read, 24.0);
+        // F ≥ n ⇒ no background merge (nothing written but the runs);
+        // only the final read.
+        let cost = exact_merge_cost(12, 2, 16);
+        assert_eq!(cost.written, 24);
+        assert_eq!(cost.read, 24);
         assert_eq!(cost.final_fan_in, 12);
     }
 
@@ -229,12 +227,12 @@ mod tests {
         let f = 4;
         let mut sim = MergeTreeSim::new(f);
         for i in 0..(2 * f - 2) {
-            sim.add_run(1.0);
-            assert_eq!(sim.live_files(), i + 1, "premature merge");
+            assert_eq!(sim.add_run(1), None, "premature merge");
+            assert_eq!(sim.live_files().len(), i + 1);
         }
-        sim.add_run(1.0);
-        // 2F−1 files reached → smallest F merged → F files remain.
-        assert_eq!(sim.live_files(), f);
+        assert_eq!(sim.add_run(1), Some(vec![1; f]), "2F−1 files reached");
+        // The smallest F merged → F files remain.
+        assert_eq!(sim.live_files().len(), f);
     }
 
     #[test]
@@ -243,14 +241,27 @@ mod tests {
         // the first background merge untouched.
         let f = 3;
         let mut sim = MergeTreeSim::new(f);
-        sim.add_run(100.0);
+        sim.add_run(100);
         for _ in 0..4 {
-            sim.add_run(1.0);
+            sim.add_run(1);
         }
-        // 5 files = 2F−1 → merge 3 smallest (1,1,1) → files {100, 1, 3}.
-        let mut live = sim.files.clone();
-        live.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(live, vec![1.0, 3.0, 100.0]);
+        // 5 files = 2F−1 → merge the 3 oldest of the four 1s; the merged
+        // file is the newest.
+        assert_eq!(sim.live_files(), &[100, 1, 3]);
+    }
+
+    #[test]
+    fn schedule_waits_for_2f_minus_1_files() {
+        assert_eq!(merge_schedule(&[5, 1, 3], 3), None);
+        assert_eq!(merge_schedule(&[], 2), None);
+        assert_eq!(merge_schedule(&[4, 2, 9], 2), Some(vec![1, 0]));
+    }
+
+    #[test]
+    fn schedule_breaks_ties_by_position() {
+        // Smallest first; equal sizes keep their creation order.
+        assert_eq!(merge_schedule(&[7, 3, 7, 3, 7], 3), Some(vec![1, 3, 0]));
+        assert_eq!(merge_schedule(&[2; 7], 4), Some(vec![0, 1, 2, 3]));
     }
 
     #[test]
@@ -262,7 +273,7 @@ mod tests {
     #[test]
     fn zero_runs_zero_cost() {
         assert_eq!(lambda_f(0.0, 1.0, 4), 0.0);
-        let c = exact_merge_cost(0, 1.0, 4);
-        assert_eq!(c.total(), 0.0);
+        let c = exact_merge_cost(0, 1, 4);
+        assert_eq!(c.total(), 0);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper's analytical model of Hadoop (§3), implemented verbatim:
 //!
-//! - [`lambda`] — the multi-pass-merge cost function `λ_F(n, b)` (Eq. 2)
-//!   together with an *exact* simulator of the merge tree of Fig. 3, used
-//!   to validate the closed form;
+//! - [`lambda`] — the multi-pass-merge cost function `λ_F(n, b)` (Eq. 2),
+//!   the `2F − 1` merge policy the engine calls too, and an *exact*
+//!   simulator of the merge tree of Fig. 3, used to validate the closed form;
 //! - [`io_model`] — Proposition 3.1 (bytes read/written per node, Eq. 1,
 //!   with the `U_1..U_5` decomposition) and Proposition 3.2 (number of I/O
 //!   requests, Eq. 3);

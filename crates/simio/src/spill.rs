@@ -81,8 +81,7 @@ impl<T: Sized64> SpillStore<T> {
         self.files.iter().flatten().map(|f| (f.id, f.bytes))
     }
 
-    /// Number of live (unconsumed) files — what the merge trigger compares
-    /// against `2F − 1`.
+    /// Number of live (unconsumed) files.
     pub fn live_count(&self) -> usize {
         self.live
     }

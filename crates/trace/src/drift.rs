@@ -10,6 +10,7 @@
 //! model, and reports per-term relative error — turning the paper's
 //! propositions into a continuously validated invariant
 //! (`tests/model_drift.rs` pins sort-merge sessionization at ≤ 10%).
+//! It is the one model-vs-engine comparer (`opa run --drift`, `repro modelcheck`).
 //!
 //! The *measured* side uses first-pass I/O only ([`Rollup::first_pass`]):
 //! recovery re-replay traffic under fault injection re-does work the
@@ -120,8 +121,7 @@ impl DriftReport {
             .fold(self.bytes_total.rel_err(), f64::max)
     }
 
-    /// Multi-line human-readable report (`opa run --drift`,
-    /// `opa trace --format summary`).
+    /// Multi-line human-readable report (`opa run --drift`).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

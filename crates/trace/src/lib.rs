@@ -82,4 +82,6 @@ pub mod rollup;
 pub use event::{
     fault_kind_label, io_category_label, ServeJobState, SpanKind, TraceEvent, TraceLog, Tracer,
 };
+/// The §3 model: the engine reaches the merge policy through this crate.
+pub use opa_model as model;
 pub use rollup::{Rollup, StageRow};

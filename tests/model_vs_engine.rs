@@ -1,5 +1,7 @@
 //! Cross-crate integration: the analytical model of §3 must predict the
-//! engine's behaviour — byte counts closely, time trends directionally.
+//! engine's time trends directionally, and its optimizer's recommendation
+//! must pay off in the engine. Byte counts are checked term by term
+//! through the drift comparer in `model_drift.rs`.
 
 use opa::common::units::{KB, MB};
 use opa::common::WorkloadSpec;
@@ -32,27 +34,6 @@ fn run_sm(input: &opa::core::job::JobInput, spec: ClusterSpec, users: u64) -> Jo
     .cluster(spec)
     .run(input)
     .expect("job runs")
-}
-
-#[test]
-fn prop31_bytes_within_ten_percent() {
-    let spec = ClickStreamSpec::paper_scaled(24 * MB);
-    let (input, stats) = spec.generate_with_stats(33);
-    let d = input.total_bytes();
-    for (ckb, f) in [(64u64, 10usize), (32, 16)] {
-        let c = cluster(ckb, f);
-        let outcome = run_sm(&input, c, stats.distinct_users);
-        let model = ModelInput::new(c.system, WorkloadSpec::new(d, 1.0, 1.0), c.hardware)
-            .expect("valid model");
-        let predicted = model.io_bytes().total() * c.hardware.nodes as f64;
-        let measured = outcome.metrics.io.total_bytes() as f64;
-        let rel = (predicted - measured).abs() / measured;
-        assert!(
-            rel < 0.10,
-            "Prop 3.1 off by {:.1}% at C={ckb}KB F={f} (paper promises <10%)",
-            rel * 100.0
-        );
-    }
 }
 
 #[test]
