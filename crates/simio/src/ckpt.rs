@@ -21,6 +21,7 @@
 
 use crate::codec::{crc32, decode_run, decode_state_run, encode_run_into};
 use opa_common::{Error, Pair, Result, StatePair};
+use std::io::Write as _;
 use std::path::Path;
 
 /// Magic prefix of every container file.
@@ -144,13 +145,27 @@ impl SectionWriter {
 
 /// Writes sealed container bytes ([`SectionWriter::finish`]) to `path`,
 /// creating parent directories — how one encoding goes to several files.
+///
+/// An existing file is rewritten in place: opened without truncation,
+/// overwritten, then cut to the new length. Truncating first makes the
+/// file system free the old blocks and allocate new ones on every rewrite,
+/// and checkpoints rewrite the same names run after run. The bytes on disk
+/// are the same either way, and a rewrite torn part-way still fails the
+/// trailing CRC, as a torn truncate-and-write does.
 pub fn write_file(path: &Path, bytes: &[u8]) -> Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::storage(format!("mkdir {}: {e}", dir.display())))?;
     }
-    std::fs::write(path, bytes)
-        .map_err(|e| Error::storage(format!("write {}: {e}", path.display())))
+    let err = |e: std::io::Error| Error::storage(format!("write {}: {e}", path.display()));
+    let mut file = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+        .map_err(err)?;
+    file.write_all(bytes).map_err(err)?;
+    file.set_len(bytes.len() as u64).map_err(err)
 }
 
 /// The one reader of container files. It opens a file *for* a [`Kind`]
@@ -466,6 +481,53 @@ mod tests {
         let err = reader(&empty).unwrap().pairs("output").unwrap_err();
         let err = err.to_string();
         assert!(err.contains("dataset: output: the file ends"), "{err}");
+    }
+
+    /// A directory of its own for one test.
+    fn scratch_dir(test: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("opa-ckpt-{test}-{}", std::process::id()))
+    }
+
+    #[test]
+    fn rewrite_in_place_leaves_exactly_the_new_bytes() {
+        let dir = scratch_dir("rewrite");
+        let path = dir.join("f.opac");
+        write_file(&path, &[0xEE; 8192]).unwrap();
+        let short: Vec<u8> = (0..2048u32).map(|i| (i * 7) as u8).collect();
+        write_file(&path, &short).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            short,
+            "no byte of the 8 KB file is left"
+        );
+        let long = sample(Kind::DATASET);
+        write_file(&path, &long).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), long);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_rewrite_fails_the_crc() {
+        // A rewrite cut off after its first bytes leaves the new file's
+        // head over the old file's tail and CRC.
+        let dir = scratch_dir("torn");
+        let path = dir.join("stream-ckpt-b4.opac");
+        let mut old = SectionWriter::new(Kind::STREAM_CHECKPOINT);
+        old.nums(&[4, 16]).bytes(&[0x11; 600]).nums(&[1, 2, 3]);
+        old.write_to(&path).unwrap();
+        let mut new = SectionWriter::new(Kind::STREAM_CHECKPOINT);
+        new.nums(&[8, 16]).bytes(&[0x22; 300]);
+        let new = new.finish();
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all(&new[..new.len() / 2]).unwrap();
+        drop(file);
+        let err = SectionReader::open(&path, Kind::STREAM_CHECKPOINT).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("stream checkpoint checksum mismatch"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

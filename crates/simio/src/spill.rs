@@ -30,7 +30,6 @@ pub struct SpillFile<T> {
 #[derive(Debug)]
 pub struct SpillStore<T> {
     files: Vec<Option<SpillFile<T>>>,
-    live: usize,
     /// Total bytes ever written into this store (spill volume).
     written_bytes: u64,
 }
@@ -40,7 +39,6 @@ impl<T: Sized64> SpillStore<T> {
     pub fn new() -> Self {
         SpillStore {
             files: Vec::new(),
-            live: 0,
             written_bytes: 0,
         }
     }
@@ -51,7 +49,6 @@ impl<T: Sized64> SpillStore<T> {
         let bytes: u64 = records.iter().map(Sized64::size).sum();
         let id = self.files.len();
         self.files.push(Some(SpillFile { id, records, bytes }));
-        self.live += 1;
         self.written_bytes += bytes;
         (id, IoOp::write(bytes))
     }
@@ -71,7 +68,6 @@ impl<T: Sized64> SpillStore<T> {
     /// Returns `None` if the id is unknown or already consumed.
     pub fn take_file(&mut self, id: FileId) -> Option<(SpillFile<T>, IoOp)> {
         let f = self.files.get_mut(id)?.take()?;
-        self.live -= 1;
         let op = IoOp::read(f.bytes);
         Some((f, op))
     }
@@ -79,11 +75,6 @@ impl<T: Sized64> SpillStore<T> {
     /// Ids and sizes of all live files, in creation order.
     pub fn live_files(&self) -> impl Iterator<Item = (FileId, u64)> + '_ {
         self.files.iter().flatten().map(|f| (f.id, f.bytes))
-    }
-
-    /// Number of live (unconsumed) files.
-    pub fn live_count(&self) -> usize {
-        self.live
     }
 
     /// Total bytes of live files.
@@ -151,11 +142,11 @@ mod tests {
         let (id, wop) = s.write_file(run.clone());
         assert_eq!(wop.written, total);
         assert_eq!(wop.seeks, 1);
-        assert_eq!(s.live_count(), 1);
+        assert_eq!(s.live_files().count(), 1);
         let (f, rop) = s.take_file(id).unwrap();
         assert_eq!(f.records, run);
         assert_eq!(rop.read, total);
-        assert_eq!(s.live_count(), 0);
+        assert_eq!(s.live_files().count(), 0);
     }
 
     #[test]
@@ -174,7 +165,7 @@ mod tests {
         let (_f, _op) = s.take_file(ids[2]).unwrap();
         let live: Vec<_> = s.live_files().map(|(id, _)| id).collect();
         assert_eq!(live, vec![0, 1, 3, 4]);
-        assert_eq!(s.live_count(), 4);
+        assert_eq!(s.live_files().count(), 4);
     }
 
     #[test]

@@ -59,14 +59,14 @@ proptest! {
             total_written += op.written;
             ids.push(id);
         }
-        prop_assert_eq!(store.live_count(), runs.len());
+        prop_assert_eq!(store.live_files().count(), runs.len());
         prop_assert_eq!(store.total_written(), total_written);
         for (id, run) in ids.into_iter().zip(&runs) {
             let (file, op) = store.take_file(id).expect("live file");
             prop_assert_eq!(file.records.len(), run.len());
             prop_assert_eq!(op.read, file.bytes);
         }
-        prop_assert_eq!(store.live_count(), 0);
+        prop_assert_eq!(store.live_files().count(), 0);
         prop_assert_eq!(store.live_bytes(), 0);
     }
 

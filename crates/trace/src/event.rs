@@ -751,6 +751,44 @@ mod tests {
     }
 
     #[test]
+    fn hostile_integers_are_errors_in_every_event_kind() {
+        // Every numeric field of every event kind, forged past 2^53,
+        // negative or fractional: an error naming the field, never a
+        // panic and never a silently rounded or saturated value.
+        let hostile = [
+            "18446744073709551616",
+            "1e300",
+            "9007199254740993",
+            "9007199254740992",
+            "-1",
+            "-4294967296",
+            "0.5",
+            "2.25e1",
+        ];
+        for ev in TraceEvent::one_of_each() {
+            let line = ev.to_json();
+            for field in TraceEvent::SCHEMA
+                .iter()
+                .find(|(l, _)| *l == ev.label())
+                .expect("label is in SCHEMA")
+                .1
+            {
+                let tag = format!("\"{field}\":");
+                let start = line.find(&tag).expect("field on the wire") + tag.len();
+                if line[start..].starts_with('"') {
+                    continue; // a label, not a number
+                }
+                let end = start + line[start..].find([',', '}']).expect("value ends");
+                for bad in hostile {
+                    let forged = format!("{}{bad}{}", &line[..start], &line[end..]);
+                    let err = TraceEvent::from_json(&forged).unwrap_err().to_string();
+                    assert!(err.contains(&format!("field '{field}'")), "{forged}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn blank_lines_are_skipped() {
         let events = TraceEvent::one_of_each();
         let log = TraceLog { events };

@@ -4,10 +4,15 @@
 //! The workspace has no serialization dependency: trace records are
 //! written with fixed field order by [`crate::TraceEvent::write_json`] and
 //! parsed here. The grammar supported is the full JSON value grammar;
-//! numbers are kept as `i64`/`u64` when integral (trace records only ever
-//! contain integers, strings and booleans).
+//! every number is kept as an `f64` ([`JsonValue::Num`]), and
+//! [`JsonValue::u64_field`] reads back only the integers an `f64` holds
+//! exactly, those below 2^53 (trace records only ever contain integers,
+//! strings and booleans, all far below that).
 
 use opa_common::{Error, Result};
+
+/// 2^53: every integer below it is an exact `f64`, not every one above.
+const EXACT_INTEGER_LIMIT: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,8 +21,8 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number. Integral values round-trip exactly through `f64` up
-    /// to 2^53, far beyond any trace field in practice.
+    /// Any number. Integral values round-trip exactly through `f64`
+    /// below 2^53, far beyond any trace field in practice.
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
@@ -64,10 +69,21 @@ impl JsonValue {
         }
     }
 
-    /// Fetches a required non-negative integer field from an object.
+    /// Fetches a required non-negative integer field from an object. A
+    /// value of 2^53 or more is an error: from there on `f64` no longer
+    /// holds every integer, so `2^53 + 1` would read as `2^53` and `1e300`
+    /// would saturate to `u64::MAX`.
     pub fn u64_field(&self, key: &str) -> Result<u64> {
         match self.get(key) {
-            Some(JsonValue::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
+            Some(JsonValue::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => {
+                if *n < EXACT_INTEGER_LIMIT {
+                    Ok(*n as u64)
+                } else {
+                    Err(Error::job(format!(
+                        "field '{key}' is 2^53 or more, beyond the integers read exactly"
+                    )))
+                }
+            }
             Some(_) => Err(Error::job(format!(
                 "field '{key}' is not a non-negative integer"
             ))),
@@ -331,6 +347,16 @@ mod tests {
         assert!(v.u64_field("b").is_err());
         assert!(v.u64_field("missing").is_err());
         assert!(v.str_field("a").is_err());
+        // From 2^53 on `f64` skips integers: 2^53 + 1 parses as 2^53.
+        let v = JsonValue::parse(
+            r#"{"max":9007199254740991,"p53":9007199254740992,"p53p1":9007199254740993,"wide":18446744073709551616,"huge":1e300,"inf":1e400}"#,
+        )
+        .unwrap();
+        assert_eq!(v.u64_field("max").unwrap(), (1 << 53) - 1);
+        for key in ["p53", "p53p1", "wide", "huge", "inf"] {
+            let err = v.u64_field(key).unwrap_err().to_string();
+            assert!(err.contains(&format!("field '{key}'")), "{err}");
+        }
     }
 
     #[test]
