@@ -49,7 +49,5 @@ pub use record::{decode_kv, encode_kv, encode_kv_into};
 pub use scan::{find_byte, tokens};
 pub use sketch::{FreqSketch, KeyFilter};
 pub use stream::StreamConfig;
-pub use types::{
-    be_u64, BatchBuilder, Key, Pair, RecordBatch, StateBatch, StatePair, Value, INLINE_CAP,
-};
+pub use types::{be_u64, BatchBuilder, Key, Pair, RecordBatch, Value, INLINE_CAP};
 pub use units::{ByteSize, SimDuration, SimTime, GB, KB, MB};

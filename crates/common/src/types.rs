@@ -17,8 +17,7 @@
 //! append-only arena per chunk; sealing the builder turns the rows into
 //! offset/len views over that single allocation. The grouping collectors
 //! build their [`Key`]s and states directly from the emitted slices. Either
-//! way the unit shuffled between mappers and reducers is a [`RecordBatch`]
-//! or a [`StateBatch`].
+//! way the unit shuffled between mappers and reducers is a [`RecordBatch`].
 
 use bytes::Bytes;
 use std::fmt;
@@ -334,12 +333,16 @@ impl From<&str> for Value {
     }
 }
 
-/// A ⟨key, value⟩ pair, the unit of map output in the classic model.
+/// A ⟨key, value⟩ pair, the unit of map output in the classic model. The
+/// incremental frameworks ship and stage ⟨key, state⟩ pairs in the same
+/// type: after `init()` (paper §4.2) the value *is* the state, held as bytes
+/// like any value (§5). Which of the two a row carries is the framework's
+/// to know, never the row's.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pair {
     /// Grouping key.
     pub key: Key,
-    /// Payload.
+    /// Payload: the value, or the state of a key-state pair.
     pub value: Value,
 }
 
@@ -357,31 +360,7 @@ impl Pair {
     }
 }
 
-/// A ⟨key, state⟩ pair — the unit flowing through the incremental (INC/DINC)
-/// frameworks after the `init()` function has collapsed raw values into
-/// states (paper §4.2).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatePair {
-    /// Grouping key.
-    pub key: Key,
-    /// Opaque serialized state produced by `init()`/`cb()`.
-    pub state: Value,
-}
-
-impl StatePair {
-    /// Builds a key-state pair.
-    pub fn new(key: Key, state: Value) -> Self {
-        StatePair { key, state }
-    }
-
-    /// Serialized size used for buffer/spill accounting.
-    #[inline]
-    pub fn size(&self) -> u64 {
-        self.key.len() as u64 + self.state.len() as u64 + RECORD_OVERHEAD
-    }
-}
-
-/// A shuffled batch of key-value pairs plus an optional cache of their
+/// A shuffled batch of key-value (or key-state) pairs plus an optional cache of their
 /// partition-time `h1` fingerprints (parallel to `pairs` when present).
 /// The hashes are a pure cache — equality and serialization ignore them —
 /// carried so reduce-side group tables can probe without re-hashing.
@@ -492,112 +471,6 @@ impl<'a> IntoIterator for &'a RecordBatch {
     type IntoIter = std::slice::Iter<'a, Pair>;
     fn into_iter(self) -> Self::IntoIter {
         self.pairs.iter()
-    }
-}
-
-/// A shuffled batch of key-state pairs (incremental frameworks), with the
-/// same optional hash cache as [`RecordBatch`].
-#[derive(Clone, Debug, Default)]
-pub struct StateBatch {
-    states: Vec<StatePair>,
-    hashes: Vec<u64>,
-    /// Running serialized size of `states` — kept on push so accounting
-    /// never rescans the rows.
-    size: u64,
-}
-
-impl StateBatch {
-    /// A batch over existing states with no cached hashes.
-    pub fn from_states(states: Vec<StatePair>) -> Self {
-        let size = states.iter().map(StatePair::size).sum();
-        StateBatch {
-            states,
-            hashes: Vec::new(),
-            size,
-        }
-    }
-
-    /// A batch with a full parallel hash cache.
-    pub fn with_hashes(states: Vec<StatePair>, hashes: Vec<u64>) -> Self {
-        debug_assert!(hashes.is_empty() || hashes.len() == states.len());
-        let size = states.iter().map(StatePair::size).sum();
-        StateBatch {
-            states,
-            hashes,
-            size,
-        }
-    }
-
-    /// An empty batch expecting `cap` rows.
-    pub fn with_capacity(cap: usize) -> Self {
-        StateBatch {
-            states: Vec::with_capacity(cap),
-            hashes: Vec::with_capacity(cap),
-            size: 0,
-        }
-    }
-
-    /// Appends one row with its cached hash.
-    #[inline]
-    pub fn push_hashed(&mut self, state: StatePair, hash: u64) {
-        debug_assert_eq!(self.hashes.len(), self.states.len());
-        self.size += state.size();
-        self.states.push(state);
-        self.hashes.push(hash);
-    }
-
-    /// The rows.
-    #[inline]
-    pub fn states(&self) -> &[StatePair] {
-        &self.states
-    }
-
-    /// The cached `h1` fingerprint of row `i`, if this batch carries one.
-    #[inline]
-    pub fn hash_at(&self, i: usize) -> Option<u64> {
-        self.hashes.get(i).copied()
-    }
-
-    /// Consumes the batch, returning rows and the (possibly empty) hash
-    /// cache separately.
-    pub fn into_parts(self) -> (Vec<StatePair>, Vec<u64>) {
-        (self.states, self.hashes)
-    }
-
-    /// Serialized size of all rows (accounting). O(1): maintained on push.
-    pub fn bytes(&self) -> u64 {
-        self.size
-    }
-}
-
-impl PartialEq for StateBatch {
-    fn eq(&self, other: &Self) -> bool {
-        self.states == other.states
-    }
-}
-impl Eq for StateBatch {}
-
-impl std::ops::Deref for StateBatch {
-    type Target = [StatePair];
-    #[inline]
-    fn deref(&self) -> &[StatePair] {
-        &self.states
-    }
-}
-
-impl IntoIterator for StateBatch {
-    type Item = StatePair;
-    type IntoIter = std::vec::IntoIter<StatePair>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.states.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a StateBatch {
-    type Item = &'a StatePair;
-    type IntoIter = std::slice::Iter<'a, StatePair>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.states.iter()
     }
 }
 
@@ -718,7 +591,6 @@ mod tests {
         assert_eq!(size_of::<Value>(), 24);
         assert_eq!(size_of::<Option<Key>>(), 24);
         assert_eq!(size_of::<Pair>(), 48);
-        assert_eq!(size_of::<StatePair>(), 48);
         // A `GroupTable` row: fingerprint, key, state.
         assert_eq!(size_of::<(u64, Key, Value)>(), 56);
         // One payload of a `BatchBuilder` row before sealing.
@@ -733,7 +605,8 @@ mod tests {
 
     #[test]
     fn state_pair_size() {
-        let p = StatePair::new(Key::from_u64(1), Value::new(vec![0u8; 512]));
+        // A key-state pair is a `Pair` whose value is the state.
+        let p = Pair::new(Key::from_u64(1), Value::new(vec![0u8; 512]));
         assert_eq!(p.size(), 8 + 512 + RECORD_OVERHEAD);
     }
 

@@ -33,18 +33,6 @@ impl ByteSize {
     pub fn bytes(self) -> u64 {
         self.0
     }
-
-    /// This size expressed in (fractional) gigabytes.
-    #[inline]
-    pub fn as_gb(self) -> f64 {
-        self.0 as f64 / GB as f64
-    }
-
-    /// This size expressed in (fractional) megabytes.
-    #[inline]
-    pub fn as_mb(self) -> f64 {
-        self.0 as f64 / MB as f64
-    }
 }
 
 impl fmt::Display for ByteSize {
@@ -189,12 +177,6 @@ mod tests {
         assert_eq!(ByteSize(2 * KB).to_string(), "2.00 KB");
         assert_eq!(ByteSize(140 * MB).to_string(), "140.00 MB");
         assert_eq!(ByteSize(256 * GB).to_string(), "256.00 GB");
-    }
-
-    #[test]
-    fn byte_size_fractional_views() {
-        assert!((ByteSize(GB).as_gb() - 1.0).abs() < 1e-12);
-        assert!((ByteSize(MB / 2).as_mb() - 0.5).abs() < 1e-12);
     }
 
     #[test]

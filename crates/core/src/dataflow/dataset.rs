@@ -190,7 +190,7 @@ impl Dataset {
     /// Rebuilds a dataset from the [`Dataset::write_sections`] sections `r`
     /// still holds (all of them: leftovers are an error), verifying record
     /// placement against the restored fingerprints.
-    pub(crate) fn from_reader(mut r: SectionReader) -> Result<Dataset> {
+    pub(crate) fn from_reader(mut r: SectionReader<'_>) -> Result<Dataset> {
         let bad = || Error::job("malformed dataset checkpoint sections");
         let [hash_seed, partitions] = r.nums_exact("dataset header")?;
         // The file-supplied fan-out is believed only if the file holds

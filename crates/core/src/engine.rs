@@ -50,7 +50,7 @@ use crate::fault::{FaultPlan, MapFate};
 use crate::job::{JobInput, JobOutcome, PoisonedRecord, RunConfig};
 use crate::map_phase::{
     abort_map_task, compute_map_task, finish_map_task, straggle_map_task, Granule, MapTaskPlan,
-    Payload, PoisonGate,
+    PoisonGate,
 };
 use crate::metrics::{AdmissionStats, DincStats, JobMetrics, NodeCombineStats};
 use crate::progress::{ProgressTracker, PROGRESS_POINTS};
@@ -63,10 +63,7 @@ use crate::sim::{EventQueue, OpKind, Resources};
 use opa_common::fault::{FaultEvent, FaultKind, FaultReport};
 use opa_common::hash::bucket_of;
 use opa_common::units::{SimDuration, SimTime};
-use opa_common::{
-    Error, GroupTable, HashFamily, HashFn, Key, Pair, RecordBatch, Result, StateBatch, StatePair,
-    Value,
-};
+use opa_common::{Error, GroupTable, HashFamily, HashFn, Key, Pair, RecordBatch, Result, Value};
 use opa_simio::{BlockStore, DiskFaultInjector, IoCategory, IoOp};
 use opa_trace::TraceEvent;
 use std::collections::VecDeque;
@@ -84,7 +81,7 @@ struct Part {
     arrival: SimTime,
     seq: u64,
     reducer: usize,
-    payload: Payload,
+    payload: RecordBatch,
 }
 
 /// One granule's shuffle in the air: its non-empty partitions, queued as a
@@ -184,7 +181,7 @@ pub enum QueuedEvent {
         /// Source chunk (provenance for pause accounting on resume).
         chunk: u64,
         /// The delivered partition.
-        payload: Payload,
+        payload: RecordBatch,
     },
 }
 
@@ -194,7 +191,7 @@ pub struct DeferredDelivery {
     /// Node whose spill disk holds this map output.
     pub from_node: u64,
     /// The delivered partition.
-    pub payload: Payload,
+    pub payload: RecordBatch,
 }
 
 /// The complete serializable state of a paused [`Engine`], flattened to
@@ -448,7 +445,7 @@ pub struct Engine<'e> {
     started: Vec<bool>,
     ready_at: Vec<SimTime>,
     /// Per-reducer deliveries parked for the second wave, by source node.
-    deferred: Vec<Vec<(usize, Payload)>>,
+    deferred: Vec<Vec<(usize, RecordBatch)>>,
     /// Sorted MapReduce-Online snapshot points, the count crossed so far,
     /// and how many of those each reducer has taken.
     snapshots: Vec<f64>,
@@ -1236,7 +1233,13 @@ impl<'e> Engine<'e> {
     /// Books one granule's shuffle: each non-empty partition leaves
     /// `from_node` at `depart` and arrives after its own transfer time.
     /// The transfers fly as one queued [`Flight`].
-    fn ship(&mut self, depart: SimTime, from_node: usize, chunk: usize, partitions: Vec<Payload>) {
+    fn ship(
+        &mut self,
+        depart: SimTime,
+        from_node: usize,
+        chunk: usize,
+        partitions: Vec<RecordBatch>,
+    ) {
         if self.plans.home.is_some() {
             return self.hand_over(depart, from_node, chunk, partitions);
         }
@@ -1279,7 +1282,7 @@ impl<'e> Engine<'e> {
         depart: SimTime,
         from_node: usize,
         chunk: usize,
-        partitions: Vec<Payload>,
+        partitions: Vec<RecordBatch>,
     ) {
         let own = self.plans.home.as_ref().expect("colocated placement")[chunk];
         let mut parts = Vec::with_capacity(partitions.iter().filter(|p| !p.is_empty()).count());
@@ -1324,31 +1327,17 @@ impl<'e> Engine<'e> {
         let (h1, spec) = (plans.h1, &plans.cfg.spec);
         let stage = &mut self.stage[at.node];
         let mut merged = 0u64;
-        for payload in granule.partitions {
-            if payload.is_empty() {
+        for batch in granule.partitions {
+            if batch.is_empty() {
                 continue;
             }
-            stage.bytes_in += payload.bytes();
-            match (payload, merge) {
-                (Payload::Pairs(batch), NodeMerge::Pairs(_)) => {
-                    let (pairs, hashes) = batch.into_parts();
-                    for (i, p) in pairs.into_iter().enumerate() {
-                        let h = hashes.get(i).copied();
-                        let h = h.unwrap_or_else(|| h1.hash(p.key.bytes()));
-                        let size = p.size();
-                        merged += u64::from(stage.absorb(h, p.key, p.value, size, merge));
-                    }
-                }
-                (Payload::States(batch), NodeMerge::States(_)) => {
-                    let (states, hashes) = batch.into_parts();
-                    for (i, sp) in states.into_iter().enumerate() {
-                        let h = hashes.get(i).copied();
-                        let h = h.unwrap_or_else(|| h1.hash(sp.key.bytes()));
-                        let size = sp.size();
-                        merged += u64::from(stage.absorb(h, sp.key, sp.state, size, merge));
-                    }
-                }
-                _ => unreachable!("payload kind matches the merge mode"),
+            stage.bytes_in += batch.bytes();
+            let (pairs, hashes) = batch.into_parts();
+            for (i, p) in pairs.into_iter().enumerate() {
+                let h = hashes.get(i).copied();
+                let h = h.unwrap_or_else(|| h1.hash(p.key.bytes()));
+                let size = p.size();
+                merged += u64::from(stage.absorb(h, p.key, p.value, size, merge));
             }
         }
         self.nc_stats.merged_rows += merged;
@@ -1403,25 +1392,15 @@ impl<'e> Engine<'e> {
         let n_reducers = self.reducers.len();
         let keys = self.stage[node].table.len();
         let cap = keys / n_reducers + 1;
-        let states_mode = matches!(self.plans.node_merge(), Some(NodeMerge::States(_)));
-        let mut payloads: Vec<Payload> = (0..n_reducers)
-            .map(|_| {
-                if states_mode {
-                    Payload::States(StateBatch::with_capacity(cap))
-                } else {
-                    Payload::Pairs(RecordBatch::with_capacity(cap))
-                }
-            })
+        let mut payloads: Vec<RecordBatch> = (0..n_reducers)
+            .map(|_| RecordBatch::with_capacity(cap))
             .collect();
         // A row's partition is a function of its fingerprint, exactly as
         // on the map side that produced it.
         for (h, key, value) in std::mem::take(&mut self.stage[node].table).into_rows() {
-            match &mut payloads[bucket_of(h, n_reducers)] {
-                Payload::Pairs(b) => b.push_hashed(Pair::new(key, value), h),
-                Payload::States(b) => b.push_hashed(StatePair::new(key, value), h),
-            }
+            payloads[bucket_of(h, n_reducers)].push_hashed(Pair::new(key, value), h);
         }
-        let bytes_out: u64 = payloads.iter().map(Payload::bytes).sum();
+        let bytes_out: u64 = payloads.iter().map(RecordBatch::bytes).sum();
         self.ship(t1, node, held, payloads);
         self.landed(held);
         self.nc_stats.flushes += 1;
@@ -1673,7 +1652,7 @@ impl<'e> Engine<'e> {
             // disk. Fetches from distinct source nodes proceed in parallel
             // (the shuffle's parallel fetch threads); each source disk
             // serves its own reads sequentially.
-            let mut arrivals: Vec<(SimTime, Payload)> = std::mem::take(&mut self.deferred[r])
+            let mut arrivals: Vec<(SimTime, RecordBatch)> = std::mem::take(&mut self.deferred[r])
                 .into_iter()
                 .map(|(from_node, payload)| {
                     let op = IoOp::read(payload.bytes());
@@ -2029,7 +2008,7 @@ mod tests {
                                     arrival,
                                     seq: 0,
                                     reducer,
-                                    payload: Payload::Pairs(RecordBatch::default()),
+                                    payload: RecordBatch::default(),
                                 })
                                 .collect();
                             Flight::launch(&mut queue, 0, chunk, parts);

@@ -181,7 +181,7 @@ impl PoisonedRecord {
     }
 
     /// Reads one record [`PoisonedRecord::write`] appended.
-    pub fn read(r: &mut SectionReader) -> Result<PoisonedRecord> {
+    pub fn read(r: &mut SectionReader<'_>) -> Result<PoisonedRecord> {
         let [chunk, attempt, offset] = r.nums_exact("quarantined record")?;
         let narrow = |v: u64, what: &str| {
             u32::try_from(v).map_err(|_| Error::storage(format!("quarantine {what} out of range")))

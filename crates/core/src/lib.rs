@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::metrics::JobMetrics;
     pub use crate::progress::ProgressCurve;
     pub use opa_common::fault::{FaultConfig, FaultReport};
-    pub use opa_common::{Key, Pair, StatePair, Value};
+    pub use opa_common::{Key, Pair, Value};
 }
 
 pub use cluster::{ClusterSpec, Framework};

@@ -54,7 +54,7 @@ use opa_common::hash::bucket_of;
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{
     AdmissionPolicy, BatchBuilder, CombineScope, FreqSketch, GroupTable, HashFn, Key, Pair,
-    RecordBatch, StateBatch, StatePair, Value,
+    RecordBatch, Value,
 };
 use opa_simio::{IoCategory, IoOp};
 use opa_trace::model::lambda::MergeTreeSim;
@@ -73,39 +73,11 @@ pub struct PoisonGate {
     pub base: u64,
 }
 
-/// Data delivered from a mapper to one reducer: a batch of rows sharing
-/// the mapper's arena, carrying each row's partition-time `h1` fingerprint
-/// so reduce-side group tables never re-hash.
-#[derive(Debug, Clone)]
-pub enum Payload {
-    /// Key-value pairs; sorted by key when produced by sort-merge.
-    Pairs(RecordBatch),
-    /// Key-state pairs (incremental frameworks).
-    States(StateBatch),
-}
-
-impl Payload {
-    /// Serialized size in bytes.
-    pub fn bytes(&self) -> u64 {
-        match self {
-            Payload::Pairs(b) => b.bytes(),
-            Payload::States(b) => b.bytes(),
-        }
-    }
-
-    /// Record count.
-    pub fn len(&self) -> usize {
-        match self {
-            Payload::Pairs(b) => b.len(),
-            Payload::States(b) => b.len(),
-        }
-    }
-
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+/// The data delivered from a mapper to one reducer, under the name
+/// `opa_perf/src/layers.rs` still uses: the one shuffle batch. Key-value
+/// pairs arrive sorted by key from sort-merge; the incremental frameworks'
+/// rows are key-state pairs.
+pub use opa_common::RecordBatch as Payload;
 
 /// One batch of deliveries pushed by a mapper at `time`: element `p` goes
 /// to reducer partition `p`.
@@ -113,8 +85,8 @@ impl Payload {
 pub struct Granule {
     /// Virtual instant at which the granule leaves the mapper.
     pub time: SimTime,
-    /// Per-reducer payloads (length = total reducers).
-    pub partitions: Vec<Payload>,
+    /// Per-reducer batches (length = total reducers).
+    pub partitions: Vec<RecordBatch>,
 }
 
 /// Outcome of one executed map task.
@@ -170,7 +142,7 @@ pub struct MapTaskPlan {
     ops: Vec<MapOp>,
     /// Per-granule per-reducer payloads, in granule order; each entry is
     /// stamped by the matching [`MapOp::Granule`] during replay.
-    granules: Vec<Vec<Payload>>,
+    granules: Vec<Vec<RecordBatch>>,
     cpu: SimDuration,
     output_bytes: u64,
     spill_bytes: u64,
@@ -578,8 +550,7 @@ fn plan_sort_merge(
             per_part[p].push_hashed(pair, h);
         }
         plan.ops.push(MapOp::Granule);
-        plan.granules
-            .push(per_part.into_iter().map(Payload::Pairs).collect());
+        plan.granules.push(per_part);
     }
 }
 
@@ -749,8 +720,7 @@ fn ship_pairs(hashed: Vec<(u64, Pair)>, n: u64, spec: &ClusterSpec, plan: &mut M
         IoOp::write(output_bytes),
     ));
     plan.ops.push(MapOp::Granule);
-    plan.granules
-        .push(per_part.into_iter().map(Payload::Pairs).collect());
+    plan.granules.push(per_part);
 }
 
 /// INC/DINC collection: `init()` on each value as `map()` emits it, and an
@@ -852,16 +822,16 @@ fn plan_incremental(
     );
 
     let cap = table.len() / n_partitions + 1;
-    let mut per_part: Vec<StateBatch> = (0..n_partitions)
-        .map(|_| StateBatch::with_capacity(cap))
+    let mut per_part: Vec<RecordBatch> = (0..n_partitions)
+        .map(|_| RecordBatch::with_capacity(cap))
         .collect();
     // Early-displaced entries ship first: a victim's partial state must
     // reach the reducer before later tuples of the same key so bucket
     // files preserve arrival order for order-sensitive jobs.
     for (h, key, state) in shipped_early.into_iter().chain(table.into_rows()) {
-        per_part[bucket_of(h, n_partitions)].push_hashed(StatePair::new(key, state), h);
+        per_part[bucket_of(h, n_partitions)].push_hashed(Pair::new(key, state), h);
     }
-    let output_bytes: u64 = per_part.iter().map(StateBatch::bytes).sum();
+    let output_bytes: u64 = per_part.iter().map(RecordBatch::bytes).sum();
     plan.output_bytes = output_bytes;
     plan.ops.push(MapOp::Spill(
         IoCategory::MapOutput,
@@ -878,8 +848,7 @@ fn plan_incremental(
     }
 
     plan.ops.push(MapOp::Granule);
-    plan.granules
-        .push(per_part.into_iter().map(Payload::States).collect());
+    plan.granules.push(per_part);
 }
 
 #[cfg(test)]
@@ -985,10 +954,7 @@ mod tests {
         let result = run(&job, Framework::SortMerge, &recs, &spec);
         assert_eq!(result.granules.len(), 1);
         let mut total = 0usize;
-        for payload in &result.granules[0].partitions {
-            let Payload::Pairs(pairs) = payload else {
-                panic!("sort-merge emits pairs");
-            };
+        for pairs in &result.granules[0].partitions {
             total += pairs.len();
             for w in pairs.windows(2) {
                 assert!(w[0].key <= w[1].key, "partition not key-sorted");
@@ -1101,7 +1067,7 @@ mod tests {
         for g in &result.granules {
             assert!(g.time >= prev, "granule times must be non-decreasing");
             prev = g.time;
-            total += g.partitions.iter().map(Payload::len).sum::<usize>();
+            total += g.partitions.iter().map(|p| p.len()).sum::<usize>();
         }
         assert_eq!(total, 100);
     }
@@ -1116,12 +1082,9 @@ mod tests {
         let result = run(&job, Framework::IncHash, &recs, &spec);
         let mut keys = 0usize;
         let mut mass = 0u64;
-        for payload in &result.granules[0].partitions {
-            let Payload::States(states) = payload else {
-                panic!("incremental map emits states");
-            };
+        for states in &result.granules[0].partitions {
             keys += states.len();
-            mass += states.iter().filter_map(|s| s.state.as_u64()).sum::<u64>();
+            mass += states.iter().filter_map(|s| s.value.as_u64()).sum::<u64>();
         }
         assert_eq!(keys, 6, "map-side cb must collapse to distinct keys");
         assert_eq!(mass, 120, "counts must be preserved by the collapse");
@@ -1135,7 +1098,7 @@ mod tests {
         };
         let recs = records(80, 7);
         let result = run(&job, Framework::MrHash, &recs, &spec);
-        let total: usize = result.granules[0].partitions.iter().map(Payload::len).sum();
+        let total: usize = result.granules[0].partitions.iter().map(|p| p.len()).sum();
         assert_eq!(total, 80);
     }
 
@@ -1318,13 +1281,13 @@ mod tests {
                 + cost.cb_time(cb_calls),
         );
         let cap = table.len() / n_partitions + 1;
-        let mut per_part: Vec<StateBatch> = (0..n_partitions)
-            .map(|_| StateBatch::with_capacity(cap))
+        let mut per_part: Vec<RecordBatch> = (0..n_partitions)
+            .map(|_| RecordBatch::with_capacity(cap))
             .collect();
         for (h, key, state) in shipped_early.into_iter().chain(table.into_rows()) {
-            per_part[bucket_of(h, n_partitions)].push_hashed(StatePair::new(key, state), h);
+            per_part[bucket_of(h, n_partitions)].push_hashed(Pair::new(key, state), h);
         }
-        let output_bytes: u64 = per_part.iter().map(StateBatch::bytes).sum();
+        let output_bytes: u64 = per_part.iter().map(RecordBatch::bytes).sum();
         plan.output_bytes = output_bytes;
         plan.ops.push(MapOp::Spill(
             IoCategory::MapOutput,
@@ -1338,8 +1301,7 @@ mod tests {
             ));
         }
         plan.ops.push(MapOp::Granule);
-        plan.granules
-            .push(per_part.into_iter().map(Payload::States).collect());
+        plan.granules.push(per_part);
         (plan, evictions, turned_away)
     }
 

@@ -255,15 +255,6 @@ impl ProgressCurve {
             .unwrap_or(0.0)
     }
 
-    /// First instant at which map progress reaches 100%.
-    pub fn map_finish_time(&self) -> SimTime {
-        self.points
-            .iter()
-            .find(|p| p.map_pct >= 100.0)
-            .map(|p| p.t)
-            .unwrap_or_else(|| self.points.last().map(|p| p.t).unwrap_or(SimTime::ZERO))
-    }
-
     /// Job end (last sample instant).
     pub fn end_time(&self) -> SimTime {
         self.points.last().map(|p| p.t).unwrap_or(SimTime::ZERO)
@@ -469,16 +460,5 @@ mod tests {
         // Non-vacuity: the long run is read part-way through.
         let curve = by_run.finish(end, 11);
         assert!((curve.points[4].work_pct - 100.0 * 42.0 / 154.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn map_finish_time_detected() {
-        let mut tr = ProgressTracker::new(2);
-        tr.map_done(t(5.0));
-        tr.map_done(t(9.0));
-        tr.worked(t(20.0), 1);
-        let curve = tr.finish(t(20.0), 41);
-        let mf = curve.map_finish_time().as_secs_f64();
-        assert!((mf - 9.0).abs() <= 0.5 + 1e-9, "map finish at {mf}");
     }
 }

@@ -5,15 +5,15 @@
 //! again under the next hash function of the family and the pass recurses.
 //!
 //! [`next_bucket`] and [`repartition`] are the read-back and the
-//! re-staging step for any tuple type (MR-hash runs them over raw pairs);
-//! [`BucketPass`] is the whole pass over key-state tuples, which INC-hash
-//! and DINC-hash complete with.
+//! re-staging step over pairs of either kind (MR-hash runs them over raw
+//! key-value pairs); [`BucketPass`] is the whole pass over key-state pairs,
+//! which INC-hash and DINC-hash complete with.
 
 use super::{OutputSink, ReduceEnv, WORK_BATCH};
 use crate::api::{IncrementalReducer, ReduceCtx};
 use crate::resident::{cb_sized, entry_size};
-use opa_common::{GroupTable, HashFamily, HashFn, Key, StatePair, Value};
-use opa_simio::{BucketManager, Sized64};
+use opa_common::{GroupTable, HashFamily, HashFn, Pair, Value};
+use opa_simio::BucketManager;
 
 /// Recursive partitioning depth limit — far beyond anything a sane
 /// configuration needs (each level multiplies capacity by the fan-out). At
@@ -28,11 +28,11 @@ pub(super) const TOP_DEPTH: usize = 3;
 /// Reads back the next non-empty bucket at or after `*next`, charging the
 /// seal (a no-op once sealed) and every read to `env`. `None` once the
 /// buckets are exhausted.
-pub(super) fn next_bucket<T: Sized64>(
-    buckets: &mut BucketManager<T>,
+pub(super) fn next_bucket(
+    buckets: &mut BucketManager,
     next: &mut usize,
     env: &mut ReduceEnv<'_>,
-) -> Option<Vec<T>> {
+) -> Option<Vec<Pair>> {
     env.spill(buckets.seal());
     while *next < buckets.num_buckets() {
         let (recs, op) = buckets.take_bucket(*next);
@@ -49,25 +49,24 @@ pub(super) fn next_bucket<T: Sized64>(
 /// next hash function of the family, with a fan-out that aims each
 /// sub-bucket at 80 % of `mem_budget`. Read the result back with
 /// [`next_bucket`].
-pub(super) fn repartition<T: Sized64>(
-    items: Vec<T>,
-    key: impl Fn(&T) -> &Key,
+pub(super) fn repartition(
+    items: Vec<Pair>,
     h: HashFn,
     mem_budget: u64,
     write_buffer: u64,
     env: &mut ReduceEnv<'_>,
-) -> BucketManager<T> {
-    let bytes: u64 = items.iter().map(Sized64::size).sum();
+) -> BucketManager {
+    let bytes: u64 = items.iter().map(Pair::size).sum();
     let fan = ((bytes as f64 / (mem_budget as f64 * 0.8)).ceil() as usize).max(2);
     let mut sub = BucketManager::new(fan, write_buffer);
     for item in items {
-        let b = h.bucket(key(&item).bytes(), fan);
+        let b = h.bucket(item.key.bytes(), fan);
         env.spill(sub.push(b, item));
     }
     sub
 }
 
-/// The bucket pass over key-state tuples, with what it borrows from the
+/// The bucket pass over key-state pairs, with what it borrows from the
 /// reducer it completes.
 pub(super) struct BucketPass<'a> {
     pub inc: &'a dyn IncrementalReducer,
@@ -80,7 +79,7 @@ pub(super) struct BucketPass<'a> {
 
 impl BucketPass<'_> {
     /// Processes every staged bucket of a reducer, in bucket order.
-    pub(super) fn run(&mut self, buckets: &mut BucketManager<StatePair>, env: &mut ReduceEnv<'_>) {
+    pub(super) fn run(&mut self, buckets: &mut BucketManager, env: &mut ReduceEnv<'_>) {
         let mut next = 0;
         while let Some(tuples) = next_bucket(buckets, &mut next, env) {
             self.process_bucket(tuples, TOP_DEPTH, env);
@@ -90,7 +89,7 @@ impl BucketPass<'_> {
     /// Processes one staged bucket with a fresh in-memory table: combine
     /// in arrival order while the keys fit (first come stay), finalize the
     /// resident keys, then re-partition the rest and recurse.
-    fn process_bucket(&mut self, tuples: Vec<StatePair>, depth: usize, env: &mut ReduceEnv<'_>) {
+    fn process_bucket(&mut self, tuples: Vec<Pair>, depth: usize, env: &mut ReduceEnv<'_>) {
         // Replay the bucket under its own watermark: the file preserves
         // arrival order, so advancing the watermark from the replayed
         // tuples reproduces the original bounded disorder. Reusing the
@@ -103,24 +102,24 @@ impl BucketPass<'_> {
         let mut used = 0u64;
         // Once one key overflows, every later new key does: a key's tuples
         // are never split between this table and the overflow.
-        let mut overflow: Vec<StatePair> = Vec::new();
+        let mut overflow: Vec<Pair> = Vec::new();
         let mut batch = 0u64;
         for sp in tuples {
-            if let Some(ts) = inc.event_time(&sp.state) {
+            if let Some(ts) = inc.event_time(&sp.value) {
                 self.ctx.advance_watermark(ts);
             }
             let h = h1.hash(sp.key.bytes());
             match table.find(h, &sp.key) {
                 Some(i) => {
                     let (key, acc) = table.row_mut(i);
-                    cb_sized(inc, key, acc, sp.state, self.ctx, &mut used);
+                    cb_sized(inc, key, acc, sp.value, self.ctx, &mut used);
                     batch += 1;
                 }
                 None => {
-                    let sz = entry_size(inc, &sp.key, &sp.state);
+                    let sz = entry_size(inc, &sp.key, &sp.value);
                     if (overflow.is_empty() && used + sz <= self.mem_budget) || depth >= MAX_DEPTH {
                         used += sz;
-                        table.push(h, sp.key, sp.state);
+                        table.push(h, sp.key, sp.value);
                         batch += 1;
                     } else {
                         overflow.push(sp);
@@ -146,7 +145,6 @@ impl BucketPass<'_> {
         if !overflow.is_empty() {
             let mut sub = repartition(
                 overflow,
-                |sp| &sp.key,
                 self.family.fn_at(depth + 1),
                 self.mem_budget,
                 self.write_buffer,

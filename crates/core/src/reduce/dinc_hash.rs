@@ -30,12 +30,11 @@ use super::buckets::BucketPass;
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, TopEntry};
 use crate::api::{Handle, IncrementalReducer, JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
-use crate::map_phase::Payload;
 use crate::metrics::AdmissionStats;
 use crate::sim::OpKind;
 use opa_common::units::SimDuration;
 use opa_common::{
-    AdmissionPolicy, Error, FreqSketch, HashFamily, HashFn, Key, Result, StatePair, Value,
+    AdmissionPolicy, Error, FreqSketch, HashFamily, HashFn, Key, Pair, RecordBatch, Result, Value,
 };
 use opa_freq::{MgEntry, MgOutcome, MisraGries};
 use opa_simio::BucketManager;
@@ -95,7 +94,7 @@ fn monitor_kind(flags: u64) -> MonitorKind {
 
 /// Zips the monitor's checkpointed (key, state) slots with their counts
 /// and true frequencies `t`.
-fn monitor_entries(slots: Vec<StatePair>, counts: &[u64], ts: &[u64]) -> Vec<MgEntry<Key, Value>> {
+fn monitor_entries(slots: Vec<Pair>, counts: &[u64], ts: &[u64]) -> Vec<MgEntry<Key, Value>> {
     slots
         .into_iter()
         .zip(counts.iter().zip(ts))
@@ -103,7 +102,7 @@ fn monitor_entries(slots: Vec<StatePair>, counts: &[u64], ts: &[u64]) -> Vec<MgE
             key: sp.key,
             count,
             t,
-            state: sp.state,
+            state: sp.value,
         })
         .collect()
 }
@@ -149,7 +148,7 @@ pub struct DincHashReducer<'j> {
     monitor: MisraGries<Key, Value>,
     mem_budget: u64,
     write_buffer: u64,
-    buckets: BucketManager<StatePair>,
+    buckets: BucketManager,
     ctx: ReduceCtx,
     sink: OutputSink,
     /// Coverage threshold φ for approximate early termination (None =
@@ -214,7 +213,7 @@ impl<'j> DincHashReducer<'j> {
         self.monitor.capacity()
     }
 
-    fn stage(&mut self, sp: StatePair, env: &mut ReduceEnv<'_>) {
+    fn stage(&mut self, sp: Pair, env: &mut ReduceEnv<'_>) {
         let b = self.h3.bucket(sp.key.bytes(), self.buckets.num_buckets());
         env.spill(self.buckets.push(b, sp));
     }
@@ -230,7 +229,7 @@ impl<'j> DincHashReducer<'j> {
             }
             Some(state) => {
                 self.stats.evict_spilled += 1;
-                self.stage(StatePair::new(key, state), env);
+                self.stage(Pair::new(key, state), env);
             }
         }
     }
@@ -283,7 +282,7 @@ impl<'j> DincHashReducer<'j> {
                     self.adm.rejected += 1;
                     self.adm.spill.rejected_arrival += sp_size;
                     env.cpu(env.cost().hash_time(1));
-                    return self.stage(StatePair::new(key, state), env);
+                    return self.stage(Pair::new(key, state), env);
                 }
             }
         }
@@ -292,23 +291,20 @@ impl<'j> DincHashReducer<'j> {
         self.adm.rejected += 1;
         self.adm.spill.rejected_arrival += sp_size;
         env.cpu(env.cost().hash_time(1));
-        self.stage(StatePair::new(key, state), env);
+        self.stage(Pair::new(key, state), env);
     }
 }
 
 impl ReduceSide for DincHashReducer<'_> {
-    fn deliver(&mut self, payload: Payload, env: &mut ReduceEnv<'_>) {
-        let Payload::States(batch) = payload else {
-            unreachable!("DINC-hash receives key-state pairs");
-        };
+    fn deliver(&mut self, batch: RecordBatch, env: &mut ReduceEnv<'_>) {
         env.shuffled(batch.bytes());
         for sp in batch {
-            if let Some(ts) = self.inc.event_time(&sp.state) {
+            if let Some(ts) = self.inc.event_time(&sp.value) {
                 self.ctx.advance_watermark(ts);
             }
             let wm = self.ctx.watermark;
             let sp_size = sp.size();
-            let StatePair { key, state } = sp;
+            let Pair { key, value: state } = sp;
             self.adm.offered += 1;
             // Only the LFU gate reads the fingerprint.
             let h3 = &self.h3;
@@ -418,7 +414,7 @@ impl ReduceSide for DincHashReducer<'_> {
         let entries: Vec<_> = self.monitor.iter().collect();
         let mut states = vec![entries
             .iter()
-            .map(|e| StatePair::new(e.key.clone(), e.state.clone()))
+            .map(|e| Pair::new(e.key.clone(), e.state.clone()))
             .collect::<Vec<_>>()];
         states.extend(self.buckets.export_contents());
         let mut nums = vec![
@@ -530,7 +526,7 @@ impl ReduceSide for DincHashReducer<'_> {
             offered.first().copied().unwrap_or(0),
             monitor_entries(monitored, &counts, &ts),
         );
-        let [sink_pending, ctx_pending] = <[Vec<opa_common::Pair>; 2]>::try_from(ckpt.pairs)
+        let [sink_pending, ctx_pending] = <[Vec<Pair>; 2]>::try_from(ckpt.pairs)
             .map_err(|_| Error::job("DINC-hash checkpoint missing output sections"))?;
         self.buckets.restore_contents(states);
         self.sink.restore_pending(sink_pending);

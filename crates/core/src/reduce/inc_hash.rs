@@ -17,14 +17,13 @@ use super::buckets::BucketPass;
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing};
 use crate::api::{Handle, IncrementalReducer, JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
-use crate::map_phase::Payload;
 use crate::metrics::AdmissionStats;
 use crate::resident::{cb_sized, colder_resident, entry_size};
 use crate::sim::OpKind;
 use opa_common::units::SimDuration;
 use opa_common::{
-    AdmissionPolicy, Error, FreqSketch, GroupTable, HashFamily, HashFn, Key, KeyFilter, Result,
-    StatePair, Value,
+    AdmissionPolicy, Error, FreqSketch, GroupTable, HashFamily, HashFn, Key, KeyFilter, Pair,
+    RecordBatch, Result, Value,
 };
 use opa_simio::BucketManager;
 
@@ -41,7 +40,7 @@ pub(super) fn checkpointed_query(ckpt: &ReducerCkpt, key: &Key) -> Option<Value>
     table
         .iter()
         .find(|sp| &sp.key == key)
-        .map(|sp| sp.state.clone())
+        .map(|sp| sp.value.clone())
 }
 
 /// One reduce task running the INC-hash framework.
@@ -58,7 +57,7 @@ pub struct IncHashReducer<'j> {
     mem_used: u64,
     mem_budget: u64,
     write_buffer: u64,
-    buckets: BucketManager<StatePair>,
+    buckets: BucketManager,
     ctx: ReduceCtx,
     sink: OutputSink,
     /// Tuples absorbed in memory during the streaming phase.
@@ -137,8 +136,8 @@ impl<'j> IncHashReducer<'j> {
     /// Streams one tuple through the table, probing with the batch-carried
     /// `h1` fingerprint when the shuffle delivered one (re-hashing only
     /// for restored tuples whose cache was dropped).
-    fn absorb(&mut self, sp: StatePair, hash: Option<u64>, env: &mut ReduceEnv<'_>) {
-        if let Some(ts) = self.inc.event_time(&sp.state) {
+    fn absorb(&mut self, sp: Pair, hash: Option<u64>, env: &mut ReduceEnv<'_>) {
+        if let Some(ts) = self.inc.event_time(&sp.value) {
             self.ctx.advance_watermark(ts);
         }
         let h = hash.unwrap_or_else(|| self.h1.hash(sp.key.bytes()));
@@ -155,7 +154,7 @@ impl<'j> IncHashReducer<'j> {
                     &*self.inc,
                     key,
                     acc,
-                    sp.state,
+                    sp.value,
                     &mut self.ctx,
                     &mut self.mem_used,
                 );
@@ -167,7 +166,7 @@ impl<'j> IncHashReducer<'j> {
             }
             None if self.admission.is_on() => self.absorb_miss_lfu(sp, h, env),
             None => {
-                let sz = entry_size(&*self.inc, &sp.key, &sp.state);
+                let sz = entry_size(&*self.inc, &sp.key, &sp.value);
                 if !self.admissions_closed && self.mem_used + sz <= self.mem_budget {
                     self.admit(sp, h, sz, 1, env);
                 } else {
@@ -180,22 +179,22 @@ impl<'j> IncHashReducer<'j> {
 
     /// Installs an arriving key of `sz` bytes as resident, charging
     /// `probes` table operations (two when an eviction made the room).
-    fn admit(&mut self, sp: StatePair, h: u64, sz: u64, probes: u64, env: &mut ReduceEnv<'_>) {
+    fn admit(&mut self, sp: Pair, h: u64, sz: u64, probes: u64, env: &mut ReduceEnv<'_>) {
         self.mem_used += sz;
-        self.table.push(h, sp.key, (sp.state, 1));
+        self.table.push(h, sp.key, (sp.value, 1));
         self.absorbed += 1;
         self.stats.absorbed += 1;
         env.absorbed(env.cost().hash_time(probes));
     }
 
     /// Stages an arrival that was denied admission to its `h3` bucket.
-    fn reject(&mut self, sp: StatePair, env: &mut ReduceEnv<'_>) {
+    fn reject(&mut self, sp: Pair, env: &mut ReduceEnv<'_>) {
         self.stats.rejected += 1;
         self.stats.spill.rejected_arrival += sp.size();
         self.stage(sp, env);
     }
 
-    fn stage(&mut self, sp: StatePair, env: &mut ReduceEnv<'_>) {
+    fn stage(&mut self, sp: Pair, env: &mut ReduceEnv<'_>) {
         let b = self.h3.bucket(sp.key.bytes(), self.buckets.num_buckets());
         env.spill(self.buckets.push(b, sp));
     }
@@ -209,9 +208,9 @@ impl<'j> IncHashReducer<'j> {
     /// data in memory (the never-split invariant); an evicted or rejected
     /// key's bytes all meet in its `h3` bucket, where the bucket pass
     /// re-combines them in arrival order.
-    fn absorb_miss_lfu(&mut self, sp: StatePair, h: u64, env: &mut ReduceEnv<'_>) {
+    fn absorb_miss_lfu(&mut self, sp: Pair, h: u64, env: &mut ReduceEnv<'_>) {
         const ALLOCATED: &str = "LFU policy allocates the sketch and the filter";
-        let sz = entry_size(&*self.inc, &sp.key, &sp.state);
+        let sz = entry_size(&*self.inc, &sp.key, &sp.value);
         let clean = !self.filter.as_ref().expect(ALLOCATED).contains(h);
         if clean && self.mem_used + sz <= self.mem_budget {
             // Unlike first-come, a clean key may be admitted even after
@@ -247,7 +246,7 @@ impl<'j> IncHashReducer<'j> {
         self.mem_used = self
             .mem_used
             .saturating_sub(entry_size(&*self.inc, &vkey, &vstate));
-        let victim = StatePair::new(vkey, vstate);
+        let victim = Pair::new(vkey, vstate);
         self.stats.admitted_evictions += 1;
         self.stats.spill.admitted_evict += victim.size();
         self.stage(victim, env);
@@ -256,10 +255,7 @@ impl<'j> IncHashReducer<'j> {
 }
 
 impl ReduceSide for IncHashReducer<'_> {
-    fn deliver(&mut self, payload: Payload, env: &mut ReduceEnv<'_>) {
-        let Payload::States(batch) = payload else {
-            unreachable!("INC-hash receives key-state pairs");
-        };
+    fn deliver(&mut self, batch: RecordBatch, env: &mut ReduceEnv<'_>) {
         env.shuffled(batch.bytes());
         let (tuples, hashes) = batch.into_parts();
         let mut hashes = hashes.into_iter();
@@ -310,7 +306,7 @@ impl ReduceSide for IncHashReducer<'_> {
         let mut states = vec![self
             .table
             .iter()
-            .map(|(k, (v, _))| StatePair::new(k.clone(), v.clone()))
+            .map(|(k, (v, _))| Pair::new(k.clone(), v.clone()))
             .collect::<Vec<_>>()];
         states.extend(self.buckets.export_contents());
         let mut nums = vec![
@@ -359,7 +355,7 @@ impl ReduceSide for IncHashReducer<'_> {
             ));
         }
         let resident = sections.remove(0);
-        let [sink_pending, ctx_pending] = <[Vec<opa_common::Pair>; 2]>::try_from(ckpt.pairs)
+        let [sink_pending, ctx_pending] = <[Vec<Pair>; 2]>::try_from(ckpt.pairs)
             .map_err(|_| Error::job("INC-hash checkpoint missing output sections"))?;
         self.buckets.restore_contents(sections);
         self.sink.restore_pending(sink_pending);
@@ -389,9 +385,9 @@ impl ReduceSide for IncHashReducer<'_> {
         self.table = GroupTable::with_capacity(resident.len());
         self.mem_used = 0;
         for (sp, count) in resident.into_iter().zip(counts) {
-            self.mem_used += entry_size(&*self.inc, &sp.key, &sp.state);
+            self.mem_used += entry_size(&*self.inc, &sp.key, &sp.value);
             self.table
-                .push(self.h1.hash(sp.key.bytes()), sp.key, (sp.state, count));
+                .push(self.h1.hash(sp.key.bytes()), sp.key, (sp.value, count));
         }
         if self.admission.is_on() {
             let (Some(sketch), Some(filter)) = (nums.next(), nums.next()) else {

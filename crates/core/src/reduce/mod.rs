@@ -59,11 +59,10 @@ mod tests_frameworks;
 use crate::api::{Job, JobRef, ReduceCtx};
 use crate::cluster::{ClusterSpec, Framework};
 use crate::cost::CostModel;
-use crate::map_phase::Payload;
 use crate::progress::ProgressTracker;
 use crate::sim::{OpKind, Resources};
 use opa_common::units::{SimDuration, SimTime};
-use opa_common::{Error, HashFamily, Key, Pair, Result, StatePair, Value};
+use opa_common::{Error, HashFamily, Key, Pair, RecordBatch, Result, Value};
 use opa_simio::{IoCategory, IoOp};
 
 /// Charge batch size: user-function work is priced per record but charged
@@ -431,8 +430,10 @@ pub struct ReducerCkpt {
     pub nums: Vec<Vec<u64>>,
     /// Pair-run sections (spill runs, pending output…).
     pub pairs: Vec<Vec<Pair>>,
-    /// State-run sections (hash-table contents, bucket files…).
-    pub states: Vec<Vec<StatePair>>,
+    /// State-run sections of key-state pairs (hash-table contents, bucket
+    /// files…), kept apart from `pairs` because they persist under their
+    /// own section tag.
+    pub states: Vec<Vec<Pair>>,
 }
 
 impl ReducerCkpt {
@@ -536,7 +537,7 @@ impl Default for OutputSink {
 /// when that work happens is the scheduler's to say.
 pub trait ReduceSide {
     /// Absorbs one shuffle delivery.
-    fn deliver(&mut self, payload: Payload, env: &mut ReduceEnv<'_>);
+    fn deliver(&mut self, batch: RecordBatch, env: &mut ReduceEnv<'_>);
 
     /// Called once after the final delivery; completes all processing.
     fn complete(&mut self, env: &mut ReduceEnv<'_>);
@@ -544,8 +545,8 @@ pub trait ReduceSide {
     /// [`ReduceSide::deliver`] behind the clock-threading signature
     /// `opa_perf/src/layers.rs` calls; returns `t` unchanged. It goes when
     /// that driver does (ROADMAP item 1b); call `deliver` instead.
-    fn on_delivery(&mut self, t: SimTime, payload: Payload, env: &mut ReduceEnv<'_>) -> SimTime {
-        self.deliver(payload, env);
+    fn on_delivery(&mut self, t: SimTime, batch: RecordBatch, env: &mut ReduceEnv<'_>) -> SimTime {
+        self.deliver(batch, env);
         t
     }
 

@@ -14,9 +14,10 @@ use super::buckets::{next_bucket, repartition, MAX_DEPTH, TOP_DEPTH};
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, WORK_BATCH};
 use crate::api::{JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
-use crate::map_phase::Payload;
 use crate::sim::OpKind;
-use opa_common::{Error, GroupTable, HashFamily, HashFn, Key, Pair, Result, SeededState, Value};
+use opa_common::{
+    Error, GroupTable, HashFamily, HashFn, Key, Pair, RecordBatch, Result, SeededState, Value,
+};
 use opa_simio::BucketManager;
 use std::collections::HashMap;
 
@@ -36,7 +37,7 @@ pub struct MrHashReducer<'j> {
     d1_bytes: u64,
     d1_budget: u64,
     /// On-disk buckets (index 0 doubles as the D1 overflow file).
-    buckets: BucketManager<Pair>,
+    buckets: BucketManager,
     n_buckets: usize,
     sink: OutputSink,
 }
@@ -137,7 +138,6 @@ impl<'j> MrHashReducer<'j> {
         env.cpu(env.cost().hash_time(pairs.len() as u64));
         let mut sub = repartition(
             pairs,
-            |p| &p.key,
             self.family.fn_at(depth),
             self.mem_budget,
             self.write_buffer,
@@ -151,12 +151,8 @@ impl<'j> MrHashReducer<'j> {
 }
 
 impl ReduceSide for MrHashReducer<'_> {
-    fn deliver(&mut self, payload: Payload, env: &mut ReduceEnv<'_>) {
-        let Payload::Pairs(pairs) = payload else {
-            unreachable!("MR-hash receives key-value pairs");
-        };
-        let bytes: u64 = pairs.iter().map(Pair::size).sum();
-        env.shuffled(bytes);
+    fn deliver(&mut self, pairs: RecordBatch, env: &mut ReduceEnv<'_>) {
+        env.shuffled(pairs.bytes());
         env.cpu(env.cost().hash_time(pairs.len() as u64));
         for p in pairs {
             let b = self.h2.bucket(p.key.bytes(), self.n_buckets);

@@ -11,9 +11,8 @@
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, WORK_BATCH};
 use crate::api::{JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
-use crate::map_phase::Payload;
 use crate::sim::OpKind;
-use opa_common::{Error, Pair, Result, Value};
+use opa_common::{Error, Pair, RecordBatch, Result, Value};
 use opa_simio::{IoOp, SpillStore};
 use opa_trace::model::lambda::merge_schedule;
 
@@ -28,7 +27,7 @@ pub struct SortMergeReducer<'j> {
     /// Sorted in-memory segments (one per delivery since the last spill).
     segments: Vec<Vec<Pair>>,
     buffered_bytes: u64,
-    spills: SpillStore<Pair>,
+    spills: SpillStore,
     sink: OutputSink,
 }
 
@@ -146,10 +145,7 @@ impl ReduceSide for SortMergeReducer<'_> {
         env.span_close(OpKind::Reduce);
     }
 
-    fn deliver(&mut self, payload: Payload, env: &mut ReduceEnv<'_>) {
-        let Payload::Pairs(batch) = payload else {
-            unreachable!("sort-merge receives key-value pairs");
-        };
+    fn deliver(&mut self, batch: RecordBatch, env: &mut ReduceEnv<'_>) {
         let bytes = batch.bytes();
         env.shuffled(bytes);
         self.buffered_bytes += bytes;

@@ -5,11 +5,10 @@
 use super::*;
 use crate::api::{Combiner, IncrementalReducer, Job, ReduceCtx};
 use crate::cluster::ClusterSpec;
-use crate::map_phase::Payload;
 use crate::progress::ProgressTracker;
 use crate::sim::Resources;
 use opa_common::units::{SimDuration, SimTime};
-use opa_common::{HashFamily, Key, Pair, RecordBatch, StateBatch, StatePair, Value};
+use opa_common::{HashFamily, Key, Pair, RecordBatch, Value};
 use std::collections::BTreeMap;
 
 /// Counting job used across these tests.
@@ -125,10 +124,10 @@ impl Harness {
     }
 
     /// Records one delivery and immediately replays it from `t`.
-    fn deliver(&mut self, r: &mut dyn ReduceSide, t: SimTime, payload: Payload) -> SimTime {
+    fn deliver(&mut self, r: &mut dyn ReduceSide, t: SimTime, batch: RecordBatch) -> SimTime {
         let spec = self.spec;
         let mut env = ReduceEnv::new(&spec);
-        r.deliver(payload, &mut env);
+        r.deliver(batch, &mut env);
         self.apply(env.into_log(), t)
     }
 
@@ -160,10 +159,10 @@ fn sorted_pairs(keys: &[u64]) -> RecordBatch {
     )
 }
 
-fn states(keys: &[u64]) -> StateBatch {
-    StateBatch::from_states(
+fn states(keys: &[u64]) -> RecordBatch {
+    RecordBatch::from_pairs(
         keys.iter()
-            .map(|&k| StatePair::new(Key::from_u64(k), Value::from_u64(1)))
+            .map(|&k| Pair::new(Key::from_u64(k), Value::from_u64(1)))
             .collect(),
     )
 }
@@ -189,7 +188,7 @@ fn sort_merge_counts_across_spills() {
     let mut t = SimTime::ZERO;
     for batch in 0..20u64 {
         let keys: Vec<u64> = (0..5).map(|i| (batch + i) % 7).collect();
-        t = h.deliver(&mut r, t, Payload::Pairs(sorted_pairs(&keys)));
+        t = h.deliver(&mut r, t, sorted_pairs(&keys));
     }
     let _ = h.finish(&mut r, t);
     // With a combiner, spilled runs are pre-aggregated but totals survive.
@@ -209,11 +208,7 @@ fn sort_merge_background_merge_bounds_files() {
     let mut r = sort_merge::SortMergeReducer::new(JobRef::borrowed(&job), &spec);
     let mut t = SimTime::ZERO;
     for batch in 0..40u64 {
-        t = h.deliver(
-            &mut r,
-            t,
-            Payload::Pairs(sorted_pairs(&[batch % 11, (batch + 1) % 11])),
-        );
+        t = h.deliver(&mut r, t, sorted_pairs(&[batch % 11, (batch + 1) % 11]));
     }
     let _ = h.finish(&mut r, t);
     assert_eq!(h.counts().values().sum::<u64>(), 80);
@@ -253,7 +248,7 @@ fn sort_merge_spill_bytes_equal_merge_tree_replay() {
             // sizes, with ties, and combined runs smaller still.
             for batch in 0..90u64 {
                 let keys: Vec<u64> = (0..1 + batch % 5).map(|i| (batch * 7 + i) % 13).collect();
-                t = h.deliver(&mut r, t, Payload::Pairs(sorted_pairs(&keys)));
+                t = h.deliver(&mut r, t, sorted_pairs(&keys));
             }
             let _ = h.finish(&mut r, t);
             let mut sim = MergeTreeSim::new(f);
@@ -287,7 +282,7 @@ fn mr_hash_stages_and_recovers_everything() {
     let mut t = SimTime::ZERO;
     for batch in 0..50u64 {
         let keys: Vec<u64> = (0..8).map(|i| (batch * 3 + i) % 23).collect();
-        t = h.deliver(&mut r, t, Payload::Pairs(sorted_pairs(&keys)));
+        t = h.deliver(&mut r, t, sorted_pairs(&keys));
     }
     let _ = h.finish(&mut r, t);
     assert_eq!(h.counts().values().sum::<u64>(), 400);
@@ -304,7 +299,7 @@ fn inc_hash_zero_spill_when_memory_suffices() {
     let mut r = inc_hash::IncHashReducer::new(JobRef::borrowed(&job), &spec, sizing(), &family);
     let mut t = SimTime::ZERO;
     for batch in 0..100u64 {
-        t = h.deliver(&mut r, t, Payload::States(states(&[batch % 10])));
+        t = h.deliver(&mut r, t, states(&[batch % 10]));
     }
     let _ = h.finish(&mut r, t);
     assert_eq!(h.spill_written, 0);
@@ -324,7 +319,7 @@ fn inc_hash_bucket_path_is_exact() {
     let mut t = SimTime::ZERO;
     for round in 0..60u64 {
         let keys: Vec<u64> = (0..4).map(|i| (round + i * 17) % 50).collect();
-        t = h.deliver(&mut r, t, Payload::States(states(&keys)));
+        t = h.deliver(&mut r, t, states(&keys));
     }
     let _ = h.finish(&mut r, t);
     assert!(h.spill_written > 0, "memory pressure must stage tuples");
@@ -350,7 +345,7 @@ fn dinc_hash_counts_survive_eviction_churn() {
         for &k in &keys {
             *expect.entry(k).or_default() += 1;
         }
-        t = h.deliver(&mut r, t, Payload::States(states(&keys)));
+        t = h.deliver(&mut r, t, states(&keys));
     }
     let _ = h.finish(&mut r, t);
     assert_eq!(h.counts(), expect, "eviction churn must not lose counts");
@@ -372,7 +367,7 @@ fn dinc_early_stop_reports_only_covered_keys() {
     let mut t = SimTime::ZERO;
     for round in 0..200u64 {
         let keys = [7u64, 2000 + (round % 80)];
-        t = h.deliver(&mut r, t, Payload::States(states(&keys)));
+        t = h.deliver(&mut r, t, states(&keys));
     }
     let spilled_before = h.spill_written;
     let _ = h.finish(&mut r, t);
@@ -417,7 +412,7 @@ fn dinc_early_stop_uses_the_monitors_own_slack() {
         let mut t = SimTime::ZERO;
         for round in 0..rounds {
             let keys = [7u64, 3000 + round];
-            t = h.deliver(&mut r, t, Payload::States(states(&keys)));
+            t = h.deliver(&mut r, t, states(&keys));
         }
         let hot = r.query(&Key::from_u64(7)).and_then(|v| v.as_u64());
         assert_eq!(hot, Some(rounds), "the hot key combined every tuple");

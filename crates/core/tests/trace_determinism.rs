@@ -15,7 +15,7 @@ use opa_common::{AdmissionPolicy, CombineScope, ExecConfig, HashFamily, Key, Val
 use opa_core::api::{Combiner, IncrementalReducer, Job, ReduceCtx};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::job::{JobBuilder, JobInput, JobOutcome};
-use opa_core::map_phase::{compute_map_task, finish_map_task, Payload};
+use opa_core::map_phase::{compute_map_task, finish_map_task};
 use opa_core::sim::Resources;
 use opa_simio::codec::crc32;
 use opa_simio::BlockStore;
@@ -260,14 +260,11 @@ fn map_side_evictions(input: &JobInput, spec: &ClusterSpec) -> usize {
     let mut res = Resources::new(spec.hardware.nodes, spec.hardware.map_slots, false);
     let result = finish_map_task(plan, chunk.node, SimTime::ZERO, spec, &mut res);
     let mut evictions = 0;
-    for payload in &result.granules[0].partitions {
-        let Payload::States(rows) = payload else {
-            panic!("incremental map output is key-state pairs");
-        };
+    for rows in &result.granules[0].partitions {
         let rows: Vec<_> = rows.iter().collect();
         for (i, row) in rows.iter().enumerate() {
             let again = rows[i + 1..].iter().any(|later| later.key == row.key);
-            evictions += usize::from(row.state.as_u64() >= Some(2) && again);
+            evictions += usize::from(row.value.as_u64() >= Some(2) && again);
         }
     }
     evictions

@@ -8,22 +8,22 @@
 //! — exactly the `p > 1` remark in the paper's footnote 5.
 
 use crate::iostats::IoOp;
-use crate::Sized64;
+use opa_common::Pair;
 
 /// State of one bucket: its buffered tail plus everything already flushed.
 /// Flushed data is kept as one segment per flush — segments are moved, not
 /// copied, so a large bucket never re-copies its prefix — and concatenated
 /// exactly once when the bucket is read back.
 #[derive(Debug)]
-struct Bucket<T> {
-    buffered: Vec<T>,
+struct Bucket {
+    buffered: Vec<Pair>,
     buffered_bytes: u64,
-    flushed: Vec<Vec<T>>,
+    flushed: Vec<Vec<Pair>>,
     flushed_bytes: u64,
     flush_count: u64,
 }
 
-impl<T> Bucket<T> {
+impl Bucket {
     fn new() -> Self {
         Bucket {
             buffered: Vec::new(),
@@ -37,14 +37,14 @@ impl<T> Bucket<T> {
 
 /// Manages `h` bucket files, each behind a paged write buffer.
 #[derive(Debug)]
-pub struct BucketManager<T> {
-    buckets: Vec<Bucket<T>>,
+pub struct BucketManager {
+    buckets: Vec<Bucket>,
     /// Write-buffer capacity per bucket, in bytes (`p` pages × page size).
     buffer_capacity: u64,
     sealed: bool,
 }
 
-impl<T: Sized64> BucketManager<T> {
+impl BucketManager {
     /// Creates a manager with `h` buckets and a per-bucket write buffer of
     /// `buffer_capacity` bytes.
     ///
@@ -70,7 +70,7 @@ impl<T: Sized64> BucketManager<T> {
     ///
     /// # Panics
     /// Panics if the manager was sealed or `i` is out of range.
-    pub fn push(&mut self, i: usize, rec: T) -> IoOp {
+    pub fn push(&mut self, i: usize, rec: Pair) -> IoOp {
         assert!(!self.sealed, "push after seal");
         let cap = self.buffer_capacity;
         let b = &mut self.buckets[i];
@@ -86,7 +86,7 @@ impl<T: Sized64> BucketManager<T> {
 
     /// Moves the write buffer out as one flushed segment, leaving `refill`
     /// in its place.
-    fn flush_bucket(b: &mut Bucket<T>, refill: Vec<T>) -> IoOp {
+    fn flush_bucket(b: &mut Bucket, refill: Vec<Pair>) -> IoOp {
         if b.buffered.is_empty() {
             return IoOp::NONE;
         }
@@ -124,10 +124,7 @@ impl<T: Sized64> BucketManager<T> {
     /// Copies every bucket's contents in arrival order (flushed prefix,
     /// then the buffered tail) — the checkpoint counterpart of
     /// [`BucketManager::restore_contents`].
-    pub fn export_contents(&self) -> Vec<Vec<T>>
-    where
-        T: Clone,
-    {
+    pub fn export_contents(&self) -> Vec<Vec<Pair>> {
         self.buckets
             .iter()
             .map(|b| {
@@ -151,7 +148,7 @@ impl<T: Sized64> BucketManager<T> {
     /// # Panics
     /// Panics if the manager is sealed, already holds data, or the content
     /// count does not match the bucket count.
-    pub fn restore_contents(&mut self, contents: Vec<Vec<T>>) {
+    pub fn restore_contents(&mut self, contents: Vec<Vec<Pair>>) {
         assert!(!self.sealed, "restore into a sealed manager");
         assert!(
             self.total_spilled() == 0,
@@ -162,7 +159,7 @@ impl<T: Sized64> BucketManager<T> {
             if recs.is_empty() {
                 continue;
             }
-            b.flushed_bytes = recs.iter().map(Sized64::size).sum();
+            b.flushed_bytes = recs.iter().map(Pair::size).sum();
             b.flush_count = 1;
             b.flushed = vec![recs];
         }
@@ -175,7 +172,7 @@ impl<T: Sized64> BucketManager<T> {
     ///
     /// # Panics
     /// Panics if not sealed.
-    pub fn take_bucket(&mut self, i: usize) -> (Vec<T>, IoOp) {
+    pub fn take_bucket(&mut self, i: usize) -> (Vec<Pair>, IoOp) {
         assert!(self.sealed, "take_bucket before seal");
         let b = &mut self.buckets[i];
         let bytes = b.flushed_bytes;
@@ -207,10 +204,10 @@ impl<T: Sized64> BucketManager<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opa_common::{Key, StatePair, Value};
+    use opa_common::{Key, Value};
 
-    fn tuple(k: u64, state_len: usize) -> StatePair {
-        StatePair::new(Key::from_u64(k), Value::new(vec![0u8; state_len]))
+    fn tuple(k: u64, state_len: usize) -> Pair {
+        Pair::new(Key::from_u64(k), Value::new(vec![0u8; state_len]))
     }
 
     #[test]
@@ -310,7 +307,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "push after seal")]
     fn push_after_seal_panics() {
-        let mut m: BucketManager<StatePair> = BucketManager::new(1, 10);
+        let mut m = BucketManager::new(1, 10);
         let _ = m.seal();
         let _ = m.push(0, tuple(0, 1));
     }
@@ -318,7 +315,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "take_bucket before seal")]
     fn take_before_seal_panics() {
-        let mut m: BucketManager<StatePair> = BucketManager::new(1, 10);
+        let mut m = BucketManager::new(1, 10);
         let _ = m.take_bucket(0);
     }
 }

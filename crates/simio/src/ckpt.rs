@@ -19,8 +19,9 @@
 //! and [`SectionReader`] opens a file *for* a kind, rejecting any other
 //! kind or version — naming both — before it reads a section.
 
-use crate::codec::{crc32, decode_run, decode_state_run, encode_run_into};
-use opa_common::{Error, Pair, Result, StatePair};
+use crate::codec::{crc32, decode_run, encode_run_into};
+use opa_common::{Error, Pair, Result};
+use std::borrow::Cow;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -115,17 +116,20 @@ impl SectionWriter {
         self.framed(SEC_BYTES, |out| out.extend_from_slice(bytes))
     }
 
-    /// Appends a pair run.
+    /// Appends a run of key-value pairs.
     pub fn pairs(&mut self, pairs: &[Pair]) -> &mut Self {
-        self.framed(SEC_PAIRS, |out| {
-            encode_run_into(out, pairs.iter().map(|p| (p.key.bytes(), p.value.bytes())))
-        })
+        self.run(SEC_PAIRS, pairs)
     }
 
-    /// Appends a state run.
-    pub fn states(&mut self, states: &[StatePair]) -> &mut Self {
-        self.framed(SEC_STATES, |out| {
-            encode_run_into(out, states.iter().map(|s| (s.key.bytes(), s.state.bytes())))
+    /// Appends a run of key-state pairs: the same framing as
+    /// [`SectionWriter::pairs`] under the state-section tag.
+    pub fn states(&mut self, states: &[Pair]) -> &mut Self {
+        self.run(SEC_STATES, states)
+    }
+
+    fn run(&mut self, tag: u8, rows: &[Pair]) -> &mut Self {
+        self.framed(tag, |out| {
+            encode_run_into(out, rows.iter().map(|p| (p.key.bytes(), p.value.bytes())))
         })
     }
 
@@ -173,38 +177,44 @@ pub fn write_file(path: &Path, bytes: &[u8]) -> Result<()> {
 /// caller asks for; every error names the file kind and the field the
 /// schema expected. Nothing is decoded before it is asked for, but every
 /// section's tag and length are checked when the file is opened.
+///
+/// A reader over a caller's buffer checks and reads those bytes where they
+/// are; one opened from a path owns the file it read.
 #[derive(Debug)]
-pub struct SectionReader {
+pub struct SectionReader<'a> {
     kind: Kind,
-    /// The file without its CRC trailer.
-    file: Vec<u8>,
+    /// The whole file, CRC trailer included.
+    file: Cow<'a, [u8]>,
+    /// Length of the file without its CRC trailer.
+    end: usize,
     /// Offset of the next section's tag byte.
     pos: usize,
     /// Sections not yet read.
     left: usize,
 }
 
-impl SectionReader {
-    /// Opens `buf` as a file of `kind` (see [`SectionReader::open`]).
-    pub fn new(buf: &[u8], kind: Kind) -> Result<SectionReader> {
-        SectionReader::verified(buf.to_vec(), kind)
+impl<'a> SectionReader<'a> {
+    /// Opens `buf` as a file of `kind` (see [`SectionReader::open`]),
+    /// borrowing it.
+    pub fn new(buf: &'a [u8], kind: Kind) -> Result<Self> {
+        SectionReader::verified(Cow::Borrowed(buf), kind)
     }
 
     /// Reads `path` and opens it as a file of `kind`: magic, CRC, then the
     /// header's kind and version, then every section's tag and length.
-    pub fn open(path: &Path, kind: Kind) -> Result<SectionReader> {
+    pub fn open(path: &Path, kind: Kind) -> Result<Self> {
         let file = std::fs::read(path)
             .map_err(|e| Error::storage(format!("read {}: {e}", path.display())))?;
-        SectionReader::verified(file, kind)
+        SectionReader::verified(Cow::Owned(file), kind)
     }
 
-    fn verified(mut file: Vec<u8>, kind: Kind) -> Result<SectionReader> {
+    fn verified(file: Cow<'a, [u8]>, kind: Kind) -> Result<Self> {
         let name = kind.name;
         if file.len() < 12 || &file[..4] != MAGIC {
             return Err(Error::storage(format!("not a {name} file: no OPAC header")));
         }
-        let stored = file.split_off(file.len() - 4);
-        if crc32(&file) != u32::from_be_bytes(stored.try_into().expect("4 bytes")) {
+        let end = file.len() - 4;
+        if crc32(&file[..end]) != u32::from_be_bytes(file[end..].try_into().expect("4 bytes")) {
             return Err(Error::storage(format!("{name} checksum mismatch")));
         }
         let code = u16::from_be_bytes([file[4], file[5]]);
@@ -227,11 +237,12 @@ impl SectionReader {
         let mut r = SectionReader {
             kind,
             file,
+            end,
             pos: 8,
             left: 0,
         };
         let mut pos = r.pos;
-        while pos < r.file.len() {
+        while pos < r.end {
             pos = r.section_at(pos)?.2;
             r.left += 1;
         }
@@ -242,14 +253,13 @@ impl SectionReader {
     /// end of its payload. A forged length near `u64::MAX` hits the bounds
     /// error, never overflows the offset arithmetic.
     fn section_at(&self, pos: usize) -> Result<(u8, usize, usize)> {
-        let len = self
-            .file
+        let len = self.file[..self.end]
             .get(pos + 1..pos + 9)
             .ok_or_else(|| Error::storage("truncated section header"))?;
         let len = u64::from_be_bytes(len.try_into().expect("8 bytes")) as usize;
         let end = (pos + 9)
             .checked_add(len)
-            .filter(|&end| end <= self.file.len())
+            .filter(|&end| end <= self.end)
             .ok_or_else(|| Error::storage("section length exceeds buffer"))?;
         match self.file[pos] {
             SEC_NUMS if !len.is_multiple_of(8) => {
@@ -304,15 +314,15 @@ impl SectionReader {
         String::from_utf8(self.bytes(what)?).map_err(|_| self.err(what, "not UTF-8"))
     }
 
-    /// The next section, which must be a pair run (its own checksum is
-    /// verified here).
+    /// The next section, which must be a run of key-value pairs (its own
+    /// checksum is verified here).
     pub fn pairs(&mut self, what: &str) -> Result<Vec<Pair>> {
         decode_run(self.next(SEC_PAIRS, what)?)
     }
 
-    /// The next section, which must be a state run.
-    pub fn states(&mut self, what: &str) -> Result<Vec<StatePair>> {
-        decode_state_run(self.next(SEC_STATES, what)?)
+    /// The next section, which must be a run of key-state pairs.
+    pub fn states(&mut self, what: &str) -> Result<Vec<Pair>> {
+        decode_run(self.next(SEC_STATES, what)?)
     }
 
     /// Sections not yet read.
@@ -354,12 +364,12 @@ mod tests {
                 Pair::new(Key::from_u64(1), Value::from_u64(10)),
                 Pair::new(Key::from_u64(2), Value::new(vec![7u8; 33])),
             ])
-            .states(&[StatePair::new(Key::from_u64(9), Value::new(vec![1, 2, 3]))])
+            .states(&[Pair::new(Key::from_u64(9), Value::new(vec![1, 2, 3]))])
             .nums(&[]);
         w.finish()
     }
 
-    fn reader(buf: &[u8]) -> Result<SectionReader> {
+    fn reader(buf: &[u8]) -> Result<SectionReader<'_>> {
         SectionReader::new(buf, Kind::DATASET)
     }
 
@@ -373,13 +383,14 @@ mod tests {
 
     #[test]
     fn sections_roundtrip() {
-        let mut r = reader(&sample(Kind::DATASET)).unwrap();
+        let buf = sample(Kind::DATASET);
+        let mut r = reader(&buf).unwrap();
         assert_eq!(r.bytes("meta").unwrap(), b"stream-meta");
         assert_eq!(r.nums("nums").unwrap(), [0, 1, u64::MAX, 42]);
         let pairs = r.pairs("pairs").unwrap();
         assert_eq!(pairs[1].value, Value::new(vec![7u8; 33]));
         let states = r.states("states").unwrap();
-        assert_eq!(states[0].state, Value::new(vec![1, 2, 3]));
+        assert_eq!(states[0].value, Value::new(vec![1, 2, 3]));
         assert_eq!(r.nums("tail").unwrap(), Vec::<u64>::new());
         r.finish().unwrap();
     }
@@ -452,7 +463,8 @@ mod tests {
 
     #[test]
     fn reader_hands_out_typed_sections_in_order() {
-        let mut r = reader(&sample(Kind::DATASET)).unwrap();
+        let buf = sample(Kind::DATASET);
+        let mut r = reader(&buf).unwrap();
         assert_eq!(r.remaining(), 5);
         assert_eq!(r.string("meta").unwrap(), "stream-meta");
         assert_eq!(r.nums_exact::<4>("nums").unwrap(), [0, 1, u64::MAX, 42]);

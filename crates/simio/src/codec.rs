@@ -9,7 +9,7 @@
 //! against corruption when runs are persisted to real files
 //! ([`encode_run`]/[`decode_run`]).
 
-use opa_common::{Error, Key, Pair, Result, StatePair, Value};
+use opa_common::{Error, Key, Pair, Result, Value};
 
 /// The reflected CRC-32 (IEEE 802.3) polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
@@ -305,24 +305,6 @@ pub fn decode_run(buf: &[u8]) -> Result<Vec<Pair>> {
     Ok(pairs)
 }
 
-/// Serializes a run of key-state pairs (same framing).
-pub fn encode_state_run(tuples: &[StatePair]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_run_into(
-        &mut out,
-        tuples.iter().map(|t| (t.key.bytes(), t.state.bytes())),
-    );
-    out
-}
-
-/// Deserializes a key-state run.
-pub fn decode_state_run(buf: &[u8]) -> Result<Vec<StatePair>> {
-    Ok(decode_run(buf)?
-        .into_iter()
-        .map(|p| StatePair::new(p.key, p.value))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,11 +467,12 @@ mod tests {
 
     #[test]
     fn state_run_roundtrip() {
-        let tuples: Vec<StatePair> = (0..20)
-            .map(|i| StatePair::new(Key::from_u64(i), Value::new(vec![9u8; 64])))
+        // Key-state pairs share the framing: a state is a value's bytes.
+        let tuples: Vec<Pair> = (0..20)
+            .map(|i| Pair::new(Key::from_u64(i), Value::new(vec![9u8; 64])))
             .collect();
-        let buf = encode_state_run(&tuples);
-        assert_eq!(decode_state_run(&buf).unwrap(), tuples);
+        let buf = encode_run(&tuples);
+        assert_eq!(decode_run(&buf).unwrap(), tuples);
     }
 
     #[test]

@@ -49,22 +49,3 @@ pub use disk::DiskProfile;
 pub use fault::DiskFaultInjector;
 pub use iostats::{IoCategory, IoOp, IoStats, SpillSplit};
 pub use spill::{SpillFile, SpillStore};
-
-/// Anything with a serialized size, so spill/bucket managers can account
-/// bytes generically over [`opa_common::Pair`] and [`opa_common::StatePair`].
-pub trait Sized64 {
-    /// Serialized size in bytes, as charged against buffers and disks.
-    fn size(&self) -> u64;
-}
-
-impl Sized64 for opa_common::Pair {
-    fn size(&self) -> u64 {
-        opa_common::Pair::size(self)
-    }
-}
-
-impl Sized64 for opa_common::StatePair {
-    fn size(&self) -> u64 {
-        opa_common::StatePair::size(self)
-    }
-}

@@ -7,18 +7,18 @@
 //! [`IoOp`] the engine prices and records.
 
 use crate::iostats::IoOp;
-use crate::Sized64;
+use opa_common::Pair;
 
 /// Identifier of a spill file within one [`SpillStore`].
 pub type FileId = usize;
 
 /// One staged run.
 #[derive(Debug, Clone)]
-pub struct SpillFile<T> {
+pub struct SpillFile {
     /// Store-unique id.
     pub id: FileId,
     /// The staged records, in the order they were written.
-    pub records: Vec<T>,
+    pub records: Vec<Pair>,
     /// Serialized size of the run in bytes.
     pub bytes: u64,
 }
@@ -27,14 +27,14 @@ pub struct SpillFile<T> {
 ///
 /// Files are created whole (one sequential write) and consumed whole (one
 /// sequential read); removal models the deletion of inputs after a merge.
-#[derive(Debug)]
-pub struct SpillStore<T> {
-    files: Vec<Option<SpillFile<T>>>,
+#[derive(Debug, Default)]
+pub struct SpillStore {
+    files: Vec<Option<SpillFile>>,
     /// Total bytes ever written into this store (spill volume).
     written_bytes: u64,
 }
 
-impl<T: Sized64> SpillStore<T> {
+impl SpillStore {
     /// An empty store.
     pub fn new() -> Self {
         SpillStore {
@@ -45,8 +45,8 @@ impl<T: Sized64> SpillStore<T> {
 
     /// Writes a run to disk. Returns the new file's id and the write
     /// operation to charge.
-    pub fn write_file(&mut self, records: Vec<T>) -> (FileId, IoOp) {
-        let bytes: u64 = records.iter().map(Sized64::size).sum();
+    pub fn write_file(&mut self, records: Vec<Pair>) -> (FileId, IoOp) {
+        let bytes: u64 = records.iter().map(Pair::size).sum();
         let id = self.files.len();
         self.files.push(Some(SpillFile { id, records, bytes }));
         self.written_bytes += bytes;
@@ -56,17 +56,14 @@ impl<T: Sized64> SpillStore<T> {
     /// Reads a live file without consuming it (snapshots re-read inputs
     /// that later merges still need). Returns a copy of the records and
     /// the read operation to charge.
-    pub fn read_file(&mut self, id: FileId) -> Option<(Vec<T>, IoOp)>
-    where
-        T: Clone,
-    {
+    pub fn read_file(&mut self, id: FileId) -> Option<(Vec<Pair>, IoOp)> {
         let f = self.files.get(id)?.as_ref()?;
         Some((f.records.clone(), IoOp::read(f.bytes)))
     }
 
     /// Reads a file back and deletes it (merge inputs are consumed).
     /// Returns `None` if the id is unknown or already consumed.
-    pub fn take_file(&mut self, id: FileId) -> Option<(SpillFile<T>, IoOp)> {
+    pub fn take_file(&mut self, id: FileId) -> Option<(SpillFile, IoOp)> {
         let f = self.files.get_mut(id)?.take()?;
         let op = IoOp::read(f.bytes);
         Some((f, op))
@@ -91,10 +88,7 @@ impl<T: Sized64> SpillStore<T> {
     /// Copies of all live runs, in creation order — the checkpoint
     /// counterpart of [`SpillStore::restore`]. Consumed files are not
     /// exported (their contents were merged into later runs).
-    pub fn export_runs(&self) -> Vec<Vec<T>>
-    where
-        T: Clone,
-    {
+    pub fn export_runs(&self) -> Vec<Vec<Pair>> {
         self.files
             .iter()
             .flatten()
@@ -108,7 +102,7 @@ impl<T: Sized64> SpillStore<T> {
     /// therefore merge-selection order) is preserved. `total_written`
     /// restarts at the live volume — spill metrics cover the restored
     /// portion of a run only.
-    pub fn restore(runs: Vec<Vec<T>>) -> Self {
+    pub fn restore(runs: Vec<Vec<Pair>>) -> Self {
         let mut s = SpillStore::new();
         for run in runs {
             let _ = s.write_file(run);
@@ -117,16 +111,10 @@ impl<T: Sized64> SpillStore<T> {
     }
 }
 
-impl<T: Sized64> Default for SpillStore<T> {
-    fn default() -> Self {
-        SpillStore::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opa_common::{Key, Pair, Value};
+    use opa_common::{Key, Value};
 
     fn pairs(n: usize) -> Vec<Pair> {
         (0..n)

@@ -1,12 +1,12 @@
 //! Property-based tests for the storage substrate: byte conservation and
 //! partition completeness under arbitrary record streams.
 
-use opa_common::{Key, Pair, StatePair, Value};
+use opa_common::{Key, Pair, Value};
 use opa_simio::{BlockStore, BucketManager, SpillStore};
 use proptest::prelude::*;
 
-fn tuple(k: u64, len: usize) -> StatePair {
-    StatePair::new(Key::from_u64(k), Value::new(vec![0xAB; len]))
+fn tuple(k: u64, len: usize) -> Pair {
+    Pair::new(Key::from_u64(k), Value::new(vec![0xAB; len]))
 }
 
 proptest! {
@@ -34,7 +34,7 @@ proptest! {
             read += op.read;
             let got: Vec<(u64, usize)> = got
                 .iter()
-                .map(|t| (t.key.as_u64().unwrap(), t.state.len()))
+                .map(|t| (t.key.as_u64().unwrap(), t.value.len()))
                 .collect();
             prop_assert_eq!(&got, exp, "bucket {} contents differ", b);
         }
@@ -50,11 +50,11 @@ proptest! {
             1..10,
         ),
     ) {
-        let mut store: SpillStore<StatePair> = SpillStore::new();
+        let mut store = SpillStore::new();
         let mut ids = Vec::new();
         let mut total_written = 0u64;
         for run in &runs {
-            let records: Vec<StatePair> = run.iter().map(|&(k, l)| tuple(k, l)).collect();
+            let records: Vec<Pair> = run.iter().map(|&(k, l)| tuple(k, l)).collect();
             let (id, op) = store.write_file(records);
             total_written += op.written;
             ids.push(id);
@@ -129,16 +129,10 @@ fn boundary_pairs() -> Vec<Pair> {
 /// records compare equal whichever representation encoded them.
 #[test]
 fn codec_roundtrips_boundary_sizes() {
-    use opa_simio::codec::{decode_run, decode_state_run, encode_run, encode_state_run};
+    use opa_simio::codec::{decode_run, encode_run};
     let pairs = boundary_pairs();
     let back = decode_run(&encode_run(&pairs)).expect("run decodes");
     assert_eq!(back, pairs);
-    let states: Vec<StatePair> = pairs
-        .iter()
-        .map(|p| StatePair::new(p.key.clone(), p.value.clone()))
-        .collect();
-    let back = decode_state_run(&encode_state_run(&states)).expect("state run decodes");
-    assert_eq!(back, states);
 }
 
 /// Checkpoint sections round-trip boundary-size pair and state runs.
@@ -146,16 +140,14 @@ fn codec_roundtrips_boundary_sizes() {
 fn checkpoint_sections_roundtrip_boundary_sizes() {
     use opa_simio::ckpt::{Kind, SectionReader, SectionWriter};
     let pairs = boundary_pairs();
-    let states: Vec<StatePair> = pairs
-        .iter()
-        .map(|p| StatePair::new(p.key.clone(), p.value.clone()))
-        .collect();
+    let states: Vec<Pair> = pairs.iter().rev().cloned().collect();
     let mut w = SectionWriter::new(Kind::DATASET);
     w.bytes(&[7; 3])
         .nums(&[0, u64::MAX, 42])
         .pairs(&pairs)
         .states(&states);
-    let mut r = SectionReader::new(&w.finish(), Kind::DATASET).expect("sections decode");
+    let buf = w.finish();
+    let mut r = SectionReader::new(&buf, Kind::DATASET).expect("sections decode");
     assert_eq!(r.bytes("bytes").unwrap(), [7; 3]);
     assert_eq!(r.nums("nums").unwrap(), [0, u64::MAX, 42]);
     assert_eq!(r.pairs("pairs").unwrap(), pairs);

@@ -16,6 +16,12 @@
 //! torn or corrupted checkpoint is detected on load, never silently
 //! resumed from.
 //!
+//! Every delivery carries the rows its framework ships: key-value pairs,
+//! or the incremental frameworks' key-state pairs. The file tags each
+//! delivery and its run section with that kind, so the writer derives the
+//! tags from the fingerprint's framework and the reader rejects a delivery
+//! whose tag disagrees with it.
+//!
 //! Resume rebuilds fresh reducers from the *same* job/cluster/sizing
 //! configuration, re-imports their state, re-seeds the event queue in
 //! saved pop order and replays the remaining input. Because every event
@@ -24,10 +30,10 @@
 //! functions of their inputs, the resumed run's output is bit-identical
 //! to the uninterrupted run's for the map/reduce fault classes.
 
-use opa_common::{Error, RecordBatch, Result, StateBatch};
+use opa_common::{Error, RecordBatch, Result};
+use opa_core::cluster::Framework;
 pub use opa_core::engine::{DeferredDelivery, EngineState, QueuedEvent, StagedTable};
 use opa_core::job::PoisonedRecord;
-use opa_core::map_phase::Payload;
 use opa_core::metrics::NodeCombineStats;
 use opa_core::reduce::ReducerCkpt;
 use opa_simio::ckpt::{Kind, SectionReader, SectionWriter};
@@ -75,6 +81,21 @@ pub struct Fingerprint {
     pub hash_seed: u64,
 }
 
+impl Fingerprint {
+    /// The framework at [`Fingerprint::framework_idx`].
+    pub(crate) fn framework(&self) -> Result<Framework> {
+        usize::try_from(self.framework_idx)
+            .ok()
+            .and_then(|i| Framework::ALL.get(i).copied())
+            .ok_or_else(|| {
+                Error::storage(format!(
+                    "checkpoint names an unknown framework {}",
+                    self.framework_idx
+                ))
+            })
+    }
+}
+
 /// The complete serializable state of a paused stream job: the run's
 /// identity, the seal position, and the engine itself.
 #[derive(Debug, Clone)]
@@ -90,12 +111,46 @@ pub struct SavedState {
     pub engine: EngineState,
 }
 
-/// Appends a delivery payload as a pair or state section.
-fn write_payload(w: &mut SectionWriter, payload: &Payload) {
-    match payload {
-        Payload::Pairs(v) => w.pairs(v.pairs()),
-        Payload::States(v) => w.states(v.states()),
+/// What a delivery carries: key-state pairs, or key-value pairs.
+fn rows(states: bool) -> &'static str {
+    if states {
+        "key-state pairs"
+    } else {
+        "key-value pairs"
+    }
+}
+
+/// Appends a delivery's rows as a state or a pair section.
+fn write_payload(w: &mut SectionWriter, states: bool, batch: &RecordBatch) {
+    if states {
+        w.states(batch.pairs());
+    } else {
+        w.pairs(batch.pairs());
+    }
+}
+
+/// Reads a delivery tagged as carrying key-state pairs (`states`) or
+/// key-value pairs, after checking the tag against what `framework` ships.
+fn read_payload(
+    cur: &mut SectionReader<'_>,
+    framework: Framework,
+    states: bool,
+    what: &str,
+) -> Result<RecordBatch> {
+    if states != framework.is_incremental() {
+        return Err(Error::storage(format!(
+            "stream checkpoint {what} holds {}, but {} ships {}",
+            rows(states),
+            framework.label(),
+            rows(framework.is_incremental())
+        )));
+    }
+    let rows = if states {
+        cur.states(what)?
+    } else {
+        cur.pairs(what)?
     };
+    Ok(RecordBatch::from_pairs(rows))
 }
 
 impl SavedState {
@@ -106,6 +161,13 @@ impl SavedState {
 
     fn writer(&self) -> SectionWriter {
         let (fp, st) = (&self.fingerprint, &self.engine);
+        // An unknown framework writes pairs; the reader rejects the file.
+        let states = fp.framework().is_ok_and(Framework::is_incremental);
+        let (qev_deliver, payload_kind) = if states {
+            (QEV_DELIVER_STATES, PAYLOAD_STATES)
+        } else {
+            (QEV_DELIVER_PAIRS, PAYLOAD_PAIRS)
+        };
         let mut w = SectionWriter::new(Kind::STREAM_CHECKPOINT);
         w.nums(&[
             fp.records,
@@ -122,14 +184,7 @@ impl SavedState {
         let qtags: Vec<u64> = std::iter::once(st.queue.len() as u64)
             .chain(st.queue.iter().map(|ev| match ev {
                 QueuedEvent::StartMap { .. } => QEV_START_MAP,
-                QueuedEvent::Deliver {
-                    payload: Payload::Pairs(_),
-                    ..
-                } => QEV_DELIVER_PAIRS,
-                QueuedEvent::Deliver {
-                    payload: Payload::States(_),
-                    ..
-                } => QEV_DELIVER_STATES,
+                QueuedEvent::Deliver { .. } => qev_deliver,
             }))
             .collect();
         w.nums(&qtags);
@@ -150,7 +205,7 @@ impl SavedState {
                     payload,
                 } => {
                     w.nums(&[*time, *reducer, *from_node, *chunk]);
-                    write_payload(&mut w, payload);
+                    write_payload(&mut w, states, payload);
                 }
             }
         }
@@ -178,17 +233,11 @@ impl SavedState {
             .pairs(&st.output);
         for (defs, ckpt) in st.deferred.iter().zip(&st.reducers) {
             let header: Vec<u64> = std::iter::once(defs.len() as u64)
-                .chain(defs.iter().flat_map(|d| {
-                    let kind = match d.payload {
-                        Payload::Pairs(_) => PAYLOAD_PAIRS,
-                        Payload::States(_) => PAYLOAD_STATES,
-                    };
-                    [d.from_node, kind]
-                }))
+                .chain(defs.iter().flat_map(|d| [d.from_node, payload_kind]))
                 .collect();
             w.nums(&header);
             for d in defs {
-                write_payload(&mut w, &d.payload);
+                write_payload(&mut w, states, &d.payload);
             }
             w.nums(&[
                 u64::from(ckpt.tag),
@@ -239,7 +288,7 @@ impl SavedState {
         SavedState::from_reader(SectionReader::new(buf, Kind::STREAM_CHECKPOINT)?)
     }
 
-    fn from_reader(mut cur: SectionReader) -> Result<SavedState> {
+    fn from_reader(mut cur: SectionReader<'_>) -> Result<SavedState> {
         let [records, total_bytes, framework_idx, chunk_size, nodes, reducers, batches, hash_seed, next_batch] =
             cur.nums_exact("fingerprint")?;
         let fingerprint = Fingerprint {
@@ -252,6 +301,7 @@ impl SavedState {
             batches,
             hash_seed,
         };
+        let framework = fingerprint.framework()?;
         let job_name = cur.string("job name")?;
 
         let qtags = cur.nums("event queue header")?;
@@ -274,11 +324,8 @@ impl SavedState {
                 }
                 QEV_DELIVER_PAIRS | QEV_DELIVER_STATES => {
                     let [time, reducer, from_node, chunk] = cur.nums_exact("delivery event")?;
-                    let payload = if tag == QEV_DELIVER_PAIRS {
-                        Payload::Pairs(RecordBatch::from_pairs(cur.pairs("delivery payload")?))
-                    } else {
-                        Payload::States(StateBatch::from_states(cur.states("delivery payload")?))
-                    };
+                    let states = tag == QEV_DELIVER_STATES;
+                    let payload = read_payload(&mut cur, framework, states, "delivery payload")?;
                     QueuedEvent::Deliver {
                         time,
                         reducer,
@@ -356,11 +403,9 @@ impl SavedState {
             let mut defs = Vec::with_capacity(entries.len() / 2);
             for entry in entries.chunks_exact(2) {
                 let payload = match entry[1] {
-                    PAYLOAD_PAIRS => {
-                        Payload::Pairs(RecordBatch::from_pairs(cur.pairs("deferred payload")?))
-                    }
-                    PAYLOAD_STATES => {
-                        Payload::States(StateBatch::from_states(cur.states("deferred payload")?))
+                    kind @ (PAYLOAD_PAIRS | PAYLOAD_STATES) => {
+                        let states = kind == PAYLOAD_STATES;
+                        read_payload(&mut cur, framework, states, "deferred payload")?
                     }
                     other => {
                         return Err(Error::storage(format!(
@@ -490,8 +535,9 @@ fn expect_len(v: Vec<u64>, want: u64, what: &str) -> Result<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opa_common::{Key, Pair, StatePair, Value};
+    use opa_common::{Key, Pair, Value};
 
+    /// An INC-hash run (framework 3): its deliveries carry key-state pairs.
     fn sample() -> SavedState {
         SavedState {
             fingerprint: Fingerprint {
@@ -523,10 +569,10 @@ mod tests {
                     reducer: 1,
                     from_node: 0,
                     chunk: 4,
-                    payload: Payload::Pairs(RecordBatch::from_pairs(vec![Pair::new(
+                    payload: RecordBatch::from_pairs(vec![Pair::new(
                         Key::from("q"),
                         Value::from_u64(5),
-                    )])),
+                    )]),
                 },
                 QueuedEvent::StartMap {
                     time: 14,
@@ -551,10 +597,10 @@ mod tests {
             deferred: vec![
                 vec![DeferredDelivery {
                     from_node: 1,
-                    payload: Payload::Pairs(RecordBatch::from_pairs(vec![Pair::new(
+                    payload: RecordBatch::from_pairs(vec![Pair::new(
                         Key::from("d"),
                         Value::from_u64(2),
-                    )])),
+                    )]),
                 }],
                 vec![],
             ],
@@ -565,7 +611,7 @@ mod tests {
                     watermark: Some(42),
                     nums: vec![vec![8]],
                     pairs: vec![vec![]],
-                    states: vec![vec![StatePair::new(Key::from("s"), Value::from_u64(3))]],
+                    states: vec![vec![Pair::new(Key::from("s"), Value::from_u64(3))]],
                 },
                 ReducerCkpt::default(),
             ],
@@ -603,7 +649,7 @@ mod tests {
         assert_eq!(back.fingerprint, st.fingerprint);
         assert_eq!(back.job_name, st.job_name);
         assert_eq!(back.next_batch, st.next_batch);
-        // `Payload` has no `PartialEq`; the debug form pins the queue
+        // `QueuedEvent` has no `PartialEq`; the debug form pins the queue
         // structurally, payload contents included.
         assert_eq!(
             format!("{:?}", back.engine.queue),
@@ -616,8 +662,9 @@ mod tests {
         assert_eq!(back.engine.reducers, st.engine.reducers);
         assert_eq!(back.engine.deferred.len(), 2);
         assert_eq!(back.engine.deferred[0].len(), 1);
-        assert!(
-            matches!(back.engine.deferred[0][0].payload, Payload::Pairs(ref v) if v.len() == 1)
+        assert_eq!(
+            back.engine.deferred[0][0].payload,
+            st.engine.deferred[0][0].payload
         );
         assert_eq!(back.engine.dlq, st.engine.dlq);
         assert_eq!(back.engine.staged, st.engine.staged);
@@ -634,8 +681,11 @@ mod tests {
         assert!(back.engine.dlq.is_empty() && back.engine.staged.is_empty());
         // Two group headers, two records of two sections each and two
         // tables' rows.
-        let sections = |buf: &[u8]| SectionReader::new(buf, Kind::STREAM_CHECKPOINT).unwrap();
-        assert_eq!(sections(&full).remaining() - sections(&bare).remaining(), 8);
+        let sections = |buf: &[u8]| {
+            let r = SectionReader::new(buf, Kind::STREAM_CHECKPOINT);
+            r.unwrap().remaining()
+        };
+        assert_eq!(sections(&full) - sections(&bare), 8);
     }
 
     #[test]
@@ -684,7 +734,7 @@ mod tests {
     /// delivery, map), pending chunks (node 0 holds two, node 1 none),
     /// reducer 1's empty deferred header and reducer 0's reducer header.
     const FINGERPRINT: &[u64] = &[100, 1234, 3, 4096, 2, 2, 4, 7, 2];
-    const QUEUE_HEADER: &[u64] = &[3, QEV_START_MAP, QEV_DELIVER_PAIRS, QEV_START_MAP];
+    const QUEUE_HEADER: &[u64] = &[3, QEV_START_MAP, QEV_DELIVER_STATES, QEV_START_MAP];
     const PENDING: &[u64] = &[2, 5, 6, 0];
     const DEFERRED_NONE: &[u64] = &[0];
     const REDUCER_HEADER: &[u64] = &[3, 1, 1, 42, 1, 1, 1];
@@ -696,6 +746,25 @@ mod tests {
     /// A count no file could back, one that overflows `usize` arithmetic,
     /// one whose double wraps to zero, and a merely wrong one.
     const FORGED: [u64; 4] = [1 << 62, u64::MAX, 1 << 63, 1000];
+
+    #[test]
+    fn forged_framework_and_delivery_kind_are_errors() {
+        // Fingerprint slot 2 is the framework; sort-merge (0) ships pairs.
+        for (idx, says) in [
+            (
+                0,
+                "delivery payload holds key-state pairs, but SM ships key-value pairs",
+            ),
+            (5, "unknown framework 5"),
+            (u64::MAX, "unknown framework"),
+        ] {
+            let err = SavedState::decode(&forged(FINGERPRINT, 2, idx)).unwrap_err();
+            assert!(err.to_string().contains(says), "{err}");
+        }
+        let err = SavedState::decode(&forged(QUEUE_HEADER, 2, QEV_DELIVER_PAIRS)).unwrap_err();
+        let says = "delivery payload holds key-value pairs, but INC-hash ships key-state pairs";
+        assert!(err.to_string().contains(says), "{err}");
+    }
 
     #[test]
     fn forged_node_count_is_an_error() {

@@ -11,7 +11,7 @@
 use crate::checkpoint::{QueuedEvent, SavedState};
 use crate::StreamRun;
 use opa_common::units::SimTime;
-use opa_common::{Error, HashFamily, HashFn, Key, Result, Value};
+use opa_common::{HashFamily, HashFn, Key, Result, Value};
 use opa_core::cluster::Framework;
 use opa_core::reduce::{ReduceSide, TopEntry};
 use std::path::{Path, PathBuf};
@@ -155,10 +155,7 @@ impl CheckpointView {
 
     /// The framework the checkpoint was taken under.
     pub fn framework(&self) -> Result<Framework> {
-        Framework::ALL
-            .get(self.state.fingerprint.framework_idx as usize)
-            .copied()
-            .ok_or_else(|| Error::storage("checkpoint names an unknown framework"))
+        self.state.fingerprint.framework()
     }
 
     /// Point lookup of `key`'s checkpointed resident aggregate, routed to
