@@ -492,10 +492,6 @@ impl Dataflow {
             faults: self.faults,
             ..RunConfig::default()
         };
-        cfg.validate()?;
-        if input.is_empty() {
-            return Err(Error::job("job input is empty"));
-        }
         let lens: Option<Vec<usize>> = resident.map(|ds| {
             (0..ds.spec().partitions)
                 .map(|p| ds.partition(p).len())

@@ -42,7 +42,7 @@
 //! reducer records its charges through [`ReduceEnv`] and keeps no clock.
 //! Both are replayed here, into virtual time, in the exact order the
 //! sequential engine would have produced, so a [`JobOutcome`] is
-//! bit-identical at any thread count (see `tests/determinism.rs`).
+//! bit-identical at any thread count (see the root `tests/option_space.rs`).
 
 use crate::api::{Combiner, Handle, IncrementalReducer, JobRef, ReduceCtx, Site};
 use crate::exec::{Gather, Planner, Pool, Task};
@@ -490,7 +490,8 @@ impl<'e> Engine<'e> {
     /// opens and joins before it returns.
     ///
     /// # Errors
-    /// A framework the job cannot run under, or a `resume` state that does
+    /// An invalid `cfg` ([`RunConfig::validate`]), an empty input, a
+    /// framework the job cannot run under, or a `resume` state that does
     /// not fit the job.
     pub fn new(
         cfg: &RunConfig,
@@ -523,6 +524,10 @@ impl<'e> Engine<'e> {
         resident: Option<&[usize]>,
         resume: Option<EngineState>,
     ) -> Result<Self> {
+        cfg.validate()?;
+        if input.is_empty() {
+            return Err(Error::job("job input is empty"));
+        }
         let sizes = input.records.iter().map(|r| r.len() as u64);
         let nodes = cfg.spec.hardware.nodes;
         let store = match resident {

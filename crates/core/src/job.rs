@@ -482,10 +482,6 @@ impl<J: Job> JobBuilder<J> {
 
     /// Runs the job on `input`: one engine, stepped to completion.
     pub fn run(&self, input: &JobInput) -> Result<JobOutcome> {
-        self.run.validate()?;
-        if input.is_empty() {
-            return Err(Error::job("job input is empty"));
-        }
         let engine = Engine::new(
             &self.run,
             JobRef::borrowed(&self.job),
@@ -677,7 +673,7 @@ mod tests {
 
     #[test]
     fn parallel_execution_is_bit_identical() {
-        // The full determinism matrix lives in tests/determinism.rs; this
+        // The full determinism matrix lives in tests/option_space.rs; this
         // is the smoke check closest to the scheduler.
         let data = input(800);
         let mut spec = crate::cluster::ClusterSpec::paper_scaled();

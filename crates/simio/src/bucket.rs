@@ -140,10 +140,12 @@ impl BucketManager {
     }
 
     /// Refills an empty, unsealed manager from exported contents. Each
-    /// bucket's records land as one flushed segment (`flush_count = 1`), so
-    /// read-back seek pricing may differ from the original's flush pattern;
-    /// record order and byte totals — everything the group-by semantics
-    /// depend on — are exact.
+    /// bucket's records land as one flushed segment (`flush_count = 1`):
+    /// records that sat in a write buffer are restored as already flushed,
+    /// so their spill write is never charged, and read-back seek pricing
+    /// may differ from the original's flush pattern. The records and their
+    /// order — everything the group-by semantics depend on — are exact;
+    /// the spill byte totals are not.
     ///
     /// # Panics
     /// Panics if the manager is sealed, already holds data, or the content

@@ -296,7 +296,7 @@ pub fn decode_run(buf: &[u8]) -> Result<Vec<Pair>> {
     let mut pos = 0usize;
     for _ in 0..n {
         let (k, v, next) = decode_record(body, pos)?;
-        pairs.push(Pair::new(Key::new(k.to_vec()), Value::new(v.to_vec())));
+        pairs.push(Pair::new(Key::from_slice(k), Value::from_slice(v)));
         pos = next;
     }
     if pos != body.len() {

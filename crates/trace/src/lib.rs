@@ -67,9 +67,9 @@
 //! Everything that feeds a [`Tracer`] runs on the scheduler thread in
 //! event order — the same discipline that makes `JobOutcome`
 //! bit-identical at any thread count extends to traces. The test suites
-//! (`crates/core/tests/trace_determinism.rs`,
-//! `crates/stream/tests/stream_trace.rs`) pin byte-identical JSONL at
-//! threads {1,8} plus a golden CRC for a small workload.
+//! (the root `tests/option_space.rs`, `crates/stream/tests/stream_trace.rs`)
+//! pin byte-identical JSONL across thread counts, and
+//! `crates/core/tests/trace_determinism.rs` golden CRCs.
 
 #![warn(missing_docs)]
 
