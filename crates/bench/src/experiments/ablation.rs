@@ -27,7 +27,7 @@ pub fn run(cfg: &ExpConfig) {
 /// the hot-key set; this ablation measures whether the paper's pick
 /// matters in practice.
 fn monitor_choice(cfg: &ExpConfig) {
-    use opa_core::reduce::dinc_hash::MonitorKind;
+    use opa_freq::MonitorKind;
     println!("== Ablation: DINC monitor algorithm (FREQUENT vs SpaceSaving) ==\n");
     let (input, info) = session_input(cfg, WORLDCUP_EVAL / 2);
     let cluster = one_pass_cluster(cfg, input.total_bytes(), 1.0);

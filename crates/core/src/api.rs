@@ -126,33 +126,23 @@ impl ReduceCtx {
     }
 }
 
-/// A combine function for the sort-merge baseline (Fig. 1): partial
-/// aggregation applied after the map function and again when a reducer's
-/// buffer fills. Must be commutative and associative over values.
+/// A combine function (Fig. 1): partial aggregation applied after the map
+/// function and again when a reducer's buffer fills.
+///
+/// The fold is the only combine operation. Collapsing a key's values is
+/// one accumulator per key updated as values arrive — the shape of the
+/// Hash-based Map Output component (§5) — so every combine site (the
+/// map-side sorted run, the MR-hash collapse table, the sort-merge
+/// reducer's buffer and the node staging table) folds in place and never
+/// gathers a key's values into a list. A combiner therefore always yields
+/// exactly one value per key; a job whose partial aggregate needs more
+/// than one value encodes them into one.
 pub trait Combiner: Send + Sync {
-    /// Collapses the values of one key into (usually) fewer values.
-    fn combine(&self, key: &Key, values: Vec<Value>) -> Vec<Value>;
-
-    /// Whether this combiner collapses any value list to a *single* value
-    /// and implements [`Combiner::fold`]. When `true`, the engine's combine
-    /// paths accumulate in place pairwise instead of materializing a
-    /// `Vec<Value>` per group, keeping combining on the zero-allocation
-    /// plane. Must agree with `combine`: for any value list, folding the
-    /// values left-to-right into the first one must produce exactly
-    /// `combine(key, values)[0]`.
-    fn supports_fold(&self) -> bool {
-        false
-    }
-
-    /// Accumulates `value` into `acc` in place. Only called when
-    /// [`Combiner::supports_fold`] returns `true`. The default
-    /// implementation routes through [`Combiner::combine`] (allocating)
-    /// so implementors only override it alongside `supports_fold`.
-    fn fold(&self, key: &Key, acc: &mut Value, value: Value) {
-        let mut out = self.combine(key, vec![std::mem::take(acc), value]);
-        debug_assert_eq!(out.len(), 1, "fold requires a single-value combiner");
-        *acc = out.pop().expect("fold combiner produced no value");
-    }
+    /// Accumulates `value` into `acc` in place. Must be commutative and
+    /// associative: the engine folds a key's values in an order that
+    /// depends on the framework and combine scope, and `reduce` over the
+    /// folded value must emit what it emits over the values themselves.
+    fn fold(&self, key: &Key, acc: &mut Value, value: Value);
 }
 
 /// The paper's incremental-processing interface (§4.2): `init()` turns a

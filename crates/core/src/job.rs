@@ -12,11 +12,11 @@ use crate::cluster::{ClusterSpec, Framework};
 use crate::engine::Engine;
 use crate::metrics::JobMetrics;
 use crate::progress::ProgressCurve;
-use crate::reduce::dinc_hash::MonitorKind;
 use crate::sim::{Span, Usage};
 use bytes::Bytes;
 use opa_common::fault::FaultConfig;
 use opa_common::{AdmissionPolicy, CombineScope, Error, ExecConfig, Pair, Result};
+use opa_freq::MonitorKind;
 use opa_simio::ckpt::{SectionReader, SectionWriter};
 use opa_trace::TraceLog;
 
@@ -390,7 +390,7 @@ macro_rules! run_config_setters {
 
         /// Selects the frequency algorithm behind DINC-hash's monitor
         /// (default: FREQUENT, the paper's choice).
-        pub fn dinc_monitor(mut self, kind: $crate::reduce::dinc_hash::MonitorKind) -> Self {
+        pub fn dinc_monitor(mut self, kind: opa_freq::MonitorKind) -> Self {
             self.run.dinc_monitor = kind;
             self
         }
@@ -429,9 +429,13 @@ macro_rules! run_config_setters {
         /// the fault-free run. Jobs that emit early from a slack-bounded
         /// reorder buffer (sessionization under INC/DINC) may re-anchor
         /// labels when a fault delays a map task past the slack, exactly
-        /// as in real Hadoop — reduce-crash recovery alone is fully
-        /// output-transparent. Timing, I/O accounting and the metrics'
-        /// fault report change in any case.
+        /// as in real Hadoop. Reduce-crash recovery alone leaves the output
+        /// bit-identical when every reducer runs in one wave; with a second
+        /// wave it is the same multiset, but MR-, INC- and DINC-hash may
+        /// emit it in another order, because the re-charged disk I/O
+        /// reorders when a second-wave reducer's map outputs arrive.
+        /// Timing, I/O accounting and the metrics' fault report change in
+        /// any case.
         pub fn faults(mut self, cfg: opa_common::fault::FaultConfig) -> Self {
             self.run.faults = cfg;
             self

@@ -10,9 +10,10 @@
 //!   the combiner if present, and external-sorts through spill files when
 //!   the output exceeds `B_m`;
 //! - **MR-hash** — with a combiner, each emission probes an in-memory hash
-//!   table by its borrowed key bytes and is folded (or collected) into its
-//!   group on the spot; without one, every pair is forwarded, so the run is
-//!   materialised in a [`BatchBuilder`] whose arena the payloads share.
+//!   table by its borrowed key bytes and is folded into its key's
+//!   accumulator on the spot; without one, every pair is forwarded, so the
+//!   run is materialised in a [`BatchBuilder`] whose arena the payloads
+//!   share.
 //!   Either way one `h1` scan partitions the result, no sort;
 //! - **INC/DINC-hash** — applies `init()` to each value as it is emitted
 //!   (§4.2) and collapses same-key states with `cb()` in an in-memory hash
@@ -409,27 +410,26 @@ impl MapInput<'_> {
     /// The grouping collector of MR-hash with a combiner: each emission
     /// probes the table by its borrowed key bytes (hashed once — the
     /// fingerprint also partitions and rides the batch to the reduce
-    /// side); `hit` folds the value into its group's `V`, `miss` starts a
-    /// group. Returns the emission count and the groups in first-seen
-    /// order.
-    fn group_by_key<V>(
+    /// side) and is folded into its key's accumulator; a key's first
+    /// value starts one. Returns the emission count and the accumulators
+    /// in first-seen order.
+    fn fold_by_key(
         &self,
+        cb: &dyn Combiner,
         h1: HashFn,
         plan: &mut MapTaskPlan,
-        mut hit: impl FnMut(&Key, &mut V, &[u8]),
-        mut miss: impl FnMut(&[u8]) -> V,
-    ) -> (u64, Vec<(u64, Key, V)>) {
-        let mut groups: GroupTable<V> = GroupTable::with_capacity(self.records.len() / 4 + 1);
+    ) -> (u64, Vec<(u64, Key, Value)>) {
+        let mut groups: GroupTable<Value> = GroupTable::with_capacity(self.records.len() / 4 + 1);
         let mut emitted = 0u64;
         self.run(plan, |k, v| {
             emitted += 1;
             let h = h1.hash(k);
             match groups.find_bytes(h, k) {
                 Some(i) => {
-                    let (key, group) = groups.row_mut(i);
-                    hit(key, group, v);
+                    let (key, acc) = groups.row_mut(i);
+                    cb.fold(key, acc, Value::from_slice(v));
                 }
-                None => groups.push(h, Key::from_slice(k), miss(v)),
+                None => groups.push(h, Key::from_slice(k), Value::from_slice(v)),
             }
         });
         (emitted, groups.into_rows())
@@ -554,44 +554,25 @@ fn plan_sort_merge(
     }
 }
 
-/// Applies the combiner to consecutive same-⟨partition, key⟩ groups of a
-/// sorted run, keeping each group's fingerprint. Key handles are shared,
-/// not deep-copied.
+/// Folds consecutive same-⟨partition, key⟩ rows of a sorted run into
+/// one row each, keeping each group's fingerprint: one accumulator per
+/// group, updated in place, no second pass over the group.
 fn combine_sorted(
     cb: &dyn Combiner,
     sorted: impl Iterator<Item = (usize, u64, Pair)>,
 ) -> Vec<(usize, u64, Pair)> {
     let mut out = Vec::new();
     let mut iter = sorted.peekable();
-    if cb.supports_fold() {
-        // Fold fast path: accumulate each group in place — no per-group
-        // value Vec, no second pass over the group.
-        while let Some((p, h, first)) = iter.next() {
-            let key = first.key;
-            let mut acc = first.value;
-            while iter
-                .peek()
-                .is_some_and(|(q, _, pair)| *q == p && pair.key == key)
-            {
-                cb.fold(&key, &mut acc, iter.next().expect("peeked").2.value);
-            }
-            out.push((p, h, Pair::new(key, acc)));
-        }
-        return out;
-    }
-    let mut values: Vec<Value> = Vec::new();
     while let Some((p, h, first)) = iter.next() {
         let key = first.key;
-        values.push(first.value);
+        let mut acc = first.value;
         while iter
             .peek()
             .is_some_and(|(q, _, pair)| *q == p && pair.key == key)
         {
-            values.push(iter.next().expect("peeked").2.value);
+            cb.fold(&key, &mut acc, iter.next().expect("peeked").2.value);
         }
-        for v in cb.combine(&key, std::mem::take(&mut values)) {
-            out.push((p, h, Pair::new(key.clone(), v)));
-        }
+        out.push((p, h, Pair::new(key, acc)));
     }
     out
 }
@@ -654,38 +635,15 @@ fn plan_mr_hash(
 ) {
     let cost = &spec.cost;
     let (n, hashed): (u64, Vec<(u64, Pair)>) = match combiner {
-        // Fold fast path: one accumulator per key, updated in place — no
-        // per-group value Vec. Groups stay in first-seen order, so the
-        // output is identical to the collect-then-combine arm below for
-        // any law-abiding fold combiner.
-        Some(cb) if cb.supports_fold() => {
-            let (n, groups) = input.group_by_key(
-                h1,
-                plan,
-                |key, acc, v| cb.fold(key, acc, Value::from_slice(v)),
-                Value::from_slice,
-            );
+        // One accumulator per key, folded in place; groups stay in
+        // first-seen order.
+        Some(cb) => {
+            let (n, groups) = input.fold_by_key(cb, h1, plan);
             plan.op_cpu(cost.cb_time(n));
             let folded = groups
                 .into_iter()
                 .map(|(h, key, acc)| (h, Pair::new(key, acc)));
             (n, folded.collect())
-        }
-        Some(cb) => {
-            let (n, groups) = input.group_by_key(
-                h1,
-                plan,
-                |_, values: &mut Vec<Value>, v| values.push(Value::from_slice(v)),
-                |v| vec![Value::from_slice(v)],
-            );
-            let mut combined = Vec::with_capacity(groups.len());
-            for (h, key, values) in groups {
-                for v in cb.combine(&key, values) {
-                    combined.push((h, Pair::new(key.clone(), v)));
-                }
-            }
-            plan.op_cpu(cost.cb_time(n));
-            (n, combined)
         }
         // Nothing to group: every pair is forwarded, its large payloads as
         // views over the chunk's one arena.
@@ -886,10 +844,8 @@ mod tests {
     }
 
     impl Combiner for FirstByte {
-        fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-            vec![Value::from_u64(
-                values.iter().filter_map(Value::as_u64).sum(),
-            )]
+        fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
+            *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + value.as_u64().unwrap_or(0));
         }
     }
 
@@ -1178,46 +1134,24 @@ mod tests {
         let n = pairs.len() as u64;
 
         if framework == Framework::MrHash {
-            let cb = job
-                .combiner()
-                .expect("the oracle covers the combining arms");
-            let hashed: Vec<(u64, Pair)> = if cb.supports_fold() {
-                let mut groups: GroupTable<Value> = GroupTable::with_capacity(pairs.len() / 4 + 1);
-                for p in pairs {
-                    let h = h1.hash(p.key.bytes());
-                    match groups.find(h, &p.key) {
-                        Some(i) => {
-                            let (key, acc) = groups.row_mut(i);
-                            cb.fold(key, acc, p.value);
-                        }
-                        None => groups.push(h, p.key, p.value),
+            let cb = job.combiner().expect("the oracle's MR-hash cells combine");
+            let mut groups: GroupTable<Value> = GroupTable::with_capacity(pairs.len() / 4 + 1);
+            for p in pairs {
+                let h = h1.hash(p.key.bytes());
+                match groups.find(h, &p.key) {
+                    Some(i) => {
+                        let (key, acc) = groups.row_mut(i);
+                        cb.fold(key, acc, p.value);
                     }
+                    None => groups.push(h, p.key, p.value),
                 }
-                plan.op_cpu(cost.cb_time(n));
-                groups
-                    .into_rows()
-                    .into_iter()
-                    .map(|(h, key, acc)| (h, Pair::new(key, acc)))
-                    .collect()
-            } else {
-                let mut groups: GroupTable<Vec<Value>> =
-                    GroupTable::with_capacity(pairs.len() / 4 + 1);
-                for p in pairs {
-                    let h = h1.hash(p.key.bytes());
-                    match groups.find(h, &p.key) {
-                        Some(i) => groups.row_mut(i).1.push(p.value),
-                        None => groups.push(h, p.key, vec![p.value]),
-                    }
-                }
-                let mut combined = Vec::with_capacity(groups.len());
-                for (h, key, values) in groups.into_rows() {
-                    for v in cb.combine(&key, values) {
-                        combined.push((h, Pair::new(key.clone(), v)));
-                    }
-                }
-                plan.op_cpu(cost.cb_time(n));
-                combined
-            };
+            }
+            plan.op_cpu(cost.cb_time(n));
+            let hashed: Vec<(u64, Pair)> = groups
+                .into_rows()
+                .into_iter()
+                .map(|(h, key, acc)| (h, Pair::new(key, acc)))
+                .collect();
             ship_pairs(hashed, n, spec, &mut plan);
             return (plan, 0, 0);
         }
@@ -1311,9 +1245,7 @@ mod tests {
     /// (wrapping) and keeps the longer tail, so states grow and shrink
     /// across [`opa_common::INLINE_CAP`] as they merge, and `cb()` emits
     /// early output whenever a count lands on a multiple of three.
-    struct Scripted {
-        fold: bool,
-    }
+    struct Scripted;
 
     fn merge_scripted(acc: &Value, other: &[u8]) -> Value {
         let a = acc.bytes();
@@ -1353,22 +1285,6 @@ mod tests {
     }
 
     impl Combiner for Scripted {
-        fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-            let n = values.len();
-            let mut values = values.into_iter();
-            let mut acc = values.next().expect("a group has a value");
-            for v in values {
-                acc = merge_scripted(&acc, v.bytes());
-            }
-            // The collect-only variant may return several values per key.
-            if !self.fold && n >= 3 {
-                return vec![acc, Value::from_u64(n as u64)];
-            }
-            vec![acc]
-        }
-        fn supports_fold(&self) -> bool {
-            self.fold
-        }
         fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
             *acc = merge_scripted(acc, value.bytes());
         }
@@ -1442,13 +1358,12 @@ mod tests {
                 },
                 base: seed * 1000,
             });
-            for (framework, admission, fold) in [
-                (Framework::IncHash, Off, true),
-                (Framework::DincHash, Lfu, true),
-                (Framework::MrHash, Off, true),
-                (Framework::MrHash, Off, false),
+            for (framework, admission) in [
+                (Framework::IncHash, Off),
+                (Framework::DincHash, Lfu),
+                (Framework::MrHash, Off),
             ] {
-                let job = Scripted { fold };
+                let job = Scripted;
                 let plan = compute_map_task(
                     &job,
                     framework,
@@ -1470,7 +1385,7 @@ mod tests {
                     admission,
                     poison,
                 );
-                let case = format!("seed {seed} {framework:?} {admission:?} fold={fold}");
+                let case = format!("seed {seed} {framework:?} {admission:?}");
                 assert_eq!(
                     format!("{:?}", plan.ops),
                     format!("{:?}", want.ops),

@@ -39,8 +39,9 @@ use opa_common::{
 use opa_freq::{MgEntry, MgOutcome, MisraGries};
 use opa_simio::BucketManager;
 
-// `RunConfig` and the monitor-choice ablation name the monitor's
-// algorithm at this path.
+// The workspace names the monitor's algorithm as `opa_freq::MonitorKind`;
+// `opa_perf` is this re-export's only user, and ROADMAP item 5(b) removes
+// it.
 pub use opa_freq::MonitorKind;
 
 /// [`ReducerCkpt::tag`] of the DINC-hash framework.

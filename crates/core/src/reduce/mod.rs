@@ -63,6 +63,7 @@ use crate::progress::ProgressTracker;
 use crate::sim::{OpKind, Resources};
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{Error, HashFamily, Key, Pair, RecordBatch, Result, Value};
+use opa_freq::MonitorKind;
 use opa_simio::{IoCategory, IoOp};
 
 /// Charge batch size: user-function work is priced per record but charged
@@ -85,7 +86,7 @@ pub struct ReducerSizing {
     /// requests exact processing.
     pub early_stop_coverage: Option<f64>,
     /// Which frequency algorithm drives the DINC monitor.
-    pub monitor: dinc_hash::MonitorKind,
+    pub monitor: MonitorKind,
     /// Whether table-full arrivals may evict resident cold keys
     /// (frequency-gated admission) instead of always spilling themselves.
     pub admission: opa_common::AdmissionPolicy,
@@ -106,7 +107,7 @@ impl ReducerSizing {
                 .unwrap_or(expected_input / 64),
             state_size: job.state_size_hint().unwrap_or(64),
             early_stop_coverage: None,
-            monitor: dinc_hash::MonitorKind::Frequent,
+            monitor: MonitorKind::Frequent,
             admission: opa_common::AdmissionPolicy::Off,
         }
     }
@@ -677,7 +678,7 @@ mod tests {
             expected_keys: 100,
             state_size: 64,
             early_stop_coverage: None,
-            monitor: dinc_hash::MonitorKind::Frequent,
+            monitor: MonitorKind::Frequent,
             admission: opa_common::AdmissionPolicy::Off,
         };
         // 100 keys × 64 B = 6.4 KB fits easily in 1 MB → one bucket.
@@ -688,7 +689,7 @@ mod tests {
             expected_keys: 1 << 20,
             state_size: 512,
             early_stop_coverage: None,
-            monitor: dinc_hash::MonitorKind::Frequent,
+            monitor: MonitorKind::Frequent,
             admission: opa_common::AdmissionPolicy::Off,
         };
         // 1 Mi keys × 512 B = 512 MB over 1 MB memory → many buckets,
@@ -705,7 +706,7 @@ mod tests {
             expected_keys: 0,
             state_size: 0,
             early_stop_coverage: None,
-            monitor: dinc_hash::MonitorKind::Frequent,
+            monitor: MonitorKind::Frequent,
             admission: opa_common::AdmissionPolicy::Off,
         };
         assert_eq!(s.bucket_count(1024, 512), 1);

@@ -253,19 +253,17 @@ impl ReduceSide for SortMergeReducer<'_> {
     }
 }
 
-/// Applies the combiner to consecutive same-key groups of a sorted run.
+/// Folds consecutive same-key pairs of a sorted run into one pair each.
 fn combine_run(cb: &dyn crate::api::Combiner, run: Vec<Pair>) -> Vec<Pair> {
     let mut out = Vec::new();
     let mut iter = run.into_iter().peekable();
     while let Some(first) = iter.next() {
         let key = first.key;
-        let mut values = vec![first.value];
+        let mut acc = first.value;
         while iter.peek().is_some_and(|p| p.key == key) {
-            values.push(iter.next().expect("peeked").value);
+            cb.fold(&key, &mut acc, iter.next().expect("peeked").value);
         }
-        for v in cb.combine(&key, values) {
-            out.push(Pair::new(key.clone(), v));
-        }
+        out.push(Pair::new(key, acc));
     }
     out
 }

@@ -34,10 +34,8 @@ impl Job for Count {
 }
 
 impl Combiner for Count {
-    fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-        vec![Value::from_u64(
-            values.iter().filter_map(Value::as_u64).sum(),
-        )]
+    fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
+        *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + value.as_u64().unwrap_or(0));
     }
 }
 
@@ -173,7 +171,7 @@ fn sizing() -> ReducerSizing {
         expected_keys: 64,
         state_size: 16,
         early_stop_coverage: None,
-        monitor: dinc_hash::MonitorKind::Frequent,
+        monitor: MonitorKind::Frequent,
         admission: opa_common::AdmissionPolicy::Off,
     }
 }
@@ -419,7 +417,7 @@ fn dinc_early_stop_uses_the_monitors_own_slack() {
         let _ = h.finish(&mut r, t);
         h.counts().contains_key(&7)
     };
-    let s = make(dinc_hash::MonitorKind::Frequent, 0.5).slots() as f64;
+    let s = make(MonitorKind::Frequent, 0.5).slots() as f64;
     assert!(
         s >= 2.0,
         "one slot would let SpaceSaving displace the hot key"
@@ -429,9 +427,9 @@ fn dinc_early_stop_uses_the_monitors_own_slack() {
     let space_saving = t / (t + m / s);
     let phi = (frequent + space_saving) / 2.0;
     assert!(space_saving < phi && phi < frequent);
-    assert!(run(make(dinc_hash::MonitorKind::Frequent, phi)));
+    assert!(run(make(MonitorKind::Frequent, phi)));
     assert!(
-        !run(make(dinc_hash::MonitorKind::SpaceSaving, phi)),
+        !run(make(MonitorKind::SpaceSaving, phi)),
         "SpaceSaving finalized a key whose γ = {space_saving:.4} < φ = {phi:.4}"
     );
 }

@@ -49,10 +49,8 @@ impl Job for ZipfCount {
 }
 
 impl Combiner for ZipfCount {
-    fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-        vec![Value::from_u64(
-            values.iter().filter_map(Value::as_u64).sum(),
-        )]
+    fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
+        *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + value.as_u64().unwrap_or(0));
     }
 }
 

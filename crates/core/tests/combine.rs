@@ -45,14 +45,6 @@ impl Job for HitCount {
 }
 
 impl Combiner for HitCount {
-    fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-        vec![Value::from_u64(
-            values.iter().filter_map(Value::as_u64).sum(),
-        )]
-    }
-    fn supports_fold(&self) -> bool {
-        true
-    }
     fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
         *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + value.as_u64().unwrap_or(0));
     }

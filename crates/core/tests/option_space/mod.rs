@@ -36,7 +36,7 @@ use opa_core::api::{Combiner, IncrementalReducer, Job, ReduceCtx};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::dataflow::Dataflow;
 use opa_core::job::{JobBuilder, JobInput, JobOutcome};
-use opa_core::reduce::dinc_hash::MonitorKind;
+use opa_freq::MonitorKind;
 use opa_trace::TraceEvent;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -59,12 +59,10 @@ macro_rules! ensure {
 #[allow(unused_imports)]
 pub(crate) use ensure;
 
-/// Word count with a combiner (fold-capable or collect-style) and an
-/// incremental reducer, so every framework takes its natural path.
+/// Word count with a combiner and an incremental reducer, so every
+/// framework takes its natural path.
 #[derive(Clone, Copy)]
-pub struct WordCount {
-    fold: bool,
-}
+pub struct WordCount;
 
 fn sum<'a>(values: impl IntoIterator<Item = &'a Value>) -> Value {
     Value::from_u64(values.into_iter().filter_map(Value::as_u64).sum())
@@ -94,12 +92,6 @@ impl Job for WordCount {
 }
 
 impl Combiner for WordCount {
-    fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-        vec![sum(&values)]
-    }
-    fn supports_fold(&self) -> bool {
-        self.fold
-    }
     fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
         *acc = sum([&*acc, &value]);
     }
@@ -246,8 +238,6 @@ pub struct Cell {
     /// Snapshots at 25, 50 and 75 % map progress.
     pub snapshots: bool,
     pub trace: bool,
-    /// Whether the combiner folds (or collects, then combines).
-    pub fold: bool,
     pub mode: Mode,
     /// The second thread count; the first is 1.
     pub threads: usize,
@@ -268,7 +258,7 @@ impl Cell {
     }
 
     pub fn job(&self) -> WordCount {
-        WordCount { fold: self.fold }
+        WordCount
     }
 
     pub fn batch(&self, threads: usize, trace: bool) -> JobOutcome {
@@ -339,7 +329,6 @@ fn cells() -> Vec<Cell> {
             faults: plans[n / 5 % plans.len()],
             snapshots: n % 5 == 0,
             trace: n % 7 == 3,
-            fold: n / 2 % 2 == 0,
             mode,
             threads: threads.unwrap_or([2, 4, 8][n % 3]),
         };

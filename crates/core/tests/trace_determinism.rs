@@ -13,8 +13,7 @@ use common::{seeded_input, spec, WordCount};
 use opa_common::fault::FaultConfig;
 use opa_common::rng::SplitMix64;
 use opa_common::units::SimTime;
-use opa_common::{AdmissionPolicy, CombineScope, ExecConfig, HashFamily, Key, Value};
-use opa_core::api::{Combiner, IncrementalReducer, Job, ReduceCtx};
+use opa_common::{AdmissionPolicy, CombineScope, ExecConfig, HashFamily};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::job::{JobBuilder, JobInput, JobOutcome};
 use opa_core::map_phase::{compute_map_task, finish_map_task};
@@ -52,63 +51,6 @@ fn golden_trace_pin() {
         crc, 0xF4AA_E046,
         "trace format drifted from the golden pin (see test comment)"
     );
-}
-
-/// Count-per-word job for the hash-path pins: a combiner that is either
-/// fold-capable or collect-style (the two map-side MR-hash tables), and an
-/// incremental reducer for INC/DINC-hash.
-struct Count {
-    fold: bool,
-}
-
-impl Job for Count {
-    fn name(&self) -> &str {
-        "count"
-    }
-    fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
-        for word in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
-            emit(word, &1u64.to_be_bytes());
-        }
-    }
-    fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
-        let sum: u64 = values.iter().filter_map(Value::as_u64).sum();
-        ctx.emit(key.clone(), Value::from_u64(sum));
-    }
-    fn combiner(&self) -> Option<&dyn Combiner> {
-        Some(self)
-    }
-    fn incremental(&self) -> Option<&dyn IncrementalReducer> {
-        Some(self)
-    }
-    fn expected_keys(&self) -> Option<u64> {
-        Some(400)
-    }
-}
-
-impl Combiner for Count {
-    fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-        vec![Value::from_u64(
-            values.iter().filter_map(Value::as_u64).sum(),
-        )]
-    }
-    fn supports_fold(&self) -> bool {
-        self.fold
-    }
-    fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
-        *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + value.as_u64().unwrap_or(0));
-    }
-}
-
-impl IncrementalReducer for Count {
-    fn init(&self, _key: &Key, value: &[u8]) -> Value {
-        Value::from_slice(value)
-    }
-    fn cb(&self, _key: &Key, acc: &mut Value, other: Value, _ctx: &mut ReduceCtx) {
-        *acc = Value::from_u64(acc.as_u64().unwrap_or(0) + other.as_u64().unwrap_or(0));
-    }
-    fn finalize(&self, key: &Key, state: Value, ctx: &mut ReduceCtx) {
-        ctx.emit(key.clone(), state);
-    }
 }
 
 /// A sliding window of a dozen hot words over a wide cold tail: words keep
@@ -159,7 +101,7 @@ fn map_side_evictions(input: &JobInput, spec: &ClusterSpec) -> usize {
     );
     let chunk = &store.chunks()[0];
     let plan = compute_map_task(
-        &Count { fold: true },
+        &WordCount,
         Framework::IncHash,
         &input.records[chunk.range.clone()],
         chunk.bytes,
@@ -187,8 +129,8 @@ fn golden_hash_path_pins() {
     // The sort-merge pin above never enters the hash group-by code. These
     // rows pin the effect order (trace CRC), the finalize order (CRC of the
     // output in emission order) and the byte counts of every path through
-    // it: the map-side collapse table with and without the LFU gate, both
-    // MR-hash combiner tables, INC-hash's resident table under first-come
+    // it: the map-side collapse table with and without the LFU gate, the
+    // MR-hash combiner table, INC-hash's resident table under first-come
     // and LFU admission, the spilled-bucket pass with overflow recursion
     // under all three hash frameworks, and the node staging table in both
     // merge modes. Update a row only for a change that means to move it.
@@ -199,7 +141,6 @@ fn golden_hash_path_pins() {
         framework: Framework,
         admission: AdmissionPolicy,
         combine: CombineScope,
-        fold: bool,
         trace_crc: u32,
         output_crc: u32,
         /// map output, shuffle, reduce spill, output bytes.
@@ -207,25 +148,23 @@ fn golden_hash_path_pins() {
     }
     #[rustfmt::skip]
     let pins = [
-        Pin { name: "inc-hash", framework: Framework::IncHash, admission: Off, combine: Task, fold: true,
+        Pin { name: "inc-hash", framework: Framework::IncHash, admission: Off, combine: Task,
               trace_crc: 0x8CB8_9AD6, output_crc: 0xEDB4_C003, bytes: [236_605, 236_605, 372_130, 65_679] },
-        Pin { name: "inc-hash lfu", framework: Framework::IncHash, admission: Lfu, combine: Task, fold: true,
+        Pin { name: "inc-hash lfu", framework: Framework::IncHash, admission: Lfu, combine: Task,
               trace_crc: 0x8A1A_8869, output_crc: 0x4AC3_AE7B, bytes: [241_550, 241_550, 380_247, 65_679] },
-        Pin { name: "dinc-hash", framework: Framework::DincHash, admission: Off, combine: Task, fold: true,
+        Pin { name: "dinc-hash", framework: Framework::DincHash, admission: Off, combine: Task,
               trace_crc: 0xF72E_2809, output_crc: 0xA9D4_F647, bytes: [236_605, 236_605, 421_617, 65_679] },
-        Pin { name: "mr-hash fold", framework: Framework::MrHash, admission: Off, combine: Task, fold: true,
+        Pin { name: "mr-hash", framework: Framework::MrHash, admission: Off, combine: Task,
               trace_crc: 0x157C_A978, output_crc: 0x5BFE_C37D, bytes: [236_605, 236_605, 478_685, 65_679] },
-        Pin { name: "mr-hash collect", framework: Framework::MrHash, admission: Off, combine: Task, fold: false,
-              trace_crc: 0x157C_A978, output_crc: 0x5BFE_C37D, bytes: [236_605, 236_605, 478_685, 65_679] },
-        Pin { name: "inc-hash node", framework: Framework::IncHash, admission: Off, combine: Node, fold: true,
+        Pin { name: "inc-hash node", framework: Framework::IncHash, admission: Off, combine: Node,
               trace_crc: 0x70E6_4A92, output_crc: 0x66CA_D8D1, bytes: [236_605, 165_807, 266_630, 65_679] },
-        Pin { name: "sort-merge node", framework: Framework::SortMerge, admission: Off, combine: Node, fold: true,
+        Pin { name: "sort-merge node", framework: Framework::SortMerge, admission: Off, combine: Node,
               trace_crc: 0xDA63_5608, output_crc: 0x6369_764C, bytes: [236_605, 165_807, 165_807, 65_679] },
     ];
     let (input, spec) = (pin_input(), pin_spec());
     for pin in pins {
         let name = pin.name;
-        let outcome = JobBuilder::new(Count { fold: pin.fold })
+        let outcome = JobBuilder::new(WordCount)
             .framework(pin.framework)
             .cluster(spec)
             .admission(pin.admission)

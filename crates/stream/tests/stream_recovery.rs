@@ -7,7 +7,7 @@ use opa_common::fault::FaultConfig;
 use opa_common::{CombineScope, ExecConfig};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::engine::QueuedEvent;
-use opa_core::reduce::dinc_hash::MonitorKind;
+use opa_freq::MonitorKind;
 use opa_simio::codec::crc32;
 use opa_stream::{CheckpointView, SavedState, StreamJobBuilder};
 use opa_workloads::click_count::ClickCountJob;

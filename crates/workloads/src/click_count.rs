@@ -25,15 +25,6 @@ impl Default for ClickCountJob {
 }
 
 impl Combiner for ClickCountJob {
-    fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-        let sum: u64 = values.iter().filter_map(Value::as_u64).sum();
-        vec![Value::from_u64(sum)]
-    }
-
-    fn supports_fold(&self) -> bool {
-        true
-    }
-
     fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
         let sum = acc.as_u64().unwrap_or(0) + value.as_u64().unwrap_or(0);
         *acc = Value::from_u64(sum);
@@ -94,23 +85,6 @@ mod tests {
     use crate::clickstream::format_click;
 
     #[test]
-    fn fold_agrees_with_combine() {
-        let job = ClickCountJob::default();
-        assert!(Combiner::supports_fold(&job));
-        let key = Key::from("user");
-        let values: Vec<Value> = [3u64, 0, 41, 7]
-            .iter()
-            .map(|&v| Value::from_u64(v))
-            .collect();
-        let combined = job.combine(&key, values.clone());
-        let mut acc = values[0].clone();
-        for v in &values[1..] {
-            Combiner::fold(&job, &key, &mut acc, v.clone());
-        }
-        assert_eq!(combined, vec![acc]);
-    }
-
-    #[test]
     fn map_extracts_user() {
         let job = ClickCountJob::default();
         let rec = format_click(123, 42, 7);
@@ -141,7 +115,10 @@ mod tests {
         job.reduce(&key, values.clone(), &mut ctx);
         let reduced = ctx.drain()[0].value.as_u64();
 
-        let combined = job.combine(&key, values.clone())[0].as_u64();
+        let mut combined = values[0].clone();
+        for v in &values[1..] {
+            job.fold(&key, &mut combined, v.clone());
+        }
 
         let mut acc = job.init(&key, values[0].bytes());
         let mut ictx = ReduceCtx::new();
@@ -153,7 +130,7 @@ mod tests {
         let inc = fctx.drain()[0].value.as_u64();
 
         assert_eq!(reduced, Some(5));
-        assert_eq!(combined, Some(5));
+        assert_eq!(combined.as_u64(), Some(5));
         assert_eq!(inc, Some(5));
     }
 }

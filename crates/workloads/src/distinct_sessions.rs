@@ -45,8 +45,8 @@ impl Default for SessionMarkJob {
 
 impl Combiner for SessionMarkJob {
     /// Duplicates collapse map-side: any number of marks is still one mark.
-    fn combine(&self, _key: &Key, _values: Vec<Value>) -> Vec<Value> {
-        vec![Value::from_u64(1)]
+    fn fold(&self, _key: &Key, acc: &mut Value, _value: Value) {
+        *acc = Value::from_u64(1);
     }
 }
 
@@ -115,9 +115,9 @@ impl Default for SessionCountJob {
 }
 
 impl Combiner for SessionCountJob {
-    fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-        let sum: u64 = values.iter().filter_map(Value::as_u64).sum();
-        vec![Value::from_u64(sum)]
+    fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
+        let sum = acc.as_u64().unwrap_or(0) + value.as_u64().unwrap_or(0);
+        *acc = Value::from_u64(sum);
     }
 }
 

@@ -51,9 +51,9 @@ fn decode_state(v: &Value) -> (u64, bool) {
 }
 
 impl Combiner for FrequentUsersJob {
-    fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-        let sum: u64 = values.iter().filter_map(Value::as_u64).sum();
-        vec![Value::from_u64(sum)]
+    fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
+        let sum = acc.as_u64().unwrap_or(0) + value.as_u64().unwrap_or(0);
+        *acc = Value::from_u64(sum);
     }
 }
 

@@ -46,15 +46,6 @@ fn decode_state(v: &Value) -> (u64, bool) {
 }
 
 impl Combiner for TrigramCountJob {
-    fn combine(&self, _key: &Key, values: Vec<Value>) -> Vec<Value> {
-        let sum: u64 = values.iter().filter_map(Value::as_u64).sum();
-        vec![Value::from_u64(sum)]
-    }
-
-    fn supports_fold(&self) -> bool {
-        true
-    }
-
     fn fold(&self, _key: &Key, acc: &mut Value, value: Value) {
         let sum = acc.as_u64().unwrap_or(0) + value.as_u64().unwrap_or(0);
         *acc = Value::from_u64(sum);

@@ -2,18 +2,21 @@
 //! arbitrary click sequences and arbitrary bounded-disorder arrival
 //! orders, the incremental `init/cb/fn` paths must agree with the classic
 //! reduce oracle — and sessionization's byte-level state plane must agree,
-//! byte for byte, with the struct-based implementation it replaced.
+//! byte for byte, with the struct-based implementation it replaced. Every
+//! workload combiner keeps the combiner law.
 
 #[path = "support/session_oracle.rs"]
 mod session_oracle;
 
+use opa_common::rng::SplitMix64;
 use opa_core::api::{IncrementalReducer, Job, ReduceCtx, Site};
 use opa_core::prelude::{Key, Value};
 use opa_workloads::clickstream::{format_click, parse_click};
 use opa_workloads::sessionize::{decode_output, SessionizeJob};
 use opa_workloads::windowed_count::decode_window_output;
-use opa_workloads::FrequentUsersJob;
 use opa_workloads::WindowedCountJob;
+use opa_workloads::{ClickCountJob, FrequentUsersJob, PageFreqJob, TrigramCountJob};
+use opa_workloads::{SessionCountJob, SessionMarkJob};
 use proptest::prelude::*;
 use session_oracle::{OracleSessionize, SessionState};
 use std::collections::BTreeMap;
@@ -438,5 +441,56 @@ proptest! {
         prop_assert_eq!(ctx.drain(), octx.drain());
         prop_assert_eq!(SessionState::decode(a.bytes()).encode(), a.clone());
         check_hooks(&job, &oracle, &key, &a, probe)?;
+    }
+}
+
+/// The combiner law every combine site relies on, for each workload
+/// combiner over seeded lists of 1–64 counts: folding in a shuffled order
+/// gives the arrival-order fold, and `reduce` over the one folded value
+/// emits exactly what it emits over the values (sort-merge reduces
+/// combined runs, MR-hash its folded rows).
+#[test]
+fn workload_combiners_keep_the_combiner_law() {
+    let jobs: [&dyn Job; 6] = [
+        &ClickCountJob::default(),
+        &PageFreqJob::default(),
+        &TrigramCountJob::default(),
+        &FrequentUsersJob::default(),
+        &SessionMarkJob::default(),
+        &SessionCountJob::default(),
+    ];
+    let mut rng = SplitMix64::new(0xF01D);
+    for job in jobs {
+        let cb = job.combiner().expect("a workload combiner");
+        for case in 0..256 {
+            let key = Key::from_u64(case);
+            let values: Vec<Value> = (0..1 + rng.next_below(64))
+                .map(|_| Value::from_u64(1 + rng.next_below(64)))
+                .collect();
+            let mut shuffled = values.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let fold = |values: &[Value]| {
+                let mut acc = values[0].clone();
+                for v in &values[1..] {
+                    cb.fold(&key, &mut acc, v.clone());
+                }
+                acc
+            };
+            let reduce = |values: Vec<Value>| {
+                let mut ctx = ReduceCtx::new();
+                job.reduce(&key, values, &mut ctx);
+                ctx.drain()
+            };
+            let folded = fold(&values);
+            let name = job.name();
+            assert_eq!(fold(&shuffled), folded, "{name}: fold order, case {case}");
+            assert_eq!(
+                reduce(vec![folded]),
+                reduce(values),
+                "{name}: reduce, case {case}"
+            );
+        }
     }
 }

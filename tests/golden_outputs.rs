@@ -14,7 +14,7 @@
 
 use opa::common::AdmissionPolicy;
 use opa::core::prelude::*;
-use opa::core::reduce::dinc_hash::MonitorKind;
+use opa::freq::MonitorKind;
 use opa::simio::codec::{crc32, encode_run};
 use opa::workloads::clickstream::ClickStreamSpec;
 use opa::workloads::documents::DocumentSpec;

@@ -20,7 +20,7 @@ use opa::common::{CombineScope, Key, Pair, Result, Value};
 use opa::core::cluster::{ClusterSpec, Framework};
 use opa::core::dataflow::{Dataflow, Dataset, PartitionSpec, StageCheckpoint};
 use opa::core::job::{JobInput, PoisonedRecord};
-use opa::core::reduce::dinc_hash::MonitorKind;
+use opa::freq::MonitorKind;
 use opa::simio::codec::{crc32, decode_run, encode_run};
 use opa::stream::{CheckpointView, SavedState, StagedTable, StreamJobBuilder};
 use opa::trace::TraceLog;
