@@ -10,7 +10,7 @@ use super::*;
 use crate::report::Table;
 use crate::ExpConfig;
 use opa_core::cost::CostModel;
-use opa_core::sim::OpKind;
+use opa_trace::SpanKind;
 use std::fs;
 use std::io::Write;
 
@@ -61,11 +61,11 @@ pub fn run(cfg: &ExpConfig) {
     let mut counts = vec![[0u32; 4]; buckets];
     for span in &stock.timeline {
         let (s, e) = (span.start.as_secs_f64(), span.end.as_secs_f64());
-        let idx = |k: OpKind| match k {
-            OpKind::Map => 0,
-            OpKind::Shuffle => 1,
-            OpKind::Merge => 2,
-            OpKind::Reduce => 3,
+        let idx = |k: SpanKind| match k {
+            SpanKind::Map => 0,
+            SpanKind::Shuffle => 1,
+            SpanKind::Merge => 2,
+            SpanKind::Reduce => 3,
         };
         let first = (s / width) as usize;
         let last = ((e / width) as usize).min(buckets - 1);

@@ -59,13 +59,13 @@ use crate::reduce::{
     ReducerCkpt, ReducerSizing, ReplayTarget,
 };
 use crate::resident::cb_sized;
-use crate::sim::{EventQueue, OpKind, Resources};
+use crate::sim::{EventQueue, Resources};
 use opa_common::fault::{FaultEvent, FaultKind, FaultReport};
 use opa_common::hash::bucket_of;
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{Error, GroupTable, HashFamily, HashFn, Key, Pair, RecordBatch, Result, Value};
 use opa_simio::{BlockStore, DiskFaultInjector, IoCategory, IoOp};
-use opa_trace::TraceEvent;
+use opa_trace::{SpanKind, TraceEvent};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -1257,7 +1257,7 @@ impl<'e> Engine<'e> {
             let bytes = payload.bytes();
             let arrival = depart + cost.net_time(bytes);
             self.shuffle_booked += bytes;
-            self.res.span(from_node, OpKind::Shuffle, depart, arrival);
+            self.res.span(from_node, SpanKind::Shuffle, depart, arrival);
             self.res.emit(TraceEvent::Shuffle {
                 t0: depart.0,
                 t: arrival.0,

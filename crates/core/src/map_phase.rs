@@ -48,7 +48,7 @@ use crate::api::{Combiner, Job, ReduceCtx, Site};
 use crate::cluster::{ClusterSpec, Framework};
 use crate::cost::CostModel;
 use crate::resident::{cb_sized, colder_resident, entry_size};
-use crate::sim::{OpKind, Resources};
+use crate::sim::Resources;
 use bytes::Bytes;
 use opa_common::fault::FaultConfig;
 use opa_common::hash::bucket_of;
@@ -59,6 +59,7 @@ use opa_common::{
 };
 use opa_simio::{IoCategory, IoOp};
 use opa_trace::model::lambda::MergeTreeSim;
+use opa_trace::SpanKind;
 
 /// Per-record UDF poison configuration for one map task: the fault config
 /// whose `(seed, udf_poison_rate)` drive the verdict, plus the global
@@ -295,16 +296,16 @@ fn replay_partial(
             MapOp::MergeStart => merge_starts.push(t),
             MapOp::MergeEnd => {
                 let m0 = merge_starts.pop().expect("balanced merge markers");
-                res.span(node, OpKind::Merge, m0, t);
+                res.span(node, SpanKind::Merge, m0, t);
             }
             MapOp::Granule => {}
         }
     }
     // A merge interrupted by the failure still occupied the timeline.
     while let Some(m0) = merge_starts.pop() {
-        res.span(node, OpKind::Merge, m0, t);
+        res.span(node, SpanKind::Merge, m0, t);
     }
-    res.span(node, OpKind::Map, start, t);
+    res.span(node, SpanKind::Map, start, t);
     MapAttemptWaste {
         fail_time: t,
         wasted_cpu,
@@ -459,12 +460,12 @@ pub fn finish_map_task(
             MapOp::MergeStart => merge_starts.push(t),
             MapOp::MergeEnd => {
                 let m0 = merge_starts.pop().expect("balanced merge markers");
-                res.span(node, OpKind::Merge, m0, t);
+                res.span(node, SpanKind::Merge, m0, t);
             }
             MapOp::Granule => granule_times.push(t),
         }
     }
-    res.span(node, OpKind::Map, start, t);
+    res.span(node, SpanKind::Map, start, t);
     let granules = granule_times
         .into_iter()
         .zip(plan.granules)
@@ -497,9 +498,8 @@ fn plan_sort_merge(
     let granules = granules.clamp(1, n.max(1));
     let mut iter = pairs.into_iter();
 
-    // Scratch run buffer; the combiner path drains it in place so
-    // pipelined tasks reuse its capacity across granules, the
-    // combiner-less path moves it out wholesale (no element copies).
+    // Scratch run buffer, folded and drained in place so pipelined tasks
+    // reuse its capacity across granules.
     let mut part: Vec<(usize, u64, Pair)> = Vec::with_capacity(n / granules + 1);
     for g in 0..granules {
         let lo = n * g / granules;
@@ -519,21 +519,18 @@ fn plan_sort_merge(
 
         // Combiner on sorted groups, if the job has one and the scope
         // permits per-task combining.
-        let run: Vec<(usize, u64, Pair)> = if let Some(cb) = combiner {
+        if let Some(cb) = combiner {
             let in_recs = part.len() as u64;
-            let combined = combine_sorted(cb, part.drain(..));
+            combine_sorted(cb, &mut part);
             plan.op_cpu(cost.cb_time(in_recs));
-            combined
-        } else {
-            std::mem::take(&mut part)
-        };
+        }
 
-        let g_bytes: u64 = run.iter().map(|(_, _, p)| p.size()).sum();
+        let g_bytes: u64 = part.iter().map(|(_, _, p)| p.size()).sum();
         plan.output_bytes += g_bytes;
 
         // External sort when this piece overflows the map buffer.
         if g_bytes > spec.hardware.map_buffer {
-            plan_external_sort(g_bytes, run.len() as u64, spec, plan);
+            plan_external_sort(g_bytes, part.len() as u64, spec, plan);
         }
 
         // Write the (final) sorted map output for this granule.
@@ -542,11 +539,11 @@ fn plan_sort_merge(
 
         // Scatter into per-reducer batches, preserving sorted order and
         // carrying the fingerprints.
-        let cap = run.len() / n_partitions + 1;
+        let cap = part.len() / n_partitions + 1;
         let mut per_part: Vec<RecordBatch> = (0..n_partitions)
             .map(|_| RecordBatch::with_capacity(cap))
             .collect();
-        for (p, h, pair) in run {
+        for (p, h, pair) in part.drain(..) {
             per_part[p].push_hashed(pair, h);
         }
         plan.ops.push(MapOp::Granule);
@@ -555,26 +552,16 @@ fn plan_sort_merge(
 }
 
 /// Folds consecutive same-⟨partition, key⟩ rows of a sorted run into
-/// one row each, keeping each group's fingerprint: one accumulator per
-/// group, updated in place, no second pass over the group.
-fn combine_sorted(
-    cb: &dyn Combiner,
-    sorted: impl Iterator<Item = (usize, u64, Pair)>,
-) -> Vec<(usize, u64, Pair)> {
-    let mut out = Vec::new();
-    let mut iter = sorted.peekable();
-    while let Some((p, h, first)) = iter.next() {
-        let key = first.key;
-        let mut acc = first.value;
-        while iter
-            .peek()
-            .is_some_and(|(q, _, pair)| *q == p && pair.key == key)
-        {
-            cb.fold(&key, &mut acc, iter.next().expect("peeked").2.value);
+/// one row each, in place: each group's first row keeps its fingerprint
+/// and accumulates the later rows' values in arrival order.
+fn combine_sorted(cb: &dyn Combiner, run: &mut Vec<(usize, u64, Pair)>) {
+    run.dedup_by(|(q, _, later), (p, _, kept)| {
+        let same = q == p && later.key == kept.key;
+        if same {
+            cb.fold(&kept.key, &mut kept.value, std::mem::take(&mut later.value));
         }
-        out.push((p, h, Pair::new(key, acc)));
-    }
-    out
+        same
+    });
 }
 
 /// Plans the I/O and CPU of a map-side external sort: spill runs of

@@ -31,13 +31,13 @@ use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, TopEn
 use crate::api::{Handle, IncrementalReducer, JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::metrics::AdmissionStats;
-use crate::sim::OpKind;
 use opa_common::units::SimDuration;
 use opa_common::{
     AdmissionPolicy, Error, FreqSketch, HashFamily, HashFn, Key, Pair, RecordBatch, Result, Value,
 };
 use opa_freq::{MgEntry, MgOutcome, MisraGries};
 use opa_simio::BucketManager;
+use opa_trace::SpanKind;
 
 // The workspace names the monitor's algorithm as `opa_freq::MonitorKind`;
 // `opa_perf` is this re-export's only user, and ROADMAP item 5(b) removes
@@ -374,7 +374,7 @@ impl ReduceSide for DincHashReducer<'_> {
             env.cpu(env.cost().reduce_time(finalized));
             self.sink.push(&mut self.ctx, env);
             self.sink.flush(env);
-            env.span_close(OpKind::Reduce);
+            env.span_close(SpanKind::Reduce);
             return;
         }
 
@@ -400,7 +400,7 @@ impl ReduceSide for DincHashReducer<'_> {
         };
         pass.run(&mut self.buckets, env);
         self.sink.flush(env);
-        env.span_close(OpKind::Reduce);
+        env.span_close(SpanKind::Reduce);
     }
 
     /// Sections: `states[0]` holds the monitor's (key, state) entries in

@@ -19,13 +19,13 @@ use crate::api::{Handle, IncrementalReducer, JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::metrics::AdmissionStats;
 use crate::resident::{cb_sized, colder_resident, entry_size};
-use crate::sim::OpKind;
 use opa_common::units::SimDuration;
 use opa_common::{
     AdmissionPolicy, Error, FreqSketch, GroupTable, HashFamily, HashFn, Key, KeyFilter, Pair,
     RecordBatch, Result, Value,
 };
 use opa_simio::BucketManager;
+use opa_trace::SpanKind;
 
 /// [`ReducerCkpt::tag`] of the INC-hash framework.
 pub(crate) const CKPT_TAG: u8 = 3;
@@ -290,7 +290,7 @@ impl ReduceSide for IncHashReducer<'_> {
         };
         pass.run(&mut self.buckets, env);
         self.sink.flush(env);
-        env.span_close(OpKind::Reduce);
+        env.span_close(SpanKind::Reduce);
     }
 
     /// Sections: `states` holds the resident table `H` (insertion order —

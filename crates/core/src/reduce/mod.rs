@@ -60,11 +60,12 @@ use crate::api::{Job, JobRef, ReduceCtx};
 use crate::cluster::{ClusterSpec, Framework};
 use crate::cost::CostModel;
 use crate::progress::ProgressTracker;
-use crate::sim::{OpKind, Resources};
+use crate::sim::Resources;
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{Error, HashFamily, Key, Pair, RecordBatch, Result, Value};
 use opa_freq::MonitorKind;
 use opa_simio::{IoCategory, IoOp};
+use opa_trace::SpanKind;
 
 /// Charge batch size: user-function work is priced per record but charged
 /// in batches this large, so progress curves rise smoothly without one
@@ -154,7 +155,7 @@ pub enum Effect {
     /// [`Effect::SpanOpen`] (e.g. a snapshot that found nothing to merge)
     /// is dropped, matching the sequential engine which never recorded a
     /// span for it.
-    SpanClose(OpKind),
+    SpanClose(SpanKind),
 }
 
 /// The reducer's recording handle on the simulated node: collects the
@@ -235,7 +236,7 @@ impl<'a> ReduceEnv<'a> {
     }
 
     /// Closes the innermost open span as `kind`.
-    pub fn span_close(&mut self, kind: OpKind) {
+    pub fn span_close(&mut self, kind: SpanKind) {
         self.log.push(Effect::SpanClose(kind));
     }
 

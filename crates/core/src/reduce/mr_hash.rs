@@ -14,11 +14,11 @@ use super::buckets::{next_bucket, repartition, MAX_DEPTH, TOP_DEPTH};
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, WORK_BATCH};
 use crate::api::{JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
-use crate::sim::OpKind;
 use opa_common::{
     Error, GroupTable, HashFamily, HashFn, Key, Pair, RecordBatch, Result, SeededState, Value,
 };
 use opa_simio::BucketManager;
+use opa_trace::SpanKind;
 use std::collections::HashMap;
 
 /// [`ReducerCkpt::tag`] of the MR-hash framework.
@@ -194,7 +194,7 @@ impl ReduceSide for MrHashReducer<'_> {
             self.process_bucket(recs, TOP_DEPTH, env);
         }
         self.sink.flush(env);
-        env.span_close(OpKind::Reduce);
+        env.span_close(SpanKind::Reduce);
     }
 
     /// Sections: `pairs` holds `D1`, then one section per on-disk bucket

@@ -9,8 +9,8 @@
 use super::tests_frameworks::Harness;
 use super::*;
 use crate::progress::ProgressCurve;
-use crate::sim::OpKind;
 use opa_common::rng::SplitMix64;
+use opa_trace::SpanKind;
 
 /// The flat form of `log`: every run as its per-tuple effects.
 fn expand(log: &[Effect]) -> Vec<Effect> {
@@ -54,7 +54,7 @@ fn random_log(rng: &mut SplitMix64, spec: &ClusterSpec) -> Vec<Effect> {
                 open_spans += 1;
             }
             4 if open_spans > 0 => {
-                env.span_close(OpKind::Reduce);
+                env.span_close(SpanKind::Reduce);
                 open_spans -= 1;
             }
             5 => {
@@ -77,7 +77,7 @@ fn random_log(rng: &mut SplitMix64, spec: &ClusterSpec) -> Vec<Effect> {
         }
     }
     for _ in 0..open_spans {
-        env.span_close(OpKind::Reduce);
+        env.span_close(SpanKind::Reduce);
     }
     env.into_log()
 }

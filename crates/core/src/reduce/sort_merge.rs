@@ -11,10 +11,10 @@
 use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, WORK_BATCH};
 use crate::api::{JobRef, ReduceCtx};
 use crate::cluster::ClusterSpec;
-use crate::sim::OpKind;
 use opa_common::{Error, Pair, RecordBatch, Result, Value};
 use opa_simio::{IoOp, SpillStore};
 use opa_trace::model::lambda::merge_schedule;
+use opa_trace::SpanKind;
 
 /// [`ReducerCkpt::tag`] of the sort-merge framework (both variants).
 pub(crate) const CKPT_TAG: u8 = 1;
@@ -63,7 +63,9 @@ impl<'j> SortMergeReducer<'j> {
         let mut run = self.merge_segments(env);
         if let Some(cb) = self.job.combiner() {
             let before = run.len() as u64;
-            run = combine_run(cb, run);
+            combine_run(cb, &mut run);
+            // The spill file keeps the run: return what the fold freed.
+            run.shrink_to_fit();
             env.cpu(env.cost().cb_time(before));
             // Combine calls are user work under Definition 1.
             env.worked(before);
@@ -93,7 +95,7 @@ impl<'j> SortMergeReducer<'j> {
         env.cpu(env.cost().merge_time(merged.len() as u64, f));
         let (_id, wop) = self.spills.write_file(merged);
         env.spill(wop);
-        env.span_close(OpKind::Merge);
+        env.span_close(SpanKind::Merge);
     }
 }
 
@@ -142,7 +144,7 @@ impl ReduceSide for SortMergeReducer<'_> {
         env.cpu(env.cost().reduce_time(reduced));
         let out = ctx.drain();
         env.snapshot_write(out.iter().map(Pair::size).sum());
-        env.span_close(OpKind::Reduce);
+        env.span_close(SpanKind::Reduce);
     }
 
     fn deliver(&mut self, batch: RecordBatch, env: &mut ReduceEnv<'_>) {
@@ -206,7 +208,7 @@ impl ReduceSide for SortMergeReducer<'_> {
         }
         self.sink.push(&mut ctx, env);
         self.sink.flush(env);
-        env.span_close(OpKind::Reduce);
+        env.span_close(SpanKind::Reduce);
     }
 
     /// Sections: `nums[0] = [n_segments, n_spill_runs]`; `pairs` holds the
@@ -253,17 +255,15 @@ impl ReduceSide for SortMergeReducer<'_> {
     }
 }
 
-/// Folds consecutive same-key pairs of a sorted run into one pair each.
-fn combine_run(cb: &dyn crate::api::Combiner, run: Vec<Pair>) -> Vec<Pair> {
-    let mut out = Vec::new();
-    let mut iter = run.into_iter().peekable();
-    while let Some(first) = iter.next() {
-        let key = first.key;
-        let mut acc = first.value;
-        while iter.peek().is_some_and(|p| p.key == key) {
-            cb.fold(&key, &mut acc, iter.next().expect("peeked").value);
+/// Folds consecutive same-key pairs of a sorted run into one pair each,
+/// in place: each key's first pair accumulates the later pairs' values in
+/// arrival order.
+fn combine_run(cb: &dyn crate::api::Combiner, run: &mut Vec<Pair>) {
+    run.dedup_by(|later, kept| {
+        let same = later.key == kept.key;
+        if same {
+            cb.fold(&kept.key, &mut kept.value, std::mem::take(&mut later.value));
         }
-        out.push(Pair::new(key, acc));
-    }
-    out
+        same
+    });
 }

@@ -13,37 +13,16 @@ use opa_common::units::{SimDuration, SimTime};
 use opa_simio::{IoCategory, IoOp, IoStats};
 use opa_trace::{SpanKind, TraceEvent, TraceLog, Tracer};
 
-/// Operation classes shown on the paper's task timelines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// A map task (includes its sort, as in Fig 2(a)).
-    Map,
-    /// A shuffle transfer.
-    Shuffle,
-    /// A background (multi-pass) merge.
-    Merge,
-    /// Final-merge + reduce-function work, or hash-side reduce work.
-    Reduce,
-}
-
-impl OpKind {
-    /// The corresponding trace-layer span kind (`opa-trace` has no
-    /// dependency on this crate, so the vocabulary is mirrored there).
-    pub fn trace_kind(self) -> SpanKind {
-        match self {
-            OpKind::Map => SpanKind::Map,
-            OpKind::Shuffle => SpanKind::Shuffle,
-            OpKind::Merge => SpanKind::Merge,
-            OpKind::Reduce => SpanKind::Reduce,
-        }
-    }
-}
+// The workspace names the timeline's operation classes as
+// `opa_trace::SpanKind`; `opa_perf` is this re-export's only user, and
+// ROADMAP item 5(b) removes it.
+pub use opa_trace::SpanKind as OpKind;
 
 /// One timeline interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// Operation class.
-    pub kind: OpKind,
+    pub kind: SpanKind,
     /// Start of the interval.
     pub start: SimTime,
     /// End of the interval.
@@ -330,7 +309,7 @@ impl Resources {
     }
 
     /// Records a timeline span on `node`.
-    pub fn span(&mut self, node: usize, kind: OpKind, start: SimTime, end: SimTime) {
+    pub fn span(&mut self, node: usize, kind: SpanKind, start: SimTime, end: SimTime) {
         if end > start {
             self.timeline.push(Span { kind, start, end });
             if let Some(tr) = self.trace.as_mut() {
@@ -338,7 +317,7 @@ impl Resources {
                     t0: start.0,
                     t: end.0,
                     node: node as u32,
-                    kind: kind.trace_kind(),
+                    kind,
                 });
             }
         }
@@ -629,8 +608,8 @@ mod tests {
     #[test]
     fn spans_drop_empty_intervals() {
         let mut res = Resources::new(1, 4, false);
-        res.span(0, OpKind::Map, t(1.0), t(1.0));
-        res.span(0, OpKind::Map, t(1.0), t(2.0));
+        res.span(0, SpanKind::Map, t(1.0), t(1.0));
+        res.span(0, SpanKind::Map, t(1.0), t(2.0));
         assert_eq!(res.timeline.len(), 1);
     }
 

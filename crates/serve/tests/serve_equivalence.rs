@@ -1,9 +1,11 @@
-//! The serving subsystem's core contract: interleaving jobs on the
-//! server must be invisible to each job. For every admitted job, the
-//! `JobOutcome` — output pairs in order, the full metrics block, the
-//! structured trace (compared by CRC of its JSONL bytes) and the DLQ —
-//! must be bit-identical to a solo `StreamJobBuilder` run of the same
-//! spec, at every engine thread count and under fault injection.
+//! The serving subsystem's guards: the dead-letter queue and its replay,
+//! backpressure books, batched lookups, and a panicking UDF that fails
+//! only its own job — whose neighbours' outcomes (output pairs in order,
+//! the full metrics block, the trace CRC and the DLQ) stay bit-identical
+//! to a solo `StreamJobBuilder` run. That interleaved tenants each get
+//! their batch run's outcome, and that the serving trace, books and round
+//! are a function of the submissions, is a relation of the root
+//! `tests/option_space.rs`.
 
 use opa_common::{ExecConfig, FaultConfig, Key, Value};
 use opa_core::api::{Combiner, IncrementalReducer, Job, ReduceCtx};
@@ -13,7 +15,7 @@ use opa_serve::{AdmissionOutcome, JobPhase, JobSpec, ServeConfig, ServeQuery, Se
 use opa_simio::codec::crc32;
 use opa_stream::{StreamJobBuilder, StreamOutcome};
 use opa_workloads::clickstream::ClickStreamSpec;
-use opa_workloads::{ClickCountJob, FrequentUsersJob, PageFreqJob};
+use opa_workloads::ClickCountJob;
 use std::sync::Arc;
 
 fn input() -> Arc<JobInput> {
@@ -23,19 +25,6 @@ fn input() -> Arc<JobInput> {
 fn click_count() -> ClickCountJob {
     ClickCountJob {
         expected_users: 2_000,
-    }
-}
-
-fn frequent_users() -> FrequentUsersJob {
-    FrequentUsersJob {
-        threshold: 5,
-        expected_users: 2_000,
-    }
-}
-
-fn page_freq() -> PageFreqJob {
-    PageFreqJob {
-        expected_pages: 4_000,
     }
 }
 
@@ -94,100 +83,6 @@ fn spec_at(threads: usize, faults: FaultConfig) -> JobSpec {
         faults,
         trace: true,
     }
-}
-
-/// Three tenants' jobs interleaved wave-by-wave, across the engine
-/// thread matrix, one of them under crash-fault injection and one under
-/// UDF poison — every outcome must match its solo twin bit-for-bit.
-#[test]
-fn interleaved_jobs_identical_to_solo_across_thread_matrix() {
-    let data = input();
-    for threads in [1usize, 2, 4, 8] {
-        let clean = spec_at(threads, FaultConfig::disabled());
-        let crashy = JobSpec {
-            framework: Framework::DincHash,
-            faults: FaultConfig::uniform(3, 0.05),
-            ..spec_at(threads, FaultConfig::disabled())
-        };
-        let poisoned = JobSpec {
-            framework: Framework::MrHash,
-            ..spec_at(threads, FaultConfig::poison(7, 0.002))
-        };
-
-        let mut server = Server::new(ServeConfig {
-            slots_per_tenant: 1,
-            queue_per_tenant: 2,
-            queue_total: 8,
-        });
-        let a = server
-            .submit(0, click_count(), Arc::clone(&data), &clean)
-            .expect("submit a");
-        let b = server
-            .submit(1, frequent_users(), Arc::clone(&data), &crashy)
-            .expect("submit b");
-        let c = server
-            .submit(2, page_freq(), Arc::clone(&data), &poisoned)
-            .expect("submit c");
-        for r in [&a, &b, &c] {
-            assert_eq!(r.outcome, AdmissionOutcome::Started);
-        }
-        server.run_to_completion().expect("server drains");
-
-        let ctx = |name: &str| format!("{name} @ {threads} threads");
-        assert_outcome_identical(
-            server.outcome(a.job).expect("a finished"),
-            &solo(&clean, click_count(), &data),
-            &ctx("click_count"),
-        );
-        assert_outcome_identical(
-            server.outcome(b.job).expect("b finished"),
-            &solo(&crashy, frequent_users(), &data),
-            &ctx("frequent_users+crash-faults"),
-        );
-        assert_outcome_identical(
-            server.outcome(c.job).expect("c finished"),
-            &solo(&poisoned, page_freq(), &data),
-            &ctx("page_freq+poison"),
-        );
-
-        // The crash-fault leg must not be vacuous.
-        let faulted = server.outcome(b.job).unwrap();
-        let report = faulted.job.metrics.faults.as_ref().expect("fault report");
-        assert!(report.any_fired(), "no crash faults fired at rate 0.05");
-    }
-}
-
-/// The serving trace (admission decisions, wave grants) is a pure
-/// function of the submission sequence: two servers fed the same
-/// sequence produce identical traces and identical books.
-#[test]
-fn serving_trace_deterministic_across_runs() {
-    let data = input();
-    let spec = spec_at(2, FaultConfig::disabled());
-    let run = || {
-        let mut server = Server::new(ServeConfig {
-            slots_per_tenant: 1,
-            queue_per_tenant: 2,
-            queue_total: 4,
-        });
-        for tenant in 0..3 {
-            server
-                .submit(tenant, click_count(), Arc::clone(&data), &spec)
-                .expect("submit");
-            // Tenant slot quota of 1: a second submission queues.
-            server
-                .submit(tenant, click_count(), Arc::clone(&data), &spec)
-                .expect("submit twin");
-        }
-        server.run_to_completion().expect("drain");
-        (server.trace().to_vec(), server.books(), server.round())
-    };
-    let (t1, b1, r1) = run();
-    let (t2, b2, r2) = run();
-    assert_eq!(t1, t2, "serving trace is not deterministic");
-    assert_eq!(b1, b2, "books are not deterministic");
-    assert_eq!(r1, r2, "round count is not deterministic");
-    assert!(!t1.is_empty());
 }
 
 /// A poisoned record lands in the DLQ with full provenance, the job

@@ -139,13 +139,12 @@ impl BucketManager {
             .collect()
     }
 
-    /// Refills an empty, unsealed manager from exported contents. Each
-    /// bucket's records land as one flushed segment (`flush_count = 1`):
-    /// records that sat in a write buffer are restored as already flushed,
-    /// so their spill write is never charged, and read-back seek pricing
-    /// may differ from the original's flush pattern. The records and their
-    /// order — everything the group-by semantics depend on — are exact;
-    /// the spill byte totals are not.
+    /// Refills an empty, unsealed manager from exported contents by pushing
+    /// each bucket's records back, in order. A bucket flushes only when a
+    /// push fills its write buffer, or at seal, and contents are exported
+    /// unsealed, so the re-push rebuilds the original's flushed segments,
+    /// buffered tail and flush count exactly. The I/O those flushes return
+    /// was charged before the export and is not charged again.
     ///
     /// # Panics
     /// Panics if the manager is sealed, already holds data, or the content
@@ -153,17 +152,16 @@ impl BucketManager {
     pub fn restore_contents(&mut self, contents: Vec<Vec<Pair>>) {
         assert!(!self.sealed, "restore into a sealed manager");
         assert!(
-            self.total_spilled() == 0,
+            self.buckets
+                .iter()
+                .all(|b| b.flush_count == 0 && b.buffered.is_empty()),
             "restore into a non-empty manager"
         );
         assert_eq!(contents.len(), self.buckets.len(), "bucket count mismatch");
-        for (b, recs) in self.buckets.iter_mut().zip(contents) {
-            if recs.is_empty() {
-                continue;
+        for (i, recs) in contents.into_iter().enumerate() {
+            for rec in recs {
+                let _ = self.push(i, rec);
             }
-            b.flushed_bytes = recs.iter().map(Pair::size).sum();
-            b.flush_count = 1;
-            b.flushed = vec![recs];
         }
     }
 
@@ -304,6 +302,33 @@ mod tests {
         flushes += sop.seeks;
         let (_recs, rop) = m.take_bucket(0);
         assert_eq!(rop.seeks, flushes);
+    }
+
+    #[test]
+    fn restore_rebuilds_the_exported_flush_pattern() {
+        // Bucket 0 has flushed twice and buffers one row; bucket 1 only
+        // buffers; bucket 2 is empty.
+        let mut m = BucketManager::new(3, 150);
+        for k in 0..5 {
+            let _ = m.push(0, tuple(k, 80));
+        }
+        let _ = m.push(1, tuple(9, 80));
+        let mut restored = BucketManager::new(3, 150);
+        restored.restore_contents(m.export_contents());
+        for (a, b) in m.buckets.iter().zip(&restored.buckets) {
+            assert_eq!(
+                (&a.flushed, a.flushed_bytes, a.flush_count),
+                (&b.flushed, b.flushed_bytes, b.flush_count)
+            );
+            assert_eq!(
+                (&a.buffered, a.buffered_bytes),
+                (&b.buffered, b.buffered_bytes)
+            );
+        }
+        // The buffered rows pay their spill write at seal, as the
+        // original's would.
+        assert_eq!(restored.seal(), m.seal());
+        assert_eq!(restored.take_bucket(0), m.take_bucket(0));
     }
 
     #[test]

@@ -144,10 +144,11 @@ impl<J: Job> StreamJobBuilder<J> {
     /// run over the *same* input and configuration. Sealed batches are
     /// not re-run (their callbacks do not fire again); the remaining
     /// batches stream as usual, and the final output holds the
-    /// uninterrupted run's pairs. I/O totals, the fault report, buffered
-    /// bucket rows' spill writes and, under crash faults, the timeline are
-    /// not restored yet, so some metrics and a multi-wave run's output
-    /// order can differ (the root `tests/option_space.rs` names each gap).
+    /// uninterrupted run's pairs. I/O totals, the fault report, the
+    /// spill-error injector's sequence and the reduce-crash history are not
+    /// restored yet, so those metrics and, under faults, the timeline and
+    /// what follows delivery order can differ (the root
+    /// `tests/option_space.rs` names each gap).
     pub fn resume_stream(
         &self,
         input: &JobInput,

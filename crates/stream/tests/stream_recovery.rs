@@ -1,15 +1,15 @@
-//! Checkpoint / crash / resume semantics: a resumed run reproduces the
-//! uninterrupted run's output bit-for-bit, sealed batches never re-fire
-//! their callbacks, and every malformed input is rejected loudly before
-//! any state is touched.
+//! Checkpoint / resume guards: the bytes of a checkpoint are pinned, the
+//! checkpoint cadence holds, and every mismatched or malformed checkpoint
+//! or configuration is rejected loudly before any state is touched. That
+//! a resumed run reproduces the uninterrupted one, under every option, is
+//! a relation of the root `tests/option_space.rs`.
 
 use opa_common::fault::FaultConfig;
-use opa_common::{CombineScope, ExecConfig};
+use opa_common::{AdmissionPolicy, ExecConfig};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::engine::QueuedEvent;
-use opa_freq::MonitorKind;
 use opa_simio::codec::crc32;
-use opa_stream::{CheckpointView, SavedState, StreamJobBuilder};
+use opa_stream::{SavedState, StreamJobBuilder};
 use opa_workloads::click_count::ClickCountJob;
 use opa_workloads::clickstream::ClickStreamSpec;
 use opa_workloads::frequent_users::FrequentUsersJob;
@@ -24,71 +24,6 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(name);
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
-}
-
-#[test]
-fn resume_matches_uninterrupted_for_every_framework() {
-    let data = ClickStreamSpec::small().generate(101);
-    let dir = tmp_dir("opa-stream-resume");
-    for fw in Framework::ALL {
-        let ck = dir.join(format!("{fw:?}.opac"));
-        let build = || {
-            StreamJobBuilder::new(click_job())
-                .framework(fw)
-                .cluster(ClusterSpec::tiny())
-                .batches(4)
-        };
-        let full = build().run_stream(&data, |_| {}).expect("full run");
-        let ckp = ck.clone();
-        let checkpointed = build()
-            .run_stream(&data, |ctl| {
-                if ctl.batch() == 2 {
-                    ctl.checkpoint(ckp.clone());
-                }
-            })
-            .expect("checkpointed run");
-        assert_eq!(
-            (&full.job.output, format!("{:?}", full.job.metrics)),
-            (
-                &checkpointed.job.output,
-                format!("{:?}", checkpointed.job.metrics)
-            ),
-            "{fw:?}: writing a checkpoint must not perturb the run"
-        );
-        let view = CheckpointView::open(&ck).expect("view opens");
-        assert_eq!(view.progress().batches_sealed, 2, "{fw:?}");
-        assert_eq!(view.framework().expect("framework"), fw);
-
-        let mut batches_seen = vec![];
-        let resumed = build()
-            .resume_stream(&data, &ck, |ctl| batches_seen.push(ctl.batch()))
-            .expect("resume runs");
-        assert_eq!(
-            batches_seen,
-            vec![3, 4],
-            "{fw:?}: sealed batches don't re-fire"
-        );
-        assert_eq!(resumed.resumed_from_batch, Some(2), "{fw:?}");
-        assert_eq!(
-            full.job.output, resumed.job.output,
-            "{fw:?}: resumed output must be bit-identical"
-        );
-        // The engine reads the input size off its block store, which on
-        // resume still splits the whole input, mapped chunks included.
-        for out in [&full, &resumed] {
-            assert_eq!(out.job.metrics.input_bytes, data.total_bytes(), "{fw:?}");
-        }
-        // Thread-count invariance extends across the crash/restore divide.
-        let resumed8 = build()
-            .exec(ExecConfig::oversubscribed(8))
-            .resume_stream(&data, &ck, |_| {})
-            .expect("resume at 8 threads");
-        assert_eq!(
-            full.job.output, resumed8.job.output,
-            "{fw:?}: resume at a different thread count must be bit-identical"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -306,6 +241,32 @@ fn mismatched_checkpoints_are_rejected() {
         "unexpected error: {err}"
     );
 
+    // A checkpoint written without the admission sketch cannot be
+    // restored into a gated run: the mismatch must be a hard error, not a
+    // silently empty sketch.
+    for fw in [Framework::IncHash, Framework::DincHash] {
+        let build = |policy| {
+            StreamJobBuilder::new(click_job())
+                .framework(fw)
+                .cluster(ClusterSpec::tiny())
+                .admission(policy)
+                .batches(4)
+        };
+        let off_ck = dir.join(format!("{fw:?}-off.opac"));
+        build(AdmissionPolicy::Off)
+            .run_stream(&data, |ctl| {
+                if ctl.batch() == 2 {
+                    ctl.checkpoint(off_ck.clone());
+                }
+            })
+            .expect("admission-off checkpointing stream");
+        let err = build(AdmissionPolicy::Lfu).resume_stream(&data, &off_ck, |_| {});
+        assert!(
+            err.is_err(),
+            "{fw:?}: resuming an admission-off checkpoint with the gate on must fail"
+        );
+    }
+
     // Corrupted file → CRC failure, never a silent resume.
     let mut bytes = std::fs::read(&ck).expect("read checkpoint");
     let mid = bytes.len() / 2;
@@ -472,123 +433,6 @@ fn invalid_stream_configurations_are_rejected_up_front() {
     // Empty input.
     let empty = opa_core::job::JobInput { records: vec![] };
     assert!(build().batches(1).run_stream(&empty, |_| {}).is_err());
-}
-
-/// Every option survives a checkpoint: under record poison, node-scope
-/// combining and both — with crash faults on top of the poison cells — a
-/// run resumed from batch `k/2` at 1 and 8 threads ends with the
-/// uninterrupted run's output, dead-letter queue (each record quarantined
-/// once, by the attempt that committed its chunk) and node-combine
-/// counters, for every framework, DINC-hash under both monitors, and
-/// k ∈ {2, 4, 8}.
-#[test]
-fn every_option_resumes_to_the_uninterrupted_run() {
-    let data = ClickStreamSpec::small().generate(101);
-    let dir = tmp_dir("opa-stream-every-option");
-    // A staging budget below the ~2 KB a node's table grows to, so budget
-    // flushes leave rows resident at the pause.
-    let mut cluster = ClusterSpec::tiny();
-    cluster.system.chunk_size = 1024;
-    cluster.node_combine_buffer = 1024;
-    let poison = FaultConfig::poison(7, 0.002);
-    let crashes = FaultConfig {
-        udf_poison_rate: poison.udf_poison_rate,
-        ..FaultConfig::uniform(3, 0.05)
-    };
-    let options = [
-        ("poison", poison, CombineScope::Task),
-        ("node scope", FaultConfig::disabled(), CombineScope::Node),
-        ("both", poison, CombineScope::Node),
-        ("poison + crashes", crashes, CombineScope::Task),
-        ("both + crashes", crashes, CombineScope::Node),
-    ];
-    let columns = Framework::ALL
-        .map(|fw| (fw, MonitorKind::Frequent))
-        .into_iter()
-        .chain([(Framework::DincHash, MonitorKind::SpaceSaving)]);
-    for (fw, monitor) in columns {
-        for (option, faults, combine) in options {
-            for k in [2, 4, 8] {
-                let cell = format!("{fw:?} ({monitor:?}), {option}, k = {k}");
-                let mut cluster = cluster;
-                if monitor == MonitorKind::SpaceSaving {
-                    // Nine slots a reducer: the monitor fills and evicts
-                    // before the pause.
-                    cluster.hardware.reduce_buffer = 512;
-                    cluster.bucket_write_buffer = 128;
-                }
-                let build = || {
-                    StreamJobBuilder::new(click_job())
-                        .framework(fw)
-                        .dinc_monitor(monitor)
-                        .cluster(cluster)
-                        .faults(faults)
-                        .combine(combine)
-                        .batches(k)
-                };
-                let full = build().run_stream(&data, |_| {}).expect("full run");
-                let ck = dir.join("mid.opac");
-                let checkpointed = build()
-                    .run_stream(&data, |ctl| {
-                        if ctl.batch() == k / 2 {
-                            ctl.checkpoint(ck.clone());
-                        }
-                    })
-                    .expect("checkpointed run");
-                assert_eq!(
-                    (&full.job.output, format!("{:?}", full.job.metrics)),
-                    (
-                        &checkpointed.job.output,
-                        format!("{:?}", checkpointed.job.metrics)
-                    ),
-                    "{cell}: writing a checkpoint must not perturb the run"
-                );
-                let saved = SavedState::read_from(&ck).expect("decode checkpoint");
-                let staged: usize = saved.engine.staged.iter().map(|t| t.rows.len()).sum();
-                assert!(
-                    !saved.engine.dlq.is_empty() || staged > 0,
-                    "{cell}: the checkpoint holds neither a quarantined record nor a staged row"
-                );
-                if monitor == MonitorKind::SpaceSaving {
-                    // DINC-hash's stats section: [s, offered, rejected,
-                    // evicted to output, evicted to a bucket].
-                    let full_and_evicted = saved.engine.reducers.iter().any(|r| {
-                        let stats = &r.nums[3];
-                        r.states[0].len() as u64 == stats[0] && stats[3] + stats[4] > 0
-                    });
-                    assert!(
-                        full_and_evicted,
-                        "{cell}: no monitor is full and has evicted by the pause"
-                    );
-                }
-                if faults.enabled() {
-                    let fired = full.job.metrics.faults.as_ref().expect("a fault report");
-                    let retried = fired.map_failures + fired.stragglers + fired.reduce_failures;
-                    assert!(retried > 0, "{cell}: no crash fault fired");
-                }
-                let mut offsets: Vec<u64> = full.job.dlq.iter().map(|r| r.offset).collect();
-                offsets.sort_unstable();
-                offsets.dedup();
-                assert_eq!(offsets.len(), full.job.dlq.len(), "{cell}: an offset twice");
-                for threads in [1, 8] {
-                    let resumed = build()
-                        .exec(ExecConfig::oversubscribed(threads))
-                        .resume_stream(&data, &ck, |_| {})
-                        .expect("resume runs");
-                    let at = format!("{cell}, resumed at {threads} threads");
-                    assert_eq!(full.job.output, resumed.job.output, "{at}: output");
-                    assert_eq!(full.job.dlq, resumed.job.dlq, "{at}: dead-letter queue");
-                    let (a, b) = (&full.job.metrics, &resumed.job.metrics);
-                    assert_eq!(
-                        (a.node_combine, a.shuffle_bytes),
-                        (b.node_combine, b.shuffle_bytes),
-                        "{at}: node-combine counters and shuffle bytes"
-                    );
-                }
-            }
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Long-haul soak: many batches, periodic checkpoints, injected reduce

@@ -1,14 +1,10 @@
 //! Trace determinism for the stream driver: byte-identical JSONL across
-//! thread counts, and — once the stream-only `batch_seal`/`checkpoint`
-//! lines are filtered out — identical to any other batch count `k` of the
-//! same run and to the batch `JobBuilder` run itself (the underlying event
-//! sequence is literally the batch engine's; pause points only add
-//! observations).
+//! thread counts, and one `batch_seal` per seal and one `checkpoint` per
+//! file written. That a stream trace less those lines is the batch run's,
+//! byte for byte, is a relation of the root `tests/option_space.rs`.
 
-use opa_common::fault::FaultConfig;
-use opa_common::{CombineScope, ExecConfig};
+use opa_common::ExecConfig;
 use opa_core::cluster::{ClusterSpec, Framework};
-use opa_core::job::JobBuilder;
 use opa_stream::StreamJobBuilder;
 use opa_trace::{TraceEvent, TraceLog};
 use opa_workloads::click_count::ClickCountJob;
@@ -33,23 +29,6 @@ fn traced(k: usize, threads: usize) -> TraceLog {
     out.job.trace.expect("trace enabled")
 }
 
-/// A trace with the stream-only pause-point events removed: what remains
-/// is the engine's event sequence, which must not depend on `k`.
-fn engine_only(log: &TraceLog) -> String {
-    let filtered: Vec<_> = log
-        .events
-        .iter()
-        .filter(|e| {
-            !matches!(
-                e,
-                TraceEvent::BatchSeal { .. } | TraceEvent::Checkpoint { .. }
-            )
-        })
-        .cloned()
-        .collect();
-    TraceLog { events: filtered }.to_jsonl()
-}
-
 #[test]
 fn stream_traces_are_byte_identical_across_thread_counts() {
     for k in [1, 4] {
@@ -61,53 +40,6 @@ fn stream_traces_are_byte_identical_across_thread_counts() {
                 "k={k}: stream trace diverged at {threads} threads"
             );
         }
-    }
-}
-
-#[test]
-fn engine_events_are_identical_across_batch_counts() {
-    let one = traced(1, 2);
-    let four = traced(4, 2);
-    let seven = traced(7, 2);
-    assert_eq!(engine_only(&one), engine_only(&four));
-    assert_eq!(engine_only(&one), engine_only(&seven));
-}
-
-#[test]
-fn engine_events_are_the_batch_runs_byte_for_byte() {
-    let data = ClickStreamSpec::small().generate(101);
-    let cases = [
-        ("fault-free", FaultConfig::disabled(), CombineScope::Task),
-        ("poison", FaultConfig::poison(7, 0.002), CombineScope::Task),
-        ("node scope", FaultConfig::disabled(), CombineScope::Node),
-    ];
-    for (case, faults, combine) in cases {
-        let batch = JobBuilder::new(job())
-            .framework(Framework::IncHash)
-            .cluster(ClusterSpec::tiny())
-            .faults(faults)
-            .combine(combine)
-            .trace(true)
-            .run(&data)
-            .expect("batch runs");
-        let stream = StreamJobBuilder::new(job())
-            .framework(Framework::IncHash)
-            .cluster(ClusterSpec::tiny())
-            .faults(faults)
-            .combine(combine)
-            .batches(5)
-            .trace(true)
-            .run_stream(&data, |_| {})
-            .expect("stream runs");
-        // Each leg exercises what it names: records quarantined, tables flushed.
-        assert_eq!(!batch.dlq.is_empty(), faults.poison_enabled(), "{case}");
-        let flushes = batch.metrics.node_combine.map_or(0, |s| s.flushes);
-        assert_eq!(flushes > 0, combine.is_node(), "{case}");
-        assert_eq!(
-            batch.trace.expect("trace enabled").to_jsonl(),
-            engine_only(&stream.job.trace.expect("trace enabled")),
-            "{case}: stream trace minus seals is not the batch trace"
-        );
     }
 }
 

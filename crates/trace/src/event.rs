@@ -21,8 +21,8 @@ use opa_common::{Error, Result};
 use opa_simio::IoCategory;
 use std::fmt::Write as _;
 
-/// Timeline operation classes, mirroring the engine's task timeline
-/// (`opa_core::sim::OpKind`) without depending on `opa-core`.
+/// Timeline operation classes: the kinds of interval on the engine's task
+/// timeline (`opa_core::sim::Span`) and in its `span` trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// A map task (includes its sort).

@@ -164,179 +164,6 @@ fn delivery_reordering_preserves_count_outputs_exactly() {
 }
 
 #[test]
-fn stream_checkpoint_resume_is_output_equivalent_under_reduce_crashes() {
-    // The streaming kill/resume contract: checkpoint mid-stream while
-    // reduce crashes are firing, restore into fresh reducers, and the
-    // resumed run must produce the same output multiset as the
-    // uninterrupted faulted run — every pair exactly once, nothing
-    // double-emitted from the restored pending buffers. (Raw emission
-    // *order* may differ: post-resume crash recovery re-replays an empty
-    // history, which re-times — never re-writes — subsequent work.)
-    use opa::stream::StreamJobBuilder;
-    let input = ClickStreamSpec::counting_scaled(1_500_000).generate(8);
-    let job = ClickCountJob {
-        expected_users: 1000,
-    };
-    // A high retry budget keeps crashes firing across the whole run, so
-    // the resumed half genuinely exercises post-restore crash recovery.
-    let cfg = FaultConfig {
-        seed: SEED,
-        reduce_failure_rate: RATE,
-        max_retries: 50,
-        ..FaultConfig::disabled()
-    };
-    let dir = std::env::temp_dir().join("opa-stream-crash-resume");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    for fw in [Framework::IncHash, Framework::DincHash] {
-        let build = || {
-            StreamJobBuilder::new(job.clone())
-                .framework(fw)
-                .cluster(ClusterSpec::paper_scaled())
-                .faults(cfg)
-                .batches(5)
-        };
-        let full = build().run_stream(&input, |_| {}).expect("full stream");
-        let frep = full.job.metrics.faults.as_ref().expect("report");
-        assert!(frep.reduce_failures > 0, "{fw:?}: no crash fired at {RATE}");
-
-        let ck = dir.join(format!("{fw:?}.opac"));
-        let ckp = ck.clone();
-        build()
-            .run_stream(&input, |ctl| {
-                if ctl.batch() == 2 {
-                    ctl.checkpoint(ckp.clone());
-                }
-            })
-            .expect("checkpointing stream");
-        let resumed = build()
-            .resume_stream(&input, &ck, |_| {})
-            .expect("resumed stream");
-        let rrep = resumed.job.metrics.faults.as_ref().expect("report");
-        assert!(
-            rrep.reduce_failures > 0,
-            "{fw:?}: resume must still face post-restore crashes"
-        );
-        assert_eq!(
-            resumed.job.output.len(),
-            full.job.output.len(),
-            "{fw:?}: resume lost or double-emitted output"
-        );
-        assert_eq!(
-            resumed.job.sorted_output(),
-            full.job.sorted_output(),
-            "{fw:?}: resumed output differs from the uninterrupted run"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn stream_checkpoint_resume_round_trips_admission_sketch_and_counters_exactly() {
-    // The admission round-trip contract: a stream checkpointed mid-run
-    // with the LFU gate on and restored into fresh reducers must reach
-    // the *same end state* as the uninterrupted run — identical output
-    // multiset and identical admission counters — and that end state is
-    // the one-shot batch run's: batching the arrivals must not change a
-    // single admission decision. Post-checkpoint decisions depend on the
-    // frequency sketch and the spilled-key filter, so the counters agree
-    // only if `export_state`/`import_state` carried both bit-exactly; any
-    // drift in the restored sketch shows up as a diverged
-    // absorbed/rejected split. A 4 KB reduce buffer (vs the stream's ~450
-    // distinct users) guarantees the gate actually fires.
-    use opa::common::units::KB;
-    use opa::common::AdmissionPolicy;
-    use opa::stream::StreamJobBuilder;
-    let input = ClickStreamSpec::counting_scaled(6_000_000).generate(8);
-    let job = ClickCountJob {
-        expected_users: 1000,
-    };
-    let mut cluster = ClusterSpec::tiny();
-    cluster.hardware.reduce_buffer = 4 * KB;
-    let dir = std::env::temp_dir().join("opa-stream-admission-resume");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    for fw in [Framework::IncHash, Framework::DincHash] {
-        let build = |policy: AdmissionPolicy| {
-            StreamJobBuilder::new(job.clone())
-                .framework(fw)
-                .cluster(cluster)
-                .admission(policy)
-                .batches(5)
-        };
-        let full = build(AdmissionPolicy::Lfu)
-            .run_stream(&input, |_| {})
-            .expect("full stream");
-        let full_adm = full
-            .job
-            .metrics
-            .admission
-            .expect("admission stats present with the gate on");
-        assert!(
-            full_adm.rejected > 0,
-            "{fw:?}: the gate never fired — the round-trip is vacuous"
-        );
-
-        let batch = JobBuilder::new(job.clone())
-            .framework(fw)
-            .cluster(cluster)
-            .admission(AdmissionPolicy::Lfu)
-            .run(&input)
-            .expect("batch run");
-        assert_eq!(
-            full.job.sorted_output(),
-            batch.sorted_output(),
-            "{fw:?}: gated streamed output differs from the gated batch run"
-        );
-        assert_eq!(
-            batch.metrics.admission,
-            Some(full_adm),
-            "{fw:?}: streaming perturbed the admission counters"
-        );
-
-        let ck = dir.join(format!("{fw:?}.opac"));
-        let ckp = ck.clone();
-        build(AdmissionPolicy::Lfu)
-            .run_stream(&input, |ctl| {
-                if ctl.batch() == 2 {
-                    ctl.checkpoint(ckp.clone());
-                }
-            })
-            .expect("checkpointing stream");
-        let resumed = build(AdmissionPolicy::Lfu)
-            .resume_stream(&input, &ck, |_| {})
-            .expect("resumed stream");
-        assert_eq!(
-            resumed.job.sorted_output(),
-            full.job.sorted_output(),
-            "{fw:?}: resumed output differs from the uninterrupted run"
-        );
-        assert_eq!(
-            resumed.job.metrics.admission.expect("admission stats"),
-            full_adm,
-            "{fw:?}: admission counters did not survive checkpoint/restore"
-        );
-
-        // A checkpoint written without the sketch cannot be restored into
-        // a gated run: the mismatch must be a hard error, not a silently
-        // empty sketch.
-        let off_ck = dir.join(format!("{fw:?}-off.opac"));
-        let off_ckp = off_ck.clone();
-        build(AdmissionPolicy::Off)
-            .run_stream(&input, |ctl| {
-                if ctl.batch() == 2 {
-                    ctl.checkpoint(off_ckp.clone());
-                }
-            })
-            .expect("admission-off checkpointing stream");
-        let err = build(AdmissionPolicy::Lfu).resume_stream(&input, &off_ck, |_| {});
-        assert!(
-            err.is_err(),
-            "{fw:?}: resuming an admission-off checkpoint with the gate on must fail"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn delivery_reordering_preserves_the_click_multiset_under_sessionization() {
     // Map retries delay deliveries past the reorder slack, so session
     // labels may re-anchor — but every click must appear exactly once,
