@@ -54,7 +54,8 @@ impl HashFn {
     /// `acc·m⁴ + v₀·m³ + v₁·m² + v₂·m + v₃`, exactly, in the wrapping
     /// arithmetic of `Z/2⁶⁴` — so the four word multiplies become
     /// independent and the serial dependency chain shrinks from four
-    /// multiplies per 32 bytes to one. Bit-identical to
+    /// multiplies per 32 bytes to one. A 1–7-byte tail is read with
+    /// loads, not copied into a buffer (`tail_word`). Bit-identical to
     /// [`HashFn::hash_reference`] (property-tested in
     /// `tests/swar_equivalence.rs`).
     #[inline]
@@ -79,13 +80,8 @@ impl HashFn {
             let v = u64::from_le_bytes(w.try_into().expect("chunk is 8 bytes"));
             acc = acc.wrapping_mul(self.mul).wrapping_add(v);
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            acc = acc
-                .wrapping_mul(self.mul)
-                .wrapping_add(u64::from_le_bytes(tail));
+        if !chunks.remainder().is_empty() {
+            acc = acc.wrapping_mul(self.mul).wrapping_add(tail_word(data));
         }
         finalize(acc ^ self.mask)
     }
@@ -130,6 +126,32 @@ pub fn bucket_of(hash: u64, m: usize) -> usize {
     // Multiply-high maps the uniform u64 to [0, m) with less bias than
     // a modulo and no division.
     (((hash as u128) * (m as u128)) >> 64) as usize
+}
+
+/// The last `data.len() % 8` bytes of `data` as a little-endian word,
+/// zero-extended — what copying them into a zeroed `[u8; 8]` would read,
+/// without the variable-length copy. A key of 8 bytes or more yields its
+/// tail from one overlapping load of its last 8 bytes; a shorter key from
+/// two overlapping 4-byte loads or three byte loads. `0` when the length
+/// is a multiple of 8.
+#[inline(always)]
+fn tail_word(data: &[u8]) -> u64 {
+    let len = data.len();
+    let r = len % 8;
+    if r == 0 {
+        0
+    } else if len >= 8 {
+        let last: [u8; 8] = data[len - 8..].try_into().expect("8 bytes");
+        u64::from_le_bytes(last) >> (8 * (8 - r))
+    } else if r >= 4 {
+        let lo = u32::from_le_bytes(data[..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(data[r - 4..].try_into().expect("4 bytes"));
+        u64::from(lo) | (u64::from(hi) << (8 * (r - 4)))
+    } else {
+        u64::from(data[0])
+            | (u64::from(data[r / 2]) << (8 * (r / 2)))
+            | (u64::from(data[r - 1]) << (8 * (r - 1)))
+    }
 }
 
 /// SplitMix64 finalizer: a full-avalanche bijection on `u64`.
@@ -243,15 +265,13 @@ impl std::hash::Hasher for SeededHasher {
             let v = u64::from_le_bytes(w.try_into().expect("chunk is 8 bytes"));
             self.acc = self.acc.wrapping_mul(self.mul).wrapping_add(v);
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
+        let r = chunks.remainder().len();
+        if r != 0 {
             self.acc = self
                 .acc
                 .wrapping_mul(self.mul)
-                .wrapping_add(u64::from_le_bytes(tail))
-                .wrapping_add(rem.len() as u64);
+                .wrapping_add(tail_word(bytes))
+                .wrapping_add(r as u64);
         }
     }
 
@@ -388,7 +408,6 @@ impl GroupIndex {
     }
 
     /// Drops every entry, keeping the allocation.
-    #[cfg(test)]
     fn clear(&mut self) {
         self.fps.fill(0);
         self.rows.fill(EMPTY);
@@ -563,6 +582,16 @@ impl<V> GroupTable<V> {
     /// the rows (finalize, ship, recurse) runs without the table's memory.
     pub fn into_rows(self) -> Vec<(u64, Key, V)> {
         self.rows
+    }
+
+    /// Empties the table into its `(fingerprint, key, value)` rows, in row
+    /// order, keeping the row and index allocations for the next fill —
+    /// for a caller that groups many inputs one after another, as the
+    /// spilled-bucket pass does. The rows are gone once the iterator
+    /// drops, whether or not it was run to the end.
+    pub fn drain_rows(&mut self) -> std::vec::Drain<'_, (u64, Key, V)> {
+        self.index.clear();
+        self.rows.drain(..)
     }
 
     /// The rotating victim scan of the LFU admission gates: scores up to
@@ -768,6 +797,37 @@ mod tests {
         }
         for (r, &k) in rows.iter().enumerate() {
             assert_eq!(idx.get(fp(k), |c| rows[c] == k), Some(r), "key {k}");
+        }
+    }
+
+    #[test]
+    fn drain_rows_empties_and_keeps_the_allocations() {
+        let h = HashFamily::new(31).fn_at(0);
+        let fp = |k: u64| h.hash(&k.to_be_bytes());
+        let mut table: GroupTable<u64> = GroupTable::default();
+        for round in 0..3u64 {
+            let keys: Vec<u64> = (0..500).map(|k| k * 7 + round).collect();
+            for &k in &keys {
+                let key = Key::from_u64(k);
+                assert_eq!(
+                    table.find(fp(k), &key),
+                    None,
+                    "round {round}: {k} left over"
+                );
+                table.push(fp(k), key, k * 2);
+            }
+            let (rows, slots) = (table.rows.capacity(), table.index.rows.len());
+            let drained: Vec<(u64, u64, u64)> = table
+                .drain_rows()
+                .map(|(f, key, v)| (f, key.as_u64().unwrap(), v))
+                .collect();
+            let want: Vec<(u64, u64, u64)> = keys.iter().map(|&k| (fp(k), k, k * 2)).collect();
+            assert_eq!(drained, want, "round {round}: rows in row order");
+            assert!(table.is_empty() && table.index.is_empty());
+            assert_eq!(
+                (table.rows.capacity(), table.index.rows.len()),
+                (rows, slots)
+            );
         }
     }
 

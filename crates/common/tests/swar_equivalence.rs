@@ -6,12 +6,14 @@
 //! not merely "a good hash" or "roughly the same tokens". These tests pin
 //! that equivalence at the byte level, over the boundary lengths the
 //! unrolled loops can mishandle (around the 8-byte SWAR stride, the
-//! 32-byte hash unroll, and the engine's 22/23 inline-key sizes) and over
+//! 32-byte hash unroll, and the engine's 22/23 inline-key sizes), over
+//! every short length at every byte offset (the tail loads), and over
 //! arbitrary inputs.
 
-use opa_common::hash::HashFamily;
+use opa_common::hash::{HashFamily, SeededHasher, SeededState};
 use opa_common::scan::{find_byte, tokens};
 use proptest::prelude::*;
+use std::hash::{BuildHasher, Hasher};
 
 /// Lengths that straddle every stride the fast paths use.
 const BOUNDARY_LENS: &[usize] = &[
@@ -96,5 +98,79 @@ proptest! {
                                   needle: u8) {
         let want = data.iter().position(|&b| b == needle);
         prop_assert_eq!(find_byte(&data, needle), want);
+    }
+}
+
+/// `HashFn::hash` equals the reference at every length up to 72 — every
+/// tail length on both sides of each stride — read from every byte
+/// offset of a larger buffer, so each overlapping tail load also runs on
+/// an unaligned sub-slice with live bytes on either side of it.
+#[test]
+fn hash_matches_reference_at_every_length_and_offset() {
+    let buf = filler(72 + 8 + 8, 29);
+    for idx in [0usize, 2, 63] {
+        let h = HashFamily::new(0x5EED).fn_at(idx);
+        for offset in 0..8 {
+            for len in 0..=72 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    h.hash(data),
+                    h.hash_reference(data),
+                    "fn_at({idx}) diverged at length {len}, offset {offset}"
+                );
+            }
+        }
+    }
+}
+
+/// The specification of `SeededHasher::write`: one polynomial step per
+/// 8-byte word, then, for a 1–7-byte tail, one step on the tail copied
+/// into a zeroed word plus the tail's length. Written on the hasher's
+/// public `write_u64` step so it shares no code with the tail loads.
+fn seeded_write_spec(hasher: &mut SeededHasher, bytes: &[u8]) {
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        hasher.write_u64(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    }
+    let rem = chunks.remainder();
+    if !rem.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rem.len()].copy_from_slice(rem);
+        hasher.write_u64(u64::from_le_bytes(tail).wrapping_add(rem.len() as u64));
+    }
+}
+
+/// `SeededHasher::write` equals its scalar specification at every length
+/// up to 72 and every byte offset, for the fixed engine-wide state and two
+/// family members, from a fresh hasher and from one that has already
+/// absorbed a word.
+#[test]
+fn seeded_hasher_matches_its_specification_at_every_length_and_offset() {
+    let buf = filler(72 + 8 + 8, 53);
+    let states = [
+        SeededState::fixed(),
+        SeededState::from_fn(HashFamily::new(7).fn_at(0)),
+        SeededState::from_fn(HashFamily::new(0x9E37).fn_at(5)),
+    ];
+    for (s, state) in states.iter().enumerate() {
+        for offset in 0..8 {
+            for len in 0..=72 {
+                let data = &buf[offset..offset + len];
+                for prefix in [None, Some(0xDEAD_BEEF_u64)] {
+                    let (mut fast, mut spec) = (state.build_hasher(), state.build_hasher());
+                    if let Some(word) = prefix {
+                        fast.write_u64(word);
+                        spec.write_u64(word);
+                    }
+                    fast.write(data);
+                    seeded_write_spec(&mut spec, data);
+                    assert_eq!(
+                        fast.finish(),
+                        spec.finish(),
+                        "state {s} diverged at length {len}, offset {offset}, prefix {prefix:?}"
+                    );
+                }
+            }
+        }
     }
 }

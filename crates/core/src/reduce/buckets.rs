@@ -1,13 +1,14 @@
 //! The spilled-bucket pass of the hash frameworks (§4.1–§4.3): what did
 //! not stay resident was staged to bucket files, and after the input ends
-//! the buckets are read back one at a time, each grouped in a fresh
-//! in-memory table; a bucket whose keys still exceed memory is staged
-//! again under the next hash function of the family and the pass recurses.
+//! the buckets are read back one at a time, each grouped in an in-memory
+//! table; a bucket whose keys still exceed memory is staged again under the
+//! next hash function of the family and the pass recurses.
 //!
-//! [`next_bucket`] and [`repartition`] are the read-back and the
-//! re-staging step over pairs of either kind (MR-hash runs them over raw
-//! key-value pairs); [`BucketPass`] is the whole pass over key-state pairs,
-//! which INC-hash and DINC-hash complete with.
+//! [`next_bucket`] and [`repartition`] are MR-hash's read-back and
+//! re-staging steps over raw key-value pairs. [`BucketPass`] is the whole
+//! pass over key-state pairs, which INC-hash and DINC-hash complete with:
+//! it reads each bucket as its flushed segments and groups every bucket,
+//! at every depth, in one table it empties and reuses.
 
 use super::{OutputSink, ReduceEnv, WORK_BATCH};
 use crate::api::{IncrementalReducer, ReduceCtx};
@@ -78,18 +79,63 @@ pub(super) struct BucketPass<'a> {
 }
 
 impl BucketPass<'_> {
-    /// Processes every staged bucket of a reducer, in bucket order.
+    /// Processes every staged bucket of a reducer, in bucket order, with
+    /// one table and one overflow buffer for the whole pass: each bucket
+    /// leaves both empty, their allocations kept for the next one.
     pub(super) fn run(&mut self, buckets: &mut BucketManager, env: &mut ReduceEnv<'_>) {
-        let mut next = 0;
-        while let Some(tuples) = next_bucket(buckets, &mut next, env) {
-            self.process_bucket(tuples, TOP_DEPTH, env);
+        #[cfg(test)]
+        if FRESH_TABLES.get() {
+            let mut next = 0;
+            while let Some(tuples) = next_bucket(buckets, &mut next, env) {
+                self.process_bucket_fresh(tuples, TOP_DEPTH, env);
+            }
+            return;
+        }
+        let mut table = GroupTable::default();
+        let mut overflow = Vec::new();
+        self.process_buckets(buckets, TOP_DEPTH, &mut table, &mut overflow, env);
+    }
+
+    /// Reads back every non-empty bucket of `buckets`, in bucket order,
+    /// charging the seal and every read as [`next_bucket`] does, and
+    /// processes each at `depth`.
+    fn process_buckets(
+        &mut self,
+        buckets: &mut BucketManager,
+        depth: usize,
+        table: &mut GroupTable<Value>,
+        overflow: &mut Vec<Pair>,
+        env: &mut ReduceEnv<'_>,
+    ) {
+        env.spill(buckets.seal());
+        for i in 0..buckets.num_buckets() {
+            let (segments, op) = buckets.take_segments(i);
+            env.spill(op);
+            if !segments.is_empty() {
+                self.process_bucket(segments, depth, table, overflow, env);
+            }
         }
     }
 
-    /// Processes one staged bucket with a fresh in-memory table: combine
-    /// in arrival order while the keys fit (first come stay), finalize the
-    /// resident keys, then re-partition the rest and recurse.
-    fn process_bucket(&mut self, tuples: Vec<Pair>, depth: usize, env: &mut ReduceEnv<'_>) {
+    /// Processes one staged bucket, read as its flushed segments, in
+    /// `table` (left empty by the bucket before): combine in arrival order
+    /// while the keys fit (first come stay), finalize the resident keys,
+    /// then re-partition the rest and recurse with the same table and
+    /// overflow buffer.
+    fn process_bucket(
+        &mut self,
+        segments: Vec<Vec<Pair>>,
+        depth: usize,
+        table: &mut GroupTable<Value>,
+        overflow: &mut Vec<Pair>,
+        env: &mut ReduceEnv<'_>,
+    ) {
+        #[cfg(test)]
+        DEEPEST.set(DEEPEST.get().max(depth));
+        debug_assert!(
+            table.is_empty() && overflow.is_empty(),
+            "left empty by the last bucket"
+        );
         // Replay the bucket under its own watermark: the file preserves
         // arrival order, so advancing the watermark from the replayed
         // tuples reproduces the original bounded disorder. Reusing the
@@ -98,10 +144,92 @@ impl BucketPass<'_> {
         let saved_watermark = self.ctx.watermark.take();
         let inc = self.inc;
         let h1 = self.family.fn_at(0);
+        let mut used = 0u64;
+        let mut batch = 0u64;
+        // Once one key overflows, every later new key does, unsized: a
+        // key's tuples are never split between the table and the overflow.
+        // At the depth limit every key is admitted, so nothing overflows.
+        for sp in segments.into_iter().flatten() {
+            if let Some(ts) = inc.event_time(&sp.value) {
+                self.ctx.advance_watermark(ts);
+            }
+            let h = h1.hash(sp.key.bytes());
+            match table.find(h, &sp.key) {
+                Some(i) => {
+                    let (key, acc) = table.row_mut(i);
+                    cb_sized(inc, key, acc, sp.value, self.ctx, &mut used);
+                    batch += 1;
+                }
+                None if !overflow.is_empty() => overflow.push(sp),
+                None => {
+                    let sz = entry_size(inc, &sp.key, &sp.value);
+                    if used + sz <= self.mem_budget || depth >= MAX_DEPTH {
+                        used += sz;
+                        table.push(h, sp.key, sp.value);
+                        batch += 1;
+                    } else {
+                        overflow.push(sp);
+                    }
+                }
+            }
+            if batch >= WORK_BATCH {
+                charge(batch, env);
+                batch = 0;
+                self.sink.push(self.ctx, env);
+            }
+        }
+        if batch > 0 {
+            charge(batch, env);
+        }
+        let resident = table.len() as u64;
+        for (_, key, state) in table.drain_rows() {
+            inc.finalize(&key, state, self.ctx);
+        }
+        env.cpu(env.cost().reduce_time(resident));
+        self.sink.push(self.ctx, env);
+
+        if !overflow.is_empty() {
+            let mut sub = self.restage(overflow, depth, env);
+            self.process_buckets(&mut sub, depth + 1, table, overflow, env);
+        }
+        self.ctx.watermark = match (saved_watermark, self.ctx.watermark) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
+    }
+
+    /// [`repartition`] that drains `overflow` instead of consuming it, so
+    /// its allocation serves the next bucket: stages the overflow of a
+    /// bucket at `depth` under the family's function at `depth + 1`,
+    /// aiming each sub-bucket at 80 % of the memory budget.
+    fn restage(
+        &self,
+        overflow: &mut Vec<Pair>,
+        depth: usize,
+        env: &mut ReduceEnv<'_>,
+    ) -> BucketManager {
+        let h = self.family.fn_at(depth + 1);
+        let bytes: u64 = overflow.iter().map(Pair::size).sum();
+        let fan = ((bytes as f64 / (self.mem_budget as f64 * 0.8)).ceil() as usize).max(2);
+        let mut sub = BucketManager::new(fan, self.write_buffer);
+        for item in overflow.drain(..) {
+            let b = h.bucket(item.key.bytes(), fan);
+            env.spill(sub.push(b, item));
+        }
+        sub
+    }
+
+    /// The bucket pass as it was before the table was reused: a fresh
+    /// table for every bucket, sized from its tuple count, and a fresh
+    /// overflow buffer handed to [`repartition`]. Kept as the oracle the
+    /// reused-table pass must match — same output, same effect log.
+    #[cfg(test)]
+    fn process_bucket_fresh(&mut self, tuples: Vec<Pair>, depth: usize, env: &mut ReduceEnv<'_>) {
+        let saved_watermark = self.ctx.watermark.take();
+        let inc = self.inc;
+        let h1 = self.family.fn_at(0);
         let mut table: GroupTable<Value> = GroupTable::with_capacity(tuples.len() / 4 + 1);
         let mut used = 0u64;
-        // Once one key overflows, every later new key does: a key's tuples
-        // are never split between this table and the overflow.
         let mut overflow: Vec<Pair> = Vec::new();
         let mut batch = 0u64;
         for sp in tuples {
@@ -152,7 +280,7 @@ impl BucketPass<'_> {
             );
             let mut next = 0;
             while let Some(tuples) = next_bucket(&mut sub, &mut next, env) {
-                self.process_bucket(tuples, depth + 1, env);
+                self.process_bucket_fresh(tuples, depth + 1, env);
             }
         }
         self.ctx.watermark = match (saved_watermark, self.ctx.watermark) {
@@ -160,6 +288,16 @@ impl BucketPass<'_> {
             (a, b) => a.or(b),
         };
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Runs [`BucketPass::run`] on this thread through
+    /// [`BucketPass::process_bucket_fresh`], the oracle form.
+    pub(super) static FRESH_TABLES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// The deepest level [`BucketPass::process_bucket`] ran at on this
+    /// thread.
+    pub(super) static DEEPEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Charges `batch` table operations and acknowledges them into reduce

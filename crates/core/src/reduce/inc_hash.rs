@@ -165,9 +165,11 @@ impl<'j> IncHashReducer<'j> {
                 self.sink.push(&mut self.ctx, env);
             }
             None if self.admission.is_on() => self.absorb_miss_lfu(sp, h, env),
+            // Closed admissions never reopen, so the arrival needs no size.
+            None if self.admissions_closed => self.reject(sp, env),
             None => {
                 let sz = entry_size(&*self.inc, &sp.key, &sp.value);
-                if !self.admissions_closed && self.mem_used + sz <= self.mem_budget {
+                if self.mem_used + sz <= self.mem_budget {
                     self.admit(sp, h, sz, 1, env);
                 } else {
                     self.admissions_closed = true;

@@ -433,3 +433,140 @@ fn dinc_early_stop_uses_the_monitors_own_slack() {
         "SpaceSaving finalized a key whose γ = {space_saving:.4} < φ = {phi:.4}"
     );
 }
+
+/// [`Count`] whose every state is charged 200 bytes against the reduce
+/// buffer and whose count doubles as an event time, so a few keys fill
+/// memory and the bucket pass moves a watermark.
+struct Heavy;
+
+impl Job for Heavy {
+    fn name(&self) -> &str {
+        "heavy"
+    }
+    fn map(&self, _record: &[u8], _emit: &mut dyn FnMut(&[u8], &[u8])) {
+        unreachable!("reduce-side tests never map");
+    }
+    fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
+        Count.reduce(key, values, ctx);
+    }
+    fn incremental(&self) -> Option<&dyn IncrementalReducer> {
+        Some(self)
+    }
+}
+
+impl IncrementalReducer for Heavy {
+    fn init(&self, key: &Key, value: &[u8]) -> Value {
+        Count.init(key, value)
+    }
+    fn cb(&self, key: &Key, acc: &mut Value, other: Value, ctx: &mut ReduceCtx) {
+        Count.cb(key, acc, other, ctx);
+    }
+    fn finalize(&self, key: &Key, state: Value, ctx: &mut ReduceCtx) {
+        Count.finalize(key, state, ctx);
+    }
+    fn state_mem_size(&self, _state: &Value) -> u64 {
+        200
+    }
+    fn event_time(&self, state: &Value) -> Option<u64> {
+        state.as_u64()
+    }
+}
+
+/// The bucket pass with one reused table and overflow buffer logs exactly
+/// what the fresh-table-per-bucket form logs — every charge, spill and
+/// emitted pair, in order — and leaves the same watermark, for INC-hash
+/// under both admission policies and DINC-hash under both monitors, over
+/// seeded inputs in a reduce buffer small enough that buckets re-partition
+/// down to [`buckets::MAX_DEPTH`].
+#[test]
+fn reused_bucket_pass_matches_the_fresh_table_oracle() {
+    use super::buckets::{DEEPEST, FRESH_TABLES, MAX_DEPTH};
+    use opa_common::rng::SplitMix64;
+    use opa_common::AdmissionPolicy;
+    let mut spec = ClusterSpec::tiny();
+    spec.cost = ClusterSpec::paper_scaled().cost;
+    spec.hardware.reduce_buffer = 1200;
+    spec.bucket_write_buffer = 128;
+    let cases = [
+        (
+            Framework::IncHash,
+            MonitorKind::Frequent,
+            AdmissionPolicy::Off,
+        ),
+        (
+            Framework::IncHash,
+            MonitorKind::Frequent,
+            AdmissionPolicy::Lfu,
+        ),
+        (
+            Framework::DincHash,
+            MonitorKind::Frequent,
+            AdmissionPolicy::Off,
+        ),
+        (
+            Framework::DincHash,
+            MonitorKind::SpaceSaving,
+            AdmissionPolicy::Off,
+        ),
+    ];
+    for (framework, monitor, admission) in cases {
+        for (seed, expected_keys) in [(1u64, 64u64), (2, 512), (3, 64), (4, 512)] {
+            let sizing = ReducerSizing {
+                expected_keys,
+                monitor,
+                admission,
+                ..sizing()
+            };
+            let family = HashFamily::new(seed);
+            // 240 keys, skewed: a key's tuples spread over the whole input.
+            let mut rng = SplitMix64::new(0xB0C4_E700 + seed);
+            let batches: Vec<Vec<u64>> = (0..60)
+                .map(|_| {
+                    (0..12)
+                        .map(|_| {
+                            let span = 1 + rng.next_below(240);
+                            rng.next_below(span)
+                        })
+                        .collect()
+                })
+                .collect();
+            let run = |fresh: bool| {
+                FRESH_TABLES.set(fresh);
+                DEEPEST.set(0);
+                let mut r = make_reducer(framework, &Heavy, &spec, sizing, &family).unwrap();
+                let mut delivered = Vec::new();
+                for keys in &batches {
+                    let mut env = ReduceEnv::new(&spec);
+                    r.deliver(states(keys), &mut env);
+                    delivered.extend(env.into_log());
+                }
+                let mut env = ReduceEnv::new(&spec);
+                r.complete(&mut env);
+                FRESH_TABLES.set(false);
+                let log = env.into_log();
+                let total: u64 = delivered
+                    .iter()
+                    .chain(&log)
+                    .filter_map(|e| match e {
+                        Effect::Emit(pairs) => Some(pairs),
+                        _ => None,
+                    })
+                    .flatten()
+                    .map(|p| p.value.as_u64().unwrap())
+                    .sum();
+                (format!("{log:?}"), r.watermark(), total, DEEPEST.get())
+            };
+            let (oracle_log, oracle_watermark, oracle_total, _) = run(true);
+            let (log, watermark, total, deepest) = run(false);
+            let case = format!("{framework:?} {monitor:?} {admission:?} seed {seed}");
+            assert_eq!(log, oracle_log, "{case}: effect logs differ");
+            assert_eq!(watermark, oracle_watermark, "{case}");
+            assert_eq!(
+                deepest, MAX_DEPTH,
+                "{case}: the pass never reached the depth limit"
+            );
+            assert_eq!(oracle_total, 60 * 12, "{case}: the oracle lost counts");
+            assert_eq!(total, oracle_total, "{case}");
+        }
+    }
+}
