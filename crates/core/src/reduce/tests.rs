@@ -570,3 +570,85 @@ fn reused_bucket_pass_matches_the_fresh_table_oracle() {
         }
     }
 }
+
+/// MR-hash's staged-bucket path, pinned: the CRC-32 of each run's
+/// `Debug`-formatted effect log (every delivery, then completion) over
+/// seeded inputs in which one key carries about a quarter of the tuples,
+/// so the hot-key guard fires, across reduce buffers, hash seeds and two
+/// sizings. The small sizing stages into three disk buckets; the large one
+/// meets the disk-bucket clamp at the two smaller buffers. `D1` overflows
+/// into bucket file 0 in every run, and every run re-partitions at least
+/// once; some reach [`buckets::MAX_DEPTH`]. Update a CRC only for a change
+/// that means to move MR-hash's effects.
+#[test]
+fn mr_hash_effect_log_pins() {
+    use super::buckets::DEEPEST;
+    use opa_common::rng::SplitMix64;
+    use opa_simio::codec::crc32;
+    const HOT: u64 = 7;
+    let mut spec = ClusterSpec::tiny();
+    spec.cost = ClusterSpec::paper_scaled().cost;
+    spec.bucket_write_buffer = 128;
+    // Per reduce buffer, hash seeds 1–4, each the small sizing then the
+    // large one.
+    #[rustfmt::skip]
+    let pins: [(u64, [u32; 8]); 3] = [
+        (1200, [0xAA00_03F9, 0x8678_9318, 0x4EBE_5394, 0xB40B_699D,
+                0x852C_02C8, 0xE98B_B303, 0x5EED_BFD4, 0x97C9_A1D0]),
+        (2048, [0xF728_5512, 0xF988_6633, 0xEFB9_347F, 0x1445_9FC3,
+                0x3362_8C56, 0x41ED_D4B3, 0x92E1_E48E, 0x69FF_364F]),
+        (4096, [0x2CB8_F319, 0x8204_8EE2, 0xDA43_F5B8, 0x985E_FDA8,
+                0x7FDF_F841, 0x94B0_A668, 0x4DBD_C2FD, 0xFC79_B44D]),
+    ];
+    for (reduce_buffer, crcs) in pins {
+        spec.hardware.reduce_buffer = reduce_buffer;
+        for (i, pinned) in crcs.into_iter().enumerate() {
+            let seed = 1 + i as u64 / 2;
+            let expected_input = if i % 2 == 0 {
+                2 * reduce_buffer
+            } else {
+                1 << 14
+            };
+            let sizing = ReducerSizing {
+                expected_input,
+                ..sizing()
+            };
+            let family = HashFamily::new(seed);
+            let mut rng = SplitMix64::new(100 + seed);
+            DEEPEST.set(0);
+            let mut r = make_reducer(Framework::MrHash, &Count, &spec, sizing, &family).unwrap();
+            let mut log = Vec::new();
+            for _ in 0..80 {
+                let keys: Vec<u64> = (0..12)
+                    .map(|_| {
+                        if rng.next_below(4) == 0 {
+                            HOT
+                        } else {
+                            rng.next_below(80)
+                        }
+                    })
+                    .collect();
+                let mut env = ReduceEnv::new(&spec);
+                r.deliver(sorted_pairs(&keys), &mut env);
+                log.extend(env.into_log());
+            }
+            let mut env = ReduceEnv::new(&spec);
+            r.complete(&mut env);
+            log.extend(env.into_log());
+            let total: u64 = log
+                .iter()
+                .filter_map(|e| match e {
+                    Effect::Emit(pairs) => Some(pairs),
+                    _ => None,
+                })
+                .flatten()
+                .map(|p| p.value.as_u64().unwrap())
+                .sum();
+            let case = format!("buffer {reduce_buffer} seed {seed} input {expected_input}");
+            assert_eq!(total, 80 * 12, "{case}: counts lost");
+            assert!(DEEPEST.get() >= 4, "{case}: nothing re-partitioned");
+            let crc = crc32(format!("{log:?}").as_bytes());
+            assert_eq!(crc, pinned, "{case}: effect log drifted (0x{crc:08X})");
+        }
+    }
+}
