@@ -12,12 +12,8 @@ use opa_common::Pair;
 
 /// State of one bucket: its buffered tail plus everything already flushed.
 /// Flushed data is kept as one segment per flush — segments are moved, not
-/// copied, so a large bucket never re-copies its prefix. How a bucket is
-/// read back is the reader's choice: [`BucketManager::take_bucket`]
-/// concatenates the segments once into one `Vec`, freeing each as it is
-/// copied (MR-hash reads buckets so); [`BucketManager::take_segments`]
-/// hands them over as they are, for a reader that iterates them in order
-/// (the INC-hash and DINC-hash bucket pass).
+/// copied, so a large bucket never re-copies its prefix, and
+/// [`BucketManager::take_segments`] hands them to the reader as they are.
 #[derive(Debug)]
 struct Bucket {
     buffered: Vec<Pair>,
@@ -40,9 +36,9 @@ impl Bucket {
 }
 
 /// Manages `h` bucket files, each behind a paged write buffer. A sealed
-/// bucket is read back either concatenated ([`BucketManager::take_bucket`],
-/// MR-hash) or as its flushed segments ([`BucketManager::take_segments`],
-/// the INC-hash and DINC-hash bucket pass); both price the same read.
+/// bucket is read back as its flushed segments
+/// ([`BucketManager::take_segments`]), which all three hash frameworks
+/// iterate in flush order.
 #[derive(Debug)]
 pub struct BucketManager {
     buckets: Vec<Bucket>,
@@ -172,57 +168,25 @@ impl BucketManager {
         }
     }
 
-    /// Reads bucket `i` back from disk, consuming it. Must be sealed first.
-    /// The read is priced as one request per flush that built the file
-    /// (flushed segments are contiguous but a long-lived file interleaves
-    /// with its `h − 1` siblings on the platter).
-    ///
-    /// # Panics
-    /// Panics if not sealed.
-    pub fn take_bucket(&mut self, i: usize) -> (Vec<Pair>, IoOp) {
-        assert!(self.sealed, "take_bucket before seal");
-        let op = self.take_read(i);
-        let b = &mut self.buckets[i];
-        let recs = match b.flushed.len() {
-            0 | 1 => b.flushed.pop().unwrap_or_default(),
-            _ => {
-                let total: usize = b.flushed.iter().map(Vec::len).sum();
-                let mut out = Vec::with_capacity(total);
-                for seg in b.flushed.drain(..) {
-                    out.extend(seg);
-                }
-                out
-            }
-        };
-        (recs, op)
-    }
-
-    /// [`BucketManager::take_bucket`] without the concatenation: bucket
-    /// `i`'s records as the segments its flushes wrote, in flush order, so
-    /// reading them in turn yields the bucket's arrival order. No segment
-    /// is empty, so an empty bucket yields no segments. The I/O is priced
-    /// exactly as `take_bucket` prices it.
+    /// Reads bucket `i` back from disk, consuming it: its records as the
+    /// segments its flushes wrote, in flush order, so reading them in turn
+    /// yields the bucket's arrival order. No segment is empty, so an empty
+    /// bucket yields no segments and no I/O. The read is priced as one
+    /// request per flush that built the file (flushed segments are
+    /// contiguous but a long-lived file interleaves with its `h − 1`
+    /// siblings on the platter).
     ///
     /// # Panics
     /// Panics if not sealed.
     pub fn take_segments(&mut self, i: usize) -> (Vec<Vec<Pair>>, IoOp) {
         assert!(self.sealed, "take_segments before seal");
-        let op = self.take_read(i);
-        (std::mem::take(&mut self.buckets[i].flushed), op)
-    }
-
-    /// The read of bucket `i`'s file, resetting its byte and flush counts.
-    fn take_read(&mut self, i: usize) -> IoOp {
         let b = &mut self.buckets[i];
-        let bytes = b.flushed_bytes;
-        let seeks = b.flush_count.max(if bytes > 0 { 1 } else { 0 });
-        b.flushed_bytes = 0;
-        b.flush_count = 0;
-        IoOp {
-            read: bytes,
+        let op = IoOp {
+            read: std::mem::take(&mut b.flushed_bytes),
             written: 0,
-            seeks,
-        }
+            seeks: std::mem::take(&mut b.flush_count),
+        };
+        (std::mem::take(&mut b.flushed), op)
     }
 }
 
@@ -286,57 +250,53 @@ mod tests {
         for b in &m.buckets {
             assert_eq!(b.buffered.capacity(), 0, "sealing allocated a dead buffer");
         }
-        let (recs, op) = m.take_bucket(0);
-        let keys: Vec<u64> = recs.iter().map(|r| r.key.as_u64().unwrap()).collect();
+        let (segments, op) = m.take_segments(0);
+        let keys: Vec<u64> = segments
+            .iter()
+            .flatten()
+            .map(|r| r.key.as_u64().unwrap())
+            .collect();
         assert_eq!(keys, (0..5).collect::<Vec<_>>());
         assert_eq!((op.read, op.seeks), (5 * 96, 3));
-        let (recs, op) = m.take_bucket(1);
-        assert_eq!(recs.len(), 1);
+        let (segments, op) = m.take_segments(1);
+        assert_eq!(segments.concat().len(), 1);
         assert_eq!((op.read, op.seeks), (96, 1));
-        assert!(m.take_bucket(2).1.is_none());
+        assert!(m.take_segments(2).1.is_none());
     }
 
     #[test]
-    fn take_bucket_returns_all_records_in_order() {
-        let mut m = BucketManager::new(2, 150);
-        for k in 0..10 {
-            let _ = m.push(0, tuple(k, 64));
-        }
-        let _ = m.seal();
-        let (recs, op) = m.take_bucket(0);
-        assert_eq!(recs.len(), 10);
-        let keys: Vec<u64> = recs.iter().map(|r| r.key.as_u64().unwrap()).collect();
-        assert_eq!(keys, (0..10).collect::<Vec<_>>());
-        assert!(op.read > 0 && op.seeks >= 1);
-        // Consumed: second take is empty and free.
-        let (recs2, op2) = m.take_bucket(0);
-        assert!(recs2.is_empty());
-        assert!(op2.is_none());
-    }
-
-    #[test]
-    fn take_segments_reads_what_take_bucket_reads() {
+    fn take_segments_returns_all_records_in_order() {
         // Bucket 0 flushes several times, bucket 1 only at seal, bucket 2
         // never holds anything.
-        let fill = || {
-            let mut m = BucketManager::new(3, 150);
-            for k in 0..11 {
-                let _ = m.push(0, tuple(k, 24 + 20 * (k as usize % 4)));
-            }
-            let _ = m.push(1, tuple(99, 8));
-            let _ = m.seal();
-            m
-        };
-        let (mut by_bucket, mut by_segments) = (fill(), fill());
-        for i in 0..3 {
-            let (recs, op) = by_bucket.take_bucket(i);
-            let (segments, seg_op) = by_segments.take_segments(i);
-            assert_eq!(seg_op, op, "bucket {i}");
-            assert!(segments.iter().all(|seg| !seg.is_empty()), "bucket {i}");
-            assert_eq!(segments.concat(), recs, "bucket {i}");
-            assert_eq!(segments.len() as u64, op.seeks, "one segment per flush");
+        let mut m = BucketManager::new(3, 150);
+        for k in 0..11 {
+            let _ = m.push(0, tuple(k, 24 + 20 * (k as usize % 4)));
         }
-        assert!(by_segments.take_segments(0).1.is_none(), "consumed");
+        let _ = m.push(1, tuple(99, 8));
+        let _ = m.seal();
+        let taken: Vec<_> = (0..3).map(|i| m.take_segments(i)).collect();
+        for (i, (segments, op)) in taken.iter().enumerate() {
+            assert!(segments.iter().all(|seg| !seg.is_empty()), "bucket {i}");
+            assert_eq!(
+                segments.len() as u64,
+                op.seeks,
+                "bucket {i}: one segment per flush"
+            );
+            let bytes: u64 = segments.iter().flatten().map(Pair::size).sum();
+            assert_eq!(bytes, op.read, "bucket {i}");
+        }
+        let keys: Vec<u64> = taken[0]
+            .0
+            .iter()
+            .flatten()
+            .map(|r| r.key.as_u64().unwrap())
+            .collect();
+        assert_eq!(keys, (0..11).collect::<Vec<_>>());
+        assert!(taken[0].1.seeks > 1, "bucket 0 flushed more than once");
+        assert!(taken[2].0.is_empty() && taken[2].1.is_none());
+        // Consumed: a second take is empty and free.
+        let (again, op) = m.take_segments(0);
+        assert!(again.is_empty() && op.is_none());
     }
 
     #[test]
@@ -350,7 +310,7 @@ mod tests {
         }
         let sop = m.seal();
         flushes += sop.seeks;
-        let (_recs, rop) = m.take_bucket(0);
+        let (_segments, rop) = m.take_segments(0);
         assert_eq!(rop.seeks, flushes);
     }
 
@@ -378,7 +338,7 @@ mod tests {
         // The buffered rows pay their spill write at seal, as the
         // original's would.
         assert_eq!(restored.seal(), m.seal());
-        assert_eq!(restored.take_bucket(0), m.take_bucket(0));
+        assert_eq!(restored.take_segments(0), m.take_segments(0));
     }
 
     #[test]
@@ -394,12 +354,5 @@ mod tests {
     fn take_segments_before_seal_panics() {
         let mut m = BucketManager::new(1, 10);
         let _ = m.take_segments(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "take_bucket before seal")]
-    fn take_before_seal_panics() {
-        let mut m = BucketManager::new(1, 10);
-        let _ = m.take_bucket(0);
     }
 }

@@ -30,16 +30,17 @@ proptest! {
         written += m.seal().written;
         let mut read = 0u64;
         for (b, exp) in expected.iter().enumerate() {
-            let (got, op) = m.take_bucket(b);
+            let (got, op) = m.take_segments(b);
             read += op.read;
             let got: Vec<(u64, usize)> = got
                 .iter()
+                .flatten()
                 .map(|t| (t.key.as_u64().unwrap(), t.value.len()))
                 .collect();
             prop_assert_eq!(&got, exp, "bucket {} contents differ", b);
         }
         prop_assert_eq!(written, read, "flushed bytes must equal read bytes");
-        prop_assert_eq!(m.total_spilled(), 0, "take_bucket resets accounting");
+        prop_assert_eq!(m.total_spilled(), 0, "take_segments resets accounting");
     }
 
     /// Spill files round-trip their records and sizes.
